@@ -34,8 +34,6 @@ class ControllerState:
     dt: float
     dt_min: float
     dt_max: float
-    tol_rel: float = 1e-6
-    tol_abs: float = 1e-6
     pid: tuple = (0.7, 0.4, 0.0)
     safety: float = 0.9
     err_history: list = field(default_factory=list)
@@ -131,8 +129,7 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
     if relaxing and eta is None:
         raise ValueError("relaxation requires an entropy functional")
 
-    ctrl = ControllerState(dt=dt0, dt_min=1e-12 * span, dt_max=span,
-                           tol_rel=rtol, tol_abs=atol)
+    ctrl = ControllerState(dt=dt0, dt_min=1e-12 * span, dt_max=span)
     t = float(t0)
     u = np.array(u0, dtype=float)
     traj = Trajectory()

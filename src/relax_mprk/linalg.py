@@ -1,17 +1,22 @@
-"""Dense LU solver with scaled partial pivoting.
+"""Dense linear solves through LAPACK ``gesv`` (``numpy.linalg.solve``).
 
 All linear systems in this package are small (<= a few hundred unknowns)
-and, for conservative production-destruction systems, columnwise
-diagonally dominant, so a plain dense factorization is adequate.
+and dense, so one LU factorization with partial pivoting per solve is
+adequate.  The Patankar matrices of the schemes have a positive diagonal,
+non-positive off-diagonal entries and column sums >= 1, so they are
+column diagonally dominant: partial pivoting never swaps rows, the
+factors are those of plain Gaussian elimination, and the elimination
+keeps the M-matrix sign pattern.  A positive right-hand side therefore
+gives a positive solution in floating point as well (Higham, Accuracy
+and Stability of Numerical Algorithms, ch. 9), as long as the unit part
+of the diagonal survives rounding, i.e. the off-diagonal entries stay
+well below 1/eps.  Beyond that the matrix is singular to working
+precision and no elimination order keeps positivity.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# A pivot below this fraction of its current row scale is treated as an
-# exact zero (the row is linearly dependent on the rows above).
-_PIVOT_RTOL = 1e-14
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -19,16 +24,15 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 
 def lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by Gaussian elimination with scaled partial pivoting.
+    """Solve A x = b by LU factorization with partial pivoting.
 
-    Pivot rows are chosen by the largest entry relative to the row's
-    remaining-submatrix scale, which keeps the factorization stable for
-    the badly row-scaled matrices produced by stiff reaction systems.
-    Raises SingularMatrixError when the best available pivot falls below
-    1e-14 times its row scale.
+    Raises ValueError for a non-square matrix, a right-hand side of the
+    wrong length or non-finite matrix entries, and SingularMatrixError
+    when LAPACK meets an exactly zero pivot or the solution overflows to
+    non-finite values.
     """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
@@ -36,23 +40,10 @@ def lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("right-hand side length mismatch")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-
-    for k in range(n):
-        scale = np.max(np.abs(A[k:, k:]), axis=1)
-        if np.any(scale == 0.0):
-            raise SingularMatrixError("matrix has a linearly dependent row")
-        p = k + int(np.argmax(np.abs(A[k:, k]) / scale))
-        if abs(A[p, k]) <= _PIVOT_RTOL * scale[p - k]:
-            raise SingularMatrixError(f"numerically singular pivot in column {k}")
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        if k < n - 1:
-            mult = A[k + 1:, k] / A[k, k]
-            A[k + 1:, k + 1:] -= np.outer(mult, A[k, k + 1:])
-            b[k + 1:] -= mult * b[k]
-
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - A[k, k + 1:] @ x[k + 1:]) / A[k, k]
+    try:
+        x = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"singular matrix: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrixError("solution has non-finite entries")
     return x

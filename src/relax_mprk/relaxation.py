@@ -162,6 +162,22 @@ def residual_implicit_value(eta, stepper, record, eta_target, gamma):
     return float(eta.eval(u_g)) - eta_target
 
 
+class _GammaStateMemo:
+    """Stepper view that keeps each u^{n+gamma} it computes, by gamma."""
+
+    def __init__(self, stepper):
+        self._stepper = stepper
+        self.states = {}
+
+    def gamma_state(self, record, gamma):
+        u_g = self._stepper.gamma_state(record, gamma)
+        self.states[gamma] = u_g
+        return u_g
+
+    def gamma_state_derivative(self, record, gamma, u_gamma):
+        return self._stepper.gamma_state_derivative(record, gamma, u_gamma)
+
+
 def _probe(fun, gamma):
     try:
         val = fun(gamma)
@@ -370,12 +386,15 @@ def relax_step(eta: EntropyFunctional, stepper, record,
         u_rel = geometric_state(u_old, u_new, gamma)
 
     elif cfg.mode == MODE_IMPLICIT:
+        # every probe's u^{n+gamma} is kept, so the accepted one is not
+        # solved for again
+        memo = _GammaStateMemo(stepper)
         if cfg.solver == "newton":
             cache = {}
 
             def pair(g):
                 if g not in cache:
-                    cache[g] = residual_implicit(eta, stepper, record,
+                    cache[g] = residual_implicit(eta, memo, record,
                                                  eta_est, g)
                 return cache[g]
 
@@ -386,7 +405,7 @@ def relax_step(eta: EntropyFunctional, stepper, record,
                 return pair(g)[1] / scale
         else:
             def fun(g):
-                return residual_implicit_value(eta, stepper, record,
+                return residual_implicit_value(eta, memo, record,
                                                eta_est, g) / scale
 
             deriv = None
@@ -396,7 +415,7 @@ def relax_step(eta: EntropyFunctional, stepper, record,
             u_rel = u_new
             gamma = 1.0
         else:
-            u_rel = stepper.gamma_state(record, gamma)
+            u_rel = memo.states[gamma]
 
     else:
         raise ValueError(f"unknown relaxation mode {cfg.mode!r}")

@@ -72,7 +72,7 @@ class MpScheme:
     def label(self) -> str:
         if self.kind == MPRK22:
             return f"MPRK22({self.alpha:g})"
-        return f"{self.kind.upper().replace('MPRK43I', 'MPRK43I')}({self.alpha:g},{self.beta:g})"
+        return f"{self.kind.upper()}({self.alpha:g},{self.beta:g})"
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -308,20 +308,25 @@ def _default_sigma_mode(scheme: MpScheme) -> str:
             MPRK43I: SIGMA_BOOTSTRAP}[scheme.kind]
 
 
-def sigma_bar(scheme: MpScheme, record_or_data, gamma: float, mode: str):
-    """Gamma-dependent denominator vector and its gamma-derivative.
+def _gamma_data(record_or_data) -> GammaData:
+    if isinstance(record_or_data, StepRecord):
+        return record_or_data.gamma_data
+    return record_or_data
 
-    Returns ``(sbar, sbar_prime)``.  Valid modes: ``frozen`` for any
-    scheme, ``dense`` for MPRK22/MPSSPRK2, ``bootstrap`` for MPRK43I.
+
+def _sigma_bar_value(scheme: MpScheme, gd: GammaData, gamma: float, mode: str):
+    """sbar(gamma) without its gamma-derivative.
+
+    Returns ``(sbar, rate, M)``: ``rate`` is the gamma-rate of the
+    geometric-mean denominator (None when frozen) and ``M`` the bootstrap
+    sigma matrix (None otherwise), both reused by ``sigma_bar`` for sbar'.
     """
-    gd = record_or_data.gamma_data if isinstance(record_or_data, StepRecord) else record_or_data
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if mode == SIGMA_FROZEN:
-        return gd.sigma, np.zeros_like(gd.sigma)
+        return gd.sigma, None, None
 
     u_n, u2 = gd.u_n, gd.u_stage2
-    log_ratio = np.log(u2) - np.log(u_n)
     if mode == SIGMA_DENSE:
         if scheme.kind == MPRK22:
             rate = 1.0 / scheme.alpha
@@ -329,8 +334,7 @@ def sigma_bar(scheme: MpScheme, record_or_data, gamma: float, mode: str):
             rate = scheme.s_exp
         else:
             raise ValueError("dense sigma mode is undefined for MPRK43I; use bootstrap")
-        sbar = ppow(u2, gamma * rate) * ppow(u_n, 1.0 - gamma * rate)
-        return sbar, sbar * rate * log_ratio
+        return ppow(u2, gamma * rate) * ppow(u_n, 1.0 - gamma * rate), rate, None
 
     if mode == SIGMA_BOOTSTRAP:
         if scheme.kind != MPRK43I:
@@ -339,17 +343,26 @@ def sigma_bar(scheme: MpScheme, record_or_data, gamma: float, mode: str):
         tau = ppow(u2, gamma * rate) * ppow(u_n, 1.0 - gamma * rate)
         M = patankar_matrix(gd.sig_P, gd.sig_loss, tau, gamma * gd.dt)
         sbar = _check_positive(lu_solve(M, u_n + gamma * gd.sig_g), "sigma_bar")
-        v = sbar * rate * log_ratio
-        rhs = (sbar - u_n) / gamma + M @ v - v
-        return sbar, lu_solve(M, rhs)
+        return sbar, rate, M
 
     raise ValueError(f"unknown sigma mode {mode!r}")
 
 
-def gamma_matrix(gd: GammaData, gamma: float, mode: str):
-    sbar, sprime = sigma_bar(gd.scheme, gd, gamma, mode)
-    M = patankar_matrix(gd.upd_P, gd.upd_loss, sbar, gamma * gd.dt)
-    return M, sbar, sprime
+def sigma_bar(scheme: MpScheme, record_or_data, gamma: float, mode: str):
+    """Gamma-dependent denominator vector and its gamma-derivative.
+
+    Returns ``(sbar, sbar_prime)``.  Valid modes: ``frozen`` for any
+    scheme, ``dense`` for MPRK22/MPSSPRK2, ``bootstrap`` for MPRK43I.
+    """
+    gd = _gamma_data(record_or_data)
+    sbar, rate, M = _sigma_bar_value(scheme, gd, gamma, mode)
+    if rate is None:
+        return sbar, np.zeros_like(sbar)
+    v = sbar * rate * (np.log(gd.u_stage2) - np.log(gd.u_n))
+    if M is None:
+        return sbar, v
+    rhs = (sbar - gd.u_n) / gamma + M @ v - v
+    return sbar, lu_solve(M, rhs)
 
 
 def gamma_update(record_or_data, gamma: float, mode: str) -> np.ndarray:
@@ -358,16 +371,18 @@ def gamma_update(record_or_data, gamma: float, mode: str) -> np.ndarray:
     Solves M_gamma u = u_n + gamma*g; reproduces u^{n+1} at gamma = 1 in
     every mode and stays positive for every gamma > 0.
     """
-    gd = record_or_data.gamma_data if isinstance(record_or_data, StepRecord) else record_or_data
-    M, _, _ = gamma_matrix(gd, gamma, mode)
+    gd = _gamma_data(record_or_data)
+    sbar, _, _ = _sigma_bar_value(gd.scheme, gd, gamma, mode)
+    M = patankar_matrix(gd.upd_P, gd.upd_loss, sbar, gamma * gd.dt)
     return _check_positive(lu_solve(M, gd.u_n + gamma * gd.g), "gamma update")
 
 
 def gamma_update_derivative(record_or_data, gamma: float, mode: str,
                             u_gamma: np.ndarray) -> np.ndarray:
     """d u^{n+gamma} / d gamma, consistent with ``gamma_update``."""
-    gd = record_or_data.gamma_data if isinstance(record_or_data, StepRecord) else record_or_data
-    M, sbar, sprime = gamma_matrix(gd, gamma, mode)
+    gd = _gamma_data(record_or_data)
+    sbar, sprime = sigma_bar(gd.scheme, gd, gamma, mode)
+    M = patankar_matrix(gd.upd_P, gd.upd_loss, sbar, gamma * gd.dt)
     v = u_gamma * sprime / sbar
     rhs = (u_gamma - gd.u_n) / gamma + M @ v - v
     return lu_solve(M, rhs)

@@ -297,3 +297,44 @@ def test_failed_relaxation_reports_base_step():
     assert out.status == "failed"
     assert out.gamma == 1.0
     assert np.array_equal(out.u_relaxed, rec.u_next)
+
+
+@pytest.mark.parametrize("kind, params, solver, base_solves", [
+    # MPRK43I: two stages, the sigma system and the update; each bootstrap
+    # probe solves for sigma_bar and for u^{n+gamma}
+    ("mprk43i", (0.5, 0.75), "regula_falsi", 4),
+    # MPRK22 (frozen sigma): stage and update; each Newton iteration solves
+    # for u^{n+gamma} and its derivative
+    ("mprk22", (1.0,), "newton", 2),
+])
+def test_relaxed_step_solve_count(monkeypatch, kind, params, solver, base_solves):
+    from relax_mprk import relaxation, schemes
+
+    solves, probes = [0], [0]
+    lu_solve = schemes.lu_solve
+
+    def counting_solve(A, b):
+        solves[0] += 1
+        return lu_solve(A, b)
+
+    def counted(fn):
+        def wrapper(*args):
+            probes[0] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(schemes, "lu_solve", counting_solve)
+    monkeypatch.setattr(relaxation, "residual_implicit",
+                        counted(relaxation.residual_implicit))
+    monkeypatch.setattr(relaxation, "residual_implicit_value",
+                        counted(relaxation.residual_implicit_value))
+    problem = lotka_volterra() if kind == "mprk22" else cyclic3()
+    stepper = MpStepper(problem.sys, build_scheme(kind, *params))
+    rec = stepper.step(0.0, problem.u0, 0.2)
+    out = relax_step(problem.eta, stepper, rec, _cfg(mode="implicit",
+                                                     solver=solver))
+    assert out.status == "converged"
+    assert probes[0] >= 2
+    assert solves[0] == base_solves + 2 * probes[0]
+    u_check = schemes.gamma_update(rec, out.gamma, stepper.sigma_mode)
+    assert out.u_relaxed.tobytes() == u_check.tobytes()
