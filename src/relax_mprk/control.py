@@ -13,8 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .relaxation import (MODE_NONE, STATUS_CONVERGED, STATUS_FAILED,
-                         RelaxConfig, RelaxOutcome, relax_step)
+from .relaxation import MODE_NONE, STATUS_FAILED, RelaxConfig, relax_step
 
 ADAPT_FIXED = "fixed"
 ADAPT_PID = "pid"

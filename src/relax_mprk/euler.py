@@ -64,7 +64,8 @@ class EulerRecord:
 
 
 class EulerStepper:
-    """Stepper protocol implementation for the partitioned system."""
+    """Stepper protocol implementation for the partitioned system (see
+    ``MpStepper``; ``gamma_state(record, 1.0)`` is ``record.u_next``)."""
 
     def __init__(self, N: int, c: float, scheme: MpScheme,
                  sigma_mode: str = "frozen"):

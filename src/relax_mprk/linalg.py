@@ -38,12 +38,12 @@ def lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square")
     if b.shape != (n,):
         raise ValueError("right-hand side length mismatch")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"singular matrix: {exc}") from exc
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SingularMatrixError("solution has non-finite entries")
     return x

@@ -12,8 +12,9 @@ quantity of the flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class RateSet:
     rest_prod: np.ndarray
     rest_dest: np.ndarray
 
-    @property
+    @cached_property
     def loss(self) -> np.ndarray:
         """Total destruction per component: rD_k + sum_nu d_{k,nu}."""
         return self.rest_dest + self.D.sum(axis=1)
@@ -68,8 +69,6 @@ class PdrsSystem:
     rest_dest: Callable[[int, float, np.ndarray], float] = _zero_rest
     sparsity: Optional[tuple] = None
     linear_invariants: tuple = ()
-    autonomous: bool = True
-    conservative_pd: bool = False
     has_rest: bool = True
     matrix_rates: Optional[Callable] = None
 
@@ -77,8 +76,8 @@ class PdrsSystem:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise ValueError(f"state has shape {u.shape}, expected ({self.dim},)")
-        bad = np.flatnonzero(u <= 0.0)
-        if bad.size:
+        if (u <= 0.0).any():
+            bad = np.flatnonzero(u <= 0.0)
             raise PositivityError(
                 f"non-positive state component u[{bad[0]}] = {u[bad[0]]!r}"
             )

@@ -8,7 +8,7 @@ scheme/relaxation configuration used by the command-line runner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -157,8 +157,7 @@ def stratospheric() -> ProblemDescriptor:
     prod, dest = _pairwise_callbacks(_strat_matrix_rates)
     n2 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.5])
     sys = PdrsSystem(
-        dim=6, prod=prod, dest=dest, has_rest=False, conservative_pd=True,
-        autonomous=False,
+        dim=6, prod=prod, dest=dest, has_rest=False,
         linear_invariants=(np.ones(6), n2),
         matrix_rates=_strat_matrix_rates)
 
@@ -220,7 +219,7 @@ def advection_fv(N: int = 100, entropy_kind: str = "log") -> ProblemDescriptor:
     prod, dest = _pairwise_callbacks(matrix_rates)
     sparsity = tuple(((i + 1) % N, i) for i in range(N))
     sys = PdrsSystem(dim=N, prod=prod, dest=dest, has_rest=False,
-                     conservative_pd=True, sparsity=sparsity,
+                     sparsity=sparsity,
                      linear_invariants=(np.ones(N),),
                      matrix_rates=matrix_rates)
 
@@ -280,7 +279,7 @@ def porous_medium(N: int = 160, m: float = 3.0) -> ProblemDescriptor:
     prod, dest = _pairwise_callbacks(matrix_rates)
     pairs = [(i, i + 1) for i in range(N - 1)] + [(i + 1, i) for i in range(N - 1)]
     sys = PdrsSystem(dim=N, prod=prod, dest=dest, has_rest=False,
-                     conservative_pd=True, sparsity=tuple(pairs),
+                     sparsity=tuple(pairs),
                      linear_invariants=(np.ones(N),),
                      matrix_rates=matrix_rates)
 
@@ -322,7 +321,6 @@ def cyclic3() -> ProblemDescriptor:
 
     prod, dest = _pairwise_callbacks(matrix_rates)
     sys = PdrsSystem(dim=3, prod=prod, dest=dest, has_rest=False,
-                     conservative_pd=True,
                      sparsity=((1, 0), (2, 1), (0, 2)),
                      linear_invariants=(np.ones(3),),
                      matrix_rates=matrix_rates)

@@ -20,7 +20,7 @@ retained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -163,16 +163,20 @@ def residual_implicit_value(eta, stepper, record, eta_target, gamma):
 
 
 class _GammaStateMemo:
-    """Stepper view that keeps each u^{n+gamma} it computes, by gamma."""
+    """Stepper view that keeps each u^{n+gamma} it computes, by gamma.
 
-    def __init__(self, stepper):
+    It starts from u^{n+1} at gamma = 1, which the stepper protocol makes
+    bitwise equal to ``gamma_state(record, 1.0)``.
+    """
+
+    def __init__(self, stepper, record):
         self._stepper = stepper
-        self.states = {}
+        self.states = {1.0: record.u_next}
 
     def gamma_state(self, record, gamma):
-        u_g = self._stepper.gamma_state(record, gamma)
-        self.states[gamma] = u_g
-        return u_g
+        if gamma not in self.states:
+            self.states[gamma] = self._stepper.gamma_state(record, gamma)
+        return self.states[gamma]
 
     def gamma_state_derivative(self, record, gamma, u_gamma):
         return self._stepper.gamma_state_derivative(record, gamma, u_gamma)
@@ -383,12 +387,15 @@ def relax_step(eta: EntropyFunctional, stepper, record,
             return residual_geometric_derivative(eta, u_old, u_new, g) / scale
 
         gamma, iters, status = solve_scalar(fun, cfg, deriv)
-        u_rel = geometric_state(u_old, u_new, gamma)
+        # a failed Newton search can leave gamma far outside the window,
+        # where the geometric state overflows; it is not used then
+        if status != STATUS_FAILED:
+            u_rel = geometric_state(u_old, u_new, gamma)
 
     elif cfg.mode == MODE_IMPLICIT:
         # every probe's u^{n+gamma} is kept, so the accepted one is not
         # solved for again
-        memo = _GammaStateMemo(stepper)
+        memo = _GammaStateMemo(stepper, record)
         if cfg.solver == "newton":
             cache = {}
 
@@ -411,10 +418,7 @@ def relax_step(eta: EntropyFunctional, stepper, record,
             deriv = None
 
         gamma, iters, status = solve_scalar(fun, cfg, deriv)
-        if status == STATUS_FAILED:
-            u_rel = u_new
-            gamma = 1.0
-        else:
+        if status != STATUS_FAILED:
             u_rel = memo.states[gamma]
 
     else:

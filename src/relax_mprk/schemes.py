@@ -14,13 +14,13 @@ sides stay strictly positive for every step size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .linalg import lu_solve
-from .pdrs import PdrsSystem, PositivityError, RateSet
+from .pdrs import PdrsSystem, PositivityError
 
 MPRK22 = "mprk22"
 MPRK43I = "mprk43i"
@@ -144,12 +144,12 @@ def patankar_matrix(P_w: np.ndarray, loss_w: np.ndarray, denom: np.ndarray,
     carries the dt (and gamma) factor.  ``denom`` must be positive.
     """
     denom = np.asarray(denom, float)
-    bad = np.flatnonzero(denom <= 0.0)
-    if bad.size:
+    if (denom <= 0.0).any():
+        bad = np.flatnonzero(denom <= 0.0)
         raise PositivityError(f"non-positive denominator component [{bad[0]}]")
-    M = -(fac * P_w) / denom[np.newaxis, :]
-    np.fill_diagonal(M, 0.0)
-    M[np.diag_indices_from(M)] = 1.0 + fac * loss_w / denom
+    M = -(fac * P_w) / denom
+    # the diagonal is overwritten, so p_kk (zero by convention) never enters M
+    M.flat[::len(denom) + 1] = 1.0 + fac * loss_w / denom
     return M
 
 
@@ -180,6 +180,10 @@ class GammaData:
     sig_P: Optional[np.ndarray] = None
     sig_loss: Optional[np.ndarray] = None
     sig_g: Optional[np.ndarray] = None
+    # ((gamma, mode), (sbar, rate, sigma matrix, M_gamma)) of the last
+    # gamma assembled; see _gamma_matrix
+    _last: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
 
 @dataclass(frozen=True)
@@ -205,22 +209,25 @@ _TINY = np.finfo(float).tiny
 
 
 def _check_positive(u: np.ndarray, what: str) -> np.ndarray:
-    bad = np.flatnonzero(u < 0.0)
-    if bad.size:
-        raise PositivityError(f"{what} lost positivity at component {bad[0]}")
     # components whose true value lies below the representable range
     # underflow to zero or denormals; floor them at the smallest normal
     # number so later divisions by sigma stay finite
     small = u < _TINY
-    if np.any(small):
+    if small.any():
+        if (u < 0.0).any():
+            bad = np.flatnonzero(u < 0.0)
+            raise PositivityError(f"{what} lost positivity at component {bad[0]}")
         u = np.where(small, _TINY, u)
     return u
 
 
 def _weighted(rate_sets, weights):
-    P = sum(w * r.P for w, r in zip(weights, rate_sets))
-    loss = sum(w * r.loss for w, r in zip(weights, rate_sets))
-    rP = sum(w * r.rest_prod for w, r in zip(weights, rate_sets))
+    # start from 0: 0 + (-0.0) is +0.0, so no sum holds a negative zero
+    P = loss = rP = 0
+    for w, r in zip(weights, rate_sets):
+        P = P + w * r.P
+        loss = loss + w * r.loss
+        rP = rP + w * r.rest_prod
     return P, loss, rP
 
 
@@ -319,7 +326,7 @@ def _sigma_bar_value(scheme: MpScheme, gd: GammaData, gamma: float, mode: str):
 
     Returns ``(sbar, rate, M)``: ``rate`` is the gamma-rate of the
     geometric-mean denominator (None when frozen) and ``M`` the bootstrap
-    sigma matrix (None otherwise), both reused by ``sigma_bar`` for sbar'.
+    sigma matrix (None otherwise), both reused by ``_sigma_bar_prime``.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -348,6 +355,17 @@ def _sigma_bar_value(scheme: MpScheme, gd: GammaData, gamma: float, mode: str):
     raise ValueError(f"unknown sigma mode {mode!r}")
 
 
+def _sigma_bar_prime(gd: GammaData, gamma: float, sbar, rate, M):
+    """d sbar / d gamma from the pieces ``_sigma_bar_value`` returns."""
+    if rate is None:
+        return np.zeros_like(sbar)
+    v = sbar * rate * (np.log(gd.u_stage2) - np.log(gd.u_n))
+    if M is None:
+        return v
+    rhs = (sbar - gd.u_n) / gamma + M @ v - v
+    return lu_solve(M, rhs)
+
+
 def sigma_bar(scheme: MpScheme, record_or_data, gamma: float, mode: str):
     """Gamma-dependent denominator vector and its gamma-derivative.
 
@@ -356,24 +374,35 @@ def sigma_bar(scheme: MpScheme, record_or_data, gamma: float, mode: str):
     """
     gd = _gamma_data(record_or_data)
     sbar, rate, M = _sigma_bar_value(scheme, gd, gamma, mode)
-    if rate is None:
-        return sbar, np.zeros_like(sbar)
-    v = sbar * rate * (np.log(gd.u_stage2) - np.log(gd.u_n))
-    if M is None:
-        return sbar, v
-    rhs = (sbar - gd.u_n) / gamma + M @ v - v
-    return sbar, lu_solve(M, rhs)
+    return sbar, _sigma_bar_prime(gd, gamma, sbar, rate, M)
+
+
+def _gamma_matrix(gd: GammaData, gamma: float, mode: str):
+    """``(sbar, rate, sigma matrix, M_gamma)`` at (gamma, mode).
+
+    The relaxation solvers call ``gamma_update`` and then
+    ``gamma_update_derivative`` at the same gamma, so the last result is
+    kept on ``gd`` and the derivative does not assemble M_gamma again.
+    """
+    key, last = (gamma, mode), gd._last
+    if last is not None and last[0] == key:
+        return last[1]
+    sbar, rate, M_sig = _sigma_bar_value(gd.scheme, gd, gamma, mode)
+    M = patankar_matrix(gd.upd_P, gd.upd_loss, sbar, gamma * gd.dt)
+    parts = (sbar, rate, M_sig, M)
+    object.__setattr__(gd, "_last", (key, parts))
+    return parts
 
 
 def gamma_update(record_or_data, gamma: float, mode: str) -> np.ndarray:
     """Positivity-preserving gamma-parameterized update u^{n+gamma}.
 
-    Solves M_gamma u = u_n + gamma*g; reproduces u^{n+1} at gamma = 1 in
-    every mode and stays positive for every gamma > 0.
+    Solves M_gamma u = u_n + gamma*g; reproduces u^{n+1} bit for bit at
+    gamma = 1 in every mode (every factor gamma multiplies is then 1.0)
+    and stays positive for every gamma > 0.
     """
     gd = _gamma_data(record_or_data)
-    sbar, _, _ = _sigma_bar_value(gd.scheme, gd, gamma, mode)
-    M = patankar_matrix(gd.upd_P, gd.upd_loss, sbar, gamma * gd.dt)
+    M = _gamma_matrix(gd, gamma, mode)[3]
     return _check_positive(lu_solve(M, gd.u_n + gamma * gd.g), "gamma update")
 
 
@@ -381,16 +410,25 @@ def gamma_update_derivative(record_or_data, gamma: float, mode: str,
                             u_gamma: np.ndarray) -> np.ndarray:
     """d u^{n+gamma} / d gamma, consistent with ``gamma_update``."""
     gd = _gamma_data(record_or_data)
-    sbar, sprime = sigma_bar(gd.scheme, gd, gamma, mode)
-    M = patankar_matrix(gd.upd_P, gd.upd_loss, sbar, gamma * gd.dt)
-    v = u_gamma * sprime / sbar
-    rhs = (u_gamma - gd.u_n) / gamma + M @ v - v
+    sbar, rate, M_sig, M = _gamma_matrix(gd, gamma, mode)
+    rhs = (u_gamma - gd.u_n) / gamma
+    # frozen sigma has sbar' = 0, so the sbar' correction M v - v vanishes
+    if rate is not None:
+        v = u_gamma * _sigma_bar_prime(gd, gamma, sbar, rate, M_sig) / sbar
+        rhs = rhs + M @ v - v
     return lu_solve(M, rhs)
 
 
 class MpStepper:
     """Binds a PDRS, a scheme and a sigma mode into the stepper protocol
-    consumed by the relaxation and step-control layers."""
+    consumed by the relaxation and step-control layers.
+
+    A stepper provides ``step``, ``gamma_state``, ``gamma_state_derivative``,
+    ``entropy_quadrature``, ``error_estimate`` and ``linear_invariants``.
+    Contract: ``gamma_state(record, 1.0)`` is ``record.u_next`` bit for
+    bit, so the relaxation takes u^{n+1} from the record instead of
+    asking for the state at gamma = 1.
+    """
 
     def __init__(self, sys: PdrsSystem, scheme: MpScheme,
                  sigma_mode: Optional[str] = None):

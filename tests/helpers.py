@@ -31,7 +31,7 @@ def linear_exchange():
         return P, D, np.zeros(2), np.zeros(2)
 
     return system_from_matrix_rates(
-        2, matrix_rates, has_rest=False, conservative_pd=True,
+        2, matrix_rates, has_rest=False,
         sparsity=((1, 0),), linear_invariants=(np.ones(2),))
 
 
@@ -45,7 +45,7 @@ def bilinear_exchange():
         return P, D, np.zeros(2), np.zeros(2)
 
     return system_from_matrix_rates(
-        2, matrix_rates, has_rest=False, conservative_pd=True,
+        2, matrix_rates, has_rest=False,
         sparsity=((1, 0),), linear_invariants=(np.ones(2),))
 
 
@@ -60,7 +60,7 @@ def random_conservative_system(rng, dim):
         return P, P.T.copy(), np.zeros(dim), np.zeros(dim)
 
     return system_from_matrix_rates(
-        dim, matrix_rates, has_rest=False, conservative_pd=True,
+        dim, matrix_rates, has_rest=False,
         linear_invariants=(np.ones(dim),))
 
 

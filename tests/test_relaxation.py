@@ -225,6 +225,23 @@ def test_geometric_mode_with_override_finds_root():
     assert out.eta_after == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_geometric_newton_leaving_window_fails_without_overflow():
+    # eta = w . u with u_old = (1, 1), u_new = (2, 1/2): r(1) is about -0.2
+    # and r'(1) about 7e-8, so the first Newton update lands near gamma =
+    # 3e6, far above gamma_max, where (u_new)^gamma overflows
+    eta = EntropyFunctional(eval=lambda u: float(u[0] + (4.0 - 1e-6) * u[1]),
+                            grad=lambda u: np.array([1.0, 4.0 - 1e-6]),
+                            regime="conservative",
+                            monotone_nondecreasing=True)
+    record, stepper = _fake_step([1.0, 1.0], [2.0, 0.5], quadrature=0.0)
+    out = relax_step(eta, stepper, record, _cfg(mode="geometric",
+                                                solver="newton"))
+    assert out.status == "failed"
+    assert out.gamma == 1.0
+    assert np.array_equal(out.u_relaxed, record.u_next)
+
+
 def test_geometric_mode_cannot_move_log_entropies():
     # for eta = -sum(log u) the geometric state interpolates eta affinely,
     # so the residual is linear in gamma with its only root at 0: the
@@ -300,22 +317,29 @@ def test_failed_relaxation_reports_base_step():
 
 
 @pytest.mark.parametrize("kind, params, solver, base_solves", [
-    # MPRK43I: two stages, the sigma system and the update; each bootstrap
-    # probe solves for sigma_bar and for u^{n+gamma}
+    # MPRK43I: two stages, the sigma system and the update, each assembled
+    # and solved once; each bootstrap probe but the one at gamma = 1
+    # assembles and solves for sigma_bar and for u^{n+gamma}
     ("mprk43i", (0.5, 0.75), "regula_falsi", 4),
-    # MPRK22 (frozen sigma): stage and update; each Newton iteration solves
-    # for u^{n+gamma} and its derivative
+    # MPRK22 (frozen sigma): stage and update; each Newton iteration
+    # assembles M_gamma once and solves for u^{n+gamma} (except at
+    # gamma = 1, which is u^{n+1}) and for its derivative
     ("mprk22", (1.0,), "newton", 2),
 ])
 def test_relaxed_step_solve_count(monkeypatch, kind, params, solver, base_solves):
     from relax_mprk import relaxation, schemes
 
-    solves, probes = [0], [0]
+    solves, assemblies, probes = [0], [0], [0]
     lu_solve = schemes.lu_solve
+    patankar_matrix = schemes.patankar_matrix
 
     def counting_solve(A, b):
         solves[0] += 1
         return lu_solve(A, b)
+
+    def counting_matrix(*args):
+        assemblies[0] += 1
+        return patankar_matrix(*args)
 
     def counted(fn):
         def wrapper(*args):
@@ -324,6 +348,7 @@ def test_relaxed_step_solve_count(monkeypatch, kind, params, solver, base_solves
         return wrapper
 
     monkeypatch.setattr(schemes, "lu_solve", counting_solve)
+    monkeypatch.setattr(schemes, "patankar_matrix", counting_matrix)
     monkeypatch.setattr(relaxation, "residual_implicit",
                         counted(relaxation.residual_implicit))
     monkeypatch.setattr(relaxation, "residual_implicit_value",
@@ -335,6 +360,11 @@ def test_relaxed_step_solve_count(monkeypatch, kind, params, solver, base_solves
                                                      solver=solver))
     assert out.status == "converged"
     assert probes[0] >= 2
-    assert solves[0] == base_solves + 2 * probes[0]
+    if solver == "newton":
+        assert solves[0] == base_solves + 2 * probes[0] - 1
+        assert assemblies[0] == base_solves + probes[0]
+    else:
+        assert solves[0] == base_solves + 2 * (probes[0] - 1)
+        assert assemblies[0] == base_solves + 2 * (probes[0] - 1)
     u_check = schemes.gamma_update(rec, out.gamma, stepper.sigma_mode)
     assert out.u_relaxed.tobytes() == u_check.tobytes()

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from relax_mprk.linalg import SingularMatrixError
 from relax_mprk.pdrs import PositivityError
+from relax_mprk.problems import PROBLEM_FACTORIES, make_problem
 from relax_mprk.schemes import (MpStepper, SchemeParameterError,
                                 UnsupportedSchemeError,
                                 assemble_update_matrix, build_scheme,
@@ -96,8 +99,7 @@ def test_step_zero_rates_is_identity(kind, alpha, beta):
         z = np.zeros((3, 3))
         return z, z.copy(), np.zeros(3), np.zeros(3)
 
-    sys = system_from_matrix_rates(3, matrix_rates, has_rest=False,
-                                   conservative_pd=True)
+    sys = system_from_matrix_rates(3, matrix_rates, has_rest=False)
     sch = build_scheme(kind, alpha, beta)
     u0 = np.array([0.3, 1.0, 2.5])
     rec = step(sys, sch, 0.0, u0, 7.0)
@@ -180,6 +182,49 @@ def test_gamma_update_reproduces_step_at_gamma_one(kind, alpha, beta):
     for mode in MODES[kind]:
         u1 = gamma_update(rec, 1.0, mode)
         assert np.allclose(u1, rec.u_next, rtol=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
+def test_gamma_state_at_one_is_step_bitwise(name):
+    # the relaxation takes u^{n+1} for the state at gamma = 1 instead of
+    # solving for it, which relies on this contract of every stepper
+    problem = make_problem(name)
+    t0, dt = problem.tspan[0], problem.defaults["dt0"]
+    if problem.stepper_factory is not None:
+        steppers = [problem.stepper_factory(build_scheme("mprk22", 1.0), mode)
+                    for mode in ("frozen", "dense")]
+    else:
+        steppers = [MpStepper(problem.sys, build_scheme(kind, alpha, beta), mode)
+                    for kind, alpha, beta in ALL_SCHEMES
+                    if not (kind == "mpssprk2" and problem.sys.has_rest)
+                    for mode in MODES[kind]]
+    for stepper in steppers:
+        rec = stepper.step(t0, problem.u0, dt)
+        u1 = stepper.gamma_state(rec, 1.0)
+        assert u1.tobytes() == rec.u_next.tobytes(), \
+            (stepper.scheme.kind, stepper.sigma_mode)
+
+
+@pytest.mark.parametrize("kind,alpha,beta", ALL_SCHEMES)
+def test_gamma_matrix_memo_is_never_stale(kind, alpha, beta):
+    # gamma_update keeps M_gamma on the record for the derivative at the
+    # same (gamma, mode); at any other gamma or mode, or on a fresh
+    # GammaData, the derivative must come out the same bit for bit
+    rng = np.random.default_rng(41)
+    sys = random_conservative_system(rng, 4)
+    sch = build_scheme(kind, alpha, beta)
+    rec = step(sys, sch, 0.0, rng.uniform(0.2, 2.0, size=4), 0.3)
+    modes = MODES[kind]
+    for g1, m1, g2, m2 in [(0.8, modes[0], 1.3, modes[0]),
+                           (0.8, modes[1], 1.3, modes[1]),
+                           (0.8, modes[0], 0.8, modes[1]),
+                           (0.8, modes[1], 0.8, modes[0]),
+                           (1.3, modes[1], 1.3, modes[1])]:
+        gamma_update(rec, g1, m1)
+        u_g = gamma_update(replace(rec.gamma_data), g2, m2)
+        du = gamma_update_derivative(rec, g2, m2, u_g)
+        fresh = gamma_update_derivative(replace(rec.gamma_data), g2, m2, u_g)
+        assert du.tobytes() == fresh.tobytes(), (g1, m1, g2, m2)
 
 
 def test_gamma_update_derivative_frozen_hand_values():
