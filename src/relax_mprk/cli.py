@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .control import (ADAPT_FIXED, ADAPT_MODES, IntegrationError, integrate,
                       interp_state, reference_solution)
-from .pdrs import PositivityError
+from .pdrs import NonFiniteStateError, PositivityError
 from .problems import PROBLEM_FACTORIES, make_problem
 from .relaxation import (MODE_NONE, RELAX_MODES, SOLVERS, RelaxConfig)
 from .schemes import (SCHEME_KINDS, MpStepper, SchemeParameterError,
@@ -168,7 +168,6 @@ def _resolve(args):
     relax_mode = _RELAX_ALIASES.get(relax_mode, relax_mode)
     solver = args.solver or problem.defaults["solver"]
     relax_cfg = RelaxConfig(mode=relax_mode, solver=solver,
-                            sigma_mode=args.sigma_mode,
                             **problem.defaults.get("relax_opts", {}))
 
     # flags win over per-problem defaults
@@ -202,7 +201,7 @@ def _write_metadata(path, args, problem, scheme, relax_cfg, t0, t_end, dt0):
         "beta": "" if np.isnan(scheme.beta) else _fmt(scheme.beta),
         "relax": relax_cfg.mode,
         "solver": relax_cfg.solver,
-        "sigma_mode": relax_cfg.sigma_mode or "default",
+        "sigma_mode": args.sigma_mode or "default",
         "gamma_tol": _fmt(relax_cfg.gamma_tol),
         "gamma_min": _fmt(relax_cfg.gamma_min),
         "gamma_max": _fmt(relax_cfg.gamma_max),
@@ -367,7 +366,7 @@ def main(argv=None) -> int:
             KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationError, PositivityError) as exc:
+    except (IntegrationError, NonFiniteStateError, PositivityError) as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return 1
 

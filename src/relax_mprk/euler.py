@@ -16,11 +16,12 @@ import numpy as np
 
 from .linalg import lu_solve
 from .means import mean_arith, mean_log
-from .pdrs import PositivityError
+from .pdrs import NonFiniteStateError, PositivityError, RateSet
 from .relaxation import EntropyFunctional, MODE_IMPLICIT, REGIME_CONSERVATIVE
-from .schemes import (MPRK22, GammaData, MpScheme, UnsupportedSchemeError,
-                      _check_positive, gamma_update, gamma_update_derivative,
-                      patankar_matrix, ppow)
+from .schemes import (MPRK22, GammaData, MpScheme, MpStepper,
+                      UnsupportedSchemeError, _check_positive,
+                      _geo_denominator, _solve_stage, _weighted, gamma_update,
+                      gamma_update_derivative, patankar_matrix)
 
 
 def _interface_fluxes(rho, m, c):
@@ -92,9 +93,15 @@ class EulerStepper:
         bad = np.flatnonzero(rho <= 0.0)
         if bad.size:
             raise PositivityError(f"non-positive density in cell {bad[0]}")
-        f_rho, f_m = _interface_fluxes(rho, m, self.c)
+        # a momentum too large for v**2 overflows; raise instead of warning
+        # and letting inf and NaN reach the density solve
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_rho, f_m = _interface_fluxes(rho, m, self.c)
+            m_rhs = (np.roll(f_m, 1) - f_m) / self.dx
+        if not np.isfinite(m_rhs).all():
+            raise NonFiniteStateError(
+                f"momentum flux is not finite (max |m| = {np.abs(m).max():.3e})")
         P = _density_production(f_rho, self.dx, self.N)
-        m_rhs = (np.roll(f_m, 1) - f_m) / self.dx
         return P, m_rhs
 
     def rhs(self, z):
@@ -106,23 +113,18 @@ class EulerStepper:
         if dt <= 0.0:
             raise ValueError(f"step size must be positive, got {dt}")
         sch = self.scheme
+        a21, b = sch.a[1, 0], sch.b
         rho_n, m_n = self.split(z)
+        # the density flux is a conservative PDS: d_{k,nu} = p_{nu,k}
         P1, g1 = self._rates(z)
-        loss1 = P1.sum(axis=0)  # d_k,nu = p_nu,k
-
-        a21 = sch.a[1, 0]
-        M2 = patankar_matrix(a21 * P1, a21 * loss1, rho_n, dt)
-        rho_2 = _check_positive(lu_solve(M2, rho_n), "stage density")
-        m_2 = m_n + a21 * dt * g1
-        z_2 = np.concatenate([rho_2, m_2])
+        r1 = RateSet(P1, P1.T, 0.0, 0.0)
+        rho_2 = _solve_stage(rho_n, [r1], [a21], rho_n, dt)
+        z_2 = np.concatenate([rho_2, m_n + a21 * dt * g1])
 
         P2, g2 = self._rates(z_2)
-        loss2 = P2.sum(axis=0)
-
-        sigma = ppow(rho_2, 1.0 / sch.alpha) * ppow(rho_n, 1.0 - 1.0 / sch.alpha)
-        b = sch.b
-        upd_P = b[0] * P1 + b[1] * P2
-        upd_loss = b[0] * loss1 + b[1] * loss2
+        r2 = RateSet(P2, P2.T, 0.0, 0.0)
+        sigma = _geo_denominator(rho_n, rho_2, 1.0 / sch.alpha)
+        upd_P, upd_loss, _ = _weighted([r1, r2], b)
         M = patankar_matrix(upd_P, upd_loss, sigma, dt)
         rho_next = _check_positive(lu_solve(M, rho_n), "updated density")
         dm = dt * (b[0] * g1 + b[1] * g2)
@@ -130,8 +132,8 @@ class EulerStepper:
 
         gd = GammaData(sch, dt, rho_n, rho_2, sigma, upd_P, upd_loss,
                        np.zeros(self.N))
-        rhs1 = np.concatenate([P1.sum(axis=1) - loss1, g1])
-        rhs2 = np.concatenate([P2.sum(axis=1) - loss2, g2])
+        rhs1 = np.concatenate([r1.rhs, g1])
+        rhs2 = np.concatenate([r2.rhs, g2])
         return EulerRecord(t, dt, np.array(z), z_next, (np.array(z), z_2),
                            (rhs1, rhs2), gd, dm)
 
@@ -147,16 +149,8 @@ class EulerStepper:
                                        self.sigma_mode, rho_g)
         return np.concatenate([drho, record.dm])
 
-    def entropy_quadrature(self, eta, record: EulerRecord) -> float:
-        acc = 0.0
-        for bj, zj, fj in zip(self.scheme.b, record.stages, record.stage_rhs):
-            acc += bj * float(eta.grad(zj) @ fj)
-        return record.dt * acc
-
-    def error_estimate(self, record: EulerRecord, atol: float, rtol: float):
-        w = atol + rtol * np.abs(record.u_n)
-        diff = (record.u_next - record.stages[1]) / w
-        return float(np.sqrt(np.mean(diff**2)))
+    entropy_quadrature = MpStepper.entropy_quadrature
+    error_estimate = MpStepper.error_estimate
 
 
 def isothermal_euler_fv(N: int = 100, c: float = 1.0):
@@ -188,7 +182,7 @@ def isothermal_euler_fv(N: int = 100, c: float = 1.0):
 
     eta = EntropyFunctional(eval=eta_eval, grad=eta_grad,
                             regime=REGIME_CONSERVATIVE,
-                            monotone_nondecreasing=False, convex=True,
+                            monotone_nondecreasing=False,
                             name="euler_total_energy")
 
     def factory(scheme, sigma_mode=None):

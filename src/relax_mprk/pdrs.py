@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -23,12 +23,17 @@ class PositivityError(ValueError):
     """A state vector left the positive orthant."""
 
 
+class NonFiniteStateError(ValueError):
+    """A state, or a flux computed from it, overflowed or became NaN."""
+
+
 @dataclass(frozen=True)
 class RateSet:
     """All rates of a PDRS evaluated at one (t, u) point.
 
     P[k, nu] = p_{k,nu}, D[k, nu] = d_{k,nu}; rest_prod/rest_dest are the
-    unpaired rest terms.  Diagonals of P and D are zero.
+    unpaired rest terms (or a scalar 0.0 where there are none).  Diagonals
+    of P and D are zero.
     """
 
     P: np.ndarray
@@ -46,31 +51,20 @@ class RateSet:
         return self.rest_prod - self.rest_dest + (self.P - self.D).sum(axis=1)
 
 
-def _zero_rest(k, t, u):
-    return 0.0
-
-
 @dataclass(frozen=True)
 class PdrsSystem:
-    """Callback bundle describing one PDRS.
+    """One PDRS, defined by its vectorized rates.
 
-    ``prod(k, nu, t, u)`` and ``dest(k, nu, t, u)`` return single rates;
-    ``rest_prod(k, t, u)`` / ``rest_dest(k, t, u)`` the rest terms.  If
-    ``sparsity`` is given it lists the index pairs (k, nu) at which
-    p_{k,nu} (and the mirrored d_{nu,k}) may be nonzero; everything else
-    is taken as zero.  ``matrix_rates(t, u) -> (P, D, rP, rD)`` is an
-    optional vectorized fast path that must agree with the callbacks.
+    ``matrix_rates(t, u)`` returns ``(P, D, rP, rD)``: the d x d float
+    arrays P[k, nu] = p_{k,nu} and D[k, nu] = d_{k,nu}, both with zero
+    diagonal, and the length-d float rest vectors rP and rD.  ``has_rest``
+    is False when rP and rD are always zero, which MPSSPRK2 requires.
     """
 
     dim: int
-    prod: Callable[[int, int, float, np.ndarray], float]
-    dest: Callable[[int, int, float, np.ndarray], float]
-    rest_prod: Callable[[int, float, np.ndarray], float] = _zero_rest
-    rest_dest: Callable[[int, float, np.ndarray], float] = _zero_rest
-    sparsity: Optional[tuple] = None
+    matrix_rates: Callable[[float, np.ndarray], tuple]
     linear_invariants: tuple = ()
     has_rest: bool = True
-    matrix_rates: Optional[Callable] = None
 
     def check_state(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -85,32 +79,7 @@ class PdrsSystem:
 
     def rates(self, t: float, u: np.ndarray) -> RateSet:
         """Evaluate all rates at (t, u); validates positivity of u."""
-        u = self.check_state(u)
-        if self.matrix_rates is not None:
-            P, D, rP, rD = self.matrix_rates(t, u)
-            return RateSet(np.asarray(P, float), np.asarray(D, float),
-                           np.asarray(rP, float), np.asarray(rD, float))
-        d = self.dim
-        P = np.zeros((d, d))
-        D = np.zeros((d, d))
-        if self.sparsity is not None:
-            for (k, nu) in self.sparsity:
-                P[k, nu] = self.prod(k, nu, t, u)
-                D[nu, k] = self.dest(nu, k, t, u)
-        else:
-            for k in range(d):
-                for nu in range(d):
-                    if k == nu:
-                        continue
-                    P[k, nu] = self.prod(k, nu, t, u)
-                    D[k, nu] = self.dest(k, nu, t, u)
-        if self.has_rest:
-            rP = np.array([self.rest_prod(k, t, u) for k in range(d)])
-            rD = np.array([self.rest_dest(k, t, u) for k in range(d)])
-        else:
-            rP = np.zeros(d)
-            rD = np.zeros(d)
-        return RateSet(P, D, rP, rD)
+        return RateSet(*self.matrix_rates(t, self.check_state(u)))
 
 
 def eval_rhs(sys: PdrsSystem, t: float, u: np.ndarray) -> np.ndarray:

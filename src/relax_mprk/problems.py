@@ -43,18 +43,6 @@ class ProblemDescriptor:
         return self.entropies[0]
 
 
-def _pairwise_callbacks(matrix_rates):
-    """Scalar rate callbacks derived from a vectorized rate function."""
-
-    def prod(k, nu, t, u):
-        return float(matrix_rates(t, u)[0][k, nu])
-
-    def dest(k, nu, t, u):
-        return float(matrix_rates(t, u)[1][k, nu])
-
-    return prod, dest
-
-
 # ---------------------------------------------------------------------------
 # Predator-prey system with rest terms
 
@@ -68,18 +56,13 @@ def lotka_volterra() -> ProblemDescriptor:
         P[1, 0] = D[0, 1] = u[0] * u[1]
         return P, D, np.array([2.0 * u[0], 0.0]), np.array([0.0, u[1]])
 
-    prod, dest = _pairwise_callbacks(matrix_rates)
-    sys = PdrsSystem(
-        dim=2, prod=prod, dest=dest,
-        rest_prod=lambda k, t, u: 2.0 * u[0] if k == 0 else 0.0,
-        rest_dest=lambda k, t, u: u[1] if k == 1 else 0.0,
-        sparsity=((1, 0),), matrix_rates=matrix_rates)
+    sys = PdrsSystem(dim=2, matrix_rates=matrix_rates)
 
     eta = EntropyFunctional(
         eval=lambda u: float(np.log(u[0]) - u[0] + 2.0 * np.log(u[1]) - u[1]),
         grad=lambda u: np.array([1.0 / u[0] - 1.0, 2.0 / u[1] - 1.0]),
         regime=REGIME_CONSERVATIVE, monotone_nondecreasing=False,
-        convex=False, name="lv_invariant")
+        name="lv_invariant")
 
     return ProblemDescriptor(
         name="lotka_volterra", sys=sys, entropies=(eta,),
@@ -154,17 +137,14 @@ def stratospheric() -> ProblemDescriptor:
     conserved by the flow; n2 is enforced as the relaxation entropy since
     MP schemes only preserve the first automatically.
     """
-    prod, dest = _pairwise_callbacks(_strat_matrix_rates)
     n2 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.5])
-    sys = PdrsSystem(
-        dim=6, prod=prod, dest=dest, has_rest=False,
-        linear_invariants=(np.ones(6), n2),
-        matrix_rates=_strat_matrix_rates)
+    sys = PdrsSystem(dim=6, matrix_rates=_strat_matrix_rates,
+                     linear_invariants=(np.ones(6), n2), has_rest=False)
 
     eta = EntropyFunctional(
         eval=lambda u: float(n2 @ u), grad=lambda u: n2.copy(),
         regime=REGIME_CONSERVATIVE, monotone_nondecreasing=True,
-        convex=True, name="second_invariant")
+        name="second_invariant")
 
     u0 = np.array([9.906e1, 6.624e8, 1.5978e12, 3.394e16, 8.725e8, 4.480e8])
     return ProblemDescriptor(
@@ -216,18 +196,14 @@ def advection_fv(N: int = 100, entropy_kind: str = "log") -> ProblemDescriptor:
         zero = np.zeros(N)
         return P, P.T.copy(), zero, zero
 
-    prod, dest = _pairwise_callbacks(matrix_rates)
-    sparsity = tuple(((i + 1) % N, i) for i in range(N))
-    sys = PdrsSystem(dim=N, prod=prod, dest=dest, has_rest=False,
-                     sparsity=sparsity,
-                     linear_invariants=(np.ones(N),),
-                     matrix_rates=matrix_rates)
+    sys = PdrsSystem(dim=N, matrix_rates=matrix_rates,
+                     linear_invariants=(np.ones(N),), has_rest=False)
 
     eta = EntropyFunctional(
         eval=lambda u: float(dx * np.sum(U(u))),
         grad=lambda u: dx * dU(u),
         regime=REGIME_CONSERVATIVE, monotone_nondecreasing=False,
-        convex=True, name=f"advection_{entropy_kind}")
+        name=f"advection_{entropy_kind}")
 
     x = (np.arange(N) + 0.5) * dx
     u0 = 1.9 * np.sin(np.pi * x) + 2.0
@@ -276,18 +252,14 @@ def porous_medium(N: int = 160, m: float = 3.0) -> ProblemDescriptor:
         zero = np.zeros(N)
         return P, P.T.copy(), zero, zero
 
-    prod, dest = _pairwise_callbacks(matrix_rates)
-    pairs = [(i, i + 1) for i in range(N - 1)] + [(i + 1, i) for i in range(N - 1)]
-    sys = PdrsSystem(dim=N, prod=prod, dest=dest, has_rest=False,
-                     sparsity=tuple(pairs),
-                     linear_invariants=(np.ones(N),),
-                     matrix_rates=matrix_rates)
+    sys = PdrsSystem(dim=N, matrix_rates=matrix_rates,
+                     linear_invariants=(np.ones(N),), has_rest=False)
 
     eta = EntropyFunctional(
         eval=lambda u: float(0.5 * dx**2 * np.sum(u**2)),
         grad=lambda u: dx**2 * u,
         regime=REGIME_DISSIPATIVE, monotone_nondecreasing=True,
-        convex=True, name="pme_energy")
+        name="pme_energy")
 
     u0 = np.maximum(barenblatt(1.0, x, m), _PME_FLOOR)
     if m == 3.0:
@@ -319,17 +291,14 @@ def cyclic3() -> ProblemDescriptor:
         zero = np.zeros(3)
         return P, P.T.copy(), zero, zero
 
-    prod, dest = _pairwise_callbacks(matrix_rates)
-    sys = PdrsSystem(dim=3, prod=prod, dest=dest, has_rest=False,
-                     sparsity=((1, 0), (2, 1), (0, 2)),
-                     linear_invariants=(np.ones(3),),
-                     matrix_rates=matrix_rates)
+    sys = PdrsSystem(dim=3, matrix_rates=matrix_rates,
+                     linear_invariants=(np.ones(3),), has_rest=False)
 
     eta = EntropyFunctional(
         eval=lambda u: float(-np.sum(np.log(u))),
         grad=lambda u: -1.0 / u,
         regime=REGIME_CONSERVATIVE, monotone_nondecreasing=False,
-        convex=True, name="cyclic3_invariant")
+        name="cyclic3_invariant")
 
     return ProblemDescriptor(
         name="cyclic3", sys=sys, entropies=(eta,),

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class EntropyFunctional:
     grad: Callable[[np.ndarray], np.ndarray]
     regime: str
     monotone_nondecreasing: bool = False
-    convex: bool = True
     name: str = ""
 
 
@@ -70,7 +69,6 @@ class RelaxConfig:
     gamma_min: float = 1e-6
     gamma_max: float = 10.0
     max_iters: int = 50
-    sigma_mode: Optional[str] = None
     geometric_override: bool = False
 
     def __post_init__(self):

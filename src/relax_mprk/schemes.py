@@ -159,6 +159,11 @@ def ppow(base: np.ndarray, expo) -> np.ndarray:
     return np.exp(np.asarray(expo, float) * np.log(base))
 
 
+def _geo_denominator(u_n: np.ndarray, u2: np.ndarray, e) -> np.ndarray:
+    """Patankar denominator u2**e * u_n**(1 - e), a geometric mean."""
+    return ppow(u2, e) * ppow(u_n, 1.0 - e)
+
+
 @dataclass(frozen=True)
 class GammaData:
     """Everything needed to evaluate u^{n+gamma} and its gamma-derivative.
@@ -194,9 +199,7 @@ class StepRecord:
     dt: float
     u_n: np.ndarray
     stages: tuple
-    sigma: np.ndarray
     u_next: np.ndarray
-    rest_sum: np.ndarray
     gamma_data: GammaData
     stage_rhs: tuple
 
@@ -239,7 +242,7 @@ def _solve_stage(u_n, rate_sets, weights, denom, dt):
 
 def _sigma_43i(scheme, u_n, u2, rate_sets, dt):
     """Sigma of MPRK43I: solution of its own Patankar-type linear system."""
-    tau = ppow(u2, 1.0 / scheme.alpha) * ppow(u_n, 1.0 - 1.0 / scheme.alpha)
+    tau = _geo_denominator(u_n, u2, 1.0 / scheme.alpha)
     P, loss, rP = _weighted(rate_sets[:2], scheme.sigma_w)
     M = patankar_matrix(P, loss, tau, dt)
     g = dt * rP
@@ -267,15 +270,14 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
         stages.append(u2)
         rates.append(sys.rates(t_n + scheme.c[1] * dt, u2))
         if scheme.kind == MPRK43I:
-            pi3 = ppow(u2, 1.0 / scheme.p_exp) * ppow(u_n, 1.0 - 1.0 / scheme.p_exp)
+            pi3 = _geo_denominator(u_n, u2, 1.0 / scheme.p_exp)
             u3 = _solve_stage(u_n, rates, a[2, :2], pi3, dt)
             stages.append(u3)
             rates.append(sys.rates(t_n + scheme.c[2] * dt, u3))
             sigma, sig_P, sig_loss, sig_g = _sigma_43i(scheme, u_n, u2, rates, dt)
         else:
-            sigma = ppow(u2, 1.0 / scheme.alpha) * ppow(u_n, 1.0 - 1.0 / scheme.alpha)
+            sigma = _geo_denominator(u_n, u2, 1.0 / scheme.alpha)
         upd_P, upd_loss, rP = _weighted(rates, scheme.b)
-        rest_sum = rP
         g = dt * rP
     else:  # MPSSPRK2
         beta = scheme.beta
@@ -283,28 +285,16 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
         u2 = _check_positive(lu_solve(M2, u_n), "stage")
         stages.append(u2)
         rates.append(sys.rates(t_n + scheme.c[1] * dt, u2))
-        sigma = ppow(u_n, 1.0 - scheme.s_exp) * ppow(u2, scheme.s_exp)
+        sigma = _geo_denominator(u_n, u2, scheme.s_exp)
         upd_P, upd_loss, _ = _weighted(rates, scheme.update_w)
-        rest_sum = np.zeros_like(u_n)
         g = scheme.alpha * (u2 - u_n)
 
     gd = GammaData(scheme, dt, u_n, stages[1], sigma, upd_P, upd_loss, g,
                    sig_P, sig_loss, sig_g)
     M = patankar_matrix(upd_P, upd_loss, sigma, dt)
     u_next = _check_positive(lu_solve(M, u_n + g), "update")
-
     stage_rhs = tuple(r.rhs for r in rates)
-    return StepRecord(t_n, dt, u_n, tuple(stages), sigma, u_next, rest_sum,
-                      gd, stage_rhs)
-
-
-def assemble_update_matrix(sys: PdrsSystem, scheme: MpScheme, stages,
-                           sigma: np.ndarray, t_n: float, dt: float) -> np.ndarray:
-    """Patankar update matrix M for given stage states and denominators."""
-    _check_positive(np.asarray(sigma, float), "sigma")
-    rates = [sys.rates(t_n + scheme.c[j] * dt, stages[j]) for j in range(len(stages))]
-    P, loss, _ = _weighted(rates, scheme.update_w)
-    return patankar_matrix(P, loss, sigma, dt)
+    return StepRecord(t_n, dt, u_n, tuple(stages), u_next, gd, stage_rhs)
 
 
 def _default_sigma_mode(scheme: MpScheme) -> str:
@@ -341,13 +331,13 @@ def _sigma_bar_value(scheme: MpScheme, gd: GammaData, gamma: float, mode: str):
             rate = scheme.s_exp
         else:
             raise ValueError("dense sigma mode is undefined for MPRK43I; use bootstrap")
-        return ppow(u2, gamma * rate) * ppow(u_n, 1.0 - gamma * rate), rate, None
+        return _geo_denominator(u_n, u2, gamma * rate), rate, None
 
     if mode == SIGMA_BOOTSTRAP:
         if scheme.kind != MPRK43I:
             raise ValueError("bootstrap sigma mode applies to MPRK43I only")
         rate = 1.0 / scheme.alpha
-        tau = ppow(u2, gamma * rate) * ppow(u_n, 1.0 - gamma * rate)
+        tau = _geo_denominator(u_n, u2, gamma * rate)
         M = patankar_matrix(gd.sig_P, gd.sig_loss, tau, gamma * gd.dt)
         sbar = _check_positive(lu_solve(M, u_n + gamma * gd.sig_g), "sigma_bar")
         return sbar, rate, M

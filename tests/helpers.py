@@ -6,17 +6,6 @@ import numpy as np
 from relax_mprk.pdrs import PdrsSystem
 
 
-def system_from_matrix_rates(dim, matrix_rates, **kwargs):
-    def prod(k, nu, t, u):
-        return float(matrix_rates(t, u)[0][k, nu])
-
-    def dest(k, nu, t, u):
-        return float(matrix_rates(t, u)[1][k, nu])
-
-    return PdrsSystem(dim=dim, prod=prod, dest=dest,
-                      matrix_rates=matrix_rates, **kwargs)
-
-
 def linear_exchange():
     """Two-species conservative exchange: p_21 = u_1 = d_12, nothing else.
 
@@ -30,9 +19,8 @@ def linear_exchange():
         P[1, 0] = D[0, 1] = u[0]
         return P, D, np.zeros(2), np.zeros(2)
 
-    return system_from_matrix_rates(
-        2, matrix_rates, has_rest=False,
-        sparsity=((1, 0),), linear_invariants=(np.ones(2),))
+    return PdrsSystem(
+        2, matrix_rates, has_rest=False, linear_invariants=(np.ones(2),))
 
 
 def bilinear_exchange():
@@ -44,9 +32,8 @@ def bilinear_exchange():
         P[1, 0] = D[0, 1] = u[0] * u[1]
         return P, D, np.zeros(2), np.zeros(2)
 
-    return system_from_matrix_rates(
-        2, matrix_rates, has_rest=False,
-        sparsity=((1, 0),), linear_invariants=(np.ones(2),))
+    return PdrsSystem(
+        2, matrix_rates, has_rest=False, linear_invariants=(np.ones(2),))
 
 
 def random_conservative_system(rng, dim):
@@ -59,7 +46,7 @@ def random_conservative_system(rng, dim):
         np.fill_diagonal(P, 0.0)
         return P, P.T.copy(), np.zeros(dim), np.zeros(dim)
 
-    return system_from_matrix_rates(
+    return PdrsSystem(
         dim, matrix_rates, has_rest=False,
         linear_invariants=(np.ones(dim),))
 

@@ -12,7 +12,7 @@ from relax_mprk.control import IntegrationError, integrate, interp_state, \
     reference_solution
 from relax_mprk.euler import isothermal_euler_fv
 from relax_mprk.linalg import SingularMatrixError
-from relax_mprk.pdrs import PositivityError
+from relax_mprk.pdrs import NonFiniteStateError, PositivityError
 from relax_mprk.problems import (advection_fv, cyclic3, lotka_volterra,
                                  porous_medium, stratospheric)
 from relax_mprk.relaxation import (EntropyFunctional, RelaxConfig,
@@ -84,8 +84,8 @@ def test_criterion_01_unconditional_positivity(capsys):
         for _ in range(3):
             try:
                 rec = stepper.step(t, u, dt)
-            except (PositivityError, SingularMatrixError,
-                    UnsupportedSchemeError):
+            except (NonFiniteStateError, PositivityError,
+                    SingularMatrixError, UnsupportedSchemeError):
                 skipped += 1       # base step itself fails: out of scope
                 combo_ok = False
                 break

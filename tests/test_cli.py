@@ -82,6 +82,7 @@ def test_run_writes_metadata_sidecar(tmp_path, capsys):
     assert float(meta["alpha"]) == 0.75
     assert meta["solver"] == "bisection"
     assert meta["relax"] == "implicit"
+    assert meta["sigma_mode"] == "default"
     assert float(meta["t_end"]) == 1.0
 
 

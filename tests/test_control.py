@@ -3,11 +3,12 @@ import pytest
 
 from relax_mprk.control import (ControllerState, IntegrationError, integrate,
                                 interp_state, pid_update, relax_adapt)
+from relax_mprk.pdrs import PdrsSystem
 from relax_mprk.problems import cyclic3, lotka_volterra
 from relax_mprk.relaxation import EntropyFunctional, RelaxConfig
 from relax_mprk.schemes import MpStepper, build_scheme
 
-from helpers import linear_exchange, system_from_matrix_rates
+from helpers import linear_exchange
 
 
 def _state(dt=1.0, **kw):
@@ -72,7 +73,7 @@ def _zero_system(dim=2):
         z = np.zeros((dim, dim))
         return z, z.copy(), np.zeros(dim), np.zeros(dim)
 
-    return system_from_matrix_rates(dim, matrix_rates, has_rest=False)
+    return PdrsSystem(dim, matrix_rates, has_rest=False)
 
 
 def test_integrate_zero_rates_replicates_state():

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from relax_mprk.euler import (EulerStepper, _interface_fluxes,
                               isothermal_euler_fv)
+from relax_mprk.pdrs import NonFiniteStateError
 from relax_mprk.schemes import UnsupportedSchemeError, build_scheme
 
 from helpers import fd_gradient
@@ -87,6 +89,21 @@ def test_step_positive_and_conservative():
         assert np.all(z[:40] > 0.0)
     assert np.sum(z[:40]) == pytest.approx(mass0, rel=1e-13)
     assert np.sum(z[40:]) == pytest.approx(mom0, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("m", [1e200, np.inf, np.nan])
+def test_non_finite_momentum_flux_raises_without_warning(m):
+    # v = 1e200 makes v**2 overflow; inf and NaN momenta reach the same
+    # check.  Each must end in a typed error, not a numpy warning
+    st = _stepper(N=8)
+    z = _state(np.ones(8), np.full(8, 0.1))
+    z[8 + 3] = m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError, match="momentum flux"):
+            st._rates(z)
+        with pytest.raises(NonFiniteStateError):
+            st.step(0.0, z, 0.01)
 
 
 def test_gamma_state_one_reproduces_step():

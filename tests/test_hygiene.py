@@ -37,3 +37,45 @@ def test_no_unused_imports(path):
     unused = [f"{path.name}:{line}: {name}"
               for name, line in _imported_names(tree) if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _dataclass_fields(tree):
+    """(class, field, line) for every field of every dataclass in the module."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            if isinstance(target, ast.Name) and target.id == "dataclass":
+                break
+        else:
+            continue
+        for stmt in node.body:
+            if (isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)):
+                yield node.name, stmt.target.id, stmt.lineno
+
+
+def _attributes_read(paths):
+    read = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    return read
+
+
+def test_every_dataclass_field_is_read():
+    # a field counts as read when any attribute of its name is loaded in
+    # the package, its tests or its benchmark; a field nothing reads is
+    # state that is set and carried for nothing
+    root = SRC.parent.parent
+    read = _attributes_read(p for d in ("src", "tests", "bench")
+                            for p in sorted((root / d).rglob("*.py")))
+    unread = [f"{path.name}:{line}: {cls}.{name}"
+              for path in sorted(SRC.glob("*.py"))
+              for cls, name, line in _dataclass_fields(
+                  ast.parse(path.read_text(), filename=str(path)))
+              if name not in read]
+    assert not unread, "dataclass fields never read: " + ", ".join(unread)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from relax_mprk.pdrs import (PositivityError, check_linear_invariant,
-                             eval_rhs, split_rhs)
+from relax_mprk.pdrs import (PdrsSystem, PositivityError,
+                             check_linear_invariant, eval_rhs, split_rhs)
 from relax_mprk.problems import lotka_volterra
 
 from helpers import linear_exchange, random_conservative_system
@@ -24,8 +24,7 @@ def test_eval_rhs_zero_rates():
         z = np.zeros((3, 3))
         return z, z.copy(), np.zeros(3), np.zeros(3)
 
-    from helpers import system_from_matrix_rates
-    sys = system_from_matrix_rates(3, matrix_rates, has_rest=False)
+    sys = PdrsSystem(3, matrix_rates, has_rest=False)
     assert np.array_equal(eval_rhs(sys, 0.0, np.ones(3)), np.zeros(3))
 
 
@@ -85,16 +84,20 @@ def test_rates_nonnegative_on_random_samples():
         assert np.all(r.rest_prod >= 0.0) and np.all(r.rest_dest >= 0.0)
 
 
-def test_callbacks_agree_with_matrix_rates():
-    sys = linear_exchange()
-    u = np.array([1.7, 0.4])
-    P, D, _, _ = sys.matrix_rates(0.0, u)
-    for k in range(2):
-        for nu in range(2):
-            if k == nu:
-                continue
-            assert sys.prod(k, nu, 0.0, u) == P[k, nu]
-            assert sys.dest(k, nu, 0.0, u) == D[k, nu]
+def test_rates_returns_matrix_rates_arrays():
+    returned = []
+
+    def matrix_rates(t, u):
+        arrays = lotka_volterra().sys.matrix_rates(t, u)
+        returned.append(arrays)
+        return arrays
+
+    sys = PdrsSystem(2, matrix_rates)
+    r = sys.rates(0.0, np.array([1.7, 0.4]))
+    assert len(returned) == 1
+    # the rate set holds the very arrays matrix_rates returned, uncopied
+    got = (r.P, r.D, r.rest_prod, r.rest_dest)
+    assert all(a is b for a, b in zip(got, returned[0]))
 
 
 def test_check_linear_invariant():

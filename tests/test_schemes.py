@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from relax_mprk.linalg import SingularMatrixError
-from relax_mprk.pdrs import PositivityError
+from relax_mprk.pdrs import PdrsSystem, PositivityError
 from relax_mprk.problems import PROBLEM_FACTORIES, make_problem
 from relax_mprk.schemes import (MpStepper, SchemeParameterError,
-                                UnsupportedSchemeError,
-                                assemble_update_matrix, build_scheme,
+                                UnsupportedSchemeError, build_scheme,
                                 gamma_update, gamma_update_derivative,
-                                sigma_bar, step)
+                                patankar_matrix, sigma_bar, step)
 
-from helpers import (linear_exchange, random_conservative_system,
-                     system_from_matrix_rates)
+from helpers import linear_exchange, random_conservative_system
 
 ALL_SCHEMES = [("mprk22", 1.0, None), ("mprk43i", 0.5, 0.75),
                ("mpssprk2", 0.5, 1.0)]
@@ -68,20 +66,22 @@ def test_build_scheme_parameter_validation():
 # ---------------------------------------------------------------------------
 # Update matrix and one-step map on the hand-worked exchange system
 
-def test_assemble_update_matrix_hand_values():
-    sys = linear_exchange()
-    sch = build_scheme("mprk22", 1.0)
-    stages = [np.array([1.0, 1.0]), np.array([0.5, 1.5])]
-    M = assemble_update_matrix(sys, sch, stages, stages[1], 0.0, 1.0)
+def _update_matrix(dt):
+    # MPRK22(1) from (1, 1): stage (0.5, 1.5) is also sigma, the update
+    # weights are (1/2, 1/2), and the step's own arrays build M
+    gd = step(linear_exchange(), build_scheme("mprk22", 1.0), 0.0,
+              np.array([1.0, 1.0]), 1.0).gamma_data
+    assert np.allclose(gd.sigma, [0.5, 1.5], rtol=1e-14)
+    return patankar_matrix(gd.upd_P, gd.upd_loss, gd.sigma, dt)
+
+
+def test_update_matrix_hand_values():
+    M = _update_matrix(1.0)
     assert np.allclose(M, [[2.5, 0.0], [-1.5, 1.0]], rtol=1e-14)
 
 
-def test_assemble_update_matrix_dt_zero_is_identity():
-    sys = linear_exchange()
-    sch = build_scheme("mprk22", 1.0)
-    stages = [np.array([1.0, 1.0]), np.array([0.5, 1.5])]
-    M = assemble_update_matrix(sys, sch, stages, stages[1], 0.0, 0.0)
-    assert np.allclose(M, np.eye(2))
+def test_update_matrix_dt_zero_is_identity():
+    assert np.allclose(_update_matrix(0.0), np.eye(2))
 
 
 def test_step_linear_exchange_hand_values():
@@ -99,7 +99,7 @@ def test_step_zero_rates_is_identity(kind, alpha, beta):
         z = np.zeros((3, 3))
         return z, z.copy(), np.zeros(3), np.zeros(3)
 
-    sys = system_from_matrix_rates(3, matrix_rates, has_rest=False)
+    sys = PdrsSystem(3, matrix_rates, has_rest=False)
     sch = build_scheme(kind, alpha, beta)
     u0 = np.array([0.3, 1.0, 2.5])
     rec = step(sys, sch, 0.0, u0, 7.0)
@@ -133,7 +133,7 @@ def _exchange_record():
 def test_sigma_bar_frozen():
     _, sch, rec = _exchange_record()
     sbar, sprime = sigma_bar(sch, rec, 2.0, "frozen")
-    assert np.array_equal(sbar, rec.sigma)
+    assert np.array_equal(sbar, rec.gamma_data.sigma)
     assert np.array_equal(sprime, np.zeros(2))
 
 
@@ -260,7 +260,7 @@ def test_gamma_update_derivative_zero_rates_is_zero():
         z = np.zeros((2, 2))
         return z, z.copy(), np.zeros(2), np.zeros(2)
 
-    sys = system_from_matrix_rates(2, matrix_rates, has_rest=False)
+    sys = PdrsSystem(2, matrix_rates, has_rest=False)
     sch = build_scheme("mprk22", 1.0)
     rec = step(sys, sch, 0.0, np.array([1.0, 2.0]), 1.0)
     du = gamma_update_derivative(rec, 1.3, "frozen",
@@ -283,7 +283,7 @@ def test_unconditional_positivity_and_conservation(kind, alpha, beta):
             rec = step(sys, sch, 0.0, u0, dt)
             for st in rec.stages:
                 assert np.all(st > 0.0)
-            assert np.all(rec.sigma > 0.0)
+            assert np.all(rec.gamma_data.sigma > 0.0)
             assert np.all(rec.u_next > 0.0)
             assert rec.u_next.sum() == pytest.approx(u0.sum(), rel=1e-12)
             # the MPSSPRK2 relaxed right-hand side (1-ga)u_n + ga*u2 is a
