@@ -18,10 +18,11 @@ from .linalg import lu_solve
 from .means import mean_arith, mean_log
 from .pdrs import NonFiniteStateError, PositivityError, RateSet
 from .relaxation import EntropyFunctional, MODE_IMPLICIT, REGIME_CONSERVATIVE
-from .schemes import (MPRK22, GammaData, MpScheme, MpStepper,
+from .schemes import (MPRK22, SIGMA_FROZEN, GammaData, MpScheme, MpStepper,
                       UnsupportedSchemeError, _check_positive,
-                      _geo_denominator, _solve_stage, _weighted, gamma_update,
-                      gamma_update_derivative, patankar_matrix)
+                      _geo_denominator, _solve_stage, _weighted,
+                      check_sigma_mode, gamma_update, gamma_update_derivative,
+                      patankar_matrix)
 
 
 def _interface_fluxes(rho, m, c):
@@ -69,17 +70,15 @@ class EulerStepper:
     ``MpStepper``; ``gamma_state(record, 1.0)`` is ``record.u_next``)."""
 
     def __init__(self, N: int, c: float, scheme: MpScheme,
-                 sigma_mode: str = "frozen"):
+                 sigma_mode: str = SIGMA_FROZEN):
         if scheme.kind != MPRK22:
             raise UnsupportedSchemeError(
                 "the partitioned Euler stepper supports MPRK22 only")
-        if sigma_mode not in ("frozen", "dense"):
-            raise ValueError("Euler sigma mode must be frozen or dense")
         self.N = N
         self.c = c
         self.dx = 1.0 / N
         self.scheme = scheme
-        self.sigma_mode = sigma_mode
+        self.sigma_mode = check_sigma_mode(scheme.kind, sigma_mode)
         ones = np.ones(N)
         zeros = np.zeros(N)
         self.linear_invariants = (np.concatenate([ones, zeros]),
@@ -115,14 +114,14 @@ class EulerStepper:
         sch = self.scheme
         a21, b = sch.a[1, 0], sch.b
         rho_n, m_n = self.split(z)
-        # the density flux is a conservative PDS: d_{k,nu} = p_{nu,k}
+        # the density flux is a conservative PDS without rest terms
         P1, g1 = self._rates(z)
-        r1 = RateSet(P1, P1.T, 0.0, 0.0)
+        r1 = RateSet(P1, 0.0, 0.0)
         rho_2 = _solve_stage(rho_n, [r1], [a21], rho_n, dt)
         z_2 = np.concatenate([rho_2, m_n + a21 * dt * g1])
 
         P2, g2 = self._rates(z_2)
-        r2 = RateSet(P2, P2.T, 0.0, 0.0)
+        r2 = RateSet(P2, 0.0, 0.0)
         sigma = _geo_denominator(rho_n, rho_2, 1.0 / sch.alpha)
         upd_P, upd_loss, _ = _weighted([r1, r2], b)
         M = patankar_matrix(upd_P, upd_loss, sigma, dt)
@@ -186,10 +185,10 @@ def isothermal_euler_fv(N: int = 100, c: float = 1.0):
                             name="euler_total_energy")
 
     def factory(scheme, sigma_mode=None):
-        return EulerStepper(N, c, scheme, sigma_mode or "frozen")
+        return EulerStepper(N, c, scheme, sigma_mode or SIGMA_FROZEN)
 
     return ProblemDescriptor(
-        name="euler", sys=None, entropies=(eta,), u0=z0, tspan=(0.0, 1.0),
+        name="euler", sys=None, eta=eta, u0=z0, tspan=(0.0, 1.0),
         defaults=dict(method=("mprk22", 1.0, None), relax=MODE_IMPLICIT,
                       solver="newton", dt0=dx, adapt="pid_and_relax",
                       rtol=1e-3, atol=1e-3),

@@ -2,12 +2,13 @@
 
 A PDRS writes the right-hand side of an ODE componentwise as
 
-    u_k' = rP_k(u) - rD_k(u) + sum_nu (p_{k,nu}(u) - d_{k,nu}(u)),
+    u_k' = rP_k(u) - rD_k(u) + sum_nu (p_{k,nu}(u) - p_{nu,k}(u)),
 
-with all rates non-negative on the positive orthant and the convention
-p_{kk} = d_{kk} = 0.  A *conservative* PDS additionally satisfies
-p_{k,nu} = d_{nu,k} and has no rest terms, which makes 1^T u a conserved
-quantity of the flow.
+with all rates non-negative on the positive orthant and p_{kk} = 0.
+The exchange p_{k,nu} moves mass from component nu to component k, so it
+is at once a production of k and a destruction of nu (d_{nu,k} =
+p_{k,nu}); the rest terms rP and rD hold everything that is not such an
+exchange.  Without rest terms 1^T u is a conserved quantity of the flow.
 """
 
 from __future__ import annotations
@@ -31,50 +32,50 @@ class NonFiniteStateError(ValueError):
 class RateSet:
     """All rates of a PDRS evaluated at one (t, u) point.
 
-    P[k, nu] = p_{k,nu}, D[k, nu] = d_{k,nu}; rest_prod/rest_dest are the
-    unpaired rest terms (or a scalar 0.0 where there are none).  Diagonals
-    of P and D are zero.
+    P[k, nu] = p_{k,nu} with zero diagonal; rest_prod/rest_dest are the
+    rest terms (or a scalar 0.0 where there are none).
     """
 
     P: np.ndarray
-    D: np.ndarray
     rest_prod: np.ndarray
     rest_dest: np.ndarray
 
     @cached_property
     def loss(self) -> np.ndarray:
-        """Total destruction per component: rD_k + sum_nu d_{k,nu}."""
-        return self.rest_dest + self.D.sum(axis=1)
+        """Total destruction per component: rD_k + sum_nu p_{nu,k}."""
+        return self.rest_dest + self.P.sum(axis=0)
 
     @property
     def rhs(self) -> np.ndarray:
-        return self.rest_prod - self.rest_dest + (self.P - self.D).sum(axis=1)
+        return self.rest_prod - self.rest_dest + (self.P - self.P.T).sum(axis=1)
 
 
 @dataclass(frozen=True)
 class PdrsSystem:
     """One PDRS, defined by its vectorized rates.
 
-    ``matrix_rates(t, u)`` returns ``(P, D, rP, rD)``: the d x d float
-    arrays P[k, nu] = p_{k,nu} and D[k, nu] = d_{k,nu}, both with zero
-    diagonal, and the length-d float rest vectors rP and rD.  ``has_rest``
-    is False when rP and rD are always zero, which MPSSPRK2 requires.
+    ``matrix_rates(t, u)`` returns ``(P, rP, rD)``: the d x d float
+    exchange array P[k, nu] = p_{k,nu} with zero diagonal and the
+    length-d float rest vectors rP and rD.
     """
 
     dim: int
     matrix_rates: Callable[[float, np.ndarray], tuple]
     linear_invariants: tuple = ()
-    has_rest: bool = True
 
     def check_state(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise ValueError(f"state has shape {u.shape}, expected ({self.dim},)")
-        if (u <= 0.0).any():
-            bad = np.flatnonzero(u <= 0.0)
+        # one mask on the hot path; it is False for u <= 0, NaN and +-inf
+        ok = (0.0 < u) & (u < np.inf)
+        if not ok.all():
+            bad = np.flatnonzero(~ok)[0]
+            if not np.isfinite(u[bad]):
+                raise NonFiniteStateError(
+                    f"non-finite state component u[{bad}] = {u[bad]!r}")
             raise PositivityError(
-                f"non-positive state component u[{bad[0]}] = {u[bad[0]]!r}"
-            )
+                f"non-positive state component u[{bad}] = {u[bad]!r}")
         return u
 
     def rates(self, t: float, u: np.ndarray) -> RateSet:
@@ -83,7 +84,7 @@ class PdrsSystem:
 
 
 def eval_rhs(sys: PdrsSystem, t: float, u: np.ndarray) -> np.ndarray:
-    """Right-hand side f_k = rP_k - rD_k + sum_nu (p_{k,nu} - d_{k,nu})."""
+    """Right-hand side f_k = rP_k - rD_k + sum_nu (p_{k,nu} - p_{nu,k})."""
     return sys.rates(t, u).rhs
 
 
@@ -91,7 +92,7 @@ def split_rhs(sys: PdrsSystem, t: float, u: np.ndarray):
     """Additive split into d production/destruction addends plus rest.
 
     Returns ``(F, rest)`` where column ``F[:, nu]`` is the nu-th addend:
-    F[k, nu] = p_{k,nu} for k != nu and F[nu, nu] = -(rD_nu + sum_mu d_{nu,mu});
+    F[k, nu] = p_{k,nu} for k != nu and F[nu, nu] = -(rD_nu + sum_mu p_{mu,nu});
     ``rest`` is the rest-production vector.  Columns of F plus ``rest`` sum
     to ``eval_rhs``.
     """

@@ -1,7 +1,7 @@
 """Ready-to-run experiment problems.
 
-Each descriptor bundles a production-destruction(-rest) system, one or
-more entropy functionals, initial data, a time span and the default
+Each descriptor bundles a production-destruction(-rest) system, its
+entropy functional, initial data, a time span and the default
 scheme/relaxation configuration used by the command-line runner.
 """
 
@@ -21,7 +21,7 @@ from .relaxation import (EntropyFunctional, MODE_CLAMPED, MODE_IMPLICIT,
 
 @dataclass(frozen=True)
 class ProblemDescriptor:
-    """One experiment: system, entropies, initial data, defaults.
+    """One experiment: system, entropy, initial data, defaults.
 
     ``reference(t)`` returns the exact state when an analytic solution is
     known, else None and a fine-step oracle is used.  ``stepper_factory``
@@ -30,17 +30,13 @@ class ProblemDescriptor:
 
     name: str
     sys: Optional[PdrsSystem]
-    entropies: tuple
+    eta: EntropyFunctional
     u0: np.ndarray
     tspan: tuple
     defaults: dict
     reference: Optional[Callable] = None
     mesh: Optional[dict] = None
     stepper_factory: Optional[Callable] = None
-
-    @property
-    def eta(self) -> EntropyFunctional:
-        return self.entropies[0]
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +48,8 @@ def lotka_volterra() -> ProblemDescriptor:
 
     def matrix_rates(t, u):
         P = np.zeros((2, 2))
-        D = np.zeros((2, 2))
-        P[1, 0] = D[0, 1] = u[0] * u[1]
-        return P, D, np.array([2.0 * u[0], 0.0]), np.array([0.0, u[1]])
+        P[1, 0] = u[0] * u[1]
+        return P, np.array([2.0 * u[0], 0.0]), np.array([0.0, u[1]])
 
     sys = PdrsSystem(dim=2, matrix_rates=matrix_rates)
 
@@ -65,7 +60,7 @@ def lotka_volterra() -> ProblemDescriptor:
         name="lv_invariant")
 
     return ProblemDescriptor(
-        name="lotka_volterra", sys=sys, entropies=(eta,),
+        name="lotka_volterra", sys=sys, eta=eta,
         u0=np.array([2.0, 2.0]), tspan=(0.0, 200.0),
         defaults=dict(method=("mprk22", 1.0, None), relax=MODE_IMPLICIT,
                       solver="newton", dt0=1.0, adapt="fixed"))
@@ -108,26 +103,27 @@ def _strat_reaction_rates(t: float, u: np.ndarray) -> np.ndarray:
 def _strat_matrix_rates(t, u):
     r = np.zeros(12)
     r[1:] = _strat_reaction_rates(t, u)  # 1-indexed reactions
-    D = np.zeros((6, 6))
-    D[0, 1] = r[6]
-    D[0, 3] = r[7] / 3.0
-    D[1, 2] = r[2] / 2.0
-    D[1, 3] = r[4] / 3.0
-    D[1, 4] = r[9] / 2.0
-    D[1, 5] = r[11]
-    D[2, 0] = r[5] / 3.0
-    D[2, 1] = r[3] / 3.0
-    D[2, 3] = (2.0 / 3.0) * r[3] + r[4] + (2.0 / 3.0) * r[5] + r[7] \
+    # P[k, nu] is the mass species nu passes to species k
+    P = np.zeros((6, 6))
+    P[1, 0] = r[6]
+    P[3, 0] = r[7] / 3.0
+    P[2, 1] = r[2] / 2.0
+    P[3, 1] = r[4] / 3.0
+    P[4, 1] = r[9] / 2.0
+    P[5, 1] = r[11]
+    P[0, 2] = r[5] / 3.0
+    P[1, 2] = r[3] / 3.0
+    P[3, 2] = (2.0 / 3.0) * r[3] + r[4] + (2.0 / 3.0) * r[5] + r[7] \
         + (2.0 / 3.0) * r[8]
-    D[2, 5] = r[8] / 3.0
-    D[3, 1] = r[1]
-    D[3, 2] = r[2]
-    D[4, 5] = r[11] + r[8] / 3.0
-    D[5, 1] = r[10] / 2.0
-    D[5, 3] = r[9]
-    D[5, 4] = r[10] / 2.0
+    P[5, 2] = r[8] / 3.0
+    P[1, 3] = r[1]
+    P[2, 3] = r[2]
+    P[5, 4] = r[11] + r[8] / 3.0
+    P[1, 5] = r[10] / 2.0
+    P[3, 5] = r[9]
+    P[4, 5] = r[10] / 2.0
     zero = np.zeros(6)
-    return D.T.copy(), D, zero, zero
+    return P, zero, zero
 
 
 def stratospheric() -> ProblemDescriptor:
@@ -139,7 +135,7 @@ def stratospheric() -> ProblemDescriptor:
     """
     n2 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.5])
     sys = PdrsSystem(dim=6, matrix_rates=_strat_matrix_rates,
-                     linear_invariants=(np.ones(6), n2), has_rest=False)
+                     linear_invariants=(np.ones(6), n2))
 
     eta = EntropyFunctional(
         eval=lambda u: float(n2 @ u), grad=lambda u: n2.copy(),
@@ -148,7 +144,7 @@ def stratospheric() -> ProblemDescriptor:
 
     u0 = np.array([9.906e1, 6.624e8, 1.5978e12, 3.394e16, 8.725e8, 4.480e8])
     return ProblemDescriptor(
-        name="stratospheric", sys=sys, entropies=(eta,), u0=u0,
+        name="stratospheric", sys=sys, eta=eta, u0=u0,
         tspan=(12.0 * 3600.0, 84.0 * 3600.0),
         defaults=dict(method=("mprk22", 1.0, None), relax=MODE_IMPLICIT,
                       solver="regula_falsi", dt0=0.01 * 3600.0,
@@ -194,10 +190,10 @@ def advection_fv(N: int = 100, entropy_kind: str = "log") -> ProblemDescriptor:
         P = np.zeros((N, N))
         P[(idx + 1) % N, idx] = flux
         zero = np.zeros(N)
-        return P, P.T.copy(), zero, zero
+        return P, zero, zero
 
     sys = PdrsSystem(dim=N, matrix_rates=matrix_rates,
-                     linear_invariants=(np.ones(N),), has_rest=False)
+                     linear_invariants=(np.ones(N),))
 
     eta = EntropyFunctional(
         eval=lambda u: float(dx * np.sum(U(u))),
@@ -209,7 +205,7 @@ def advection_fv(N: int = 100, entropy_kind: str = "log") -> ProblemDescriptor:
     u0 = 1.9 * np.sin(np.pi * x) + 2.0
     method, solver = _ADV_DEFAULTS[entropy_kind]
     return ProblemDescriptor(
-        name="advection", sys=sys, entropies=(eta,), u0=u0, tspan=(0.0, 2.0),
+        name="advection", sys=sys, eta=eta, u0=u0, tspan=(0.0, 2.0),
         defaults=dict(method=method, relax=MODE_IMPLICIT, solver=solver,
                       dt0=dx, adapt="fixed"),
         mesh=dict(N=N, dx=dx, domain=(0.0, 2.0), entropy_kind=entropy_kind))
@@ -250,10 +246,10 @@ def porous_medium(N: int = 160, m: float = 3.0) -> ProblemDescriptor:
         P[0, 1] = a[1] * u[1] * c2
         P[N - 1, N - 2] = a[N - 2] * u[N - 2] * c2
         zero = np.zeros(N)
-        return P, P.T.copy(), zero, zero
+        return P, zero, zero
 
     sys = PdrsSystem(dim=N, matrix_rates=matrix_rates,
-                     linear_invariants=(np.ones(N),), has_rest=False)
+                     linear_invariants=(np.ones(N),))
 
     eta = EntropyFunctional(
         eval=lambda u: float(0.5 * dx**2 * np.sum(u**2)),
@@ -269,7 +265,7 @@ def porous_medium(N: int = 160, m: float = 3.0) -> ProblemDescriptor:
     else:
         method = ("mprk22", 1.0, None)
     return ProblemDescriptor(
-        name="pme", sys=sys, entropies=(eta,), u0=u0, tspan=(1.0, 2.0),
+        name="pme", sys=sys, eta=eta, u0=u0, tspan=(1.0, 2.0),
         defaults=dict(method=method, relax=MODE_CLAMPED, solver="newton",
                       dt0=dx, adapt="fixed"),
         reference=lambda t: np.maximum(barenblatt(t, x, m), _PME_FLOOR),
@@ -289,10 +285,10 @@ def cyclic3() -> ProblemDescriptor:
         P[2, 1] = u[1] * u[2]
         P[0, 2] = u[2] * u[0]
         zero = np.zeros(3)
-        return P, P.T.copy(), zero, zero
+        return P, zero, zero
 
     sys = PdrsSystem(dim=3, matrix_rates=matrix_rates,
-                     linear_invariants=(np.ones(3),), has_rest=False)
+                     linear_invariants=(np.ones(3),))
 
     eta = EntropyFunctional(
         eval=lambda u: float(-np.sum(np.log(u))),
@@ -301,7 +297,7 @@ def cyclic3() -> ProblemDescriptor:
         name="cyclic3_invariant")
 
     return ProblemDescriptor(
-        name="cyclic3", sys=sys, entropies=(eta,),
+        name="cyclic3", sys=sys, eta=eta,
         u0=np.array([0.6, 0.7, 1.2]), tspan=(0.0, 1.0),
         defaults=dict(method=("mprk22", 1.0, None), relax=MODE_IMPLICIT,
                       solver="newton", dt0=0.1, adapt="fixed"))

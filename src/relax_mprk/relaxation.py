@@ -203,8 +203,7 @@ def _find_bracket(fun, cfg, known=None):
     Adjacent grid pairs are examined in order of increasing distance from
     gamma = 1, so the search stops at the nearest sign change without
     touching the rest of the grid.  Probes where the residual is
-    undefined are simply excluded.  Returns (a, fa, b, fb, n_evals) or
-    None.
+    undefined are simply excluded.  Returns (a, fa, b, fb) or None.
     """
     grid = _probe_grid(cfg.gamma_min, cfg.gamma_max)
     vals = dict(known) if known else {}
@@ -221,7 +220,7 @@ def _find_bracket(fun, cfg, known=None):
         if fa is None or fb is None:
             continue
         if fa == 0.0 or fa * fb < 0.0:
-            return ga, fa, gb, fb, len(vals)
+            return ga, fa, gb, fb
     return None
 
 
@@ -318,7 +317,7 @@ def solve_scalar(fun, cfg: RelaxConfig, derivative=None):
     found = _find_bracket(fun, cfg, known={1.0: r1})
     if found is None:
         return 1.0, 0, STATUS_FAILED
-    a, fa, b, fb, _ = found
+    a, fa, b, fb = found
     if abs(fa) <= cfg.gamma_tol:
         gamma, iters, status = a, 1, STATUS_CONVERGED
     elif abs(fb) <= cfg.gamma_tol:

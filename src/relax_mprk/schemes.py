@@ -32,6 +32,14 @@ SIGMA_FROZEN = "frozen"
 SIGMA_DENSE = "dense"
 SIGMA_BOOTSTRAP = "bootstrap"
 
+# the valid sigma modes of each scheme kind, default first: MPRK22 keeps
+# sigma frozen (the usual default); MPSSPRK2 carries the gamma exponent in
+# its denominator; MPRK43I needs bootstrapping for third order at the
+# relaxation root
+SIGMA_MODES = {MPRK22: (SIGMA_FROZEN, SIGMA_DENSE),
+               MPRK43I: (SIGMA_BOOTSTRAP, SIGMA_FROZEN),
+               MPSSPRK2: (SIGMA_DENSE, SIGMA_FROZEN)}
+
 
 class SchemeParameterError(ValueError):
     pass
@@ -39,6 +47,15 @@ class SchemeParameterError(ValueError):
 
 class UnsupportedSchemeError(ValueError):
     pass
+
+
+def check_sigma_mode(kind: str, mode: str) -> str:
+    """``mode`` if it is a valid sigma mode of ``kind``, else raise."""
+    if mode not in SIGMA_MODES[kind]:
+        raise UnsupportedSchemeError(
+            f"sigma mode {mode!r} is not defined for {kind.upper()}; "
+            f"valid: {', '.join(SIGMA_MODES[kind])}")
+    return mode
 
 
 @dataclass(frozen=True)
@@ -68,11 +85,6 @@ class MpScheme:
     @property
     def stages(self) -> int:
         return len(self.b)
-
-    def label(self) -> str:
-        if self.kind == MPRK22:
-            return f"MPRK22({self.alpha:g})"
-        return f"{self.kind.upper()}({self.alpha:g},{self.beta:g})"
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -256,9 +268,6 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
     u_n = sys.check_state(u_n)
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
-    if scheme.kind == MPSSPRK2 and sys.has_rest:
-        raise UnsupportedSchemeError(
-            "MPSSPRK2 supports conservative PDS only (no rest terms)")
 
     rates = [sys.rates(t_n + scheme.c[0] * dt, u_n)]
     stages = [u_n]
@@ -285,6 +294,10 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
         u2 = _check_positive(lu_solve(M2, u_n), "stage")
         stages.append(u2)
         rates.append(sys.rates(t_n + scheme.c[1] * dt, u2))
+        # the MPSSPRK2 update has no place for rest terms; it would drop them
+        if any(np.any(r.rest_prod) or np.any(r.rest_dest) for r in rates):
+            raise UnsupportedSchemeError(
+                "MPSSPRK2 supports conservative PDS only (no rest terms)")
         sigma = _geo_denominator(u_n, u2, scheme.s_exp)
         upd_P, upd_loss, _ = _weighted(rates, scheme.update_w)
         g = scheme.alpha * (u2 - u_n)
@@ -295,14 +308,6 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
     u_next = _check_positive(lu_solve(M, u_n + g), "update")
     stage_rhs = tuple(r.rhs for r in rates)
     return StepRecord(t_n, dt, u_n, tuple(stages), u_next, gd, stage_rhs)
-
-
-def _default_sigma_mode(scheme: MpScheme) -> str:
-    # MPRK22 keeps sigma frozen (the usual default); MPSSPRK2 carries the
-    # gamma exponent in its denominator; MPRK43I needs bootstrapping for
-    # third order at the relaxation root.
-    return {MPRK22: SIGMA_FROZEN, MPSSPRK2: SIGMA_DENSE,
-            MPRK43I: SIGMA_BOOTSTRAP}[scheme.kind]
 
 
 def _gamma_data(record_or_data) -> GammaData:
@@ -320,29 +325,21 @@ def _sigma_bar_value(scheme: MpScheme, gd: GammaData, gamma: float, mode: str):
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    check_sigma_mode(scheme.kind, mode)
     if mode == SIGMA_FROZEN:
         return gd.sigma, None, None
 
     u_n, u2 = gd.u_n, gd.u_stage2
-    if mode == SIGMA_DENSE:
-        if scheme.kind == MPRK22:
-            rate = 1.0 / scheme.alpha
-        elif scheme.kind == MPSSPRK2:
-            rate = scheme.s_exp
-        else:
-            raise ValueError("dense sigma mode is undefined for MPRK43I; use bootstrap")
+    if mode == SIGMA_DENSE:  # MPRK22 or MPSSPRK2
+        rate = scheme.s_exp if scheme.kind == MPSSPRK2 else 1.0 / scheme.alpha
         return _geo_denominator(u_n, u2, gamma * rate), rate, None
 
-    if mode == SIGMA_BOOTSTRAP:
-        if scheme.kind != MPRK43I:
-            raise ValueError("bootstrap sigma mode applies to MPRK43I only")
-        rate = 1.0 / scheme.alpha
-        tau = _geo_denominator(u_n, u2, gamma * rate)
-        M = patankar_matrix(gd.sig_P, gd.sig_loss, tau, gamma * gd.dt)
-        sbar = _check_positive(lu_solve(M, u_n + gamma * gd.sig_g), "sigma_bar")
-        return sbar, rate, M
-
-    raise ValueError(f"unknown sigma mode {mode!r}")
+    # bootstrap, MPRK43I
+    rate = 1.0 / scheme.alpha
+    tau = _geo_denominator(u_n, u2, gamma * rate)
+    M = patankar_matrix(gd.sig_P, gd.sig_loss, tau, gamma * gd.dt)
+    sbar = _check_positive(lu_solve(M, u_n + gamma * gd.sig_g), "sigma_bar")
+    return sbar, rate, M
 
 
 def _sigma_bar_prime(gd: GammaData, gamma: float, sbar, rate, M):
@@ -359,8 +356,8 @@ def _sigma_bar_prime(gd: GammaData, gamma: float, sbar, rate, M):
 def sigma_bar(scheme: MpScheme, record_or_data, gamma: float, mode: str):
     """Gamma-dependent denominator vector and its gamma-derivative.
 
-    Returns ``(sbar, sbar_prime)``.  Valid modes: ``frozen`` for any
-    scheme, ``dense`` for MPRK22/MPSSPRK2, ``bootstrap`` for MPRK43I.
+    Returns ``(sbar, sbar_prime)``.  ``SIGMA_MODES`` lists the valid
+    modes of each scheme kind.
     """
     gd = _gamma_data(record_or_data)
     sbar, rate, M = _sigma_bar_value(scheme, gd, gamma, mode)
@@ -424,7 +421,8 @@ class MpStepper:
                  sigma_mode: Optional[str] = None):
         self.sys = sys
         self.scheme = scheme
-        self.sigma_mode = sigma_mode or _default_sigma_mode(scheme)
+        self.sigma_mode = check_sigma_mode(
+            scheme.kind, sigma_mode or SIGMA_MODES[scheme.kind][0])
 
     @property
     def linear_invariants(self):

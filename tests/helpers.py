@@ -7,7 +7,7 @@ from relax_mprk.pdrs import PdrsSystem
 
 
 def linear_exchange():
-    """Two-species conservative exchange: p_21 = u_1 = d_12, nothing else.
+    """Two-species conservative exchange: p_21 = u_1, nothing else.
 
     One MPRK22(1) step from (1,1) with dt=1 is fully solvable by hand:
     stage (0.5, 1.5), update (0.4, 1.6).
@@ -15,25 +15,21 @@ def linear_exchange():
 
     def matrix_rates(t, u):
         P = np.zeros((2, 2))
-        D = np.zeros((2, 2))
-        P[1, 0] = D[0, 1] = u[0]
-        return P, D, np.zeros(2), np.zeros(2)
+        P[1, 0] = u[0]
+        return P, np.zeros(2), np.zeros(2)
 
-    return PdrsSystem(
-        2, matrix_rates, has_rest=False, linear_invariants=(np.ones(2),))
+    return PdrsSystem(2, matrix_rates, linear_invariants=(np.ones(2),))
 
 
 def bilinear_exchange():
-    """Predator-prey style exchange p_21 = u_1 u_2 = d_12 (no rest terms)."""
+    """Predator-prey style exchange p_21 = u_1 u_2 (no rest terms)."""
 
     def matrix_rates(t, u):
         P = np.zeros((2, 2))
-        D = np.zeros((2, 2))
-        P[1, 0] = D[0, 1] = u[0] * u[1]
-        return P, D, np.zeros(2), np.zeros(2)
+        P[1, 0] = u[0] * u[1]
+        return P, np.zeros(2), np.zeros(2)
 
-    return PdrsSystem(
-        2, matrix_rates, has_rest=False, linear_invariants=(np.ones(2),))
+    return PdrsSystem(2, matrix_rates, linear_invariants=(np.ones(2),))
 
 
 def random_conservative_system(rng, dim):
@@ -44,11 +40,9 @@ def random_conservative_system(rng, dim):
     def matrix_rates(t, u):
         P = C * np.outer(u, u)
         np.fill_diagonal(P, 0.0)
-        return P, P.T.copy(), np.zeros(dim), np.zeros(dim)
+        return P, np.zeros(dim), np.zeros(dim)
 
-    return PdrsSystem(
-        dim, matrix_rates, has_rest=False,
-        linear_invariants=(np.ones(dim),))
+    return PdrsSystem(dim, matrix_rates, linear_invariants=(np.ones(dim),))
 
 
 def fd_gradient(eta_eval, u, h=1e-7):

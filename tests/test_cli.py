@@ -119,6 +119,16 @@ def test_bad_method_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--problem", "cyclic3", "--method", "mprk43i:0.5,0.75",
+     "--sigma-mode", "dense", "--adapt", "relax_only"],
+    ["--problem", "euler", "--sigma-mode", "bootstrap"],
+])
+def test_invalid_sigma_mode_exits_2(tmp_path, capsys, argv):
+    assert main(["run", "--out", str(tmp_path / "r.csv"), *argv]) == 2
+    assert "sigma mode" in capsys.readouterr().err
+
+
 def test_bad_problem_kwargs_exit_2(capsys):
     assert main(["run", "--problem", "cyclic3:N=7"]) == 2
     assert "bad parameters" in capsys.readouterr().err

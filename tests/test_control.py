@@ -70,10 +70,9 @@ def test_relax_adapt_values():
 
 def _zero_system(dim=2):
     def matrix_rates(t, u):
-        z = np.zeros((dim, dim))
-        return z, z.copy(), np.zeros(dim), np.zeros(dim)
+        return np.zeros((dim, dim)), np.zeros(dim), np.zeros(dim)
 
-    return PdrsSystem(dim, matrix_rates, has_rest=False)
+    return PdrsSystem(dim, matrix_rates)
 
 
 def test_integrate_zero_rates_replicates_state():

@@ -158,6 +158,12 @@ def test_mprk22_only():
         EulerStepper(8, 1.0, build_scheme("mprk22", 1.0), "bootstrap")
 
 
+@pytest.mark.parametrize("mode", ["bootstrap", "bogus"])
+def test_invalid_sigma_mode_is_unsupported(mode):
+    with pytest.raises(UnsupportedSchemeError, match="sigma mode"):
+        EulerStepper(8, 1.0, build_scheme("mprk22", 1.0), mode)
+
+
 def test_descriptor_validation():
     with pytest.raises(ValueError, match="at least 3"):
         isothermal_euler_fv(N=2)

@@ -56,26 +56,54 @@ def _dataclass_fields(tree):
                 yield node.name, stmt.target.id, stmt.lineno
 
 
-def _attributes_read(paths):
-    read = set()
-    for path in paths:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        read.update(node.attr for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Load))
-    return read
+def _loads():
+    """(names, attributes) loaded or imported in the package, its tests
+    and its benchmark."""
+    names, attrs = set(), set()
+    root = SRC.parent.parent
+    for path in (p for d in ("src", "tests", "bench")
+                 for p in sorted((root / d).rglob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                attrs.add(node.attr)
+    return names, attrs
 
 
 def test_every_dataclass_field_is_read():
     # a field counts as read when any attribute of its name is loaded in
     # the package, its tests or its benchmark; a field nothing reads is
     # state that is set and carried for nothing
-    root = SRC.parent.parent
-    read = _attributes_read(p for d in ("src", "tests", "bench")
-                            for p in sorted((root / d).rglob("*.py")))
+    read = _loads()[1]
     unread = [f"{path.name}:{line}: {cls}.{name}"
               for path in sorted(SRC.glob("*.py"))
               for cls, name, line in _dataclass_fields(
                   ast.parse(path.read_text(), filename=str(path)))
               if name not in read]
     assert not unread, "dataclass fields never read: " + ", ".join(unread)
+
+
+def test_every_definition_is_used():
+    # a module-level function or class counts as used when its name is
+    # referenced or imported anywhere in the package, its tests or its
+    # benchmark, a method when an attribute of its name is loaded there
+    names, attrs = _loads()
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in names and node.name not in attrs:
+                unused.append(f"{path.name}:{node.lineno}: {node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused.extend(
+                    f"{path.name}:{item.lineno}: {node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("__")
+                    and item.name not in attrs)
+    assert not unused, "definitions never used: " + ", ".join(unused)

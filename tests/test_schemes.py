@@ -6,7 +6,7 @@ import pytest
 from relax_mprk.linalg import SingularMatrixError
 from relax_mprk.pdrs import PdrsSystem, PositivityError
 from relax_mprk.problems import PROBLEM_FACTORIES, make_problem
-from relax_mprk.schemes import (MpStepper, SchemeParameterError,
+from relax_mprk.schemes import (SIGMA_MODES, MpStepper, SchemeParameterError,
                                 UnsupportedSchemeError, build_scheme,
                                 gamma_update, gamma_update_derivative,
                                 patankar_matrix, sigma_bar, step)
@@ -15,10 +15,6 @@ from helpers import linear_exchange, random_conservative_system
 
 ALL_SCHEMES = [("mprk22", 1.0, None), ("mprk43i", 0.5, 0.75),
                ("mpssprk2", 0.5, 1.0)]
-
-# valid sigma-parameterization modes per scheme kind
-MODES = {"mprk22": ("frozen", "dense"), "mpssprk2": ("frozen", "dense"),
-         "mprk43i": ("frozen", "bootstrap")}
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +92,9 @@ def test_step_linear_exchange_hand_values():
 @pytest.mark.parametrize("kind,alpha,beta", ALL_SCHEMES)
 def test_step_zero_rates_is_identity(kind, alpha, beta):
     def matrix_rates(t, u):
-        z = np.zeros((3, 3))
-        return z, z.copy(), np.zeros(3), np.zeros(3)
+        return np.zeros((3, 3)), np.zeros(3), np.zeros(3)
 
-    sys = PdrsSystem(3, matrix_rates, has_rest=False)
+    sys = PdrsSystem(3, matrix_rates)
     sch = build_scheme(kind, alpha, beta)
     u0 = np.array([0.3, 1.0, 2.5])
     rec = step(sys, sch, 0.0, u0, 7.0)
@@ -112,6 +107,27 @@ def test_mpssprk2_rejects_rest_terms():
     sch = build_scheme("mpssprk2", 0.5, 1.0)
     with pytest.raises(UnsupportedSchemeError):
         step(sys, sch, 0.0, np.array([2.0, 2.0]), 0.1)
+
+
+def test_mpssprk2_rejects_rest_terms_of_a_conservative_system():
+    # an exchange plus a constant inflow; MPSSPRK2 must not drop rP
+    def matrix_rates(t, u):
+        P = np.zeros((2, 2))
+        P[1, 0] = u[0]
+        return P, np.array([0.1, 0.0]), np.zeros(2)
+
+    sys = PdrsSystem(2, matrix_rates, linear_invariants=(np.ones(2),))
+    sch = build_scheme("mpssprk2", 0.5, 1.0)
+    with pytest.raises(UnsupportedSchemeError, match="rest terms"):
+        step(sys, sch, 0.0, np.array([1.0, 1.0]), 0.1)
+
+
+@pytest.mark.parametrize("kind,alpha,beta,mode", [
+    ("mprk22", 1.0, None, "bootstrap"), ("mprk22", 1.0, None, "bogus"),
+    ("mprk43i", 0.5, 0.75, "dense"), ("mpssprk2", 0.5, 1.0, "bootstrap")])
+def test_stepper_rejects_invalid_sigma_mode(kind, alpha, beta, mode):
+    with pytest.raises(UnsupportedSchemeError, match="sigma mode"):
+        MpStepper(linear_exchange(), build_scheme(kind, alpha, beta), mode)
 
 
 def test_step_rejects_nonpositive_dt():
@@ -179,7 +195,7 @@ def test_gamma_update_reproduces_step_at_gamma_one(kind, alpha, beta):
     sys = random_conservative_system(rng, 4)
     sch = build_scheme(kind, alpha, beta)
     rec = step(sys, sch, 0.0, rng.uniform(0.2, 2.0, size=4), 0.3)
-    for mode in MODES[kind]:
+    for mode in SIGMA_MODES[kind]:
         u1 = gamma_update(rec, 1.0, mode)
         assert np.allclose(u1, rec.u_next, rtol=1e-13)
 
@@ -194,10 +210,13 @@ def test_gamma_state_at_one_is_step_bitwise(name):
         steppers = [problem.stepper_factory(build_scheme("mprk22", 1.0), mode)
                     for mode in ("frozen", "dense")]
     else:
+        # MPSSPRK2 takes conservative systems only
+        r = problem.sys.rates(t0, problem.u0)
+        rest = np.any(r.rest_prod) or np.any(r.rest_dest)
         steppers = [MpStepper(problem.sys, build_scheme(kind, alpha, beta), mode)
                     for kind, alpha, beta in ALL_SCHEMES
-                    if not (kind == "mpssprk2" and problem.sys.has_rest)
-                    for mode in MODES[kind]]
+                    if not (kind == "mpssprk2" and rest)
+                    for mode in SIGMA_MODES[kind]]
     for stepper in steppers:
         rec = stepper.step(t0, problem.u0, dt)
         u1 = stepper.gamma_state(rec, 1.0)
@@ -214,7 +233,7 @@ def test_gamma_matrix_memo_is_never_stale(kind, alpha, beta):
     sys = random_conservative_system(rng, 4)
     sch = build_scheme(kind, alpha, beta)
     rec = step(sys, sch, 0.0, rng.uniform(0.2, 2.0, size=4), 0.3)
-    modes = MODES[kind]
+    modes = SIGMA_MODES[kind]
     for g1, m1, g2, m2 in [(0.8, modes[0], 1.3, modes[0]),
                            (0.8, modes[1], 1.3, modes[1]),
                            (0.8, modes[0], 0.8, modes[1]),
@@ -242,7 +261,7 @@ def test_gamma_update_derivative_matches_finite_differences(kind, alpha, beta):
     sys = random_conservative_system(rng, 4)
     sch = build_scheme(kind, alpha, beta)
     h = 1e-6
-    for mode in MODES[kind]:
+    for mode in SIGMA_MODES[kind]:
         for _ in range(10):
             u0 = rng.uniform(0.2, 2.0, size=4)
             rec = step(sys, sch, 0.0, u0, rng.uniform(0.05, 0.5))
@@ -257,10 +276,9 @@ def test_gamma_update_derivative_matches_finite_differences(kind, alpha, beta):
 
 def test_gamma_update_derivative_zero_rates_is_zero():
     def matrix_rates(t, u):
-        z = np.zeros((2, 2))
-        return z, z.copy(), np.zeros(2), np.zeros(2)
+        return np.zeros((2, 2)), np.zeros(2), np.zeros(2)
 
-    sys = PdrsSystem(2, matrix_rates, has_rest=False)
+    sys = PdrsSystem(2, matrix_rates)
     sch = build_scheme("mprk22", 1.0)
     rec = step(sys, sch, 0.0, np.array([1.0, 2.0]), 1.0)
     du = gamma_update_derivative(rec, 1.3, "frozen",
@@ -292,7 +310,7 @@ def test_unconditional_positivity_and_conservation(kind, alpha, beta):
             gammas = ((0.1, 1.0, 2.0) if kind == "mpssprk2"
                       else (0.1, 1.0, 2.0, 10.0))
             for gamma in gammas:
-                for mode in MODES[kind]:
+                for mode in SIGMA_MODES[kind]:
                     ug = gamma_update(rec, gamma, mode)
                     assert np.all(ug > 0.0)
                     assert ug.sum() == pytest.approx(u0.sum(), rel=1e-12)
@@ -318,7 +336,7 @@ def test_extreme_step_sizes_positive_or_guarded(kind, alpha, beta):
         gammas = ((0.1, 1.0, 2.0) if kind == "mpssprk2"
                   else (0.1, 1.0, 2.0, 10.0))
         for gamma in gammas:
-            for mode in MODES[kind]:
+            for mode in SIGMA_MODES[kind]:
                 try:
                     ug = gamma_update(rec, gamma, mode)
                 except (PositivityError, SingularMatrixError):
