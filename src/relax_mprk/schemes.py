@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import lu_solve
-from .pdrs import PdrsSystem, PositivityError
+from .pdrs import PdrsSystem, PositivityError, RateSet
 
 MPRK22 = "mprk22"
 MPRK43I = "mprk43i"
@@ -262,6 +262,13 @@ def _sigma_43i(scheme, u_n, u2, rate_sets, dt):
     return sigma, P, loss, g
 
 
+def _check_no_rest(r: RateSet) -> None:
+    # the MPSSPRK2 update has no place for rest terms; it would drop them
+    if np.any(r.rest_prod) or np.any(r.rest_dest):
+        raise UnsupportedSchemeError(
+            "MPSSPRK2 supports conservative PDS only (no rest terms)")
+
+
 def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
          dt: float) -> StepRecord:
     """Advance one step of the chosen MP scheme from (t_n, u_n)."""
@@ -289,15 +296,12 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
         upd_P, upd_loss, rP = _weighted(rates, scheme.b)
         g = dt * rP
     else:  # MPSSPRK2
-        beta = scheme.beta
-        M2 = patankar_matrix(rates[0].P, rates[0].loss, u_n, beta * dt)
+        _check_no_rest(rates[0])
+        M2 = patankar_matrix(rates[0].P, rates[0].loss, u_n, scheme.beta * dt)
         u2 = _check_positive(lu_solve(M2, u_n), "stage")
         stages.append(u2)
         rates.append(sys.rates(t_n + scheme.c[1] * dt, u2))
-        # the MPSSPRK2 update has no place for rest terms; it would drop them
-        if any(np.any(r.rest_prod) or np.any(r.rest_dest) for r in rates):
-            raise UnsupportedSchemeError(
-                "MPSSPRK2 supports conservative PDS only (no rest terms)")
+        _check_no_rest(rates[1])
         sigma = _geo_denominator(u_n, u2, scheme.s_exp)
         upd_P, upd_loss, _ = _weighted(rates, scheme.update_w)
         g = scheme.alpha * (u2 - u_n)

@@ -154,14 +154,9 @@ def test_riemann_initial_data():
 def test_mprk22_only():
     with pytest.raises(UnsupportedSchemeError, match="MPRK22"):
         EulerStepper(8, 1.0, build_scheme("mprk43i", 0.5, 0.75))
-    with pytest.raises(ValueError, match="sigma mode"):
-        EulerStepper(8, 1.0, build_scheme("mprk22", 1.0), "bootstrap")
-
-
-@pytest.mark.parametrize("mode", ["bootstrap", "bogus"])
-def test_invalid_sigma_mode_is_unsupported(mode):
-    with pytest.raises(UnsupportedSchemeError, match="sigma mode"):
-        EulerStepper(8, 1.0, build_scheme("mprk22", 1.0), mode)
+    for mode in ("bootstrap", "bogus"):
+        with pytest.raises(UnsupportedSchemeError, match="sigma mode"):
+            EulerStepper(8, 1.0, build_scheme("mprk22", 1.0), mode)
 
 
 def test_descriptor_validation():

@@ -109,17 +109,23 @@ def test_mpssprk2_rejects_rest_terms():
         step(sys, sch, 0.0, np.array([2.0, 2.0]), 0.1)
 
 
-def test_mpssprk2_rejects_rest_terms_of_a_conservative_system():
-    # an exchange plus a constant inflow; MPSSPRK2 must not drop rP
+@pytest.mark.parametrize("t_on,n_calls", [(0.0, 1), (0.05, 2)])
+def test_mpssprk2_rejects_rest_terms_of_a_conservative_system(t_on, n_calls):
+    # an exchange plus an inflow from t_on on; MPSSPRK2 must not drop rP,
+    # and an inflow at t_n is rejected before the stage is solved
+    calls = []
+
     def matrix_rates(t, u):
+        calls.append(t)
         P = np.zeros((2, 2))
         P[1, 0] = u[0]
-        return P, np.array([0.1, 0.0]), np.zeros(2)
+        return P, np.array([0.1 if t >= t_on else 0.0, 0.0]), np.zeros(2)
 
     sys = PdrsSystem(2, matrix_rates, linear_invariants=(np.ones(2),))
     sch = build_scheme("mpssprk2", 0.5, 1.0)
     with pytest.raises(UnsupportedSchemeError, match="rest terms"):
         step(sys, sch, 0.0, np.array([1.0, 1.0]), 0.1)
+    assert len(calls) == n_calls
 
 
 @pytest.mark.parametrize("kind,alpha,beta,mode", [
@@ -237,8 +243,8 @@ def test_gamma_matrix_memo_is_never_stale(kind, alpha, beta):
     for g1, m1, g2, m2 in [(0.8, modes[0], 1.3, modes[0]),
                            (0.8, modes[1], 1.3, modes[1]),
                            (0.8, modes[0], 0.8, modes[1]),
-                           (0.8, modes[1], 0.8, modes[0]),
-                           (1.3, modes[1], 1.3, modes[1])]:
+                           (0.8, modes[1], 0.8, modes[0])] + [
+                           (1.3, m, 1.3, m) for m in modes]:
         gamma_update(rec, g1, m1)
         u_g = gamma_update(replace(rec.gamma_data), g2, m2)
         du = gamma_update_derivative(rec, g2, m2, u_g)
