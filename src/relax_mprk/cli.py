@@ -24,8 +24,9 @@ from .control import (ADAPT_FIXED, ADAPT_MODES, IntegrationError, integrate,
 from .pdrs import NonFiniteStateError, PositivityError
 from .problems import PROBLEM_FACTORIES, make_problem
 from .relaxation import (MODE_NONE, RELAX_MODES, SOLVERS, RelaxConfig)
-from .schemes import (SCHEME_KINDS, MpStepper, SchemeParameterError,
-                      UnsupportedSchemeError, build_scheme)
+from .schemes import (SCHEME_KINDS, SIGMA_MODES, MpStepper,
+                      SchemeParameterError, UnsupportedSchemeError,
+                      build_scheme)
 
 CSV_HEADER = "step,t,dt,gamma,relax_status,eta,inv1,inv2,err_ref"
 
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(set(RELAX_MODES) | set(_RELAX_ALIASES)))
         p.add_argument("--solver", default=None, choices=SOLVERS)
         p.add_argument("--sigma-mode", default=None,
-                       choices=("frozen", "dense", "bootstrap"))
+                       choices=sorted(set().union(*SIGMA_MODES.values())))
         p.add_argument("--dt0", type=float, default=None)
         p.add_argument("--t-end", type=float, default=None)
         p.add_argument("--rtol", type=float, default=None)
@@ -348,7 +349,8 @@ def cmd_list() -> int:
     print("methods: " + ", ".join(SCHEME_KINDS))
     print("relax modes: " + ", ".join(RELAX_MODES))
     print("solvers: " + ", ".join(SOLVERS))
-    print("sigma modes: frozen, dense, bootstrap")
+    print("sigma modes (default first): " + "; ".join(
+        f"{kind}: {', '.join(modes)}" for kind, modes in SIGMA_MODES.items()))
     return 0
 
 

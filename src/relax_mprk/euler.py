@@ -49,20 +49,23 @@ def _density_production(f_rho, dx, N):
 
 @dataclass(frozen=True)
 class EulerRecord:
-    """One accepted partitioned step (density MP, momentum explicit RK)."""
+    """One accepted partitioned step (density MP, momentum explicit RK);
+    the full right-hand sides ``stage_rhs`` are built only when read."""
 
     t_n: float
     dt: float
     u_n: np.ndarray            # full state [rho; m]
     u_next: np.ndarray
     stages: tuple              # full stage states
-    stage_rhs: tuple           # full right-hand sides at the stages
+    rate_sets: tuple           # density rates at the stages
+    m_rhs: tuple               # momentum right-hand sides at the stages
     gamma_data: GammaData      # density part
     dm: np.ndarray             # momentum increment of the full step
 
     @property
-    def scheme(self) -> MpScheme:
-        return self.gamma_data.scheme
+    def stage_rhs(self) -> tuple:
+        return tuple(np.concatenate([r.rhs, g])
+                     for r, g in zip(self.rate_sets, self.m_rhs))
 
 
 class EulerStepper:
@@ -129,12 +132,11 @@ class EulerStepper:
         dm = dt * (b[0] * g1 + b[1] * g2)
         z_next = np.concatenate([rho_next, m_n + dm])
 
-        gd = GammaData(sch, dt, rho_n, rho_2, sigma, upd_P, upd_loss,
+        gd = GammaData(sch, dt, (rho_n, rho_2), sigma, upd_P, upd_loss,
                        np.zeros(self.N))
-        rhs1 = np.concatenate([r1.rhs, g1])
-        rhs2 = np.concatenate([r2.rhs, g2])
-        return EulerRecord(t, dt, np.array(z), z_next, (np.array(z), z_2),
-                           (rhs1, rhs2), gd, dm)
+        z_n = np.array(z)
+        return EulerRecord(t, dt, z_n, z_next, (z_n, z_2), (r1, r2),
+                           (g1, g2), gd, dm)
 
     def gamma_state(self, record: EulerRecord, gamma: float) -> np.ndarray:
         rho_g = gamma_update(record.gamma_data, gamma, self.sigma_mode)

@@ -13,8 +13,7 @@ exchange.  Without rest terms 1^T u is a conserved quantity of the flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -33,17 +32,17 @@ class RateSet:
     """All rates of a PDRS evaluated at one (t, u) point.
 
     P[k, nu] = p_{k,nu} with zero diagonal; rest_prod/rest_dest are the
-    rest terms (or a scalar 0.0 where there are none).
+    rest terms (or a scalar 0.0 where there are none); ``loss``, built at
+    construction, is the total destruction rD_k + sum_nu p_{nu,k}.
     """
 
     P: np.ndarray
     rest_prod: np.ndarray
     rest_dest: np.ndarray
+    loss: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def loss(self) -> np.ndarray:
-        """Total destruction per component: rD_k + sum_nu p_{nu,k}."""
-        return self.rest_dest + self.P.sum(axis=0)
+    def __post_init__(self):
+        object.__setattr__(self, "loss", self.rest_dest + self.P.sum(axis=0))
 
     @property
     def rhs(self) -> np.ndarray:

@@ -82,46 +82,38 @@ def _daylight(t: float) -> float:
     return 0.5 + 0.5 * math.cos(math.pi * abs(w) * w)
 
 
-def _strat_reaction_rates(t: float, u: np.ndarray) -> np.ndarray:
-    s = _daylight(t)
-    u1, u2, u3, u4, u5, u6 = u
-    return np.array([
-        s**3 * 2.643e-10 * u4,
-        8.018e-17 * u2 * u4,
-        s * 6.120e-4 * u3,
-        1.576e-15 * u2 * u3,
-        s**2 * 1.070e-3 * u3,
-        7.110e-11 * _STRAT_M * u1,
-        1.200e-10 * u1 * u3,
-        6.062e-15 * u3 * u5,
-        1.069e-11 * u2 * u6,
-        s * 1.289e-2 * u6,
-        1.0e-8 * u2 * u5,
-    ])
+# (row, column) of the nonzero P[k, nu], in the order _strat_matrix_rates
+# lists their values
+_STRAT_PATTERN = (np.array([1, 3, 2, 3, 4, 5, 0, 1, 3, 5, 1, 2, 5, 1, 3, 4]),
+                  np.array([0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 4, 5, 5, 5]))
 
 
 def _strat_matrix_rates(t, u):
-    r = np.zeros(12)
-    r[1:] = _strat_reaction_rates(t, u)  # 1-indexed reactions
+    s = _daylight(t)
+    # the 11 reaction rates, on Python floats: no numpy scalar per term
+    u1, u2, u3, u4, u5, u6 = u.tolist()
+    r1 = s**3 * 2.643e-10 * u4
+    r2 = 8.018e-17 * u2 * u4
+    r3 = s * 6.120e-4 * u3
+    r4 = 1.576e-15 * u2 * u3
+    r5 = s**2 * 1.070e-3 * u3
+    r6 = 7.110e-11 * _STRAT_M * u1
+    r7 = 1.200e-10 * u1 * u3
+    r8 = 6.062e-15 * u3 * u5
+    r9 = 1.069e-11 * u2 * u6
+    r10 = s * 1.289e-2 * u6
+    r11 = 1.0e-8 * u2 * u5
     # P[k, nu] is the mass species nu passes to species k
     P = np.zeros((6, 6))
-    P[1, 0] = r[6]
-    P[3, 0] = r[7] / 3.0
-    P[2, 1] = r[2] / 2.0
-    P[3, 1] = r[4] / 3.0
-    P[4, 1] = r[9] / 2.0
-    P[5, 1] = r[11]
-    P[0, 2] = r[5] / 3.0
-    P[1, 2] = r[3] / 3.0
-    P[3, 2] = (2.0 / 3.0) * r[3] + r[4] + (2.0 / 3.0) * r[5] + r[7] \
-        + (2.0 / 3.0) * r[8]
-    P[5, 2] = r[8] / 3.0
-    P[1, 3] = r[1]
-    P[2, 3] = r[2]
-    P[5, 4] = r[11] + r[8] / 3.0
-    P[1, 5] = r[10] / 2.0
-    P[3, 5] = r[9]
-    P[4, 5] = r[10] / 2.0
+    P[_STRAT_PATTERN] = (
+        r6, r7 / 3.0,                                    # from species 0
+        r2 / 2.0, r4 / 3.0, r9 / 2.0, r11,               # from species 1
+        r5 / 3.0, r3 / 3.0,                              # from species 2
+        (2.0 / 3.0) * r3 + r4 + (2.0 / 3.0) * r5 + r7 + (2.0 / 3.0) * r8,
+        r8 / 3.0,
+        r1, r2,                                          # from species 3
+        r11 + r8 / 3.0,                                  # from species 4
+        r10 / 2.0, r9, r10 / 2.0)                        # from species 5
     zero = np.zeros(6)
     return P, zero, zero
 

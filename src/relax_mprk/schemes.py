@@ -82,10 +82,6 @@ class MpScheme:
     sigma_w: Optional[np.ndarray] = None
     s_exp: Optional[float] = None
 
-    @property
-    def stages(self) -> int:
-        return len(self.b)
-
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
@@ -159,7 +155,8 @@ def patankar_matrix(P_w: np.ndarray, loss_w: np.ndarray, denom: np.ndarray,
     if (denom <= 0.0).any():
         bad = np.flatnonzero(denom <= 0.0)
         raise PositivityError(f"non-positive denominator component [{bad[0]}]")
-    M = -(fac * P_w) / denom
+    M = np.multiply(P_w, -fac)
+    M /= denom
     # the diagonal is overwritten, so p_kk (zero by convention) never enters M
     M.flat[::len(denom) + 1] = 1.0 + fac * loss_w / denom
     return M
@@ -173,6 +170,8 @@ def ppow(base: np.ndarray, expo) -> np.ndarray:
 
 def _geo_denominator(u_n: np.ndarray, u2: np.ndarray, e) -> np.ndarray:
     """Patankar denominator u2**e * u_n**(1 - e), a geometric mean."""
+    if e == 1.0:  # u_n**0 is exactly 1.0 for every positive finite u_n
+        return ppow(u2, e)
     return ppow(u2, e) * ppow(u_n, 1.0 - e)
 
 
@@ -180,16 +179,16 @@ def _geo_denominator(u_n: np.ndarray, u2: np.ndarray, e) -> np.ndarray:
 class GammaData:
     """Everything needed to evaluate u^{n+gamma} and its gamma-derivative.
 
-    ``upd_P``/``upd_loss`` are the update-weighted rate arrays, ``g`` the
-    gamma-linear part of the right-hand side (so the update solves
-    M_gamma u = u_n + gamma*g).  For MPRK43I, ``sig_P``/``sig_loss``/
-    ``sig_g`` describe the embedded sigma system used by bootstrapping.
+    ``stages`` are the stage states, u_n first; ``upd_P``/``upd_loss``
+    are the update-weighted rate arrays, ``g`` the gamma-linear part of
+    the right-hand side (so the update solves M_gamma u = u_n + gamma*g).
+    For MPRK43I, ``sig_P``/``sig_loss``/``sig_g`` describe the embedded
+    sigma system used by bootstrapping.
     """
 
     scheme: MpScheme
     dt: float
-    u_n: np.ndarray
-    u_stage2: np.ndarray
+    stages: tuple
     sigma: np.ndarray
     upd_P: np.ndarray
     upd_loss: np.ndarray
@@ -202,22 +201,27 @@ class GammaData:
     _last: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
 
+    u_n = property(lambda self: self.stages[0])
+
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One accepted MPRK step with caches for relaxation."""
+    """One accepted MPRK step with caches for relaxation: ``dt``, ``u_n``
+    and the stages are those of ``gamma_data``, and the right-hand sides
+    ``stage_rhs`` are built from the stage ``rate_sets`` only when read."""
 
     t_n: float
-    dt: float
-    u_n: np.ndarray
-    stages: tuple
     u_next: np.ndarray
     gamma_data: GammaData
-    stage_rhs: tuple
+    rate_sets: tuple
+
+    dt = property(lambda self: self.gamma_data.dt)
+    u_n = property(lambda self: self.gamma_data.stages[0])
+    stages = property(lambda self: self.gamma_data.stages)
 
     @property
-    def scheme(self) -> MpScheme:
-        return self.gamma_data.scheme
+    def stage_rhs(self) -> tuple:
+        return tuple(r.rhs for r in self.rate_sets)
 
 
 _TINY = np.finfo(float).tiny
@@ -276,18 +280,18 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
 
-    rates = [sys.rates(t_n + scheme.c[0] * dt, u_n)]
+    # c_1 = 0, and u_n is checked: no second check_state through sys.rates
+    rates = [RateSet(*sys.matrix_rates(t_n, u_n))]
     stages = [u_n]
     sig_P = sig_loss = sig_g = None
 
     if scheme.kind in (MPRK22, MPRK43I):
-        a = scheme.a
-        u2 = _solve_stage(u_n, rates, [a[1, 0]], u_n, dt)
+        u2 = _solve_stage(u_n, rates, [scheme.a[1, 0]], u_n, dt)
         stages.append(u2)
         rates.append(sys.rates(t_n + scheme.c[1] * dt, u2))
         if scheme.kind == MPRK43I:
             pi3 = _geo_denominator(u_n, u2, 1.0 / scheme.p_exp)
-            u3 = _solve_stage(u_n, rates, a[2, :2], pi3, dt)
+            u3 = _solve_stage(u_n, rates, scheme.a[2, :2], pi3, dt)
             stages.append(u3)
             rates.append(sys.rates(t_n + scheme.c[2] * dt, u3))
             sigma, sig_P, sig_loss, sig_g = _sigma_43i(scheme, u_n, u2, rates, dt)
@@ -306,12 +310,11 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
         upd_P, upd_loss, _ = _weighted(rates, scheme.update_w)
         g = scheme.alpha * (u2 - u_n)
 
-    gd = GammaData(scheme, dt, u_n, stages[1], sigma, upd_P, upd_loss, g,
+    gd = GammaData(scheme, dt, tuple(stages), sigma, upd_P, upd_loss, g,
                    sig_P, sig_loss, sig_g)
     M = patankar_matrix(upd_P, upd_loss, sigma, dt)
     u_next = _check_positive(lu_solve(M, u_n + g), "update")
-    stage_rhs = tuple(r.rhs for r in rates)
-    return StepRecord(t_n, dt, u_n, tuple(stages), u_next, gd, stage_rhs)
+    return StepRecord(t_n, u_next, gd, tuple(rates))
 
 
 def _gamma_data(record_or_data) -> GammaData:
@@ -333,7 +336,7 @@ def _sigma_bar_value(scheme: MpScheme, gd: GammaData, gamma: float, mode: str):
     if mode == SIGMA_FROZEN:
         return gd.sigma, None, None
 
-    u_n, u2 = gd.u_n, gd.u_stage2
+    u_n, u2 = gd.stages[:2]
     if mode == SIGMA_DENSE:  # MPRK22 or MPSSPRK2
         rate = scheme.s_exp if scheme.kind == MPSSPRK2 else 1.0 / scheme.alpha
         return _geo_denominator(u_n, u2, gamma * rate), rate, None
@@ -350,7 +353,7 @@ def _sigma_bar_prime(gd: GammaData, gamma: float, sbar, rate, M):
     """d sbar / d gamma from the pieces ``_sigma_bar_value`` returns."""
     if rate is None:
         return np.zeros_like(sbar)
-    v = sbar * rate * (np.log(gd.u_stage2) - np.log(gd.u_n))
+    v = sbar * rate * (np.log(gd.stages[1]) - np.log(gd.u_n))
     if M is None:
         return v
     rhs = (sbar - gd.u_n) / gamma + M @ v - v
@@ -455,4 +458,5 @@ class MpStepper:
             return None
         w = atol + rtol * np.abs(record.u_n)
         diff = (record.u_next - record.stages[1]) / w
-        return float(np.sqrt(np.mean(diff**2)))
+        # the sum np.mean takes, without its dispatch
+        return float(np.sqrt(np.add.reduce(diff**2) / diff.size))

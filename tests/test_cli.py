@@ -2,6 +2,7 @@ import pytest
 
 from relax_mprk.cli import (CSV_HEADER, ConfigError, main, parse_method_spec,
                             parse_problem_spec)
+from relax_mprk.schemes import SIGMA_MODES
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +40,8 @@ def test_list_output(capsys):
     assert "solver=regula_falsi" in out
     assert "relax modes:" in out
     assert "bisection" in out
+    for kind, modes in SIGMA_MODES.items():
+        assert f"{kind}: {', '.join(modes)}" in out
 
 
 def _run_cyclic3(tmp_path, name):

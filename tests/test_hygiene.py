@@ -1,6 +1,8 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +109,27 @@ def test_every_definition_is_used():
                     and not item.name.startswith("__")
                     and item.name not in attrs)
     assert not unused, "definitions never used: " + ", ".join(unused)
+
+
+def _requirement_name(spec):
+    # "numpy>=1.24" -> "numpy"; names compare case- and separator-blind
+    return re.match(r"[A-Za-z0-9._-]+", spec).group().lower().replace("_", "-")
+
+
+def test_runtime_dependencies_match_imports():
+    # every third-party module src/ imports is a declared runtime
+    # dependency, and every runtime dependency is imported by src/
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text())
+    declared = {_requirement_name(s) for s in pyproject["project"]["dependencies"]}
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = {_requirement_name(m) for m in imported
+                   if m not in sys.stdlib_module_names and m != SRC.name}
+    assert third_party - declared == set(), "imported but not declared"
+    assert declared - third_party == set(), "declared but never imported"

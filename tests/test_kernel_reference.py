@@ -1,0 +1,254 @@
+"""The step's kernels against the arithmetic they replaced.
+
+Each reference below is the earlier formulation of a kernel that was
+rewritten for speed without changing a floating-point operation, so the
+comparisons are exact (``==``, including the sign of zero), never
+``allclose``.  The second part checks that a step computes stage
+right-hand sides only when the dissipative entropy quadrature reads them.
+"""
+
+import math
+from collections import Counter
+from dataclasses import replace
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from relax_mprk.control import integrate
+from relax_mprk.euler import isothermal_euler_fv
+from relax_mprk.pdrs import PdrsSystem, RateSet
+from relax_mprk.problems import (_STRAT_M, _daylight, _strat_matrix_rates,
+                                 make_problem)
+from relax_mprk.relaxation import (MODE_CLAMPED, RelaxConfig, entropy_estimate,
+                                   relax_step)
+from relax_mprk.schemes import (MpStepper, _geo_denominator, build_scheme,
+                                patankar_matrix, ppow)
+
+# the largest, smallest normal and subnormal magnitudes a state may reach
+EXTREMES = (1e300, 1e-300, np.finfo(float).tiny / 4.0, 5e-324)
+
+
+def _same(new, old):
+    """Equal entry for entry, with the same sign of every zero."""
+    new, old = np.asarray(new), np.asarray(old)
+    return (new.shape == old.shape and np.array_equal(new, old)
+            and np.array_equal(np.signbit(new), np.signbit(old)))
+
+
+def _states(rng, shape):
+    """Positive log-uniform entries, about a third of them replaced by
+    1e300, 1e-300 or a subnormal."""
+    u = np.exp(rng.uniform(-7.0, 7.0, size=shape))
+    pick = rng.random(shape) < 0.35
+    u[pick] = rng.choice(EXTREMES, size=int(pick.sum()))
+    return u
+
+
+# ---------------------------------------------------------------------------
+# References: the earlier arithmetic
+
+def old_patankar_matrix(P_w, loss_w, denom, fac):
+    M = -(fac * P_w) / denom
+    M.flat[::len(denom) + 1] = 1.0 + fac * loss_w / denom
+    return M
+
+
+def old_geo_denominator(u_n, u2, e):
+    return ppow(u2, e) * ppow(u_n, 1.0 - e)
+
+
+def old_error_estimate(u_n, u_next, u_stage2, atol, rtol):
+    w = atol + rtol * np.abs(u_n)
+    diff = (u_next - u_stage2) / w
+    return float(np.sqrt(np.mean(diff**2)))
+
+
+def old_strat_reaction_rates(t, u):
+    # numpy scalars throughout: u1..u6 come out of the array as float64
+    s = _daylight(t)
+    u1, u2, u3, u4, u5, u6 = u
+    return np.array([
+        s**3 * 2.643e-10 * u4,
+        8.018e-17 * u2 * u4,
+        s * 6.120e-4 * u3,
+        1.576e-15 * u2 * u3,
+        s**2 * 1.070e-3 * u3,
+        7.110e-11 * _STRAT_M * u1,
+        1.200e-10 * u1 * u3,
+        6.062e-15 * u3 * u5,
+        1.069e-11 * u2 * u6,
+        s * 1.289e-2 * u6,
+        1.0e-8 * u2 * u5,
+    ])
+
+
+def old_strat_matrix_rates(t, u):
+    r = np.zeros(12)
+    r[1:] = old_strat_reaction_rates(t, u)
+    P = np.zeros((6, 6))
+    P[1, 0] = r[6]
+    P[3, 0] = r[7] / 3.0
+    P[2, 1] = r[2] / 2.0
+    P[3, 1] = r[4] / 3.0
+    P[4, 1] = r[9] / 2.0
+    P[5, 1] = r[11]
+    P[0, 2] = r[5] / 3.0
+    P[1, 2] = r[3] / 3.0
+    P[3, 2] = (2.0 / 3.0) * r[3] + r[4] + (2.0 / 3.0) * r[5] + r[7] \
+        + (2.0 / 3.0) * r[8]
+    P[5, 2] = r[8] / 3.0
+    P[1, 3] = r[1]
+    P[2, 3] = r[2]
+    P[5, 4] = r[11] + r[8] / 3.0
+    P[1, 5] = r[10] / 2.0
+    P[3, 5] = r[9]
+    P[4, 5] = r[10] / 2.0
+    zero = np.zeros(6)
+    return P, zero, zero
+
+
+# ---------------------------------------------------------------------------
+# Rewritten kernels equal their references
+
+@pytest.mark.parametrize("d", [1, 2, 6, 40])
+def test_patankar_matrix_matches_reference(d):
+    rng = np.random.default_rng(d)
+    with np.errstate(all="ignore"):
+        for fac in (1e-3, 0.7, 21.0, 1e5):
+            for _ in range(25):
+                P = _states(rng, (d, d))
+                np.fill_diagonal(P, 0.0)
+                P[rng.random((d, d)) < 0.3] = 0.0
+                loss = P.sum(axis=0) + _states(rng, d)
+                denom = _states(rng, d)
+                old = old_patankar_matrix(P, loss, denom, fac)
+                assert not np.isnan(old).any()
+                assert _same(patankar_matrix(P, loss, denom, fac), old)
+
+
+def test_geo_denominator_at_unit_exponent_matches_reference():
+    rng = np.random.default_rng(7)
+    with np.errstate(over="ignore"):
+        for d in (1, 6, 100):
+            for _ in range(20):
+                u_n, u2 = _states(rng, d), _states(rng, d)
+                for e in (1.0, np.float64(1.0), 0.5, 2.0):
+                    assert _same(_geo_denominator(u_n, u2, e),
+                                 old_geo_denominator(u_n, u2, e))
+
+
+@pytest.mark.parametrize("d", [1, 2, 6, 9, 100, 1000])
+def test_error_estimate_matches_reference(d):
+    rng = np.random.default_rng(d)
+    stepper = MpStepper(make_problem("cyclic3").sys,
+                        build_scheme("mprk22", 1.0))
+    with np.errstate(all="ignore"):
+        for atol, rtol in ((1e-3, 1e-3), (1e-6, 1e-6)):
+            for _ in range(20):
+                u_n, u_next, u2 = (_states(rng, d) for _ in range(3))
+                agree = rng.random(d) < 0.2  # zero differences
+                u_next[agree] = u2[agree]
+                rec = SimpleNamespace(u_n=u_n, u_next=u_next, stages=(u_n, u2))
+                new = stepper.error_estimate(rec, atol, rtol)
+                old = old_error_estimate(u_n, u_next, u2, atol, rtol)
+                assert not math.isnan(old)
+                assert new == old
+                assert math.copysign(1.0, new) == math.copysign(1.0, old)
+
+
+# by day (noon, morning, just after sunrise, evening) and at night
+# (midnight, before sunrise, after sunset, the second night)
+STRAT_HOURS = (12.0, 6.0, 4.6, 19.4, 0.0, 3.0, 22.0, 44.0)
+
+
+@pytest.mark.parametrize("hour", STRAT_HOURS)
+def test_strat_matrix_rates_match_reference(hour):
+    t = hour * 3600.0
+    assert (_daylight(t) > 0.0) == (4.5 < hour % 24.0 < 19.5)
+    rng = np.random.default_rng(int(hour * 10))
+    problem = make_problem("stratospheric")
+    states = [problem.u0] + [_states(rng, 6) for _ in range(200)]
+    with np.errstate(all="ignore"):
+        for u in states:
+            for new, old in zip(_strat_matrix_rates(t, u),
+                                old_strat_matrix_rates(t, u)):
+                assert _same(new, old)
+
+
+# ---------------------------------------------------------------------------
+# Stage right-hand sides are built only when read
+
+def test_conservative_mprk22_run_builds_no_stage_rhs(monkeypatch):
+    # per attempt: one check_state per stage state and one matrix_rates
+    # call per stage, and no right-hand side at all, since only the
+    # dissipative quadrature reads one
+    counts = Counter()
+    rhs = RateSet.rhs
+    check_state = PdrsSystem.check_state
+
+    def counted_rhs(self):
+        counts["rhs"] += 1
+        return rhs.fget(self)
+
+    def counted_check_state(self, u):
+        counts["check_state"] += 1
+        return check_state(self, u)
+
+    monkeypatch.setattr(RateSet, "rhs", property(counted_rhs))
+    monkeypatch.setattr(PdrsSystem, "check_state", counted_check_state)
+
+    problem = make_problem("lotka_volterra")
+    matrix_rates = problem.sys.matrix_rates
+
+    def counted_matrix_rates(t, u):
+        counts["matrix_rates"] += 1
+        return matrix_rates(t, u)
+
+    stepper = MpStepper(replace(problem.sys, matrix_rates=counted_matrix_rates),
+                        build_scheme("mprk22", 1.0))
+    step = stepper.step
+
+    def counted_step(t, u, dt):
+        counts["attempts"] += 1
+        return step(t, u, dt)
+
+    stepper.step = counted_step
+    traj = integrate(stepper, problem.eta, RelaxConfig(), 0.0, problem.u0,
+                     20.0, 1.0, adaptivity="pid_and_relax", rtol=1e-3,
+                     atol=1e-3)
+    assert traj.times[-1] == pytest.approx(20.0)
+    assert counts["attempts"] > traj.n_steps > 0
+    assert counts["rhs"] == 0
+    assert counts["check_state"] == 2 * counts["attempts"]
+    assert counts["matrix_rates"] == 2 * counts["attempts"]
+
+
+@pytest.mark.parametrize("m", [2.0, 3.0, 5.0])
+def test_dissipative_quadrature_matches_eager_sum(m):
+    # m selects the PME's default scheme: MPRK22, MPSSPRK2 and MPRK43I
+    problem = make_problem("pme", N=40, m=m)
+    scheme = build_scheme(*problem.defaults["method"])
+    stepper = MpStepper(problem.sys, scheme)
+    eta = problem.eta
+    rec = stepper.step(problem.tspan[0], problem.u0, problem.defaults["dt0"])
+    # the eager sum: every stage's right-hand side built with the step
+    acc = 0.0
+    for bj, cj, uj in zip(scheme.b, scheme.c, rec.stages):
+        fj = problem.sys.rates(rec.t_n + cj * rec.dt, uj).rhs
+        acc += bj * float(eta.grad(uj) @ fj)
+    assert stepper.entropy_quadrature(eta, rec) == rec.dt * acc
+    assert entropy_estimate(eta, stepper, rec) == \
+        float(eta.eval(rec.u_n)) + rec.dt * acc
+    out = relax_step(eta, stepper, rec, RelaxConfig(mode=MODE_CLAMPED))
+    assert 0.0 < out.gamma <= 1.0
+
+
+def test_euler_stage_rhs_matches_eager_concatenation():
+    problem = isothermal_euler_fv(N=20)
+    stepper = problem.stepper_factory(build_scheme("mprk22", 1.0))
+    rec = stepper.step(0.0, problem.u0, problem.mesh["dx"])
+    assert len(rec.stage_rhs) == len(rec.stages) == 2
+    for z, f in zip(rec.stages, rec.stage_rhs):
+        P, m_rhs = stepper._rates(z)
+        assert _same(f, np.concatenate([RateSet(P, 0.0, 0.0).rhs, m_rhs]))
