@@ -216,7 +216,7 @@ class StepRecord:
     rate_sets: tuple
 
     dt = property(lambda self: self.gamma_data.dt)
-    u_n = property(lambda self: self.gamma_data.stages[0])
+    u_n = property(lambda self: self.gamma_data.u_n)
     stages = property(lambda self: self.gamma_data.stages)
 
     @property

@@ -120,8 +120,9 @@ def test_runtime_dependencies_match_imports():
     # every third-party module src/ imports is a declared runtime
     # dependency, and every runtime dependency is imported by src/
     tomllib = pytest.importorskip("tomllib")
-    pyproject = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text())
-    declared = {_requirement_name(s) for s in pyproject["project"]["dependencies"]}
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text()
+    declared = {_requirement_name(s) for s
+                in tomllib.loads(pyproject)["project"]["dependencies"]}
     imported = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
