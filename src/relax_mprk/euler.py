@@ -183,8 +183,7 @@ def isothermal_euler_fv(N: int = 100, c: float = 1.0):
 
     eta = EntropyFunctional(eval=eta_eval, grad=eta_grad,
                             regime=REGIME_CONSERVATIVE,
-                            monotone_nondecreasing=False,
-                            name="euler_total_energy")
+                            monotone_nondecreasing=False)
 
     def factory(scheme, sigma_mode=None):
         return EulerStepper(N, c, scheme, sigma_mode or SIGMA_FROZEN)

@@ -56,8 +56,7 @@ def lotka_volterra() -> ProblemDescriptor:
     eta = EntropyFunctional(
         eval=lambda u: float(np.log(u[0]) - u[0] + 2.0 * np.log(u[1]) - u[1]),
         grad=lambda u: np.array([1.0 / u[0] - 1.0, 2.0 / u[1] - 1.0]),
-        regime=REGIME_CONSERVATIVE, monotone_nondecreasing=False,
-        name="lv_invariant")
+        regime=REGIME_CONSERVATIVE, monotone_nondecreasing=False)
 
     return ProblemDescriptor(
         name="lotka_volterra", sys=sys, eta=eta,
@@ -131,8 +130,7 @@ def stratospheric() -> ProblemDescriptor:
 
     eta = EntropyFunctional(
         eval=lambda u: float(n2 @ u), grad=lambda u: n2.copy(),
-        regime=REGIME_CONSERVATIVE, monotone_nondecreasing=True,
-        name="second_invariant")
+        regime=REGIME_CONSERVATIVE, monotone_nondecreasing=True)
 
     u0 = np.array([9.906e1, 6.624e8, 1.5978e12, 3.394e16, 8.725e8, 4.480e8])
     return ProblemDescriptor(
@@ -190,8 +188,7 @@ def advection_fv(N: int = 100, entropy_kind: str = "log") -> ProblemDescriptor:
     eta = EntropyFunctional(
         eval=lambda u: float(dx * np.sum(U(u))),
         grad=lambda u: dx * dU(u),
-        regime=REGIME_CONSERVATIVE, monotone_nondecreasing=False,
-        name=f"advection_{entropy_kind}")
+        regime=REGIME_CONSERVATIVE, monotone_nondecreasing=False)
 
     x = (np.arange(N) + 0.5) * dx
     u0 = 1.9 * np.sin(np.pi * x) + 2.0
@@ -246,8 +243,7 @@ def porous_medium(N: int = 160, m: float = 3.0) -> ProblemDescriptor:
     eta = EntropyFunctional(
         eval=lambda u: float(0.5 * dx**2 * np.sum(u**2)),
         grad=lambda u: dx**2 * u,
-        regime=REGIME_DISSIPATIVE, monotone_nondecreasing=True,
-        name="pme_energy")
+        regime=REGIME_DISSIPATIVE, monotone_nondecreasing=True)
 
     u0 = np.maximum(barenblatt(1.0, x, m), _PME_FLOOR)
     if m == 3.0:
@@ -285,8 +281,7 @@ def cyclic3() -> ProblemDescriptor:
     eta = EntropyFunctional(
         eval=lambda u: float(-np.sum(np.log(u))),
         grad=lambda u: -1.0 / u,
-        regime=REGIME_CONSERVATIVE, monotone_nondecreasing=False,
-        name="cyclic3_invariant")
+        regime=REGIME_CONSERVATIVE, monotone_nondecreasing=False)
 
     return ProblemDescriptor(
         name="cyclic3", sys=sys, eta=eta,

@@ -1,26 +1,32 @@
 """Entropy relaxation for modified Patankar steps.
 
-After a base step u^n -> u^{n+1}, a scalar gamma near 1 is chosen so that
-an entropy functional eta is exactly conserved (or its estimated
-dissipation is not undershot).  Three ways of forming the relaxed state
-are supported:
+After a base step u^n -> u^{n+1}, each relaxation mode draws a curve u(gamma)
+through u(0) = u^n and u(1) = u^{n+1}:
 
-* clamped_dissipative: affine point u^n + gamma (u^{n+1} - u^n) with the
-  root clamped at min(gamma*, 1), so the state stays a convex combination
-  and only extra dissipation can be introduced;
+* clamped_dissipative: the affine point u^n + gamma (u^{n+1} - u^n), with
+  the root clamped at min(gamma*, 1), so the state stays a convex
+  combination and only extra dissipation can be introduced;
 * geometric: componentwise (u^{n+1})^gamma (u^n)^{1-gamma}, positive for
   any gamma, valid when eta is non-decreasing in each argument;
-* implicit: the gamma-parameterized Patankar update u^{n+gamma}, positive
-  and linear-invariant-preserving for every gamma > 0.
+* implicit: the stepper's gamma-parameterized Patankar update u^{n+gamma},
+  positive and linear-invariant-preserving for every gamma > 0.
 
-The time label advances by gamma * dt so the order of the base method is
-retained.
+On every curve gamma is a root near 1 of one residual,
+
+    r(gamma) = eta(u(gamma)) - eta(u^n) - gamma e,
+    r'(gamma) = eta'(u(gamma)) . u'(gamma) - e,
+
+where e is 0 for a conservative eta and the stage-quadrature estimate of
+the step's entropy change for a dissipative one.  The time label advances
+by gamma * dt, so the order of the base method is retained and the
+dissipation target scales with the time actually advanced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -41,10 +47,6 @@ REGIME_CONSERVATIVE = "conservative"
 REGIME_DISSIPATIVE = "dissipative"
 
 
-class ResidualDomainError(ValueError):
-    """The entropy is undefined at the probed point (bracket exclusion)."""
-
-
 @dataclass(frozen=True)
 class EntropyFunctional:
     """Scalar functional eta with gradient and structural flags.
@@ -58,7 +60,6 @@ class EntropyFunctional:
     grad: Callable[[np.ndarray], np.ndarray]
     regime: str
     monotone_nondecreasing: bool = False
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,6 @@ class RelaxConfig:
     gamma_min: float = 1e-6
     gamma_max: float = 10.0
     max_iters: int = 50
-    geometric_override: bool = False
 
     def __post_init__(self):
         if self.mode not in RELAX_MODES:
@@ -107,29 +107,25 @@ def entropy_estimate(eta: EntropyFunctional, stepper, record) -> float:
     return eta_old + stepper.entropy_quadrature(eta, record)
 
 
-def residual_classical(eta, u_old, u_new, eta_old, eta_est, gamma):
-    """r(gamma) = eta(u_old + gamma (u_new - u_old)) - interpolated target.
+class _Curve:
+    """A mode's curve u(gamma) and its tangent, with every state kept by gamma.
 
-    r(0) = 0 by construction.  Raises ResidualDomainError when eta is
-    undefined at the affine point.
+    ``state(gamma)`` builds u(gamma); ``tangent(gamma, u)`` is u'(gamma) at
+    u = u(gamma).  The memo starts from u^{n+1} at gamma = 1, which every
+    curve passes through (for the implicit curve the stepper protocol makes
+    ``gamma_state(record, 1.0)`` bitwise u^{n+1}).
     """
-    # gamma*u_new + (1-gamma)*u_old: for gamma in (0, 1] this form cannot
-    # cancel to zero when the components differ by many orders of magnitude
-    point = gamma * u_new + (1.0 - gamma) * u_old
-    with np.errstate(invalid="raise", divide="raise"):
-        try:
-            val = float(eta.eval(point))
-        except FloatingPointError as exc:
-            raise ResidualDomainError(
-                f"entropy undefined at gamma = {gamma}") from exc
-    if not math.isfinite(val):
-        raise ResidualDomainError(f"entropy non-finite at gamma = {gamma}")
-    return val - (eta_old + gamma * (eta_est - eta_old))
 
+    def __init__(self, u_next, state, tangent):
+        self.states = {1.0: u_next}
+        self._state = state
+        self.tangent = tangent
 
-def residual_classical_derivative(eta, u_old, u_new, eta_old, eta_est, gamma):
-    point = gamma * u_new + (1.0 - gamma) * u_old
-    return float(eta.grad(point) @ (u_new - u_old)) - (eta_est - eta_old)
+    def at(self, gamma):
+        u = self.states.get(gamma)
+        if u is None:
+            u = self.states[gamma] = self._state(gamma)
+        return u
 
 
 def geometric_state(u_old, u_new, gamma):
@@ -137,53 +133,47 @@ def geometric_state(u_old, u_new, gamma):
     return np.exp(gamma * np.log(u_new) + (1.0 - gamma) * np.log(u_old))
 
 
-def residual_geometric(eta, u_old, u_new, eta_old, gamma):
-    return float(eta.eval(geometric_state(u_old, u_new, gamma))) - eta_old
+def _curve(eta, stepper, record, mode) -> _Curve:
+    u_old, u_new = record.u_n, record.u_next
+    if mode == MODE_CLAMPED:
+        step = u_new - u_old
+        # gamma*u_new + (1-gamma)*u_old: for gamma in (0, 1] this form
+        # cannot cancel to zero when the components differ by many orders
+        # of magnitude
+        return _Curve(u_new, lambda g: g * u_new + (1.0 - g) * u_old,
+                      lambda g, u: step)
+    if mode == MODE_GEOMETRIC:
+        if not eta.monotone_nondecreasing:
+            raise ValueError("geometric relaxation requires an entropy that "
+                             "is non-decreasing in each argument")
+        log_dq = np.log(u_new) - np.log(u_old)
+        return _Curve(u_new, partial(geometric_state, u_old, u_new),
+                      lambda g, u: u * log_dq)
+    return _Curve(u_new, partial(stepper.gamma_state, record),
+                  partial(stepper.gamma_state_derivative, record))
 
 
-def residual_geometric_derivative(eta, u_old, u_new, gamma):
-    u_g = geometric_state(u_old, u_new, gamma)
-    return float(eta.grad(u_g) @ (u_g * (np.log(u_new) - np.log(u_old))))
+# The residual and its derivative serve every mode but are named for the
+# implicit one: bench/tracing.py counts the calls of both, by name, as the
+# search's probes.
+
+def residual_implicit_value(eta, curve, eta_old, rate, gamma):
+    """r(gamma) = eta(u(gamma)) - (eta(u^n) + gamma e), e = ``rate``."""
+    return float(eta.eval(curve.at(gamma))) - (eta_old + gamma * rate)
 
 
-def residual_implicit(eta, stepper, record, eta_target, gamma):
-    """Residual eta(u^{n+gamma}) - target and its analytic derivative."""
-    u_g = stepper.gamma_state(record, gamma)
-    r = float(eta.eval(u_g)) - eta_target
-    du = stepper.gamma_state_derivative(record, gamma, u_g)
-    return r, float(eta.grad(u_g) @ du)
-
-
-def residual_implicit_value(eta, stepper, record, eta_target, gamma):
-    """Residual value only; avoids the derivative solve during bracketing."""
-    u_g = stepper.gamma_state(record, gamma)
-    return float(eta.eval(u_g)) - eta_target
-
-
-class _GammaStateMemo:
-    """Stepper view that keeps each u^{n+gamma} it computes, by gamma.
-
-    It starts from u^{n+1} at gamma = 1, which the stepper protocol makes
-    bitwise equal to ``gamma_state(record, 1.0)``.
-    """
-
-    def __init__(self, stepper, record):
-        self._stepper = stepper
-        self.states = {1.0: record.u_next}
-
-    def gamma_state(self, record, gamma):
-        if gamma not in self.states:
-            self.states[gamma] = self._stepper.gamma_state(record, gamma)
-        return self.states[gamma]
-
-    def gamma_state_derivative(self, record, gamma, u_gamma):
-        return self._stepper.gamma_state_derivative(record, gamma, u_gamma)
+def residual_implicit(eta, curve, rate, gamma):
+    """r'(gamma) = eta'(u(gamma)) . u'(gamma) - e, at a probed u(gamma)."""
+    u = curve.at(gamma)
+    return float(eta.grad(u) @ curve.tangent(gamma, u)) - rate
 
 
 def _probe(fun, gamma):
+    # relax_step runs the search with floating-point errors raised, so an
+    # undefined entropy or an overflowing state excludes the probe
     try:
         val = fun(gamma)
-    except (ResidualDomainError, ValueError, np.linalg.LinAlgError):
+    except (FloatingPointError, ValueError, np.linalg.LinAlgError):
         return None
     return val if math.isfinite(val) else None
 
@@ -194,7 +184,7 @@ def _probe_grid(gamma_min, gamma_max):
     n_hi = max(4, round(9 * min(1.0, math.log10(gamma_max))))
     lo = np.geomspace(gamma_min, 1.0, n_lo)
     hi = np.geomspace(1.0, gamma_max, n_hi)[1:]
-    return np.concatenate([lo, hi])
+    return np.concatenate([lo, hi]).tolist()
 
 
 def _find_bracket(fun, cfg, known=None):
@@ -299,11 +289,12 @@ def _secant(fun, a, fa, b, fb, cfg):
 def solve_scalar(fun, cfg: RelaxConfig, derivative=None):
     """Find gamma in (gamma_min, gamma_max] with |fun(gamma)| <= gamma_tol.
 
-    Newton starts at gamma = 1 with the analytic derivative.  The
-    bracketing solvers first locate a sign change on a geometric probe
-    grid (at most 20 probes) and pick the bracket nearest 1.  Residual
-    domain errors shrink the admissible bracket instead of aborting.
-    Returns (gamma, iterations, status).
+    Newton starts at gamma = 1 and asks for the derivative only while the
+    residual is above the tolerance.  The bracketing solvers first locate
+    a sign change on a geometric probe grid (at most 20 probes) and pick
+    the bracket nearest 1.  Probes where the residual is undefined shrink
+    the admissible bracket instead of aborting.  Returns (gamma,
+    iterations, status).
     """
     if cfg.solver == "newton":
         if derivative is None:
@@ -338,28 +329,27 @@ def relax_step(eta: EntropyFunctional, stepper, record,
     """Compute gamma and the relaxed state for one accepted base step.
 
     Residuals are normalized by max(1, |eta(u^n)|) so the tolerance acts
-    relatively for large-magnitude entropies.
+    relatively for large-magnitude entropies.  A failed search keeps the
+    base step: gamma = 1 and u^{n+1}.
     """
-    u_old = record.u_n
-    u_new = record.u_next
-    eta_old = float(eta.eval(u_old))
-    eta_est = entropy_estimate(eta, stepper, record)
+    if cfg.mode == MODE_NONE:
+        u_new = record.u_next
+        return RelaxOutcome(1.0, u_new, record.t_n + record.dt,
+                            float(eta.eval(u_new)), 0, STATUS_CONVERGED)
+
+    curve = _curve(eta, stepper, record, cfg.mode)
+    eta_old = float(eta.eval(record.u_n))
+    rate = float(entropy_estimate(eta, stepper, record)) - eta_old
     scale = max(1.0, abs(eta_old))
 
-    if cfg.mode == MODE_NONE:
-        t_rel = record.t_n + record.dt
-        return RelaxOutcome(1.0, u_new, t_rel, float(eta.eval(u_new)), 0,
-                            STATUS_CONVERGED)
+    def fun(g):
+        return residual_implicit_value(eta, curve, eta_old, rate, g) / scale
 
-    if cfg.mode == MODE_CLAMPED:
-        def fun(g):
-            return residual_classical(eta, u_old, u_new, eta_old, eta_est, g) / scale
+    def deriv(g):
+        return residual_implicit(eta, curve, rate, g) / scale
 
-        def deriv(g):
-            return residual_classical_derivative(eta, u_old, u_new, eta_old,
-                                                 eta_est, g) / scale
-
-        r1 = _probe(fun, 1.0)
+    with np.errstate(invalid="raise", divide="raise", over="raise"):
+        r1 = _probe(fun, 1.0) if cfg.mode == MODE_CLAMPED else None
         if r1 is not None and r1 <= cfg.gamma_tol:
             # At gamma = 1 the step already meets (or exceeds) the
             # estimated dissipation; the clamp keeps the full step.
@@ -367,64 +357,10 @@ def relax_step(eta: EntropyFunctional, stepper, record,
             status = STATUS_CONVERGED if abs(r1) <= cfg.gamma_tol else STATUS_CLAMPED
         else:
             gamma, iters, status = solve_scalar(fun, cfg, deriv)
-            if status != STATUS_FAILED and gamma > 1.0:
+            if cfg.mode == MODE_CLAMPED and status != STATUS_FAILED and gamma > 1.0:
                 gamma, status = 1.0, STATUS_CLAMPED
-        u_rel = gamma * u_new + (1.0 - gamma) * u_old
-
-    elif cfg.mode == MODE_GEOMETRIC:
-        if not (eta.monotone_nondecreasing or cfg.geometric_override):
-            raise ValueError(
-                "geometric relaxation requires an entropy that is "
-                "non-decreasing in each argument (or geometric_override)")
-
-        def fun(g):
-            return residual_geometric(eta, u_old, u_new, eta_est, g) / scale
-
-        def deriv(g):
-            return residual_geometric_derivative(eta, u_old, u_new, g) / scale
-
-        gamma, iters, status = solve_scalar(fun, cfg, deriv)
-        # a failed Newton search can leave gamma far outside the window,
-        # where the geometric state overflows; it is not used then
-        if status != STATUS_FAILED:
-            u_rel = geometric_state(u_old, u_new, gamma)
-
-    elif cfg.mode == MODE_IMPLICIT:
-        # every probe's u^{n+gamma} is kept, so the accepted one is not
-        # solved for again
-        memo = _GammaStateMemo(stepper, record)
-        if cfg.solver == "newton":
-            cache = {}
-
-            def pair(g):
-                if g not in cache:
-                    cache[g] = residual_implicit(eta, memo, record,
-                                                 eta_est, g)
-                return cache[g]
-
-            def fun(g):
-                return pair(g)[0] / scale
-
-            def deriv(g):
-                return pair(g)[1] / scale
-        else:
-            def fun(g):
-                return residual_implicit_value(eta, memo, record,
-                                               eta_est, g) / scale
-
-            deriv = None
-
-        gamma, iters, status = solve_scalar(fun, cfg, deriv)
-        if status != STATUS_FAILED:
-            u_rel = memo.states[gamma]
-
-    else:
-        raise ValueError(f"unknown relaxation mode {cfg.mode!r}")
-
     if status == STATUS_FAILED:
-        t_rel = record.t_n + record.dt
-        return RelaxOutcome(1.0, u_new, t_rel, float(eta.eval(u_new)),
-                            iters, STATUS_FAILED)
-    t_rel = record.t_n + gamma * record.dt
-    return RelaxOutcome(gamma, u_rel, t_rel, float(eta.eval(u_rel)), iters,
-                        status)
+        gamma = 1.0
+    u_rel = curve.states[gamma]
+    return RelaxOutcome(gamma, u_rel, record.t_n + gamma * record.dt,
+                        float(eta.eval(u_rel)), iters, status)

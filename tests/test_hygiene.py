@@ -79,7 +79,10 @@ def _loads():
 def test_every_dataclass_field_is_read():
     # a field counts as read when any attribute of its name is loaded in
     # the package, its tests or its benchmark; a field nothing reads is
-    # state that is set and carried for nothing
+    # state that is set and carried for nothing.  The check is blind to
+    # the class: a dead field passes when another class has a live
+    # attribute of the same name, as EntropyFunctional.name did while
+    # problem.name and spec.name were read
     read = _loads()[1]
     unread = [f"{path.name}:{line}: {cls}.{name}"
               for path in sorted(SRC.glob("*.py"))
@@ -89,10 +92,25 @@ def test_every_dataclass_field_is_read():
     assert not unread, "dataclass fields never read: " + ", ".join(unread)
 
 
+def _class_members(cls):
+    """(name, line) of the methods and ``name = property(...)`` bindings
+    in a class body, dunder methods excepted."""
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+            yield item.name, item.lineno
+        elif (isinstance(item, ast.Assign) and len(item.targets) == 1
+                and isinstance(item.targets[0], ast.Name)
+                and isinstance(item.value, ast.Call)
+                and isinstance(item.value.func, ast.Name)
+                and item.value.func.id == "property"):
+            yield item.targets[0].id, item.lineno
+
+
 def test_every_definition_is_used():
     # a module-level function or class counts as used when its name is
     # referenced or imported anywhere in the package, its tests or its
-    # benchmark, a method when an attribute of its name is loaded there
+    # benchmark, a method or property when an attribute of its name is
+    # loaded there
     names, attrs = _loads()
     unused = []
     for path in sorted(SRC.glob("*.py")):
@@ -102,12 +120,9 @@ def test_every_definition_is_used():
             if node.name not in names and node.name not in attrs:
                 unused.append(f"{path.name}:{node.lineno}: {node.name}")
             if isinstance(node, ast.ClassDef):
-                unused.extend(
-                    f"{path.name}:{item.lineno}: {node.name}.{item.name}"
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef)
-                    and not item.name.startswith("__")
-                    and item.name not in attrs)
+                unused.extend(f"{path.name}:{line}: {node.name}.{name}"
+                              for name, line in _class_members(node)
+                              if name not in attrs)
     assert not unused, "definitions never used: " + ", ".join(unused)
 
 

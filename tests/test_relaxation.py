@@ -3,24 +3,23 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from relax_mprk.problems import cyclic3, lotka_volterra
+from relax_mprk import relaxation
+from relax_mprk.problems import cyclic3, lotka_volterra, porous_medium
 from relax_mprk.relaxation import (EntropyFunctional, RelaxConfig,
                                    entropy_estimate, geometric_state,
-                                   relax_step, residual_classical,
-                                   residual_geometric, residual_implicit,
-                                   solve_scalar)
+                                   relax_step, residual_implicit,
+                                   residual_implicit_value, solve_scalar)
 from relax_mprk.schemes import MpStepper, build_scheme
 
 from helpers import linear_exchange
 
 L2 = EntropyFunctional(eval=lambda u: 0.5 * float(u @ u),
                        grad=lambda u: np.asarray(u, float),
-                       regime="conservative", name="half_norm_sq")
+                       regime="conservative")
 
 
 def _dissipative_l2():
-    return EntropyFunctional(eval=L2.eval, grad=L2.grad,
-                             regime="dissipative", name="half_norm_sq")
+    return EntropyFunctional(eval=L2.eval, grad=L2.grad, regime="dissipative")
 
 
 def _fake_step(u_old, u_new, quadrature, t_n=0.0, dt=1.0):
@@ -31,36 +30,79 @@ def _fake_step(u_old, u_new, quadrature, t_n=0.0, dt=1.0):
     return record, stepper
 
 
+def _curve(eta, mode, u_old, u_new):
+    record, _ = _fake_step(u_old, u_new, quadrature=0.0)
+    return relaxation._curve(eta, None, record, mode)
+
+
 # ---------------------------------------------------------------------------
-# Residuals
+# Residuals: r(gamma) = eta(u(gamma)) - (eta_old + gamma e) on every curve
 
 def test_residual_classical_values():
-    u_old = np.array([1.0, 0.0])
-    u_new = np.array([0.0, 1.0])
-    assert residual_classical(L2, u_old, u_new, 0.5, 0.5, 0.0) == 0.0
-    assert residual_classical(L2, u_old, u_new, 0.5, 0.5, 1.0) == pytest.approx(0.0)
-    # point (-1, 2): eta = 5/2, interpolated target 1/2
-    assert residual_classical(L2, u_old, u_new, 0.5, 0.5, 2.0) == pytest.approx(2.0)
+    curve = _curve(L2, "clamped_dissipative", [1.0, 0.0], [0.0, 1.0])
+    assert residual_implicit_value(L2, curve, 0.5, 0.0, 0.0) == 0.0
+    assert residual_implicit_value(L2, curve, 0.5, 0.0, 1.0) == pytest.approx(0.0)
+    # point (-1, 2): eta = 5/2, target 1/2
+    assert residual_implicit_value(L2, curve, 0.5, 0.0, 2.0) == pytest.approx(2.0)
+    # the target moves by gamma e: e = -0.25 lowers it to 0
+    assert residual_implicit_value(L2, curve, 0.5, -0.25, 2.0) == pytest.approx(2.5)
+    # r'(2) = (-1, 2) . (-1, 1) - e
+    assert residual_implicit(L2, curve, -0.25, 2.0) == pytest.approx(3.25)
 
 
 def test_residual_classical_domain_error_marks_bracket():
-    from relax_mprk.relaxation import ResidualDomainError
+    # above gamma = 1.5 the residual raises FloatingPointError, as numpy
+    # does under relax_step's errstate where the entropy is undefined; the
+    # bracket search skips the pair (1.33, 1.78) and finds the root below 1
+    def fun(g):
+        if g > 1.5:
+            raise FloatingPointError("invalid value encountered in log")
+        return g - 0.2
+
+    gamma, _, status = solve_scalar(fun, _cfg(solver="bisection"))
+    assert status == "converged"
+    assert gamma == pytest.approx(0.2, abs=1e-9)
+    # an affine point outside the log domain is an excluded probe
     eta = EntropyFunctional(eval=lambda u: float(np.sum(np.log(u))),
                             grad=lambda u: 1.0 / u, regime="conservative")
-    u_old = np.array([1.0, 1.0])
-    u_new = np.array([0.5, 1.5])
-    # gamma = 3 puts the first component at -0.5, outside the log domain
-    with pytest.raises(ResidualDomainError):
-        residual_classical(eta, u_old, u_new, 0.0, 0.0, 3.0)
+    curve = _curve(eta, "clamped_dissipative", [1.0, 1.0], [0.5, 1.5])
+    with np.errstate(invalid="raise", divide="raise", over="raise"):
+        # gamma = 3 puts the first component at -0.5
+        assert relaxation._probe(
+            lambda g: residual_implicit_value(eta, curve, 0.0, 0.0, g),
+            3.0) is None
 
 
 def test_residual_geometric_values():
     u_old = np.array([1.0, 4.0])
     u_new = np.array([4.0, 1.0])
     assert np.allclose(geometric_state(u_old, u_new, 0.5), [2.0, 2.0])
-    assert residual_geometric(L2, u_old, u_new, L2.eval(u_old), 0.0) == pytest.approx(0.0)
-    r1 = residual_geometric(L2, u_old, u_new, L2.eval(u_old), 1.0)
-    assert r1 == pytest.approx(L2.eval(u_new) - L2.eval(u_old))
+    eta = EntropyFunctional(eval=L2.eval, grad=L2.grad, regime="conservative",
+                            monotone_nondecreasing=True)
+    curve = _curve(eta, "geometric", u_old, u_new)
+    eta_old = L2.eval(u_old)
+    assert residual_implicit_value(eta, curve, eta_old, 0.0, 0.0) == pytest.approx(0.0)
+    r1 = residual_implicit_value(eta, curve, eta_old, 0.0, 1.0)
+    assert r1 == L2.eval(u_new) - eta_old
+    assert curve.states[1.0] is curve.at(1.0)
+
+
+@pytest.mark.parametrize("mode", ["clamped_dissipative", "geometric",
+                                  "implicit"])
+def test_residual_derivative_matches_difference_quotient(mode):
+    # one derivative, eta'(u(gamma)) . u'(gamma) - e, for every curve
+    problem = lotka_volterra()
+    stepper = MpStepper(problem.sys, build_scheme("mprk22", 1.0))
+    rec = stepper.step(0.0, problem.u0, 0.5)
+    eta = EntropyFunctional(eval=problem.eta.eval, grad=problem.eta.grad,
+                            regime="conservative",
+                            monotone_nondecreasing=True)
+    curve = relaxation._curve(eta, stepper, rec, mode)
+    eta_old, rate, h = eta.eval(rec.u_n), -0.01, 1e-6
+    for g in (0.5, 0.9, 1.3):
+        fd = (residual_implicit_value(eta, curve, eta_old, rate, g + h)
+              - residual_implicit_value(eta, curve, eta_old, rate, g - h)) / (2 * h)
+        assert residual_implicit(eta, curve, rate, g) == pytest.approx(fd, rel=1e-6)
 
 
 def test_geometric_state_positive_for_any_gamma():
@@ -74,10 +116,11 @@ def test_residual_implicit_hand_values():
     sys = linear_exchange()
     stepper = MpStepper(sys, build_scheme("mprk22", 1.0), "frozen")
     rec = stepper.step(0.0, np.array([1.0, 1.0]), 1.0)
+    curve = relaxation._curve(L2, stepper, rec, "implicit")
     # u^{n+2} = (0.25, 1.75): eta = 0.03125 + 1.53125, target 1
-    r, dr = residual_implicit(L2, stepper, rec, 1.0, 2.0)
+    r = residual_implicit_value(L2, curve, 1.0, 0.0, 2.0)
     assert r == pytest.approx(0.5625, rel=1e-13)
-    assert dr == pytest.approx(0.140625, rel=1e-13)
+    assert residual_implicit(L2, curve, 0.0, 2.0) == pytest.approx(0.140625, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +253,15 @@ def test_geometric_mode_requires_monotone_entropy():
 
 
 def test_geometric_mode_with_override_finds_root():
-    # |u|^2/2 is not monotone in each argument, so the override is needed;
-    # along the exchange step (1,1) -> (0.4,1.6) the geometric residual has
-    # a genuine root inside (0, 1)
+    # |u|^2/2 is non-decreasing in each argument on the positive orthant,
+    # where every geometric state lies; along the exchange step (1,1) ->
+    # (0.4,1.6) the geometric residual has a genuine root inside (0, 1)
+    eta = EntropyFunctional(eval=L2.eval, grad=L2.grad, regime="conservative",
+                            monotone_nondecreasing=True)
     sys = linear_exchange()
     stepper = MpStepper(sys, build_scheme("mprk22", 1.0))
     rec = stepper.step(0.0, np.array([1.0, 1.0]), 1.0)
-    out = relax_step(L2, stepper, rec,
-                     _cfg(mode="geometric", solver="newton",
-                          geometric_override=True))
+    out = relax_step(eta, stepper, rec, _cfg(mode="geometric", solver="newton"))
     assert out.status == "converged"
     assert 0.0 < out.gamma < 1.0
     assert np.all(out.u_relaxed > 0.0)
@@ -243,15 +286,19 @@ def test_geometric_newton_leaving_window_fails_without_overflow():
 
 
 def test_geometric_mode_cannot_move_log_entropies():
-    # for eta = -sum(log u) the geometric state interpolates eta affinely,
-    # so the residual is linear in gamma with its only root at 0: the
-    # solver must report failure rather than a spurious tiny gamma
+    # for eta = sum(log u), non-decreasing in each argument, the geometric
+    # state interpolates eta affinely, so the residual is linear in gamma
+    # with its only root at 0: the solver must report failure rather than
+    # a spurious tiny gamma
+    eta = EntropyFunctional(eval=lambda u: float(np.sum(np.log(u))),
+                            grad=lambda u: 1.0 / u, regime="conservative",
+                            monotone_nondecreasing=True)
     problem = cyclic3()
     stepper = MpStepper(problem.sys, build_scheme("mprk22", 1.0))
     rec = stepper.step(0.0, problem.u0, 0.1)
-    out = relax_step(problem.eta, stepper, rec,
-                     _cfg(mode="geometric", solver="bisection",
-                          geometric_override=True))
+    assert eta.eval(rec.u_next) != eta.eval(rec.u_n)
+    out = relax_step(eta, stepper, rec, _cfg(mode="geometric",
+                                             solver="bisection"))
     assert out.status == "failed"
 
 
@@ -323,13 +370,14 @@ def test_failed_relaxation_reports_base_step():
     ("mprk43i", (0.5, 0.75), "regula_falsi", 4),
     # MPRK22 (frozen sigma): stage and update; each Newton iteration
     # assembles M_gamma once and solves for u^{n+gamma} (except at
-    # gamma = 1, which is u^{n+1}) and for its derivative
+    # gamma = 1, which is u^{n+1}) and, while the residual is above the
+    # tolerance, for its derivative
     ("mprk22", (1.0,), "newton", 2),
 ])
 def test_relaxed_step_solve_count(monkeypatch, kind, params, solver, base_solves):
     from relax_mprk import relaxation, schemes
 
-    solves, assemblies, probes = [0], [0], [0]
+    solves, assemblies, values, derivatives = [0], [0], [0], [0]
     lu_solve = schemes.lu_solve
     patankar_matrix = schemes.patankar_matrix
 
@@ -341,30 +389,56 @@ def test_relaxed_step_solve_count(monkeypatch, kind, params, solver, base_solves
         assemblies[0] += 1
         return patankar_matrix(*args)
 
-    def counted(fn):
+    def counted(fn, calls):
         def wrapper(*args):
-            probes[0] += 1
+            calls[0] += 1
             return fn(*args)
         return wrapper
 
     monkeypatch.setattr(schemes, "lu_solve", counting_solve)
     monkeypatch.setattr(schemes, "patankar_matrix", counting_matrix)
     monkeypatch.setattr(relaxation, "residual_implicit",
-                        counted(relaxation.residual_implicit))
+                        counted(relaxation.residual_implicit, derivatives))
     monkeypatch.setattr(relaxation, "residual_implicit_value",
-                        counted(relaxation.residual_implicit_value))
+                        counted(relaxation.residual_implicit_value, values))
     problem = lotka_volterra() if kind == "mprk22" else cyclic3()
     stepper = MpStepper(problem.sys, build_scheme(kind, *params))
     rec = stepper.step(0.0, problem.u0, 0.2)
     out = relax_step(problem.eta, stepper, rec, _cfg(mode="implicit",
                                                      solver=solver))
     assert out.status == "converged"
-    assert probes[0] >= 2
+    assert values[0] >= 2
     if solver == "newton":
-        assert solves[0] == base_solves + 2 * probes[0] - 1
-        assert assemblies[0] == base_solves + probes[0]
+        assert values[0] == out.iterations
+        assert derivatives[0] == out.iterations - 1
+        assert solves[0] == base_solves + 2 * (out.iterations - 1)
+        assert assemblies[0] == base_solves + out.iterations
     else:
-        assert solves[0] == base_solves + 2 * (probes[0] - 1)
-        assert assemblies[0] == base_solves + 2 * (probes[0] - 1)
+        assert derivatives[0] == 0
+        assert solves[0] == base_solves + 2 * (values[0] - 1)
+        assert assemblies[0] == base_solves + 2 * (values[0] - 1)
     u_check = schemes.gamma_update(rec, out.gamma, stepper.sigma_mode)
     assert out.u_relaxed.tobytes() == u_check.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [3.0, 5.0])
+@pytest.mark.parametrize("mode, solver", [
+    ("clamped_dissipative", "newton"), ("geometric", "newton"),
+    ("geometric", "bisection"), ("implicit", "newton")])
+def test_dissipative_target_scales_with_gamma(m, mode, solver):
+    # time advances by gamma dt, so every mode must meet the dissipation
+    # estimate of that time, eta_old + gamma e, not the whole step's
+    # eta_old + e; the geometric bisection probes the grid up to gamma =
+    # 10, where the geometric state overflows and the probe is excluded
+    problem = porous_medium(N=160, m=m)
+    stepper = MpStepper(problem.sys, build_scheme(*problem.defaults["method"]))
+    rec = stepper.step(1.0, problem.u0, problem.mesh["dx"])
+    eta_old = problem.eta.eval(rec.u_n)
+    e = entropy_estimate(problem.eta, stepper, rec) - eta_old
+    cfg = _cfg(mode=mode, solver=solver)
+    out = relax_step(problem.eta, stepper, rec, cfg)
+    assert out.status == "converged"
+    assert out.gamma != 1.0
+    assert (abs(out.eta_after - eta_old - out.gamma * e)
+            <= cfg.gamma_tol * max(1.0, abs(eta_old)))
