@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .control import (ADAPT_FIXED, ADAPT_MODES, IntegrationError, integrate,
                       interp_state, reference_solution)
+from .linalg import SingularMatrixError
 from .pdrs import NonFiniteStateError, PositivityError
 from .problems import PROBLEM_FACTORIES, make_problem
 from .relaxation import (MODE_NONE, RELAX_MODES, SOLVERS, RelaxConfig)
@@ -220,12 +221,6 @@ def _write_metadata(path, args, problem, scheme, relax_cfg, t0, t_end, dt0):
             fh.write(f"{key}={val}\n")
 
 
-def _invariant_columns(problem, stepper):
-    invs = (stepper.linear_invariants if problem.sys is None
-            else problem.sys.linear_invariants)
-    return list(invs)[:2]
-
-
 def _trajectory_rows(traj, invs, reference):
     rows = []
     for k in range(len(traj.times)):
@@ -249,7 +244,7 @@ def cmd_run(args) -> int:
     traj = integrate(stepper, eta, relax, t0, problem.u0, t_end, dt0,
                      adaptivity=args.adapt, rtol=args.rtol, atol=args.atol)
 
-    invs = _invariant_columns(problem, stepper)
+    invs = list(stepper.linear_invariants)[:2]
     rows = _trajectory_rows(traj, invs, problem.reference)
     out = args.out or f"{problem.name}_run.csv"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -368,7 +363,8 @@ def main(argv=None) -> int:
             KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationError, NonFiniteStateError, PositivityError) as exc:
+    except (IntegrationError, NonFiniteStateError, PositivityError,
+            SingularMatrixError) as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,10 @@
 """Time-integration drivers: fixed-step and adaptive loops.
 
 Adaptivity combines two mechanisms that multiply into the same dt: a PID
-error controller acting on an embedded (or step-doubling) error estimate,
-and the relaxation accept/reject rule (grow dt by 1% after a successful
-gamma search, shrink by 10% and retry after a failed one).
+error controller acting on the stepper's error estimate (embedded, or step
+doubling for MPRK43I), and the relaxation accept/reject rule (grow dt by
+1% after a successful gamma search, shrink by 10% and retry after a
+failed one).
 """
 
 from __future__ import annotations
@@ -95,16 +96,6 @@ class Trajectory:
         self.etas.append(float(eta_val))
 
 
-def _doubling_error(stepper, t, u, dt, record, atol, rtol):
-    """Step-doubling estimate for schemes without an aligned stage."""
-    half = stepper.step(t, u, 0.5 * dt)
-    two = stepper.step(t + 0.5 * dt, half.u_next, 0.5 * dt)
-    w = atol + rtol * np.abs(u)
-    diff = (record.u_next - two.u_next) / w
-    order = stepper.scheme.order
-    return float(np.sqrt(np.mean(diff**2))) / (2.0**order - 1.0)
-
-
 def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
               u0, t_end: float, dt0: float, adaptivity: str = ADAPT_FIXED,
               rtol: float = 1e-6, atol: float = 1e-6,
@@ -145,10 +136,7 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
 
         err = None
         if use_pid:
-            err = stepper.error_estimate(record, atol, rtol)
-            if err is None:
-                err = _doubling_error(stepper, t, u, dt, record, atol, rtol)
-            err = max(err, 1e-10)
+            err = max(stepper.error_estimate(record, atol, rtol), 1e-10)
             if err > 1.0:
                 traj.n_rejected += 1
                 new_dt = pid_update(ctrl, err, stepper.scheme.order)

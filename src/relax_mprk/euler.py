@@ -11,14 +11,15 @@ the gamma-parameterized Patankar update, momentum affinely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .linalg import lu_solve
 from .means import mean_arith, mean_log
-from .pdrs import NonFiniteStateError, PositivityError, RateSet
+from .pdrs import NonFiniteStateError, RateSet, _raise_bad_entry
 from .relaxation import EntropyFunctional, MODE_IMPLICIT, REGIME_CONSERVATIVE
-from .schemes import (MPRK22, SIGMA_FROZEN, GammaData, MpScheme, MpStepper,
+from .schemes import (MPRK22, SIGMA_MODES, MpScheme, MpStepper, StepRecord,
                       UnsupportedSchemeError, _check_positive,
                       _geo_denominator, _solve_stage, _weighted,
                       check_sigma_mode, gamma_update, gamma_update_derivative,
@@ -49,23 +50,25 @@ def _density_production(f_rho, dx, N):
 
 @dataclass(frozen=True)
 class EulerRecord:
-    """One accepted partitioned step (density MP, momentum explicit RK);
-    the full right-hand sides ``stage_rhs`` are built only when read."""
+    """One partitioned step (density MP, momentum explicit RK): the density
+    step's own ``StepRecord`` and the full-state parts; ``t_n`` and ``dt``
+    are the density step's, and the full right-hand sides ``stage_rhs``
+    are built only when read."""
 
-    t_n: float
-    dt: float
-    u_n: np.ndarray            # full state [rho; m]
-    u_next: np.ndarray
-    stages: tuple              # full stage states
-    rate_sets: tuple           # density rates at the stages
+    density: StepRecord
+    u_next: np.ndarray         # full state [rho; m]
+    stages: tuple              # full stage states, u_n first
     m_rhs: tuple               # momentum right-hand sides at the stages
-    gamma_data: GammaData      # density part
     dm: np.ndarray             # momentum increment of the full step
+
+    t_n = property(lambda self: self.density.t_n)
+    dt = property(lambda self: self.density.dt)
+    u_n = property(lambda self: self.stages[0])
 
     @property
     def stage_rhs(self) -> tuple:
         return tuple(np.concatenate([r.rhs, g])
-                     for r, g in zip(self.rate_sets, self.m_rhs))
+                     for r, g in zip(self.density.rate_sets, self.m_rhs))
 
 
 class EulerStepper:
@@ -73,7 +76,7 @@ class EulerStepper:
     ``MpStepper``; ``gamma_state(record, 1.0)`` is ``record.u_next``)."""
 
     def __init__(self, N: int, c: float, scheme: MpScheme,
-                 sigma_mode: str = SIGMA_FROZEN):
+                 sigma_mode: Optional[str] = None):
         if scheme.kind != MPRK22:
             raise UnsupportedSchemeError(
                 "the partitioned Euler stepper supports MPRK22 only")
@@ -81,7 +84,8 @@ class EulerStepper:
         self.c = c
         self.dx = 1.0 / N
         self.scheme = scheme
-        self.sigma_mode = check_sigma_mode(scheme.kind, sigma_mode)
+        self.sigma_mode = check_sigma_mode(
+            scheme.kind, sigma_mode or SIGMA_MODES[scheme.kind][0])
         ones = np.ones(N)
         zeros = np.zeros(N)
         self.linear_invariants = (np.concatenate([ones, zeros]),
@@ -92,9 +96,10 @@ class EulerStepper:
 
     def _rates(self, z):
         rho, m = self.split(z)
-        bad = np.flatnonzero(rho <= 0.0)
-        if bad.size:
-            raise PositivityError(f"non-positive density in cell {bad[0]}")
+        # one mask, False for rho <= 0, NaN and +-inf (as in check_state)
+        ok = (0.0 < rho) & (rho < np.inf)
+        if not ok.all():
+            _raise_bad_entry(rho, ok, "density in cell {}")
         # a momentum too large for v**2 overflows; raise instead of warning
         # and letting inf and NaN reach the density solve
         with np.errstate(over="ignore", invalid="ignore"):
@@ -132,21 +137,19 @@ class EulerStepper:
         dm = dt * (b[0] * g1 + b[1] * g2)
         z_next = np.concatenate([rho_next, m_n + dm])
 
-        gd = GammaData(sch, dt, (rho_n, rho_2), sigma, upd_P, upd_loss,
-                       np.zeros(self.N))
-        z_n = np.array(z)
-        return EulerRecord(t, dt, z_n, z_next, (z_n, z_2), (r1, r2),
-                           (g1, g2), gd, dm)
+        density = StepRecord(sch, t, dt, (rho_n, rho_2), (r1, r2), rho_next,
+                             sigma, upd_P, upd_loss, np.zeros(self.N))
+        return EulerRecord(density, z_next, (np.array(z), z_2), (g1, g2), dm)
 
     def gamma_state(self, record: EulerRecord, gamma: float) -> np.ndarray:
-        rho_g = gamma_update(record.gamma_data, gamma, self.sigma_mode)
+        rho_g = gamma_update(record.density, gamma, self.sigma_mode)
         _, m_n = self.split(record.u_n)
         return np.concatenate([rho_g, m_n + gamma * record.dm])
 
     def gamma_state_derivative(self, record: EulerRecord, gamma: float,
                                z_gamma: np.ndarray) -> np.ndarray:
         rho_g = z_gamma[:self.N]
-        drho = gamma_update_derivative(record.gamma_data, gamma,
+        drho = gamma_update_derivative(record.density, gamma,
                                        self.sigma_mode, rho_g)
         return np.concatenate([drho, record.dm])
 
@@ -186,7 +189,7 @@ def isothermal_euler_fv(N: int = 100, c: float = 1.0):
                             monotone_nondecreasing=False)
 
     def factory(scheme, sigma_mode=None):
-        return EulerStepper(N, c, scheme, sigma_mode or SIGMA_FROZEN)
+        return EulerStepper(N, c, scheme, sigma_mode)
 
     return ProblemDescriptor(
         name="euler", sys=None, eta=eta, u0=z0, tspan=(0.0, 1.0),

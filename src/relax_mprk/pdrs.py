@@ -27,6 +27,17 @@ class NonFiniteStateError(ValueError):
     """A state, or a flux computed from it, overflowed or became NaN."""
 
 
+def _raise_bad_entry(u: np.ndarray, ok: np.ndarray, label: str):
+    """Raise for the first entry of ``u`` where the mask ``ok`` (0 < u < inf)
+    is False: ``NonFiniteStateError`` for NaN or +-inf, else
+    ``PositivityError``.  ``label.format(k)`` names entry k."""
+    bad = np.flatnonzero(~ok)[0]
+    where = label.format(bad)
+    if not np.isfinite(u[bad]):
+        raise NonFiniteStateError(f"non-finite {where} = {u[bad]!r}")
+    raise PositivityError(f"non-positive {where} = {u[bad]!r}")
+
+
 @dataclass(frozen=True)
 class RateSet:
     """All rates of a PDRS evaluated at one (t, u) point.
@@ -69,12 +80,7 @@ class PdrsSystem:
         # one mask on the hot path; it is False for u <= 0, NaN and +-inf
         ok = (0.0 < u) & (u < np.inf)
         if not ok.all():
-            bad = np.flatnonzero(~ok)[0]
-            if not np.isfinite(u[bad]):
-                raise NonFiniteStateError(
-                    f"non-finite state component u[{bad}] = {u[bad]!r}")
-            raise PositivityError(
-                f"non-positive state component u[{bad}] = {u[bad]!r}")
+            _raise_bad_entry(u, ok, "state component u[{}]")
         return u
 
     def rates(self, t: float, u: np.ndarray) -> RateSet:
@@ -85,26 +91,3 @@ class PdrsSystem:
 def eval_rhs(sys: PdrsSystem, t: float, u: np.ndarray) -> np.ndarray:
     """Right-hand side f_k = rP_k - rD_k + sum_nu (p_{k,nu} - p_{nu,k})."""
     return sys.rates(t, u).rhs
-
-
-def split_rhs(sys: PdrsSystem, t: float, u: np.ndarray):
-    """Additive split into d production/destruction addends plus rest.
-
-    Returns ``(F, rest)`` where column ``F[:, nu]`` is the nu-th addend:
-    F[k, nu] = p_{k,nu} for k != nu and F[nu, nu] = -(rD_nu + sum_mu p_{mu,nu});
-    ``rest`` is the rest-production vector.  Columns of F plus ``rest`` sum
-    to ``eval_rhs``.
-    """
-    r = sys.rates(t, u)
-    F = r.P.copy()
-    np.fill_diagonal(F, -r.loss)
-    return F, r.rest_prod.copy()
-
-
-def check_linear_invariant(n: np.ndarray, u_before: np.ndarray,
-                           u_after: np.ndarray, rtol: float) -> bool:
-    """True iff n^T u is preserved to relative tolerance rtol."""
-    n = np.asarray(n, float)
-    before = float(n @ np.asarray(u_before, float))
-    after = float(n @ np.asarray(u_after, float))
-    return abs(after - before) <= rtol * abs(before)

@@ -31,6 +31,8 @@ from typing import Callable
 
 import numpy as np
 
+from .pdrs import NonFiniteStateError
+
 MODE_NONE = "none"
 MODE_CLAMPED = "clamped_dissipative"
 MODE_GEOMETRIC = "geometric"
@@ -324,31 +326,47 @@ def solve_scalar(fun, cfg: RelaxConfig, derivative=None):
     return gamma, iters, status
 
 
+def _finite_eta(value: Callable[[], float], what: str) -> float:
+    """``value()`` as a float; under relax_step's errstate an overflow
+    raises, and it or a non-finite value raises NonFiniteStateError."""
+    try:
+        out = float(value())
+    except FloatingPointError:
+        out = math.nan
+    if not math.isfinite(out):
+        raise NonFiniteStateError(f"entropy eta of {what} is not finite")
+    return out
+
+
 def relax_step(eta: EntropyFunctional, stepper, record,
                cfg: RelaxConfig) -> RelaxOutcome:
     """Compute gamma and the relaxed state for one accepted base step.
 
     Residuals are normalized by max(1, |eta(u^n)|) so the tolerance acts
     relatively for large-magnitude entropies.  A failed search keeps the
-    base step: gamma = 1 and u^{n+1}.
+    base step: gamma = 1 and u^{n+1}.  Every entropy value is taken with
+    floating-point errors raised; one that overflows or is NaN raises
+    ``NonFiniteStateError``.
     """
-    if cfg.mode == MODE_NONE:
-        u_new = record.u_next
-        return RelaxOutcome(1.0, u_new, record.t_n + record.dt,
-                            float(eta.eval(u_new)), 0, STATUS_CONVERGED)
-
-    curve = _curve(eta, stepper, record, cfg.mode)
-    eta_old = float(eta.eval(record.u_n))
-    rate = float(entropy_estimate(eta, stepper, record)) - eta_old
-    scale = max(1.0, abs(eta_old))
-
-    def fun(g):
-        return residual_implicit_value(eta, curve, eta_old, rate, g) / scale
-
-    def deriv(g):
-        return residual_implicit(eta, curve, rate, g) / scale
-
     with np.errstate(invalid="raise", divide="raise", over="raise"):
+        if cfg.mode == MODE_NONE:
+            u_new = record.u_next
+            eta_new = _finite_eta(lambda: eta.eval(u_new), "the step")
+            return RelaxOutcome(1.0, u_new, record.t_n + record.dt, eta_new,
+                                0, STATUS_CONVERGED)
+
+        curve = _curve(eta, stepper, record, cfg.mode)
+        eta_old = _finite_eta(lambda: eta.eval(record.u_n), "the step's start")
+        rate = _finite_eta(lambda: entropy_estimate(eta, stepper, record),
+                           "the step's estimate") - eta_old
+        scale = max(1.0, abs(eta_old))
+
+        def fun(g):
+            return residual_implicit_value(eta, curve, eta_old, rate, g) / scale
+
+        def deriv(g):
+            return residual_implicit(eta, curve, rate, g) / scale
+
         r1 = _probe(fun, 1.0) if cfg.mode == MODE_CLAMPED else None
         if r1 is not None and r1 <= cfg.gamma_tol:
             # At gamma = 1 the step already meets (or exceeds) the
@@ -359,8 +377,9 @@ def relax_step(eta: EntropyFunctional, stepper, record,
             gamma, iters, status = solve_scalar(fun, cfg, deriv)
             if cfg.mode == MODE_CLAMPED and status != STATUS_FAILED and gamma > 1.0:
                 gamma, status = 1.0, STATUS_CLAMPED
-    if status == STATUS_FAILED:
-        gamma = 1.0
-    u_rel = curve.states[gamma]
+        if status == STATUS_FAILED:
+            gamma = 1.0
+        u_rel = curve.states[gamma]
+        eta_after = _finite_eta(lambda: eta.eval(u_rel), "the relaxed state")
     return RelaxOutcome(gamma, u_rel, record.t_n + gamma * record.dt,
-                        float(eta.eval(u_rel)), iters, status)
+                        eta_after, iters, status)

@@ -176,19 +176,25 @@ def _geo_denominator(u_n: np.ndarray, u2: np.ndarray, e) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GammaData:
-    """Everything needed to evaluate u^{n+gamma} and its gamma-derivative.
+class StepRecord:
+    """One MPRK step and everything needed to evaluate u^{n+gamma} and its
+    gamma-derivative from it.
 
-    ``stages`` are the stage states, u_n first; ``upd_P``/``upd_loss``
-    are the update-weighted rate arrays, ``g`` the gamma-linear part of
-    the right-hand side (so the update solves M_gamma u = u_n + gamma*g).
-    For MPRK43I, ``sig_P``/``sig_loss``/``sig_g`` describe the embedded
-    sigma system used by bootstrapping.
+    ``stages`` are the stage states, u_n first, and ``rate_sets`` their
+    rates; the stage right-hand sides ``stage_rhs`` are built from the
+    rates only when read.  ``upd_P``/``upd_loss`` are the update-weighted
+    rate arrays, ``g`` the gamma-linear part of the right-hand side (so
+    the update solves M_gamma u = u_n + gamma*g).  For MPRK43I,
+    ``sig_P``/``sig_loss``/``sig_g`` describe the embedded sigma system
+    used by bootstrapping.
     """
 
     scheme: MpScheme
+    t_n: float
     dt: float
     stages: tuple
+    rate_sets: tuple
+    u_next: np.ndarray
     sigma: np.ndarray
     upd_P: np.ndarray
     upd_loss: np.ndarray
@@ -202,22 +208,6 @@ class GammaData:
                                    compare=False)
 
     u_n = property(lambda self: self.stages[0])
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One accepted MPRK step with caches for relaxation: ``dt``, ``u_n``
-    and the stages are those of ``gamma_data``, and the right-hand sides
-    ``stage_rhs`` are built from the stage ``rate_sets`` only when read."""
-
-    t_n: float
-    u_next: np.ndarray
-    gamma_data: GammaData
-    rate_sets: tuple
-
-    dt = property(lambda self: self.gamma_data.dt)
-    u_n = property(lambda self: self.gamma_data.u_n)
-    stages = property(lambda self: self.gamma_data.stages)
 
     @property
     def stage_rhs(self) -> tuple:
@@ -310,20 +300,13 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
         upd_P, upd_loss, _ = _weighted(rates, scheme.update_w)
         g = scheme.alpha * (u2 - u_n)
 
-    gd = GammaData(scheme, dt, tuple(stages), sigma, upd_P, upd_loss, g,
-                   sig_P, sig_loss, sig_g)
     M = patankar_matrix(upd_P, upd_loss, sigma, dt)
     u_next = _check_positive(lu_solve(M, u_n + g), "update")
-    return StepRecord(t_n, u_next, gd, tuple(rates))
+    return StepRecord(scheme, t_n, dt, tuple(stages), tuple(rates), u_next,
+                      sigma, upd_P, upd_loss, g, sig_P, sig_loss, sig_g)
 
 
-def _gamma_data(record_or_data) -> GammaData:
-    if isinstance(record_or_data, StepRecord):
-        return record_or_data.gamma_data
-    return record_or_data
-
-
-def _sigma_bar_value(scheme: MpScheme, gd: GammaData, gamma: float, mode: str):
+def _sigma_bar_value(rec: StepRecord, gamma: float, mode: str):
     """sbar(gamma) without its gamma-derivative.
 
     Returns ``(sbar, rate, M)``: ``rate`` is the gamma-rate of the
@@ -332,11 +315,12 @@ def _sigma_bar_value(scheme: MpScheme, gd: GammaData, gamma: float, mode: str):
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    scheme = rec.scheme
     check_sigma_mode(scheme.kind, mode)
     if mode == SIGMA_FROZEN:
-        return gd.sigma, None, None
+        return rec.sigma, None, None
 
-    u_n, u2 = gd.stages[:2]
+    u_n, u2 = rec.stages[:2]
     if mode == SIGMA_DENSE:  # MPRK22 or MPSSPRK2
         rate = scheme.s_exp if scheme.kind == MPSSPRK2 else 1.0 / scheme.alpha
         return _geo_denominator(u_n, u2, gamma * rate), rate, None
@@ -344,71 +328,68 @@ def _sigma_bar_value(scheme: MpScheme, gd: GammaData, gamma: float, mode: str):
     # bootstrap, MPRK43I
     rate = 1.0 / scheme.alpha
     tau = _geo_denominator(u_n, u2, gamma * rate)
-    M = patankar_matrix(gd.sig_P, gd.sig_loss, tau, gamma * gd.dt)
-    sbar = _check_positive(lu_solve(M, u_n + gamma * gd.sig_g), "sigma_bar")
+    M = patankar_matrix(rec.sig_P, rec.sig_loss, tau, gamma * rec.dt)
+    sbar = _check_positive(lu_solve(M, u_n + gamma * rec.sig_g), "sigma_bar")
     return sbar, rate, M
 
 
-def _sigma_bar_prime(gd: GammaData, gamma: float, sbar, rate, M):
+def _sigma_bar_prime(rec: StepRecord, gamma: float, sbar, rate, M):
     """d sbar / d gamma from the pieces ``_sigma_bar_value`` returns."""
     if rate is None:
         return np.zeros_like(sbar)
-    v = sbar * rate * (np.log(gd.stages[1]) - np.log(gd.u_n))
+    v = sbar * rate * (np.log(rec.stages[1]) - np.log(rec.u_n))
     if M is None:
         return v
-    rhs = (sbar - gd.u_n) / gamma + M @ v - v
+    rhs = (sbar - rec.u_n) / gamma + M @ v - v
     return lu_solve(M, rhs)
 
 
-def sigma_bar(scheme: MpScheme, record_or_data, gamma: float, mode: str):
+def sigma_bar(rec: StepRecord, gamma: float, mode: str):
     """Gamma-dependent denominator vector and its gamma-derivative.
 
     Returns ``(sbar, sbar_prime)``.  ``SIGMA_MODES`` lists the valid
     modes of each scheme kind.
     """
-    gd = _gamma_data(record_or_data)
-    sbar, rate, M = _sigma_bar_value(scheme, gd, gamma, mode)
-    return sbar, _sigma_bar_prime(gd, gamma, sbar, rate, M)
+    sbar, rate, M = _sigma_bar_value(rec, gamma, mode)
+    return sbar, _sigma_bar_prime(rec, gamma, sbar, rate, M)
 
 
-def _gamma_matrix(gd: GammaData, gamma: float, mode: str):
+def _gamma_matrix(rec: StepRecord, gamma: float, mode: str):
     """``(sbar, rate, sigma matrix, M_gamma)`` at (gamma, mode).
 
     The relaxation solvers call ``gamma_update`` and then
     ``gamma_update_derivative`` at the same gamma, so the last result is
-    kept on ``gd`` and the derivative does not assemble M_gamma again.
+    kept on ``rec`` and the derivative does not assemble M_gamma again.
     """
-    key, last = (gamma, mode), gd._last
+    key, last = (gamma, mode), rec._last
     if last is not None and last[0] == key:
         return last[1]
-    sbar, rate, M_sig = _sigma_bar_value(gd.scheme, gd, gamma, mode)
-    M = patankar_matrix(gd.upd_P, gd.upd_loss, sbar, gamma * gd.dt)
+    sbar, rate, M_sig = _sigma_bar_value(rec, gamma, mode)
+    M = patankar_matrix(rec.upd_P, rec.upd_loss, sbar, gamma * rec.dt)
     parts = (sbar, rate, M_sig, M)
-    object.__setattr__(gd, "_last", (key, parts))
+    object.__setattr__(rec, "_last", (key, parts))
     return parts
 
 
-def gamma_update(record_or_data, gamma: float, mode: str) -> np.ndarray:
+def gamma_update(rec: StepRecord, gamma: float, mode: str) -> np.ndarray:
     """Positivity-preserving gamma-parameterized update u^{n+gamma}.
 
     Solves M_gamma u = u_n + gamma*g; reproduces u^{n+1} bit for bit at
     gamma = 1 in every mode (every factor gamma multiplies is then 1.0)
     and stays positive for every gamma > 0.
     """
-    gd = _gamma_data(record_or_data)
-    M = _gamma_matrix(gd, gamma, mode)[3]
-    return _check_positive(lu_solve(M, gd.u_n + gamma * gd.g), "gamma update")
+    M = _gamma_matrix(rec, gamma, mode)[3]
+    return _check_positive(lu_solve(M, rec.u_n + gamma * rec.g), "gamma update")
 
 
-def gamma_update_derivative(record_or_data, gamma: float, mode: str,
+def gamma_update_derivative(rec: StepRecord, gamma: float, mode: str,
                             u_gamma: np.ndarray) -> np.ndarray:
     """d u^{n+gamma} / d gamma, consistent with ``gamma_update``."""
-    gd = _gamma_data(record_or_data)
-    sbar, rate, M_sig, M = _gamma_matrix(gd, gamma, mode)
-    rhs = (u_gamma - gd.u_n) / gamma
+    sbar, rate, M_sig, M = _gamma_matrix(rec, gamma, mode)
+    rhs = (u_gamma - rec.u_n) / gamma
     # frozen sigma has sbar' = 0, so the sbar' correction M v - v vanishes
     if rate is not None:
-        v = u_gamma * _sigma_bar_prime(gd, gamma, sbar, rate, M_sig) / sbar
+        v = u_gamma * _sigma_bar_prime(rec, gamma, sbar, rate, M_sig) / sbar
         rhs = rhs + M @ v - v
     return lu_solve(M, rhs)
 
@@ -453,10 +434,16 @@ class MpStepper:
         return record.dt * acc
 
     def error_estimate(self, record: StepRecord, atol: float, rtol: float):
-        """Scaled embedded error; None if the scheme has no aligned stage."""
-        if self.scheme.kind == MPRK43I:
-            return None
+        """Scaled error of the step: against the aligned second stage, or
+        by step doubling for MPRK43I, which has none."""
         w = atol + rtol * np.abs(record.u_n)
+        if self.scheme.kind == MPRK43I:
+            t, dt = record.t_n, record.dt
+            half = self.step(t, record.u_n, 0.5 * dt)
+            two = self.step(t + 0.5 * dt, half.u_next, 0.5 * dt)
+            diff = (record.u_next - two.u_next) / w
+            return (float(np.sqrt(np.mean(diff**2)))
+                    / (2.0**self.scheme.order - 1.0))
         diff = (record.u_next - record.stages[1]) / w
         # the sum np.mean takes, without its dispatch
         return float(np.sqrt(np.add.reduce(diff**2) / diff.size))

@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
+from relax_mprk import cli
 from relax_mprk.cli import (CSV_HEADER, ConfigError, main, parse_method_spec,
                             parse_problem_spec)
-from relax_mprk.schemes import SIGMA_MODES
+from relax_mprk.control import integrate
+from relax_mprk.problems import barenblatt, make_problem
+from relax_mprk.schemes import SIGMA_MODES, MpStepper, build_scheme
 
 
 # ---------------------------------------------------------------------------
@@ -168,3 +172,86 @@ def test_convergence_rejects_bad_levels(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["convergence", "--problem", "cyclic3", "--levels", "0"]) == 2
     capsys.readouterr()
+
+
+def test_convergence_without_reference_exits_2(tmp_path, capsys, monkeypatch):
+    # Euler has neither an analytic reference nor a plain PDRS for the
+    # fine-step oracle
+    monkeypatch.chdir(tmp_path)
+    assert main(["convergence", "--problem", "euler", "--levels", "1"]) == 2
+    assert "no reference solution" in capsys.readouterr().err
+
+
+def test_convergence_reads_the_cached_oracle(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["convergence", "--problem", "cyclic3", "--levels", "1",
+            "--relax", "none"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert len(list((tmp_path / ".relax_mprk_cache").glob("ref_*.npz"))) == 1
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the cached oracle was not used")
+
+    monkeypatch.setattr(cli, "reference_solution", no_oracle)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+def _pme_reference(m, N=160):
+    dx = 12.0 / N
+    x = -6.0 + (np.arange(N) + 0.5) * dx
+    return lambda t: np.maximum(barenblatt(t, x, m), 1e-30)
+
+
+def test_convergence_against_analytic_reference(tmp_path, capsys,
+                                                monkeypatch):
+    # PME has the Barenblatt solution, so no oracle is computed or cached
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "conv.csv"
+    assert main(["convergence", "--problem", "pme:m=3", "--t-end", "1.3",
+                 "--levels", "2", "--relax", "none", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert not (tmp_path / ".relax_mprk_cache").exists()
+    rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [0.075, 0.0375]
+    reference = _pme_reference(3.0)
+    problem = make_problem("pme", m=3)
+    stepper = MpStepper(problem.sys, build_scheme("mpssprk2", 0.5, 1.0))
+    for dt_s, err_s, _, _ in rows:
+        traj = integrate(stepper, None, None, 1.0, problem.u0, 1.3,
+                         float(dt_s))
+        expected = np.max(np.abs(traj.states[-1] - reference(traj.times[-1])))
+        assert float(err_s) == expected
+
+
+def test_run_err_ref_column_is_distance_to_reference(tmp_path, capsys):
+    out = tmp_path / "pme.csv"
+    assert main(["run", "--problem", "pme:m=3", "--t-end", "1.3",
+                 "--out", str(out), "--dump-state"]) == 0
+    capsys.readouterr()
+    rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+    states = [r.split(",") for r in
+              (tmp_path / "state.csv").read_text().strip().splitlines()[1:]]
+    reference = _pme_reference(3.0)
+    assert len(rows) == len(states) > 2
+    for row, st in zip(rows, states):
+        t, u = float(st[1]), np.array([float(v) for v in st[2:]])
+        assert float(row[8]) == np.max(np.abs(u - reference(t)))
+    assert float(rows[0][8]) == 0.0
+
+
+@pytest.mark.parametrize("argv, reason", [
+    # the Patankar matrix of the density update is singular at this dt
+    (["--relax", "none"], "singular matrix"),
+    # a failed search keeps a base step with |m| ~ 1e144, whose entropy
+    # overflows
+    ([], "entropy eta of the relaxed state"),
+])
+def test_euler_failure_at_large_dt_exits_1(tmp_path, capsys, argv, reason):
+    code = main(["run", "--problem", "euler", "--dt0", "0.1", "--adapt",
+                 "fixed", "--out", str(tmp_path / "r.csv"), *argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("integration failure: ") and reason in err
+    assert "Traceback" not in err

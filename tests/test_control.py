@@ -176,6 +176,22 @@ def test_relax_failure_without_adaptivity_keeps_base_step():
     assert np.allclose(traj.states[-1], [4.0, 4.0])
 
 
+class _RoughStepper(_DriftStepper):
+    """Synthetic stepper whose error estimate rejects every step."""
+
+    def error_estimate(self, record, atol, rtol):
+        return 1e3
+
+
+def test_pid_rejections_end_in_dt_underflow():
+    # every reject shrinks dt by the growth clamp's 1/5 until it reaches
+    # dt_min = 1e-12 * span
+    with pytest.raises(IntegrationError,
+                       match=r"dt underflow at t = 0\.0 \(err = 1\.000e\+03\)"):
+        integrate(_RoughStepper(), None, None, 0.0, np.array([1.0, 1.0]),
+                  10.0, 1.0, adaptivity="pid")
+
+
 def test_pid_adaptivity_grows_step_on_smooth_problem():
     problem = cyclic3()
     stepper = MpStepper(problem.sys, build_scheme("mprk22", 1.0))

@@ -6,7 +6,7 @@ import pytest
 
 from relax_mprk.euler import (EulerStepper, _interface_fluxes,
                               isothermal_euler_fv)
-from relax_mprk.pdrs import NonFiniteStateError
+from relax_mprk.pdrs import NonFiniteStateError, PositivityError
 from relax_mprk.schemes import UnsupportedSchemeError, build_scheme
 
 from helpers import fd_gradient
@@ -103,6 +103,24 @@ def test_non_finite_momentum_flux_raises_without_warning(m):
         with pytest.raises(NonFiniteStateError, match="momentum flux"):
             st._rates(z)
         with pytest.raises(NonFiniteStateError):
+            st.step(0.0, z, 0.01)
+
+
+@pytest.mark.parametrize("rho, error", [
+    (np.nan, NonFiniteStateError), (np.inf, NonFiniteStateError),
+    (-np.inf, NonFiniteStateError), (0.0, PositivityError),
+    (-1.0, PositivityError)])
+def test_bad_density_is_named(rho, error):
+    # the density gets the one-mask check of PdrsSystem.check_state; a NaN
+    # or inf density must not surface as a non-finite momentum flux
+    st = _stepper(N=8)
+    z = _state(np.ones(8), np.full(8, 0.01))
+    z[3] = rho
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="density in cell 3"):
+            st._rates(z)
+        with pytest.raises(error, match="density in cell 3"):
             st.step(0.0, z, 0.01)
 
 

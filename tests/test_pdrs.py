@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from relax_mprk.pdrs import (NonFiniteStateError, PdrsSystem,
-                             PositivityError, RateSet, check_linear_invariant,
-                             eval_rhs, split_rhs)
+                             PositivityError, RateSet, eval_rhs)
 from relax_mprk.problems import PROBLEM_FACTORIES, cyclic3, lotka_volterra
 from relax_mprk.schemes import build_scheme, step
 
@@ -48,33 +47,6 @@ def test_non_finite_state_raises_typed_error(bad):
         step(sys, build_scheme("mprk22", 1.0), 0.0, u, 0.1)
 
 
-def test_split_rhs_linear_exchange():
-    sys = linear_exchange()
-    F, rest = split_rhs(sys, 0.0, np.array([1.0, 1.0]))
-    assert np.allclose(F[:, 0], [-1.0, 1.0])
-    assert np.allclose(F[:, 1], [0.0, 0.0])
-    assert np.array_equal(rest, np.zeros(2))
-
-
-def test_split_rhs_lotka_volterra():
-    sys = lotka_volterra().sys
-    F, rest = split_rhs(sys, 0.0, np.array([2.0, 2.0]))
-    # rest production (2 u1, 0); destruction of species 2 folded into F[1,1]
-    assert np.allclose(rest, [4.0, 0.0])
-    assert F[1, 1] == pytest.approx(-2.0)
-
-
-def test_split_rhs_sums_to_eval_rhs():
-    rng = np.random.default_rng(5)
-    sys = lotka_volterra().sys
-    for _ in range(50):
-        u = rng.uniform(0.1, 5.0, size=2)
-        F, rest = split_rhs(sys, 0.0, u)
-        total = F.sum(axis=1) + rest
-        f = eval_rhs(sys, 0.0, u)
-        assert np.allclose(total, f, rtol=1e-14, atol=1e-14)
-
-
 def test_conservative_rhs_sums_to_zero():
     rng = np.random.default_rng(9)
     for dim in (2, 4, 6):
@@ -110,14 +82,6 @@ def test_rates_returns_matrix_rates_arrays():
     # the rate set holds the very arrays matrix_rates returned, uncopied
     got = (r.P, r.rest_prod, r.rest_dest)
     assert all(a is b for a, b in zip(got, returned[0]))
-
-
-def test_check_linear_invariant():
-    n = np.array([1.0, 1.0])
-    assert check_linear_invariant(n, [1.0, 1.0], [0.4, 1.6], 1e-12)
-    assert check_linear_invariant(n, [1.0, 1.0], [1.0, 1.0], 1e-12)
-    assert not check_linear_invariant(np.array([0.0, 1.0]),
-                                      [1.0, 1.0], [0.4, 1.6], 1e-12)
 
 
 def test_state_shape_validation():

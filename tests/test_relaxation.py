@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relax_mprk import relaxation
+from relax_mprk.pdrs import NonFiniteStateError
 from relax_mprk.problems import cyclic3, lotka_volterra, porous_medium
 from relax_mprk.relaxation import (EntropyFunctional, RelaxConfig,
                                    entropy_estimate, geometric_state,
@@ -199,6 +200,81 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
+# Failure exits of the scalar solvers: each case pins today's
+# (gamma, iterations, status).  The probe grid for the default window
+# (1e-6, 10] puts 0.28480358684357990 and 1 next to each other, so a
+# residual rising through 0.5 is bracketed on that pair first.
+
+_LO = relaxation._probe_grid(1e-6, 10.0)[10]
+
+
+def _excluded(lo, hi, fun):
+    """``fun`` with every probe in (lo, hi) raising, as an overflow would."""
+    def probe(g):
+        if lo < g < hi:
+            raise FloatingPointError("excluded probe")
+        return fun(g)
+    return probe
+
+
+def _rise(g):
+    return g - 0.5
+
+
+def _cube(g):
+    return g**3 - 0.125
+
+
+def _step_fn(g):
+    return -1.0 if g < 0.5 else 1.0
+
+
+def _nearly_flat(g):
+    # the second secant runs through two almost equal values on the
+    # right and extrapolates far out of the window
+    return -1.0 if g < 0.5 else 1.0 + 1e-9 * (g - 1.0)
+
+
+@pytest.mark.parametrize("solver, fun, kw, expected", [
+    ("bisection", _excluded(0.6, 0.7, _rise), {},
+     (0.6424017934217899, 1, "failed")),            # excluded midpoint
+    ("bisection", _rise, dict(max_iters=3),
+     (0.5083024659549612, 3, "failed")),            # max_iters
+    ("regula_falsi", _excluded(0.4, 0.6, _rise), {},
+     (0.5, 1, "failed")),                           # excluded probe
+    ("regula_falsi", _cube, dict(max_iters=2),
+     (0.41218997818685693, 2, "failed")),           # max_iters
+    ("secant", _step_fn, {},
+     (0.6424017934217899, 2, "failed")),            # flat secant
+    ("secant", _nearly_flat, {},
+     (-1000000092.0741626, 2, "failed")),           # leaves the window
+    ("secant", _excluded(0.4, 0.6, _rise), {},
+     (0.5, 1, "failed")),                           # excluded probe
+    ("secant", _cube, dict(max_iters=1),
+     (0.35940455280510253, 1, "failed")),           # max_iters
+    ("bisection", lambda g: g - _LO, {},
+     (_LO, 1, "converged")),                        # left end is the root
+    ("bisection", lambda g: g - (_LO - 1e-12), {},
+     (_LO, 1, "converged")),                        # right end within tol
+    ("bisection", lambda g: g - 1e-6, {},
+     (1e-6, 1, "failed")),                          # root at gamma_min
+], ids=["bisection-excluded", "bisection-max-iters", "regula-falsi-excluded",
+        "regula-falsi-max-iters", "secant-flat", "secant-window",
+        "secant-excluded", "secant-max-iters", "bracket-left-end",
+        "bracket-right-end", "root-outside-window"])
+def test_bracketing_failure_exits(solver, fun, kw, expected):
+    assert solve_scalar(fun, _cfg(solver=solver, **kw)) == expected
+
+
+@pytest.mark.parametrize("derivative", [
+    lambda g: 0.0, _excluded(0.0, 9.0, lambda g: 1.0)],
+    ids=["zero", "excluded"])
+def test_newton_fails_on_zero_or_excluded_derivative(derivative):
+    assert solve_scalar(lambda g: g - 2.0, _cfg(solver="newton"),
+                        derivative) == (1.0, 1, "failed")
+
+
+# ---------------------------------------------------------------------------
 # relax_step: clamped mode on a fabricated affine step
 
 def test_clamped_root_below_one_is_taken():
@@ -226,6 +302,21 @@ def test_clamped_root_above_one_clamps():
     assert out.gamma == 1.0
     assert np.allclose(out.u_relaxed, record.u_next)
     assert out.t_relaxed == 1.0
+
+
+def test_clamped_search_root_above_one_clamps():
+    # eta = -(u - 1.5)^2 from u_old = 1 to u_new = 1.5: r(g) = (1 - (g-1)^2)/4
+    # is positive at g = 1, so the search runs and finds the root g = 2;
+    # the clamp then keeps the full step
+    eta = EntropyFunctional(eval=lambda u: float(-(u[0] - 1.5) ** 2),
+                            grad=lambda u: -2.0 * (u - 1.5),
+                            regime="conservative")
+    record, stepper = _fake_step([1.0], [1.5], quadrature=0.0, dt=0.1)
+    out = relax_step(eta, stepper, record, _cfg(mode="clamped_dissipative",
+                                                solver="bisection"))
+    assert (out.gamma, out.iterations, out.status) == (1.0, 29, "clamped_to_one")
+    assert out.u_relaxed is record.u_next
+    assert out.t_relaxed == 0.1
 
 
 def test_clamped_state_is_convex_combination():
@@ -361,6 +452,31 @@ def test_failed_relaxation_reports_base_step():
     assert out.status == "failed"
     assert out.gamma == 1.0
     assert np.array_equal(out.u_relaxed, rec.u_next)
+
+
+_SQUARES = EntropyFunctional(eval=lambda u: float(np.sum(u**2)),
+                             grad=lambda u: 2.0 * u, regime="dissipative")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode, u_old, u_new, quadrature, what", [
+    # the search fails at every probe, so the base step is kept, and its
+    # entropy overflows
+    ("clamped_dissipative", [1.0], [1e200], 0.0, "the relaxed state"),
+    ("none", [1.0], [1e200], 0.0, "the step"),
+    ("clamped_dissipative", [1e200], [1.0], 0.0, "the step's start"),
+    ("clamped_dissipative", [1.0], [2.0], 1e308, "the step's estimate"),
+], ids=["relaxed", "none", "start", "estimate"])
+def test_overflowing_entropy_raises_typed_error(mode, u_old, u_new,
+                                                quadrature, what):
+    # an overflow in eta ends in NonFiniteStateError, never in a numpy
+    # warning or eta = inf
+    record, _ = _fake_step(u_old, u_new, quadrature)
+    stepper = SimpleNamespace(
+        entropy_quadrature=lambda eta, rec: np.float64(quadrature) * 10.0)
+    with pytest.raises(NonFiniteStateError, match=f"eta of {what} is not"):
+        relax_step(_SQUARES, stepper, record,
+                   _cfg(mode=mode, solver="newton"))
 
 
 @pytest.mark.parametrize("kind, params, solver, base_solves", [

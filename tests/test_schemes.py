@@ -66,7 +66,7 @@ def _update_matrix(dt):
     # MPRK22(1) from (1, 1): stage (0.5, 1.5) is also sigma, the update
     # weights are (1/2, 1/2), and the step's own arrays build M
     gd = step(linear_exchange(), build_scheme("mprk22", 1.0), 0.0,
-              np.array([1.0, 1.0]), 1.0).gamma_data
+              np.array([1.0, 1.0]), 1.0)
     assert np.allclose(gd.sigma, [0.5, 1.5], rtol=1e-14)
     return patankar_matrix(gd.upd_P, gd.upd_loss, gd.sigma, dt)
 
@@ -154,14 +154,14 @@ def _exchange_record():
 
 def test_sigma_bar_frozen():
     _, sch, rec = _exchange_record()
-    sbar, sprime = sigma_bar(sch, rec, 2.0, "frozen")
-    assert np.array_equal(sbar, rec.gamma_data.sigma)
+    sbar, sprime = sigma_bar(rec, 2.0, "frozen")
+    assert np.array_equal(sbar, rec.sigma)
     assert np.array_equal(sprime, np.zeros(2))
 
 
 def test_sigma_bar_dense_hand_values():
     _, sch, rec = _exchange_record()
-    sbar, sprime = sigma_bar(sch, rec, 2.0, "dense")
+    sbar, sprime = sigma_bar(rec, 2.0, "dense")
     assert np.allclose(sbar, [0.25, 2.25], rtol=1e-14)
     expected = [0.25 * np.log(0.5), 2.25 * np.log(1.5)]
     assert np.allclose(sprime, expected, rtol=1e-13)
@@ -169,21 +169,21 @@ def test_sigma_bar_dense_hand_values():
 
 def test_sigma_bar_dense_at_gamma_alpha_is_stage():
     _, sch, rec = _exchange_record()
-    sbar, _ = sigma_bar(sch, rec, sch.alpha, "dense")
+    sbar, _ = sigma_bar(rec, sch.alpha, "dense")
     assert np.allclose(sbar, rec.stages[1], rtol=1e-14)
 
 
 def test_sigma_bar_invalid_arguments():
     _, sch, rec = _exchange_record()
     with pytest.raises(ValueError):
-        sigma_bar(sch, rec, -1.0, "frozen")
+        sigma_bar(rec, -1.0, "frozen")
     with pytest.raises(ValueError, match="bootstrap"):
-        sigma_bar(sch, rec, 1.0, "bootstrap")  # not an mprk43i record
+        sigma_bar(rec, 1.0, "bootstrap")  # not an mprk43i record
     sch3 = build_scheme("mprk43i", 0.5, 0.75)
     sys = linear_exchange()
     rec3 = step(sys, sch3, 0.0, np.array([1.0, 1.0]), 0.5)
     with pytest.raises(ValueError, match="dense"):
-        sigma_bar(sch3, rec3, 1.0, "dense")
+        sigma_bar(rec3, 1.0, "dense")
 
 
 def test_gamma_update_frozen_hand_values():
@@ -234,7 +234,7 @@ def test_gamma_state_at_one_is_step_bitwise(name):
 def test_gamma_matrix_memo_is_never_stale(kind, alpha, beta):
     # gamma_update keeps M_gamma on the record for the derivative at the
     # same (gamma, mode); at any other gamma or mode, or on a fresh
-    # GammaData, the derivative must come out the same bit for bit
+    # StepRecord, the derivative must come out the same bit for bit
     rng = np.random.default_rng(41)
     sys = random_conservative_system(rng, 4)
     sch = build_scheme(kind, alpha, beta)
@@ -246,9 +246,9 @@ def test_gamma_matrix_memo_is_never_stale(kind, alpha, beta):
                            (0.8, modes[1], 0.8, modes[0])] + [
                            (1.3, m, 1.3, m) for m in modes]:
         gamma_update(rec, g1, m1)
-        u_g = gamma_update(replace(rec.gamma_data), g2, m2)
+        u_g = gamma_update(replace(rec), g2, m2)
         du = gamma_update_derivative(rec, g2, m2, u_g)
-        fresh = gamma_update_derivative(replace(rec.gamma_data), g2, m2, u_g)
+        fresh = gamma_update_derivative(replace(rec), g2, m2, u_g)
         assert du.tobytes() == fresh.tobytes(), (g1, m1, g2, m2)
 
 
@@ -307,7 +307,7 @@ def test_unconditional_positivity_and_conservation(kind, alpha, beta):
             rec = step(sys, sch, 0.0, u0, dt)
             for st in rec.stages:
                 assert np.all(st > 0.0)
-            assert np.all(rec.gamma_data.sigma > 0.0)
+            assert np.all(rec.sigma > 0.0)
             assert np.all(rec.u_next > 0.0)
             assert rec.u_next.sum() == pytest.approx(u0.sum(), rel=1e-12)
             # the MPSSPRK2 relaxed right-hand side (1-ga)u_n + ga*u2 is a
