@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .relaxation import MODE_NONE, STATUS_FAILED, RelaxConfig, relax_step
+from .relaxation import (MODE_NONE, STATUS_FAILED, RelaxConfig, entropy_value,
+                         relax_step)
 
 ADAPT_FIXED = "fixed"
 ADAPT_PID = "pid"
@@ -123,7 +124,8 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
     t = float(t0)
     u = np.array(u0, dtype=float)
     traj = Trajectory()
-    eta0 = float(eta.eval(u)) if eta is not None else np.nan
+    eta0 = (entropy_value(eta, u, "the initial state") if eta is not None
+            else np.nan)
     traj.append(t, u, 0.0, 1.0, "initial", eta0)
 
     n_attempts = 0
@@ -167,7 +169,7 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
             if use_pid:
                 pid_update(ctrl, err, stepper.scheme.order)
             t, u = record.t_n + dt, record.u_next
-            eta_val = float(eta.eval(u)) if eta is not None else np.nan
+            eta_val = entropy_value(eta, u) if eta is not None else np.nan
             traj.append(t, u, dt, 1.0, "none", eta_val)
 
     return traj

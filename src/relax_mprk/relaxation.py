@@ -96,17 +96,22 @@ class RelaxOutcome:
     status: str
 
 
-def entropy_estimate(eta: EntropyFunctional, stepper, record) -> float:
-    """Target entropy value for the step.
-
-    Conservative regime: eta(u^n).  Dissipative regime: eta(u^n) plus the
-    stage quadrature dt * sum_j b_j eta'(u^(j)) . f(u^(j)), which bounds
-    eta from above when all b_j >= 0 and eta' . f <= 0.
-    """
-    eta_old = float(eta.eval(record.u_n))
+def _entropy_rate(eta: EntropyFunctional, stepper, record) -> float:
+    """The step's estimated entropy change e: 0 for a conservative eta,
+    the stage quadrature dt * sum_j b_j eta'(u^(j)) . f(u^(j)) for a
+    dissipative one."""
     if eta.regime == REGIME_CONSERVATIVE:
-        return eta_old
-    return eta_old + stepper.entropy_quadrature(eta, record)
+        return 0.0
+    return stepper.entropy_quadrature(eta, record)
+
+
+def entropy_estimate(eta: EntropyFunctional, stepper, record) -> float:
+    """Target entropy value for the step: eta(u^n) + e.
+
+    The dissipative estimate bounds eta from above when all b_j >= 0 and
+    eta' . f <= 0.
+    """
+    return float(eta.eval(record.u_n)) + _entropy_rate(eta, stepper, record)
 
 
 class _Curve:
@@ -338,6 +343,15 @@ def _finite_eta(value: Callable[[], float], what: str) -> float:
     return out
 
 
+def entropy_value(eta: EntropyFunctional, u: np.ndarray,
+                  what: str = "the step") -> float:
+    """eta(u) outside a relaxation search, taken as relax_step takes every
+    entropy value: an overflow or a non-finite value raises
+    NonFiniteStateError naming ``what``."""
+    with np.errstate(invalid="raise", divide="raise", over="raise"):
+        return _finite_eta(lambda: eta.eval(u), what)
+
+
 def relax_step(eta: EntropyFunctional, stepper, record,
                cfg: RelaxConfig) -> RelaxOutcome:
     """Compute gamma and the relaxed state for one accepted base step.
@@ -348,17 +362,15 @@ def relax_step(eta: EntropyFunctional, stepper, record,
     floating-point errors raised; one that overflows or is NaN raises
     ``NonFiniteStateError``.
     """
+    if cfg.mode == MODE_NONE:
+        u_new = record.u_next
+        return RelaxOutcome(1.0, u_new, record.t_n + record.dt,
+                            entropy_value(eta, u_new), 0, STATUS_CONVERGED)
     with np.errstate(invalid="raise", divide="raise", over="raise"):
-        if cfg.mode == MODE_NONE:
-            u_new = record.u_next
-            eta_new = _finite_eta(lambda: eta.eval(u_new), "the step")
-            return RelaxOutcome(1.0, u_new, record.t_n + record.dt, eta_new,
-                                0, STATUS_CONVERGED)
-
         curve = _curve(eta, stepper, record, cfg.mode)
         eta_old = _finite_eta(lambda: eta.eval(record.u_n), "the step's start")
-        rate = _finite_eta(lambda: entropy_estimate(eta, stepper, record),
-                           "the step's estimate") - eta_old
+        rate = _finite_eta(lambda: _entropy_rate(eta, stepper, record),
+                           "the step's estimate")
         scale = max(1.0, abs(eta_old))
 
         def fun(g):

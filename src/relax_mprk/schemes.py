@@ -15,11 +15,12 @@ sides stay strictly positive for every step size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .linalg import lu_solve
+from .linalg import BAND_MIN_DIM, CyclicTridiagonal, lu_solve
 from .pdrs import PdrsSystem, PositivityError, RateSet
 
 MPRK22 = "mprk22"
@@ -144,21 +145,47 @@ def build_scheme(kind: str, alpha: float, beta: float = None) -> MpScheme:
     raise SchemeParameterError(f"unknown scheme kind {kind!r}; known: {SCHEME_KINDS}")
 
 
+@lru_cache(maxsize=None)
+def _band_index(n: int):
+    """Flat indices of the cyclic sub-, main and super-diagonal of an
+    n x n array, and the column of each of their entries."""
+    i = np.arange(n)
+    cols = np.stack([(i - 1) % n, i, (i + 1) % n])
+    return i * n + cols, cols
+
+
 def patankar_matrix(P_w: np.ndarray, loss_w: np.ndarray, denom: np.ndarray,
-                    fac: float) -> np.ndarray:
+                    fac: float):
     """Assemble I + fac*diag(loss/denom) - fac*P/denom (column-scaled).
 
     ``P_w`` and ``loss_w`` are already weight-summed rate arrays; ``fac``
-    carries the dt (and gamma) factor.  ``denom`` must be positive.
+    carries the dt (and gamma) factor.  ``denom`` must be positive.  From
+    ``BAND_MIN_DIM`` unknowns on, when every nonzero of ``P_w`` off its
+    diagonal lies on the cyclic sub- or super-diagonal, the result is a
+    ``CyclicTridiagonal`` with the same entries; otherwise an ndarray.
     """
     denom = np.asarray(denom, float)
     if (denom <= 0.0).any():
         bad = np.flatnonzero(denom <= 0.0)
         raise PositivityError(f"non-positive denominator component [{bad[0]}]")
+    n = len(denom)
+    if n >= BAND_MIN_DIM:
+        flat, cols = _band_index(n)
+        bands = np.take(P_w, flat)
+        # (P_w != 0) counts as count_nonzero(P_w) does, at half the cost
+        if np.count_nonzero(P_w != 0.0) == np.count_nonzero(bands):
+            # the dense branch's operations, entry for entry: same bits
+            bands *= -fac
+            bands /= np.take(denom, cols)
+            diag = bands[1]
+            np.multiply(fac, loss_w, out=diag)
+            diag /= denom
+            diag += 1.0
+            return CyclicTridiagonal(bands)
     M = np.multiply(P_w, -fac)
     M /= denom
     # the diagonal is overwritten, so p_kk (zero by convention) never enters M
-    M.flat[::len(denom) + 1] = 1.0 + fac * loss_w / denom
+    M.flat[::n + 1] = 1.0 + fac * loss_w / denom
     return M
 
 

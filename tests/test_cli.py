@@ -247,6 +247,11 @@ def test_run_err_ref_column_is_distance_to_reference(tmp_path, capsys):
     # a failed search keeps a base step with |m| ~ 1e144, whose entropy
     # overflows
     ([], "entropy eta of the relaxed state"),
+    # later --dt0 flags win.  At 0.05 the density sweep meets a zero pivot
+    # where fac*loss/denom = 7e70; at 0.06 the unrelaxed steps run until
+    # the momentum is too large for eta
+    (["--dt0", "0.05", "--relax", "none"], "fac*loss/denom = 7.131e+70"),
+    (["--dt0", "0.06", "--relax", "none"], "entropy eta of the step"),
 ])
 def test_euler_failure_at_large_dt_exits_1(tmp_path, capsys, argv, reason):
     code = main(["run", "--problem", "euler", "--dt0", "0.1", "--adapt",

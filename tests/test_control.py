@@ -3,7 +3,7 @@ import pytest
 
 from relax_mprk.control import (ControllerState, IntegrationError, integrate,
                                 interp_state, pid_update, relax_adapt)
-from relax_mprk.pdrs import PdrsSystem
+from relax_mprk.pdrs import NonFiniteStateError, PdrsSystem
 from relax_mprk.problems import cyclic3, lotka_volterra
 from relax_mprk.relaxation import EntropyFunctional, RelaxConfig
 from relax_mprk.schemes import MpStepper, build_scheme
@@ -190,6 +190,24 @@ def test_pid_rejections_end_in_dt_underflow():
                        match=r"dt underflow at t = 0\.0 \(err = 1\.000e\+03\)"):
         integrate(_RoughStepper(), None, None, 0.0, np.array([1.0, 1.0]),
                   10.0, 1.0, adaptivity="pid")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg", [None, RelaxConfig(mode="none")],
+                         ids=["no_config", "mode_none"])
+def test_unrelaxed_overflowing_entropy_raises_typed_error(cfg):
+    # eta(1, 1) = 2 exp(450) is finite, eta(0.4, 1.6) overflows: an
+    # unrelaxed step takes eta as relax_step does, so the overflow ends in
+    # NonFiniteStateError, never in a numpy warning or eta = inf
+    eta = EntropyFunctional(eval=lambda u: float(np.sum(np.exp(450.0 * u))),
+                            grad=lambda u: 450.0 * np.exp(450.0 * u),
+                            regime="conservative")
+    stepper = MpStepper(linear_exchange(), build_scheme("mprk22", 1.0))
+    with pytest.raises(NonFiniteStateError, match="eta of the step is not"):
+        integrate(stepper, eta, cfg, 0.0, [1.0, 1.0], 2.0, 1.0)
+    with pytest.raises(NonFiniteStateError,
+                       match="eta of the initial state is not"):
+        integrate(stepper, eta, cfg, 0.0, [1.6, 0.4], 2.0, 1.0)
 
 
 def test_pid_adaptivity_grows_step_on_smooth_problem():

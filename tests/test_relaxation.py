@@ -479,6 +479,24 @@ def test_overflowing_entropy_raises_typed_error(mode, u_old, u_new,
                    _cfg(mode=mode, solver="newton"))
 
 
+def test_relax_step_evaluates_eta_once_at_the_start():
+    # eta(u^n) serves both the target and the residual scale
+    problem = lotka_volterra()
+    stepper = MpStepper(problem.sys, build_scheme("mprk22", 1.0))
+    rec = stepper.step(0.0, problem.u0, 0.2)
+    at_start = []
+
+    def counting_eval(u):
+        at_start.append(np.array_equal(u, rec.u_n))
+        return problem.eta.eval(u)
+
+    eta = EntropyFunctional(eval=counting_eval, grad=problem.eta.grad,
+                            regime=problem.eta.regime)
+    out = relax_step(eta, stepper, rec, _cfg(mode="implicit", solver="newton"))
+    assert out.status == "converged"
+    assert at_start.count(True) == 1 and len(at_start) > 2
+
+
 @pytest.mark.parametrize("kind, params, solver, base_solves", [
     # MPRK43I: two stages, the sigma system and the update, each assembled
     # and solved once; each bootstrap probe but the one at gamma = 1
