@@ -81,20 +81,6 @@ def parse_method_spec(spec: str):
     raise ConfigError(f"unknown method {kind!r}; known: {', '.join(SCHEME_KINDS)}")
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise ConfigError(f"config line {line!r} is not key=value")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relax-mprk",
@@ -119,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--adapt", default=None, choices=ADAPT_MODES)
         p.add_argument("--out", default=None, help="CSV output path")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", default=None,
-                       help="key=value config file; flags take precedence")
 
     run_p = sub.add_parser("run", help="integrate once and write a CSV")
     add_common(run_p)
@@ -135,21 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="print the registry")
     return parser
-
-
-def _apply_config_file(args):
-    if getattr(args, "config", None) is None:
-        return
-    file_vals = _load_config_file(args.config)
-    parser = build_parser()
-    for key, val in file_vals.items():
-        if not hasattr(args, key):
-            raise ConfigError(f"unknown config key {key!r}")
-        default = parser.get_default(key)
-        if getattr(args, key) == default:
-            current = getattr(args, key)
-            setattr(args, key, type(current)(val) if current is not None
-                    else _parse_value(val))
 
 
 def _resolve(args):
@@ -355,7 +324,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "list":
             return cmd_list()
-        _apply_config_file(args)
         if args.command == "run":
             return cmd_run(args)
         return cmd_convergence(args)

@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import BAND_MIN_DIM, CyclicTridiagonal, lu_solve
+from .linalg import (BAND_MIN_DIM, SMALL_MAX_DIM, CyclicTridiagonal,
+                     SmallPatankar, lu_solve)
 from .pdrs import PdrsSystem, PositivityError, RateSet
 
 MPRK22 = "mprk22"
@@ -154,21 +155,40 @@ def _band_index(n: int):
     return i * n + cols, cols
 
 
+def _non_positive(denom: np.ndarray) -> PositivityError:
+    bad = np.flatnonzero(denom <= 0.0)
+    return PositivityError(f"non-positive denominator component [{bad[0]}]")
+
+
 def patankar_matrix(P_w: np.ndarray, loss_w: np.ndarray, denom: np.ndarray,
                     fac: float):
     """Assemble I + fac*diag(loss/denom) - fac*P/denom (column-scaled).
 
     ``P_w`` and ``loss_w`` are already weight-summed rate arrays; ``fac``
-    carries the dt (and gamma) factor.  ``denom`` must be positive.  From
-    ``BAND_MIN_DIM`` unknowns on, when every nonzero of ``P_w`` off its
-    diagonal lies on the cyclic sub- or super-diagonal, the result is a
-    ``CyclicTridiagonal`` with the same entries; otherwise an ndarray.
+    carries the dt (and gamma) factor.  ``denom`` must be positive.  Up
+    to ``SMALL_MAX_DIM`` unknowns the result is a ``SmallPatankar``.
+    From ``BAND_MIN_DIM`` unknowns on, when every nonzero of ``P_w`` off
+    its diagonal lies on the cyclic sub- or super-diagonal, it is a
+    ``CyclicTridiagonal``; otherwise an ndarray.  Every format holds the
+    same entries, bit for bit.
     """
     denom = np.asarray(denom, float)
-    if (denom <= 0.0).any():
-        bad = np.flatnonzero(denom <= 0.0)
-        raise PositivityError(f"non-positive denominator component [{bad[0]}]")
     n = len(denom)
+    if n <= SMALL_MAX_DIM:
+        dl = denom.tolist()
+        # (denom <= 0.0).any() on Python floats, at a fifth of the cost
+        if any(dj <= 0.0 for dj in dl):
+            raise _non_positive(denom)
+        # the dense branch's operations on Python floats, entry for entry
+        fac = float(fac)
+        nfac = -fac
+        rows = [[p * nfac / dj for p, dj in zip(row, dl)]
+                for row in P_w.tolist()]
+        for row, j, lj, dj in zip(rows, range(n), loss_w.tolist(), dl):
+            row[j] = 1.0 + fac * lj / dj
+        return SmallPatankar(rows)
+    if (denom <= 0.0).any():
+        raise _non_positive(denom)
     if n >= BAND_MIN_DIM:
         flat, cols = _band_index(n)
         bands = np.take(P_w, flat)

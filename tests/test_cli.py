@@ -102,19 +102,6 @@ def test_run_dump_state(tmp_path, capsys):
     assert len(state) == len(run_rows)   # one state row per CSV row
 
 
-def test_config_file_flags_take_precedence(tmp_path, capsys):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("# experiment\ndt0 = 0.5\nsolver = bisection\n")
-    out = tmp_path / "r.csv"
-    code = main(["run", "--problem", "cyclic3", "--out", str(out),
-                 "--solver", "secant", "--config", str(cfg)])
-    assert code == 0
-    meta = dict(line.split("=", 1)
-                for line in (tmp_path / "r.csv.meta").read_text().splitlines())
-    assert float(meta["dt0"]) == 0.5           # taken from the file
-    assert meta["solver"] == "secant"          # flag wins
-
-
 def test_unknown_problem_exits_2(tmp_path, capsys):
     assert main(["run", "--problem", "heat"]) == 2
     assert "configuration error" in capsys.readouterr().err

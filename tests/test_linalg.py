@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relax_mprk.linalg import (BAND_MIN_DIM, CyclicTridiagonal,
-                               SingularMatrixError, lu_solve)
+from relax_mprk.linalg import (BAND_MIN_DIM, SMALL_MAX_DIM, CyclicTridiagonal,
+                               SingularMatrixError, SmallPatankar, lu_solve)
 from relax_mprk.schemes import patankar_matrix
 
 EPS = np.finfo(float).eps
@@ -67,20 +67,26 @@ def test_shape_validation():
         lu_solve(np.eye(2), np.ones(3))
     with pytest.raises(ValueError):
         lu_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
+    with pytest.raises(ValueError):
+        lu_solve(SmallPatankar([[3.0, -1.0], [-1.0, 3.0]]), np.ones(3))
 
 
 def test_non_finite_solution_raises():
-    A = np.diag([1e-300, 1.0])
-    with pytest.raises(SingularMatrixError):
-        lu_solve(A, np.array([1e300, 1.0]))
+    for fmt in (np.array, SmallPatankar):
+        A = fmt([[1e-300, 0.0], [0.0, 1.0]])
+        with pytest.raises(SingularMatrixError,
+                           match="non-finite solution; largest diagonal in row 1"):
+            lu_solve(A, np.array([1e300, 1.0]))
 
 
 def _assert_positive_and_conservative(M, b, x):
     n = len(b)
     assert np.all(x > 0.0)
     # roundoff in the sum is relative to the fluxes |M| x, not the mass
-    absM = (CyclicTridiagonal(np.abs(M.bands)) if isinstance(M, CyclicTridiagonal)
-            else np.abs(M))
+    if isinstance(M, CyclicTridiagonal):
+        absM = CyclicTridiagonal(np.abs(M.bands))
+    else:
+        absM = np.abs(M.toarray() if isinstance(M, SmallPatankar) else M)
     assert abs(x.sum() - b.sum()) <= 2.0 * n * EPS * np.sum(absM @ x)
 
 
@@ -104,6 +110,159 @@ def test_patankar_systems_stay_positive_and_conservative():
         M = patankar_matrix(P, P.sum(axis=0), denom, fac)
         b = 10.0 ** rng.uniform(-10.0, 0.0, size=n)
         _assert_positive_and_conservative(M, b, lu_solve(M, b))
+
+
+def _dense_assembly(P, loss, denom, fac):
+    # schemes.patankar_matrix's ndarray branch
+    A = np.multiply(P, -fac) / denom
+    A.flat[::len(denom) + 1] = 1.0 + fac * loss / denom
+    return A
+
+
+def test_dense_singular_message_names_the_row():
+    # a cyclic bidiagonal Patankar matrix with fac*loss/denom = 1e20 in
+    # every column but one: LAPACK meets an exactly zero pivot, and the
+    # message names the row of the largest diagonal
+    for n in (SMALL_MAX_DIM + 1, 17, BAND_MIN_DIM - 1):
+        i = np.arange(n)
+        f = np.full(n, 1e20)
+        f[n // 2] = 3e20
+        P = np.zeros((n, n))
+        P[(i + 1) % n, i] = f
+        M = patankar_matrix(P, f, np.ones(n), 1.0)
+        assert isinstance(M, np.ndarray)
+        with pytest.raises(SingularMatrixError,
+                           match=rf"zero pivot in LAPACK gesv; largest diagonal "
+                                 rf"in row {n // 2}, where fac\*loss/denom = "
+                                 rf"3\.000e\+20 \(1/eps = 4\.504e\+15\)"):
+            lu_solve(M, np.ones(n))
+
+
+# ---------------------------------------------------------------------------
+# Elimination on Python floats for tiny systems
+
+@pytest.mark.parametrize("n", range(1, SMALL_MAX_DIM + 1))
+def test_small_format_holds_the_dense_entries(n):
+    rng = np.random.default_rng(n)
+    with np.errstate(all="ignore"):
+        for fac in (0.0, 1e-3, 0.7, 21.0, 1e5):
+            for _ in range(25):
+                P = 10.0 ** rng.uniform(-300.0, 300.0, size=(n, n))
+                P[rng.random((n, n)) < 0.3] = 0.0
+                loss = P.sum(axis=0) + 10.0 ** rng.uniform(-300.0, 3.0, n)
+                denom = 10.0 ** rng.uniform(-300.0, 300.0, n)
+                M = patankar_matrix(P, loss, denom, fac)
+                assert isinstance(M, SmallPatankar)
+                A, B = M.toarray(), _dense_assembly(P, loss, denom, fac)
+                assert np.array_equal(A, B, equal_nan=True)
+                assert np.array_equal(np.signbit(A), np.signbit(B))
+
+
+@pytest.mark.parametrize("n", [1, 2, SMALL_MAX_DIM, SMALL_MAX_DIM + 1,
+                               BAND_MIN_DIM - 1, BAND_MIN_DIM])
+def test_patankar_matrix_format_follows_the_dimension(n):
+    i = np.arange(n)
+    P = np.zeros((n, n))
+    P[(i + 1) % n, i] = 0.3
+    np.fill_diagonal(P, 0.0)
+    M = patankar_matrix(P, P.sum(axis=0), np.ones(n), 0.5)
+    if n <= SMALL_MAX_DIM:
+        assert isinstance(M, SmallPatankar)
+    elif n < BAND_MIN_DIM:
+        assert isinstance(M, np.ndarray)
+    else:
+        assert isinstance(M, CyclicTridiagonal)
+
+
+def test_small_solve_matches_lapack_and_reuses_its_factor():
+    rng = np.random.default_rng(3)
+    for n in range(1, SMALL_MAX_DIM + 1):
+        P = 10.0 ** rng.uniform(-1.0, 1.0, size=(n, n))
+        np.fill_diagonal(P, 0.0)
+        denom = 10.0 ** rng.uniform(-0.5, 0.5, n)
+        M = patankar_matrix(P, P.sum(axis=0), denom, 2.0)
+        for _ in range(3):
+            b = 10.0 ** rng.uniform(-1.0, 0.0, n)
+            x, x_dense = lu_solve(M, b), lu_solve(M.toarray(), b)
+            assert np.all(np.abs(x - x_dense) <= 16.0 * EPS * x_dense)
+            factor = M.lu
+        assert factor is M.lu is not None
+        v = rng.normal(size=n)
+        assert np.allclose(M @ v, M.toarray() @ v, rtol=0.0,
+                           atol=4.0 * EPS * np.max(np.abs(M.toarray()) @ np.abs(v)))
+
+
+@pytest.mark.parametrize("row, col", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_small_entry_raises(row, col, bad):
+    rows = [[3.0, -1.0], [-1.0, 3.0]]
+    rows[row][col] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        lu_solve(SmallPatankar(rows), np.ones(2))
+
+
+def test_small_past_inverse_eps_raises_and_never_returns_a_negative_state():
+    # the band test below on full matrices of up to SMALL_MAX_DIM unknowns
+    rng = np.random.default_rng(8)
+    raised = 0
+    for _ in range(400):
+        n = int(rng.integers(2, SMALL_MAX_DIM + 1))
+        P = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, n))
+        P[rng.random((n, n)) < 0.3] = 0.0
+        np.fill_diagonal(P, 0.0)
+        denom = 10.0 ** rng.uniform(-20.0, 0.0, size=n)
+        M = patankar_matrix(P, P.sum(axis=0), denom, 10.0 ** rng.uniform(0.0, 20.0))
+        try:
+            x = lu_solve(M, 10.0 ** rng.uniform(-10.0, 0.0, size=n))
+        except SingularMatrixError as exc:
+            assert "fac*loss/denom" in str(exc) and "1/eps" in str(exc)
+            raised += 1
+            continue
+        assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+    assert raised > 0
+
+
+def test_small_singular_message_names_the_row():
+    # the cyclic bidiagonal matrix of the band test with three unknowns
+    f = 1e20
+    M = SmallPatankar([[1.0 + f, 0.0, -f], [-f, 1.0 + f, 0.0], [0.0, -f, 1.0 + f]])
+    with pytest.raises(SingularMatrixError,
+                       match=r"pivot 0\.000e\+00 in row 2, where "
+                             r"fac\*loss/denom = 1\.000e\+20 \(1/eps = 4\.504e\+15\)"):
+        lu_solve(M, np.ones(3))
+
+
+def test_newton_relaxed_step_factors_each_matrix_once(monkeypatch):
+    # the Newton derivative solve reuses the factor of the value solve's
+    # M_gamma, so every Patankar matrix of a relaxed Lotka-Volterra step
+    # is factored exactly once however often it is solved
+    from relax_mprk import linalg, schemes
+    from relax_mprk.problems import lotka_volterra
+    from relax_mprk.relaxation import RelaxConfig, relax_step
+
+    counts = {"assemblies": 0, "factors": 0, "solves": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(schemes, "patankar_matrix",
+                        counted("assemblies", schemes.patankar_matrix))
+    monkeypatch.setattr(schemes, "lu_solve", counted("solves", schemes.lu_solve))
+    monkeypatch.setattr(linalg, "_small_lu", counted("factors", linalg._small_lu))
+    problem = lotka_volterra()
+    stepper = schemes.MpStepper(problem.sys, schemes.build_scheme("mprk22", 1.0))
+    rec = stepper.step(0.0, problem.u0, 0.2)
+    out = relax_step(problem.eta, stepper, rec,
+                     RelaxConfig(mode="implicit", solver="newton"))
+    assert out.status == "converged" and out.iterations >= 2
+    assert counts["factors"] == counts["assemblies"]
+    # u^{n+1} needs no solve at gamma = 1, so the derivative there is M_1's
+    # first solve; each later iteration but the last solves its M_gamma
+    # twice, for the value and the derivative
+    assert counts["solves"] == counts["assemblies"] + out.iterations - 2
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +299,7 @@ def test_sweep_matches_lapack(pattern, n):
         M = patankar_matrix(P, loss, denom, fac)
         assert isinstance(M, CyclicTridiagonal)
         # the bands hold the dense assembly's entries, bit for bit
-        A = np.multiply(P, -fac) / denom
-        A.flat[::n + 1] = 1.0 + fac * loss / denom
+        A = _dense_assembly(P, loss, denom, fac)
         assert np.array_equal(M.toarray(), A)
         b = 10.0 ** rng.uniform(-1.0, 0.0, n)
         x, x_dense = lu_solve(M, b), lu_solve(A, b)
@@ -165,6 +323,30 @@ def test_banded_patankar_systems_stay_positive_and_conservative(pattern):
         assert isinstance(M, CyclicTridiagonal)
         b = 10.0 ** rng.uniform(-10.0, 0.0, size=n)
         _assert_positive_and_conservative(M, b, lu_solve(M, b))
+
+
+@pytest.mark.parametrize("pattern", BANDED)
+def test_band_factor_is_kept_and_reused(monkeypatch, pattern):
+    # the second solve only substitutes, with the bits of a fresh sweep
+    from relax_mprk import linalg
+
+    factors = [0]
+    sweep = linalg._sweep
+
+    def counting(bands, b):
+        factors[0] += 1
+        return sweep(bands, b)
+
+    monkeypatch.setattr(linalg, "_sweep", counting)
+    rng = np.random.default_rng(9)
+    n = 100
+    P = _banded_exchange(rng, n, pattern)
+    args = (P, P.sum(axis=0), 10.0 ** rng.uniform(-0.5, 0.5, n), 3.0)
+    M = patankar_matrix(*args)
+    for _ in range(3):
+        b = 10.0 ** rng.uniform(-1.0, 0.0, n)
+        assert lu_solve(M, b).tobytes() == lu_solve(patankar_matrix(*args), b).tobytes()
+    assert factors[0] == 1 + 3
 
 
 def test_band_product_matches_dense():

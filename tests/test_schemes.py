@@ -68,7 +68,7 @@ def _update_matrix(dt):
     gd = step(linear_exchange(), build_scheme("mprk22", 1.0), 0.0,
               np.array([1.0, 1.0]), 1.0)
     assert np.allclose(gd.sigma, [0.5, 1.5], rtol=1e-14)
-    return patankar_matrix(gd.upd_P, gd.upd_loss, gd.sigma, dt)
+    return patankar_matrix(gd.upd_P, gd.upd_loss, gd.sigma, dt).toarray()
 
 
 def test_update_matrix_hand_values():
