@@ -6,8 +6,8 @@ from .control import (ControllerState, IntegrationError, Trajectory,
                       integrate, interp_state, pid_update, relax_adapt)
 from .linalg import SingularMatrixError, lu_solve
 from .means import mean_arith, mean_geo, mean_harm, mean_log
-from .pdrs import (NonFiniteStateError, PdrsSystem, PositivityError, RateSet,
-                   eval_rhs)
+from .pdrs import (Exchange, ExchangePattern, NonFiniteStateError, PdrsSystem,
+                   PositivityError, RateSet, eval_rhs)
 from .problems import ProblemDescriptor, barenblatt, make_problem
 from .relaxation import (EntropyFunctional, RelaxConfig, RelaxOutcome,
                          entropy_estimate, relax_step, solve_scalar)
@@ -16,7 +16,8 @@ from .schemes import (MpScheme, MpStepper, SchemeParameterError, StepRecord,
                       gamma_update_derivative, sigma_bar, step)
 
 __all__ = [
-    "ControllerState", "EntropyFunctional", "IntegrationError", "MpScheme",
+    "ControllerState", "EntropyFunctional", "Exchange", "ExchangePattern",
+    "IntegrationError", "MpScheme",
     "MpStepper", "NonFiniteStateError", "PdrsSystem", "PositivityError",
     "ProblemDescriptor", "RateSet", "RelaxConfig", "RelaxOutcome",
     "SchemeParameterError", "SingularMatrixError", "StepRecord",

@@ -267,7 +267,7 @@ def cmd_convergence(args) -> int:
                 f"problem {problem.name!r} has no reference solution; "
                 f"convergence needs an analytic reference or a plain PDRS "
                 f"for the fine-step oracle")
-        ts, us = _oracle_reference(problem, t0, t_end, min(dts) / 1000.0)
+        ts, us = _oracle_reference(problem, t0, t_end, min(dts) / 100.0)
 
         def ref_at(t):
             return interp_state(ts, us, t)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .linalg import lu_solve
 from .means import mean_arith, mean_log
-from .pdrs import NonFiniteStateError, RateSet, _raise_bad_entry
+from .pdrs import (Exchange, ExchangePattern, NonFiniteStateError, RateSet,
+                   _raise_bad_entry)
 from .relaxation import EntropyFunctional, MODE_IMPLICIT, REGIME_CONSERVATIVE
 from .schemes import (MPRK22, SIGMA_MODES, MpScheme, MpStepper, StepRecord,
                       UnsupportedSchemeError, _check_positive,
@@ -38,14 +39,24 @@ def _interface_fluxes(rho, m, c):
     return f_rho, f_m
 
 
-def _density_production(f_rho, dx, N):
-    """Signed splitting of the density flux into a conservative PDS."""
-    P = np.zeros((N, N))
+def _density_pattern(N):
+    """Where the split density flux moves mass: entry i from cell i to
+    cell i+1, entry N+i from cell i+1 to cell i (indices mod N)."""
     idx = np.arange(N)
     right = (idx + 1) % N
-    P[right, idx] += np.maximum(0.0, f_rho) / dx
-    P[idx, right] += -np.minimum(0.0, f_rho) / dx
-    return P
+    return ExchangePattern(np.concatenate([right, idx]),
+                           np.concatenate([idx, right]), N)
+
+
+def _density_production(f_rho, dx, pattern):
+    """Signed splitting of the density flux into a conservative PDS on
+    the pattern of ``_density_pattern``."""
+    vals = np.concatenate([np.maximum(0.0, f_rho) / dx,
+                           -np.minimum(0.0, f_rho) / dx])
+    # adding 0.0 turns the -0.0 of -min(0, f) into 0.0: no exchange value
+    # is a negative zero, as none was in the dense matrix it replaces
+    vals += 0.0
+    return Exchange(pattern, vals)
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,7 @@ class EulerStepper:
         self.scheme = scheme
         self.sigma_mode = check_sigma_mode(
             scheme.kind, sigma_mode or SIGMA_MODES[scheme.kind][0])
+        self.pattern = _density_pattern(N)
         ones = np.ones(N)
         zeros = np.zeros(N)
         self.linear_invariants = (np.concatenate([ones, zeros]),
@@ -108,13 +120,11 @@ class EulerStepper:
         if not np.isfinite(m_rhs).all():
             raise NonFiniteStateError(
                 f"momentum flux is not finite (max |m| = {np.abs(m).max():.3e})")
-        P = _density_production(f_rho, self.dx, self.N)
-        return P, m_rhs
+        return _density_production(f_rho, self.dx, self.pattern), m_rhs
 
     def rhs(self, z):
         P, m_rhs = self._rates(z)
-        rho_rhs = P.sum(axis=1) - P.sum(axis=0)
-        return np.concatenate([rho_rhs, m_rhs])
+        return np.concatenate([RateSet(P, 0.0, 0.0).rhs, m_rhs])
 
     def step(self, t: float, z: np.ndarray, dt: float) -> EulerRecord:
         if dt <= 0.0:

@@ -37,9 +37,13 @@ numpy gives no handle on the ``gesv`` factor, so an ndarray is factored
 on every solve.
 
 ``schemes.patankar_matrix`` chooses the format from the number of
-unknowns d alone: ``SmallPatankar`` up to ``SMALL_MAX_DIM``, the band
-format from ``BAND_MIN_DIM`` on when the exchange pattern allows it, an
-ndarray otherwise.  Per full Patankar matrix, in microseconds on a 2-core
+unknowns d and the exchange pattern the system declares
+(``pdrs.ExchangePattern``), never from the rate values: ``SmallPatankar``
+up to ``SMALL_MAX_DIM``; from ``BAND_MIN_DIM`` on, the band format when
+every entry of the pattern lies on the cyclic sub- or super-diagonal
+(the pattern computes its entries' band slots once, on first use); an
+ndarray, scattered from the pattern's entries, otherwise.  No path scans
+a d x d array.  Per full Patankar matrix, in microseconds on a 2-core
 x86-64 VM (Python 3.11, numpy 2.4, BLAS on one thread; the faster of two
 runs, each the fastest of 15 repetitions):
 

@@ -9,12 +9,23 @@ The exchange p_{k,nu} moves mass from component nu to component k, so it
 is at once a production of k and a destruction of nu (d_{nu,k} =
 p_{k,nu}); the rest terms rP and rD hold everything that is not such an
 exchange.  Without rest terms 1^T u is a conserved quantity of the flow.
+
+The exchanges are stored sparse.  A system declares once, as an
+``ExchangePattern``, the (k, nu) positions where p_{k,nu} may be nonzero,
+and each rate evaluation returns an ``Exchange``: that pattern and a value
+vector with one entry per position.  Column sums (the destruction of each
+component) and row sums (its production) are then ``bincount``s over the
+pattern, and the Patankar assembly in ``schemes`` chooses its matrix
+format from the dimension and the pattern, never from the values.  No
+d x d array is built on the way, so a step of a semidiscretized PDE costs
+O(N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,40 +49,130 @@ def _raise_bad_entry(u: np.ndarray, ok: np.ndarray, label: str):
     raise PositivityError(f"non-positive {where} = {u[bad]!r}")
 
 
+class ExchangePattern:
+    """Where the exchanges of a PDRS can be nonzero: entry e is
+    p_{rows[e], cols[e]} of a ``dim`` x ``dim`` exchange matrix.
+
+    A system declares its pattern once; each rate evaluation then gives
+    only the value vector (see ``Exchange``).  The pattern is checked here,
+    so a system with a bad one fails when it is built: every row and
+    column must lie in [0, dim), no entry may sit on the diagonal and no
+    (row, column) may repeat, since a sum over entries would count a
+    repeated one twice where a dense matrix holds it once.  The index
+    arrays are read-only; ``flat`` is each entry's index in the flattened
+    (row-major) dim x dim matrix.
+
+    Any entry order is valid.  A column sum adds the column's entries in
+    pattern order, so listing each column's entries by increasing row
+    (row-major order does) makes it bit-equal to a dense ``sum(axis=0)``.
+    """
+
+    def __init__(self, rows, cols, dim: int):
+        rows = np.array(rows, dtype=np.intp)
+        cols = np.array(cols, dtype=np.intp)
+        if rows.ndim != 1 or rows.shape != cols.shape:
+            raise ValueError(f"pattern rows and columns have shapes "
+                             f"{rows.shape} and {cols.shape}, expected two "
+                             f"equal 1-d shapes")
+        dim = int(dim)
+        flat = rows * dim + cols
+        first = {}
+        for e, (i, j, f) in enumerate(zip(rows.tolist(), cols.tolist(),
+                                          flat.tolist())):
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"exchange entry {e} at ({i}, {j}) lies "
+                                 f"outside [0, {dim})")
+            if i == j:
+                raise ValueError(f"exchange entry {e} at ({i}, {j}) is on "
+                                 f"the diagonal")
+            e1 = first.setdefault(f, e)
+            if e1 != e:
+                raise ValueError(f"exchange entries {e1} and {e} both sit "
+                                 f"at ({i}, {j})")
+        for a in (rows, cols, flat):
+            a.flags.writeable = False
+        self.rows, self.cols, self.flat, self.dim = rows, cols, flat, dim
+
+    @cached_property
+    def band_slots(self) -> Optional[np.ndarray]:
+        """Flat index of each entry in the (3, dim) band array (rows
+        ``sub, diag, sup``, column i for matrix row i) of a
+        cyclic-tridiagonal matrix; None when an entry lies off the cyclic
+        sub- and super-diagonal or dim < 3."""
+        n, rows, cols = self.dim, self.rows, self.cols
+        if n < 3:
+            return None
+        sub, sup = cols == (rows - 1) % n, cols == (rows + 1) % n
+        if not (sub | sup).all():
+            return None
+        return np.where(sub, 0, 2 * n) + rows
+
+
+class Exchange:
+    """The exchange rates of a PDRS at one (t, u) point: ``vals[e]`` is
+    p_{k,nu} for (k, nu) the e-th entry of ``pattern``."""
+
+    __slots__ = ("pattern", "vals")
+
+    def __init__(self, pattern: ExchangePattern, vals: np.ndarray):
+        self.pattern = pattern
+        self.vals = vals
+
+    def toarray(self) -> np.ndarray:
+        """The dense exchange matrix P[k, nu] = p_{k,nu}."""
+        n = self.pattern.dim
+        P = np.zeros(n * n)
+        P[self.pattern.flat] = self.vals
+        return P.reshape(n, n)
+
+
 @dataclass(frozen=True)
 class RateSet:
     """All rates of a PDRS evaluated at one (t, u) point.
 
-    P[k, nu] = p_{k,nu} with zero diagonal; rest_prod/rest_dest are the
+    ``P`` is the ``Exchange`` of the p_{k,nu}; rest_prod/rest_dest are the
     rest terms (or a scalar 0.0 where there are none); ``loss``, built at
-    construction, is the total destruction rD_k + sum_nu p_{nu,k}.
+    construction, is the total destruction rD_k + sum_nu p_{nu,k}.  A
+    value vector whose length is not the pattern's raises ValueError.
     """
 
-    P: np.ndarray
+    P: Exchange
     rest_prod: np.ndarray
     rest_dest: np.ndarray
     loss: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "loss", self.rest_dest + self.P.sum(axis=0))
+        vals, pat = self.P.vals, self.P.pattern
+        if vals.shape != pat.rows.shape:
+            raise ValueError(f"exchange values have shape {vals.shape}, "
+                             f"expected ({pat.rows.size},)")
+        object.__setattr__(self, "loss", self.rest_dest
+                           + np.bincount(pat.cols, vals, pat.dim))
 
     @property
     def rhs(self) -> np.ndarray:
-        return self.rest_prod - self.rest_dest + (self.P - self.P.T).sum(axis=1)
+        vals, pat = self.P.vals, self.P.pattern
+        return self.rest_prod - self.rest_dest + (
+            np.bincount(pat.rows, vals, pat.dim)
+            - np.bincount(pat.cols, vals, pat.dim))
 
 
 @dataclass(frozen=True)
 class PdrsSystem:
-    """One PDRS, defined by its vectorized rates.
+    """One PDRS, defined by its exchange pattern and vectorized rates.
 
-    ``matrix_rates(t, u)`` returns ``(P, rP, rD)``: the d x d float
-    exchange array P[k, nu] = p_{k,nu} with zero diagonal and the
-    length-d float rest vectors rP and rD.
+    ``matrix_rates(t, u)`` returns ``(P, rP, rD)``: the ``Exchange`` of
+    p_{k,nu} on ``pattern`` and the length-d float rest vectors rP and
+    rD.  No d x d array is built, so a rate evaluation costs O(nnz + d).
     """
 
-    dim: int
+    pattern: ExchangePattern
     matrix_rates: Callable[[float, np.ndarray], tuple]
     linear_invariants: tuple = ()
+
+    @property
+    def dim(self) -> int:
+        return self.pattern.dim
 
     def check_state(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)

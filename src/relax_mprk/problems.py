@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .means import mean_geo, mean_harm, mean_log
-from .pdrs import PdrsSystem
+from .pdrs import Exchange, ExchangePattern, PdrsSystem
 from .relaxation import (EntropyFunctional, MODE_CLAMPED, MODE_IMPLICIT,
                          REGIME_CONSERVATIVE, REGIME_DISSIPATIVE)
 
@@ -46,12 +46,13 @@ def lotka_volterra() -> ProblemDescriptor:
     """u1' = 2 u1 - u1 u2, u2' = u1 u2 - u2, with conserved
     eta = ln u1 - u1 + 2 ln u2 - u2."""
 
-    def matrix_rates(t, u):
-        P = np.zeros((2, 2))
-        P[1, 0] = u[0] * u[1]
-        return P, np.array([2.0 * u[0], 0.0]), np.array([0.0, u[1]])
+    pattern = ExchangePattern([1], [0], 2)  # p_21 = u1 u2
 
-    sys = PdrsSystem(dim=2, matrix_rates=matrix_rates)
+    def matrix_rates(t, u):
+        return (Exchange(pattern, np.array([u[0] * u[1]])),
+                np.array([2.0 * u[0], 0.0]), np.array([0.0, u[1]]))
+
+    sys = PdrsSystem(pattern, matrix_rates)
 
     eta = EntropyFunctional(
         eval=lambda u: float(np.log(u[0]) - u[0] + 2.0 * np.log(u[1]) - u[1]),
@@ -81,10 +82,11 @@ def _daylight(t: float) -> float:
     return 0.5 + 0.5 * math.cos(math.pi * abs(w) * w)
 
 
-# (row, column) of the nonzero P[k, nu], in the order _strat_matrix_rates
-# lists their values
-_STRAT_PATTERN = (np.array([1, 3, 2, 3, 4, 5, 0, 1, 3, 5, 1, 2, 5, 1, 3, 4]),
-                  np.array([0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 4, 5, 5, 5]))
+# (row, column) of the nonzero p_{k,nu}, in the order _strat_matrix_rates
+# lists their values: by column, and by row within a column
+_STRAT_PATTERN = ExchangePattern(
+    [1, 3, 2, 3, 4, 5, 0, 1, 3, 5, 1, 2, 5, 1, 3, 4],
+    [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 4, 5, 5, 5], 6)
 
 
 def _strat_matrix_rates(t, u):
@@ -102,9 +104,8 @@ def _strat_matrix_rates(t, u):
     r9 = 1.069e-11 * u2 * u6
     r10 = s * 1.289e-2 * u6
     r11 = 1.0e-8 * u2 * u5
-    # P[k, nu] is the mass species nu passes to species k
-    P = np.zeros((6, 6))
-    P[_STRAT_PATTERN] = (
+    # p_{k,nu} is the mass species nu passes to species k
+    vals = np.array((
         r6, r7 / 3.0,                                    # from species 0
         r2 / 2.0, r4 / 3.0, r9 / 2.0, r11,               # from species 1
         r5 / 3.0, r3 / 3.0,                              # from species 2
@@ -112,9 +113,9 @@ def _strat_matrix_rates(t, u):
         r8 / 3.0,
         r1, r2,                                          # from species 3
         r11 + r8 / 3.0,                                  # from species 4
-        r10 / 2.0, r9, r10 / 2.0)                        # from species 5
+        r10 / 2.0, r9, r10 / 2.0))                       # from species 5
     zero = np.zeros(6)
-    return P, zero, zero
+    return Exchange(_STRAT_PATTERN, vals), zero, zero
 
 
 def stratospheric() -> ProblemDescriptor:
@@ -125,7 +126,7 @@ def stratospheric() -> ProblemDescriptor:
     MP schemes only preserve the first automatically.
     """
     n2 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.5])
-    sys = PdrsSystem(dim=6, matrix_rates=_strat_matrix_rates,
+    sys = PdrsSystem(_STRAT_PATTERN, _strat_matrix_rates,
                      linear_invariants=(np.ones(6), n2))
 
     eta = EntropyFunctional(
@@ -174,15 +175,16 @@ def advection_fv(N: int = 100, entropy_kind: str = "log") -> ProblemDescriptor:
     mean = _ADV_MEANS[entropy_kind]
     U, dU = _ADV_ENTROPY[entropy_kind]
 
-    def matrix_rates(t, u):
-        flux = mean(u, np.roll(u, -1)) / dx  # interface i -> i+1
-        idx = np.arange(N)
-        P = np.zeros((N, N))
-        P[(idx + 1) % N, idx] = flux
-        zero = np.zeros(N)
-        return P, zero, zero
+    # entry i carries the flux through interface i+1/2: p_{i+1,i}
+    idx = np.arange(N)
+    pattern = ExchangePattern((idx + 1) % N, idx, N)
 
-    sys = PdrsSystem(dim=N, matrix_rates=matrix_rates,
+    def matrix_rates(t, u):
+        flux = mean(u, np.roll(u, -1)) / dx
+        zero = np.zeros(N)
+        return Exchange(pattern, flux), zero, zero
+
+    sys = PdrsSystem(pattern, matrix_rates,
                      linear_invariants=(np.ones(N),))
 
     eta = EntropyFunctional(
@@ -224,20 +226,26 @@ def porous_medium(N: int = 160, m: float = 3.0) -> ProblemDescriptor:
     x = -6.0 + (np.arange(N) + 0.5) * dx
     c2 = 1.0 / (2.0 * dx**2)
 
+    # entries 2i and 2i+1 are p_{i,i+1} and p_{i+1,i}: row-major order
+    idx = np.arange(N - 1)
+    pattern = ExchangePattern(np.stack([idx, idx + 1], axis=1).ravel(),
+                              np.stack([idx + 1, idx], axis=1).ravel(), N)
+
     def matrix_rates(t, u):
         a = m * u ** (m - 1.0)
-        P = np.zeros((N, N))
-        idx = np.arange(N - 1)
+        coef = (a[:-1] + a[1:]) * c2
+        vals = np.empty(2 * (N - 1))
+        up, down = vals[0::2], vals[1::2]
         # interior two-sided exchange, a-averaged
-        P[idx, idx + 1] = (a[idx] + a[idx + 1]) * c2 * u[idx + 1]
-        P[idx + 1, idx] = (a[idx] + a[idx + 1]) * c2 * u[idx]
+        np.multiply(coef, u[1:], out=up)
+        np.multiply(coef, u[:-1], out=down)
         # boundary cells produce with the single-neighbor coefficient
-        P[0, 1] = a[1] * u[1] * c2
-        P[N - 1, N - 2] = a[N - 2] * u[N - 2] * c2
+        up[0] = a[1] * u[1] * c2
+        down[-1] = a[N - 2] * u[N - 2] * c2
         zero = np.zeros(N)
-        return P, zero, zero
+        return Exchange(pattern, vals), zero, zero
 
-    sys = PdrsSystem(dim=N, matrix_rates=matrix_rates,
+    sys = PdrsSystem(pattern, matrix_rates,
                      linear_invariants=(np.ones(N),))
 
     eta = EntropyFunctional(
@@ -267,15 +275,14 @@ def cyclic3() -> ProblemDescriptor:
     """Conservative cyclic exchange u1 -> u2 -> u3 -> u1 with bilinear
     rates; eta = -sum ln u_i is conserved and convex."""
 
-    def matrix_rates(t, u):
-        P = np.zeros((3, 3))
-        P[1, 0] = u[0] * u[1]
-        P[2, 1] = u[1] * u[2]
-        P[0, 2] = u[2] * u[0]
-        zero = np.zeros(3)
-        return P, zero, zero
+    pattern = ExchangePattern([0, 1, 2], [2, 0, 1], 3)
 
-    sys = PdrsSystem(dim=3, matrix_rates=matrix_rates,
+    def matrix_rates(t, u):
+        vals = np.array([u[2] * u[0], u[0] * u[1], u[1] * u[2]])
+        zero = np.zeros(3)
+        return Exchange(pattern, vals), zero, zero
+
+    sys = PdrsSystem(pattern, matrix_rates,
                      linear_invariants=(np.ones(3),))
 
     eta = EntropyFunctional(

@@ -15,14 +15,13 @@ sides stay strictly positive for every step size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .linalg import (BAND_MIN_DIM, SMALL_MAX_DIM, CyclicTridiagonal,
                      SmallPatankar, lu_solve)
-from .pdrs import PdrsSystem, PositivityError, RateSet
+from .pdrs import Exchange, PdrsSystem, PositivityError, RateSet
 
 MPRK22 = "mprk22"
 MPRK43I = "mprk43i"
@@ -146,34 +145,30 @@ def build_scheme(kind: str, alpha: float, beta: float = None) -> MpScheme:
     raise SchemeParameterError(f"unknown scheme kind {kind!r}; known: {SCHEME_KINDS}")
 
 
-@lru_cache(maxsize=None)
-def _band_index(n: int):
-    """Flat indices of the cyclic sub-, main and super-diagonal of an
-    n x n array, and the column of each of their entries."""
-    i = np.arange(n)
-    cols = np.stack([(i - 1) % n, i, (i + 1) % n])
-    return i * n + cols, cols
-
-
 def _non_positive(denom: np.ndarray) -> PositivityError:
     bad = np.flatnonzero(denom <= 0.0)
     return PositivityError(f"non-positive denominator component [{bad[0]}]")
 
 
-def patankar_matrix(P_w: np.ndarray, loss_w: np.ndarray, denom: np.ndarray,
+def patankar_matrix(P_w: Exchange, loss_w: np.ndarray, denom: np.ndarray,
                     fac: float):
     """Assemble I + fac*diag(loss/denom) - fac*P/denom (column-scaled).
 
-    ``P_w`` and ``loss_w`` are already weight-summed rate arrays; ``fac``
-    carries the dt (and gamma) factor.  ``denom`` must be positive.  Up
-    to ``SMALL_MAX_DIM`` unknowns the result is a ``SmallPatankar``.
-    From ``BAND_MIN_DIM`` unknowns on, when every nonzero of ``P_w`` off
-    its diagonal lies on the cyclic sub- or super-diagonal, it is a
-    ``CyclicTridiagonal``; otherwise an ndarray.  Every format holds the
-    same entries, bit for bit.
+    ``P_w`` and ``loss_w`` are already weight-summed rates; ``fac``
+    carries the dt (and gamma) factor.  ``denom`` must be positive.  The
+    format follows the dimension and the pattern of ``P_w``, never its
+    values: up to ``SMALL_MAX_DIM`` unknowns a ``SmallPatankar``; from
+    ``BAND_MIN_DIM`` on, when every entry of the pattern lies on the
+    cyclic sub- or super-diagonal, a ``CyclicTridiagonal``; otherwise an
+    ndarray.  Every format holds the entries of the dense assembly of the
+    scattered exchange matrix, bit for bit: (p * -fac) / denom_j at the
+    pattern's entries and, elsewhere off the diagonal, (0.0 * -fac) /
+    denom_j, which the small and band formats write as 0.0 * -fac (the
+    same bits for a positive denom_j).
     """
     denom = np.asarray(denom, float)
     n = len(denom)
+    pat = P_w.pattern
     if n <= SMALL_MAX_DIM:
         dl = denom.tolist()
         # (denom <= 0.0).any() on Python floats, at a fifth of the cost
@@ -182,31 +177,36 @@ def patankar_matrix(P_w: np.ndarray, loss_w: np.ndarray, denom: np.ndarray,
         # the dense branch's operations on Python floats, entry for entry
         fac = float(fac)
         nfac = -fac
-        rows = [[p * nfac / dj for p, dj in zip(row, dl)]
-                for row in P_w.tolist()]
+        zero = 0.0 * nfac
+        rows = [[zero] * n for _ in dl]
+        for i, j, p in zip(pat.rows.tolist(), pat.cols.tolist(),
+                           P_w.vals.tolist()):
+            rows[i][j] = p * nfac / dl[j]
         for row, j, lj, dj in zip(rows, range(n), loss_w.tolist(), dl):
             row[j] = 1.0 + fac * lj / dj
         return SmallPatankar(rows)
     if (denom <= 0.0).any():
         raise _non_positive(denom)
-    if n >= BAND_MIN_DIM:
-        flat, cols = _band_index(n)
-        bands = np.take(P_w, flat)
-        # (P_w != 0) counts as count_nonzero(P_w) does, at half the cost
-        if np.count_nonzero(P_w != 0.0) == np.count_nonzero(bands):
-            # the dense branch's operations, entry for entry: same bits
-            bands *= -fac
-            bands /= np.take(denom, cols)
-            diag = bands[1]
-            np.multiply(fac, loss_w, out=diag)
-            diag /= denom
-            diag += 1.0
-            return CyclicTridiagonal(bands)
-    M = np.multiply(P_w, -fac)
-    M /= denom
-    # the diagonal is overwritten, so p_kk (zero by convention) never enters M
-    M.flat[::n + 1] = 1.0 + fac * loss_w / denom
-    return M
+    slots = pat.band_slots if n >= BAND_MIN_DIM else None
+    if slots is None:
+        M = np.zeros(n * n)
+        M[pat.flat] = P_w.vals
+        M *= -fac
+        M = M.reshape(n, n)
+        M /= denom
+        M.flat[::n + 1] = 1.0 + fac * loss_w / denom
+        return M
+    off = P_w.vals * -fac
+    off /= denom.take(pat.cols)
+    bands = np.empty(3 * n)
+    bands.fill(0.0 * -fac)
+    bands[slots] = off
+    bands = bands.reshape(3, n)
+    diag = bands[1]
+    np.multiply(fac, loss_w, out=diag)
+    diag /= denom
+    diag += 1.0
+    return CyclicTridiagonal(bands)
 
 
 def ppow(base: np.ndarray, expo) -> np.ndarray:
@@ -230,7 +230,7 @@ class StepRecord:
     ``stages`` are the stage states, u_n first, and ``rate_sets`` their
     rates; the stage right-hand sides ``stage_rhs`` are built from the
     rates only when read.  ``upd_P``/``upd_loss`` are the update-weighted
-    rate arrays, ``g`` the gamma-linear part of the right-hand side (so
+    exchange and loss, ``g`` the gamma-linear part of the right-hand side (so
     the update solves M_gamma u = u_n + gamma*g).  For MPRK43I,
     ``sig_P``/``sig_loss``/``sig_g`` describe the embedded sigma system
     used by bootstrapping.
@@ -243,10 +243,10 @@ class StepRecord:
     rate_sets: tuple
     u_next: np.ndarray
     sigma: np.ndarray
-    upd_P: np.ndarray
+    upd_P: Exchange
     upd_loss: np.ndarray
     g: np.ndarray
-    sig_P: Optional[np.ndarray] = None
+    sig_P: Optional[Exchange] = None
     sig_loss: Optional[np.ndarray] = None
     sig_g: Optional[np.ndarray] = None
     # ((gamma, mode), (sbar, rate, sigma matrix, M_gamma)) of the last
@@ -278,13 +278,15 @@ def _check_positive(u: np.ndarray, what: str) -> np.ndarray:
 
 
 def _weighted(rate_sets, weights):
+    """The weighted sums of the rate sets' exchanges (on their common
+    pattern), losses and production rest terms."""
     # start from 0: 0 + (-0.0) is +0.0, so no sum holds a negative zero
-    P = loss = rP = 0
+    vals = loss = rP = 0
     for w, r in zip(weights, rate_sets):
-        P = P + w * r.P
+        vals = vals + w * r.P.vals
         loss = loss + w * r.loss
         rP = rP + w * r.rest_prod
-    return P, loss, rP
+    return Exchange(rate_sets[0].P.pattern, vals), loss, rP
 
 
 def _solve_stage(u_n, rate_sets, weights, denom, dt):

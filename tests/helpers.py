@@ -1,9 +1,38 @@
 """Shared fixtures-in-code for the test suite: small hand-checkable
-systems and a random conservative PDS generator."""
+systems, a random conservative PDS generator, and the wrapping of dense
+test arrays into the package's sparse exchange contract."""
 
 import numpy as np
 
-from relax_mprk.pdrs import PdrsSystem
+from relax_mprk.pdrs import Exchange, ExchangePattern, PdrsSystem
+
+
+def exchange(P, pattern=None):
+    """The dense test array P as an ``Exchange``: on ``pattern`` if one is
+    given (a nonzero of P off it raises), else on the off-diagonal
+    nonzeros of P in row-major order.  The diagonal of P never enters."""
+    P = np.asarray(P, dtype=float)
+    if pattern is None:
+        rows, cols = np.nonzero(P)
+        off = rows != cols
+        pattern = ExchangePattern(rows[off], cols[off], len(P))
+    vals = P[pattern.rows, pattern.cols]
+    off_diag = P[~np.eye(len(P), dtype=bool)]
+    if np.count_nonzero(off_diag) != np.count_nonzero(vals):
+        raise ValueError("the test array has a nonzero off the pattern")
+    return Exchange(pattern, vals)
+
+
+def dense_system(dense_rates, support, linear_invariants=()):
+    """``PdrsSystem`` from ``dense_rates(t, u) -> (P, rP, rD)`` with a dense
+    d x d P; its pattern is the off-diagonal nonzeros of ``support``."""
+    pattern = exchange(support).pattern
+
+    def matrix_rates(t, u):
+        P, rP, rD = dense_rates(t, u)
+        return exchange(P, pattern), rP, rD
+
+    return PdrsSystem(pattern, matrix_rates, linear_invariants)
 
 
 def linear_exchange():
@@ -18,7 +47,7 @@ def linear_exchange():
         P[1, 0] = u[0]
         return P, np.zeros(2), np.zeros(2)
 
-    return PdrsSystem(2, matrix_rates, linear_invariants=(np.ones(2),))
+    return dense_system(matrix_rates, [[0, 0], [1, 0]], (np.ones(2),))
 
 
 def bilinear_exchange():
@@ -29,7 +58,7 @@ def bilinear_exchange():
         P[1, 0] = u[0] * u[1]
         return P, np.zeros(2), np.zeros(2)
 
-    return PdrsSystem(2, matrix_rates, linear_invariants=(np.ones(2),))
+    return dense_system(matrix_rates, [[0, 0], [1, 0]], (np.ones(2),))
 
 
 def random_conservative_system(rng, dim):
@@ -42,7 +71,7 @@ def random_conservative_system(rng, dim):
         np.fill_diagonal(P, 0.0)
         return P, np.zeros(dim), np.zeros(dim)
 
-    return PdrsSystem(dim, matrix_rates, linear_invariants=(np.ones(dim),))
+    return dense_system(matrix_rates, C, (np.ones(dim),))
 
 
 def fd_gradient(eta_eval, u, h=1e-7):

@@ -3,12 +3,12 @@ import pytest
 
 from relax_mprk.control import (ControllerState, IntegrationError, integrate,
                                 interp_state, pid_update, relax_adapt)
-from relax_mprk.pdrs import NonFiniteStateError, PdrsSystem
+from relax_mprk.pdrs import NonFiniteStateError
 from relax_mprk.problems import cyclic3, lotka_volterra
 from relax_mprk.relaxation import EntropyFunctional, RelaxConfig
 from relax_mprk.schemes import MpStepper, build_scheme
 
-from helpers import linear_exchange
+from helpers import dense_system, linear_exchange
 
 
 def _state(dt=1.0, **kw):
@@ -72,7 +72,7 @@ def _zero_system(dim=2):
     def matrix_rates(t, u):
         return np.zeros((dim, dim)), np.zeros(dim), np.zeros(dim)
 
-    return PdrsSystem(dim, matrix_rates)
+    return dense_system(matrix_rates, np.zeros((dim, dim)))
 
 
 def test_integrate_zero_rates_replicates_state():

@@ -182,3 +182,20 @@ def test_descriptor_validation():
         isothermal_euler_fv(N=2)
     with pytest.raises(ValueError, match="sound speed"):
         isothermal_euler_fv(N=10, c=0.0)
+
+
+def test_density_matrix_format_follows_the_pattern_not_the_values():
+    # with every velocity positive, every flux runs to the right and the
+    # super-diagonal exchanges are all zero; the matrix stays banded
+    from relax_mprk.linalg import BAND_MIN_DIM, CyclicTridiagonal
+    from relax_mprk.pdrs import RateSet
+    from relax_mprk.schemes import patankar_matrix
+
+    N = BAND_MIN_DIM + 36
+    st = _stepper(N=N)
+    rng = np.random.default_rng(3)
+    rho = rng.uniform(0.5, 2.0, N)
+    P, _ = st._rates(_state(rho, rho * rng.uniform(0.1, 1.0, N)))
+    assert np.all(P.vals[:N] > 0.0) and np.all(P.vals[N:] == 0.0)
+    M = patankar_matrix(P, RateSet(P, 0.0, 0.0).loss, rho, 0.5 / N)
+    assert isinstance(M, CyclicTridiagonal)

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 from relax_mprk.control import integrate
-from relax_mprk.euler import isothermal_euler_fv
+from relax_mprk.euler import (_density_pattern, _density_production,
+                              _interface_fluxes, isothermal_euler_fv)
 from relax_mprk.linalg import SmallPatankar
+from relax_mprk.means import mean_geo, mean_harm, mean_log
 from relax_mprk.pdrs import PdrsSystem, RateSet
 from relax_mprk.problems import (_STRAT_M, _daylight, _strat_matrix_rates,
                                  make_problem)
@@ -25,6 +27,8 @@ from relax_mprk.relaxation import (MODE_CLAMPED, RelaxConfig, entropy_estimate,
                                    relax_step)
 from relax_mprk.schemes import (MpStepper, _geo_denominator, build_scheme,
                                 patankar_matrix, ppow)
+
+from helpers import exchange
 
 # the largest, smallest normal and subnormal magnitudes a state may reach
 EXTREMES = (1e300, 1e-300, np.finfo(float).tiny / 4.0, 5e-324)
@@ -109,6 +113,68 @@ def old_strat_matrix_rates(t, u):
     return P, zero, zero
 
 
+# the dense d x d exchange arrays the other producers built before the
+# exchange contract became a pattern plus a value vector
+
+def old_lv_matrix_rates(t, u):
+    P = np.zeros((2, 2))
+    P[1, 0] = u[0] * u[1]
+    return P, np.array([2.0 * u[0], 0.0]), np.array([0.0, u[1]])
+
+
+def old_cyclic3_matrix_rates(t, u):
+    P = np.zeros((3, 3))
+    P[1, 0] = u[0] * u[1]
+    P[2, 1] = u[1] * u[2]
+    P[0, 2] = u[2] * u[0]
+    zero = np.zeros(3)
+    return P, zero, zero
+
+
+def old_advection_matrix_rates(N, entropy_kind):
+    dx = 2.0 / N
+    mean = {"log": mean_log, "sqrt": mean_geo, "inv": mean_harm}[entropy_kind]
+
+    def matrix_rates(t, u):
+        flux = mean(u, np.roll(u, -1)) / dx  # interface i -> i+1
+        idx = np.arange(N)
+        P = np.zeros((N, N))
+        P[(idx + 1) % N, idx] = flux
+        zero = np.zeros(N)
+        return P, zero, zero
+
+    return matrix_rates
+
+
+def old_pme_matrix_rates(N, m):
+    dx = 12.0 / N
+    c2 = 1.0 / (2.0 * dx**2)
+
+    def matrix_rates(t, u):
+        a = m * u ** (m - 1.0)
+        P = np.zeros((N, N))
+        idx = np.arange(N - 1)
+        # interior two-sided exchange, a-averaged
+        P[idx, idx + 1] = (a[idx] + a[idx + 1]) * c2 * u[idx + 1]
+        P[idx + 1, idx] = (a[idx] + a[idx + 1]) * c2 * u[idx]
+        # boundary cells produce with the single-neighbor coefficient
+        P[0, 1] = a[1] * u[1] * c2
+        P[N - 1, N - 2] = a[N - 2] * u[N - 2] * c2
+        zero = np.zeros(N)
+        return P, zero, zero
+
+    return matrix_rates
+
+
+def old_density_production(f_rho, dx, N):
+    P = np.zeros((N, N))
+    idx = np.arange(N)
+    right = (idx + 1) % N
+    P[right, idx] += np.maximum(0.0, f_rho) / dx
+    P[idx, right] += -np.minimum(0.0, f_rho) / dx
+    return P
+
+
 # ---------------------------------------------------------------------------
 # Rewritten kernels equal their references
 
@@ -125,7 +191,7 @@ def test_patankar_matrix_matches_reference(d):
                 denom = _states(rng, d)
                 old = old_patankar_matrix(P, loss, denom, fac)
                 assert not np.isnan(old).any()
-                M = patankar_matrix(P, loss, denom, fac)
+                M = patankar_matrix(exchange(P), loss, denom, fac)
                 if isinstance(M, SmallPatankar):
                     M = M.toarray()
                 assert _same(M, old)
@@ -175,9 +241,56 @@ def test_strat_matrix_rates_match_reference(hour):
     states = [problem.u0] + [_states(rng, 6) for _ in range(200)]
     with np.errstate(all="ignore"):
         for u in states:
-            for new, old in zip(_strat_matrix_rates(t, u),
+            P, rP, rD = _strat_matrix_rates(t, u)
+            for new, old in zip((P.toarray(), rP, rD),
                                 old_strat_matrix_rates(t, u)):
                 assert _same(new, old)
+
+
+PRODUCERS = {
+    "lotka_volterra": (dict(), old_lv_matrix_rates),
+    "cyclic3": (dict(), old_cyclic3_matrix_rates),
+    **{f"advection-{kind}": (dict(N=100, entropy_kind=kind),
+                             old_advection_matrix_rates(100, kind))
+       for kind in ("log", "sqrt", "inv")},
+    **{f"pme-{m}": (dict(N=160, m=float(m)), old_pme_matrix_rates(160, m))
+       for m in (3, 5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCERS))
+def test_exchange_matches_dense_reference(name):
+    # the Exchange holds the old dense array's entries and the RateSet
+    # the old loss rD + P.sum(axis=0), bit for bit
+    kwargs, old_matrix_rates = PRODUCERS[name]
+    problem = make_problem(name.split("-")[0], **kwargs)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    d = problem.u0.size
+    states = [problem.u0] + [np.exp(rng.uniform(-7.0, 7.0, d))
+                             for _ in range(50)]
+    for u in states:
+        t = problem.tspan[0]
+        new = problem.sys.matrix_rates(t, u)
+        P, rP, rD = old_matrix_rates(t, u)
+        assert _same(new[0].toarray(), P)
+        assert _same(new[1], rP) and _same(new[2], rD)
+        assert _same(RateSet(*new).loss, rD + P.sum(axis=0))
+
+
+def test_euler_density_exchange_matches_dense_reference():
+    N = 100
+    dx = 1.0 / N
+    pattern = _density_pattern(N)
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        rho = np.exp(rng.uniform(-3.0, 3.0, N))
+        m = rng.normal(size=N) * np.exp(rng.uniform(-3.0, 3.0, N))
+        m[rng.random(N) < 0.2] = 0.0  # zero fluxes, and the -0.0 of -min(0, f)
+        f_rho, _ = _interface_fluxes(rho, m, 1.0)
+        P = old_density_production(f_rho, dx, N)
+        ex = _density_production(f_rho, dx, pattern)
+        assert _same(ex.toarray(), P)
+        assert _same(RateSet(ex, 0.0, 0.0).loss, 0.0 + P.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------

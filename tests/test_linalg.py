@@ -10,6 +10,8 @@ from relax_mprk.linalg import (BAND_MIN_DIM, SMALL_MAX_DIM, CyclicTridiagonal,
                                SingularMatrixError, SmallPatankar, lu_solve)
 from relax_mprk.schemes import patankar_matrix
 
+from helpers import exchange
+
 EPS = np.finfo(float).eps
 BANDED = ("cyclic_bidiagonal", "cyclic_tridiagonal", "tridiagonal")
 
@@ -107,7 +109,7 @@ def test_patankar_systems_stay_positive_and_conservative():
         fac = 10.0 ** rng.uniform(-3.0, 8.0)
         with np.errstate(over="ignore"):
             P *= np.minimum(1.0, 1e12 * denom / (fac * np.maximum(P.sum(axis=0), 1e-300)))
-        M = patankar_matrix(P, P.sum(axis=0), denom, fac)
+        M = patankar_matrix(exchange(P), P.sum(axis=0), denom, fac)
         b = 10.0 ** rng.uniform(-10.0, 0.0, size=n)
         _assert_positive_and_conservative(M, b, lu_solve(M, b))
 
@@ -129,7 +131,7 @@ def test_dense_singular_message_names_the_row():
         f[n // 2] = 3e20
         P = np.zeros((n, n))
         P[(i + 1) % n, i] = f
-        M = patankar_matrix(P, f, np.ones(n), 1.0)
+        M = patankar_matrix(exchange(P), f, np.ones(n), 1.0)
         assert isinstance(M, np.ndarray)
         with pytest.raises(SingularMatrixError,
                            match=rf"zero pivot in LAPACK gesv; largest diagonal "
@@ -151,7 +153,7 @@ def test_small_format_holds_the_dense_entries(n):
                 P[rng.random((n, n)) < 0.3] = 0.0
                 loss = P.sum(axis=0) + 10.0 ** rng.uniform(-300.0, 3.0, n)
                 denom = 10.0 ** rng.uniform(-300.0, 300.0, n)
-                M = patankar_matrix(P, loss, denom, fac)
+                M = patankar_matrix(exchange(P), loss, denom, fac)
                 assert isinstance(M, SmallPatankar)
                 A, B = M.toarray(), _dense_assembly(P, loss, denom, fac)
                 assert np.array_equal(A, B, equal_nan=True)
@@ -165,7 +167,7 @@ def test_patankar_matrix_format_follows_the_dimension(n):
     P = np.zeros((n, n))
     P[(i + 1) % n, i] = 0.3
     np.fill_diagonal(P, 0.0)
-    M = patankar_matrix(P, P.sum(axis=0), np.ones(n), 0.5)
+    M = patankar_matrix(exchange(P), P.sum(axis=0), np.ones(n), 0.5)
     if n <= SMALL_MAX_DIM:
         assert isinstance(M, SmallPatankar)
     elif n < BAND_MIN_DIM:
@@ -180,7 +182,7 @@ def test_small_solve_matches_lapack_and_reuses_its_factor():
         P = 10.0 ** rng.uniform(-1.0, 1.0, size=(n, n))
         np.fill_diagonal(P, 0.0)
         denom = 10.0 ** rng.uniform(-0.5, 0.5, n)
-        M = patankar_matrix(P, P.sum(axis=0), denom, 2.0)
+        M = patankar_matrix(exchange(P), P.sum(axis=0), denom, 2.0)
         for _ in range(3):
             b = 10.0 ** rng.uniform(-1.0, 0.0, n)
             x, x_dense = lu_solve(M, b), lu_solve(M.toarray(), b)
@@ -211,7 +213,7 @@ def test_small_past_inverse_eps_raises_and_never_returns_a_negative_state():
         P[rng.random((n, n)) < 0.3] = 0.0
         np.fill_diagonal(P, 0.0)
         denom = 10.0 ** rng.uniform(-20.0, 0.0, size=n)
-        M = patankar_matrix(P, P.sum(axis=0), denom, 10.0 ** rng.uniform(0.0, 20.0))
+        M = patankar_matrix(exchange(P), P.sum(axis=0), denom, 10.0 ** rng.uniform(0.0, 20.0))
         try:
             x = lu_solve(M, 10.0 ** rng.uniform(-10.0, 0.0, size=n))
         except SingularMatrixError as exc:
@@ -296,7 +298,7 @@ def test_sweep_matches_lapack(pattern, n):
         loss = P.sum(axis=0)
         denom = 10.0 ** rng.uniform(-0.5, 0.5, n)
         fac = 10.0 ** rng.uniform(-1.0, 1.0)
-        M = patankar_matrix(P, loss, denom, fac)
+        M = patankar_matrix(exchange(P), loss, denom, fac)
         assert isinstance(M, CyclicTridiagonal)
         # the bands hold the dense assembly's entries, bit for bit
         A = _dense_assembly(P, loss, denom, fac)
@@ -319,7 +321,7 @@ def test_banded_patankar_systems_stay_positive_and_conservative(pattern):
         fac = 10.0 ** rng.uniform(-3.0, 8.0)
         with np.errstate(over="ignore"):
             P *= np.minimum(1.0, 1e12 * denom / (fac * np.maximum(P.sum(axis=0), 1e-300)))
-        M = patankar_matrix(P, P.sum(axis=0), denom, fac)
+        M = patankar_matrix(exchange(P), P.sum(axis=0), denom, fac)
         assert isinstance(M, CyclicTridiagonal)
         b = 10.0 ** rng.uniform(-10.0, 0.0, size=n)
         _assert_positive_and_conservative(M, b, lu_solve(M, b))
@@ -341,7 +343,7 @@ def test_band_factor_is_kept_and_reused(monkeypatch, pattern):
     rng = np.random.default_rng(9)
     n = 100
     P = _banded_exchange(rng, n, pattern)
-    args = (P, P.sum(axis=0), 10.0 ** rng.uniform(-0.5, 0.5, n), 3.0)
+    args = (exchange(P), P.sum(axis=0), 10.0 ** rng.uniform(-0.5, 0.5, n), 3.0)
     M = patankar_matrix(*args)
     for _ in range(3):
         b = 10.0 ** rng.uniform(-1.0, 0.0, n)
@@ -377,7 +379,7 @@ def test_band_past_inverse_eps_raises_and_never_returns_a_negative_state():
         n = int(rng.integers(BAND_MIN_DIM, 120))
         P = _banded_exchange(rng, n, BANDED[rng.integers(3)], lo=-3.0, hi=3.0)
         denom = 10.0 ** rng.uniform(-20.0, 0.0, size=n)
-        M = patankar_matrix(P, P.sum(axis=0), denom, 10.0 ** rng.uniform(0.0, 20.0))
+        M = patankar_matrix(exchange(P), P.sum(axis=0), denom, 10.0 ** rng.uniform(0.0, 20.0))
         try:
             x = lu_solve(M, 10.0 ** rng.uniform(-10.0, 0.0, size=n))
         except SingularMatrixError as exc:
@@ -406,7 +408,7 @@ def test_patankar_matrix_stays_dense_below_crossover_and_off_band():
         P = _banded_exchange(rng, n, "cyclic_tridiagonal")
         if extra is not None:
             P[extra] = 1.0
-        M = patankar_matrix(P, P.sum(axis=0), np.ones(n), 0.5)
+        M = patankar_matrix(exchange(P), P.sum(axis=0), np.ones(n), 0.5)
         assert isinstance(M, np.ndarray) and M.shape == (n, n)
 
 

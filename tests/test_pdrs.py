@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from relax_mprk.pdrs import (NonFiniteStateError, PdrsSystem,
-                             PositivityError, RateSet, eval_rhs)
+from relax_mprk.pdrs import (Exchange, ExchangePattern, NonFiniteStateError,
+                             PdrsSystem, PositivityError, RateSet, eval_rhs)
 from relax_mprk.problems import PROBLEM_FACTORIES, cyclic3, lotka_volterra
 from relax_mprk.schemes import build_scheme, step
 
-from helpers import linear_exchange, random_conservative_system
+from helpers import dense_system, linear_exchange, random_conservative_system
 
 
 def test_eval_rhs_lotka_volterra():
@@ -24,7 +24,7 @@ def test_eval_rhs_zero_rates():
     def matrix_rates(t, u):
         return np.zeros((3, 3)), np.zeros(3), np.zeros(3)
 
-    sys = PdrsSystem(3, matrix_rates)
+    sys = dense_system(matrix_rates, np.zeros((3, 3)))
     assert np.array_equal(eval_rhs(sys, 0.0, np.ones(3)), np.zeros(3))
 
 
@@ -63,8 +63,9 @@ def test_rates_nonnegative_on_random_samples():
     for _ in range(200):
         u = rng.uniform(0.01, 10.0, size=5)
         r = sys.rates(0.0, u)
-        assert np.all(r.P >= 0.0)
-        assert np.all(np.diag(r.P) == 0.0)
+        P = r.P.toarray()
+        assert np.all(P >= 0.0)
+        assert np.all(np.diag(P) == 0.0)
         assert np.all(r.rest_prod >= 0.0) and np.all(r.rest_dest >= 0.0)
 
 
@@ -76,7 +77,7 @@ def test_rates_returns_matrix_rates_arrays():
         returned.append(arrays)
         return arrays
 
-    sys = PdrsSystem(2, matrix_rates)
+    sys = PdrsSystem(lotka_volterra().sys.pattern, matrix_rates)
     r = sys.rates(0.0, np.array([1.7, 0.4]))
     assert len(returned) == 1
     # the rate set holds the very arrays matrix_rates returned, uncopied
@@ -102,5 +103,42 @@ def test_rate_set_rhs_balances_rest_terms(name):
     P, rP, rD = problem.sys.matrix_rates(t, u)
     f = RateSet(P, rP, rD).rhs
     assert np.array_equal(f, eval_rhs(problem.sys, t, u))
-    scale = rP.sum() + rD.sum() + 2.0 * P.sum()
+    scale = rP.sum() + rD.sum() + 2.0 * P.vals.sum()
     assert abs(f.sum() - (rP.sum() - rD.sum())) <= 1e-13 * scale
+
+
+# ---------------------------------------------------------------------------
+# The exchange pattern is checked once, when the system is built
+
+def _no_rates(t, u):
+    raise AssertionError("a system with a bad pattern must not be evaluated")
+
+
+@pytest.mark.parametrize("rows, cols, entry", [
+    ([1, 3], [0, 1], r"entry 1 at \(3, 1\) lies outside \[0, 3\)"),
+    ([1, 0], [0, -1], r"entry 1 at \(0, -1\) lies outside \[0, 3\)"),
+])
+def test_system_rejects_an_entry_outside_the_matrix(rows, cols, entry):
+    with pytest.raises(ValueError, match=entry):
+        PdrsSystem(ExchangePattern(rows, cols, 3), _no_rates)
+
+
+def test_system_rejects_a_diagonal_entry():
+    with pytest.raises(ValueError, match=r"entry 2 at \(1, 1\) is on the diagonal"):
+        PdrsSystem(ExchangePattern([1, 0, 1], [0, 2, 1], 3), _no_rates)
+
+
+def test_system_rejects_a_repeated_entry():
+    # bincount would add p_10 twice into the loss, the dense scatter once
+    with pytest.raises(ValueError,
+                       match=r"entries 0 and 3 both sit at \(1, 0\)"):
+        PdrsSystem(ExchangePattern([1, 2, 0, 1], [0, 1, 2, 0], 3), _no_rates)
+
+
+def test_rate_set_rejects_values_of_the_wrong_length():
+    pattern = ExchangePattern([1, 2], [0, 1], 3)
+    zero = np.zeros(3)
+    RateSet(Exchange(pattern, np.ones(2)), zero, zero)
+    for bad in (np.ones(3), np.ones(1), np.ones((2, 1))):
+        with pytest.raises(ValueError, match=r"expected \(2,\)"):
+            RateSet(Exchange(pattern, bad), zero, zero)

@@ -1,17 +1,18 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from relax_mprk.linalg import SingularMatrixError
-from relax_mprk.pdrs import PdrsSystem, PositivityError
+from relax_mprk.pdrs import PositivityError
 from relax_mprk.problems import PROBLEM_FACTORIES, make_problem
 from relax_mprk.schemes import (SIGMA_MODES, MpStepper, SchemeParameterError,
                                 UnsupportedSchemeError, build_scheme,
                                 gamma_update, gamma_update_derivative,
                                 patankar_matrix, sigma_bar, step)
 
-from helpers import linear_exchange, random_conservative_system
+from helpers import dense_system, linear_exchange, random_conservative_system
 
 ALL_SCHEMES = [("mprk22", 1.0, None), ("mprk43i", 0.5, 0.75),
                ("mpssprk2", 0.5, 1.0)]
@@ -94,7 +95,7 @@ def test_step_zero_rates_is_identity(kind, alpha, beta):
     def matrix_rates(t, u):
         return np.zeros((3, 3)), np.zeros(3), np.zeros(3)
 
-    sys = PdrsSystem(3, matrix_rates)
+    sys = dense_system(matrix_rates, np.zeros((3, 3)))
     sch = build_scheme(kind, alpha, beta)
     u0 = np.array([0.3, 1.0, 2.5])
     rec = step(sys, sch, 0.0, u0, 7.0)
@@ -121,7 +122,7 @@ def test_mpssprk2_rejects_rest_terms_of_a_conservative_system(t_on, n_calls):
         P[1, 0] = u[0]
         return P, np.array([0.1 if t >= t_on else 0.0, 0.0]), np.zeros(2)
 
-    sys = PdrsSystem(2, matrix_rates, linear_invariants=(np.ones(2),))
+    sys = dense_system(matrix_rates, [[0, 0], [1, 0]], (np.ones(2),))
     sch = build_scheme("mpssprk2", 0.5, 1.0)
     with pytest.raises(UnsupportedSchemeError, match="rest terms"):
         step(sys, sch, 0.0, np.array([1.0, 1.0]), 0.1)
@@ -284,7 +285,7 @@ def test_gamma_update_derivative_zero_rates_is_zero():
     def matrix_rates(t, u):
         return np.zeros((2, 2)), np.zeros(2), np.zeros(2)
 
-    sys = PdrsSystem(2, matrix_rates)
+    sys = dense_system(matrix_rates, np.zeros((2, 2)))
     sch = build_scheme("mprk22", 1.0)
     rec = step(sys, sch, 0.0, np.array([1.0, 2.0]), 1.0)
     du = gamma_update_derivative(rec, 1.3, "frozen",
@@ -357,3 +358,42 @@ def test_stepper_default_sigma_modes():
     assert MpStepper(sys, build_scheme("mprk22", 1.0)).sigma_mode == "frozen"
     assert MpStepper(sys, build_scheme("mpssprk2", 0.5, 1.0)).sigma_mode == "dense"
     assert MpStepper(sys, build_scheme("mprk43i", 0.5, 0.75)).sigma_mode == "bootstrap"
+
+
+# ---------------------------------------------------------------------------
+# Memory stays O(N): no d x d array on the way of a step
+
+# one 4,000 x 4,000 float array alone takes 128 MB
+LARGE_N = 4000
+PEAK_BYTES = 16e6
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_advection_step_and_probe_stay_linear_in_memory():
+    problem = make_problem("advection", N=LARGE_N, entropy_kind="sqrt")
+    stepper = MpStepper(problem.sys, build_scheme("mprk43i", 0.5, 0.75))
+
+    def step_and_probe():
+        rec = stepper.step(0.0, problem.u0, problem.mesh["dx"])
+        assert np.all(stepper.gamma_state(rec, 0.9) > 0.0)
+
+    assert _peak_bytes(step_and_probe) < PEAK_BYTES
+
+
+def test_large_euler_step_stays_linear_in_memory():
+    problem = make_problem("euler", N=LARGE_N)
+    stepper = problem.stepper_factory(build_scheme("mprk22", 1.0))
+
+    def one_step():
+        rec = stepper.step(0.0, problem.u0, problem.mesh["dx"])
+        assert np.all(rec.u_next[:LARGE_N] > 0.0)
+
+    assert _peak_bytes(one_step) < PEAK_BYTES
