@@ -21,10 +21,9 @@ from .pdrs import (Exchange, ExchangePattern, NonFiniteStateError, RateSet,
                    _raise_bad_entry)
 from .relaxation import EntropyFunctional, MODE_IMPLICIT, REGIME_CONSERVATIVE
 from .schemes import (MPRK22, SIGMA_MODES, MpScheme, MpStepper, StepRecord,
-                      UnsupportedSchemeError, _check_positive,
-                      _geo_denominator, _solve_stage, _weighted,
-                      check_sigma_mode, gamma_update, gamma_update_derivative,
-                      patankar_matrix)
+                      UnsupportedSchemeError, _check_positive, _solve_stage,
+                      _StageLogs, _weighted, check_sigma_mode, gamma_update,
+                      gamma_update_derivative, patankar_matrix)
 
 
 def _interface_fluxes(rho, m, c):
@@ -140,7 +139,8 @@ class EulerStepper:
 
         P2, g2 = self._rates(z_2)
         r2 = RateSet(P2, 0.0, 0.0)
-        sigma = _geo_denominator(rho_n, rho_2, 1.0 / sch.alpha)
+        logs = _StageLogs(rho_n, rho_2)
+        sigma = logs.geo_mean(1.0 / sch.alpha)
         upd_P, upd_loss, _ = _weighted([r1, r2], b)
         M = patankar_matrix(upd_P, upd_loss, sigma, dt)
         rho_next = _check_positive(lu_solve(M, rho_n), "updated density")
@@ -148,7 +148,8 @@ class EulerStepper:
         z_next = np.concatenate([rho_next, m_n + dm])
 
         density = StepRecord(sch, t, dt, (rho_n, rho_2), (r1, r2), rho_next,
-                             sigma, upd_P, upd_loss, np.zeros(self.N))
+                             sigma, upd_P, upd_loss, np.zeros(self.N),
+                             logs=logs, upd_M=M)
         return EulerRecord(density, z_next, (np.array(z), z_2), (g1, g2), dm)
 
     def gamma_state(self, record: EulerRecord, gamma: float) -> np.ndarray:

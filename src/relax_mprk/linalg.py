@@ -27,12 +27,20 @@ order keeps positivity.
   medium equation and the Euler density) is solved in O(N) by a bordered
   Thomas sweep without pivoting, whose every step adds non-negative
   terms except the pivot updates the M-matrix argument keeps positive.
+  When the super-diagonal of its leading block is all zero, as in upwind
+  advection's cyclic bidiagonal matrices, every c_i of the sweep is a
+  zero and every pivot p_i is d_i, so the forward pass runs only the two
+  recurrences left, for y and w; the dropped terms are zeros, so the
+  bits are the general loop's.  The sweep reads this off the band, as it
+  does whether back substitution is needed.
 
 The two Patankar formats are factored on their first solve and keep the
 factor, so a second solve with the same matrix only substitutes (the
 band format recomputes its pivots from the kept bands and c_i, to the
 same bits): the Newton derivative solve with the M_gamma of the value
-solve, and the bootstrap sigma-bar derivative with the sigma matrix.
+solve, the bootstrap sigma-bar derivative with the sigma matrix, and the
+Newton derivative at gamma = 1 with the step's own update matrix, which
+the step record keeps (``schemes.StepRecord``).
 numpy gives no handle on the ``gesv`` factor, so an ndarray is factored
 on every solve.
 
@@ -196,6 +204,8 @@ def _sweep(bands: np.ndarray, b: list):
     to x_m through the column c = (sub[0], 0, ..., 0, sup[m-1]).  One
     normalized Thomas pass on A with the right-hand sides b[:m] and -c
     gives y and w, so x[:m] = y + xi w; the last row then gives xi.
+    Without super-diagonal in A the pass is bidiagonal: the c_i are
+    zeros, p_i = d_i, and only the recurrences for y and w run.
 
     The factor is the tuple (sub, diag, c, back, w, sup[m], the pivot of
     xi): the two bands and c_i = sup_i / p_i of the leading block as
@@ -216,24 +226,39 @@ def _sweep(bands: np.ndarray, b: list):
     p = d[0]
     if not p > 0.0:
         raise _singular(d, 0, f"pivot {p:.3e}")
-    c, yp, wp = up[0] / p, b[0] / p, -lo[0] / p
-    cs, ys, ws = [c], [yp], [wp]
-    for di, li, ui, bi in zip(d[1:m], lo[1:m], up[1:m], b[1:m]):
-        p = di - li * c
-        if not p > 0.0:
-            raise _singular(d, len(cs), f"pivot {p:.3e}")
-        c = ui / p
-        yp = (bi - li * yp) / p
-        wp = -li * wp / p
-        cs.append(c)
-        ys.append(yp)
-        ws.append(wp)
+    yp, wp = b[0] / p, -lo[0] / p
+    ys, ws = [yp], [wp]
+    if any(up[:m - 1]):
+        c = up[0] / p
+        cs = [c]
+        for di, li, ui, bi in zip(d[1:m], lo[1:m], up[1:m], b[1:m]):
+            p = di - li * c
+            if not p > 0.0:
+                raise _singular(d, len(cs), f"pivot {p:.3e}")
+            c = ui / p
+            yp = (bi - li * yp) / p
+            wp = -li * wp / p
+            cs.append(c)
+            ys.append(yp)
+            ws.append(wp)
+        back = any(cs[:m - 1])
+    else:
+        # every c_i is a zero, so p_i = d_i, and each term dropped from
+        # the loop above is a zero: the same bits
+        for di, li, bi in zip(d[1:m], lo[1:m], b[1:m]):
+            if not di > 0.0:
+                raise _singular(d, len(ys), f"pivot {di:.3e}")
+            yp = (bi - li * yp) / di
+            wp = -li * wp / di
+            ys.append(yp)
+            ws.append(wp)
+        p = d[m - 1]
+        cs, back = [0.0] * m, False
     ws[-1] = wp = wp - up[m - 1] / p
 
     # back substitution r_i -= c_i r_{i+1} from row m-1 (whose c is the
-    # border column's, carried by w); a block without super-diagonal, as
-    # in upwind advection, has every c_i zero and needs none
-    back = any(cs[:m - 1])
+    # border column's, carried by w); a block with every c_i zero needs
+    # none
     if back:
         for i in range(m - 2, -1, -1):
             c = cs[i]

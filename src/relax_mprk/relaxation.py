@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -84,6 +84,17 @@ class RelaxConfig:
             raise ValueError("gamma_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+
+    @cached_property
+    def probe_pairs(self) -> tuple:
+        """Adjacent pairs (a, b) of the bracketing solvers' geometric probe
+        grid on [gamma_min, gamma_max], nearest gamma = 1 first.  The grid
+        depends on the window alone, so it is built on first use and kept
+        by the config."""
+        grid = _probe_grid(self.gamma_min, self.gamma_max)
+        return tuple(sorted(zip(grid[:-1], grid[1:]),
+                            key=lambda p: min(abs(p[0] - 1.0),
+                                              abs(p[1] - 1.0))))
 
 
 @dataclass(frozen=True)
@@ -199,10 +210,11 @@ def _find_bracket(fun, cfg, known=None):
 
     Adjacent grid pairs are examined in order of increasing distance from
     gamma = 1, so the search stops at the nearest sign change without
-    touching the rest of the grid.  Probes where the residual is
-    undefined are simply excluded.  Returns (a, fa, b, fb) or None.
+    touching the rest of the grid.  The grid and that order are fixed by
+    the gamma window, so ``cfg.probe_pairs`` holds them for every search.
+    Probes where the residual is undefined are simply excluded.  Returns
+    (a, fa, b, fb) or None.
     """
-    grid = _probe_grid(cfg.gamma_min, cfg.gamma_max)
     vals = dict(known) if known else {}
 
     def val(g):
@@ -210,9 +222,7 @@ def _find_bracket(fun, cfg, known=None):
             vals[g] = _probe(fun, g)
         return vals[g]
 
-    pairs = sorted(zip(grid[:-1], grid[1:]),
-                   key=lambda p: min(abs(p[0] - 1.0), abs(p[1] - 1.0)))
-    for ga, gb in pairs:
+    for ga, gb in cfg.probe_pairs:
         fa, fb = val(ga), val(gb)
         if fa is None or fb is None:
             continue
@@ -299,9 +309,10 @@ def solve_scalar(fun, cfg: RelaxConfig, derivative=None):
     Newton starts at gamma = 1 and asks for the derivative only while the
     residual is above the tolerance.  The bracketing solvers first locate
     a sign change on a geometric probe grid (at most 20 probes) and pick
-    the bracket nearest 1.  Probes where the residual is undefined shrink
-    the admissible bracket instead of aborting.  Returns (gamma,
-    iterations, status).
+    the bracket nearest 1; the grid is fixed by the (gamma_min,
+    gamma_max) window and built once per config (``probe_pairs``).
+    Probes where the residual is undefined shrink the admissible bracket
+    instead of aborting.  Returns (gamma, iterations, status).
     """
     if cfg.solver == "newton":
         if derivative is None:

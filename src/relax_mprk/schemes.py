@@ -209,17 +209,46 @@ def patankar_matrix(P_w: Exchange, loss_w: np.ndarray, denom: np.ndarray,
     return CyclicTridiagonal(bands)
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _floored_log(u) -> np.ndarray:
+    """log(max(u, tiny)), finite for every non-negative finite u."""
+    return np.log(np.maximum(np.asarray(u, float), _TINY))
+
+
 def ppow(base: np.ndarray, expo) -> np.ndarray:
     """Elementwise base**expo for strictly positive base via exp/log."""
-    base = np.maximum(np.asarray(base, float), np.finfo(float).tiny)
-    return np.exp(np.asarray(expo, float) * np.log(base))
+    return np.exp(np.asarray(expo, float) * _floored_log(base))
+
+
+class _StageLogs:
+    """log(max(u, tiny)) of a step's u_n and u^(2), each taken on first
+    use and kept, and the geometric-mean denominators they give."""
+
+    __slots__ = ("u_n", "u2", "log_n", "log_2")
+
+    def __init__(self, u_n: np.ndarray, u2: np.ndarray):
+        self.u_n, self.u2 = u_n, u2
+        self.log_n = self.log_2 = None
+
+    def geo_mean(self, e) -> np.ndarray:
+        """Patankar denominator u2**e * u_n**(1 - e), ``ppow``'s arithmetic
+        on the kept logarithms."""
+        if self.log_2 is None:
+            self.log_2 = _floored_log(self.u2)
+        out = np.exp(e * self.log_2)
+        if e == 1.0:  # u_n**0 is exactly 1.0 for every positive finite u_n
+            return out
+        if self.log_n is None:
+            self.log_n = _floored_log(self.u_n)
+        return out * np.exp((1.0 - e) * self.log_n)
 
 
 def _geo_denominator(u_n: np.ndarray, u2: np.ndarray, e) -> np.ndarray:
-    """Patankar denominator u2**e * u_n**(1 - e), a geometric mean."""
-    if e == 1.0:  # u_n**0 is exactly 1.0 for every positive finite u_n
-        return ppow(u2, e)
-    return ppow(u2, e) * ppow(u_n, 1.0 - e)
+    """Patankar denominator u2**e * u_n**(1 - e), a geometric mean, with
+    no logarithm kept."""
+    return _StageLogs(u_n, u2).geo_mean(e)
 
 
 @dataclass(frozen=True)
@@ -234,6 +263,16 @@ class StepRecord:
     the update solves M_gamma u = u_n + gamma*g).  For MPRK43I,
     ``sig_P``/``sig_loss``/``sig_g`` describe the embedded sigma system
     used by bootstrapping.
+
+    ``step`` also leaves what the gamma-search would otherwise recompute
+    on every probe: ``logs`` keeps log(max(u_n, tiny)) and log(max(u^(2),
+    tiny)), each taken once, when a geometric-mean denominator first
+    needs it (MPRK43I's pi3 and tau, a dense or bootstrap sbar(gamma));
+    ``upd_M`` is the update matrix M_1 and ``sig_M`` the MPRK43I sigma
+    matrix, with the factors their solves left on them.  At gamma = 1
+    every factor gamma multiplies is 1.0, so sbar(1) is ``sigma`` and
+    these are the matrices a probe there would assemble, bit for bit;
+    a record without them assembles.
     """
 
     scheme: MpScheme
@@ -249,6 +288,9 @@ class StepRecord:
     sig_P: Optional[Exchange] = None
     sig_loss: Optional[np.ndarray] = None
     sig_g: Optional[np.ndarray] = None
+    logs: Optional[_StageLogs] = None
+    upd_M: object = None
+    sig_M: object = None
     # ((gamma, mode), (sbar, rate, sigma matrix, M_gamma)) of the last
     # gamma assembled; see _gamma_matrix
     _last: Optional[tuple] = field(default=None, init=False, repr=False,
@@ -259,9 +301,6 @@ class StepRecord:
     @property
     def stage_rhs(self) -> tuple:
         return tuple(r.rhs for r in self.rate_sets)
-
-
-_TINY = np.finfo(float).tiny
 
 
 def _check_positive(u: np.ndarray, what: str) -> np.ndarray:
@@ -295,14 +334,15 @@ def _solve_stage(u_n, rate_sets, weights, denom, dt):
     return _check_positive(lu_solve(M, u_n + dt * rP), "stage")
 
 
-def _sigma_43i(scheme, u_n, u2, rate_sets, dt):
-    """Sigma of MPRK43I: solution of its own Patankar-type linear system."""
-    tau = _geo_denominator(u_n, u2, 1.0 / scheme.alpha)
+def _sigma_43i(scheme, logs, rate_sets, dt):
+    """Sigma of MPRK43I: solution of its own Patankar-type linear system,
+    returned with the system (exchange, loss, g and matrix)."""
+    tau = logs.geo_mean(1.0 / scheme.alpha)
     P, loss, rP = _weighted(rate_sets[:2], scheme.sigma_w)
     M = patankar_matrix(P, loss, tau, dt)
     g = dt * rP
-    sigma = _check_positive(lu_solve(M, u_n + g), "sigma")
-    return sigma, P, loss, g
+    sigma = _check_positive(lu_solve(M, logs.u_n + g), "sigma")
+    return sigma, P, loss, g, M
 
 
 def _check_no_rest(r: RateSet) -> None:
@@ -322,20 +362,22 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
     # c_1 = 0, and u_n is checked: no second check_state through sys.rates
     rates = [RateSet(*sys.matrix_rates(t_n, u_n))]
     stages = [u_n]
-    sig_P = sig_loss = sig_g = None
+    sig_P = sig_loss = sig_g = sig_M = None
 
     if scheme.kind in (MPRK22, MPRK43I):
         u2 = _solve_stage(u_n, rates, [scheme.a[1, 0]], u_n, dt)
         stages.append(u2)
         rates.append(sys.rates(t_n + scheme.c[1] * dt, u2))
+        logs = _StageLogs(u_n, u2)
         if scheme.kind == MPRK43I:
-            pi3 = _geo_denominator(u_n, u2, 1.0 / scheme.p_exp)
+            pi3 = logs.geo_mean(1.0 / scheme.p_exp)
             u3 = _solve_stage(u_n, rates, scheme.a[2, :2], pi3, dt)
             stages.append(u3)
             rates.append(sys.rates(t_n + scheme.c[2] * dt, u3))
-            sigma, sig_P, sig_loss, sig_g = _sigma_43i(scheme, u_n, u2, rates, dt)
+            sigma, sig_P, sig_loss, sig_g, sig_M = _sigma_43i(scheme, logs,
+                                                              rates, dt)
         else:
-            sigma = _geo_denominator(u_n, u2, 1.0 / scheme.alpha)
+            sigma = logs.geo_mean(1.0 / scheme.alpha)
         upd_P, upd_loss, rP = _weighted(rates, scheme.b)
         g = dt * rP
     else:  # MPSSPRK2
@@ -345,14 +387,16 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
         stages.append(u2)
         rates.append(sys.rates(t_n + scheme.c[1] * dt, u2))
         _check_no_rest(rates[1])
-        sigma = _geo_denominator(u_n, u2, scheme.s_exp)
+        logs = _StageLogs(u_n, u2)
+        sigma = logs.geo_mean(scheme.s_exp)
         upd_P, upd_loss, _ = _weighted(rates, scheme.update_w)
         g = scheme.alpha * (u2 - u_n)
 
     M = patankar_matrix(upd_P, upd_loss, sigma, dt)
     u_next = _check_positive(lu_solve(M, u_n + g), "update")
     return StepRecord(scheme, t_n, dt, tuple(stages), tuple(rates), u_next,
-                      sigma, upd_P, upd_loss, g, sig_P, sig_loss, sig_g)
+                      sigma, upd_P, upd_loss, g, sig_P, sig_loss, sig_g,
+                      logs, M, sig_M)
 
 
 def _sigma_bar_value(rec: StepRecord, gamma: float, mode: str):
@@ -369,16 +413,20 @@ def _sigma_bar_value(rec: StepRecord, gamma: float, mode: str):
     if mode == SIGMA_FROZEN:
         return rec.sigma, None, None
 
-    u_n, u2 = rec.stages[:2]
+    # sbar(gamma) rests on the geometric mean of exponent gamma * rate
+    rate = scheme.s_exp if scheme.kind == MPSSPRK2 else 1.0 / scheme.alpha
+    if gamma == 1.0 and rec.upd_M is not None:
+        # the step's sigma, and for bootstrap its sigma matrix (see
+        # StepRecord)
+        return rec.sigma, rate, rec.sig_M
+    tau = rec.logs.geo_mean(gamma * rate)
     if mode == SIGMA_DENSE:  # MPRK22 or MPSSPRK2
-        rate = scheme.s_exp if scheme.kind == MPSSPRK2 else 1.0 / scheme.alpha
-        return _geo_denominator(u_n, u2, gamma * rate), rate, None
+        return tau, rate, None
 
     # bootstrap, MPRK43I
-    rate = 1.0 / scheme.alpha
-    tau = _geo_denominator(u_n, u2, gamma * rate)
     M = patankar_matrix(rec.sig_P, rec.sig_loss, tau, gamma * rec.dt)
-    sbar = _check_positive(lu_solve(M, u_n + gamma * rec.sig_g), "sigma_bar")
+    sbar = _check_positive(lu_solve(M, rec.u_n + gamma * rec.sig_g),
+                           "sigma_bar")
     return sbar, rate, M
 
 
@@ -409,12 +457,16 @@ def _gamma_matrix(rec: StepRecord, gamma: float, mode: str):
     The relaxation solvers call ``gamma_update`` and then
     ``gamma_update_derivative`` at the same gamma, so the last result is
     kept on ``rec`` and the derivative does not assemble M_gamma again.
+    At gamma = 1 the matrices are the step's own (see StepRecord).
     """
     key, last = (gamma, mode), rec._last
     if last is not None and last[0] == key:
         return last[1]
     sbar, rate, M_sig = _sigma_bar_value(rec, gamma, mode)
-    M = patankar_matrix(rec.upd_P, rec.upd_loss, sbar, gamma * rec.dt)
+    if gamma == 1.0 and rec.upd_M is not None:
+        M = rec.upd_M
+    else:
+        M = patankar_matrix(rec.upd_P, rec.upd_loss, sbar, gamma * rec.dt)
     parts = (sbar, rate, M_sig, M)
     object.__setattr__(rec, "_last", (key, parts))
     return parts

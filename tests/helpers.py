@@ -1,9 +1,13 @@
 """Shared fixtures-in-code for the test suite: small hand-checkable
-systems, a random conservative PDS generator, and the wrapping of dense
-test arrays into the package's sparse exchange contract."""
+systems, a random conservative PDS generator, the wrapping of dense
+test arrays into the package's sparse exchange contract, and the check
+that a step's kept matrices serve gamma = 1."""
+
+from dataclasses import replace
 
 import numpy as np
 
+from relax_mprk import linalg, schemes
 from relax_mprk.pdrs import Exchange, ExchangePattern, PdrsSystem
 
 
@@ -84,3 +88,37 @@ def fd_gradient(eta_eval, u, h=1e-7):
         um[i] -= h
         g[i] = (eta_eval(up) - eta_eval(um)) / (2.0 * h)
     return g
+
+
+def gamma_one_matches_assembly(monkeypatch, rec, mode):
+    """Check that the gamma = 1 derivative and sbar of a record from
+    ``step`` reuse its kept matrices: no Patankar assembly, no small
+    elimination or band sweep, and the bits of the assembling path on a
+    copy of the record without them."""
+    calls = {"assemblies": 0, "factors": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(schemes, "patankar_matrix",
+                        counted("assemblies", schemes.patankar_matrix))
+    monkeypatch.setattr(linalg, "_small_lu",
+                        counted("factors", linalg._small_lu))
+    monkeypatch.setattr(linalg, "_sweep", counted("factors", linalg._sweep))
+
+    def at_one(r):
+        du = schemes.gamma_update_derivative(r, 1.0, mode, r.u_next)
+        return (du, *schemes.sigma_bar(r, 1.0, mode))
+
+    bare = replace(rec, upd_M=None, sig_M=None)
+    kept = at_one(rec)
+    assert calls == {"assemblies": 0, "factors": 0}
+    assembled = at_one(bare)
+    # the copy assembles M_1, and for bootstrap the sigma matrix, once
+    # for the derivative and once more for sbar
+    assert calls["assemblies"] == 1 + 2 * (mode == "bootstrap")
+    for new, old in zip(kept, assembled):
+        assert new.tobytes() == old.tobytes()

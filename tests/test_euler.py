@@ -9,7 +9,7 @@ from relax_mprk.euler import (EulerStepper, _interface_fluxes,
 from relax_mprk.pdrs import NonFiniteStateError, PositivityError
 from relax_mprk.schemes import UnsupportedSchemeError, build_scheme
 
-from helpers import fd_gradient
+from helpers import fd_gradient, gamma_one_matches_assembly
 
 
 def _stepper(N=16, c=1.0, alpha=1.0, sigma_mode="frozen"):
@@ -132,6 +132,17 @@ def test_gamma_state_one_reproduces_step():
     assert np.allclose(st.gamma_state(rec, 1.0), rec.u_next, rtol=1e-12)
     # the gamma map is continuous down to the trivial point
     assert np.allclose(st.gamma_state(rec, 1e-10), rec.u_n, atol=1e-8)
+
+
+@pytest.mark.parametrize("sigma_mode", ["frozen", "dense"])
+def test_gamma_one_reuses_the_density_matrix(monkeypatch, sigma_mode):
+    # the density record keeps the update matrix the step factored (a
+    # band matrix at N = 100), so the derivative at gamma = 1 only
+    # substitutes
+    problem = isothermal_euler_fv(N=100)
+    st = _stepper(N=100, sigma_mode=sigma_mode)
+    rec = st.step(0.0, problem.u0, problem.mesh["dx"])
+    gamma_one_matches_assembly(monkeypatch, rec.density, sigma_mode)
 
 
 def test_gamma_state_derivative_matches_finite_differences():

@@ -18,13 +18,14 @@ import pytest
 from relax_mprk.control import integrate
 from relax_mprk.euler import (_density_pattern, _density_production,
                               _interface_fluxes, isothermal_euler_fv)
-from relax_mprk.linalg import SmallPatankar
+from relax_mprk.linalg import (SingularMatrixError, SmallPatankar,
+                               _band_substitute, _singular, _sweep)
 from relax_mprk.means import mean_geo, mean_harm, mean_log
 from relax_mprk.pdrs import PdrsSystem, RateSet
 from relax_mprk.problems import (_STRAT_M, _daylight, _strat_matrix_rates,
                                  make_problem)
 from relax_mprk.relaxation import (MODE_CLAMPED, RelaxConfig, entropy_estimate,
-                                   relax_step)
+                                   relax_step, solve_scalar)
 from relax_mprk.schemes import (MpStepper, _geo_denominator, build_scheme,
                                 patankar_matrix, ppow)
 
@@ -175,6 +176,75 @@ def old_density_production(f_rho, dx, N):
     return P
 
 
+def old_sweep(bands, b):
+    # the four-term loop runs for every band matrix, bidiagonal or not
+    if not np.isfinite(bands).all():
+        raise ValueError("matrix has non-finite entries")
+    lo, d, up = bands.tolist()
+    m = len(d) - 1
+    p = d[0]
+    if not p > 0.0:
+        raise _singular(d, 0, f"pivot {p:.3e}")
+    c, yp, wp = up[0] / p, b[0] / p, -lo[0] / p
+    cs, ys, ws = [c], [yp], [wp]
+    for di, li, ui, bi in zip(d[1:m], lo[1:m], up[1:m], b[1:m]):
+        p = di - li * c
+        if not p > 0.0:
+            raise _singular(d, len(cs), f"pivot {p:.3e}")
+        c = ui / p
+        yp = (bi - li * yp) / p
+        wp = -li * wp / p
+        cs.append(c)
+        ys.append(yp)
+        ws.append(wp)
+    ws[-1] = wp = wp - up[m - 1] / p
+    back = any(cs[:m - 1])
+    if back:
+        for i in range(m - 2, -1, -1):
+            c = cs[i]
+            yp = ys[i] = ys[i] - c * yp
+            wp = ws[i] = ws[i] - c * wp
+    p = d[m] + lo[m] * ws[m - 1] + up[m] * ws[0]
+    if not p > 0.0:
+        raise _singular(d, m, f"pivot {p:.3e}")
+    xi = (b[m] - lo[m] * ys[m - 1] - up[m] * ys[0]) / p
+    ys.append(xi)
+    ws.append(0.0)
+    w = np.array(ws)
+    x = np.array(ys)
+    x += xi * w
+    return x, (lo, d, cs, back, w, up[m], p)
+
+
+def old_band_substitute(lu, b):
+    lo, d, cs, back, w, up_m, p_m = lu
+    m = len(cs)
+    yp = b[0] / d[0]
+    ys = [yp]
+    for di, li, c, bi in zip(d[1:m], lo[1:m], cs, b[1:m]):
+        yp = (bi - li * yp) / (di - li * c)
+        ys.append(yp)
+    if back:
+        for i in range(m - 2, -1, -1):
+            yp = ys[i] = ys[i] - cs[i] * yp
+    xi = (b[m] - lo[m] * ys[m - 1] - up_m * ys[0]) / p_m
+    ys.append(xi)
+    x = np.array(ys)
+    x += xi * w
+    return x
+
+
+def old_probe_pairs(gamma_min, gamma_max):
+    # rebuilt on every bracket search
+    n_lo = max(4, round(12 * min(1.0, math.log10(1.0 / gamma_min) / 6.0)))
+    n_hi = max(4, round(9 * min(1.0, math.log10(gamma_max))))
+    lo = np.geomspace(gamma_min, 1.0, n_lo)
+    hi = np.geomspace(1.0, gamma_max, n_hi)[1:]
+    grid = np.concatenate([lo, hi]).tolist()
+    return grid, sorted(zip(grid[:-1], grid[1:]),
+                        key=lambda p: min(abs(p[0] - 1.0), abs(p[1] - 1.0)))
+
+
 # ---------------------------------------------------------------------------
 # Rewritten kernels equal their references
 
@@ -291,6 +361,108 @@ def test_euler_density_exchange_matches_dense_reference():
         ex = _density_production(f_rho, dx, pattern)
         assert _same(ex.toarray(), P)
         assert _same(RateSet(ex, 0.0, 0.0).loss, 0.0 + P.sum(axis=0))
+
+
+def _band_patankar(rng, n, fac, pattern):
+    """Bands of a Patankar matrix with log-uniform rates and denominators,
+    assembled with ``patankar_matrix``'s arithmetic, on the advection
+    pattern (cyclic bidiagonal: the super-diagonal is the -0.0 that
+    ``patankar_matrix`` fills in), the Euler density's (cyclic
+    tridiagonal), or the advection pattern plus the two super-diagonal
+    entries outside the sweep's leading block, M[N-2, N-1] and M[N-1, 0]
+    ("border")."""
+    denom = 10.0 ** rng.uniform(-1.0, 1.0, n)
+    bands = np.full((3, n), 0.0 * -fac)
+    loss = np.zeros(n)
+    # column j's rate to row j+1 sits in sub[j+1], to row j-1 in sup[j-1]
+    for row, shift in ((0, 1), (2, -1)):
+        vals = 10.0 ** rng.uniform(-1.0, 0.0, n)
+        if row == 2 and pattern != "tridiagonal":
+            vals[1:n - 1] = 0.0
+            if pattern == "bidiagonal":
+                vals[[0, n - 1]] = 0.0
+        bands[row] = np.roll(vals * -fac / denom, shift)
+        loss += vals
+    bands[1] = fac * loss / denom + 1.0
+    return bands
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives: the solution's bytes, or the error's type
+    and message."""
+    try:
+        out = fn(*args)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    x = out[0] if isinstance(out, tuple) else out
+    return x.tobytes(), np.signbit(x).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 64, 100, 1000])
+@pytest.mark.parametrize("pattern", ["bidiagonal", "border", "tridiagonal"])
+def test_sweep_matches_reference(pattern, n):
+    # first solves and substitutions, with right-hand sides of both signs
+    # (a derivative solve's can be negative); the bidiagonal loop drops
+    # only terms that are zeros, so every bit and every error is the
+    # general loop's
+    rng = np.random.default_rng(n)
+    for fac in (1e-3, 0.7, 21.0, 1e5):
+        for _ in range(5):
+            bands = _band_patankar(rng, n, fac, pattern)
+            b1 = 10.0 ** rng.uniform(-3.0, 3.0, n)
+            b2 = rng.standard_normal(n)
+            b2[rng.random(n) < 0.2] = 0.0
+            x1, lu = _sweep(bands, b1.tolist())
+            x1_old, lu_old = old_sweep(bands, b1.tolist())
+            assert _same(x1, x1_old)
+            assert _same(_band_substitute(lu, b2.tolist()),
+                         old_band_substitute(lu_old, b2.tolist()))
+
+
+@pytest.mark.parametrize("n", [3, 64, 100, 1000])
+def test_bidiagonal_sweep_fails_as_the_reference(n):
+    rng = np.random.default_rng(n + 1)
+    raised = 0
+    for fac in (1e16, 1e18, 1e20, 1e300):  # past 1/eps
+        for _ in range(5):
+            bands = _band_patankar(rng, n, fac, "bidiagonal")
+            b = np.ones(n).tolist()
+            new = _outcome(_sweep, bands, b)
+            assert new == _outcome(old_sweep, bands, b)
+            raised += new[0] is SingularMatrixError
+    assert raised > 0
+    bands = _band_patankar(rng, n, 0.7, "bidiagonal")
+    for row, col, bad in ((1, n // 2, 0.0), (1, n - 2, -1.0), (0, 1, np.nan),
+                          (1, n - 1, np.inf)):
+        broken = bands.copy()
+        broken[row, col] = bad
+        b = np.ones(n).tolist()
+        new = _outcome(_sweep, broken, b)
+        assert new == _outcome(old_sweep, broken, b)
+        assert new[0] in (SingularMatrixError, ValueError)
+
+
+@pytest.mark.parametrize("window", [(1e-6, 10.0), (0.1, 10.0), (1e-3, 2.0),
+                                    (0.5, 1.5), (1e-9, 100.0)])
+def test_probe_pairs_match_reference_and_are_built_once(monkeypatch, window):
+    cfg = RelaxConfig(solver="bisection", gamma_min=window[0],
+                      gamma_max=window[1])
+    grid, pairs = old_probe_pairs(*window)
+    calls = Counter()
+    geomspace = np.geomspace
+
+    def counted(*args, **kwargs):
+        calls["geomspace"] += 1
+        return geomspace(*args, **kwargs)
+
+    monkeypatch.setattr(np, "geomspace", counted)
+    root = grid[len(grid) // 3] * 1.01
+    first = solve_scalar(lambda g: g - root, cfg)
+    assert calls["geomspace"] == 2
+    assert list(cfg.probe_pairs) == pairs
+    assert sorted({g for pair in cfg.probe_pairs for g in pair}) == grid
+    assert solve_scalar(lambda g: g - root, cfg) == first
+    assert calls["geomspace"] == 2
 
 
 # ---------------------------------------------------------------------------

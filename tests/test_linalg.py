@@ -236,8 +236,10 @@ def test_small_singular_message_names_the_row():
 
 def test_newton_relaxed_step_factors_each_matrix_once(monkeypatch):
     # the Newton derivative solve reuses the factor of the value solve's
-    # M_gamma, so every Patankar matrix of a relaxed Lotka-Volterra step
-    # is factored exactly once however often it is solved
+    # M_gamma, and the derivative at gamma = 1 the factor of the step's
+    # own update matrix, so every Patankar matrix of a relaxed
+    # Lotka-Volterra step is factored exactly once however often it is
+    # solved
     from relax_mprk import linalg, schemes
     from relax_mprk.problems import lotka_volterra
     from relax_mprk.relaxation import RelaxConfig, relax_step
@@ -261,10 +263,11 @@ def test_newton_relaxed_step_factors_each_matrix_once(monkeypatch):
                      RelaxConfig(mode="implicit", solver="newton"))
     assert out.status == "converged" and out.iterations >= 2
     assert counts["factors"] == counts["assemblies"]
-    # u^{n+1} needs no solve at gamma = 1, so the derivative there is M_1's
-    # first solve; each later iteration but the last solves its M_gamma
-    # twice, for the value and the derivative
-    assert counts["solves"] == counts["assemblies"] + out.iterations - 2
+    # u^{n+1} needs no solve at gamma = 1, and the derivative there
+    # substitutes with the step's M_1, assembled no second time; each
+    # later iteration but the last solves its M_gamma twice, for the value
+    # and the derivative
+    assert counts["solves"] == counts["assemblies"] + out.iterations - 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from relax_mprk.schemes import (SIGMA_MODES, MpStepper, SchemeParameterError,
                                 gamma_update, gamma_update_derivative,
                                 patankar_matrix, sigma_bar, step)
 
-from helpers import dense_system, linear_exchange, random_conservative_system
+from helpers import (dense_system, gamma_one_matches_assembly, linear_exchange,
+                     random_conservative_system)
 
 ALL_SCHEMES = [("mprk22", 1.0, None), ("mprk43i", 0.5, 0.75),
                ("mpssprk2", 0.5, 1.0)]
@@ -251,6 +252,20 @@ def test_gamma_matrix_memo_is_never_stale(kind, alpha, beta):
         du = gamma_update_derivative(rec, g2, m2, u_g)
         fresh = gamma_update_derivative(replace(rec), g2, m2, u_g)
         assert du.tobytes() == fresh.tobytes(), (g1, m1, g2, m2)
+
+
+@pytest.mark.parametrize("kind,alpha,beta,mode", [
+    (kind, alpha, beta, mode) for kind, alpha, beta in ALL_SCHEMES
+    for mode in SIGMA_MODES[kind]])
+def test_gamma_one_reuses_the_step_matrices(monkeypatch, kind, alpha, beta,
+                                            mode):
+    # at gamma = 1 every factor gamma multiplies is 1.0, so the Newton
+    # derivative there substitutes with the step's own factored matrices
+    rng = np.random.default_rng(43)
+    sys = random_conservative_system(rng, 4)
+    rec = step(sys, build_scheme(kind, alpha, beta), 0.0,
+               rng.uniform(0.2, 2.0, size=4), 0.3)
+    gamma_one_matches_assembly(monkeypatch, rec, mode)
 
 
 def test_gamma_update_derivative_frozen_hand_values():
