@@ -29,6 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .linalg import LuPlan, plan_lu
+
 
 class PositivityError(ValueError):
     """A state vector left the positive orthant."""
@@ -106,6 +108,12 @@ class ExchangePattern:
         if not (sub | sup).all():
             return None
         return np.where(sub, 0, 2 * n) + rows
+
+    @cached_property
+    def lu_plan(self) -> LuPlan:
+        """The symbolic no-pivot LU factorization of the Patankar matrices
+        on this pattern (see ``linalg.plan_lu``), built on first use."""
+        return plan_lu(self.rows.tolist(), self.cols.tolist(), self.dim)
 
 
 class Exchange:

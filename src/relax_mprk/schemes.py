@@ -19,8 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import (BAND_MIN_DIM, SMALL_MAX_DIM, CyclicTridiagonal,
-                     SmallPatankar, lu_solve)
+from .linalg import BAND_MIN_DIM, CyclicTridiagonal, PlannedPatankar, lu_solve
 from .pdrs import Exchange, PdrsSystem, PositivityError, RateSet
 
 MPRK22 = "mprk22"
@@ -157,45 +156,35 @@ def patankar_matrix(P_w: Exchange, loss_w: np.ndarray, denom: np.ndarray,
     ``P_w`` and ``loss_w`` are already weight-summed rates; ``fac``
     carries the dt (and gamma) factor.  ``denom`` must be positive.  The
     format follows the dimension and the pattern of ``P_w``, never its
-    values: up to ``SMALL_MAX_DIM`` unknowns a ``SmallPatankar``; from
-    ``BAND_MIN_DIM`` on, when every entry of the pattern lies on the
-    cyclic sub- or super-diagonal, a ``CyclicTridiagonal``; otherwise an
-    ndarray.  Every format holds the entries of the dense assembly of the
-    scattered exchange matrix, bit for bit: (p * -fac) / denom_j at the
-    pattern's entries and, elsewhere off the diagonal, (0.0 * -fac) /
-    denom_j, which the small and band formats write as 0.0 * -fac (the
-    same bits for a positive denom_j).
+    values: from ``BAND_MIN_DIM`` unknowns on, when every entry of the
+    pattern lies on the cyclic sub- or super-diagonal, a
+    ``CyclicTridiagonal``; otherwise a ``PlannedPatankar`` on the
+    pattern's ``lu_plan``.  Both hold the entries of the dense assembly
+    of the scattered exchange matrix, bit for bit: (p * -fac) / denom_j
+    at the pattern's entries, 1 + fac * loss_j / denom_j on the diagonal
+    and, elsewhere, (0.0 * -fac) / denom_j, which both write as
+    0.0 * -fac (the same bits for a positive denom_j).
     """
     denom = np.asarray(denom, float)
     n = len(denom)
     pat = P_w.pattern
-    if n <= SMALL_MAX_DIM:
-        dl = denom.tolist()
-        # (denom <= 0.0).any() on Python floats, at a fifth of the cost
-        if any(dj <= 0.0 for dj in dl):
-            raise _non_positive(denom)
-        # the dense branch's operations on Python floats, entry for entry
-        fac = float(fac)
-        nfac = -fac
-        zero = 0.0 * nfac
-        rows = [[zero] * n for _ in dl]
-        for i, j, p in zip(pat.rows.tolist(), pat.cols.tolist(),
-                           P_w.vals.tolist()):
-            rows[i][j] = p * nfac / dl[j]
-        for row, j, lj, dj in zip(rows, range(n), loss_w.tolist(), dl):
-            row[j] = 1.0 + fac * lj / dj
-        return SmallPatankar(rows)
-    if (denom <= 0.0).any():
-        raise _non_positive(denom)
     slots = pat.band_slots if n >= BAND_MIN_DIM else None
     if slots is None:
-        M = np.zeros(n * n)
-        M[pat.flat] = P_w.vals
-        M *= -fac
-        M = M.reshape(n, n)
-        M /= denom
-        M.flat[::n + 1] = 1.0 + fac * loss_w / denom
-        return M
+        plan = pat.lu_plan
+        dl = denom.tolist()
+        # (denom <= 0.0).any() on Python floats, at a fraction of the cost
+        for dj in dl:
+            if dj <= 0.0:
+                raise _non_positive(denom)
+        fac = float(fac)
+        nfac = -fac
+        vals = [1.0 + fac * lj / dj for lj, dj in zip(loss_w.tolist(), dl)]
+        vals += [p * nfac / dl[j] for p, j in zip(P_w.vals.tolist(),
+                                                    plan.cols)]
+        vals += [0.0 * nfac] * plan.n_fill
+        return PlannedPatankar(vals, plan)
+    if (denom <= 0.0).any():
+        raise _non_positive(denom)
     off = P_w.vals * -fac
     off /= denom.take(pat.cols)
     bands = np.empty(3 * n)
@@ -224,13 +213,21 @@ def ppow(base: np.ndarray, expo) -> np.ndarray:
 
 class _StageLogs:
     """log(max(u, tiny)) of a step's u_n and u^(2), each taken on first
-    use and kept, and the geometric-mean denominators they give."""
+    use and kept, and the geometric-mean denominators they give; apart
+    from them, the log-ratio of the unfloored states that every sbar'
+    of the step reads."""
 
-    __slots__ = ("u_n", "u2", "log_n", "log_2")
+    __slots__ = ("u_n", "u2", "log_n", "log_2", "ratio")
 
     def __init__(self, u_n: np.ndarray, u2: np.ndarray):
         self.u_n, self.u2 = u_n, u2
-        self.log_n = self.log_2 = None
+        self.log_n = self.log_2 = self.ratio = None
+
+    def log_ratio(self) -> np.ndarray:
+        """log(u^(2)) - log(u_n), unfloored, taken once."""
+        if self.ratio is None:
+            self.ratio = np.log(self.u2) - np.log(self.u_n)
+        return self.ratio
 
     def geo_mean(self, e) -> np.ndarray:
         """Patankar denominator u2**e * u_n**(1 - e), ``ppow``'s arithmetic
@@ -267,7 +264,8 @@ class StepRecord:
     ``step`` also leaves what the gamma-search would otherwise recompute
     on every probe: ``logs`` keeps log(max(u_n, tiny)) and log(max(u^(2),
     tiny)), each taken once, when a geometric-mean denominator first
-    needs it (MPRK43I's pi3 and tau, a dense or bootstrap sbar(gamma));
+    needs it (MPRK43I's pi3 and tau, a dense or bootstrap sbar(gamma)),
+    and the unfloored log(u^(2)) - log(u_n) of every sbar'(gamma);
     ``upd_M`` is the update matrix M_1 and ``sig_M`` the MPRK43I sigma
     matrix, with the factors their solves left on them.  At gamma = 1
     every factor gamma multiplies is 1.0, so sbar(1) is ``sigma`` and
@@ -434,7 +432,7 @@ def _sigma_bar_prime(rec: StepRecord, gamma: float, sbar, rate, M):
     """d sbar / d gamma from the pieces ``_sigma_bar_value`` returns."""
     if rate is None:
         return np.zeros_like(sbar)
-    v = sbar * rate * (np.log(rec.stages[1]) - np.log(rec.u_n))
+    v = sbar * rate * rec.logs.log_ratio()
     if M is None:
         return v
     rhs = (sbar - rec.u_n) / gamma + M @ v - v

@@ -1,13 +1,15 @@
 """Shared fixtures-in-code for the test suite: small hand-checkable
 systems, a random conservative PDS generator, the wrapping of dense
-test arrays into the package's sparse exchange contract, and the check
-that a step's kept matrices serve gamma = 1."""
+test arrays into the package's sparse exchange contract and planned
+Patankar format, and the check that a step's kept matrices serve
+gamma = 1."""
 
 from dataclasses import replace
 
 import numpy as np
 
 from relax_mprk import linalg, schemes
+from relax_mprk.linalg import PlannedPatankar
 from relax_mprk.pdrs import Exchange, ExchangePattern, PdrsSystem
 
 
@@ -25,6 +27,16 @@ def exchange(P, pattern=None):
     if np.count_nonzero(off_diag) != np.count_nonzero(vals):
         raise ValueError("the test array has a nonzero off the pattern")
     return Exchange(pattern, vals)
+
+
+def planned(A):
+    """The dense test matrix A as a ``PlannedPatankar`` on the pattern of
+    its off-diagonal nonzeros (a NaN counts as one), fill slots -0.0."""
+    A = np.asarray(A, dtype=float)
+    ex = exchange(A)
+    plan = ex.pattern.lu_plan
+    return PlannedPatankar(A.diagonal().tolist() + ex.vals.tolist()
+                           + [-0.0] * plan.n_fill, plan)
 
 
 def dense_system(dense_rates, support, linear_invariants=()):
@@ -92,7 +104,7 @@ def fd_gradient(eta_eval, u, h=1e-7):
 
 def gamma_one_matches_assembly(monkeypatch, rec, mode):
     """Check that the gamma = 1 derivative and sbar of a record from
-    ``step`` reuse its kept matrices: no Patankar assembly, no small
+    ``step`` reuse its kept matrices: no Patankar assembly, no planned
     elimination or band sweep, and the bits of the assembling path on a
     copy of the record without them."""
     calls = {"assemblies": 0, "factors": 0}
@@ -105,8 +117,8 @@ def gamma_one_matches_assembly(monkeypatch, rec, mode):
 
     monkeypatch.setattr(schemes, "patankar_matrix",
                         counted("assemblies", schemes.patankar_matrix))
-    monkeypatch.setattr(linalg, "_small_lu",
-                        counted("factors", linalg._small_lu))
+    monkeypatch.setattr(linalg, "_planned_lu",
+                        counted("factors", linalg._planned_lu))
     monkeypatch.setattr(linalg, "_sweep", counted("factors", linalg._sweep))
 
     def at_one(r):

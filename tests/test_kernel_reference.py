@@ -10,6 +10,7 @@ right-hand sides only when the dissipative entropy quadrature reads them.
 import math
 from collections import Counter
 from dataclasses import replace
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,8 +19,9 @@ import pytest
 from relax_mprk.control import integrate
 from relax_mprk.euler import (_density_pattern, _density_production,
                               _interface_fluxes, isothermal_euler_fv)
-from relax_mprk.linalg import (SingularMatrixError, SmallPatankar,
-                               _band_substitute, _singular, _sweep)
+from relax_mprk.linalg import (PlannedPatankar, SingularMatrixError,
+                               _at_largest_diagonal, _band_substitute,
+                               _singular, _sweep, lu_solve)
 from relax_mprk.means import mean_geo, mean_harm, mean_log
 from relax_mprk.pdrs import PdrsSystem, RateSet
 from relax_mprk.problems import (_STRAT_M, _daylight, _strat_matrix_rates,
@@ -29,7 +31,7 @@ from relax_mprk.relaxation import (MODE_CLAMPED, RelaxConfig, entropy_estimate,
 from relax_mprk.schemes import (MpStepper, _geo_denominator, build_scheme,
                                 patankar_matrix, ppow)
 
-from helpers import exchange
+from helpers import exchange, planned
 
 # the largest, smallest normal and subnormal magnitudes a state may reach
 EXTREMES = (1e300, 1e-300, np.finfo(float).tiny / 4.0, 5e-324)
@@ -234,6 +236,60 @@ def old_band_substitute(lu, b):
     return x
 
 
+def old_small_lu(rows):
+    # the elimination of the d <= 4 format on full rows of Python floats,
+    # structural zeros included
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise ValueError("matrix has non-finite entries")
+    n = len(rows)
+    lu = [row.copy() for row in rows]
+    for k, rk in enumerate(lu):
+        p = rk[k]
+        if not p > 0.0:
+            raise _singular([r[i] for i, r in enumerate(rows)], k,
+                            f"pivot {p:.3e}")
+        for ri in lu[k + 1:]:
+            f = ri[k] = ri[k] / p
+            for j in range(k + 1, n):
+                ri[j] -= f * rk[j]
+    return lu
+
+
+def old_small_substitute(lu, b):
+    n = len(lu)
+    x = b.copy()
+    for i in range(1, n):
+        row, s = lu[i], x[i]
+        for j in range(i):
+            s -= row[j] * x[j]
+        x[i] = s
+    for i in range(n - 1, -1, -1):
+        row, s = lu[i], x[i]
+        for j in range(i + 1, n):
+            s -= row[j] * x[j]
+        x[i] = s / row[i]
+    return x
+
+
+def old_small_matmul(rows, v):
+    out = []
+    for row in rows:
+        s = 0.0
+        for a, x in zip(row, v):
+            s += a * x
+        out.append(s)
+    return np.array(out)
+
+
+def old_small_solve(rows, b):
+    # lu_solve's branch for the d <= 4 format: factor, substitute, check
+    x = old_small_substitute(old_small_lu(rows), b)
+    if not all(map(math.isfinite, x)):
+        raise _at_largest_diagonal([r[i] for i, r in enumerate(rows)],
+                                   "non-finite solution")
+    return np.array(x)
+
+
 def old_probe_pairs(gamma_min, gamma_max):
     # rebuilt on every bracket search
     n_lo = max(4, round(12 * min(1.0, math.log10(1.0 / gamma_min) / 6.0)))
@@ -262,9 +318,7 @@ def test_patankar_matrix_matches_reference(d):
                 old = old_patankar_matrix(P, loss, denom, fac)
                 assert not np.isnan(old).any()
                 M = patankar_matrix(exchange(P), loss, denom, fac)
-                if isinstance(M, SmallPatankar):
-                    M = M.toarray()
-                assert _same(M, old)
+                assert _same(M.toarray(), old)
 
 
 def test_geo_denominator_at_unit_exponent_matches_reference():
@@ -440,6 +494,132 @@ def test_bidiagonal_sweep_fails_as_the_reference(n):
         new = _outcome(_sweep, broken, b)
         assert new == _outcome(old_sweep, broken, b)
         assert new[0] in (SingularMatrixError, ValueError)
+
+
+def _random_exchange(rng, d, lo, hi, zero_share):
+    """Exchange array with log-uniform entries in [10**lo, 10**hi], a
+    ``zero_share`` of them zero, and a zero diagonal."""
+    P = 10.0 ** rng.uniform(lo, hi, size=(d, d))
+    P[rng.random((d, d)) < zero_share] = 0.0
+    np.fill_diagonal(P, 0.0)
+    return P
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_planned_solve_matches_small_reference(d):
+    # the planned elimination, substitutions and product skip only the
+    # structural zeros the full d <= 4 format ran through, so first
+    # solves, substitutions (right-hand sides of both signs, zeros
+    # included) and M @ v are bit-equal, the sign of zero too
+    rng = np.random.default_rng(d + 20)
+    for fac in (1e-3, 0.7, 21.0, 1e5):
+        for _ in range(40):
+            P = _random_exchange(rng, d, -6.0, 6.0, rng.uniform(0.0, 0.8))
+            loss = P.sum(axis=0) + 10.0 ** rng.uniform(-6.0, 6.0, d)
+            denom = 10.0 ** rng.uniform(-6.0, 6.0, d)
+            M = patankar_matrix(exchange(P), loss, denom, fac)
+            rows = M.toarray().tolist()
+            b1 = 10.0 ** rng.uniform(-6.0, 6.0, d)
+            new = _outcome(lu_solve, M, b1)
+            assert new == _outcome(old_small_solve, rows, b1.tolist())
+            assert new[0] is not SingularMatrixError
+            lu = M.lu
+            b2 = rng.standard_normal(d)
+            b2[rng.random(d) < 0.2] = 0.0
+            assert _same(lu_solve(M, b2), old_small_solve(rows, b2.tolist()))
+            assert M.lu is lu
+            assert _same(M @ b2, old_small_matmul(rows, b2.tolist()))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_planned_solve_fails_as_the_small_reference(d):
+    # past 1/eps, at a zero or negative pivot and on NaN or inf: the same
+    # error type and message, naming the same row
+    rng = np.random.default_rng(d + 30)
+    b = np.ones(d)
+    raised = 0
+    for fac in (1e16, 1e18, 1e20, 1e300):
+        for _ in range(10):
+            P = _random_exchange(rng, d, -3.0, 3.0, 0.3)
+            denom = 10.0 ** rng.uniform(-20.0, 0.0, d)
+            with np.errstate(over="ignore"):
+                M = patankar_matrix(exchange(P), P.sum(axis=0), denom, fac)
+            new = _outcome(lu_solve, M, b)
+            assert new == _outcome(old_small_solve, M.toarray().tolist(),
+                                   b.tolist())
+            raised += new[0] is SingularMatrixError
+    assert raised > 0
+    P = _random_exchange(rng, d, -1.0, 0.0, 0.0)
+    A = patankar_matrix(exchange(P), P.sum(axis=0), np.ones(d), 0.7).toarray()
+    for row, col, bad in ((0, 0, 0.0), (d - 1, d - 1, 0.0), (1, 1, -1.0),
+                          (1, 0, np.nan), (0, d - 1, np.inf),
+                          (d - 1, d - 1, -np.inf)):
+        broken = A.copy()
+        broken[row, col] = bad
+        new = _outcome(lu_solve, planned(broken), b)
+        assert new == _outcome(old_small_solve, broken.tolist(), b.tolist())
+        assert new[0] is ValueError or (new[0] is SingularMatrixError
+                                         and " in row " in new[1])
+
+
+def _agrees_with_gesv(M, rng):
+    """A first solve and a substitution with M agree with LAPACK gesv on
+    M's dense array to 1e-13 relative, and stay positive."""
+    A = M.toarray()
+    n = len(A)
+    for _ in range(2):
+        b = 10.0 ** rng.uniform(-1.0, 0.0, n)
+        x, ref = lu_solve(M, b), np.linalg.solve(A, b)
+        assert np.all(x > 0.0)
+        assert np.all(np.abs(x - ref) <= 1e-13 * ref)
+
+
+@pytest.mark.parametrize("d", [5, 6, 17, 63])
+def test_planned_solve_matches_gesv(d):
+    # random patterns from sparse to full; fac*loss/denom up to about 20
+    rng = np.random.default_rng(d + 40)
+    for zero_share in (0.9, 0.6, 0.3, 0.0):
+        for _ in range(3):
+            P = _random_exchange(rng, d, -1.0, 0.0, zero_share)
+            denom = 10.0 ** rng.uniform(-0.5, 0.5, d)
+            M = patankar_matrix(exchange(P), P.sum(axis=0), denom,
+                                10.0 ** rng.uniform(-1.0, 1.0))
+            assert isinstance(M, PlannedPatankar)
+            _agrees_with_gesv(M, rng)
+
+
+@pytest.mark.parametrize("d", [5, 17, 63])
+@pytest.mark.parametrize("pattern", ["bidiagonal", "tridiagonal"])
+def test_planned_cyclic_solve_matches_gesv(pattern, d):
+    # the patterns of advection and the Euler density below the band size
+    rng = np.random.default_rng(d + 50)
+    i = np.arange(d)
+    for _ in range(5):
+        P = np.zeros((d, d))
+        P[(i + 1) % d, i] = 10.0 ** rng.uniform(-1.0, 0.0, d)
+        if pattern == "tridiagonal":
+            P[i, (i + 1) % d] = 10.0 ** rng.uniform(-1.0, 0.0, d)
+        denom = 10.0 ** rng.uniform(-0.5, 0.5, d)
+        M = patankar_matrix(exchange(P), P.sum(axis=0), denom,
+                            10.0 ** rng.uniform(-1.0, 1.0))
+        assert isinstance(M, PlannedPatankar)
+        _agrees_with_gesv(M, rng)
+
+
+@pytest.mark.parametrize("hour", STRAT_HOURS)
+def test_planned_stratospheric_solve_matches_gesv(hour):
+    # the 6 x 6 pattern with its 4 fill entries, at states near the
+    # problem's and the step sizes its PID control takes
+    problem = make_problem("stratospheric")
+    t = hour * 3600.0
+    rng = np.random.default_rng(int(hour * 10) + 60)
+    for dt in (1.0, 36.0, 600.0, 3600.0):
+        for _ in range(5):
+            u = problem.u0 * np.exp(rng.uniform(-1.0, 1.0, 6))
+            r = problem.sys.rates(t, u)
+            M = patankar_matrix(r.P, r.loss, u, dt)
+            assert isinstance(M, PlannedPatankar) and M.plan.n_fill == 4
+            _agrees_with_gesv(M, rng)
 
 
 @pytest.mark.parametrize("window", [(1e-6, 10.0), (0.1, 10.0), (1e-3, 2.0),

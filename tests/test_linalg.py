@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relax_mprk.linalg import (BAND_MIN_DIM, SMALL_MAX_DIM, CyclicTridiagonal,
-                               SingularMatrixError, SmallPatankar, lu_solve)
+from relax_mprk.linalg import (BAND_MIN_DIM, CyclicTridiagonal,
+                               PlannedPatankar, SingularMatrixError, lu_solve)
 from relax_mprk.schemes import patankar_matrix
 
-from helpers import exchange
+from helpers import exchange, planned
 
 EPS = np.finfo(float).eps
 BANDED = ("cyclic_bidiagonal", "cyclic_tridiagonal", "tridiagonal")
@@ -70,11 +70,11 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         lu_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
     with pytest.raises(ValueError):
-        lu_solve(SmallPatankar([[3.0, -1.0], [-1.0, 3.0]]), np.ones(3))
+        lu_solve(planned([[3.0, -1.0], [-1.0, 3.0]]), np.ones(3))
 
 
 def test_non_finite_solution_raises():
-    for fmt in (np.array, SmallPatankar):
+    for fmt in (np.array, planned):
         A = fmt([[1e-300, 0.0], [0.0, 1.0]])
         with pytest.raises(SingularMatrixError,
                            match="non-finite solution; largest diagonal in row 1"):
@@ -88,7 +88,7 @@ def _assert_positive_and_conservative(M, b, x):
     if isinstance(M, CyclicTridiagonal):
         absM = CyclicTridiagonal(np.abs(M.bands))
     else:
-        absM = np.abs(M.toarray() if isinstance(M, SmallPatankar) else M)
+        absM = np.abs(M.toarray())
     assert abs(x.sum() - b.sum()) <= 2.0 * n * EPS * np.sum(absM @ x)
 
 
@@ -115,71 +115,99 @@ def test_patankar_systems_stay_positive_and_conservative():
 
 
 def _dense_assembly(P, loss, denom, fac):
-    # schemes.patankar_matrix's ndarray branch
+    # the dense scatter assembly patankar_matrix's two formats reproduce
     A = np.multiply(P, -fac) / denom
     A.flat[::len(denom) + 1] = 1.0 + fac * loss / denom
     return A
 
 
-def test_dense_singular_message_names_the_row():
+def test_planned_singular_message_names_the_row():
     # a cyclic bidiagonal Patankar matrix with fac*loss/denom = 1e20 in
-    # every column but one: LAPACK meets an exactly zero pivot, and the
-    # message names the row of the largest diagonal
-    for n in (SMALL_MAX_DIM + 1, 17, BAND_MIN_DIM - 1):
+    # every column: the no-pivot elimination meets a zero pivot in the
+    # last row, as the band sweep does from BAND_MIN_DIM on
+    for n in (3, 5, 17, BAND_MIN_DIM - 1):
+        i = np.arange(n)
+        f = np.full(n, 1e20)
+        P = np.zeros((n, n))
+        P[(i + 1) % n, i] = f
+        M = patankar_matrix(exchange(P), f, np.ones(n), 1.0)
+        assert isinstance(M, PlannedPatankar)
+        with pytest.raises(SingularMatrixError,
+                           match=rf"pivot 0\.000e\+00 in row {n - 1}, where "
+                                 rf"fac\*loss/denom = 1\.000e\+20 "
+                                 rf"\(1/eps = 4\.504e\+15\)"):
+            lu_solve(M, np.ones(n))
+
+
+def test_dense_singular_message_names_the_row():
+    # lu_solve keeps LAPACK gesv for a general ndarray: on the dense
+    # assembly of a cyclic bidiagonal Patankar matrix with fac*loss/denom
+    # = 1e20 in every column but one it meets an exactly zero pivot, and
+    # the message names the row of the largest diagonal
+    for n in (5, 17, BAND_MIN_DIM - 1):
         i = np.arange(n)
         f = np.full(n, 1e20)
         f[n // 2] = 3e20
         P = np.zeros((n, n))
         P[(i + 1) % n, i] = f
-        M = patankar_matrix(exchange(P), f, np.ones(n), 1.0)
-        assert isinstance(M, np.ndarray)
+        A = _dense_assembly(P, f, np.ones(n), 1.0)
         with pytest.raises(SingularMatrixError,
                            match=rf"zero pivot in LAPACK gesv; largest diagonal "
                                  rf"in row {n // 2}, where fac\*loss/denom = "
                                  rf"3\.000e\+20 \(1/eps = 4\.504e\+15\)"):
-            lu_solve(M, np.ones(n))
+            lu_solve(A, np.ones(n))
 
 
 # ---------------------------------------------------------------------------
-# Elimination on Python floats for tiny systems
+# The planned format: no-pivot elimination on Python floats for every
+# system below the band size (here "small")
 
-@pytest.mark.parametrize("n", range(1, SMALL_MAX_DIM + 1))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 17, BAND_MIN_DIM - 1])
 def test_small_format_holds_the_dense_entries(n):
     rng = np.random.default_rng(n)
     with np.errstate(all="ignore"):
         for fac in (0.0, 1e-3, 0.7, 21.0, 1e5):
-            for _ in range(25):
+            for _ in range(25 if n < 17 else 3):
                 P = 10.0 ** rng.uniform(-300.0, 300.0, size=(n, n))
                 P[rng.random((n, n)) < 0.3] = 0.0
                 loss = P.sum(axis=0) + 10.0 ** rng.uniform(-300.0, 3.0, n)
                 denom = 10.0 ** rng.uniform(-300.0, 300.0, n)
                 M = patankar_matrix(exchange(P), loss, denom, fac)
-                assert isinstance(M, SmallPatankar)
+                assert isinstance(M, PlannedPatankar)
                 A, B = M.toarray(), _dense_assembly(P, loss, denom, fac)
                 assert np.array_equal(A, B, equal_nan=True)
                 assert np.array_equal(np.signbit(A), np.signbit(B))
 
 
-@pytest.mark.parametrize("n", [1, 2, SMALL_MAX_DIM, SMALL_MAX_DIM + 1,
-                               BAND_MIN_DIM - 1, BAND_MIN_DIM])
+@pytest.mark.parametrize("n", [1, 2, 4, 5, BAND_MIN_DIM - 1, BAND_MIN_DIM])
 def test_patankar_matrix_format_follows_the_dimension(n):
     i = np.arange(n)
     P = np.zeros((n, n))
     P[(i + 1) % n, i] = 0.3
     np.fill_diagonal(P, 0.0)
     M = patankar_matrix(exchange(P), P.sum(axis=0), np.ones(n), 0.5)
-    if n <= SMALL_MAX_DIM:
-        assert isinstance(M, SmallPatankar)
-    elif n < BAND_MIN_DIM:
-        assert isinstance(M, np.ndarray)
+    if n < BAND_MIN_DIM:
+        assert isinstance(M, PlannedPatankar)
     else:
         assert isinstance(M, CyclicTridiagonal)
 
 
-def test_small_solve_matches_lapack_and_reuses_its_factor():
+def test_small_solve_matches_lapack_and_reuses_its_factor(monkeypatch):
+    # every solve after the first only substitutes, with the kept factor
+    from relax_mprk import linalg
+
+    factors = [0]
+    planned_lu = linalg._planned_lu
+
+    def counting(vals, plan):
+        factors[0] += 1
+        return planned_lu(vals, plan)
+
+    monkeypatch.setattr(linalg, "_planned_lu", counting)
     rng = np.random.default_rng(3)
-    for n in range(1, SMALL_MAX_DIM + 1):
+    for n in (1, 2, 3, 4, 5, 6, 17):
         P = 10.0 ** rng.uniform(-1.0, 1.0, size=(n, n))
+        P[rng.random((n, n)) < 0.3] = 0.0
         np.fill_diagonal(P, 0.0)
         denom = 10.0 ** rng.uniform(-0.5, 0.5, n)
         M = patankar_matrix(exchange(P), P.sum(axis=0), denom, 2.0)
@@ -192,23 +220,24 @@ def test_small_solve_matches_lapack_and_reuses_its_factor():
         v = rng.normal(size=n)
         assert np.allclose(M @ v, M.toarray() @ v, rtol=0.0,
                            atol=4.0 * EPS * np.max(np.abs(M.toarray()) @ np.abs(v)))
+    assert factors[0] == 7
 
 
 @pytest.mark.parametrize("row, col", [(0, 0), (0, 1), (1, 0), (1, 1)])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_small_entry_raises(row, col, bad):
-    rows = [[3.0, -1.0], [-1.0, 3.0]]
-    rows[row][col] = bad
+    A = np.array([[3.0, -1.0], [-1.0, 3.0]])
+    A[row, col] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        lu_solve(SmallPatankar(rows), np.ones(2))
+        lu_solve(planned(A), np.ones(2))
 
 
 def test_small_past_inverse_eps_raises_and_never_returns_a_negative_state():
-    # the band test below on full matrices of up to SMALL_MAX_DIM unknowns
+    # the band test below on full matrices of up to 4 unknowns
     rng = np.random.default_rng(8)
     raised = 0
     for _ in range(400):
-        n = int(rng.integers(2, SMALL_MAX_DIM + 1))
+        n = int(rng.integers(2, 5))
         P = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, n))
         P[rng.random((n, n)) < 0.3] = 0.0
         np.fill_diagonal(P, 0.0)
@@ -227,7 +256,7 @@ def test_small_past_inverse_eps_raises_and_never_returns_a_negative_state():
 def test_small_singular_message_names_the_row():
     # the cyclic bidiagonal matrix of the band test with three unknowns
     f = 1e20
-    M = SmallPatankar([[1.0 + f, 0.0, -f], [-f, 1.0 + f, 0.0], [0.0, -f, 1.0 + f]])
+    M = planned([[1.0 + f, 0.0, -f], [-f, 1.0 + f, 0.0], [0.0, -f, 1.0 + f]])
     with pytest.raises(SingularMatrixError,
                        match=r"pivot 0\.000e\+00 in row 2, where "
                              r"fac\*loss/denom = 1\.000e\+20 \(1/eps = 4\.504e\+15\)"):
@@ -236,15 +265,17 @@ def test_small_singular_message_names_the_row():
 
 def test_newton_relaxed_step_factors_each_matrix_once(monkeypatch):
     # the Newton derivative solve reuses the factor of the value solve's
-    # M_gamma, and the derivative at gamma = 1 the factor of the step's
-    # own update matrix, so every Patankar matrix of a relaxed
-    # Lotka-Volterra step is factored exactly once however often it is
-    # solved
+    # M_gamma, the bootstrap sbar' solve that of the sigma matrix, and
+    # the derivative at gamma = 1 the factors of the step's own update
+    # and sigma matrices, so every Patankar matrix of a relaxed step is
+    # factored exactly once however often it is solved: Lotka-Volterra
+    # (d = 2) and the stratospheric system (d = 6, dense and bootstrap
+    # sigma)
     from relax_mprk import linalg, schemes
-    from relax_mprk.problems import lotka_volterra
+    from relax_mprk.problems import make_problem
     from relax_mprk.relaxation import RelaxConfig, relax_step
 
-    counts = {"assemblies": 0, "factors": 0, "solves": 0}
+    counts = {}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -255,19 +286,36 @@ def test_newton_relaxed_step_factors_each_matrix_once(monkeypatch):
     monkeypatch.setattr(schemes, "patankar_matrix",
                         counted("assemblies", schemes.patankar_matrix))
     monkeypatch.setattr(schemes, "lu_solve", counted("solves", schemes.lu_solve))
-    monkeypatch.setattr(linalg, "_small_lu", counted("factors", linalg._small_lu))
-    problem = lotka_volterra()
-    stepper = schemes.MpStepper(problem.sys, schemes.build_scheme("mprk22", 1.0))
-    rec = stepper.step(0.0, problem.u0, 0.2)
-    out = relax_step(problem.eta, stepper, rec,
-                     RelaxConfig(mode="implicit", solver="newton"))
-    assert out.status == "converged" and out.iterations >= 2
-    assert counts["factors"] == counts["assemblies"]
-    # u^{n+1} needs no solve at gamma = 1, and the derivative there
-    # substitutes with the step's M_1, assembled no second time; each
-    # later iteration but the last solves its M_gamma twice, for the value
-    # and the derivative
-    assert counts["solves"] == counts["assemblies"] + out.iterations - 1
+    monkeypatch.setattr(schemes, "gamma_update_derivative",
+                        counted("derivatives",
+                                schemes.gamma_update_derivative))
+    monkeypatch.setattr(linalg, "_planned_lu",
+                        counted("factors", linalg._planned_lu))
+    monkeypatch.setattr(linalg, "_sweep", counted("factors", linalg._sweep))
+    for name, method, mode, dt in (
+            ("lotka_volterra", ("mprk22", 1.0), "frozen", 0.2),
+            ("stratospheric", ("mprk22", 1.0), "dense", 1.0),
+            ("stratospheric", ("mprk43i", 0.5, 0.75), "bootstrap", 1.0)):
+        problem = make_problem(name)
+        stepper = schemes.MpStepper(problem.sys, schemes.build_scheme(*method),
+                                    mode)
+        counts.update(assemblies=0, factors=0, solves=0, derivatives=0)
+        rec = stepper.step(problem.tspan[0], problem.u0, dt)
+        out = relax_step(problem.eta, stepper, rec,
+                         RelaxConfig(mode="implicit", solver="newton"))
+        assert out.status == "converged" and out.iterations >= 2
+        assert counts["factors"] == counts["assemblies"] > 0
+        # every other solve substitutes: the derivative's with M_gamma
+        # and, for bootstrap, its sbar' solve with the sigma matrix
+        assert counts["solves"] == (counts["factors"] + counts["derivatives"]
+                                    * (1 + (mode == "bootstrap")))
+        if mode == "frozen":
+            # u^{n+1} needs no solve at gamma = 1, and the derivative
+            # there substitutes with the step's M_1, assembled no second
+            # time; each later iteration but the last solves its M_gamma
+            # twice, for the value and the derivative
+            assert (counts["solves"]
+                    == counts["assemblies"] + out.iterations - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +453,23 @@ def test_band_singular_message_names_the_row():
         lu_solve(M, np.ones(n))
 
 
-def test_patankar_matrix_stays_dense_below_crossover_and_off_band():
+def test_patankar_matrix_is_planned_below_crossover_and_off_band():
+    # an entry off the cyclic band at 100 unknowns gives the planned
+    # format with its fill, which solves as gesv does on the dense array
     rng = np.random.default_rng(4)
     for n, extra in ((BAND_MIN_DIM - 1, None), (100, (0, 50)), (100, (50, 0))):
         P = _banded_exchange(rng, n, "cyclic_tridiagonal")
         if extra is not None:
             P[extra] = 1.0
-        M = patankar_matrix(exchange(P), P.sum(axis=0), np.ones(n), 0.5)
-        assert isinstance(M, np.ndarray) and M.shape == (n, n)
+        loss = P.sum(axis=0)
+        M = patankar_matrix(exchange(P), loss, np.ones(n), 0.5)
+        assert isinstance(M, PlannedPatankar) and M.plan.n_fill > 0
+        A = _dense_assembly(P, loss, np.ones(n), 0.5)
+        assert M.toarray().tobytes() == A.tobytes()
+        b = 10.0 ** rng.uniform(-1.0, 0.0, n)
+        x, x_dense = lu_solve(M, b), lu_solve(A, b)
+        assert np.all(x > 0.0)
+        assert np.all(np.abs(x - x_dense) <= 16.0 * EPS * x_dense)
 
 
 def test_package_step_imports_no_scipy():

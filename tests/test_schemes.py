@@ -8,9 +8,10 @@ from relax_mprk.linalg import SingularMatrixError
 from relax_mprk.pdrs import PositivityError
 from relax_mprk.problems import PROBLEM_FACTORIES, make_problem
 from relax_mprk.schemes import (SIGMA_MODES, MpStepper, SchemeParameterError,
-                                UnsupportedSchemeError, build_scheme,
-                                gamma_update, gamma_update_derivative,
-                                patankar_matrix, sigma_bar, step)
+                                UnsupportedSchemeError, _StageLogs,
+                                build_scheme, gamma_update,
+                                gamma_update_derivative, patankar_matrix,
+                                sigma_bar, step)
 
 from helpers import (dense_system, gamma_one_matches_assembly, linear_exchange,
                      random_conservative_system)
@@ -266,6 +267,52 @@ def test_gamma_one_reuses_the_step_matrices(monkeypatch, kind, alpha, beta,
     rec = step(sys, build_scheme(kind, alpha, beta), 0.0,
                rng.uniform(0.2, 2.0, size=4), 0.3)
     gamma_one_matches_assembly(monkeypatch, rec, mode)
+
+
+def test_dense_sigma_derivatives_take_the_stage_logs_once(monkeypatch):
+    # log(u^(2)) - log(u_n) is the same for every gamma of a step: a dense
+    # sigma Newton search on Lotka-Volterra takes its two logarithms in
+    # the first derivative and none in the later ones, and sbar' keeps
+    # the bits of the formula that took them afresh
+    from relax_mprk.relaxation import RelaxConfig, relax_step
+
+    problem = make_problem("lotka_volterra")
+    # alpha = 0.75 makes the gamma-rate 1/alpha of sbar' a factor other than 1
+    stepper = MpStepper(problem.sys, build_scheme("mprk22", 0.75), "dense")
+    rec = stepper.step(0.0, problem.u0, 0.2)
+    counts = {"logs": 0, "derivatives": 0}
+    inside = [False]
+    log = np.log
+
+    def counted_log(*args, **kwargs):
+        counts["logs"] += inside[0]
+        return log(*args, **kwargs)
+
+    derivative = stepper.gamma_state_derivative
+
+    def counted_derivative(*args):
+        counts["derivatives"] += 1
+        inside[0] = True
+        try:
+            return derivative(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(np, "log", counted_log)
+    monkeypatch.setattr(stepper, "gamma_state_derivative", counted_derivative)
+    out = relax_step(problem.eta, stepper, rec,
+                     RelaxConfig(mode="implicit", solver="newton"))
+    assert out.status == "converged" and counts["derivatives"] >= 3
+    assert counts["logs"] == 2
+    sbar, dsbar = sigma_bar(rec, out.gamma, "dense")
+    fresh = sbar * (1.0 / 0.75) * (log(rec.stages[1]) - log(rec.u_n))
+    assert dsbar.tobytes() == fresh.tobytes()
+    # the ratio is of the unfloored states, apart from the floored logs
+    # of the geometric means: a subnormal u_n keeps its own logarithm
+    u_n, u2 = np.array([5e-324, 1.0]), np.array([1e-300, 2.0])
+    logs = _StageLogs(u_n, u2)
+    logs.geo_mean(0.5)
+    assert logs.log_ratio().tobytes() == (log(u2) - log(u_n)).tobytes()
 
 
 def test_gamma_update_derivative_frozen_hand_values():
