@@ -25,9 +25,8 @@ from .linalg import SingularMatrixError
 from .pdrs import NonFiniteStateError, PositivityError
 from .problems import PROBLEM_FACTORIES, make_problem
 from .relaxation import (MODE_NONE, RELAX_MODES, SOLVERS, RelaxConfig)
-from .schemes import (SCHEME_KINDS, SIGMA_MODES, MpStepper,
-                      SchemeParameterError, UnsupportedSchemeError,
-                      build_scheme)
+from .schemes import (SCHEME_KINDS, SIGMA_MODES, SchemeParameterError,
+                      UnsupportedSchemeError, build_scheme)
 
 CSV_HEADER = "step,t,dt,gamma,relax_status,eta,inv1,inv2,err_ref"
 
@@ -149,10 +148,7 @@ def _resolve(args):
     if args.atol is None:
         args.atol = problem.defaults.get("atol", 1e-6)
 
-    if problem.stepper_factory is not None:
-        stepper = problem.stepper_factory(scheme, args.sigma_mode)
-    else:
-        stepper = MpStepper(problem.sys, scheme, args.sigma_mode)
+    stepper = problem.stepper(scheme, args.sigma_mode)
 
     t0, t_end_default = problem.tspan
     t_end = args.t_end if args.t_end is not None else t_end_default
@@ -245,7 +241,7 @@ def _oracle_reference(problem, t0, t_end, dt_fine):
     if os.path.exists(path):
         data = np.load(path)
         return data["ts"], data["us"]
-    oracle = MpStepper(problem.sys, build_scheme("mprk43i", 0.5, 0.75))
+    oracle = problem.stepper(build_scheme("mprk43i", 0.5, 0.75))
     ts, us = reference_solution(oracle, t0, problem.u0, t_end, dt_fine)
     os.makedirs(_CACHE_DIR, exist_ok=True)
     np.savez_compressed(path, ts=ts, us=us)
@@ -262,11 +258,6 @@ def cmd_convergence(args) -> int:
         def ref_at(t):
             return problem.reference(t)
     else:
-        if problem.sys is None:
-            raise ConfigError(
-                f"problem {problem.name!r} has no reference solution; "
-                f"convergence needs an analytic reference or a plain PDRS "
-                f"for the fine-step oracle")
         ts, us = _oracle_reference(problem, t0, t_end, min(dts) / 100.0)
 
         def ref_at(t):

@@ -1,29 +1,26 @@
 """Isothermal Euler equations, entropy-conservative finite volumes.
 
 The state is z = [rho_1..rho_N, m_1..m_N] with m = rho*v on a periodic
-mesh.  Density evolves through the modified Patankar scheme applied to a
-signed flux splitting (so rho stays positive unconditionally), momentum
-through the underlying explicit Runge-Kutta method with the same
-tableau.  Relaxation uses a single shared gamma: density is rescaled via
-the gamma-parameterized Patankar update, momentum affinely.
+mesh: a PDRS whose Patankar part is the density and whose explicit
+block (see ``pdrs``) is the momentum.  ``schemes.step`` advances the
+density by the modified Patankar scheme applied to a signed flux
+splitting (so rho stays positive unconditionally) and the momentum by
+the underlying explicit Runge-Kutta method with the same tableau.
+Relaxation uses a single shared gamma: density is rescaled via the
+gamma-parameterized Patankar update, momentum affinely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .linalg import lu_solve
 from .means import mean_arith, mean_log
-from .pdrs import (Exchange, ExchangePattern, NonFiniteStateError, RateSet,
-                   _raise_bad_entry)
+from .pdrs import (Exchange, ExchangePattern, NonFiniteStateError, PdrsSystem,
+                   eval_rhs)
 from .relaxation import EntropyFunctional, MODE_IMPLICIT, REGIME_CONSERVATIVE
-from .schemes import (MPRK22, SIGMA_MODES, MpScheme, MpStepper, StepRecord,
-                      UnsupportedSchemeError, _check_positive, _solve_stage,
-                      _StageLogs, _weighted, check_sigma_mode, gamma_update,
-                      gamma_update_derivative, patankar_matrix)
+from .schemes import MpScheme, MpStepper
 
 
 def _interface_fluxes(rho, m, c):
@@ -58,59 +55,33 @@ def _density_production(f_rho, dx, pattern):
     return Exchange(pattern, vals)
 
 
-@dataclass(frozen=True)
-class EulerRecord:
-    """One partitioned step (density MP, momentum explicit RK): the density
-    step's own ``StepRecord`` and the full-state parts; ``t_n`` and ``dt``
-    are the density step's, and the full right-hand sides ``stage_rhs``
-    are built only when read."""
-
-    density: StepRecord
-    u_next: np.ndarray         # full state [rho; m]
-    stages: tuple              # full stage states, u_n first
-    m_rhs: tuple               # momentum right-hand sides at the stages
-    dm: np.ndarray             # momentum increment of the full step
-
-    t_n = property(lambda self: self.density.t_n)
-    dt = property(lambda self: self.density.dt)
-    u_n = property(lambda self: self.stages[0])
-
-    @property
-    def stage_rhs(self) -> tuple:
-        return tuple(np.concatenate([r.rhs, g])
-                     for r, g in zip(self.density.rate_sets, self.m_rhs))
-
-
-class EulerStepper:
-    """Stepper protocol implementation for the partitioned system (see
-    ``MpStepper``; ``gamma_state(record, 1.0)`` is ``record.u_next``)."""
+class EulerStepper(MpStepper):
+    """``MpStepper`` over the Euler PDRS on N cells with sound speed c:
+    density exchanges on ``_density_pattern(N)``, momentum as an explicit
+    block of N components; mass and momentum are its linear invariants."""
 
     def __init__(self, N: int, c: float, scheme: MpScheme,
                  sigma_mode: Optional[str] = None):
-        if scheme.kind != MPRK22:
-            raise UnsupportedSchemeError(
-                "the partitioned Euler stepper supports MPRK22 only")
         self.N = N
         self.c = c
         self.dx = 1.0 / N
-        self.scheme = scheme
-        self.sigma_mode = check_sigma_mode(
-            scheme.kind, sigma_mode or SIGMA_MODES[scheme.kind][0])
-        self.pattern = _density_pattern(N)
         ones = np.ones(N)
         zeros = np.zeros(N)
-        self.linear_invariants = (np.concatenate([ones, zeros]),
-                                  np.concatenate([zeros, ones]))
+        # look _rates up on each call: bench/tracing.py wraps it on the
+        # class and must see every evaluation
+        sys = PdrsSystem(_density_pattern(N), lambda t, z: self._rates(z),
+                         (np.concatenate([ones, zeros]),
+                          np.concatenate([zeros, ones])), explicit_dim=N)
+        super().__init__(sys, scheme, sigma_mode)
 
-    def split(self, z):
-        return z[:self.N], z[self.N:]
+    # bench/tracing.py wraps the step in this class's own namespace
+    step = MpStepper.step
 
     def _rates(self, z):
-        rho, m = self.split(z)
-        # one mask, False for rho <= 0, NaN and +-inf (as in check_state)
-        ok = (0.0 < rho) & (rho < np.inf)
-        if not ok.all():
-            _raise_bad_entry(rho, ok, "density in cell {}")
+        """(P, 0.0, 0.0, momentum rhs) at z; the density is checked by
+        the system's ``check_state`` before this is called."""
+        N = self.N
+        rho, m = z[:N], z[N:]
         # a momentum too large for v**2 overflows; raise instead of warning
         # and letting inf and NaN reach the density solve
         with np.errstate(over="ignore", invalid="ignore"):
@@ -119,53 +90,11 @@ class EulerStepper:
         if not np.isfinite(m_rhs).all():
             raise NonFiniteStateError(
                 f"momentum flux is not finite (max |m| = {np.abs(m).max():.3e})")
-        return _density_production(f_rho, self.dx, self.pattern), m_rhs
+        P = _density_production(f_rho, self.dx, self.sys.pattern)
+        return P, 0.0, 0.0, m_rhs
 
     def rhs(self, z):
-        P, m_rhs = self._rates(z)
-        return np.concatenate([RateSet(P, 0.0, 0.0).rhs, m_rhs])
-
-    def step(self, t: float, z: np.ndarray, dt: float) -> EulerRecord:
-        if dt <= 0.0:
-            raise ValueError(f"step size must be positive, got {dt}")
-        sch = self.scheme
-        a21, b = sch.a[1, 0], sch.b
-        rho_n, m_n = self.split(z)
-        # the density flux is a conservative PDS without rest terms
-        P1, g1 = self._rates(z)
-        r1 = RateSet(P1, 0.0, 0.0)
-        rho_2 = _solve_stage(rho_n, [r1], [a21], rho_n, dt)
-        z_2 = np.concatenate([rho_2, m_n + a21 * dt * g1])
-
-        P2, g2 = self._rates(z_2)
-        r2 = RateSet(P2, 0.0, 0.0)
-        logs = _StageLogs(rho_n, rho_2)
-        sigma = logs.geo_mean(1.0 / sch.alpha)
-        upd_P, upd_loss, _ = _weighted([r1, r2], b)
-        M = patankar_matrix(upd_P, upd_loss, sigma, dt)
-        rho_next = _check_positive(lu_solve(M, rho_n), "updated density")
-        dm = dt * (b[0] * g1 + b[1] * g2)
-        z_next = np.concatenate([rho_next, m_n + dm])
-
-        density = StepRecord(sch, t, dt, (rho_n, rho_2), (r1, r2), rho_next,
-                             sigma, upd_P, upd_loss, np.zeros(self.N),
-                             logs=logs, upd_M=M)
-        return EulerRecord(density, z_next, (np.array(z), z_2), (g1, g2), dm)
-
-    def gamma_state(self, record: EulerRecord, gamma: float) -> np.ndarray:
-        rho_g = gamma_update(record.density, gamma, self.sigma_mode)
-        _, m_n = self.split(record.u_n)
-        return np.concatenate([rho_g, m_n + gamma * record.dm])
-
-    def gamma_state_derivative(self, record: EulerRecord, gamma: float,
-                               z_gamma: np.ndarray) -> np.ndarray:
-        rho_g = z_gamma[:self.N]
-        drho = gamma_update_derivative(record.density, gamma,
-                                       self.sigma_mode, rho_g)
-        return np.concatenate([drho, record.dm])
-
-    entropy_quadrature = MpStepper.entropy_quadrature
-    error_estimate = MpStepper.error_estimate
+        return eval_rhs(self.sys, 0.0, z)
 
 
 def isothermal_euler_fv(N: int = 100, c: float = 1.0):

@@ -139,14 +139,17 @@ class RateSet:
     """All rates of a PDRS evaluated at one (t, u) point.
 
     ``P`` is the ``Exchange`` of the p_{k,nu}; rest_prod/rest_dest are the
-    rest terms (or a scalar 0.0 where there are none); ``loss``, built at
-    construction, is the total destruction rD_k + sum_nu p_{nu,k}.  A
-    value vector whose length is not the pattern's raises ValueError.
+    rest terms (or a scalar 0.0 where there are none); ``explicit`` is the
+    right-hand side g of a system's explicit block (None without one);
+    ``loss``, built at construction, is the total destruction
+    rD_k + sum_nu p_{nu,k}.  A value vector whose length is not the
+    pattern's raises ValueError.
     """
 
     P: Exchange
     rest_prod: np.ndarray
     rest_dest: np.ndarray
+    explicit: Optional[np.ndarray] = None
     loss: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -160,9 +163,12 @@ class RateSet:
     @property
     def rhs(self) -> np.ndarray:
         vals, pat = self.P.vals, self.P.pattern
-        return self.rest_prod - self.rest_dest + (
+        f = self.rest_prod - self.rest_dest + (
             np.bincount(pat.rows, vals, pat.dim)
             - np.bincount(pat.cols, vals, pat.dim))
+        if self.explicit is None:
+            return f
+        return np.concatenate([f, self.explicit])
 
 
 @dataclass(frozen=True)
@@ -172,11 +178,15 @@ class PdrsSystem:
     ``matrix_rates(t, u)`` returns ``(P, rP, rD)``: the ``Exchange`` of
     p_{k,nu} on ``pattern`` and the length-d float rest vectors rP and
     rD.  No d x d array is built, so a rate evaluation costs O(nnz + d).
+    A system with ``explicit_dim = k > 0`` takes states of length d + k
+    and returns the length-k right-hand side g of its explicit block as a
+    fourth item.  ``dim`` is d, the size of the Patankar part.
     """
 
     pattern: ExchangePattern
     matrix_rates: Callable[[float, np.ndarray], tuple]
     linear_invariants: tuple = ()
+    explicit_dim: int = 0
 
     @property
     def dim(self) -> int:
@@ -184,12 +194,16 @@ class PdrsSystem:
 
     def check_state(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise ValueError(f"state has shape {u.shape}, expected ({self.dim},)")
-        # one mask on the hot path; it is False for u <= 0, NaN and +-inf
-        ok = (0.0 < u) & (u < np.inf)
+        d = self.dim
+        if u.shape != (d + self.explicit_dim,):
+            raise ValueError(f"state has shape {u.shape}, "
+                             f"expected ({d + self.explicit_dim},)")
+        # one mask on the hot path; it is False for u <= 0, NaN and +-inf.
+        # The explicit block may take any sign.
+        v = u[:d] if self.explicit_dim else u
+        ok = (0.0 < v) & (v < np.inf)
         if not ok.all():
-            _raise_bad_entry(u, ok, "state component u[{}]")
+            _raise_bad_entry(v, ok, "state component u[{}]")
         return u
 
     def rates(self, t: float, u: np.ndarray) -> RateSet:

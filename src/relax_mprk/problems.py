@@ -17,6 +17,7 @@ from .means import mean_geo, mean_harm, mean_log
 from .pdrs import Exchange, ExchangePattern, PdrsSystem
 from .relaxation import (EntropyFunctional, MODE_CLAMPED, MODE_IMPLICIT,
                          REGIME_CONSERVATIVE, REGIME_DISSIPATIVE)
+from .schemes import MpScheme, MpStepper
 
 
 @dataclass(frozen=True)
@@ -24,8 +25,11 @@ class ProblemDescriptor:
     """One experiment: system, entropy, initial data, defaults.
 
     ``reference(t)`` returns the exact state when an analytic solution is
-    known, else None and a fine-step oracle is used.  ``stepper_factory``
-    overrides the plain MP stepper for partitioned problems.
+    known, else None and a fine-step oracle is used.  A problem whose
+    system needs its own set-up (isothermal Euler, which builds a PDRS
+    with an explicit block per stepper) leaves ``sys`` None and gives
+    ``stepper_factory(scheme, sigma_mode)`` instead; ``stepper`` builds
+    either kind.
     """
 
     name: str
@@ -37,6 +41,13 @@ class ProblemDescriptor:
     reference: Optional[Callable] = None
     mesh: Optional[dict] = None
     stepper_factory: Optional[Callable] = None
+
+    def stepper(self, scheme: MpScheme,
+                sigma_mode: Optional[str] = None) -> MpStepper:
+        """The problem's stepper for ``scheme`` and ``sigma_mode``."""
+        if self.stepper_factory is not None:
+            return self.stepper_factory(scheme, sigma_mode)
+        return MpStepper(self.sys, scheme, sigma_mode)
 
 
 # ---------------------------------------------------------------------------

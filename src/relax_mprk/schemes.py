@@ -4,7 +4,10 @@ Implements the one-step maps of MPRK22(alpha), MPRK43I(alpha, beta) and
 MPSSPRK2(alpha, beta) for production-destruction-rest systems, together
 with the gamma-parameterized update machinery used by the relaxation
 solver: the denominator vectors sigma_bar(gamma), the matrix M_gamma, the
-state u^{n+gamma} and its derivative with respect to gamma.
+state u^{n+gamma} and its derivative with respect to gamma.  The explicit
+block of a partitioned system (see ``pdrs``) takes the scheme's own
+Butcher tableau, m^(i) = m_n + dt sum_j a_ij g_j, and moves affinely in
+gamma: m^{n+gamma} = m_n + gamma * dm.
 
 The key structural fact used throughout: every stage and update is a
 linear system whose matrix has unit-plus-nonnegative diagonal and
@@ -253,13 +256,15 @@ class StepRecord:
     """One MPRK step and everything needed to evaluate u^{n+gamma} and its
     gamma-derivative from it.
 
-    ``stages`` are the stage states, u_n first, and ``rate_sets`` their
-    rates; the stage right-hand sides ``stage_rhs`` are built from the
-    rates only when read.  ``upd_P``/``upd_loss`` are the update-weighted
-    exchange and loss, ``g`` the gamma-linear part of the right-hand side (so
-    the update solves M_gamma u = u_n + gamma*g).  For MPRK43I,
-    ``sig_P``/``sig_loss``/``sig_g`` describe the embedded sigma system
-    used by bootstrapping.
+    ``stages`` are the full stage states, u_n first, ``rate_sets`` their
+    rates and ``u_next`` the full new state; the stage right-hand sides
+    ``stage_rhs`` are built from the rates only when read.  ``dm`` is the
+    explicit block's increment over the step (None without one).  The
+    Patankar part of u_n is ``logs.u_n``.  ``upd_P``/``upd_loss`` are the
+    update-weighted exchange and loss, ``g`` the gamma-linear part of the
+    right-hand side (so the update solves M_gamma u = u_n + gamma*g).
+    For MPRK43I, ``sig_P``/``sig_loss``/``sig_g`` describe the embedded
+    sigma system used by bootstrapping.
 
     ``step`` also leaves what the gamma-search would otherwise recompute
     on every probe: ``logs`` keeps log(max(u_n, tiny)) and log(max(u^(2),
@@ -289,6 +294,7 @@ class StepRecord:
     logs: Optional[_StageLogs] = None
     upd_M: object = None
     sig_M: object = None
+    dm: Optional[np.ndarray] = None
     # ((gamma, mode), (sbar, rate, sigma matrix, M_gamma)) of the last
     # gamma assembled; see _gamma_matrix
     _last: Optional[tuple] = field(default=None, init=False, repr=False,
@@ -326,6 +332,23 @@ def _weighted(rate_sets, weights):
     return Exchange(rate_sets[0].P.pattern, vals), loss, rP
 
 
+def _full_state(u, m_n, rate_sets, weights, dt):
+    """The Patankar part ``u`` joined with the explicit block's
+    m_n + dt * sum_j w_j g_j; ``u`` itself when there is no block
+    (``m_n`` None)."""
+    if m_n is None:
+        return u
+    return np.concatenate([u, m_n + dt * _explicit_sum(rate_sets, weights)])
+
+
+def _explicit_sum(rate_sets, weights):
+    """sum_j w_j g_j over the rate sets' explicit right-hand sides."""
+    acc = None
+    for w, r in zip(weights, rate_sets):
+        acc = w * r.explicit if acc is None else acc + w * r.explicit
+    return acc
+
+
 def _solve_stage(u_n, rate_sets, weights, denom, dt):
     P, loss, rP = _weighted(rate_sets, weights)
     M = patankar_matrix(P, loss, denom, dt)
@@ -350,28 +373,34 @@ def _check_no_rest(r: RateSet) -> None:
             "MPSSPRK2 supports conservative PDS only (no rest terms)")
 
 
-def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
+def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, z_n: np.ndarray,
          dt: float) -> StepRecord:
-    """Advance one step of the chosen MP scheme from (t_n, u_n)."""
-    u_n = sys.check_state(u_n)
+    """Advance one step of the chosen MP scheme from (t_n, z_n): the
+    Patankar part u by the MP scheme, an explicit block m by the
+    scheme's Butcher tableau."""
+    z_n = sys.check_state(z_n)
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
+    if sys.explicit_dim:
+        u_n, m_n = z_n[:sys.dim], z_n[sys.dim:]
+    else:
+        u_n, m_n = z_n, None
 
-    # c_1 = 0, and u_n is checked: no second check_state through sys.rates
-    rates = [RateSet(*sys.matrix_rates(t_n, u_n))]
-    stages = [u_n]
+    # c_1 = 0, and z_n is checked: no second check_state through sys.rates
+    rates = [RateSet(*sys.matrix_rates(t_n, z_n))]
+    stages = [z_n]
     sig_P = sig_loss = sig_g = sig_M = None
 
     if scheme.kind in (MPRK22, MPRK43I):
         u2 = _solve_stage(u_n, rates, [scheme.a[1, 0]], u_n, dt)
-        stages.append(u2)
-        rates.append(sys.rates(t_n + scheme.c[1] * dt, u2))
+        stages.append(_full_state(u2, m_n, rates, scheme.a[1], dt))
+        rates.append(sys.rates(t_n + scheme.c[1] * dt, stages[1]))
         logs = _StageLogs(u_n, u2)
         if scheme.kind == MPRK43I:
             pi3 = logs.geo_mean(1.0 / scheme.p_exp)
             u3 = _solve_stage(u_n, rates, scheme.a[2, :2], pi3, dt)
-            stages.append(u3)
-            rates.append(sys.rates(t_n + scheme.c[2] * dt, u3))
+            stages.append(_full_state(u3, m_n, rates, scheme.a[2], dt))
+            rates.append(sys.rates(t_n + scheme.c[2] * dt, stages[2]))
             sigma, sig_P, sig_loss, sig_g, sig_M = _sigma_43i(scheme, logs,
                                                               rates, dt)
         else:
@@ -382,8 +411,8 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
         _check_no_rest(rates[0])
         M2 = patankar_matrix(rates[0].P, rates[0].loss, u_n, scheme.beta * dt)
         u2 = _check_positive(lu_solve(M2, u_n), "stage")
-        stages.append(u2)
-        rates.append(sys.rates(t_n + scheme.c[1] * dt, u2))
+        stages.append(_full_state(u2, m_n, rates, scheme.a[1], dt))
+        rates.append(sys.rates(t_n + scheme.c[1] * dt, stages[1]))
         _check_no_rest(rates[1])
         logs = _StageLogs(u_n, u2)
         sigma = logs.geo_mean(scheme.s_exp)
@@ -392,9 +421,13 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, u_n: np.ndarray,
 
     M = patankar_matrix(upd_P, upd_loss, sigma, dt)
     u_next = _check_positive(lu_solve(M, u_n + g), "update")
+    dm = None
+    if m_n is not None:
+        dm = dt * _explicit_sum(rates, scheme.b)
+        u_next = np.concatenate([u_next, m_n + dm])
     return StepRecord(scheme, t_n, dt, tuple(stages), tuple(rates), u_next,
                       sigma, upd_P, upd_loss, g, sig_P, sig_loss, sig_g,
-                      logs, M, sig_M)
+                      logs, M, sig_M, dm)
 
 
 def _sigma_bar_value(rec: StepRecord, gamma: float, mode: str):
@@ -423,7 +456,7 @@ def _sigma_bar_value(rec: StepRecord, gamma: float, mode: str):
 
     # bootstrap, MPRK43I
     M = patankar_matrix(rec.sig_P, rec.sig_loss, tau, gamma * rec.dt)
-    sbar = _check_positive(lu_solve(M, rec.u_n + gamma * rec.sig_g),
+    sbar = _check_positive(lu_solve(M, rec.logs.u_n + gamma * rec.sig_g),
                            "sigma_bar")
     return sbar, rate, M
 
@@ -435,7 +468,7 @@ def _sigma_bar_prime(rec: StepRecord, gamma: float, sbar, rate, M):
     v = sbar * rate * rec.logs.log_ratio()
     if M is None:
         return v
-    rhs = (sbar - rec.u_n) / gamma + M @ v - v
+    rhs = (sbar - rec.logs.u_n) / gamma + M @ v - v
     return lu_solve(M, rhs)
 
 
@@ -473,29 +506,41 @@ def _gamma_matrix(rec: StepRecord, gamma: float, mode: str):
 def gamma_update(rec: StepRecord, gamma: float, mode: str) -> np.ndarray:
     """Positivity-preserving gamma-parameterized update u^{n+gamma}.
 
-    Solves M_gamma u = u_n + gamma*g; reproduces u^{n+1} bit for bit at
-    gamma = 1 in every mode (every factor gamma multiplies is then 1.0)
-    and stays positive for every gamma > 0.
+    Solves M_gamma u = u_n + gamma*g and appends m_n + gamma*dm for an
+    explicit block; reproduces u^{n+1} bit for bit at gamma = 1 in every
+    mode (every factor gamma multiplies is then 1.0) and keeps the
+    Patankar part positive for every gamma > 0.
     """
     M = _gamma_matrix(rec, gamma, mode)[3]
-    return _check_positive(lu_solve(M, rec.u_n + gamma * rec.g), "gamma update")
+    u_n = rec.logs.u_n
+    u = _check_positive(lu_solve(M, u_n + gamma * rec.g), "gamma update")
+    if rec.dm is None:
+        return u
+    return np.concatenate([u, rec.u_n[u_n.size:] + gamma * rec.dm])
 
 
 def gamma_update_derivative(rec: StepRecord, gamma: float, mode: str,
                             u_gamma: np.ndarray) -> np.ndarray:
     """d u^{n+gamma} / d gamma, consistent with ``gamma_update``."""
     sbar, rate, M_sig, M = _gamma_matrix(rec, gamma, mode)
-    rhs = (u_gamma - rec.u_n) / gamma
+    u_n = rec.logs.u_n
+    if rec.dm is not None:
+        u_gamma = u_gamma[:u_n.size]
+    rhs = (u_gamma - u_n) / gamma
     # frozen sigma has sbar' = 0, so the sbar' correction M v - v vanishes
     if rate is not None:
         v = u_gamma * _sigma_bar_prime(rec, gamma, sbar, rate, M_sig) / sbar
         rhs = rhs + M @ v - v
-    return lu_solve(M, rhs)
+    du = lu_solve(M, rhs)
+    if rec.dm is None:
+        return du
+    return np.concatenate([du, rec.dm])
 
 
 class MpStepper:
-    """Binds a PDRS, a scheme and a sigma mode into the stepper protocol
-    consumed by the relaxation and step-control layers.
+    """Binds a PDRS (with or without an explicit block), a scheme and a
+    sigma mode into the stepper protocol consumed by the relaxation and
+    step-control layers.
 
     A stepper provides ``step``, ``gamma_state``, ``gamma_state_derivative``,
     ``entropy_quadrature``, ``error_estimate`` and ``linear_invariants``.

@@ -71,10 +71,7 @@ def test_criterion_01_unconditional_positivity(capsys):
     violations, checked, skipped = 0, 0, 0
     for p, scheme, mode, dt in _c1_cases():
         try:
-            if p.stepper_factory is not None:
-                stepper = p.stepper_factory(scheme)
-            else:
-                stepper = MpStepper(p.sys, scheme)
+            stepper = p.stepper(scheme)
         except (UnsupportedSchemeError, ValueError):
             skipped += 1
             continue

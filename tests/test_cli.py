@@ -161,12 +161,16 @@ def test_convergence_rejects_bad_levels(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_convergence_without_reference_exits_2(tmp_path, capsys, monkeypatch):
-    # Euler has neither an analytic reference nor a plain PDRS for the
-    # fine-step oracle
+def test_convergence_on_euler_uses_the_oracle(tmp_path, capsys,
+                                              monkeypatch):
+    # Euler has no analytic reference; its fine-step oracle is an MPRK43I
+    # run of its own stepper, as for every other problem
     monkeypatch.chdir(tmp_path)
-    assert main(["convergence", "--problem", "euler", "--levels", "1"]) == 2
-    assert "no reference solution" in capsys.readouterr().err
+    assert main(["convergence", "--problem", "euler:N=16", "--method",
+                 "mprk43i:0.5,0.75", "--relax", "none", "--adapt", "fixed",
+                 "--t-end", "0.1", "--dt0", "0.025", "--levels", "2"]) == 0
+    order = float(capsys.readouterr().out.splitlines()[-1].split()[2])
+    assert order > 2.5
 
 
 def test_convergence_reads_the_cached_oracle(tmp_path, capsys, monkeypatch):

@@ -719,5 +719,5 @@ def test_euler_stage_rhs_matches_eager_concatenation():
     rec = stepper.step(0.0, problem.u0, problem.mesh["dx"])
     assert len(rec.stage_rhs) == len(rec.stages) == 2
     for z, f in zip(rec.stages, rec.stage_rhs):
-        P, m_rhs = stepper._rates(z)
+        P, _, _, m_rhs = stepper._rates(z)
         assert _same(f, np.concatenate([RateSet(P, 0.0, 0.0).rhs, m_rhs]))

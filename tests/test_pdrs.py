@@ -142,3 +142,27 @@ def test_rate_set_rejects_values_of_the_wrong_length():
     for bad in (np.ones(3), np.ones(1), np.ones((2, 1))):
         with pytest.raises(ValueError, match=r"expected \(2,\)"):
             RateSet(Exchange(pattern, bad), zero, zero)
+
+
+def test_explicit_block_is_appended_and_may_take_any_sign():
+    # d = 2 Patankar components and a k = 3 explicit block
+    pattern = ExchangePattern([1], [0], 2)
+
+    def matrix_rates(t, z):
+        return (Exchange(pattern, np.array([z[0]])), 0.0, 0.0,
+                np.array([z[2], -z[3], 2.0]))
+
+    sys = PdrsSystem(pattern, matrix_rates, explicit_dim=3)
+    z = np.array([1.0, 2.0, -0.5, -3.0, 0.0])
+    assert sys.dim == 2
+    assert sys.check_state(z) is z
+    with pytest.raises(ValueError, match=r"expected \(5,\)"):
+        sys.check_state(z[:2])
+    bad = z.copy()
+    bad[1] = 0.0
+    with pytest.raises(PositivityError, match=r"u\[1\]"):
+        sys.check_state(bad)
+    r = sys.rates(0.0, z)
+    assert np.array_equal(r.explicit, [-0.5, 3.0, 2.0])
+    assert np.array_equal(r.rhs, [-1.0, 1.0, -0.5, 3.0, 2.0])
+    assert RateSet(r.P, 0.0, 0.0).rhs.shape == (2,)

@@ -215,18 +215,15 @@ def test_gamma_state_at_one_is_step_bitwise(name):
     # solving for it, which relies on this contract of every stepper
     problem = make_problem(name)
     t0, dt = problem.tspan[0], problem.defaults["dt0"]
-    if problem.stepper_factory is not None:
-        steppers = [problem.stepper_factory(build_scheme("mprk22", 1.0), mode)
-                    for mode in ("frozen", "dense")]
-    else:
-        # MPSSPRK2 takes conservative systems only
-        r = problem.sys.rates(t0, problem.u0)
-        rest = np.any(r.rest_prod) or np.any(r.rest_dest)
-        steppers = [MpStepper(problem.sys, build_scheme(kind, alpha, beta), mode)
-                    for kind, alpha, beta in ALL_SCHEMES
-                    if not (kind == "mpssprk2" and rest)
-                    for mode in SIGMA_MODES[kind]]
+    steppers = [problem.stepper(build_scheme(kind, alpha, beta), mode)
+                for kind, alpha, beta in ALL_SCHEMES
+                for mode in SIGMA_MODES[kind]]
     for stepper in steppers:
+        # MPSSPRK2 takes conservative systems only
+        r = stepper.sys.rates(t0, problem.u0)
+        if stepper.scheme.kind == "mpssprk2" and (
+                np.any(r.rest_prod) or np.any(r.rest_dest)):
+            continue
         rec = stepper.step(t0, problem.u0, dt)
         u1 = stepper.gamma_state(rec, 1.0)
         assert u1.tobytes() == rec.u_next.tobytes(), \
