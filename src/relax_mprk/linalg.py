@@ -1,5 +1,6 @@
 """Linear solves for Patankar systems: no-pivot elimination on Python
-floats, planned once per exchange pattern, an O(N) sweep for
+floats, planned once per exchange pattern and compiled to straight-line
+code once the pattern has been factored often enough, an O(N) sweep for
 cyclic-tridiagonal matrices, and dense LAPACK ``gesv`` for general
 matrices.
 
@@ -29,7 +30,15 @@ order keeps positivity.
   slot gets the operations, in the order, of a dense no-pivot
   elimination in the same k, i, j order, which adds nothing but zeros
   elsewhere; so up to d = 4, where that dense elimination ran on full
-  rows before, the solutions keep their bits;
+  rows before, the solutions keep their bits.  At its
+  ``COMPILE_AFTER``-th factorization a plan compiles its own kernels
+  (``LuPlan.compile``), as chemistry codes generate the sparse LU of a
+  fixed kinetics pattern (KPP; Damian, Sandu, Damian, Potra &
+  Carmichael, Comput. Chem. Eng. 2002): the assembly, the elimination
+  and both substitutions as straight-line Python on one local variable
+  per slot, with the interpreted loops' operations, pivot checks and
+  messages in their order, so the switch moves no bit.  The interpreted
+  loops stay as the cold path and as the tests' reference;
 * a ``CyclicTridiagonal`` (the Patankar matrices of advection, the porous
   medium equation and the Euler density) is solved in O(N) by a bordered
   Thomas sweep without pivoting, whose every step adds non-negative
@@ -59,56 +68,77 @@ unknowns d and the exchange pattern the system declares
 ``BAND_MIN_DIM`` on, the band format when every entry of the pattern
 lies on the cyclic sub- or super-diagonal (the pattern computes its
 entries' band slots once, on first use); the planned format otherwise.
-No path scans a d x d array.  Per Patankar matrix, in microseconds on a
-2-core x86-64 VM (Python 3.11, numpy 2.4, BLAS on one thread; the
-fastest of four runs, each the fastest of 15 repetitions), for the dense
-scatter assembly and ``gesv`` against the planned format:
+No path scans a d x d array.
 
-                                          assembly and     a second
-                                           first solve       solve
-    pattern                  nnz   fill   gesv  planned   gesv  planned
-    Lotka-Volterra, d = 2      1      0   15.9     5.1    11.6     1.4
-    cyclic3, d = 3             3      1   15.2     6.2     9.3     1.7
-    stratospheric, d = 6      16      4   15.5    13.6     9.8     2.9
-    full, d = 1                0      0   15.1     3.9     8.9     1.1
-    full, d = 4               12      0   15.2     9.5     9.6     2.2
-    full, d = 5               20      0   15.3    13.7     9.4     2.8
-    full, d = 6               30      0   14.9    17.8     9.5     3.4
-    full, d = 8               56      0   15.2    31.7     9.6     5.1
-    cyclic bidiagonal, 5       5      3   14.3     8.1     9.1     2.3
-                       8       8      6   14.4    11.6     9.7     3.5
-                      17      17     15   18.4    19.3    12.3     5.5
-                      32      32     30   25.5    34.0    17.8     9.9
-                      63      63     61   50.2    66.2    36.9    19.2
-    cyclic tridiagonal, 5     10      4   15.0    10.3     9.3     2.5
-                        8     16     10   15.7    15.7    10.4     3.8
-                       17     34     28   18.0    30.4    12.5     6.8
-                       32     64     58   25.0    56.1    17.8    12.5
-                       63    126    120   52.4   115.7    39.9    27.2
+Per Patankar matrix, in microseconds on a 2-core x86-64 VM (Python 3.11,
+numpy 2.4, BLAS on one thread; the fastest of three runs, each the
+fastest of 15 repetitions): the assembly and first solve, and a second
+solve with the kept factor, on the interpreted loops, on the compiled
+kernels and, for the cyclic patterns, on the band sweep
+(``BAND_MIN_DIM`` lowered for the measurement).  ``ops`` counts the
+multipliers, updates, substitution terms and divisions of one
+factorization and solve; the last column is one compile:
 
-A second solve with the planned format costs a fraction of ``gesv``'s at
-every size measured.  Its assembly and first solve cost about one
-interpreted multiply-add per pattern entry, fill entry and elimination
-update.  Up to about 50 of those they cost less than numpy's fixed
-overheads (the stratospheric pattern has 43 and ties, as does a full
-pattern at d = 5 with 50), beyond that more: a full pattern loses from
-d = 6, a cyclic one from d = 8 to 17.  No registered problem has a
+                                 first solve       second solve      compile
+    pattern                 ops interp  comp  band interp  comp  band     ms
+    stratospheric, d = 6     61   11.8   5.4     -    2.7   1.7     -   0.76
+    cyclic tridiagonal, 6    50   10.9   5.2  15.2    2.6   1.7   4.9   0.65
+                       17   171   26.0  12.4  19.9    5.8   3.5   7.1   1.72
+                       32   336   49.1  24.1  27.4   11.2   6.5  10.4   3.55
+                       63   677   99.9  46.9  39.5   21.9  12.8  16.3   7.28
+    cyclic bidiagonal, 17    81   17.9   8.7  17.4    5.1   2.9   6.1   1.26
+                       32   156   29.2  15.1  22.5    8.9   5.1   8.5   2.24
+                       63   311   59.1  30.1  31.0   16.9   9.5  12.9   4.75
+    full, d = 6             106   15.8   7.3     -    3.0   2.0     -   0.95
+    full, d = 17           1921  156.1  71.9     -   14.8   8.8     -   10.9
+    full, d = 40          22920 1410.6 733.1     -   62.8  60.7     -    153
+
+The kernels take about half the interpreted time of an assembly and
+first solve at every size, and 0.55-0.7 of a second solve (on the full
+d = 40 pattern, whose kernels run to 23,000 lines, a second solve gains
+little).  Compiling costs 6-16 us per operation, and about 0.2 ms at
+least (Lotka-Volterra's 4 operations), so it pays for itself after
+compile / (interpreted - compiled) factorizations: 111 to 226 on the
+patterns above, 118 on the stratospheric one.  ``COMPILE_AFTER`` = 200
+sits near the top of that range.  Compiling at the break-even count is
+the ski-rental rule: a pattern factored fewer times never compiles and
+pays nothing extra (the tests' one-use random patterns, up to full
+d = 40 and 63, would spend about 0.2-0.7 s each), and one factored more
+pays at most about twice the cost of the better choice made in
+hindsight.  The stratospheric pattern compiles within the first 2 % of
+a noon-to-midnight run (296 factorizations).
+
+Against the band sweep, the compiled kernels take less for an assembly
+and first solve up to about d = 40 on a cyclic tridiagonal pattern
+(29.2 against 29.9 us there, 35.4 against 33.7 at d = 48) and up to
+d = 63 on a cyclic bidiagonal one (46.3 against 40.3 at d = 100), and
+less for a second solve up to d = 100 on both.  ``BAND_MIN_DIM`` = 64
+was set where the band sweep and ``gesv`` tie on those patterns (at 100
+the sweep takes 0.55-0.8 of the dense time, at 1,000 about 0.05); moving
+it to the compiled crossover would put the Euler density, PME and
+advection at test sizes on the band format, whose sweep differs from
+the natural-order elimination by roundoff.  No registered problem has a
 pattern off the cyclic band at d >= ``BAND_MIN_DIM``; on one, the
-planned format's cost is its fill-operation count, O(d) for a band plus
-a few entries and O(d^3) for a full pattern.  The band format and
-``gesv`` tie near 64 unknowns on cyclic bi- and tridiagonal patterns;
-at 100 the band path takes 0.55-0.8 of the dense time, at 1,000 about
-0.05.
+planned format's cost is its operation count, O(d) for a band plus a
+few entries and O(d^3) for a full pattern.
 """
 
 from __future__ import annotations
 
+import linecache
+import weakref
 from math import isfinite
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 BAND_MIN_DIM = 64
+# the factorization at which a plan compiles its kernels (see the module
+# docstring for how it is derived)
+COMPILE_AFTER = 200
+# the most subtractions one compiled substitution statement chains: the
+# compiler's recursion limit stops a chain of about 5,000
+_TERMS_PER_LINE = 16
 
 _INV_EPS = 1.0 / np.finfo(float).eps
 
@@ -117,7 +147,15 @@ class SingularMatrixError(np.linalg.LinAlgError):
     pass
 
 
-class LuPlan(NamedTuple):
+class _Kernels(NamedTuple):
+    """A plan's compiled straight-line kernels; see ``LuPlan.compile``."""
+
+    assemble: Callable
+    factor: Callable
+    substitute: Callable
+
+
+class LuPlan:
     """Symbolic no-pivot LU factorization, in natural order, of the d x d
     matrices whose nonzeros lie on the diagonal and at the entries
     (rows[e], cols[e]) of an exchange pattern; see ``plan_lu``.
@@ -137,16 +175,44 @@ class LuPlan(NamedTuple):
     every row, from the last one up, with its entries of U right of the
     diagonal.  ``product`` is each row's (slot, column) list of the
     matrix itself, diagonal included.
+
+    ``factored`` counts the factorizations the interpreted loops ran on
+    the plan; at the ``COMPILE_AFTER``-th, ``_planned_lu`` calls
+    ``compile``, and from then on ``kernels`` holds the plan's assembly,
+    factorization and substitutions as straight-line functions and
+    ``source`` their Python source.
     """
 
-    dim: int
-    cols: list
-    n_fill: int
-    flat: np.ndarray
-    elim: tuple
-    lower: tuple
-    upper: tuple
-    product: tuple
+    __slots__ = ("dim", "cols", "n_fill", "flat", "elim", "lower", "upper",
+                 "product", "factored", "kernels", "source", "__weakref__")
+
+    def __init__(self, dim, cols, n_fill, flat, elim, lower, upper, product):
+        self.dim, self.cols, self.n_fill, self.flat = dim, cols, n_fill, flat
+        self.elim, self.lower, self.upper = elim, lower, upper
+        self.product = product
+        self.factored = 0
+        self.kernels = self.source = None
+
+    def compile(self) -> _Kernels:
+        """Generate, compile and keep the plan's kernels, once.
+
+        The source is registered with ``linecache`` under a file name of
+        its own, so a traceback out of a kernel shows the failing line
+        and ``pdb`` can step through it; the entry goes with the plan.
+        """
+        if self.kernels is None:
+            source = _kernel_source(self)
+            name = (f"<lu-plan d={self.dim} nnz={len(self.cols)} "
+                    f"fill={self.n_fill} at {id(self):#x}>")
+            linecache.cache[name] = (len(source), None,
+                                     source.splitlines(True), name)
+            weakref.finalize(self, linecache.cache.pop, name, None)
+            scope = {"_singular": _singular}
+            exec(compile(source, name, "exec"), scope)
+            self.source = source
+            self.kernels = _Kernels(scope["assemble"], scope["factor"],
+                                    scope["substitute"])
+        return self.kernels
 
 
 def plan_lu(rows: list, cols: list, dim: int) -> LuPlan:
@@ -288,9 +354,22 @@ def _at_largest_diagonal(diag, what: str) -> SingularMatrixError:
 
 def _planned_lu(vals: list, plan: LuPlan) -> list:
     """No-pivot LU factor of a ``PlannedPatankar``'s slots: U's entries
-    and L's multipliers in the slots of the matrix entries they replace."""
+    and L's multipliers in the slots of the matrix entries they replace.
+    The plan's compiled kernel factors from its ``COMPILE_AFTER``-th
+    factorization on, the interpreted loops before that."""
     if not all(map(isfinite, vals)):
         raise ValueError("matrix has non-finite entries")
+    kernels = plan.kernels
+    if kernels is None:
+        plan.factored += 1
+        if plan.factored < COMPILE_AFTER:
+            return _interpreted_lu(vals, plan)
+        kernels = plan.compile()
+    return kernels.factor(vals)
+
+
+def _interpreted_lu(vals: list, plan: LuPlan) -> list:
+    """``_planned_lu``'s elimination, read from the plan's index tuples."""
     lu = vals.copy()
     for k, (sources, steps) in enumerate(plan.elim):
         p = lu[k]
@@ -303,9 +382,9 @@ def _planned_lu(vals: list, plan: LuPlan) -> list:
     return lu
 
 
-def _planned_substitute(lu: list, plan: LuPlan, x: list) -> list:
+def _interpreted_substitute(lu: list, plan: LuPlan, x: list) -> list:
     """Solve L U x = b in place on the list ``x`` = b, with the factor
-    of ``_planned_lu``."""
+    of ``_planned_lu``, reading the plan's index tuples."""
     for i, terms in plan.lower:
         s = x[i]
         for k, j in terms:
@@ -317,6 +396,69 @@ def _planned_substitute(lu: list, plan: LuPlan, x: list) -> list:
             s -= lu[k] * x[j]
         x[i] = s / lu[i]
     return x
+
+
+def _kernel_source(plan: LuPlan) -> str:
+    """Python source of a plan's kernels, straight-line code on one local
+    per slot (a<s>) and per unknown (x<i>):
+
+    * ``assemble(l, d, p, fac)``, the slots of a Patankar matrix from the
+      lists of losses, denominators and pattern values, as
+      ``schemes.patankar_matrix`` builds them on the interpreted path;
+    * ``factor(vals)``, ``_interpreted_lu`` with every pivot check;
+    * ``substitute(lu, x)``, ``_interpreted_substitute`` returning a new
+      list.
+
+    Each does the interpreted path's floating-point operations in its
+    order (x - a - b is (x - a) - b, as the loops subtract), so every
+    result keeps its bits.  A substitution row is split into statements
+    of at most ``_TERMS_PER_LINE`` terms, which bounds the expression
+    depth the compiler meets on a dense row.
+    """
+    n, cols, n_fill = plan.dim, plan.cols, plan.n_fill
+    slots = [f"a{s}" for s in range(n + len(cols) + n_fill)]
+    xs = [f"x{i}" for i in range(n)]
+
+    def unpack(names, seq):
+        return [f"    {', '.join(names)}, = {seq}"] if names else []
+
+    lines = ["def assemble(l, d, p, fac):",
+             *unpack([f"l{i}" for i in range(n)], "l"),
+             *unpack([f"d{i}" for i in range(n)], "d"),
+             *unpack([f"p{e}" for e in range(len(cols))], "p")]
+    if cols or n_fill:
+        lines.append("    nfac = -fac")
+    if n_fill:
+        lines.append("    z = 0.0 * nfac")
+    lines.append("    return [")
+    lines += [f"        1.0 + fac * l{i} / d{i}," for i in range(n)]
+    lines += [f"        p{e} * nfac / d{j}," for e, j in enumerate(cols)]
+    lines += ["        z,"] * n_fill
+    lines.append("    ]")
+
+    lines += ["", "", "def factor(vals):", *unpack(slots, "vals")]
+    for k, (sources, steps) in enumerate(plan.elim):
+        lines.append(f"    if not a{k} > 0.0: raise _singular("
+                     f"vals, {k}, f\"pivot {{a{k}:.3e}}\")")
+        for m, targets in steps:
+            lines.append(f"    a{m} /= a{k}")
+            lines += [f"    a{t} -= a{m} * a{s}"
+                      for t, s in zip(targets, sources)]
+    lines.append(f"    return [{', '.join(slots)}]")
+
+    lines += ["", "", "def substitute(lu, x):", *unpack(slots, "lu"),
+              *unpack(xs, "x")]
+    rows = [(i, terms, False) for i, terms in plan.lower]
+    rows += [(i, terms, True) for i, terms in plan.upper]
+    for i, terms, divide in rows:
+        exprs = [f"x{i}" + "".join(f" - a{k} * x{j}"
+                                   for k, j in terms[c:c + _TERMS_PER_LINE])
+                 for c in range(0, len(terms), _TERMS_PER_LINE)]
+        if divide:
+            exprs.append(f"({exprs.pop() if exprs else f'x{i}'}) / a{i}")
+        lines += [f"    x{i} = {e}" for e in exprs]
+    lines.append(f"    return [{', '.join(xs)}]")
+    return "\n".join(lines) + "\n"
 
 
 def _sweep(bands: np.ndarray, b: list):
@@ -438,7 +580,11 @@ def lu_solve(A, b: np.ndarray) -> np.ndarray:
             raise ValueError("right-hand side length mismatch")
         if A.lu is None:
             A.lu = _planned_lu(A.vals, A.plan)
-        x = _planned_substitute(A.lu, A.plan, b.tolist())
+        kernels = A.plan.kernels
+        if kernels is None:
+            x = _interpreted_substitute(A.lu, A.plan, b.tolist())
+        else:
+            x = kernels.substitute(A.lu, b.tolist())
         if not all(map(isfinite, x)):
             raise _at_largest_diagonal(A.vals[:n], "non-finite solution")
         return np.array(x)

@@ -180,6 +180,10 @@ def patankar_matrix(P_w: Exchange, loss_w: np.ndarray, denom: np.ndarray,
             if dj <= 0.0:
                 raise _non_positive(denom)
         fac = float(fac)
+        kernels = plan.kernels
+        if kernels is not None:
+            return PlannedPatankar(kernels.assemble(
+                loss_w.tolist(), dl, P_w.vals.tolist(), fac), plan)
         nfac = -fac
         vals = [1.0 + fac * lj / dj for lj, dj in zip(loss_w.tolist(), dl)]
         vals += [p * nfac / dl[j] for p, j in zip(P_w.vals.tolist(),

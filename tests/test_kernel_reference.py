@@ -23,7 +23,7 @@ from relax_mprk.linalg import (PlannedPatankar, SingularMatrixError,
                                _at_largest_diagonal, _band_substitute,
                                _singular, _sweep, lu_solve)
 from relax_mprk.means import mean_geo, mean_harm, mean_log
-from relax_mprk.pdrs import PdrsSystem, RateSet
+from relax_mprk.pdrs import Exchange, ExchangePattern, PdrsSystem, RateSet
 from relax_mprk.problems import (_STRAT_M, _daylight, _strat_matrix_rates,
                                  make_problem)
 from relax_mprk.relaxation import (MODE_CLAMPED, RelaxConfig, entropy_estimate,
@@ -304,8 +304,28 @@ def old_probe_pairs(gamma_min, gamma_max):
 # ---------------------------------------------------------------------------
 # Rewritten kernels equal their references
 
-@pytest.mark.parametrize("d", [1, 2, 6, 40])
-def test_patankar_matrix_matches_reference(d):
+def _exchange(P, compiled):
+    """``exchange(P)``, with the kernels of its pattern's plan compiled
+    first when ``compiled``."""
+    ex = exchange(P)
+    if compiled:
+        ex.pattern.lu_plan.compile()
+    return ex
+
+
+def _with_compiled(ds):
+    """Parameters (d, compiled): each d on the interpreted loops, with
+    the id d, and on a compiled plan."""
+    return [*(pytest.param(d, False, id=str(d)) for d in ds),
+            *(pytest.param(d, True, id=f"{d}-compiled") for d in ds)]
+
+
+# compiling a full d = 40 pattern takes about 0.2 s, once per random
+# pattern here
+@pytest.mark.parametrize("d, compiled", [*_with_compiled([1, 2, 6]),
+                                         pytest.param(40, False, id="40")])
+def test_patankar_matrix_matches_reference(d, compiled):
+    # the interpreted assembly, and a compiled plan's kernel
     rng = np.random.default_rng(d)
     with np.errstate(all="ignore"):
         for fac in (1e-3, 0.7, 21.0, 1e5):
@@ -317,8 +337,11 @@ def test_patankar_matrix_matches_reference(d):
                 denom = _states(rng, d)
                 old = old_patankar_matrix(P, loss, denom, fac)
                 assert not np.isnan(old).any()
-                M = patankar_matrix(exchange(P), loss, denom, fac)
+                M = patankar_matrix(_exchange(P, compiled), loss, denom, fac)
                 assert _same(M.toarray(), old)
+                # a pattern used once, as each random one here, compiles
+                # nothing
+                assert (M.plan.kernels is not None) == compiled
 
 
 def test_geo_denominator_at_unit_exponent_matches_reference():
@@ -505,19 +528,20 @@ def _random_exchange(rng, d, lo, hi, zero_share):
     return P
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_planned_solve_matches_small_reference(d):
+@pytest.mark.parametrize("d, compiled", _with_compiled([1, 2, 3, 4]))
+def test_planned_solve_matches_small_reference(d, compiled):
     # the planned elimination, substitutions and product skip only the
     # structural zeros the full d <= 4 format ran through, so first
     # solves, substitutions (right-hand sides of both signs, zeros
-    # included) and M @ v are bit-equal, the sign of zero too
+    # included) and M @ v are bit-equal, the sign of zero too; a
+    # compiled plan's kernels run the same operations
     rng = np.random.default_rng(d + 20)
     for fac in (1e-3, 0.7, 21.0, 1e5):
         for _ in range(40):
             P = _random_exchange(rng, d, -6.0, 6.0, rng.uniform(0.0, 0.8))
             loss = P.sum(axis=0) + 10.0 ** rng.uniform(-6.0, 6.0, d)
             denom = 10.0 ** rng.uniform(-6.0, 6.0, d)
-            M = patankar_matrix(exchange(P), loss, denom, fac)
+            M = patankar_matrix(_exchange(P, compiled), loss, denom, fac)
             rows = M.toarray().tolist()
             b1 = 10.0 ** rng.uniform(-6.0, 6.0, d)
             new = _outcome(lu_solve, M, b1)
@@ -531,8 +555,8 @@ def test_planned_solve_matches_small_reference(d):
             assert _same(M @ b2, old_small_matmul(rows, b2.tolist()))
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_planned_solve_fails_as_the_small_reference(d):
+@pytest.mark.parametrize("d, compiled", _with_compiled([2, 3, 4]))
+def test_planned_solve_fails_as_the_small_reference(d, compiled):
     # past 1/eps, at a zero or negative pivot and on NaN or inf: the same
     # error type and message, naming the same row
     rng = np.random.default_rng(d + 30)
@@ -543,7 +567,8 @@ def test_planned_solve_fails_as_the_small_reference(d):
             P = _random_exchange(rng, d, -3.0, 3.0, 0.3)
             denom = 10.0 ** rng.uniform(-20.0, 0.0, d)
             with np.errstate(over="ignore"):
-                M = patankar_matrix(exchange(P), P.sum(axis=0), denom, fac)
+                M = patankar_matrix(_exchange(P, compiled), P.sum(axis=0),
+                                    denom, fac)
             new = _outcome(lu_solve, M, b)
             assert new == _outcome(old_small_solve, M.toarray().tolist(),
                                    b.tolist())
@@ -556,10 +581,103 @@ def test_planned_solve_fails_as_the_small_reference(d):
                           (d - 1, d - 1, -np.inf)):
         broken = A.copy()
         broken[row, col] = bad
-        new = _outcome(lu_solve, planned(broken), b)
+        M = planned(broken)
+        if compiled:
+            M.plan.compile()
+        new = _outcome(lu_solve, M, b)
         assert new == _outcome(old_small_solve, broken.tolist(), b.tolist())
         assert new[0] is ValueError or (new[0] is SingularMatrixError
                                          and " in row " in new[1])
+
+
+def _cyclic(d, tridiagonal):
+    i = np.arange(d)
+    rows, cols = [(i + 1) % d], [i]
+    if tridiagonal:
+        rows.append(i)
+        cols.append((i + 1) % d)
+    return np.concatenate(rows), np.concatenate(cols), d
+
+
+def _random_pattern(d, zero_share):
+    P = _random_exchange(np.random.default_rng(d + 80), d, 0.0, 0.0,
+                         zero_share)
+    rows, cols = np.nonzero(P)
+    return rows, cols, d
+
+
+def _strat_pattern():
+    pattern = make_problem("stratospheric").sys.pattern
+    return pattern.rows, pattern.cols, pattern.dim
+
+
+# (rows, cols, d) of the patterns the linalg tests use: no entries, no
+# entries of L (and no fill), Lotka-Volterra's, cyclic3's (one fill
+# entry), the stratospheric system's (four), a random one with fill, a
+# full one (rows of 19 terms, which the substitution kernel splits over
+# two statements), and advection's and the Euler density's below the
+# band size
+KERNEL_PATTERNS = {
+    "empty-1": lambda: ([], [], 1),
+    "upper-3": lambda: ([0, 0, 1], [1, 2, 2], 3),
+    "lotka_volterra-2": lambda: ([1], [0], 2),
+    "cyclic3-3": lambda: _cyclic(3, False),
+    "stratospheric-6": _strat_pattern,
+    "random-17": lambda: _random_pattern(17, 0.7),
+    "full-20": lambda: _random_pattern(20, 0.0),
+    "bidiagonal-63": lambda: _cyclic(63, False),
+    "tridiagonal-63": lambda: _cyclic(63, True),
+}
+
+
+@pytest.mark.parametrize("pattern", KERNEL_PATTERNS)
+def test_compiled_kernels_match_the_interpreted_loops(pattern):
+    # two plans of one pattern: the reference runs the interpreted loops
+    # throughout (it is factored fewer than COMPILE_AFTER times), the
+    # other is compiled before its first assembly.  Slots (the -0.0 fill
+    # included), factors, solutions and substitutions are bit-equal, and
+    # a failure is the same error with the same message
+    rows, cols, d = KERNEL_PATTERNS[pattern]()
+    ref, new = (ExchangePattern(rows, cols, d) for _ in range(2))
+    new.lu_plan.compile()
+    n = len(ref.rows)
+    rng = np.random.default_rng(d + 90)
+    for fac in (0.0, 1e-3, 0.7, 21.0, 1e5, 1e16, 1e20, 1e300):
+        for _ in range(8):
+            vals = 10.0 ** rng.uniform(-6.0, 6.0, n)
+            vals[rng.random(n) < 0.2] = 0.0
+            loss = (np.bincount(ref.cols, vals, d)
+                    + 10.0 ** rng.uniform(-6.0, 6.0, d))
+            denom = 10.0 ** rng.uniform(-6.0, 6.0, d)
+            with np.errstate(over="ignore"):
+                M_ref, M = (patankar_matrix(Exchange(p, vals), loss, denom,
+                                            fac) for p in (ref, new))
+            assert _same(M.vals, M_ref.vals)
+            b1 = 10.0 ** rng.uniform(-6.0, 6.0, d)
+            out = _outcome(lu_solve, M, b1)
+            assert out == _outcome(lu_solve, M_ref, b1)
+            if out[0] in (ValueError, SingularMatrixError):
+                continue
+            assert _same(M.lu, M_ref.lu)
+            b2 = rng.standard_normal(d)
+            b2[rng.random(d) < 0.2] = 0.0
+            assert _outcome(lu_solve, M, b2) == _outcome(lu_solve, M_ref, b2)
+    # a zero, negative or non-finite diagonal entry, and a non-finite
+    # pattern or fill entry
+    base = patankar_matrix(Exchange(ref, np.full(n, 0.1)),
+                           np.bincount(ref.cols, np.full(n, 0.1), d),
+                           np.ones(d), 0.7).vals
+    bad_slots = [(0, 0.0), (d - 1, -1.0), (d // 2, np.nan), (0, np.inf),
+                 (len(base) - 1, -np.inf), (len(base) - 1, np.nan)]
+    for slot, bad in bad_slots:
+        broken = base.copy()
+        broken[slot] = bad
+        out = _outcome(lu_solve, PlannedPatankar(broken, new.lu_plan),
+                       np.ones(d))
+        assert out == _outcome(lu_solve, PlannedPatankar(broken, ref.lu_plan),
+                               np.ones(d))
+        assert out[0] in (ValueError, SingularMatrixError)
+    assert ref.lu_plan.kernels is None
 
 
 def _agrees_with_gesv(M, rng):
@@ -584,7 +702,8 @@ def test_planned_solve_matches_gesv(d):
             denom = 10.0 ** rng.uniform(-0.5, 0.5, d)
             M = patankar_matrix(exchange(P), P.sum(axis=0), denom,
                                 10.0 ** rng.uniform(-1.0, 1.0))
-            assert isinstance(M, PlannedPatankar)
+            # each random pattern is used once and compiles nothing
+            assert isinstance(M, PlannedPatankar) and M.plan.kernels is None
             _agrees_with_gesv(M, rng)
 
 

@@ -1,12 +1,15 @@
+import gc
+import linecache
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relax_mprk.linalg import (BAND_MIN_DIM, CyclicTridiagonal,
+from relax_mprk.linalg import (BAND_MIN_DIM, COMPILE_AFTER, CyclicTridiagonal,
                                PlannedPatankar, SingularMatrixError, lu_solve)
 from relax_mprk.schemes import patankar_matrix
 
@@ -221,6 +224,81 @@ def test_small_solve_matches_lapack_and_reuses_its_factor(monkeypatch):
         assert np.allclose(M @ v, M.toarray() @ v, rtol=0.0,
                            atol=4.0 * EPS * np.max(np.abs(M.toarray()) @ np.abs(v)))
     assert factors[0] == 7
+
+
+def test_plan_compiles_once_at_its_kth_factorization(monkeypatch):
+    # a plan factored fewer than COMPILE_AFTER times holds no kernels; the
+    # COMPILE_AFTER-th factorization compiles them, once, and every
+    # matrix is still factored once however often it is solved
+    from relax_mprk import linalg
+
+    compiles, factors = [], [0]
+    compile_kernels, planned_lu = linalg.LuPlan.compile, linalg._planned_lu
+
+    def counting_compile(plan):
+        compiles.append(plan)
+        return compile_kernels(plan)
+
+    def counting_lu(vals, plan):
+        factors[0] += 1
+        return planned_lu(vals, plan)
+
+    monkeypatch.setattr(linalg.LuPlan, "compile", counting_compile)
+    monkeypatch.setattr(linalg, "_planned_lu", counting_lu)
+    n = 3
+    i = np.arange(n)
+    P = np.zeros((n, n))
+    P[(i + 1) % n, i] = 0.3
+    ex = exchange(P)
+    plan = ex.pattern.lu_plan
+    b = np.ones(n)
+    for k in range(1, COMPILE_AFTER + 3):
+        M = patankar_matrix(ex, P.sum(axis=0), np.ones(n), 0.5)
+        x = lu_solve(M, b)
+        assert lu_solve(M, b).tobytes() == x.tobytes()
+        assert (plan.kernels is None) == (plan.source is None) == (
+            k < COMPILE_AFTER)
+    assert compiles == [plan]
+    assert factors[0] == plan.factored + 2 == COMPILE_AFTER + 2
+
+
+def _singular_traceback(M, b):
+    """The message and the extracted traceback of lu_solve(M, b)."""
+    try:
+        lu_solve(M, b)
+    except SingularMatrixError as exc:
+        return str(exc), traceback.extract_tb(exc.__traceback__)
+    raise AssertionError("lu_solve did not raise SingularMatrixError")
+
+
+def test_compiled_kernel_traceback_shows_the_pivot_check():
+    # the kernels' source is registered with linecache under the plan's
+    # own file name, so a traceback out of a kernel shows the check that
+    # raised; the message is the interpreted loops'.  The cyclic
+    # bidiagonal matrix of the singular-message test, on two plans of its
+    # pattern
+    n = 5
+    i = np.arange(n)
+    f = np.full(n, 1e20)
+    P = np.zeros((n, n))
+    P[(i + 1) % n, i] = f
+    compiled, interpreted = exchange(P), exchange(P)
+    plan = compiled.pattern.lu_plan
+    plan.compile()
+    message, frames = _singular_traceback(
+        patankar_matrix(compiled, f, np.ones(n), 1.0), np.ones(n))
+    assert message == _singular_traceback(
+        patankar_matrix(interpreted, f, np.ones(n), 1.0), np.ones(n))[0]
+    kernel = frames[-1]
+    assert kernel.filename.startswith("<lu-plan d=5 nnz=5 fill=3 at 0x")
+    assert kernel.name == "factor"
+    assert kernel.line == (f"if not a{n - 1} > 0.0: raise _singular(vals, "
+                           f"{n - 1}, f\"pivot {{a{n - 1}:.3e}}\")")
+    assert plan.source.splitlines()[kernel.lineno - 1].strip() == kernel.line
+    # the linecache entry goes with the plan
+    del compiled, plan
+    gc.collect()
+    assert kernel.filename not in linecache.cache
 
 
 @pytest.mark.parametrize("row, col", [(0, 0), (0, 1), (1, 0), (1, 1)])
