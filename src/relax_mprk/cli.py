@@ -24,7 +24,7 @@ from .control import (ADAPT_FIXED, ADAPT_MODES, IntegrationError, integrate,
 from .linalg import SingularMatrixError
 from .pdrs import NonFiniteStateError, PositivityError
 from .problems import PROBLEM_FACTORIES, make_problem
-from .relaxation import (MODE_NONE, RELAX_MODES, SOLVERS, RelaxConfig)
+from .relaxation import RELAX_MODES, SOLVERS, RelaxConfig
 from .schemes import (SCHEME_KINDS, SIGMA_MODES, SchemeParameterError,
                       UnsupportedSchemeError, build_scheme)
 
@@ -205,8 +205,7 @@ def _trajectory_rows(traj, invs, reference):
 def cmd_run(args) -> int:
     problem, scheme, stepper, relax_cfg, t0, t_end, dt0 = _resolve(args)
     eta = problem.eta
-    relax = None if relax_cfg.mode == MODE_NONE else relax_cfg
-    traj = integrate(stepper, eta, relax, t0, problem.u0, t_end, dt0,
+    traj = integrate(stepper, eta, relax_cfg, t0, problem.u0, t_end, dt0,
                      adaptivity=args.adapt, rtol=args.rtol, atol=args.atol)
 
     invs = list(stepper.linear_invariants)[:2]
@@ -264,10 +263,9 @@ def cmd_convergence(args) -> int:
             return interp_state(ts, us, t)
 
     eta = problem.eta
-    relax = None if relax_cfg.mode == MODE_NONE else relax_cfg
     results = []
     for dt in dts:
-        traj = integrate(stepper, eta, relax, t0, problem.u0, t_end, dt,
+        traj = integrate(stepper, eta, relax_cfg, t0, problem.u0, t_end, dt,
                          adaptivity=args.adapt, rtol=args.rtol,
                          atol=args.atol)
         t_f, u_f = traj.times[-1], traj.states[-1]

@@ -1,8 +1,7 @@
-"""Linear solves for Patankar systems: no-pivot elimination on Python
-floats, planned once per exchange pattern and compiled to straight-line
-code once the pattern has been factored often enough, an O(N) sweep for
-cyclic-tridiagonal matrices, and dense LAPACK ``gesv`` for general
-matrices.
+"""Patankar matrices, assembled and solved in two formats: no-pivot
+elimination on Python floats, planned once per exchange pattern and
+compiled to straight-line code once the pattern has been factored often
+enough, and an O(N) sweep for cyclic-tridiagonal matrices.
 
 The Patankar matrices of the schemes have a positive diagonal,
 non-positive off-diagonal entries and column sums >= 1, so they are
@@ -15,7 +14,8 @@ survives rounding, i.e. fac*loss/denom stays well below 1/eps.  Beyond
 that the matrix is singular to working precision and no elimination
 order keeps positivity.
 
-``lu_solve`` takes three formats:
+``lu_solve`` takes the two formats ``assemble_patankar`` builds, and
+nothing else:
 
 * a ``PlannedPatankar`` (Lotka-Volterra, cyclic3, the stratospheric
   system, and every pattern off the cyclic band or below
@@ -48,11 +48,7 @@ order keeps positivity.
   zero and every pivot p_i is d_i, so the forward pass runs only the two
   recurrences left, for y and w; the dropped terms are zeros, so the
   bits are the general loop's.  The sweep reads this off the band, as it
-  does whether back substitution is needed;
-* an ndarray goes to LAPACK ``gesv`` (``numpy.linalg.solve``), one LU
-  factorization with partial pivoting per solve.  Only ``patankar_matrix``
-  certifies the M-matrix structure, so a general matrix keeps its
-  pivoting; callers and tests use this path as the reference.
+  does whether back substitution is needed.
 
 The two Patankar formats are factored on their first solve and keep the
 factor, so a second solve with the same matrix only substitutes (the
@@ -62,13 +58,12 @@ solve, the bootstrap sigma-bar derivative with the sigma matrix, and the
 Newton derivative at gamma = 1 with the step's own update matrix, which
 the step record keeps (``schemes.StepRecord``).
 
-``schemes.patankar_matrix`` chooses the format from the number of
-unknowns d and the exchange pattern the system declares
-(``pdrs.ExchangePattern``), never from the rate values: from
-``BAND_MIN_DIM`` on, the band format when every entry of the pattern
-lies on the cyclic sub- or super-diagonal (the pattern computes its
-entries' band slots once, on first use); the planned format otherwise.
-No path scans a d x d array.
+``assemble_patankar`` chooses the format from the number of unknowns d
+and the exchange pattern the system declares (``pdrs.ExchangePattern``),
+never from the rate values: from ``BAND_MIN_DIM`` on, the band format
+when every entry of the pattern lies on the cyclic sub- or
+super-diagonal (``plan_band``, which the pattern calls once, on first
+use); the planned format otherwise.  No path scans a d x d array.
 
 Per Patankar matrix, in microseconds on a 2-core x86-64 VM (Python 3.11,
 numpy 2.4, BLAS on one thread; the fastest of three runs, each the
@@ -113,14 +108,14 @@ and first solve up to about d = 40 on a cyclic tridiagonal pattern
 (29.2 against 29.9 us there, 35.4 against 33.7 at d = 48) and up to
 d = 63 on a cyclic bidiagonal one (46.3 against 40.3 at d = 100), and
 less for a second solve up to d = 100 on both.  ``BAND_MIN_DIM`` = 64
-was set where the band sweep and ``gesv`` tie on those patterns (at 100
-the sweep takes 0.55-0.8 of the dense time, at 1,000 about 0.05); moving
-it to the compiled crossover would put the Euler density, PME and
-advection at test sizes on the band format, whose sweep differs from
-the natural-order elimination by roundoff.  No registered problem has a
-pattern off the cyclic band at d >= ``BAND_MIN_DIM``; on one, the
-planned format's cost is its operation count, O(d) for a band plus a
-few entries and O(d^3) for a full pattern.
+was set where the band sweep and a dense LAPACK solve tie on those
+patterns (at 100 the sweep takes 0.55-0.8 of the dense time, at 1,000
+about 0.05); moving it to the compiled crossover would put the Euler
+density, PME and advection at test sizes on the band format, whose
+sweep differs from the natural-order elimination by roundoff.  No
+registered problem has a pattern off the cyclic band at d >=
+``BAND_MIN_DIM``; on one, the planned format's cost is its operation
+count, O(d) for a band plus a few entries and O(d^3) for a full pattern.
 """
 
 from __future__ import annotations
@@ -270,6 +265,20 @@ def plan_lu(rows: list, cols: list, dim: int) -> LuPlan:
                   product=tuple(map(by_column, product)))
 
 
+def plan_band(rows: np.ndarray, cols: np.ndarray, dim: int):
+    """Flat index of each entry (rows[e], cols[e]) in the (3, dim) band
+    array of a ``CyclicTridiagonal`` (rows ``sub, diag, sup``, column i
+    for matrix row i); None when an entry lies off the cyclic sub- and
+    super-diagonal or dim < 3."""
+    n = dim
+    if n < 3:
+        return None
+    sub, sup = cols == (rows - 1) % n, cols == (rows + 1) % n
+    if not (sub | sup).all():
+        return None
+    return np.where(sub, 0, 2 * n) + rows
+
+
 class PlannedPatankar:
     """Patankar matrix on an ``LuPlan``: ``vals`` is the list of its
     slots' Python floats, diagonal first; ``lu`` is the same list
@@ -398,13 +407,64 @@ def _interpreted_substitute(lu: list, plan: LuPlan, x: list) -> list:
     return x
 
 
+def assemble_patankar(P_w, loss_w: np.ndarray, denom: np.ndarray,
+                      fac: float):
+    """I + fac*diag(loss/denom) - fac*P/denom (column-scaled), or None
+    when a denominator is not positive.
+
+    ``P_w`` is an exchange (a pattern and its values) and ``loss_w`` the
+    loss, both already weight-summed; ``fac`` carries the dt (and gamma)
+    factor.  The format follows the dimension and the pattern (see the
+    module docstring), never the values.  Both formats hold the entries
+    of the dense assembly of the scattered exchange matrix, bit for bit:
+    (p * -fac) / denom_j at the pattern's entries, 1 + fac * loss_j /
+    denom_j on the diagonal and, elsewhere, (0.0 * -fac) / denom_j,
+    which both write as 0.0 * -fac (the same bits for a positive
+    denom_j); a plan's compiled ``assemble`` does the loop's operations.
+    """
+    n = len(denom)
+    pat = P_w.pattern
+    slots = pat.band_slots if n >= BAND_MIN_DIM else None
+    if slots is None:
+        plan = pat.lu_plan
+        dl = denom.tolist()
+        # (denom <= 0.0).any() on Python floats, at a fraction of the cost
+        for dj in dl:
+            if dj <= 0.0:
+                return None
+        fac = float(fac)
+        kernels = plan.kernels
+        if kernels is not None:
+            return PlannedPatankar(kernels.assemble(
+                loss_w.tolist(), dl, P_w.vals.tolist(), fac), plan)
+        nfac = -fac
+        vals = [1.0 + fac * lj / dj for lj, dj in zip(loss_w.tolist(), dl)]
+        vals += [p * nfac / dl[j] for p, j in zip(P_w.vals.tolist(),
+                                                    plan.cols)]
+        vals += [0.0 * nfac] * plan.n_fill
+        return PlannedPatankar(vals, plan)
+    if (denom <= 0.0).any():
+        return None
+    off = P_w.vals * -fac
+    off /= denom.take(pat.cols)
+    bands = np.empty(3 * n)
+    bands.fill(0.0 * -fac)
+    bands[slots] = off
+    bands = bands.reshape(3, n)
+    diag = bands[1]
+    np.multiply(fac, loss_w, out=diag)
+    diag /= denom
+    diag += 1.0
+    return CyclicTridiagonal(bands)
+
+
 def _kernel_source(plan: LuPlan) -> str:
     """Python source of a plan's kernels, straight-line code on one local
     per slot (a<s>) and per unknown (x<i>):
 
     * ``assemble(l, d, p, fac)``, the slots of a Patankar matrix from the
       lists of losses, denominators and pattern values, as
-      ``schemes.patankar_matrix`` builds them on the interpreted path;
+      ``assemble_patankar`` builds them on the interpreted path;
     * ``factor(vals)``, ``_interpreted_lu`` with every pivot check;
     * ``substitute(lu, x)``, ``_interpreted_substitute`` returning a new
       list.
@@ -563,15 +623,14 @@ def _band_substitute(lu, b: list) -> np.ndarray:
 
 
 def lu_solve(A, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b: by LU factorization with partial pivoting for an
-    ndarray, by the no-pivot factor a ``PlannedPatankar`` or a
-    ``CyclicTridiagonal`` computes on its first solve and keeps.
+    """Solve A x = b for a ``PlannedPatankar`` or a ``CyclicTridiagonal``
+    by the no-pivot factor A computes on its first solve and keeps.
 
-    Raises ValueError for a non-square matrix, a right-hand side of the
-    wrong length or non-finite matrix entries, and SingularMatrixError
-    when LAPACK meets an exactly zero pivot, the no-pivot elimination a
-    non-positive one, or the solution overflows to non-finite values;
-    the message names a row and its fac*loss/denom.
+    Raises TypeError for any other matrix, ValueError for a right-hand
+    side of the wrong length or non-finite matrix entries, and
+    SingularMatrixError when the elimination meets a non-positive pivot
+    or the solution overflows to non-finite values; the message names a
+    row and its fac*loss/denom.
     """
     b = np.asarray(b, dtype=float)
     if isinstance(A, PlannedPatankar):
@@ -598,19 +657,5 @@ def lu_solve(A, b: np.ndarray) -> np.ndarray:
         if not np.isfinite(x).all():
             raise _at_largest_diagonal(A.bands[1], "non-finite solution")
         return x
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if b.shape != (n,):
-        raise ValueError("right-hand side length mismatch")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix has non-finite entries")
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise _at_largest_diagonal(A.diagonal(),
-                                   "zero pivot in LAPACK gesv") from exc
-    if not np.isfinite(x).all():
-        raise _at_largest_diagonal(A.diagonal(), "non-finite solution")
-    return x
+    raise TypeError(f"lu_solve takes a PlannedPatankar or a "
+                    f"CyclicTridiagonal, not {type(A).__name__}")

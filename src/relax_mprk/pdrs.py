@@ -15,7 +15,7 @@ The exchanges are stored sparse.  A system declares once, as an
 and each rate evaluation returns an ``Exchange``: that pattern and a value
 vector with one entry per position.  Column sums (the destruction of each
 component) and row sums (its production) are then ``bincount``s over the
-pattern, and the Patankar assembly in ``schemes`` chooses its matrix
+pattern, and the Patankar assembly in ``linalg`` chooses its matrix
 format from the dimension and the pattern, never from the values.  No
 d x d array is built on the way, so a step of a semidiscretized PDE costs
 O(N).
@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import LuPlan, plan_lu
+from .linalg import LuPlan, plan_band, plan_lu
 
 
 class PositivityError(ValueError):
@@ -97,17 +97,10 @@ class ExchangePattern:
 
     @cached_property
     def band_slots(self) -> Optional[np.ndarray]:
-        """Flat index of each entry in the (3, dim) band array (rows
-        ``sub, diag, sup``, column i for matrix row i) of a
-        cyclic-tridiagonal matrix; None when an entry lies off the cyclic
-        sub- and super-diagonal or dim < 3."""
-        n, rows, cols = self.dim, self.rows, self.cols
-        if n < 3:
-            return None
-        sub, sup = cols == (rows - 1) % n, cols == (rows + 1) % n
-        if not (sub | sup).all():
-            return None
-        return np.where(sub, 0, 2 * n) + rows
+        """Each entry's slot in the band array of a cyclic-tridiagonal
+        matrix, or None off that band (see ``linalg.plan_band``), built
+        on first use."""
+        return plan_band(self.rows, self.cols, self.dim)
 
     @cached_property
     def lu_plan(self) -> LuPlan:

@@ -93,42 +93,6 @@ def _daylight(t: float) -> float:
     return 0.5 + 0.5 * math.cos(math.pi * abs(w) * w)
 
 
-# (row, column) of the nonzero p_{k,nu}, in the order _strat_matrix_rates
-# lists their values: by column, and by row within a column
-_STRAT_PATTERN = ExchangePattern(
-    [1, 3, 2, 3, 4, 5, 0, 1, 3, 5, 1, 2, 5, 1, 3, 4],
-    [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 4, 5, 5, 5], 6)
-
-
-def _strat_matrix_rates(t, u):
-    s = _daylight(t)
-    # the 11 reaction rates, on Python floats: no numpy scalar per term
-    u1, u2, u3, u4, u5, u6 = u.tolist()
-    r1 = s**3 * 2.643e-10 * u4
-    r2 = 8.018e-17 * u2 * u4
-    r3 = s * 6.120e-4 * u3
-    r4 = 1.576e-15 * u2 * u3
-    r5 = s**2 * 1.070e-3 * u3
-    r6 = 7.110e-11 * _STRAT_M * u1
-    r7 = 1.200e-10 * u1 * u3
-    r8 = 6.062e-15 * u3 * u5
-    r9 = 1.069e-11 * u2 * u6
-    r10 = s * 1.289e-2 * u6
-    r11 = 1.0e-8 * u2 * u5
-    # p_{k,nu} is the mass species nu passes to species k
-    vals = np.array((
-        r6, r7 / 3.0,                                    # from species 0
-        r2 / 2.0, r4 / 3.0, r9 / 2.0, r11,               # from species 1
-        r5 / 3.0, r3 / 3.0,                              # from species 2
-        (2.0 / 3.0) * r3 + r4 + (2.0 / 3.0) * r5 + r7 + (2.0 / 3.0) * r8,
-        r8 / 3.0,
-        r1, r2,                                          # from species 3
-        r11 + r8 / 3.0,                                  # from species 4
-        r10 / 2.0, r9, r10 / 2.0))                       # from species 5
-    zero = np.zeros(6)
-    return Exchange(_STRAT_PATTERN, vals), zero, zero
-
-
 def stratospheric() -> ProblemDescriptor:
     """Scaled six-species reaction system over [12h, 84h].
 
@@ -136,8 +100,43 @@ def stratospheric() -> ProblemDescriptor:
     conserved by the flow; n2 is enforced as the relaxation entropy since
     MP schemes only preserve the first automatically.
     """
+    # (row, column) of the nonzero p_{k,nu}, in the order matrix_rates
+    # lists their values: by column, and by row within a column.  Each
+    # problem has its own pattern, so its LU plan and kernels are its own
+    pattern = ExchangePattern(
+        [1, 3, 2, 3, 4, 5, 0, 1, 3, 5, 1, 2, 5, 1, 3, 4],
+        [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 4, 5, 5, 5], 6)
+
+    def matrix_rates(t, u):
+        s = _daylight(t)
+        # the 11 reaction rates, on Python floats: no numpy scalar per term
+        u1, u2, u3, u4, u5, u6 = u.tolist()
+        r1 = s**3 * 2.643e-10 * u4
+        r2 = 8.018e-17 * u2 * u4
+        r3 = s * 6.120e-4 * u3
+        r4 = 1.576e-15 * u2 * u3
+        r5 = s**2 * 1.070e-3 * u3
+        r6 = 7.110e-11 * _STRAT_M * u1
+        r7 = 1.200e-10 * u1 * u3
+        r8 = 6.062e-15 * u3 * u5
+        r9 = 1.069e-11 * u2 * u6
+        r10 = s * 1.289e-2 * u6
+        r11 = 1.0e-8 * u2 * u5
+        # p_{k,nu} is the mass species nu passes to species k
+        vals = np.array((
+            r6, r7 / 3.0,                                    # from species 0
+            r2 / 2.0, r4 / 3.0, r9 / 2.0, r11,               # from species 1
+            r5 / 3.0, r3 / 3.0,                              # from species 2
+            (2.0 / 3.0) * r3 + r4 + (2.0 / 3.0) * r5 + r7 + (2.0 / 3.0) * r8,
+            r8 / 3.0,
+            r1, r2,                                          # from species 3
+            r11 + r8 / 3.0,                                  # from species 4
+            r10 / 2.0, r9, r10 / 2.0))                       # from species 5
+        zero = np.zeros(6)
+        return Exchange(pattern, vals), zero, zero
+
     n2 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.5])
-    sys = PdrsSystem(_STRAT_PATTERN, _strat_matrix_rates,
+    sys = PdrsSystem(pattern, matrix_rates,
                      linear_invariants=(np.ones(6), n2))
 
     eta = EntropyFunctional(

@@ -18,11 +18,11 @@ sides stay strictly positive for every step size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import BAND_MIN_DIM, CyclicTridiagonal, PlannedPatankar, lu_solve
+from .linalg import assemble_patankar, lu_solve
 from .pdrs import Exchange, PdrsSystem, PositivityError, RateSet
 
 MPRK22 = "mprk22"
@@ -147,62 +147,21 @@ def build_scheme(kind: str, alpha: float, beta: float = None) -> MpScheme:
     raise SchemeParameterError(f"unknown scheme kind {kind!r}; known: {SCHEME_KINDS}")
 
 
-def _non_positive(denom: np.ndarray) -> PositivityError:
-    bad = np.flatnonzero(denom <= 0.0)
-    return PositivityError(f"non-positive denominator component [{bad[0]}]")
-
-
 def patankar_matrix(P_w: Exchange, loss_w: np.ndarray, denom: np.ndarray,
                     fac: float):
     """Assemble I + fac*diag(loss/denom) - fac*P/denom (column-scaled).
 
     ``P_w`` and ``loss_w`` are already weight-summed rates; ``fac``
-    carries the dt (and gamma) factor.  ``denom`` must be positive.  The
-    format follows the dimension and the pattern of ``P_w``, never its
-    values: from ``BAND_MIN_DIM`` unknowns on, when every entry of the
-    pattern lies on the cyclic sub- or super-diagonal, a
-    ``CyclicTridiagonal``; otherwise a ``PlannedPatankar`` on the
-    pattern's ``lu_plan``.  Both hold the entries of the dense assembly
-    of the scattered exchange matrix, bit for bit: (p * -fac) / denom_j
-    at the pattern's entries, 1 + fac * loss_j / denom_j on the diagonal
-    and, elsewhere, (0.0 * -fac) / denom_j, which both write as
-    0.0 * -fac (the same bits for a positive denom_j).
+    carries the dt (and gamma) factor.  ``linalg.assemble_patankar``
+    chooses the format and builds it; a denominator that is not positive
+    raises PositivityError.
     """
     denom = np.asarray(denom, float)
-    n = len(denom)
-    pat = P_w.pattern
-    slots = pat.band_slots if n >= BAND_MIN_DIM else None
-    if slots is None:
-        plan = pat.lu_plan
-        dl = denom.tolist()
-        # (denom <= 0.0).any() on Python floats, at a fraction of the cost
-        for dj in dl:
-            if dj <= 0.0:
-                raise _non_positive(denom)
-        fac = float(fac)
-        kernels = plan.kernels
-        if kernels is not None:
-            return PlannedPatankar(kernels.assemble(
-                loss_w.tolist(), dl, P_w.vals.tolist(), fac), plan)
-        nfac = -fac
-        vals = [1.0 + fac * lj / dj for lj, dj in zip(loss_w.tolist(), dl)]
-        vals += [p * nfac / dl[j] for p, j in zip(P_w.vals.tolist(),
-                                                    plan.cols)]
-        vals += [0.0 * nfac] * plan.n_fill
-        return PlannedPatankar(vals, plan)
-    if (denom <= 0.0).any():
-        raise _non_positive(denom)
-    off = P_w.vals * -fac
-    off /= denom.take(pat.cols)
-    bands = np.empty(3 * n)
-    bands.fill(0.0 * -fac)
-    bands[slots] = off
-    bands = bands.reshape(3, n)
-    diag = bands[1]
-    np.multiply(fac, loss_w, out=diag)
-    diag /= denom
-    diag += 1.0
-    return CyclicTridiagonal(bands)
+    M = assemble_patankar(P_w, loss_w, denom, fac)
+    if M is None:
+        bad = np.flatnonzero(denom <= 0.0)
+        raise PositivityError(f"non-positive denominator component [{bad[0]}]")
+    return M
 
 
 _TINY = np.finfo(float).tiny
@@ -211,11 +170,6 @@ _TINY = np.finfo(float).tiny
 def _floored_log(u) -> np.ndarray:
     """log(max(u, tiny)), finite for every non-negative finite u."""
     return np.log(np.maximum(np.asarray(u, float), _TINY))
-
-
-def ppow(base: np.ndarray, expo) -> np.ndarray:
-    """Elementwise base**expo for strictly positive base via exp/log."""
-    return np.exp(np.asarray(expo, float) * _floored_log(base))
 
 
 class _StageLogs:
@@ -237,8 +191,8 @@ class _StageLogs:
         return self.ratio
 
     def geo_mean(self, e) -> np.ndarray:
-        """Patankar denominator u2**e * u_n**(1 - e), ``ppow``'s arithmetic
-        on the kept logarithms."""
+        """Patankar denominator u2**e * u_n**(1 - e), a geometric mean,
+        as exp(e log u2) * exp((1 - e) log u_n) on the kept logarithms."""
         if self.log_2 is None:
             self.log_2 = _floored_log(self.u2)
         out = np.exp(e * self.log_2)
@@ -249,10 +203,35 @@ class _StageLogs:
         return out * np.exp((1.0 - e) * self.log_n)
 
 
-def _geo_denominator(u_n: np.ndarray, u2: np.ndarray, e) -> np.ndarray:
-    """Patankar denominator u2**e * u_n**(1 - e), a geometric mean, with
-    no logarithm kept."""
-    return _StageLogs(u_n, u2).geo_mean(e)
+class _System(NamedTuple):
+    """A Patankar system M_gamma x = u_n + gamma g of a step, with
+    M_gamma = I + gamma dt (diag(loss/d) - P/d) on positive denominators
+    d: the weighted exchange ``P`` and ``loss``, the gamma-linear part
+    ``g`` of the right-hand side and ``M``, the matrix at gamma = 1 with
+    the factor its solve left on it."""
+
+    P: Exchange
+    loss: np.ndarray
+    g: np.ndarray
+    M: object
+
+
+def _solve(M, u_n: np.ndarray, gamma: float, g, what: str) -> np.ndarray:
+    """The solution of M x = u_n + gamma g, checked positive; ``M`` is
+    the system's M_gamma."""
+    # 1.0 * g is g bit for bit, so gamma = 1 skips the multiply
+    rhs = u_n + g if gamma == 1.0 else u_n + gamma * g
+    return _check_positive(lu_solve(M, rhs), what)
+
+
+def _tangent(M, x: np.ndarray, u_n: np.ndarray, gamma: float, v):
+    """dx/dgamma of the solution x of M x = u_n + gamma g, M = M_gamma:
+    M x' = (x - u_n)/gamma + (M - I) v with v = x d'/d, d the
+    denominators; ``v`` is None for a frozen d."""
+    rhs = (x - u_n) / gamma
+    if v is not None:
+        rhs = rhs + M @ v - v
+    return lu_solve(M, rhs)
 
 
 @dataclass(frozen=True)
@@ -264,22 +243,20 @@ class StepRecord:
     rates and ``u_next`` the full new state; the stage right-hand sides
     ``stage_rhs`` are built from the rates only when read.  ``dm`` is the
     explicit block's increment over the step (None without one).  The
-    Patankar part of u_n is ``logs.u_n``.  ``upd_P``/``upd_loss`` are the
-    update-weighted exchange and loss, ``g`` the gamma-linear part of the
-    right-hand side (so the update solves M_gamma u = u_n + gamma*g).
-    For MPRK43I, ``sig_P``/``sig_loss``/``sig_g`` describe the embedded
-    sigma system used by bootstrapping.
+    Patankar part of u_n is ``logs.u_n``.  ``upd`` is the update's
+    system, so u^{n+gamma} solves its M_gamma u = u_n + gamma g on the
+    denominators sbar(gamma); for MPRK43I, ``sig`` is the embedded sigma
+    system that bootstrapping solves for sbar(gamma) (None otherwise).
 
     ``step`` also leaves what the gamma-search would otherwise recompute
     on every probe: ``logs`` keeps log(max(u_n, tiny)) and log(max(u^(2),
     tiny)), each taken once, when a geometric-mean denominator first
     needs it (MPRK43I's pi3 and tau, a dense or bootstrap sbar(gamma)),
-    and the unfloored log(u^(2)) - log(u_n) of every sbar'(gamma);
-    ``upd_M`` is the update matrix M_1 and ``sig_M`` the MPRK43I sigma
-    matrix, with the factors their solves left on them.  At gamma = 1
-    every factor gamma multiplies is 1.0, so sbar(1) is ``sigma`` and
-    these are the matrices a probe there would assemble, bit for bit;
-    a record without them assembles.
+    and the unfloored log(u^(2)) - log(u_n) of every sbar'(gamma); each
+    system keeps its matrix M_1 with the factor its solve left on it.
+    At gamma = 1 every factor gamma multiplies is 1.0, so sbar(1) is
+    ``sigma`` and these are the matrices a probe there would assemble,
+    bit for bit; a system whose ``M`` is None assembles.
     """
 
     scheme: MpScheme
@@ -289,15 +266,9 @@ class StepRecord:
     rate_sets: tuple
     u_next: np.ndarray
     sigma: np.ndarray
-    upd_P: Exchange
-    upd_loss: np.ndarray
-    g: np.ndarray
-    sig_P: Optional[Exchange] = None
-    sig_loss: Optional[np.ndarray] = None
-    sig_g: Optional[np.ndarray] = None
+    upd: _System
+    sig: Optional[_System] = None
     logs: Optional[_StageLogs] = None
-    upd_M: object = None
-    sig_M: object = None
     dm: Optional[np.ndarray] = None
     # ((gamma, mode), (sbar, rate, sigma matrix, M_gamma)) of the last
     # gamma assembled; see _gamma_matrix
@@ -353,23 +324,6 @@ def _explicit_sum(rate_sets, weights):
     return acc
 
 
-def _solve_stage(u_n, rate_sets, weights, denom, dt):
-    P, loss, rP = _weighted(rate_sets, weights)
-    M = patankar_matrix(P, loss, denom, dt)
-    return _check_positive(lu_solve(M, u_n + dt * rP), "stage")
-
-
-def _sigma_43i(scheme, logs, rate_sets, dt):
-    """Sigma of MPRK43I: solution of its own Patankar-type linear system,
-    returned with the system (exchange, loss, g and matrix)."""
-    tau = logs.geo_mean(1.0 / scheme.alpha)
-    P, loss, rP = _weighted(rate_sets[:2], scheme.sigma_w)
-    M = patankar_matrix(P, loss, tau, dt)
-    g = dt * rP
-    sigma = _check_positive(lu_solve(M, logs.u_n + g), "sigma")
-    return sigma, P, loss, g, M
-
-
 def _check_no_rest(r: RateSet) -> None:
     # the MPSSPRK2 update has no place for rest terms; it would drop them
     if np.any(r.rest_prod) or np.any(r.rest_dest):
@@ -381,7 +335,9 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, z_n: np.ndarray,
          dt: float) -> StepRecord:
     """Advance one step of the chosen MP scheme from (t_n, z_n): the
     Patankar part u by the MP scheme, an explicit block m by the
-    scheme's Butcher tableau."""
+    scheme's Butcher tableau.  Every stage, MPRK43I's sigma and the
+    update solve a Patankar system at gamma = 1 (MPSSPRK2's stage the
+    one with g = 0 and factor beta dt)."""
     z_n = sys.check_state(z_n)
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
@@ -393,45 +349,51 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, z_n: np.ndarray,
     # c_1 = 0, and z_n is checked: no second check_state through sys.rates
     rates = [RateSet(*sys.matrix_rates(t_n, z_n))]
     stages = [z_n]
-    sig_P = sig_loss = sig_g = sig_M = None
+    sig = None
 
     if scheme.kind in (MPRK22, MPRK43I):
-        u2 = _solve_stage(u_n, rates, [scheme.a[1, 0]], u_n, dt)
+        P, loss, rP = _weighted(rates, [scheme.a[1, 0]])
+        u2 = _solve(patankar_matrix(P, loss, u_n, dt), u_n, 1.0, dt * rP,
+                    "stage")
         stages.append(_full_state(u2, m_n, rates, scheme.a[1], dt))
         rates.append(sys.rates(t_n + scheme.c[1] * dt, stages[1]))
         logs = _StageLogs(u_n, u2)
         if scheme.kind == MPRK43I:
             pi3 = logs.geo_mean(1.0 / scheme.p_exp)
-            u3 = _solve_stage(u_n, rates, scheme.a[2, :2], pi3, dt)
+            P, loss, rP = _weighted(rates, scheme.a[2, :2])
+            u3 = _solve(patankar_matrix(P, loss, pi3, dt), u_n, 1.0, dt * rP,
+                        "stage")
             stages.append(_full_state(u3, m_n, rates, scheme.a[2], dt))
             rates.append(sys.rates(t_n + scheme.c[2] * dt, stages[2]))
-            sigma, sig_P, sig_loss, sig_g, sig_M = _sigma_43i(scheme, logs,
-                                                              rates, dt)
+            tau = logs.geo_mean(1.0 / scheme.alpha)
+            P, loss, rP = _weighted(rates[:2], scheme.sigma_w)
+            sig = _System(P, loss, dt * rP, patankar_matrix(P, loss, tau, dt))
+            sigma = _solve(sig.M, u_n, 1.0, sig.g, "sigma")
         else:
             sigma = logs.geo_mean(1.0 / scheme.alpha)
-        upd_P, upd_loss, rP = _weighted(rates, scheme.b)
+        P, loss, rP = _weighted(rates, scheme.b)
         g = dt * rP
     else:  # MPSSPRK2
         _check_no_rest(rates[0])
-        M2 = patankar_matrix(rates[0].P, rates[0].loss, u_n, scheme.beta * dt)
-        u2 = _check_positive(lu_solve(M2, u_n), "stage")
+        r = rates[0]
+        u2 = _solve(patankar_matrix(r.P, r.loss, u_n, scheme.beta * dt), u_n,
+                    1.0, 0.0, "stage")
         stages.append(_full_state(u2, m_n, rates, scheme.a[1], dt))
         rates.append(sys.rates(t_n + scheme.c[1] * dt, stages[1]))
         _check_no_rest(rates[1])
         logs = _StageLogs(u_n, u2)
         sigma = logs.geo_mean(scheme.s_exp)
-        upd_P, upd_loss, _ = _weighted(rates, scheme.update_w)
+        P, loss, _ = _weighted(rates, scheme.update_w)
         g = scheme.alpha * (u2 - u_n)
 
-    M = patankar_matrix(upd_P, upd_loss, sigma, dt)
-    u_next = _check_positive(lu_solve(M, u_n + g), "update")
+    upd = _System(P, loss, g, patankar_matrix(P, loss, sigma, dt))
+    u_next = _solve(upd.M, u_n, 1.0, g, "update")
     dm = None
     if m_n is not None:
         dm = dt * _explicit_sum(rates, scheme.b)
         u_next = np.concatenate([u_next, m_n + dm])
     return StepRecord(scheme, t_n, dt, tuple(stages), tuple(rates), u_next,
-                      sigma, upd_P, upd_loss, g, sig_P, sig_loss, sig_g,
-                      logs, M, sig_M, dm)
+                      sigma, upd, sig, logs, dm)
 
 
 def _sigma_bar_value(rec: StepRecord, gamma: float, mode: str):
@@ -448,21 +410,21 @@ def _sigma_bar_value(rec: StepRecord, gamma: float, mode: str):
     if mode == SIGMA_FROZEN:
         return rec.sigma, None, None
 
-    # sbar(gamma) rests on the geometric mean of exponent gamma * rate
+    # sbar(gamma) rests on the geometric mean of exponent gamma * rate;
+    # at gamma = 1 it is the step's sigma (see StepRecord)
     rate = scheme.s_exp if scheme.kind == MPSSPRK2 else 1.0 / scheme.alpha
-    if gamma == 1.0 and rec.upd_M is not None:
-        # the step's sigma, and for bootstrap its sigma matrix (see
-        # StepRecord)
-        return rec.sigma, rate, rec.sig_M
-    tau = rec.logs.geo_mean(gamma * rate)
     if mode == SIGMA_DENSE:  # MPRK22 or MPSSPRK2
-        return tau, rate, None
+        if gamma == 1.0:
+            return rec.sigma, rate, None
+        return rec.logs.geo_mean(gamma * rate), rate, None
 
-    # bootstrap, MPRK43I
-    M = patankar_matrix(rec.sig_P, rec.sig_loss, tau, gamma * rec.dt)
-    sbar = _check_positive(lu_solve(M, rec.logs.u_n + gamma * rec.sig_g),
-                           "sigma_bar")
-    return sbar, rate, M
+    # bootstrap, MPRK43I: sbar solves the sigma system at gamma
+    sig = rec.sig
+    if gamma == 1.0 and sig.M is not None:
+        return rec.sigma, rate, sig.M
+    M = patankar_matrix(sig.P, sig.loss, rec.logs.geo_mean(gamma * rate),
+                        gamma * rec.dt)
+    return _solve(M, rec.logs.u_n, gamma, sig.g, "sigma_bar"), rate, M
 
 
 def _sigma_bar_prime(rec: StepRecord, gamma: float, sbar, rate, M):
@@ -472,8 +434,7 @@ def _sigma_bar_prime(rec: StepRecord, gamma: float, sbar, rate, M):
     v = sbar * rate * rec.logs.log_ratio()
     if M is None:
         return v
-    rhs = (sbar - rec.logs.u_n) / gamma + M @ v - v
-    return lu_solve(M, rhs)
+    return _tangent(M, sbar, rec.logs.u_n, gamma, v)
 
 
 def sigma_bar(rec: StepRecord, gamma: float, mode: str):
@@ -498,10 +459,11 @@ def _gamma_matrix(rec: StepRecord, gamma: float, mode: str):
     if last is not None and last[0] == key:
         return last[1]
     sbar, rate, M_sig = _sigma_bar_value(rec, gamma, mode)
-    if gamma == 1.0 and rec.upd_M is not None:
-        M = rec.upd_M
+    upd = rec.upd
+    if gamma == 1.0 and upd.M is not None:
+        M = upd.M
     else:
-        M = patankar_matrix(rec.upd_P, rec.upd_loss, sbar, gamma * rec.dt)
+        M = patankar_matrix(upd.P, upd.loss, sbar, gamma * rec.dt)
     parts = (sbar, rate, M_sig, M)
     object.__setattr__(rec, "_last", (key, parts))
     return parts
@@ -517,7 +479,7 @@ def gamma_update(rec: StepRecord, gamma: float, mode: str) -> np.ndarray:
     """
     M = _gamma_matrix(rec, gamma, mode)[3]
     u_n = rec.logs.u_n
-    u = _check_positive(lu_solve(M, u_n + gamma * rec.g), "gamma update")
+    u = _solve(M, u_n, gamma, rec.upd.g, "gamma update")
     if rec.dm is None:
         return u
     return np.concatenate([u, rec.u_n[u_n.size:] + gamma * rec.dm])
@@ -530,12 +492,10 @@ def gamma_update_derivative(rec: StepRecord, gamma: float, mode: str,
     u_n = rec.logs.u_n
     if rec.dm is not None:
         u_gamma = u_gamma[:u_n.size]
-    rhs = (u_gamma - u_n) / gamma
-    # frozen sigma has sbar' = 0, so the sbar' correction M v - v vanishes
+    v = None  # frozen sigma has sbar' = 0
     if rate is not None:
         v = u_gamma * _sigma_bar_prime(rec, gamma, sbar, rate, M_sig) / sbar
-        rhs = rhs + M @ v - v
-    du = lu_solve(M, rhs)
+    du = _tangent(M, u_gamma, u_n, gamma, v)
     if rec.dm is None:
         return du
     return np.concatenate([du, rec.dm])

@@ -125,7 +125,8 @@ def gamma_one_matches_assembly(monkeypatch, rec, mode):
         du = schemes.gamma_update_derivative(r, 1.0, mode, r.u_next)
         return (du, *schemes.sigma_bar(r, 1.0, mode))
 
-    bare = replace(rec, upd_M=None, sig_M=None)
+    bare = replace(rec, upd=rec.upd._replace(M=None),
+                   sig=rec.sig and rec.sig._replace(M=None))
     kept = at_one(rec)
     assert calls == {"assemblies": 0, "factors": 0}
     assembled = at_one(bare)

@@ -58,13 +58,12 @@ def _dataclass_fields(tree):
                 yield node.name, stmt.target.id, stmt.lineno
 
 
-def _loads():
+def _loads(dirs=("src", "tests", "bench")):
     """(names, attributes) loaded or imported in the package, its tests
-    and its benchmark."""
+    and its benchmark, or in the top-level directories ``dirs``."""
     names, attrs = set(), set()
     root = SRC.parent.parent
-    for path in (p for d in ("src", "tests", "bench")
-                 for p in sorted((root / d).rglob("*.py"))):
+    for path in (p for d in dirs for p in sorted((root / d).rglob("*.py"))):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -106,18 +105,37 @@ def _class_members(cls):
             yield item.targets[0].id, item.lineno
 
 
+def _module_assignment(path, name):
+    """The value node of the module-level assignment to ``name``."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name
+                        for t in node.targets)):
+            return node.value
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
 def test_every_definition_is_used():
-    # a module-level function or class counts as used when its name is
-    # referenced or imported anywhere in the package, its tests or its
-    # benchmark, a method or property when an attribute of its name is
-    # loaded there
-    names, attrs = _loads()
+    # a module-level function or class counts as used when the package
+    # exports it in __all__, or when its name is referenced or imported in
+    # the package or its benchmark (an attribute name the tracer patches
+    # by string counts); code that only the tests call is not.  A method
+    # or property counts as used when an attribute of its name is loaded
+    # in the package, its tests or its benchmark
+    root = SRC.parent.parent
+    exported = set(ast.literal_eval(
+        _module_assignment(SRC / "__init__.py", "__all__")))
+    traced = {node.value for node in ast.walk(_module_assignment(
+                  root / "bench" / "tracing.py", "LAYER_FUNCTIONS"))
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    used = exported | traced | set().union(*_loads(("src", "bench")))
+    attrs = _loads()[1]
     unused = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name not in names and node.name not in attrs:
+            if node.name not in used:
                 unused.append(f"{path.name}:{node.lineno}: {node.name}")
             if isinstance(node, ast.ClassDef):
                 unused.extend(f"{path.name}:{line}: {node.name}.{name}"

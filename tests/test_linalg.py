@@ -21,33 +21,26 @@ BANDED = ("cyclic_bidiagonal", "cyclic_tridiagonal", "tridiagonal")
 
 def test_identity():
     b = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(lu_solve(np.eye(3), b), b)
+    assert np.array_equal(lu_solve(planned(np.eye(3)), b), b)
 
 
-def test_requires_pivoting():
-    A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = lu_solve(A, np.array([2.0, 5.0]))
-    assert np.allclose(x, [5.0, 2.0])
-
-
-def test_random_systems_small_residual():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        n = rng.integers(1, 9)
-        A = rng.normal(size=(n, n)) + n * np.eye(n)
-        b = rng.normal(size=n)
-        x = lu_solve(A, b)
-        assert np.allclose(A @ x, b, rtol=0, atol=1e-10 * np.abs(b).max())
+def test_dense_array_is_refused():
+    # lu_solve solves the two Patankar formats only: a general matrix,
+    # which would need pivoting, has no path
+    for A in (np.eye(2), [[1.0, 0.0], [0.0, 1.0]]):
+        with pytest.raises(TypeError, match="PlannedPatankar or a "
+                                            "CyclicTridiagonal"):
+            lu_solve(A, np.ones(2))
 
 
 def test_singular_matrix_raises():
-    A = np.array([[1.0, 2.0], [2.0, 4.0]])
+    A = planned([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError):
         lu_solve(A, np.array([1.0, 1.0]))
 
 
 def test_zero_row_raises():
-    A = np.array([[1.0, 1.0], [0.0, 0.0]])
+    A = planned([[1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(SingularMatrixError):
         lu_solve(A, np.array([1.0, 1.0]))
 
@@ -61,27 +54,24 @@ def test_badly_row_scaled_m_matrix():
         [0.0, -1.0, 1.5],
     ])
     b = np.array([1.0e-12, 3.0, 2.0])
-    x = lu_solve(A, b)
+    x = lu_solve(planned(A), b)
     assert np.allclose(A @ x, b, rtol=0, atol=1e-9 * np.abs(b).max())
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        lu_solve(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(ValueError):
-        lu_solve(np.eye(2), np.ones(3))
-    with pytest.raises(ValueError):
-        lu_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
-    with pytest.raises(ValueError):
         lu_solve(planned([[3.0, -1.0], [-1.0, 3.0]]), np.ones(3))
+    with pytest.raises(ValueError):
+        lu_solve(CyclicTridiagonal(np.ones((3, 4))), np.ones(3))
+    with pytest.raises(ValueError):
+        lu_solve(planned([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
 
 
 def test_non_finite_solution_raises():
-    for fmt in (np.array, planned):
-        A = fmt([[1e-300, 0.0], [0.0, 1.0]])
-        with pytest.raises(SingularMatrixError,
-                           match="non-finite solution; largest diagonal in row 1"):
-            lu_solve(A, np.array([1e300, 1.0]))
+    A = planned([[1e-300, 0.0], [0.0, 1.0]])
+    with pytest.raises(SingularMatrixError,
+                       match="non-finite solution; largest diagonal in row 1"):
+        lu_solve(A, np.array([1e300, 1.0]))
 
 
 def _assert_positive_and_conservative(M, b, x):
@@ -142,25 +132,6 @@ def test_planned_singular_message_names_the_row():
             lu_solve(M, np.ones(n))
 
 
-def test_dense_singular_message_names_the_row():
-    # lu_solve keeps LAPACK gesv for a general ndarray: on the dense
-    # assembly of a cyclic bidiagonal Patankar matrix with fac*loss/denom
-    # = 1e20 in every column but one it meets an exactly zero pivot, and
-    # the message names the row of the largest diagonal
-    for n in (5, 17, BAND_MIN_DIM - 1):
-        i = np.arange(n)
-        f = np.full(n, 1e20)
-        f[n // 2] = 3e20
-        P = np.zeros((n, n))
-        P[(i + 1) % n, i] = f
-        A = _dense_assembly(P, f, np.ones(n), 1.0)
-        with pytest.raises(SingularMatrixError,
-                           match=rf"zero pivot in LAPACK gesv; largest diagonal "
-                                 rf"in row {n // 2}, where fac\*loss/denom = "
-                                 rf"3\.000e\+20 \(1/eps = 4\.504e\+15\)"):
-            lu_solve(A, np.ones(n))
-
-
 # ---------------------------------------------------------------------------
 # The planned format: no-pivot elimination on Python floats for every
 # system below the band size (here "small")
@@ -216,7 +187,7 @@ def test_small_solve_matches_lapack_and_reuses_its_factor(monkeypatch):
         M = patankar_matrix(exchange(P), P.sum(axis=0), denom, 2.0)
         for _ in range(3):
             b = 10.0 ** rng.uniform(-1.0, 0.0, n)
-            x, x_dense = lu_solve(M, b), lu_solve(M.toarray(), b)
+            x, x_dense = lu_solve(M, b), np.linalg.solve(M.toarray(), b)
             assert np.all(np.abs(x - x_dense) <= 16.0 * EPS * x_dense)
             factor = M.lu
         assert factor is M.lu is not None
@@ -433,7 +404,7 @@ def test_sweep_matches_lapack(pattern, n):
         A = _dense_assembly(P, loss, denom, fac)
         assert np.array_equal(M.toarray(), A)
         b = 10.0 ** rng.uniform(-1.0, 0.0, n)
-        x, x_dense = lu_solve(M, b), lu_solve(A, b)
+        x, x_dense = lu_solve(M, b), np.linalg.solve(A, b)
         assert np.all(np.abs(x - x_dense) <= 16.0 * EPS * x_dense)
 
 
@@ -533,7 +504,7 @@ def test_band_singular_message_names_the_row():
 
 def test_patankar_matrix_is_planned_below_crossover_and_off_band():
     # an entry off the cyclic band at 100 unknowns gives the planned
-    # format with its fill, which solves as gesv does on the dense array
+    # format with its fill, which solves as LAPACK does on the dense array
     rng = np.random.default_rng(4)
     for n, extra in ((BAND_MIN_DIM - 1, None), (100, (0, 50)), (100, (50, 0))):
         P = _banded_exchange(rng, n, "cyclic_tridiagonal")
@@ -545,7 +516,7 @@ def test_patankar_matrix_is_planned_below_crossover_and_off_band():
         A = _dense_assembly(P, loss, np.ones(n), 0.5)
         assert M.toarray().tobytes() == A.tobytes()
         b = 10.0 ** rng.uniform(-1.0, 0.0, n)
-        x, x_dense = lu_solve(M, b), lu_solve(A, b)
+        x, x_dense = lu_solve(M, b), np.linalg.solve(A, b)
         assert np.all(x > 0.0)
         assert np.all(np.abs(x - x_dense) <= 16.0 * EPS * x_dense)
 

@@ -9,6 +9,7 @@ from relax_mprk.problems import (PROBLEM_FACTORIES, advection_fv, barenblatt,
                                  cyclic3, lotka_volterra, make_problem,
                                  porous_medium, stratospheric,
                                  _daylight)
+from relax_mprk.schemes import build_scheme
 
 from helpers import fd_gradient
 
@@ -80,6 +81,23 @@ def test_strat_defaults():
     assert p.defaults["solver"] == "regula_falsi"
     assert p.defaults["relax_opts"]["gamma_min"] == pytest.approx(0.1)
     assert p.tspan == (12.0 * 3600.0, 84.0 * 3600.0)
+
+
+def test_strat_problems_hold_their_own_plans():
+    # each problem declares its own exchange pattern, so what one problem
+    # did to its LU plan (factorizations counted, kernels compiled) is not
+    # met by a problem made after it
+    used = stratospheric()
+    stepper = used.stepper(build_scheme("mprk22", 1.0))
+    stepper.step(used.tspan[0], used.u0, 36.0)
+    used_plan = used.sys.pattern.lu_plan
+    used_plan.compile()
+    assert used_plan.factored > 0
+    fresh = [make_problem("stratospheric").sys.pattern.lu_plan
+             for _ in range(2)]
+    assert len({id(plan) for plan in [used_plan] + fresh}) == 3
+    for plan in fresh:
+        assert plan.factored == 0 and plan.kernels is None
 
 
 # ---------------------------------------------------------------------------
