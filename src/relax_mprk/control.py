@@ -1,6 +1,6 @@
 """Time-integration drivers: fixed-step and adaptive loops.
 
-Adaptivity combines two mechanisms that multiply into the same dt: a PID
+Adaptivity combines two mechanisms that multiply into the same dt: a PI
 error controller acting on the stepper's error estimate (embedded, or step
 doubling for MPRK43I), and the relaxation accept/reject rule (grow dt by
 1% after a successful gamma search, shrink by 10% and retry after a
@@ -24,6 +24,10 @@ ADAPT_PID_RELAX = "pid_and_relax"
 ADAPT_MODES = (ADAPT_FIXED, ADAPT_PID, ADAPT_RELAX, ADAPT_PID_RELAX)
 
 GROWTH_CLAMP = (0.2, 5.0)
+# the PI law's exponent weights on the current and the previous error, and
+# its safety factor
+PI_GAINS = (0.7, 0.4)
+SAFETY = 0.9
 
 
 class IntegrationError(RuntimeError):
@@ -35,29 +39,27 @@ class ControllerState:
     dt: float
     dt_min: float
     dt_max: float
-    pid: tuple = (0.7, 0.4, 0.0)
-    safety: float = 0.9
-    err_history: list = field(default_factory=list)
+    err_prev: Optional[float] = None
 
     def clamp(self, dt: float) -> float:
         return min(max(dt, self.dt_min), self.dt_max)
 
 
 def pid_update(state: ControllerState, err: float, order_hat: int) -> float:
-    """New dt from the PID law; shifts the error history.
+    """New dt from the PI law; keeps ``err`` as the previous error.
 
-    dt_new = dt * clamp(safety * prod_k eps_k^{beta_k/order}, 0.2, 5)
-    with eps_k = 1/err_k over the current and two previous errors.
+    dt_new = dt * clamp(SAFETY * eps_0^{b_0/order} * eps_1^{b_1/order},
+    0.2, 5) with eps_k = 1/err_k over the current and the previous error
+    (the second factor is left out on the first update) and (b_0, b_1) =
+    ``PI_GAINS``.
     """
     if err <= 0.0:
         raise ValueError(f"scaled error must be positive, got {err}")
-    errs = [err] + list(state.err_history)
-    factor = state.safety
-    for beta_k, e_k in zip(state.pid, errs):
-        if beta_k != 0.0:
-            factor *= (1.0 / e_k) ** (beta_k / order_hat)
+    factor = SAFETY * (1.0 / err) ** (PI_GAINS[0] / order_hat)
+    if state.err_prev is not None:
+        factor *= (1.0 / state.err_prev) ** (PI_GAINS[1] / order_hat)
     factor = min(max(factor, GROWTH_CLAMP[0]), GROWTH_CLAMP[1])
-    state.err_history = [err] + state.err_history[:1]
+    state.err_prev = err
     state.dt = state.clamp(state.dt * factor)
     return state.dt
 
@@ -103,7 +105,7 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
               max_steps: int = 2_000_000) -> Trajectory:
     """Integrate from (t0, u0) to t_end.
 
-    Loop: base step, optional PID error test, optional relaxation.  On
+    Loop: base step, optional PI error test, optional relaxation.  On
     relaxation failure with relax adaptivity enabled, dt shrinks by 10%
     and the step is retried from the same state; without it the base step
     is kept and the failure is recorded.  The final step is truncated to
@@ -150,7 +152,7 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
         if relaxing:
             out = relax_step(eta, stepper, record, relax_cfg)
             if out.status == STATUS_FAILED and use_relax_adapt:
-                # no PID update here: a gamma-search failure must shrink
+                # no pid_update here: a gamma-search failure must shrink
                 # dt monotonically or retries would race the controller
                 traj.n_rejected += 1
                 ctrl.dt = relax_adapt(ctrl.dt, False, ctrl.dt_min, ctrl.dt_max)

@@ -7,7 +7,8 @@ density by the modified Patankar scheme applied to a signed flux
 splitting (so rho stays positive unconditionally) and the momentum by
 the underlying explicit Runge-Kutta method with the same tableau.
 Relaxation uses a single shared gamma: density is rescaled via the
-gamma-parameterized Patankar update, momentum affinely.
+gamma-parameterized Patankar update, momentum affinely.  The Riemann
+problem's descriptor is ``problems.isothermal_euler_fv``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from .means import mean_arith, mean_log
 from .pdrs import (Exchange, ExchangePattern, NonFiniteStateError, PdrsSystem,
                    eval_rhs)
-from .relaxation import EntropyFunctional, MODE_IMPLICIT, REGIME_CONSERVATIVE
 from .schemes import MpScheme, MpStepper
 
 
@@ -96,45 +96,3 @@ class EulerStepper(MpStepper):
     def rhs(self, z):
         return eval_rhs(self.sys, 0.0, z)
 
-
-def isothermal_euler_fv(N: int = 100, c: float = 1.0):
-    """Riemann problem descriptor on the periodic unit interval."""
-    from .problems import ProblemDescriptor
-
-    if N < 3:
-        raise ValueError("Euler mesh needs at least 3 cells")
-    if c <= 0.0:
-        raise ValueError("sound speed must be positive")
-    dx = 1.0 / N
-    x = (np.arange(N) + 0.5) * dx
-    rho0 = np.where(x < 0.5, 0.8, 1.0)
-    m0 = np.where(x < 0.5, 1e-3, 1e-2)
-    z0 = np.concatenate([rho0, m0])
-
-    # U = m^2/(2 rho) + c^2 rho ln(rho): the potential paired with the
-    # log-mean flux; only this scaling makes the semidiscrete entropy
-    # production vanish identically
-    def eta_eval(z):
-        rho, m = z[:N], z[N:]
-        return float(dx * np.sum(0.5 * m**2 / rho
-                                 + c**2 * rho * np.log(rho)))
-
-    def eta_grad(z):
-        rho, m = z[:N], z[N:]
-        g_rho = -0.5 * m**2 / rho**2 + c**2 * (np.log(rho) + 1.0)
-        return dx * np.concatenate([g_rho, m / rho])
-
-    eta = EntropyFunctional(eval=eta_eval, grad=eta_grad,
-                            regime=REGIME_CONSERVATIVE,
-                            monotone_nondecreasing=False)
-
-    def factory(scheme, sigma_mode=None):
-        return EulerStepper(N, c, scheme, sigma_mode)
-
-    return ProblemDescriptor(
-        name="euler", sys=None, eta=eta, u0=z0, tspan=(0.0, 1.0),
-        defaults=dict(method=("mprk22", 1.0, None), relax=MODE_IMPLICIT,
-                      solver="newton", dt0=dx, adapt="pid_and_relax",
-                      rtol=1e-3, atol=1e-3),
-        mesh=dict(N=N, dx=dx, domain=(0.0, 1.0), c=c),
-        stepper_factory=factory)

@@ -14,8 +14,9 @@ survives rounding, i.e. fac*loss/denom stays well below 1/eps.  Beyond
 that the matrix is singular to working precision and no elimination
 order keeps positivity.
 
-``lu_solve`` takes the two formats ``assemble_patankar`` builds, and
-nothing else:
+``patankar_matrix`` assembles a matrix in one of two formats, raising
+``PositivityError`` on a non-positive denominator, and ``lu_solve``
+solves those two formats and nothing else:
 
 * a ``PlannedPatankar`` (Lotka-Volterra, cyclic3, the stratospheric
   system, and every pattern off the cyclic band or below
@@ -58,7 +59,7 @@ solve, the bootstrap sigma-bar derivative with the sigma matrix, and the
 Newton derivative at gamma = 1 with the step's own update matrix, which
 the step record keeps (``schemes.StepRecord``).
 
-``assemble_patankar`` chooses the format from the number of unknowns d
+``patankar_matrix`` chooses the format from the number of unknowns d
 and the exchange pattern the system declares (``pdrs.ExchangePattern``),
 never from the rate values: from ``BAND_MIN_DIM`` on, the band format
 when every entry of the pattern lies on the cyclic sub- or
@@ -142,6 +143,10 @@ class SingularMatrixError(np.linalg.LinAlgError):
     pass
 
 
+class PositivityError(ValueError):
+    """A state vector left the positive orthant."""
+
+
 class _Kernels(NamedTuple):
     """A plan's compiled straight-line kernels; see ``LuPlan.compile``."""
 
@@ -168,8 +173,7 @@ class LuPlan:
     substitutions read (row, ((slot, column), ...)) pairs, columns
     increasing: ``lower`` for each row with entries of L, ``upper`` for
     every row, from the last one up, with its entries of U right of the
-    diagonal.  ``product`` is each row's (slot, column) list of the
-    matrix itself, diagonal included.
+    diagonal.
 
     ``factored`` counts the factorizations the interpreted loops ran on
     the plan; at the ``COMPILE_AFTER``-th, ``_planned_lu`` calls
@@ -179,12 +183,11 @@ class LuPlan:
     """
 
     __slots__ = ("dim", "cols", "n_fill", "flat", "elim", "lower", "upper",
-                 "product", "factored", "kernels", "source", "__weakref__")
+                 "factored", "kernels", "source", "__weakref__")
 
-    def __init__(self, dim, cols, n_fill, flat, elim, lower, upper, product):
+    def __init__(self, dim, cols, n_fill, flat, elim, lower, upper):
         self.dim, self.cols, self.n_fill, self.flat = dim, cols, n_fill, flat
         self.elim, self.lower, self.upper = elim, lower, upper
-        self.product = product
         self.factored = 0
         self.kernels = self.source = None
 
@@ -252,17 +255,13 @@ def plan_lu(rows: list, cols: list, dim: int) -> LuPlan:
              for i, ri in enumerate(at)]
     upper = [by_column((j, s) for j, s in ri.items() if j > i)
              for i, ri in enumerate(at)]
-    product = [[(i, i)] for i in range(n)]
-    for e, (i, j) in enumerate(zip(rows, cols)):
-        product[i].append((j, n + e))
 
     flat = np.array([i * (n + 1) for i in range(n)]
                     + [i * n + j for i, j in zip(rows, cols)], dtype=np.intp)
     return LuPlan(dim=n, cols=list(cols), n_fill=n_slots - n_pat, flat=flat,
                   elim=tuple(elim),
                   lower=tuple((i, t) for i, t in enumerate(lower) if t),
-                  upper=tuple(reversed(list(enumerate(upper)))),
-                  product=tuple(map(by_column, product)))
+                  upper=tuple(reversed(list(enumerate(upper)))))
 
 
 def plan_band(rows: np.ndarray, cols: np.ndarray, dim: int):
@@ -293,17 +292,6 @@ class PlannedPatankar:
         self.plan = plan
         self.lu = None
 
-    def __matmul__(self, v):
-        vl = np.asarray(v, dtype=float).tolist()
-        vals = self.vals
-        out = []
-        for terms in self.plan.product:
-            s = 0.0
-            for k, j in terms:
-                s += vals[k] * vl[j]
-            out.append(s)
-        return np.array(out)
-
     def toarray(self) -> np.ndarray:
         plan = self.plan
         n = plan.dim
@@ -330,10 +318,6 @@ class CyclicTridiagonal:
             raise ValueError("bands must be a (3, N) array with N >= 3")
         self.bands = bands
         self.lu = None
-
-    def __matmul__(self, v):
-        sub, diag, sup = self.bands
-        return diag * v + sub * np.roll(v, 1) + sup * np.roll(v, -1)
 
     def toarray(self) -> np.ndarray:
         sub, diag, sup = self.bands
@@ -407,10 +391,15 @@ def _interpreted_substitute(lu: list, plan: LuPlan, x: list) -> list:
     return x
 
 
-def assemble_patankar(P_w, loss_w: np.ndarray, denom: np.ndarray,
-                      fac: float):
-    """I + fac*diag(loss/denom) - fac*P/denom (column-scaled), or None
-    when a denominator is not positive.
+def _bad_denominator(denom: np.ndarray) -> PositivityError:
+    return PositivityError(f"non-positive denominator component "
+                           f"[{np.flatnonzero(denom <= 0.0)[0]}]")
+
+
+def patankar_matrix(P_w, loss_w: np.ndarray, denom, fac: float):
+    """I + fac*diag(loss/denom) - fac*P/denom (column-scaled); a
+    denominator that is not positive raises ``PositivityError`` naming
+    the first such component.
 
     ``P_w`` is an exchange (a pattern and its values) and ``loss_w`` the
     loss, both already weight-summed; ``fac`` carries the dt (and gamma)
@@ -422,6 +411,7 @@ def assemble_patankar(P_w, loss_w: np.ndarray, denom: np.ndarray,
     which both write as 0.0 * -fac (the same bits for a positive
     denom_j); a plan's compiled ``assemble`` does the loop's operations.
     """
+    denom = np.asarray(denom, float)
     n = len(denom)
     pat = P_w.pattern
     slots = pat.band_slots if n >= BAND_MIN_DIM else None
@@ -431,7 +421,7 @@ def assemble_patankar(P_w, loss_w: np.ndarray, denom: np.ndarray,
         # (denom <= 0.0).any() on Python floats, at a fraction of the cost
         for dj in dl:
             if dj <= 0.0:
-                return None
+                raise _bad_denominator(denom)
         fac = float(fac)
         kernels = plan.kernels
         if kernels is not None:
@@ -444,7 +434,7 @@ def assemble_patankar(P_w, loss_w: np.ndarray, denom: np.ndarray,
         vals += [0.0 * nfac] * plan.n_fill
         return PlannedPatankar(vals, plan)
     if (denom <= 0.0).any():
-        return None
+        raise _bad_denominator(denom)
     off = P_w.vals * -fac
     off /= denom.take(pat.cols)
     bands = np.empty(3 * n)
@@ -464,7 +454,7 @@ def _kernel_source(plan: LuPlan) -> str:
 
     * ``assemble(l, d, p, fac)``, the slots of a Patankar matrix from the
       lists of losses, denominators and pattern values, as
-      ``assemble_patankar`` builds them on the interpreted path;
+      ``patankar_matrix`` builds them on the interpreted path;
     * ``factor(vals)``, ``_interpreted_lu`` with every pivot check;
     * ``substitute(lu, x)``, ``_interpreted_substitute`` returning a new
       list.

@@ -29,11 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import LuPlan, plan_band, plan_lu
-
-
-class PositivityError(ValueError):
-    """A state vector left the positive orthant."""
+# PositivityError lives in linalg, whose assembly raises it on a
+# non-positive denominator; the state checks here raise it too
+from .linalg import LuPlan, PositivityError, plan_band, plan_lu
 
 
 class NonFiniteStateError(ValueError):

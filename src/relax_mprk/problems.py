@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .euler import EulerStepper
 from .means import mean_geo, mean_harm, mean_log
 from .pdrs import Exchange, ExchangePattern, PdrsSystem
 from .relaxation import (EntropyFunctional, MODE_CLAMPED, MODE_IMPLICIT,
@@ -213,6 +214,50 @@ def advection_fv(N: int = 100, entropy_kind: str = "log") -> ProblemDescriptor:
 
 
 # ---------------------------------------------------------------------------
+# Isothermal Euler equations, entropy-conservative finite volumes
+
+def isothermal_euler_fv(N: int = 100, c: float = 1.0):
+    """Riemann problem descriptor on the periodic unit interval."""
+    if N < 3:
+        raise ValueError("Euler mesh needs at least 3 cells")
+    if c <= 0.0:
+        raise ValueError("sound speed must be positive")
+    dx = 1.0 / N
+    x = (np.arange(N) + 0.5) * dx
+    rho0 = np.where(x < 0.5, 0.8, 1.0)
+    m0 = np.where(x < 0.5, 1e-3, 1e-2)
+    z0 = np.concatenate([rho0, m0])
+
+    # U = m^2/(2 rho) + c^2 rho ln(rho): the potential paired with the
+    # log-mean flux; only this scaling makes the semidiscrete entropy
+    # production vanish identically
+    def eta_eval(z):
+        rho, m = z[:N], z[N:]
+        return float(dx * np.sum(0.5 * m**2 / rho
+                                 + c**2 * rho * np.log(rho)))
+
+    def eta_grad(z):
+        rho, m = z[:N], z[N:]
+        g_rho = -0.5 * m**2 / rho**2 + c**2 * (np.log(rho) + 1.0)
+        return dx * np.concatenate([g_rho, m / rho])
+
+    eta = EntropyFunctional(eval=eta_eval, grad=eta_grad,
+                            regime=REGIME_CONSERVATIVE,
+                            monotone_nondecreasing=False)
+
+    def factory(scheme, sigma_mode=None):
+        return EulerStepper(N, c, scheme, sigma_mode)
+
+    return ProblemDescriptor(
+        name="euler", sys=None, eta=eta, u0=z0, tspan=(0.0, 1.0),
+        defaults=dict(method=("mprk22", 1.0, None), relax=MODE_IMPLICIT,
+                      solver="newton", dt0=dx, adapt="pid_and_relax",
+                      rtol=1e-3, atol=1e-3),
+        mesh=dict(N=N, dx=dx, domain=(0.0, 1.0), c=c),
+        stepper_factory=factory)
+
+
+# ---------------------------------------------------------------------------
 # Porous medium equation, second-order finite differences on [-6, 6]
 
 _PME_FLOOR = 1e-30
@@ -310,16 +355,11 @@ def cyclic3() -> ProblemDescriptor:
 # ---------------------------------------------------------------------------
 # Registry
 
-def _euler_factory(**kwargs):
-    from .euler import isothermal_euler_fv
-    return isothermal_euler_fv(**kwargs)
-
-
 PROBLEM_FACTORIES = {
     "lotka_volterra": lotka_volterra,
     "stratospheric": stratospheric,
     "advection": advection_fv,
-    "euler": _euler_factory,
+    "euler": isothermal_euler_fv,
     "pme": porous_medium,
     "cyclic3": cyclic3,
 }

@@ -22,8 +22,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import assemble_patankar, lu_solve
-from .pdrs import Exchange, PdrsSystem, PositivityError, RateSet
+from .linalg import PositivityError, lu_solve, patankar_matrix
+from .pdrs import Exchange, PdrsSystem, RateSet
 
 MPRK22 = "mprk22"
 MPRK43I = "mprk43i"
@@ -147,23 +147,6 @@ def build_scheme(kind: str, alpha: float, beta: float = None) -> MpScheme:
     raise SchemeParameterError(f"unknown scheme kind {kind!r}; known: {SCHEME_KINDS}")
 
 
-def patankar_matrix(P_w: Exchange, loss_w: np.ndarray, denom: np.ndarray,
-                    fac: float):
-    """Assemble I + fac*diag(loss/denom) - fac*P/denom (column-scaled).
-
-    ``P_w`` and ``loss_w`` are already weight-summed rates; ``fac``
-    carries the dt (and gamma) factor.  ``linalg.assemble_patankar``
-    chooses the format and builds it; a denominator that is not positive
-    raises PositivityError.
-    """
-    denom = np.asarray(denom, float)
-    M = assemble_patankar(P_w, loss_w, denom, fac)
-    if M is None:
-        bad = np.flatnonzero(denom <= 0.0)
-        raise PositivityError(f"non-positive denominator component [{bad[0]}]")
-    return M
-
-
 _TINY = np.finfo(float).tiny
 
 
@@ -227,11 +210,12 @@ def _solve(M, u_n: np.ndarray, gamma: float, g, what: str) -> np.ndarray:
 def _tangent(M, x: np.ndarray, u_n: np.ndarray, gamma: float, v):
     """dx/dgamma of the solution x of M x = u_n + gamma g, M = M_gamma:
     M x' = (x - u_n)/gamma + (M - I) v with v = x d'/d, d the
-    denominators; ``v`` is None for a frozen d."""
+    denominators, solved as x' = v + M^-1 ((x - u_n)/gamma - v), one
+    solve with no product M v; ``v`` is None for a frozen d."""
     rhs = (x - u_n) / gamma
-    if v is not None:
-        rhs = rhs + M @ v - v
-    return lu_solve(M, rhs)
+    if v is None:
+        return lu_solve(M, rhs)
+    return v + lu_solve(M, rhs - v)
 
 
 @dataclass(frozen=True)

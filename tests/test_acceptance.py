@@ -10,11 +10,11 @@ import pytest
 
 from relax_mprk.control import IntegrationError, integrate, interp_state, \
     reference_solution
-from relax_mprk.euler import isothermal_euler_fv
 from relax_mprk.linalg import SingularMatrixError
 from relax_mprk.pdrs import NonFiniteStateError, PositivityError
-from relax_mprk.problems import (advection_fv, cyclic3, lotka_volterra,
-                                 porous_medium, stratospheric)
+from relax_mprk.problems import (advection_fv, cyclic3, isothermal_euler_fv,
+                                 lotka_volterra, porous_medium,
+                                 stratospheric)
 from relax_mprk.relaxation import (EntropyFunctional, RelaxConfig,
                                    STATUS_FAILED, relax_step)
 from relax_mprk.schemes import (MpStepper, UnsupportedSchemeError,

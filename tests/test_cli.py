@@ -155,6 +155,21 @@ def test_convergence_orders_near_two(tmp_path, capsys, monkeypatch):
     assert all(1.7 < o < 2.3 for o in orders)
 
 
+def test_convergence_cyclic3_dense_sigma_orders_near_two(tmp_path, capsys,
+                                                         monkeypatch):
+    # cyclic3 relaxes with MPRK22 and Newton by default; under the default
+    # frozen sigma the gamma-curve is only first order in gamma and the
+    # relaxed orders fall to about 0.36.  A dense sigma keeps them near
+    # two, through Newton's tangent solves with a moving denominator
+    monkeypatch.chdir(tmp_path)
+    code = main(["convergence", "--problem", "cyclic3", "--levels", "3",
+                 "--sigma-mode", "dense"])
+    assert code == 0
+    rows = [l for l in capsys.readouterr().out.splitlines()[1:] if l.strip()]
+    orders = [float(r.split()[2]) for r in rows[1:]]
+    assert len(orders) == 2 and all(1.7 < o < 2.3 for o in orders)
+
+
 def test_convergence_rejects_bad_levels(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["convergence", "--problem", "cyclic3", "--levels", "0"]) == 2

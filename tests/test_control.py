@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from relax_mprk.control import (ControllerState, IntegrationError, integrate,
-                                interp_state, pid_update, relax_adapt)
+from relax_mprk.control import (SAFETY, ControllerState, IntegrationError,
+                                integrate, interp_state, pid_update,
+                                relax_adapt)
 from relax_mprk.pdrs import NonFiniteStateError
 from relax_mprk.problems import cyclic3, lotka_volterra
 from relax_mprk.relaxation import EntropyFunctional, RelaxConfig
@@ -22,33 +23,30 @@ def _state(dt=1.0, **kw):
 
 def test_pid_update_err_one_empty_history():
     st = _state()
-    assert pid_update(st, 1.0, 2) == pytest.approx(st.safety * 1.0)
+    assert pid_update(st, 1.0, 2) == pytest.approx(SAFETY * 1.0)
 
 
 def test_pid_update_formula_single_error():
-    st = _state(safety=1.0)
-    # eps = 1/err = 4, factor = 4^(0.7/2)
-    assert pid_update(st, 0.25, 2) == pytest.approx(4.0 ** 0.35)
+    st = _state()
+    # eps = 1/err = 4, factor = SAFETY * 4^(0.7/2)
+    assert pid_update(st, 0.25, 2) == pytest.approx(SAFETY * 4.0 ** 0.35)
 
 
 def test_pid_update_growth_clamp():
-    st = _state(safety=1.0)
+    st = _state()
     assert pid_update(st, 1e-12, 2) == pytest.approx(5.0)
-    st = _state(safety=1.0)
+    st = _state()
     assert pid_update(st, 1e12, 2) == pytest.approx(0.2)
 
 
-def test_pid_update_third_weight_is_zero():
-    # beta_3 = 0: the oldest error in the history cannot influence dt
-    a = _state(safety=1.0, err_history=[0.5, 1e-6])
-    b = _state(safety=1.0, err_history=[0.5, 1e6])
-    assert pid_update(a, 2.0, 2) == pytest.approx(pid_update(b, 2.0, 2))
-
-
 def test_pid_update_shifts_history():
-    st = _state(err_history=[0.3, 0.7])
-    pid_update(st, 2.0, 2)
-    assert st.err_history == [2.0, 0.3]
+    # the update keeps its error as the previous one, and the next update
+    # weighs it: eps_0 = 1 and eps_1 = 1/0.25 = 4 give SAFETY * 4^(0.4/2)
+    st = _state(err_prev=0.3)
+    pid_update(st, 0.25, 2)
+    assert st.err_prev == 0.25
+    dt = st.dt
+    assert pid_update(st, 1.0, 2) == pytest.approx(dt * SAFETY * 4.0 ** 0.2)
 
 
 def test_pid_update_rejects_nonpositive_error():

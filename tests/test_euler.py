@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from relax_mprk.euler import (EulerStepper, _interface_fluxes,
-                              isothermal_euler_fv)
+from relax_mprk.euler import EulerStepper, _interface_fluxes
 from relax_mprk.pdrs import NonFiniteStateError, PositivityError
+from relax_mprk.problems import isothermal_euler_fv
 from relax_mprk.schemes import SIGMA_MODES, UnsupportedSchemeError, build_scheme
 
 from helpers import fd_gradient, gamma_one_matches_assembly

@@ -41,21 +41,35 @@ def test_no_unused_imports(path):
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
+def _is_record(cls):
+    """Whether a class declares its fields by annotation: a dataclass or
+    a NamedTuple."""
+    decos = [d.func if isinstance(d, ast.Call) else d
+             for d in cls.decorator_list]
+    return (any(isinstance(d, ast.Name) and d.id == "dataclass"
+                for d in decos)
+            or any(isinstance(b, ast.Name) and b.id == "NamedTuple"
+                   for b in cls.bases))
+
+
 def _dataclass_fields(tree):
-    """(class, field, line) for every field of every dataclass in the module."""
+    """(class, field, line) for every field of every dataclass and
+    NamedTuple in the module, and every name in a class's ``__slots__``,
+    dunder names excepted."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        for deco in node.decorator_list:
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            if isinstance(target, ast.Name) and target.id == "dataclass":
-                break
-        else:
-            continue
+        record = _is_record(node)
         for stmt in node.body:
-            if (isinstance(stmt, ast.AnnAssign)
+            if (record and isinstance(stmt, ast.AnnAssign)
                     and isinstance(stmt.target, ast.Name)):
                 yield node.name, stmt.target.id, stmt.lineno
+            elif (isinstance(stmt, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                            for t in stmt.targets)):
+                yield from ((node.name, name, stmt.lineno)
+                            for name in ast.literal_eval(stmt.value)
+                            if not name.startswith("__"))
 
 
 def _loads(dirs=("src", "tests", "bench")):
@@ -76,19 +90,19 @@ def _loads(dirs=("src", "tests", "bench")):
 
 
 def test_every_dataclass_field_is_read():
-    # a field counts as read when any attribute of its name is loaded in
-    # the package, its tests or its benchmark; a field nothing reads is
-    # state that is set and carried for nothing.  The check is blind to
-    # the class: a dead field passes when another class has a live
-    # attribute of the same name, as EntropyFunctional.name did while
-    # problem.name and spec.name were read
+    # a field (of a dataclass or a NamedTuple, or a slot) counts as read
+    # when any attribute of its name is loaded in the package, its tests
+    # or its benchmark; a field nothing reads is state that is set and
+    # carried for nothing.  The check is blind to the class: a dead field
+    # passes when another class has a live attribute of the same name, as
+    # EntropyFunctional.name did while problem.name and spec.name were read
     read = _loads()[1]
     unread = [f"{path.name}:{line}: {cls}.{name}"
               for path in sorted(SRC.glob("*.py"))
               for cls, name, line in _dataclass_fields(
                   ast.parse(path.read_text(), filename=str(path)))
               if name not in read]
-    assert not unread, "dataclass fields never read: " + ", ".join(unread)
+    assert not unread, "fields never read: " + ", ".join(unread)
 
 
 def _class_members(cls):

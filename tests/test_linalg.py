@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from relax_mprk.linalg import (BAND_MIN_DIM, COMPILE_AFTER, CyclicTridiagonal,
-                               PlannedPatankar, SingularMatrixError, lu_solve)
-from relax_mprk.schemes import patankar_matrix
+                               PlannedPatankar, PositivityError,
+                               SingularMatrixError, lu_solve, patankar_matrix)
 
 from helpers import exchange, planned
 
@@ -78,11 +78,8 @@ def _assert_positive_and_conservative(M, b, x):
     n = len(b)
     assert np.all(x > 0.0)
     # roundoff in the sum is relative to the fluxes |M| x, not the mass
-    if isinstance(M, CyclicTridiagonal):
-        absM = CyclicTridiagonal(np.abs(M.bands))
-    else:
-        absM = np.abs(M.toarray())
-    assert abs(x.sum() - b.sum()) <= 2.0 * n * EPS * np.sum(absM @ x)
+    assert abs(x.sum() - b.sum()) <= 2.0 * n * EPS * np.sum(
+        np.abs(M.toarray()) @ x)
 
 
 def test_patankar_systems_stay_positive_and_conservative():
@@ -159,11 +156,26 @@ def test_patankar_matrix_format_follows_the_dimension(n):
     P = np.zeros((n, n))
     P[(i + 1) % n, i] = 0.3
     np.fill_diagonal(P, 0.0)
-    M = patankar_matrix(exchange(P), P.sum(axis=0), np.ones(n), 0.5)
+    ex = exchange(P)
+    M = patankar_matrix(ex, P.sum(axis=0), np.ones(n), 0.5)
     if n < BAND_MIN_DIM:
         assert isinstance(M, PlannedPatankar)
     else:
         assert isinstance(M, CyclicTridiagonal)
+    # the assembly refuses a denominator that is not positive, naming the
+    # first one, on the band path and on the planned path before and
+    # after its plan compiles
+    for compiled in (False, True) if n < BAND_MIN_DIM else (False,):
+        if compiled:
+            ex.pattern.lu_plan.compile()
+        for k in sorted({0, n // 2, n - 1}):
+            for bad in (0.0, -0.0, -1e-300, -2.0):
+                denom = np.ones(n)
+                denom[k:] = -1.0
+                denom[k] = bad
+                with pytest.raises(PositivityError, match=rf"^non-positive "
+                                   rf"denominator component \[{k}\]$"):
+                    patankar_matrix(ex, P.sum(axis=0), denom, 0.5)
 
 
 def test_small_solve_matches_lapack_and_reuses_its_factor(monkeypatch):
@@ -191,9 +203,6 @@ def test_small_solve_matches_lapack_and_reuses_its_factor(monkeypatch):
             assert np.all(np.abs(x - x_dense) <= 16.0 * EPS * x_dense)
             factor = M.lu
         assert factor is M.lu is not None
-        v = rng.normal(size=n)
-        assert np.allclose(M @ v, M.toarray() @ v, rtol=0.0,
-                           atol=4.0 * EPS * np.max(np.abs(M.toarray()) @ np.abs(v)))
     assert factors[0] == 7
 
 
@@ -449,15 +458,6 @@ def test_band_factor_is_kept_and_reused(monkeypatch, pattern):
         b = 10.0 ** rng.uniform(-1.0, 0.0, n)
         assert lu_solve(M, b).tobytes() == lu_solve(patankar_matrix(*args), b).tobytes()
     assert factors[0] == 1 + 3
-
-
-def test_band_product_matches_dense():
-    rng = np.random.default_rng(2)
-    M = CyclicTridiagonal(rng.normal(size=(3, 50)))
-    A = M.toarray()
-    v = rng.normal(size=50)
-    assert np.allclose(M @ v, A @ v, rtol=0.0,
-                       atol=4.0 * EPS * np.max(np.abs(A) @ np.abs(v)))
 
 
 @pytest.mark.parametrize("row", [0, 1, 2])
