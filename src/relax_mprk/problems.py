@@ -169,9 +169,9 @@ _ADV_ENTROPY = {
 }
 
 _ADV_DEFAULTS = {
-    "log": (("mpssprk2", 0.5, 1.0), "secant"),
+    "log": (("mpssprk2", 0.5, 1.0), "newton"),
     "sqrt": (("mprk43i", 0.5, 0.75), "regula_falsi"),
-    "inv": (("mprk22", 1.0, None), "bisection"),
+    "inv": (("mprk22", 1.0, None), "newton"),
 }
 
 

@@ -20,13 +20,17 @@ where e is 0 for a conservative eta and the stage-quadrature estimate of
 the step's entropy change for a dissipative one.  The time label advances
 by gamma * dt, so the order of the base method is retained and the
 dissipation target scales with the time actually advanced.
+
+Two solvers find the root: Newton from gamma = 1, or Illinois regula
+falsi on the nearest sign-change bracket, found by a walk outward from
+gamma = 1 in log gamma.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -39,7 +43,7 @@ MODE_GEOMETRIC = "geometric"
 MODE_IMPLICIT = "implicit"
 RELAX_MODES = (MODE_NONE, MODE_CLAMPED, MODE_GEOMETRIC, MODE_IMPLICIT)
 
-SOLVERS = ("newton", "regula_falsi", "bisection", "secant")
+SOLVERS = ("newton", "regula_falsi")
 
 STATUS_CONVERGED = "converged"
 STATUS_CLAMPED = "clamped_to_one"
@@ -78,23 +82,13 @@ class RelaxConfig:
             raise ValueError(f"unknown relaxation mode {self.mode!r}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown scalar solver {self.solver!r}")
-        if not (self.gamma_min < 1.0 < self.gamma_max):
-            raise ValueError("gamma bounds must satisfy gamma_min < 1 < gamma_max")
+        if not (0.0 < self.gamma_min < 1.0 < self.gamma_max < math.inf):
+            raise ValueError("gamma bounds must satisfy "
+                             "0 < gamma_min < 1 < gamma_max < inf")
         if self.gamma_tol <= 0.0:
             raise ValueError("gamma_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-
-    @cached_property
-    def probe_pairs(self) -> tuple:
-        """Adjacent pairs (a, b) of the bracketing solvers' geometric probe
-        grid on [gamma_min, gamma_max], nearest gamma = 1 first.  The grid
-        depends on the window alone, so it is built on first use and kept
-        by the config."""
-        grid = _probe_grid(self.gamma_min, self.gamma_max)
-        return tuple(sorted(zip(grid[:-1], grid[1:]),
-                            key=lambda p: min(abs(p[0] - 1.0),
-                                              abs(p[1] - 1.0))))
 
 
 @dataclass(frozen=True)
@@ -196,38 +190,34 @@ def _probe(fun, gamma):
     return val if math.isfinite(val) else None
 
 
-def _probe_grid(gamma_min, gamma_max):
-    # probe density scales with the window width, capped at 20 points
-    n_lo = max(4, round(12 * min(1.0, math.log10(1.0 / gamma_min) / 6.0)))
-    n_hi = max(4, round(9 * min(1.0, math.log10(gamma_max))))
-    lo = np.geomspace(gamma_min, 1.0, n_lo)
-    hi = np.geomspace(1.0, gamma_max, n_hi)[1:]
-    return np.concatenate([lo, hi]).tolist()
+def _find_bracket(fun, cfg, r1):
+    """Sign-change bracket nearest gamma = 1, found by walking outward.
 
-
-def _find_bracket(fun, cfg, known=None):
-    """Sign-change bracket nearest gamma = 1 on a geometric probe grid.
-
-    Adjacent grid pairs are examined in order of increasing distance from
-    gamma = 1, so the search stops at the nearest sign change without
-    touching the rest of the grid.  The grid and that order are fixed by
-    the gamma window, so ``cfg.probe_pairs`` holds them for every search.
-    Probes where the residual is undefined are simply excluded.  Returns
-    (a, fa, b, fb) or None.
+    The walk probes log gamma = -0.1, 0.1, -0.2, 0.2, -0.4, 0.4, ...: the
+    offset doubles, and at each offset the probe below 1 comes first.  A
+    side's last probe is exactly gamma_min or gamma_max.  Each probe is
+    paired with the one before it on its side, starting from gamma = 1
+    with ``r1`` = r(1), and the walk stops at the first pair whose ends
+    differ in sign or hold a zero, so the bracket is the nearest.  A
+    probe where the residual is undefined (None, as ``r1`` may be) ends
+    no bracket, and the walk carries on past it.  Returns (a, fa, b, fb)
+    with a < b, or None.
     """
-    vals = dict(known) if known else {}
-
-    def val(g):
-        if g not in vals:
-            vals[g] = _probe(fun, g)
-        return vals[g]
-
-    for ga, gb in cfg.probe_pairs:
-        fa, fb = val(ga), val(gb)
-        if fa is None or fb is None:
-            continue
-        if fa == 0.0 or fa * fb < 0.0:
-            return ga, fa, gb, fb
+    last = {cfg.gamma_min: (1.0, r1), cfg.gamma_max: (1.0, r1)}
+    offset = 0.1
+    while last:
+        for end, (g0, f0) in list(last.items()):
+            span = math.log(end)
+            g = (end if offset >= abs(span)
+                 else math.exp(math.copysign(offset, span)))
+            f = _probe(fun, g)
+            if f is not None and f0 is not None and f * f0 <= 0.0:
+                return (g0, f0, g, f) if g0 < g else (g, f, g0, f0)
+            if g == end:
+                del last[end]
+            else:
+                last[end] = g, f
+        offset *= 2.0
     return None
 
 
@@ -246,21 +236,6 @@ def _newton(fun, deriv, cfg):
         if not (cfg.gamma_min < gamma <= cfg.gamma_max):
             return gamma, it, STATUS_FAILED
     return gamma, cfg.max_iters, STATUS_FAILED
-
-
-def _bisection(fun, a, fa, b, fb, cfg):
-    for it in range(1, cfg.max_iters + 1):
-        mid = 0.5 * (a + b)
-        fm = _probe(fun, mid)
-        if fm is None:
-            return mid, it, STATUS_FAILED
-        if abs(fm) <= cfg.gamma_tol:
-            return mid, it, STATUS_CONVERGED
-        if fa * fm < 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b), cfg.max_iters, STATUS_FAILED
 
 
 def _regula_falsi(fun, a, fa, b, fb, cfg):
@@ -286,33 +261,15 @@ def _regula_falsi(fun, a, fa, b, fb, cfg):
     return x, cfg.max_iters, STATUS_FAILED
 
 
-def _secant(fun, a, fa, b, fb, cfg):
-    for it in range(1, cfg.max_iters + 1):
-        if fb == fa:
-            return b, it, STATUS_FAILED
-        x = b - fb * (b - a) / (fb - fa)
-        if not (cfg.gamma_min < x <= cfg.gamma_max):
-            return x, it, STATUS_FAILED
-        fx = _probe(fun, x)
-        if fx is None:
-            return x, it, STATUS_FAILED
-        if abs(fx) <= cfg.gamma_tol:
-            return x, it, STATUS_CONVERGED
-        a, fa = b, fb
-        b, fb = x, fx
-    return b, cfg.max_iters, STATUS_FAILED
-
-
 def solve_scalar(fun, cfg: RelaxConfig, derivative=None):
     """Find gamma in (gamma_min, gamma_max] with |fun(gamma)| <= gamma_tol.
 
     Newton starts at gamma = 1 and asks for the derivative only while the
-    residual is above the tolerance.  The bracketing solvers first locate
-    a sign change on a geometric probe grid (at most 20 probes) and pick
-    the bracket nearest 1; the grid is fixed by the (gamma_min,
-    gamma_max) window and built once per config (``probe_pairs``).
-    Probes where the residual is undefined shrink the admissible bracket
-    instead of aborting.  Returns (gamma, iterations, status).
+    residual is above the tolerance.  Regula falsi first walks outward
+    from gamma = 1 to the nearest sign change (``_find_bracket``: 15
+    probes at most on the default window (1e-6, 10]); probes where the
+    residual is undefined are passed over instead of aborting.  Returns
+    (gamma, iterations, status).
     """
     if cfg.solver == "newton":
         if derivative is None:
@@ -323,7 +280,7 @@ def solve_scalar(fun, cfg: RelaxConfig, derivative=None):
     if r1 is not None and abs(r1) <= cfg.gamma_tol:
         return 1.0, 1, STATUS_CONVERGED
 
-    found = _find_bracket(fun, cfg, known={1.0: r1})
+    found = _find_bracket(fun, cfg, r1)
     if found is None:
         return 1.0, 0, STATUS_FAILED
     a, fa, b, fb = found
@@ -332,9 +289,7 @@ def solve_scalar(fun, cfg: RelaxConfig, derivative=None):
     elif abs(fb) <= cfg.gamma_tol:
         gamma, iters, status = b, 1, STATUS_CONVERGED
     else:
-        method = {"bisection": _bisection, "regula_falsi": _regula_falsi,
-                  "secant": _secant}[cfg.solver]
-        gamma, iters, status = method(fun, a, fa, b, fb, cfg)
+        gamma, iters, status = _regula_falsi(fun, a, fa, b, fb, cfg)
     # the residual vanishes trivially at gamma = 0, so a root at the lower
     # bound is spurious; any gamma outside (gamma_min, gamma_max] fails
     if status == STATUS_CONVERGED and not (cfg.gamma_min < gamma <= cfg.gamma_max):
@@ -384,8 +339,15 @@ def relax_step(eta: EntropyFunctional, stepper, record,
                            "the step's estimate")
         scale = max(1.0, abs(eta_old))
 
+        # residuals kept by gamma, as the curve keeps its states: a
+        # clamped search probes r(1) here and again in solve_scalar
+        values = {}
+
         def fun(g):
-            return residual_implicit_value(eta, curve, eta_old, rate, g) / scale
+            if g not in values:
+                values[g] = residual_implicit_value(
+                    eta, curve, eta_old, rate, g) / scale
+            return values[g]
 
         def deriv(g):
             return residual_implicit(eta, curve, rate, g) / scale

@@ -43,7 +43,7 @@ def test_list_output(capsys):
     assert "stratospheric" in out
     assert "solver=regula_falsi" in out
     assert "relax modes:" in out
-    assert "bisection" in out
+    assert "solvers: newton, regula_falsi\n" in out
     for kind, modes in SIGMA_MODES.items():
         assert f"{kind}: {', '.join(modes)}" in out
 
@@ -81,13 +81,13 @@ def test_run_is_deterministic(tmp_path, capsys):
 def test_run_writes_metadata_sidecar(tmp_path, capsys):
     out = tmp_path / "r.csv"
     main(["run", "--problem", "cyclic3", "--out", str(out),
-          "--method", "mprk22:0.75", "--solver", "bisection"])
+          "--method", "mprk22:0.75", "--solver", "regula_falsi"])
     meta = dict(line.split("=", 1)
                 for line in (tmp_path / "r.csv.meta").read_text().splitlines())
     assert meta["problem"] == "cyclic3"
     assert meta["method"] == "mprk22"
     assert float(meta["alpha"]) == 0.75
-    assert meta["solver"] == "bisection"
+    assert meta["solver"] == "regula_falsi"
     assert meta["relax"] == "implicit"
     assert meta["sigma_mode"] == "default"
     assert float(meta["t_end"]) == 1.0

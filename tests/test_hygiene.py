@@ -74,12 +74,13 @@ def _dataclass_fields(tree):
 
 def _loads(dirs=("src", "tests", "bench")):
     """(names, attributes) loaded or imported in the package, its tests
-    and its benchmark, or in the top-level directories ``dirs``."""
+    and its benchmark, or in the top-level directories ``dirs``.  A name
+    that is only assigned is not loaded."""
     names, attrs = set(), set()
     root = SRC.parent.parent
     for path in (p for d in dirs for p in sorted((root / d).rglob("*.py"))):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
@@ -129,13 +130,22 @@ def _module_assignment(path, name):
     raise AssertionError(f"{path.name} assigns no {name}")
 
 
+def _assigned_names(node):
+    """The names a module-level assignment binds, dunder names excepted."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and not n.id.startswith("__")]
+
+
 def test_every_definition_is_used():
-    # a module-level function or class counts as used when the package
-    # exports it in __all__, or when its name is referenced or imported in
-    # the package or its benchmark (an attribute name the tracer patches
-    # by string counts); code that only the tests call is not.  A method
-    # or property counts as used when an attribute of its name is loaded
-    # in the package, its tests or its benchmark
+    # a module-level function, class or assigned name counts as used when
+    # the package exports it in __all__, or when its name is loaded or
+    # imported in the package or its benchmark (an attribute name the
+    # tracer patches by string counts); code and constants that only the
+    # tests read are not.  A method or property counts as used when an
+    # attribute of its name is loaded in the package, its tests or its
+    # benchmark
     root = SRC.parent.parent
     exported = set(ast.literal_eval(
         _module_assignment(SRC / "__init__.py", "__all__")))
@@ -147,6 +157,9 @@ def test_every_definition_is_used():
     unused = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
+            unused.extend(f"{path.name}:{node.lineno}: {name}"
+                          for name in _assigned_names(node)
+                          if name not in used)
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name not in used:

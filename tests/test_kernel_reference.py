@@ -27,7 +27,7 @@ from relax_mprk.pdrs import Exchange, ExchangePattern, PdrsSystem, RateSet
 from relax_mprk.problems import (_STRAT_M, _daylight, isothermal_euler_fv,
                                  make_problem)
 from relax_mprk.relaxation import (MODE_CLAMPED, RelaxConfig, entropy_estimate,
-                                   relax_step, solve_scalar)
+                                   relax_step)
 from relax_mprk.schemes import (MpStepper, _StageLogs, build_scheme,
                                 patankar_matrix)
 
@@ -283,17 +283,6 @@ def old_small_solve(rows, b):
         raise _at_largest_diagonal([r[i] for i, r in enumerate(rows)],
                                    "non-finite solution")
     return np.array(x)
-
-
-def old_probe_pairs(gamma_min, gamma_max):
-    # rebuilt on every bracket search
-    n_lo = max(4, round(12 * min(1.0, math.log10(1.0 / gamma_min) / 6.0)))
-    n_hi = max(4, round(9 * min(1.0, math.log10(gamma_max))))
-    lo = np.geomspace(gamma_min, 1.0, n_lo)
-    hi = np.geomspace(1.0, gamma_max, n_hi)[1:]
-    grid = np.concatenate([lo, hi]).tolist()
-    return grid, sorted(zip(grid[:-1], grid[1:]),
-                        key=lambda p: min(abs(p[0] - 1.0), abs(p[1] - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -733,29 +722,6 @@ def test_planned_stratospheric_solve_matches_gesv(hour):
             M = patankar_matrix(r.P, r.loss, u, dt)
             assert isinstance(M, PlannedPatankar) and M.plan.n_fill == 4
             _agrees_with_gesv(M, rng)
-
-
-@pytest.mark.parametrize("window", [(1e-6, 10.0), (0.1, 10.0), (1e-3, 2.0),
-                                    (0.5, 1.5), (1e-9, 100.0)])
-def test_probe_pairs_match_reference_and_are_built_once(monkeypatch, window):
-    cfg = RelaxConfig(solver="bisection", gamma_min=window[0],
-                      gamma_max=window[1])
-    grid, pairs = old_probe_pairs(*window)
-    calls = Counter()
-    geomspace = np.geomspace
-
-    def counted(*args, **kwargs):
-        calls["geomspace"] += 1
-        return geomspace(*args, **kwargs)
-
-    monkeypatch.setattr(np, "geomspace", counted)
-    root = grid[len(grid) // 3] * 1.01
-    first = solve_scalar(lambda g: g - root, cfg)
-    assert calls["geomspace"] == 2
-    assert list(cfg.probe_pairs) == pairs
-    assert sorted({g for pair in cfg.probe_pairs for g in pair}) == grid
-    assert solve_scalar(lambda g: g - root, cfg) == first
-    assert calls["geomspace"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,13 +55,14 @@ def test_residual_classical_values():
 def test_residual_classical_domain_error_marks_bracket():
     # above gamma = 1.5 the residual raises FloatingPointError, as numpy
     # does under relax_step's errstate where the entropy is undefined; the
-    # bracket search skips the pair (1.33, 1.78) and finds the root below 1
+    # walk passes over its probes at 2.23, 4.95 and 10 and finds the root
+    # below 1
     def fun(g):
         if g > 1.5:
             raise FloatingPointError("invalid value encountered in log")
         return g - 0.2
 
-    gamma, _, status = solve_scalar(fun, _cfg(solver="bisection"))
+    gamma, _, status = solve_scalar(fun, _cfg(solver="regula_falsi"))
     assert status == "converged"
     assert gamma == pytest.approx(0.2, abs=1e-9)
     # an affine point outside the log domain is an excluded probe
@@ -165,7 +167,7 @@ def test_newton_requires_derivative():
         solve_scalar(lambda g: g - 1.0, _cfg(solver="newton"))
 
 
-@pytest.mark.parametrize("solver", ["bisection", "regula_falsi", "secant"])
+@pytest.mark.parametrize("solver", ["regula_falsi"])
 def test_bracketing_solvers_find_shifted_root(solver):
     # root at 1.3, away from the instant-accept probe at gamma = 1
     fun = lambda g: g * g - 1.69
@@ -184,8 +186,66 @@ def test_newton_tiny_root_rejected_by_gamma_bounds():
 
 
 def test_bracketing_no_sign_change_fails():
-    gamma, _, status = solve_scalar(lambda g: 1.0 + g, _cfg(solver="bisection"))
+    gamma, _, status = solve_scalar(lambda g: 1.0 + g,
+                                    _cfg(solver="regula_falsi"))
     assert status == "failed"
+
+
+def _walk(gamma_min, gamma_max):
+    """The outward walk's probes, nearest gamma = 1 first: log gamma =
+    -0.1, 0.1, -0.2, 0.2, ... (the offset doubles, below 1 first), each
+    side ending exactly on its bound."""
+    out, offset = [], 0.1
+    below = above = True
+    while below or above:
+        if below:
+            below = math.exp(-offset) > gamma_min
+            out.append(math.exp(-offset) if below else gamma_min)
+        if above:
+            above = math.exp(offset) < gamma_max
+            out.append(math.exp(offset) if above else gamma_max)
+        offset *= 2.0
+    return out
+
+
+@pytest.mark.parametrize("window, probes", [
+    ((1e-6, 10.0), 15), ((0.1, 10.0), 12), ((1e-3, 2.0), 12),
+    ((0.5, 1.5), 8), ((1e-9, 100.0), 16)])
+def test_bracket_walk_probes_outward_to_the_bounds(window, probes):
+    # a residual with no sign change makes the whole walk after r(1): its
+    # length is the search's probe budget, each side's last probe is its
+    # bound exactly, and at each distance the probe below 1 comes first
+    seen = []
+
+    def fun(g):
+        seen.append(g)
+        return 1.0 + g
+
+    cfg = _cfg(solver="regula_falsi", gamma_min=window[0],
+               gamma_max=window[1])
+    assert solve_scalar(fun, cfg) == (1.0, 0, "failed")
+    assert seen[0] == 1.0 and len(seen) == 1 + probes
+    assert seen[1:] == _walk(*window)
+    assert [g for g in seen if g < 1.0][-1] == window[0]
+    assert [g for g in seen if g > 1.0][-1] == window[1]
+    assert seen[1:5] == [math.exp(-0.1), math.exp(0.1),
+                         math.exp(-0.2), math.exp(0.2)]
+
+
+def test_bracket_walk_stops_at_the_nearest_sign_change():
+    # roots at 0.3 and 1.15: the walk meets the sign change above 1 at its
+    # fourth probe, and never probes below 0.8
+    seen = []
+
+    def fun(g):
+        seen.append(g)
+        return (g - 0.3) * (g - 1.15)
+
+    gamma, _, status = solve_scalar(fun, _cfg(solver="regula_falsi"))
+    assert status == "converged"
+    assert gamma == pytest.approx(1.15, abs=1e-9)
+    assert seen[1:5] == _walk(1e-6, 10.0)[:4]
+    assert min(seen) > 0.8
 
 
 def test_config_validation():
@@ -195,17 +255,23 @@ def test_config_validation():
         RelaxConfig(solver="brent")
     with pytest.raises(ValueError):
         RelaxConfig(gamma_min=2.0)
+    # the walk takes logs of both bounds and must reach them
+    with pytest.raises(ValueError, match="0 < gamma_min"):
+        RelaxConfig(gamma_min=0.0)
+    with pytest.raises(ValueError, match="gamma_max < inf"):
+        RelaxConfig(gamma_max=math.inf)
     with pytest.raises(ValueError):
         RelaxConfig(gamma_tol=0.0)
 
 
 # ---------------------------------------------------------------------------
 # Failure exits of the scalar solvers: each case pins today's
-# (gamma, iterations, status).  The probe grid for the default window
-# (1e-6, 10] puts 0.28480358684357990 and 1 next to each other, so a
-# residual rising through 0.5 is bracketed on that pair first.
+# (gamma, iterations, status).  On the default window (1e-6, 10] the
+# walk's probes below 1 are exp(-0.1), exp(-0.2), exp(-0.4) = 0.670 and
+# exp(-0.8) = 0.449, so a residual rising through 0.5 is bracketed on
+# (0.449, 0.670).
 
-_LO = relaxation._probe_grid(1e-6, 10.0)[10]
+_LO = math.exp(-0.4)
 
 
 def _excluded(lo, hi, fun):
@@ -225,43 +291,21 @@ def _cube(g):
     return g**3 - 0.125
 
 
-def _step_fn(g):
-    return -1.0 if g < 0.5 else 1.0
-
-
-def _nearly_flat(g):
-    # the second secant runs through two almost equal values on the
-    # right and extrapolates far out of the window
-    return -1.0 if g < 0.5 else 1.0 + 1e-9 * (g - 1.0)
-
-
 @pytest.mark.parametrize("solver, fun, kw, expected", [
-    ("bisection", _excluded(0.6, 0.7, _rise), {},
-     (0.6424017934217899, 1, "failed")),            # excluded midpoint
-    ("bisection", _rise, dict(max_iters=3),
-     (0.5083024659549612, 3, "failed")),            # max_iters
-    ("regula_falsi", _excluded(0.4, 0.6, _rise), {},
+    ("regula_falsi", _excluded(0.45, 0.6, _rise), {},
      (0.5, 1, "failed")),                           # excluded probe
     ("regula_falsi", _cube, dict(max_iters=2),
-     (0.41218997818685693, 2, "failed")),           # max_iters
-    ("secant", _step_fn, {},
-     (0.6424017934217899, 2, "failed")),            # flat secant
-    ("secant", _nearly_flat, {},
-     (-1000000092.0741626, 2, "failed")),           # leaves the window
-    ("secant", _excluded(0.4, 0.6, _rise), {},
-     (0.5, 1, "failed")),                           # excluded probe
-    ("secant", _cube, dict(max_iters=1),
-     (0.35940455280510253, 1, "failed")),           # max_iters
-    ("bisection", lambda g: g - _LO, {},
+     (0.4959031732854459, 2, "failed")),            # max_iters
+    ("regula_falsi", _excluded(0.4, 0.6, _rise), {},
+     (1.0, 0, "failed")),                           # excluded walk probe
+    ("regula_falsi", lambda g: g - _LO, {},
      (_LO, 1, "converged")),                        # left end is the root
-    ("bisection", lambda g: g - (_LO - 1e-12), {},
+    ("regula_falsi", lambda g: g - (_LO - 1e-12), {},
      (_LO, 1, "converged")),                        # right end within tol
-    ("bisection", lambda g: g - 1e-6, {},
+    ("regula_falsi", lambda g: g - 1e-6, {},
      (1e-6, 1, "failed")),                          # root at gamma_min
-], ids=["bisection-excluded", "bisection-max-iters", "regula-falsi-excluded",
-        "regula-falsi-max-iters", "secant-flat", "secant-window",
-        "secant-excluded", "secant-max-iters", "bracket-left-end",
-        "bracket-right-end", "root-outside-window"])
+], ids=["regula-falsi-excluded", "regula-falsi-max-iters", "walk-excluded",
+        "bracket-left-end", "bracket-right-end", "root-outside-window"])
 def test_bracketing_failure_exits(solver, fun, kw, expected):
     assert solve_scalar(fun, _cfg(solver=solver, **kw)) == expected
 
@@ -313,8 +357,8 @@ def test_clamped_search_root_above_one_clamps():
                             regime="conservative")
     record, stepper = _fake_step([1.0], [1.5], quadrature=0.0, dt=0.1)
     out = relax_step(eta, stepper, record, _cfg(mode="clamped_dissipative",
-                                                solver="bisection"))
-    assert (out.gamma, out.iterations, out.status) == (1.0, 29, "clamped_to_one")
+                                                solver="regula_falsi"))
+    assert (out.gamma, out.iterations, out.status) == (1.0, 7, "clamped_to_one")
     assert out.u_relaxed is record.u_next
     assert out.t_relaxed == 0.1
 
@@ -323,7 +367,7 @@ def test_clamped_state_is_convex_combination():
     eta = _dissipative_l2()
     record, stepper = _fake_step([1.0, 1.0], [2.0, 1.0], quadrature=1.25)
     out = relax_step(eta, stepper, record, _cfg(mode="clamped_dissipative",
-                                                solver="bisection"))
+                                                solver="regula_falsi"))
     assert 0.0 < out.gamma <= 1.0
     lo = np.minimum(record.u_n, record.u_next)
     hi = np.maximum(record.u_n, record.u_next)
@@ -389,7 +433,7 @@ def test_geometric_mode_cannot_move_log_entropies():
     rec = stepper.step(0.0, problem.u0, 0.1)
     assert eta.eval(rec.u_next) != eta.eval(rec.u_n)
     out = relax_step(eta, stepper, rec, _cfg(mode="geometric",
-                                             solver="bisection"))
+                                             solver="regula_falsi"))
     assert out.status == "failed"
 
 
@@ -406,8 +450,7 @@ def test_implicit_mode_conserves_entropy_lotka_volterra():
     assert out.t_relaxed == pytest.approx(out.gamma * rec.dt)
 
 
-@pytest.mark.parametrize("solver", ["newton", "regula_falsi", "bisection",
-                                    "secant"])
+@pytest.mark.parametrize("solver", ["newton", "regula_falsi"])
 def test_all_solvers_agree_on_implicit_gamma(solver):
     problem = lotka_volterra()
     stepper = MpStepper(problem.sys, build_scheme("mprk22", 1.0))
@@ -560,12 +603,12 @@ def test_relaxed_step_solve_count(monkeypatch, kind, params, solver, base_solves
 @pytest.mark.parametrize("m", [3.0, 5.0])
 @pytest.mark.parametrize("mode, solver", [
     ("clamped_dissipative", "newton"), ("geometric", "newton"),
-    ("geometric", "bisection"), ("implicit", "newton")])
+    ("geometric", "regula_falsi"), ("implicit", "newton")])
 def test_dissipative_target_scales_with_gamma(m, mode, solver):
     # time advances by gamma dt, so every mode must meet the dissipation
     # estimate of that time, eta_old + gamma e, not the whole step's
-    # eta_old + e; the geometric bisection probes the grid up to gamma =
-    # 10, where the geometric state overflows and the probe is excluded
+    # eta_old + e; the geometric regula falsi brackets its root between 1
+    # and the walk's first probe, exp(-0.1)
     problem = porous_medium(N=160, m=m)
     stepper = MpStepper(problem.sys, build_scheme(*problem.defaults["method"]))
     rec = stepper.step(1.0, problem.u0, problem.mesh["dx"])
@@ -577,3 +620,56 @@ def test_dissipative_target_scales_with_gamma(m, mode, solver):
     assert out.gamma != 1.0
     assert (abs(out.eta_after - eta_old - out.gamma * e)
             <= cfg.gamma_tol * max(1.0, abs(eta_old)))
+
+
+@pytest.mark.parametrize("m, expected", [(3.0, 0.86353), (5.0, 0.95972)])
+def test_regula_falsi_finds_the_pme_first_step_root(m, expected):
+    # the implicit residual of the first step at dt = dx is negative only
+    # on about (0.5, 0.87) for m = 3 and (0.49, 0.96) for m = 5, an
+    # interval the walk reaches at exp(-0.2) = 0.82 and exp(-0.1) = 0.90;
+    # regula falsi converges to Newton's root, to within the gamma that
+    # the residual tolerance resolves at the root's slope
+    problem = porous_medium(N=160, m=m)
+    stepper = MpStepper(problem.sys, build_scheme(*problem.defaults["method"]))
+    rec = stepper.step(1.0, problem.u0, problem.mesh["dx"])
+    cfg = _cfg(mode="implicit", solver="regula_falsi")
+    newton = relax_step(problem.eta, stepper, rec,
+                        _cfg(mode="implicit", solver="newton"))
+    out = relax_step(problem.eta, stepper, rec, cfg)
+    assert (newton.status, out.status) == ("converged", "converged")
+    assert out.gamma == pytest.approx(expected, abs=1e-5)
+    eta_old = problem.eta.eval(rec.u_n)
+    rate = entropy_estimate(problem.eta, stepper, rec) - eta_old
+    curve = relaxation._curve(problem.eta, stepper, rec, "implicit")
+    slope = (residual_implicit(problem.eta, curve, rate, newton.gamma)
+             / max(1.0, abs(eta_old)))
+    assert abs(out.gamma - newton.gamma) <= 2.0 * cfg.gamma_tol / abs(slope)
+
+
+@pytest.mark.parametrize("solver", ["newton", "regula_falsi"])
+def test_clamped_search_probes_gamma_one_once(monkeypatch, solver):
+    # relax_step probes r(1) to see whether the clamp applies; the search
+    # reads that value again instead of taking eta(u^{n+1}) twice
+    problem = porous_medium(N=160, m=3.0)
+    stepper = MpStepper(problem.sys, build_scheme(*problem.defaults["method"]))
+    rec = stepper.step(1.0, problem.u0, problem.mesh["dx"])
+    probes, evals = [], [0]
+    value = relaxation.residual_implicit_value
+
+    def counted(eta, curve, eta_old, rate, gamma):
+        probes.append(gamma)
+        return value(eta, curve, eta_old, rate, gamma)
+
+    def counting_eval(u):
+        evals[0] += 1
+        return problem.eta.eval(u)
+
+    monkeypatch.setattr(relaxation, "residual_implicit_value", counted)
+    eta = EntropyFunctional(eval=counting_eval, grad=problem.eta.grad,
+                            regime=problem.eta.regime)
+    out = relax_step(eta, stepper, rec, _cfg(mode="clamped_dissipative",
+                                             solver=solver))
+    assert out.status == "converged" and out.gamma < 1.0
+    assert probes[0] == 1.0 and len(set(probes)) == len(probes)
+    # eta(u^n), one per probe and eta of the relaxed state
+    assert evals[0] == len(probes) + 2
