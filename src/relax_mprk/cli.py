@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .control import (ADAPT_FIXED, ADAPT_MODES, IntegrationError, integrate,
-                      interp_state, reference_solution)
+                      interp_state)
 from .linalg import SingularMatrixError
 from .pdrs import NonFiniteStateError, PositivityError
 from .problems import PROBLEM_FACTORIES, make_problem
@@ -67,7 +67,10 @@ def parse_method_spec(spec: str):
     """'mprk43i:0.5,0.75' -> ('mprk43i', 0.5, 0.75)."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
-    params = [float(p) for p in rest.split(",") if p.strip()] if rest else []
+    try:
+        params = [float(p) for p in rest.split(",") if p.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"method parameters of {spec!r}: {exc}") from exc
     if kind == "mprk22":
         if len(params) != 1:
             raise ConfigError("mprk22 takes exactly one parameter: mprk22:alpha")
@@ -121,13 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args):
-    """Resolve problem, stepper, relax config and time grid from flags."""
+    """Resolve problem, stepper, relax config and time grid from flags;
+    a flag or problem parameter out of range raises ConfigError."""
     name, kwargs = parse_problem_spec(args.problem)
     try:
         problem = make_problem(name, **kwargs)
     except KeyError as exc:
         raise ConfigError(str(exc).strip("'\"")) from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for problem {name!r}: {exc}") from exc
 
     method = (parse_method_spec(args.method) if args.method
@@ -153,8 +157,14 @@ def _resolve(args):
     t0, t_end_default = problem.tspan
     t_end = args.t_end if args.t_end is not None else t_end_default
     dt0 = args.dt0 if args.dt0 is not None else problem.defaults["dt0"]
-    if dt0 <= 0.0:
+    if not dt0 > 0.0:
         raise ConfigError(f"dt0 must be positive, got {dt0}")
+    if not t_end > t0:
+        raise ConfigError(f"t_end must exceed t0 = {t0}, got {t_end}")
+    if not (args.rtol >= 0.0 and args.atol >= 0.0
+            and args.rtol + args.atol > 0.0):
+        raise ConfigError(f"rtol and atol must be non-negative and not both "
+                          f"zero, got {args.rtol} and {args.atol}")
     return problem, scheme, stepper, relax_cfg, t0, t_end, dt0
 
 
@@ -241,7 +251,8 @@ def _oracle_reference(problem, t0, t_end, dt_fine):
         data = np.load(path)
         return data["ts"], data["us"]
     oracle = problem.stepper(build_scheme("mprk43i", 0.5, 0.75))
-    ts, us = reference_solution(oracle, t0, problem.u0, t_end, dt_fine)
+    traj = integrate(oracle, None, None, t0, problem.u0, t_end, dt_fine)
+    ts, us = np.array(traj.times), np.array(traj.states)
     os.makedirs(_CACHE_DIR, exist_ok=True)
     np.savez_compressed(path, ts=ts, us=us)
     return ts, us

@@ -64,13 +64,11 @@ def pid_update(state: ControllerState, err: float, order_hat: int) -> float:
     return state.dt
 
 
-def relax_adapt(dt: float, relax_ok: bool, dt_min: float = 0.0,
-                dt_max: float = np.inf) -> float:
-    """Grow dt by 1% on relaxation success, shrink by 10% on failure."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    dt = dt * (1.01 if relax_ok else 0.9)
-    return min(max(dt, dt_min), dt_max)
+def relax_adapt(state: ControllerState, relax_ok: bool) -> float:
+    """Grow ``state.dt`` by 1% on relaxation success, shrink it by 10% on
+    failure, within its bounds; returns the new dt."""
+    state.dt = state.clamp(state.dt * (1.01 if relax_ok else 0.9))
+    return state.dt
 
 
 @dataclass
@@ -109,7 +107,9 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
     relaxation failure with relax adaptivity enabled, dt shrinks by 10%
     and the step is retried from the same state; without it the base step
     is kept and the failure is recorded.  The final step is truncated to
-    land on t_end (up to the gamma time shift).
+    land on t_end (up to the gamma time shift).  A run that has not
+    reached t_end after ``max_steps`` attempted steps raises
+    ``IntegrationError``.
     """
     if adaptivity not in ADAPT_MODES:
         raise ValueError(f"unknown adaptivity mode {adaptivity!r}")
@@ -132,7 +132,7 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
 
     n_attempts = 0
     while t < t_end - 1e-12 * span:
-        if n_attempts > max_steps:
+        if n_attempts >= max_steps:
             raise IntegrationError(f"step budget exceeded at t = {t}")
         n_attempts += 1
         dt = min(ctrl.dt, t_end - t)
@@ -155,8 +155,7 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
                 # no pid_update here: a gamma-search failure must shrink
                 # dt monotonically or retries would race the controller
                 traj.n_rejected += 1
-                ctrl.dt = relax_adapt(ctrl.dt, False, ctrl.dt_min, ctrl.dt_max)
-                if ctrl.dt <= ctrl.dt_min:
+                if relax_adapt(ctrl, False) <= ctrl.dt_min:
                     raise IntegrationError(
                         f"dt underflow after repeated relaxation failures "
                         f"at t = {t}")
@@ -164,7 +163,7 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
             if use_pid:
                 pid_update(ctrl, err, stepper.scheme.order)
             if use_relax_adapt:
-                ctrl.dt = relax_adapt(ctrl.dt, True, ctrl.dt_min, ctrl.dt_max)
+                relax_adapt(ctrl, True)
             t, u = out.t_relaxed, out.u_relaxed
             traj.append(t, u, dt, out.gamma, out.status, out.eta_after)
         else:
@@ -175,16 +174,6 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
             traj.append(t, u, dt, 1.0, "none", eta_val)
 
     return traj
-
-
-def reference_solution(stepper, t0: float, u0, t_end: float, dt: float):
-    """Fine-step trajectory (no relaxation) for error measurement.
-
-    Returns (times, states) arrays suitable for interp_state.
-    """
-    traj = integrate(stepper, None, None, t0, u0, t_end, dt,
-                     adaptivity=ADAPT_FIXED)
-    return np.array(traj.times), np.array(traj.states)
 
 
 def interp_state(times: np.ndarray, states: np.ndarray, t: float) -> np.ndarray:

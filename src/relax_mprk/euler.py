@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .means import mean_arith, mean_log
-from .pdrs import (Exchange, ExchangePattern, NonFiniteStateError, PdrsSystem,
-                   eval_rhs)
+from .pdrs import Exchange, ExchangePattern, NonFiniteStateError, PdrsSystem
 from .schemes import MpScheme, MpStepper
 
 
@@ -94,5 +93,5 @@ class EulerStepper(MpStepper):
         return P, 0.0, 0.0, m_rhs
 
     def rhs(self, z):
-        return eval_rhs(self.sys, 0.0, z)
+        return self.sys.rates(0.0, z).rhs
 

@@ -200,8 +200,3 @@ class PdrsSystem:
     def rates(self, t: float, u: np.ndarray) -> RateSet:
         """Evaluate all rates at (t, u); validates positivity of u."""
         return RateSet(*self.matrix_rates(t, self.check_state(u)))
-
-
-def eval_rhs(sys: PdrsSystem, t: float, u: np.ndarray) -> np.ndarray:
-    """Right-hand side f_k = rP_k - rD_k + sum_nu (p_{k,nu} - p_{nu,k})."""
-    return sys.rates(t, u).rhs

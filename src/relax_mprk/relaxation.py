@@ -104,19 +104,14 @@ class RelaxOutcome:
 def _entropy_rate(eta: EntropyFunctional, stepper, record) -> float:
     """The step's estimated entropy change e: 0 for a conservative eta,
     the stage quadrature dt * sum_j b_j eta'(u^(j)) . f(u^(j)) for a
-    dissipative one."""
+    dissipative one.
+
+    The dissipative estimate is at most 0, so eta(u^n) + e bounds eta
+    from above, when all b_j >= 0 and eta' . f <= 0.
+    """
     if eta.regime == REGIME_CONSERVATIVE:
         return 0.0
     return stepper.entropy_quadrature(eta, record)
-
-
-def entropy_estimate(eta: EntropyFunctional, stepper, record) -> float:
-    """Target entropy value for the step: eta(u^n) + e.
-
-    The dissipative estimate bounds eta from above when all b_j >= 0 and
-    eta' . f <= 0.
-    """
-    return float(eta.eval(record.u_n)) + _entropy_rate(eta, stepper, record)
 
 
 class _Curve:
@@ -326,12 +321,12 @@ def relax_step(eta: EntropyFunctional, stepper, record,
     relatively for large-magnitude entropies.  A failed search keeps the
     base step: gamma = 1 and u^{n+1}.  Every entropy value is taken with
     floating-point errors raised; one that overflows or is NaN raises
-    ``NonFiniteStateError``.
+    ``NonFiniteStateError``.  Mode ``none`` has no curve to relax along:
+    ``integrate`` keeps such a step itself, and here it raises
+    ``ValueError``.
     """
     if cfg.mode == MODE_NONE:
-        u_new = record.u_next
-        return RelaxOutcome(1.0, u_new, record.t_n + record.dt,
-                            entropy_value(eta, u_new), 0, STATUS_CONVERGED)
+        raise ValueError("relaxation mode 'none' does not relax a step")
     with np.errstate(invalid="raise", divide="raise", over="raise"):
         curve = _curve(eta, stepper, record, cfg.mode)
         eta_old = _finite_eta(lambda: eta.eval(record.u_n), "the step's start")

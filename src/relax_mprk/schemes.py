@@ -240,7 +240,7 @@ class StepRecord:
     system keeps its matrix M_1 with the factor its solve left on it.
     At gamma = 1 every factor gamma multiplies is 1.0, so sbar(1) is
     ``sigma`` and these are the matrices a probe there would assemble,
-    bit for bit; a system whose ``M`` is None assembles.
+    bit for bit.
     """
 
     scheme: MpScheme
@@ -404,7 +404,7 @@ def _sigma_bar_value(rec: StepRecord, gamma: float, mode: str):
 
     # bootstrap, MPRK43I: sbar solves the sigma system at gamma
     sig = rec.sig
-    if gamma == 1.0 and sig.M is not None:
+    if gamma == 1.0:
         return rec.sigma, rate, sig.M
     M = patankar_matrix(sig.P, sig.loss, rec.logs.geo_mean(gamma * rate),
                         gamma * rec.dt)
@@ -444,7 +444,7 @@ def _gamma_matrix(rec: StepRecord, gamma: float, mode: str):
         return last[1]
     sbar, rate, M_sig = _sigma_bar_value(rec, gamma, mode)
     upd = rec.upd
-    if gamma == 1.0 and upd.M is not None:
+    if gamma == 1.0:
         M = upd.M
     else:
         M = patankar_matrix(upd.P, upd.loss, sbar, gamma * rec.dt)

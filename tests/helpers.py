@@ -1,8 +1,8 @@
 """Shared fixtures-in-code for the test suite: small hand-checkable
 systems, a random conservative PDS generator, the wrapping of dense
 test arrays into the package's sparse exchange contract and planned
-Patankar format, and the check that a step's kept matrices serve
-gamma = 1."""
+Patankar format, a call counter, and the check that a step's kept
+matrices serve gamma = 1."""
 
 from dataclasses import replace
 
@@ -102,36 +102,41 @@ def fd_gradient(eta_eval, u, h=1e-7):
     return g
 
 
+def counted(fn, counts, key=0):
+    """``fn`` wrapped to add 1 to ``counts[key]`` on every call."""
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def gamma_one_matches_assembly(monkeypatch, rec, mode):
     """Check that the gamma = 1 derivative and sbar of a record from
     ``step`` reuse its kept matrices: no Patankar assembly, no planned
-    elimination or band sweep, and the bits of the assembling path on a
-    copy of the record without them."""
+    elimination or band sweep, and the bits of a copy of the record
+    whose matrices are assembled again, unfactored, as ``step``
+    assembles them."""
     calls = {"assemblies": 0, "factors": 0}
-
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(schemes, "patankar_matrix",
-                        counted("assemblies", schemes.patankar_matrix))
-    monkeypatch.setattr(linalg, "_planned_lu",
-                        counted("factors", linalg._planned_lu))
-    monkeypatch.setattr(linalg, "_sweep", counted("factors", linalg._sweep))
+    for owner, name, key in [(schemes, "patankar_matrix", "assemblies"),
+                             (linalg, "_planned_lu", "factors"),
+                             (linalg, "_sweep", "factors")]:
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name), calls,
+                                                 key))
 
     def at_one(r):
         du = schemes.gamma_update_derivative(r, 1.0, mode, r.u_next)
         return (du, *schemes.sigma_bar(r, 1.0, mode))
 
-    bare = replace(rec, upd=rec.upd._replace(M=None),
-                   sig=rec.sig and rec.sig._replace(M=None))
     kept = at_one(rec)
     assert calls == {"assemblies": 0, "factors": 0}
-    assembled = at_one(bare)
-    # the copy assembles M_1, and for bootstrap the sigma matrix, once
-    # for the derivative and once more for sbar
-    assert calls["assemblies"] == 1 + 2 * (mode == "bootstrap")
-    for new, old in zip(kept, assembled):
+
+    def assembled(system, denom):
+        return system._replace(M=schemes.patankar_matrix(
+            system.P, system.loss, denom, rec.dt))
+
+    # MPRK43I's sigma system has the denominators tau
+    tau = rec.sig and rec.logs.geo_mean(1.0 / rec.scheme.alpha)
+    bare = replace(rec, upd=assembled(rec.upd, rec.sigma),
+                   sig=rec.sig and assembled(rec.sig, tau))
+    for new, old in zip(kept, at_one(bare)):
         assert new.tobytes() == old.tobytes()

@@ -2,8 +2,9 @@
 
 ``bench/`` measures the package through names it binds: the layer
 functions ``bench/tracing.py`` wraps, the stepper methods
-``bench/run.py`` times and the descriptor attributes
-``bench/workloads.py`` and ``bench/checks.py`` read.  Renaming or moving
+``bench/run.py`` times, the descriptor attributes
+``bench/workloads.py`` and ``bench/checks.py`` read, and the names the
+bench files load from the package itself.  Renaming or moving
 one of them breaks the benchmark but none of the package's own tests;
 these tests catch it.
 """
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import relax_mprk
 from relax_mprk.problems import PROBLEM_FACTORIES, make_problem
 from relax_mprk.schemes import build_scheme
 
@@ -60,3 +62,16 @@ def test_every_problem_has_what_the_benchmark_reads(name):
     assert methods
     for method in methods:
         assert callable(getattr(stepper, method, None)), method
+
+
+def test_every_package_name_the_benchmark_loads_is_exported():
+    # relax_mprk.<name>, also through another module's binding of the
+    # package (workloads.relax_mprk.<name>)
+    loaded = {(path.name, node.attr) for path in sorted(BENCH.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute)
+              and "relax_mprk" in (getattr(node.value, "id", None),
+                                   getattr(node.value, "attr", None))}
+    assert {name for _, name in loaded} >= {"RateSet", "integrate"}
+    missing = {(f, n) for f, n in loaded if n not in relax_mprk.__all__}
+    assert not missing, f"bench/ loads unexported names: {sorted(missing)}"

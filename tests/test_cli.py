@@ -8,6 +8,8 @@ from relax_mprk.control import integrate
 from relax_mprk.problems import barenblatt, make_problem
 from relax_mprk.schemes import SIGMA_MODES, MpStepper, build_scheme
 
+from helpers import counted
+
 
 # ---------------------------------------------------------------------------
 # Spec parsing
@@ -123,9 +125,25 @@ def test_invalid_sigma_mode_exits_2(tmp_path, capsys, argv):
     assert "sigma mode" in capsys.readouterr().err
 
 
-def test_bad_problem_kwargs_exit_2(capsys):
+def test_bad_problem_kwargs_exit_2(tmp_path, capsys):
     assert main(["run", "--problem", "cyclic3:N=7"]) == 2
     assert "bad parameters" in capsys.readouterr().err
+    # a value the package rejects with ValueError, and a time span or
+    # tolerance out of range, are configuration errors too
+    for argv, reason in [
+            ("advection:N=2", "at least 3 cells"), ("pme:m=1", "m > 1"),
+            ("advection:entropy_kind=foo", "entropy_kind must be one of"),
+            ("cyclic3 --method mprk22:abc", "'abc'"),
+            ("cyclic3 --t-end 0", "t_end must exceed"),
+            ("cyclic3 --t-end -1", "t_end must exceed"),
+            ("cyclic3 --rtol -1 --adapt pid", "must be non-negative"),
+            ("cyclic3 --rtol 0 --atol 0", "not both zero")]:
+        out = tmp_path / "r.csv"
+        assert main(["run", "--out", str(out), "--problem",
+                     *argv.split()]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and reason in err, argv
+        assert not out.exists(), argv
 
 
 def test_convergence_single_level(tmp_path, capsys, monkeypatch):
@@ -192,16 +210,17 @@ def test_convergence_reads_the_cached_oracle(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["convergence", "--problem", "cyclic3", "--levels", "1",
             "--relax", "none"]
+    runs = [0]
+    monkeypatch.setattr(cli, "integrate", counted(cli.integrate, runs))
+    # the oracle and the one level
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert len(list((tmp_path / ".relax_mprk_cache").glob("ref_*.npz"))) == 1
-
-    def no_oracle(*args, **kwargs):
-        raise AssertionError("the cached oracle was not used")
-
-    monkeypatch.setattr(cli, "reference_solution", no_oracle)
+    assert runs[0] == 2
+    # the level only: the oracle comes from the cache
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+    assert runs[0] == 3
 
 
 def _pme_reference(m, N=160):

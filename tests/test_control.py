@@ -6,10 +6,11 @@ from relax_mprk.control import (SAFETY, ControllerState, IntegrationError,
                                 relax_adapt)
 from relax_mprk.pdrs import NonFiniteStateError
 from relax_mprk.problems import cyclic3, lotka_volterra
-from relax_mprk.relaxation import EntropyFunctional, RelaxConfig
+from relax_mprk.relaxation import (EntropyFunctional, RelaxConfig,
+                                   entropy_value)
 from relax_mprk.schemes import MpStepper, build_scheme
 
-from helpers import dense_system, linear_exchange
+from helpers import counted, dense_system, linear_exchange
 
 
 def _state(dt=1.0, **kw):
@@ -55,12 +56,14 @@ def test_pid_update_rejects_nonpositive_error():
 
 
 def test_relax_adapt_values():
-    assert relax_adapt(1.0, True) == pytest.approx(1.01)
-    assert relax_adapt(1.0, False) == pytest.approx(0.9)
-    assert relax_adapt(1.0, False, dt_min=0.95) == 0.95
-    assert relax_adapt(1.0, True, dt_max=1.0) == 1.0
-    with pytest.raises(ValueError):
-        relax_adapt(0.0, True)
+    st = _state()
+    assert relax_adapt(st, True) == pytest.approx(1.01)
+    assert st.dt == pytest.approx(1.01)
+    assert relax_adapt(_state(), False) == pytest.approx(0.9)
+    st = _state(dt_min=0.95)
+    assert relax_adapt(st, False) == 0.95 and st.dt == 0.95
+    st = _state(dt_max=1.0)
+    assert relax_adapt(st, True) == 1.0 and st.dt == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +115,32 @@ def test_integrate_validates_arguments():
     with pytest.raises(ValueError, match="entropy"):
         integrate(stepper, None, RelaxConfig(mode="implicit"),
                   0.0, [1.0, 1.0], 1.0, 0.1)
+
+
+def test_mode_none_returns_base_step():
+    # mode none keeps the base step as it is, like no relaxation at all
+    problem = cyclic3()
+    stepper = MpStepper(problem.sys, build_scheme("mprk22", 1.0))
+    traj = integrate(stepper, problem.eta, RelaxConfig(mode="none"), 0.0,
+                     problem.u0, 0.1, 0.1)
+    rec = stepper.step(0.0, problem.u0, 0.1)
+    assert traj.n_steps == 1
+    assert (traj.gammas[1], traj.statuses[1]) == (1.0, "none")
+    assert np.array_equal(traj.states[1], rec.u_next)
+    assert traj.times[1] == 0.1
+    assert traj.etas[1] == entropy_value(problem.eta, rec.u_next)
+
+
+def test_step_budget_counts_attempts():
+    # a budget of k attempts runs k base steps; a run of 4 steps needs 4
+    stepper = MpStepper(_zero_system(), build_scheme("mprk22", 1.0))
+    steps = [0]
+    stepper.step = counted(stepper.step, steps)
+    with pytest.raises(IntegrationError, match="budget exceeded at t = 3.0"):
+        integrate(stepper, None, None, 0.0, [1.0, 1.0], 4.0, 1.0, max_steps=3)
+    assert steps == [3]
+    integrate(stepper, None, None, 0.0, [1.0, 1.0], 4.0, 1.0, max_steps=4)
+    assert steps == [7]
 
 
 def test_integrate_relaxed_conserves_entropy():

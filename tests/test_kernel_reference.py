@@ -26,12 +26,12 @@ from relax_mprk.means import mean_geo, mean_harm, mean_log
 from relax_mprk.pdrs import Exchange, ExchangePattern, PdrsSystem, RateSet
 from relax_mprk.problems import (_STRAT_M, _daylight, isothermal_euler_fv,
                                  make_problem)
-from relax_mprk.relaxation import (MODE_CLAMPED, RelaxConfig, entropy_estimate,
+from relax_mprk.relaxation import (MODE_CLAMPED, RelaxConfig, _entropy_rate,
                                    relax_step)
 from relax_mprk.schemes import (MpStepper, _StageLogs, build_scheme,
                                 patankar_matrix)
 
-from helpers import exchange, planned
+from helpers import counted, exchange, planned
 
 # the largest, smallest normal and subnormal magnitudes a state may reach
 EXTREMES = (1e300, 1e-300, np.finfo(float).tiny / 4.0, 5e-324)
@@ -732,36 +732,15 @@ def test_conservative_mprk22_run_builds_no_stage_rhs(monkeypatch):
     # call per stage, and no right-hand side at all, since only the
     # dissipative quadrature reads one
     counts = Counter()
-    rhs = RateSet.rhs
-    check_state = PdrsSystem.check_state
-
-    def counted_rhs(self):
-        counts["rhs"] += 1
-        return rhs.fget(self)
-
-    def counted_check_state(self, u):
-        counts["check_state"] += 1
-        return check_state(self, u)
-
-    monkeypatch.setattr(RateSet, "rhs", property(counted_rhs))
-    monkeypatch.setattr(PdrsSystem, "check_state", counted_check_state)
-
+    monkeypatch.setattr(RateSet, "rhs",
+                        property(counted(RateSet.rhs.fget, counts, "rhs")))
+    monkeypatch.setattr(PdrsSystem, "check_state",
+                        counted(PdrsSystem.check_state, counts, "check_state"))
     problem = make_problem("lotka_volterra")
-    matrix_rates = problem.sys.matrix_rates
-
-    def counted_matrix_rates(t, u):
-        counts["matrix_rates"] += 1
-        return matrix_rates(t, u)
-
-    stepper = MpStepper(replace(problem.sys, matrix_rates=counted_matrix_rates),
-                        build_scheme("mprk22", 1.0))
-    step = stepper.step
-
-    def counted_step(t, u, dt):
-        counts["attempts"] += 1
-        return step(t, u, dt)
-
-    stepper.step = counted_step
+    sys = replace(problem.sys, matrix_rates=counted(
+        problem.sys.matrix_rates, counts, "matrix_rates"))
+    stepper = MpStepper(sys, build_scheme("mprk22", 1.0))
+    stepper.step = counted(stepper.step, counts, "attempts")
     traj = integrate(stepper, problem.eta, RelaxConfig(), 0.0, problem.u0,
                      20.0, 1.0, adaptivity="pid_and_relax", rtol=1e-3,
                      atol=1e-3)
@@ -786,8 +765,7 @@ def test_dissipative_quadrature_matches_eager_sum(m):
         fj = problem.sys.rates(rec.t_n + cj * rec.dt, uj).rhs
         acc += bj * float(eta.grad(uj) @ fj)
     assert stepper.entropy_quadrature(eta, rec) == rec.dt * acc
-    assert entropy_estimate(eta, stepper, rec) == \
-        float(eta.eval(rec.u_n)) + rec.dt * acc
+    assert _entropy_rate(eta, stepper, rec) == rec.dt * acc
     out = relax_step(eta, stepper, rec, RelaxConfig(mode=MODE_CLAMPED))
     assert 0.0 < out.gamma <= 1.0
 

@@ -13,7 +13,7 @@ from relax_mprk.linalg import (BAND_MIN_DIM, COMPILE_AFTER, CyclicTridiagonal,
                                PlannedPatankar, PositivityError,
                                SingularMatrixError, lu_solve, patankar_matrix)
 
-from helpers import exchange, planned
+from helpers import counted, exchange, planned
 
 EPS = np.finfo(float).eps
 BANDED = ("cyclic_bidiagonal", "cyclic_tridiagonal", "tridiagonal")
@@ -183,13 +183,8 @@ def test_small_solve_matches_lapack_and_reuses_its_factor(monkeypatch):
     from relax_mprk import linalg
 
     factors = [0]
-    planned_lu = linalg._planned_lu
-
-    def counting(vals, plan):
-        factors[0] += 1
-        return planned_lu(vals, plan)
-
-    monkeypatch.setattr(linalg, "_planned_lu", counting)
+    monkeypatch.setattr(linalg, "_planned_lu",
+                        counted(linalg._planned_lu, factors))
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 4, 5, 6, 17):
         P = 10.0 ** rng.uniform(-1.0, 1.0, size=(n, n))
@@ -213,18 +208,15 @@ def test_plan_compiles_once_at_its_kth_factorization(monkeypatch):
     from relax_mprk import linalg
 
     compiles, factors = [], [0]
-    compile_kernels, planned_lu = linalg.LuPlan.compile, linalg._planned_lu
+    compile_kernels = linalg.LuPlan.compile
 
     def counting_compile(plan):
         compiles.append(plan)
         return compile_kernels(plan)
 
-    def counting_lu(vals, plan):
-        factors[0] += 1
-        return planned_lu(vals, plan)
-
     monkeypatch.setattr(linalg.LuPlan, "compile", counting_compile)
-    monkeypatch.setattr(linalg, "_planned_lu", counting_lu)
+    monkeypatch.setattr(linalg, "_planned_lu",
+                        counted(linalg._planned_lu, factors))
     n = 3
     i = np.arange(n)
     P = np.zeros((n, n))
@@ -334,22 +326,13 @@ def test_newton_relaxed_step_factors_each_matrix_once(monkeypatch):
     from relax_mprk.relaxation import RelaxConfig, relax_step
 
     counts = {}
-
-    def counted(key, fn):
-        def wrapper(*args):
-            counts[key] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(schemes, "patankar_matrix",
-                        counted("assemblies", schemes.patankar_matrix))
-    monkeypatch.setattr(schemes, "lu_solve", counted("solves", schemes.lu_solve))
-    monkeypatch.setattr(schemes, "gamma_update_derivative",
-                        counted("derivatives",
-                                schemes.gamma_update_derivative))
-    monkeypatch.setattr(linalg, "_planned_lu",
-                        counted("factors", linalg._planned_lu))
-    monkeypatch.setattr(linalg, "_sweep", counted("factors", linalg._sweep))
+    for owner, name, key in [
+            (schemes, "patankar_matrix", "assemblies"),
+            (schemes, "lu_solve", "solves"),
+            (schemes, "gamma_update_derivative", "derivatives"),
+            (linalg, "_planned_lu", "factors"), (linalg, "_sweep", "factors")]:
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name), counts,
+                                                 key))
     for name, method, mode, dt in (
             ("lotka_volterra", ("mprk22", 1.0), "frozen", 0.2),
             ("stratospheric", ("mprk22", 1.0), "dense", 1.0),
@@ -442,13 +425,7 @@ def test_band_factor_is_kept_and_reused(monkeypatch, pattern):
     from relax_mprk import linalg
 
     factors = [0]
-    sweep = linalg._sweep
-
-    def counting(bands, b):
-        factors[0] += 1
-        return sweep(bands, b)
-
-    monkeypatch.setattr(linalg, "_sweep", counting)
+    monkeypatch.setattr(linalg, "_sweep", counted(linalg._sweep, factors))
     rng = np.random.default_rng(9)
     n = 100
     P = _banded_exchange(rng, n, pattern)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relax_mprk.pdrs import (Exchange, ExchangePattern, NonFiniteStateError,
-                             PdrsSystem, PositivityError, RateSet, eval_rhs)
+                             PdrsSystem, PositivityError, RateSet)
 from relax_mprk.problems import PROBLEM_FACTORIES, cyclic3, lotka_volterra
 from relax_mprk.schemes import build_scheme, step
 
@@ -12,12 +12,12 @@ from helpers import dense_system, linear_exchange, random_conservative_system
 def test_eval_rhs_lotka_volterra():
     sys = lotka_volterra().sys
     # 2*2 - 2*2 = 0 and 2*2 - 2 = 2
-    assert np.allclose(eval_rhs(sys, 0.0, np.array([2.0, 2.0])), [0.0, 2.0])
+    assert np.allclose(sys.rates(0.0, np.array([2.0, 2.0])).rhs, [0.0, 2.0])
 
 
 def test_eval_rhs_linear_exchange():
     sys = linear_exchange()
-    assert np.allclose(eval_rhs(sys, 0.0, np.array([1.0, 1.0])), [-1.0, 1.0])
+    assert np.allclose(sys.rates(0.0, np.array([1.0, 1.0])).rhs, [-1.0, 1.0])
 
 
 def test_eval_rhs_zero_rates():
@@ -25,15 +25,15 @@ def test_eval_rhs_zero_rates():
         return np.zeros((3, 3)), np.zeros(3), np.zeros(3)
 
     sys = dense_system(matrix_rates, np.zeros((3, 3)))
-    assert np.array_equal(eval_rhs(sys, 0.0, np.ones(3)), np.zeros(3))
+    assert np.array_equal(sys.rates(0.0, np.ones(3)).rhs, np.zeros(3))
 
 
 def test_eval_rhs_rejects_nonpositive_state():
     sys = linear_exchange()
     with pytest.raises(PositivityError, match=r"u\[1\]"):
-        eval_rhs(sys, 0.0, np.array([1.0, 0.0]))
+        sys.rates(0.0, np.array([1.0, 0.0]))
     with pytest.raises(PositivityError):
-        eval_rhs(sys, 0.0, np.array([-1.0, 1.0]))
+        sys.rates(0.0, np.array([-1.0, 1.0]))
 
 
 @pytest.mark.filterwarnings("error")
@@ -42,7 +42,7 @@ def test_non_finite_state_raises_typed_error(bad):
     sys = cyclic3().sys
     u = np.array([0.6, bad, 1.2])
     with pytest.raises(NonFiniteStateError, match=r"u\[1\]"):
-        eval_rhs(sys, 0.0, u)
+        sys.rates(0.0, u)
     with pytest.raises(NonFiniteStateError):
         step(sys, build_scheme("mprk22", 1.0), 0.0, u, 0.1)
 
@@ -53,7 +53,7 @@ def test_conservative_rhs_sums_to_zero():
         sys = random_conservative_system(rng, dim)
         for _ in range(100):
             u = rng.uniform(0.05, 10.0, size=dim)
-            f = eval_rhs(sys, 0.0, u)
+            f = sys.rates(0.0, u).rhs
             assert abs(f.sum()) <= 1e-13 * max(1.0, np.abs(f).max())
 
 
@@ -95,14 +95,14 @@ def test_state_shape_validation():
     "name", sorted(n for n in PROBLEM_FACTORIES if n != "euler"))
 def test_rate_set_rhs_balances_rest_terms(name):
     # the identity the benchmark's oracle relies on: RateSet built from
-    # matrix_rates gives eval_rhs, and the exchanges cancel in its sum
+    # matrix_rates gives the system's right-hand side, and the exchanges cancel in its sum
     problem = PROBLEM_FACTORIES[name]()
     rng = np.random.default_rng(17)
     u = problem.u0 * rng.uniform(0.5, 2.0, size=problem.u0.size)
     t = problem.tspan[0]
     P, rP, rD = problem.sys.matrix_rates(t, u)
     f = RateSet(P, rP, rD).rhs
-    assert np.array_equal(f, eval_rhs(problem.sys, t, u))
+    assert np.array_equal(f, problem.sys.rates(t, u).rhs)
     scale = rP.sum() + rD.sum() + 2.0 * P.vals.sum()
     assert abs(f.sum() - (rP.sum() - rD.sum())) <= 1e-13 * scale
 

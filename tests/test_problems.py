@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from relax_mprk.means import mean_log
-from relax_mprk.pdrs import eval_rhs
 from relax_mprk.problems import (PROBLEM_FACTORIES, advection_fv, barenblatt,
                                  cyclic3, lotka_volterra, make_problem,
                                  porous_medium, stratospheric,
@@ -20,7 +19,7 @@ from helpers import fd_gradient
 def test_lv_rhs_and_entropy_values():
     p = lotka_volterra()
     # (1, 2) is the interior equilibrium: rhs and entropy gradient vanish
-    assert np.allclose(eval_rhs(p.sys, 0.0, np.array([1.0, 2.0])), [0.0, 0.0])
+    assert np.allclose(p.sys.rates(0.0, np.array([1.0, 2.0])).rhs, [0.0, 0.0])
     assert np.allclose(p.eta.grad(np.array([1.0, 2.0])), [0.0, 0.0])
     assert p.eta.eval(p.u0) == pytest.approx(3.0 * math.log(2.0) - 4.0)
 
@@ -30,7 +29,7 @@ def test_lv_entropy_conserved_along_flow():
     rng = np.random.default_rng(7)
     for _ in range(5):
         u = rng.uniform(0.2, 3.0, size=2)
-        f = eval_rhs(p.sys, 0.0, u)
+        f = p.sys.rates(0.0, u).rhs
         assert abs(p.eta.grad(u) @ f) <= 1e-12
 
 
@@ -52,7 +51,7 @@ def test_strat_invariants_annihilate_rhs():
     for t in (0.0, 12.0 * 3600.0, 30.0 * 3600.0):
         for _ in range(3):
             u = p.u0 * rng.uniform(0.5, 2.0, size=6)
-            f = eval_rhs(p.sys, t, u)
+            f = p.sys.rates(t, u).rhs
             scale = float(np.max(np.abs(f)))
             assert abs(n1 @ f) <= 1e-12 * scale
             assert abs(n2 @ f) <= 1e-12 * scale
@@ -106,7 +105,7 @@ def test_strat_problems_hold_their_own_plans():
 def test_advection_constant_state_is_steady():
     for kind in ("log", "sqrt", "inv"):
         p = advection_fv(N=10, entropy_kind=kind)
-        f = eval_rhs(p.sys, 0.0, np.full(10, 3.0))
+        f = p.sys.rates(0.0, np.full(10, 3.0)).rhs
         assert np.allclose(f, 0.0, atol=1e-13)
 
 
@@ -127,7 +126,7 @@ def test_advection_mass_and_entropy_semidiscrete():
     for kind in ("log", "sqrt", "inv"):
         p = advection_fv(N=24, entropy_kind=kind)
         for u in (p.u0, rng.uniform(0.5, 4.0, size=24)):
-            f = eval_rhs(p.sys, 0.0, u)
+            f = p.sys.rates(0.0, u).rhs
             assert abs(np.sum(f)) <= 1e-11
             # the two-point flux is built to conserve this entropy exactly
             # at the semidiscrete level (telescoping on the periodic mesh)
@@ -163,7 +162,7 @@ def test_barenblatt_values():
 def test_pme_mass_conserved_energy_dissipated():
     for m in (3.0, 5.0):
         p = porous_medium(N=40, m=m)
-        f = eval_rhs(p.sys, 1.0, p.u0)
+        f = p.sys.rates(1.0, p.u0).rhs
         assert abs(np.sum(f)) <= 1e-12 * np.max(np.abs(f))
         # eta is the discrete squared norm; the diffusive flow must not
         # increase it
@@ -192,7 +191,7 @@ def test_cyclic3_conservative_and_entropy_steady():
     rng = np.random.default_rng(5)
     for _ in range(4):
         u = rng.uniform(0.3, 2.0, size=3)
-        f = eval_rhs(p.sys, 0.0, u)
+        f = p.sys.rates(0.0, u).rhs
         assert abs(np.sum(f)) <= 1e-14
         assert abs(p.eta.grad(u) @ f) <= 1e-13
 

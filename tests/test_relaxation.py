@@ -8,12 +8,12 @@ from relax_mprk import relaxation
 from relax_mprk.pdrs import NonFiniteStateError
 from relax_mprk.problems import cyclic3, lotka_volterra, porous_medium
 from relax_mprk.relaxation import (EntropyFunctional, RelaxConfig,
-                                   entropy_estimate, geometric_state,
-                                   relax_step, residual_implicit,
-                                   residual_implicit_value, solve_scalar)
+                                   _entropy_rate, geometric_state, relax_step,
+                                   residual_implicit, residual_implicit_value,
+                                   solve_scalar)
 from relax_mprk.schemes import MpStepper, build_scheme
 
-from helpers import linear_exchange
+from helpers import counted, linear_exchange
 
 L2 = EntropyFunctional(eval=lambda u: 0.5 * float(u @ u),
                        grad=lambda u: np.asarray(u, float),
@@ -130,10 +130,11 @@ def test_residual_implicit_hand_values():
 # Entropy estimate
 
 def test_entropy_estimate_conservative_is_eta_old():
+    # a conservative eta's target is eta(u^n): its rate is 0
     sys = linear_exchange()
     stepper = MpStepper(sys, build_scheme("mprk22", 1.0))
     rec = stepper.step(0.0, np.array([1.0, 1.0]), 1.0)
-    assert entropy_estimate(L2, stepper, rec) == L2.eval(rec.u_n)
+    assert _entropy_rate(L2, stepper, rec) == 0.0
 
 
 def test_entropy_estimate_dissipative_adds_quadrature():
@@ -142,9 +143,10 @@ def test_entropy_estimate_dissipative_adds_quadrature():
     stepper = MpStepper(problem.sys, build_scheme("mpssprk2", 0.5, 1.0))
     rec = stepper.step(1.0, problem.u0, 0.1)
     eta = problem.eta
-    est = entropy_estimate(eta, stepper, rec)
+    rate = _entropy_rate(eta, stepper, rec)
+    assert rate == stepper.entropy_quadrature(eta, rec)
     # all b_j >= 0 and eta' . f <= 0 for this semidiscretization
-    assert est <= eta.eval(rec.u_n) + 1e-15
+    assert rate <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +474,14 @@ def test_implicit_mode_preserves_linear_invariant():
     assert out.u_relaxed.sum() == pytest.approx(problem.u0.sum(), rel=1e-12)
 
 
-def test_mode_none_returns_base_step():
+def test_relax_step_rejects_mode_none():
+    # mode none keeps the base step in integrate; relax_step has no curve
+    # for it and must not fall through to the implicit one
     problem = cyclic3()
     stepper = MpStepper(problem.sys, build_scheme("mprk22", 1.0))
     rec = stepper.step(0.0, problem.u0, 0.1)
-    out = relax_step(problem.eta, stepper, rec, _cfg(mode="none"))
-    assert out.gamma == 1.0
-    assert np.array_equal(out.u_relaxed, rec.u_next)
-    assert out.t_relaxed == 0.1
+    with pytest.raises(ValueError, match="'none'"):
+        relax_step(problem.eta, stepper, rec, _cfg(mode="none"))
 
 
 def test_failed_relaxation_reports_base_step():
@@ -502,16 +504,15 @@ _SQUARES = EntropyFunctional(eval=lambda u: float(np.sum(u**2)),
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("mode, u_old, u_new, quadrature, what", [
+@pytest.mark.parametrize("u_old, u_new, quadrature, what", [
     # the search fails at every probe, so the base step is kept, and its
     # entropy overflows
-    ("clamped_dissipative", [1.0], [1e200], 0.0, "the relaxed state"),
-    ("none", [1.0], [1e200], 0.0, "the step"),
-    ("clamped_dissipative", [1e200], [1.0], 0.0, "the step's start"),
-    ("clamped_dissipative", [1.0], [2.0], 1e308, "the step's estimate"),
-], ids=["relaxed", "none", "start", "estimate"])
-def test_overflowing_entropy_raises_typed_error(mode, u_old, u_new,
-                                                quadrature, what):
+    ([1.0], [1e200], 0.0, "the relaxed state"),
+    ([1e200], [1.0], 0.0, "the step's start"),
+    ([1.0], [2.0], 1e308, "the step's estimate"),
+], ids=["relaxed", "start", "estimate"])
+def test_overflowing_entropy_raises_typed_error(u_old, u_new, quadrature,
+                                                what):
     # an overflow in eta ends in NonFiniteStateError, never in a numpy
     # warning or eta = inf
     record, _ = _fake_step(u_old, u_new, quadrature)
@@ -519,7 +520,7 @@ def test_overflowing_entropy_raises_typed_error(mode, u_old, u_new,
         entropy_quadrature=lambda eta, rec: np.float64(quadrature) * 10.0)
     with pytest.raises(NonFiniteStateError, match=f"eta of {what} is not"):
         relax_step(_SQUARES, stepper, record,
-                   _cfg(mode=mode, solver="newton"))
+                   _cfg(mode="clamped_dissipative", solver="newton"))
 
 
 def test_relax_step_evaluates_eta_once_at_the_start():
@@ -556,29 +557,12 @@ def test_relaxed_step_solve_count(monkeypatch, kind, params, solver, base_solves
     from relax_mprk import relaxation, schemes
 
     solves, assemblies, values, derivatives = [0], [0], [0], [0]
-    lu_solve = schemes.lu_solve
-    patankar_matrix = schemes.patankar_matrix
-
-    def counting_solve(A, b):
-        solves[0] += 1
-        return lu_solve(A, b)
-
-    def counting_matrix(*args):
-        assemblies[0] += 1
-        return patankar_matrix(*args)
-
-    def counted(fn, calls):
-        def wrapper(*args):
-            calls[0] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(schemes, "lu_solve", counting_solve)
-    monkeypatch.setattr(schemes, "patankar_matrix", counting_matrix)
-    monkeypatch.setattr(relaxation, "residual_implicit",
-                        counted(relaxation.residual_implicit, derivatives))
-    monkeypatch.setattr(relaxation, "residual_implicit_value",
-                        counted(relaxation.residual_implicit_value, values))
+    for owner, name, calls in [
+            (schemes, "lu_solve", solves),
+            (schemes, "patankar_matrix", assemblies),
+            (relaxation, "residual_implicit", derivatives),
+            (relaxation, "residual_implicit_value", values)]:
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name), calls))
     problem = lotka_volterra() if kind == "mprk22" else cyclic3()
     stepper = MpStepper(problem.sys, build_scheme(kind, *params))
     rec = stepper.step(0.0, problem.u0, 0.2)
@@ -613,7 +597,7 @@ def test_dissipative_target_scales_with_gamma(m, mode, solver):
     stepper = MpStepper(problem.sys, build_scheme(*problem.defaults["method"]))
     rec = stepper.step(1.0, problem.u0, problem.mesh["dx"])
     eta_old = problem.eta.eval(rec.u_n)
-    e = entropy_estimate(problem.eta, stepper, rec) - eta_old
+    e = _entropy_rate(problem.eta, stepper, rec)
     cfg = _cfg(mode=mode, solver=solver)
     out = relax_step(problem.eta, stepper, rec, cfg)
     assert out.status == "converged"
@@ -639,7 +623,7 @@ def test_regula_falsi_finds_the_pme_first_step_root(m, expected):
     assert (newton.status, out.status) == ("converged", "converged")
     assert out.gamma == pytest.approx(expected, abs=1e-5)
     eta_old = problem.eta.eval(rec.u_n)
-    rate = entropy_estimate(problem.eta, stepper, rec) - eta_old
+    rate = _entropy_rate(problem.eta, stepper, rec)
     curve = relaxation._curve(problem.eta, stepper, rec, "implicit")
     slope = (residual_implicit(problem.eta, curve, rate, newton.gamma)
              / max(1.0, abs(eta_old)))
