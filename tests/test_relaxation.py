@@ -8,7 +8,8 @@ from relax_mprk import relaxation
 from relax_mprk.pdrs import NonFiniteStateError
 from relax_mprk.problems import cyclic3, lotka_volterra, porous_medium
 from relax_mprk.relaxation import (EntropyFunctional, RelaxConfig,
-                                   _entropy_rate, geometric_state, relax_step,
+                                   _entropy_rate, entropy_value,
+                                   geometric_state, relax_step,
                                    residual_implicit, residual_implicit_value,
                                    solve_scalar)
 from relax_mprk.schemes import MpStepper, build_scheme
@@ -504,23 +505,29 @@ _SQUARES = EntropyFunctional(eval=lambda u: float(np.sum(u**2)),
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("u_old, u_new, quadrature, what", [
+@pytest.mark.parametrize("mode, u_old, u_new, quadrature, what", [
     # the search fails at every probe, so the base step is kept, and its
     # entropy overflows
-    ([1.0], [1e200], 0.0, "the relaxed state"),
-    ([1e200], [1.0], 0.0, "the step's start"),
-    ([1.0], [2.0], 1e308, "the step's estimate"),
-], ids=["relaxed", "start", "estimate"])
-def test_overflowing_entropy_raises_typed_error(u_old, u_new, quadrature,
-                                                what):
+    ("clamped_dissipative", [1.0], [1e200], 0.0, "the relaxed state"),
+    # integrate keeps an unrelaxed step itself and takes its eta through
+    # entropy_value
+    ("none", [1.0], [1e200], 0.0, "the step"),
+    ("clamped_dissipative", [1e200], [1.0], 0.0, "the step's start"),
+    ("clamped_dissipative", [1.0], [2.0], 1e308, "the step's estimate"),
+], ids=["relaxed", "none", "start", "estimate"])
+def test_overflowing_entropy_raises_typed_error(mode, u_old, u_new,
+                                                quadrature, what):
     # an overflow in eta ends in NonFiniteStateError, never in a numpy
     # warning or eta = inf
     record, _ = _fake_step(u_old, u_new, quadrature)
     stepper = SimpleNamespace(
         entropy_quadrature=lambda eta, rec: np.float64(quadrature) * 10.0)
     with pytest.raises(NonFiniteStateError, match=f"eta of {what} is not"):
-        relax_step(_SQUARES, stepper, record,
-                   _cfg(mode="clamped_dissipative", solver="newton"))
+        if mode == "none":
+            entropy_value(_SQUARES, record.u_next)
+        else:
+            relax_step(_SQUARES, stepper, record,
+                       _cfg(mode=mode, solver="newton"))
 
 
 def test_relax_step_evaluates_eta_once_at_the_start():
