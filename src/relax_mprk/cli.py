@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .control import (ADAPT_FIXED, ADAPT_MODES, IntegrationError, integrate,
-                      interp_state)
+from .control import (ADAPT_FIXED, ADAPT_MODES, IntegrationError, check_run,
+                      integrate, interp_state)
 from .linalg import SingularMatrixError
 from .pdrs import NonFiniteStateError, PositivityError
 from .problems import PROBLEM_FACTORIES, make_problem
@@ -136,7 +136,7 @@ def _resolve(args):
 
     method = (parse_method_spec(args.method) if args.method
               else problem.defaults["method"])
-    scheme = build_scheme(*method)
+    scheme = build_scheme(*method, sigma_mode=args.sigma_mode)
 
     relax_mode = args.relax or problem.defaults["relax"]
     relax_mode = _RELAX_ALIASES.get(relax_mode, relax_mode)
@@ -152,15 +152,15 @@ def _resolve(args):
     if args.atol is None:
         args.atol = problem.defaults.get("atol", 1e-6)
 
-    stepper = problem.stepper(scheme, args.sigma_mode)
+    stepper = problem.stepper(scheme)
 
     t0, t_end_default = problem.tspan
     t_end = args.t_end if args.t_end is not None else t_end_default
     dt0 = args.dt0 if args.dt0 is not None else problem.defaults["dt0"]
-    if not dt0 > 0.0:
-        raise ConfigError(f"dt0 must be positive, got {dt0}")
-    if not t_end > t0:
-        raise ConfigError(f"t_end must exceed t0 = {t0}, got {t_end}")
+    try:
+        check_run(problem.eta, relax_cfg, t0, t_end, dt0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not (args.rtol >= 0.0 and args.atol >= 0.0
             and args.rtol + args.atol > 0.0):
         raise ConfigError(f"rtol and atol must be non-negative and not both "

@@ -9,13 +9,14 @@ failed one).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .relaxation import (MODE_NONE, STATUS_FAILED, RelaxConfig, entropy_value,
-                         relax_step)
+from .relaxation import (MODE_GEOMETRIC, MODE_NONE, STATUS_FAILED, RelaxConfig,
+                         entropy_value, relax_step)
 
 ADAPT_FIXED = "fixed"
 ADAPT_PID = "pid"
@@ -97,6 +98,27 @@ class Trajectory:
         self.etas.append(float(eta_val))
 
 
+def check_run(eta, relax_cfg: Optional[RelaxConfig], t0: float,
+              t_end: float, dt0: float) -> bool:
+    """Whether a run relaxes; ValueError for a run ``integrate`` cannot
+    make: t0 or t_end not finite, t_end <= t0, dt0 not > 0, relaxation
+    without eta, or geometric relaxation on a non-monotone eta."""
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise ValueError(f"t0 and t_end must be finite, got {t0} and {t_end}")
+    if not t_end > t0:
+        raise ValueError(f"t_end must exceed t0 = {t0}, got {t_end}")
+    if not dt0 > 0.0:
+        raise ValueError(f"dt0 must be positive, got {dt0}")
+    if relax_cfg is None or relax_cfg.mode == MODE_NONE:
+        return False
+    if eta is None:
+        raise ValueError("relaxation requires an entropy functional")
+    if relax_cfg.mode == MODE_GEOMETRIC and not eta.monotone_nondecreasing:
+        raise ValueError("geometric relaxation requires an entropy that "
+                         "is non-decreasing in each argument")
+    return True
+
+
 def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
               u0, t_end: float, dt0: float, adaptivity: str = ADAPT_FIXED,
               rtol: float = 1e-6, atol: float = 1e-6,
@@ -109,18 +131,15 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
     is kept and the failure is recorded.  The final step is truncated to
     land on t_end (up to the gamma time shift).  A run that has not
     reached t_end after ``max_steps`` attempted steps raises
-    ``IntegrationError``.
+    ``IntegrationError``; arguments ``check_run`` rejects raise
+    ``ValueError``.
     """
     if adaptivity not in ADAPT_MODES:
         raise ValueError(f"unknown adaptivity mode {adaptivity!r}")
-    if t_end <= t0:
-        raise ValueError("t_end must exceed t0")
+    relaxing = check_run(eta, relax_cfg, t0, t_end, dt0)
     span = t_end - t0
     use_pid = adaptivity in (ADAPT_PID, ADAPT_PID_RELAX)
     use_relax_adapt = adaptivity in (ADAPT_RELAX, ADAPT_PID_RELAX)
-    relaxing = relax_cfg is not None and relax_cfg.mode != MODE_NONE
-    if relaxing and eta is None:
-        raise ValueError("relaxation requires an entropy functional")
 
     ctrl = ControllerState(dt=dt0, dt_min=1e-12 * span, dt_max=span)
     t = float(t0)

@@ -13,8 +13,6 @@ problem's descriptor is ``problems.isothermal_euler_fv``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .means import mean_arith, mean_log
@@ -59,8 +57,7 @@ class EulerStepper(MpStepper):
     density exchanges on ``_density_pattern(N)``, momentum as an explicit
     block of N components; mass and momentum are its linear invariants."""
 
-    def __init__(self, N: int, c: float, scheme: MpScheme,
-                 sigma_mode: Optional[str] = None):
+    def __init__(self, N: int, c: float, scheme: MpScheme):
         self.N = N
         self.c = c
         self.dx = 1.0 / N
@@ -71,7 +68,7 @@ class EulerStepper(MpStepper):
         sys = PdrsSystem(_density_pattern(N), lambda t, z: self._rates(z),
                          (np.concatenate([ones, zeros]),
                           np.concatenate([zeros, ones])), explicit_dim=N)
-        super().__init__(sys, scheme, sigma_mode)
+        super().__init__(sys, scheme)
 
     # bench/tracing.py wraps the step in this class's own namespace
     step = MpStepper.step

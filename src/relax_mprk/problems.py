@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,8 +30,8 @@ class ProblemDescriptor:
     known, else None and a fine-step oracle is used.  A problem whose
     system needs its own set-up (isothermal Euler, which builds a PDRS
     with an explicit block per stepper) leaves ``sys`` None and gives
-    ``stepper_factory(scheme, sigma_mode)`` instead; ``stepper`` builds
-    either kind.
+    ``stepper_factory(scheme)`` instead; ``stepper(scheme)`` builds
+    either kind, relaxing along the scheme's sigma mode.
     """
 
     name: str
@@ -43,12 +44,11 @@ class ProblemDescriptor:
     mesh: Optional[dict] = None
     stepper_factory: Optional[Callable] = None
 
-    def stepper(self, scheme: MpScheme,
-                sigma_mode: Optional[str] = None) -> MpStepper:
-        """The problem's stepper for ``scheme`` and ``sigma_mode``."""
+    def stepper(self, scheme: MpScheme) -> MpStepper:
+        """The problem's stepper for ``scheme``."""
         if self.stepper_factory is not None:
-            return self.stepper_factory(scheme, sigma_mode)
-        return MpStepper(self.sys, scheme, sigma_mode)
+            return self.stepper_factory(scheme)
+        return MpStepper(self.sys, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +245,13 @@ def isothermal_euler_fv(N: int = 100, c: float = 1.0):
                             regime=REGIME_CONSERVATIVE,
                             monotone_nondecreasing=False)
 
-    def factory(scheme, sigma_mode=None):
-        return EulerStepper(N, c, scheme, sigma_mode)
-
     return ProblemDescriptor(
         name="euler", sys=None, eta=eta, u0=z0, tspan=(0.0, 1.0),
         defaults=dict(method=("mprk22", 1.0, None), relax=MODE_IMPLICIT,
                       solver="newton", dt0=dx, adapt="pid_and_relax",
                       rtol=1e-3, atol=1e-3),
         mesh=dict(N=N, dx=dx, domain=(0.0, 1.0), c=c),
-        stepper_factory=factory)
+        stepper_factory=partial(EulerStepper, N, c))
 
 
 # ---------------------------------------------------------------------------

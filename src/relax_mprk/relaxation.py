@@ -140,7 +140,7 @@ def geometric_state(u_old, u_new, gamma):
     return np.exp(gamma * np.log(u_new) + (1.0 - gamma) * np.log(u_old))
 
 
-def _curve(eta, stepper, record, mode) -> _Curve:
+def _curve(stepper, record, mode) -> _Curve:
     u_old, u_new = record.u_n, record.u_next
     if mode == MODE_CLAMPED:
         step = u_new - u_old
@@ -150,9 +150,6 @@ def _curve(eta, stepper, record, mode) -> _Curve:
         return _Curve(u_new, lambda g: g * u_new + (1.0 - g) * u_old,
                       lambda g, u: step)
     if mode == MODE_GEOMETRIC:
-        if not eta.monotone_nondecreasing:
-            raise ValueError("geometric relaxation requires an entropy that "
-                             "is non-decreasing in each argument")
         log_dq = np.log(u_new) - np.log(u_old)
         return _Curve(u_new, partial(geometric_state, u_old, u_new),
                       lambda g, u: u * log_dq)
@@ -328,7 +325,7 @@ def relax_step(eta: EntropyFunctional, stepper, record,
     if cfg.mode == MODE_NONE:
         raise ValueError("relaxation mode 'none' does not relax a step")
     with np.errstate(invalid="raise", divide="raise", over="raise"):
-        curve = _curve(eta, stepper, record, cfg.mode)
+        curve = _curve(stepper, record, cfg.mode)
         eta_old = _finite_eta(lambda: eta.eval(record.u_n), "the step's start")
         rate = _finite_eta(lambda: _entropy_rate(eta, stepper, record),
                            "the step's estimate")

@@ -52,15 +52,6 @@ class UnsupportedSchemeError(ValueError):
     pass
 
 
-def check_sigma_mode(kind: str, mode: str) -> str:
-    """``mode`` if it is a valid sigma mode of ``kind``, else raise."""
-    if mode not in SIGMA_MODES[kind]:
-        raise UnsupportedSchemeError(
-            f"sigma mode {mode!r} is not defined for {kind.upper()}; "
-            f"valid: {', '.join(SIGMA_MODES[kind])}")
-    return mode
-
-
 @dataclass(frozen=True)
 class MpScheme:
     """Validated scheme identity with all derived constants.
@@ -68,9 +59,12 @@ class MpScheme:
     ``a``, ``b``, ``c`` is the underlying explicit Butcher tableau.
     ``update_w`` are the weights used to assemble the Patankar update
     matrix (equal to ``b`` except for MPSSPRK2, where they are
-    (beta20, beta21)).  ``p_exp`` is the third-stage denominator exponent
-    of MPRK43I and ``sigma_w`` the weights of its sigma system;
-    ``s_exp`` is the MPSSPRK2 denominator exponent.
+    (beta20, beta21)).  ``sigma_mode`` (see ``SIGMA_MODES``) is how the
+    denominators sbar(gamma) of u^{n+gamma} move with gamma, and
+    ``sigma_exp`` the exponent e of the geometric mean u2**e u_n**(1-e)
+    that gives sigma, or MPRK43I's tau.  ``p_exp`` is the third-stage
+    denominator exponent of MPRK43I and ``sigma_w`` the weights of its
+    sigma system.
     """
 
     kind: str
@@ -81,9 +75,10 @@ class MpScheme:
     c: np.ndarray
     order: int
     update_w: np.ndarray
+    sigma_mode: str
+    sigma_exp: float
     p_exp: Optional[float] = None
     sigma_w: Optional[np.ndarray] = None
-    s_exp: Optional[float] = None
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -91,20 +86,31 @@ def _require(cond: bool, msg: str) -> None:
         raise SchemeParameterError(msg)
 
 
-def build_scheme(kind: str, alpha: float, beta: float = None) -> MpScheme:
-    """Construct and validate a scheme from its free parameters."""
+def build_scheme(kind: str, alpha: float, beta: float = None, *,
+                 sigma_mode: Optional[str] = None) -> MpScheme:
+    """Construct and validate a scheme from its free parameters and its
+    sigma mode, the kind's default (first in ``SIGMA_MODES``) if None."""
     kind = kind.lower()
+    if kind not in SCHEME_KINDS:
+        raise SchemeParameterError(
+            f"unknown scheme kind {kind!r}; known: {SCHEME_KINDS}")
+    mode = sigma_mode or SIGMA_MODES[kind][0]
+    if mode not in SIGMA_MODES[kind]:
+        raise UnsupportedSchemeError(
+            f"sigma mode {mode!r} is not defined for {kind.upper()}; "
+            f"valid: {', '.join(SIGMA_MODES[kind])}")
     if kind == MPRK22:
+        _require(beta is None, f"MPRK22 takes no beta, got beta = {beta!r}")
         _require(alpha >= 0.5, f"MPRK22 requires alpha >= 1/2, got alpha = {alpha}")
         b2 = 1.0 / (2.0 * alpha)
         a = np.array([[0.0, 0.0], [alpha, 0.0]])
         b = np.array([1.0 - b2, b2])
         c = np.array([0.0, alpha])
-        return MpScheme(kind, alpha, float("nan"), a, b, c, order=2, update_w=b)
+        return MpScheme(kind, alpha, float("nan"), a, b, c, order=2, update_w=b,
+                        sigma_mode=mode, sigma_exp=1.0 / alpha)
 
     if kind == MPRK43I:
-        if beta is None:
-            raise SchemeParameterError("MPRK43I needs two parameters (alpha, beta)")
+        _require(beta is not None, "MPRK43I needs two parameters (alpha, beta)")
         _require(alpha > 0.0, f"MPRK43I requires alpha > 0, got {alpha}")
         _require(beta > 0.0, f"MPRK43I requires beta > 0, got {beta}")
         _require(abs(2.0 - 3.0 * alpha) > 1e-14, "MPRK43I requires alpha != 2/3")
@@ -125,26 +131,25 @@ def build_scheme(kind: str, alpha: float, beta: float = None) -> MpScheme:
         beta2 = 1.0 / (2.0 * a21)
         sigma_w = np.array([1.0 - beta2, beta2])
         return MpScheme(kind, alpha, beta, a, b, c, order=3, update_w=b,
-                        p_exp=p_exp, sigma_w=sigma_w)
+                        sigma_mode=mode, sigma_exp=1.0 / alpha, p_exp=p_exp,
+                        sigma_w=sigma_w)
 
-    if kind == MPSSPRK2:
-        if beta is None:
-            raise SchemeParameterError("MPSSPRK2 needs two parameters (alpha, beta)")
-        _require(0.0 <= alpha <= 1.0, f"MPSSPRK2 requires 0 <= alpha <= 1, got {alpha}")
-        _require(beta > 0.0, f"MPSSPRK2 requires beta > 0, got {beta}")
-        _require(alpha * beta + 1.0 / (2.0 * beta) <= 1.0 + 1e-14,
-                 f"MPSSPRK2 requires alpha*beta + 1/(2*beta) <= 1, "
-                 f"got {alpha * beta + 1.0 / (2.0 * beta)}")
-        b21 = 1.0 / (2.0 * beta)
-        b20 = 1.0 - b21 - alpha * beta
-        s_exp = (1.0 - alpha * beta + alpha * beta**2) / (beta * (1.0 - alpha * beta))
-        a = np.array([[0.0, 0.0], [beta, 0.0]])
-        b = np.array([alpha * beta + b20, b21])
-        c = np.array([0.0, beta])
-        return MpScheme(kind, alpha, beta, a, b, c, order=2,
-                        update_w=np.array([max(b20, 0.0), b21]), s_exp=s_exp)
-
-    raise SchemeParameterError(f"unknown scheme kind {kind!r}; known: {SCHEME_KINDS}")
+    # MPSSPRK2
+    _require(beta is not None, "MPSSPRK2 needs two parameters (alpha, beta)")
+    _require(0.0 <= alpha <= 1.0, f"MPSSPRK2 requires 0 <= alpha <= 1, got {alpha}")
+    _require(beta > 0.0, f"MPSSPRK2 requires beta > 0, got {beta}")
+    _require(alpha * beta + 1.0 / (2.0 * beta) <= 1.0 + 1e-14,
+             f"MPSSPRK2 requires alpha*beta + 1/(2*beta) <= 1, "
+             f"got {alpha * beta + 1.0 / (2.0 * beta)}")
+    b21 = 1.0 / (2.0 * beta)
+    b20 = 1.0 - b21 - alpha * beta
+    sigma_exp = (1.0 - alpha * beta + alpha * beta**2) / (beta * (1.0 - alpha * beta))
+    a = np.array([[0.0, 0.0], [beta, 0.0]])
+    b = np.array([alpha * beta + b20, b21])
+    c = np.array([0.0, beta])
+    return MpScheme(kind, alpha, beta, a, b, c, order=2,
+                    update_w=np.array([max(b20, 0.0), b21]),
+                    sigma_mode=mode, sigma_exp=sigma_exp)
 
 
 _TINY = np.finfo(float).tiny
@@ -254,8 +259,8 @@ class StepRecord:
     sig: Optional[_System] = None
     logs: Optional[_StageLogs] = None
     dm: Optional[np.ndarray] = None
-    # ((gamma, mode), (sbar, rate, sigma matrix, M_gamma)) of the last
-    # gamma assembled; see _gamma_matrix
+    # (gamma, (sbar, sigma matrix, M_gamma)) of the last gamma
+    # assembled; see _gamma_matrix
     _last: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
 
@@ -349,12 +354,12 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, z_n: np.ndarray,
                         "stage")
             stages.append(_full_state(u3, m_n, rates, scheme.a[2], dt))
             rates.append(sys.rates(t_n + scheme.c[2] * dt, stages[2]))
-            tau = logs.geo_mean(1.0 / scheme.alpha)
+            tau = logs.geo_mean(scheme.sigma_exp)
             P, loss, rP = _weighted(rates[:2], scheme.sigma_w)
             sig = _System(P, loss, dt * rP, patankar_matrix(P, loss, tau, dt))
             sigma = _solve(sig.M, u_n, 1.0, sig.g, "sigma")
         else:
-            sigma = logs.geo_mean(1.0 / scheme.alpha)
+            sigma = logs.geo_mean(scheme.sigma_exp)
         P, loss, rP = _weighted(rates, scheme.b)
         g = dt * rP
     else:  # MPSSPRK2
@@ -366,7 +371,7 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, z_n: np.ndarray,
         rates.append(sys.rates(t_n + scheme.c[1] * dt, stages[1]))
         _check_no_rest(rates[1])
         logs = _StageLogs(u_n, u2)
-        sigma = logs.geo_mean(scheme.s_exp)
+        sigma = logs.geo_mean(scheme.sigma_exp)
         P, loss, _ = _weighted(rates, scheme.update_w)
         g = scheme.alpha * (u2 - u_n)
 
@@ -380,88 +385,76 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, z_n: np.ndarray,
                       sigma, upd, sig, logs, dm)
 
 
-def _sigma_bar_value(rec: StepRecord, gamma: float, mode: str):
-    """sbar(gamma) without its gamma-derivative.
+def _sigma_bar_value(rec: StepRecord, gamma: float):
+    """sbar(gamma) in the scheme's sigma mode, without its derivative.
 
-    Returns ``(sbar, rate, M)``: ``rate`` is the gamma-rate of the
-    geometric-mean denominator (None when frozen) and ``M`` the bootstrap
-    sigma matrix (None otherwise), both reused by ``_sigma_bar_prime``.
+    Returns ``(sbar, M)``: ``M`` is the bootstrap sigma matrix at gamma
+    (None otherwise), which ``_sigma_bar_prime`` reuses.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    scheme = rec.scheme
-    check_sigma_mode(scheme.kind, mode)
-    if mode == SIGMA_FROZEN:
-        return rec.sigma, None, None
-
-    # sbar(gamma) rests on the geometric mean of exponent gamma * rate;
-    # at gamma = 1 it is the step's sigma (see StepRecord)
-    rate = scheme.s_exp if scheme.kind == MPSSPRK2 else 1.0 / scheme.alpha
-    if mode == SIGMA_DENSE:  # MPRK22 or MPSSPRK2
-        if gamma == 1.0:
-            return rec.sigma, rate, None
-        return rec.logs.geo_mean(gamma * rate), rate, None
-
-    # bootstrap, MPRK43I: sbar solves the sigma system at gamma
-    sig = rec.sig
-    if gamma == 1.0:
-        return rec.sigma, rate, sig.M
-    M = patankar_matrix(sig.P, sig.loss, rec.logs.geo_mean(gamma * rate),
-                        gamma * rec.dt)
-    return _solve(M, rec.logs.u_n, gamma, sig.g, "sigma_bar"), rate, M
+    mode = rec.scheme.sigma_mode
+    # bootstrap (MPRK43I) solves the sigma system at gamma for sbar
+    sig = rec.sig if mode == SIGMA_BOOTSTRAP else None
+    # frozen, and any mode at gamma = 1, is the step's sigma (see StepRecord)
+    if mode == SIGMA_FROZEN or gamma == 1.0:
+        return rec.sigma, sig and sig.M
+    # else sbar rests on the geometric mean of exponent gamma * sigma_exp
+    mean = rec.logs.geo_mean(gamma * rec.scheme.sigma_exp)
+    if sig is None:  # dense, MPRK22 or MPSSPRK2
+        return mean, None
+    M = patankar_matrix(sig.P, sig.loss, mean, gamma * rec.dt)
+    return _solve(M, rec.logs.u_n, gamma, sig.g, "sigma_bar"), M
 
 
-def _sigma_bar_prime(rec: StepRecord, gamma: float, sbar, rate, M):
+def _sigma_bar_prime(rec: StepRecord, gamma: float, sbar, M):
     """d sbar / d gamma from the pieces ``_sigma_bar_value`` returns."""
-    if rate is None:
+    if rec.scheme.sigma_mode == SIGMA_FROZEN:
         return np.zeros_like(sbar)
-    v = sbar * rate * rec.logs.log_ratio()
+    v = sbar * rec.scheme.sigma_exp * rec.logs.log_ratio()
     if M is None:
         return v
     return _tangent(M, sbar, rec.logs.u_n, gamma, v)
 
 
-def sigma_bar(rec: StepRecord, gamma: float, mode: str):
-    """Gamma-dependent denominator vector and its gamma-derivative.
-
-    Returns ``(sbar, sbar_prime)``.  ``SIGMA_MODES`` lists the valid
-    modes of each scheme kind.
-    """
-    sbar, rate, M = _sigma_bar_value(rec, gamma, mode)
-    return sbar, _sigma_bar_prime(rec, gamma, sbar, rate, M)
+def sigma_bar(rec: StepRecord, gamma: float):
+    """Gamma-dependent denominator vector and its gamma-derivative, in
+    the scheme's sigma mode; returns ``(sbar, sbar_prime)``."""
+    sbar, M = _sigma_bar_value(rec, gamma)
+    return sbar, _sigma_bar_prime(rec, gamma, sbar, M)
 
 
-def _gamma_matrix(rec: StepRecord, gamma: float, mode: str):
-    """``(sbar, rate, sigma matrix, M_gamma)`` at (gamma, mode).
+def _gamma_matrix(rec: StepRecord, gamma: float):
+    """``(sbar, sigma matrix, M_gamma)`` at gamma.
 
     The relaxation solvers call ``gamma_update`` and then
     ``gamma_update_derivative`` at the same gamma, so the last result is
     kept on ``rec`` and the derivative does not assemble M_gamma again.
     At gamma = 1 the matrices are the step's own (see StepRecord).
     """
-    key, last = (gamma, mode), rec._last
-    if last is not None and last[0] == key:
+    last = rec._last
+    if last is not None and last[0] == gamma:
         return last[1]
-    sbar, rate, M_sig = _sigma_bar_value(rec, gamma, mode)
+    sbar, M_sig = _sigma_bar_value(rec, gamma)
     upd = rec.upd
     if gamma == 1.0:
         M = upd.M
     else:
         M = patankar_matrix(upd.P, upd.loss, sbar, gamma * rec.dt)
-    parts = (sbar, rate, M_sig, M)
-    object.__setattr__(rec, "_last", (key, parts))
+    parts = (sbar, M_sig, M)
+    object.__setattr__(rec, "_last", (gamma, parts))
     return parts
 
 
-def gamma_update(rec: StepRecord, gamma: float, mode: str) -> np.ndarray:
+def gamma_update(rec: StepRecord, gamma: float) -> np.ndarray:
     """Positivity-preserving gamma-parameterized update u^{n+gamma}.
 
     Solves M_gamma u = u_n + gamma*g and appends m_n + gamma*dm for an
     explicit block; reproduces u^{n+1} bit for bit at gamma = 1 in every
-    mode (every factor gamma multiplies is then 1.0) and keeps the
+    sigma mode (every factor gamma multiplies is then 1.0) and keeps the
     Patankar part positive for every gamma > 0.
     """
-    M = _gamma_matrix(rec, gamma, mode)[3]
+    M = _gamma_matrix(rec, gamma)[2]
     u_n = rec.logs.u_n
     u = _solve(M, u_n, gamma, rec.upd.g, "gamma update")
     if rec.dm is None:
@@ -469,16 +462,16 @@ def gamma_update(rec: StepRecord, gamma: float, mode: str) -> np.ndarray:
     return np.concatenate([u, rec.u_n[u_n.size:] + gamma * rec.dm])
 
 
-def gamma_update_derivative(rec: StepRecord, gamma: float, mode: str,
+def gamma_update_derivative(rec: StepRecord, gamma: float,
                             u_gamma: np.ndarray) -> np.ndarray:
     """d u^{n+gamma} / d gamma, consistent with ``gamma_update``."""
-    sbar, rate, M_sig, M = _gamma_matrix(rec, gamma, mode)
+    sbar, M_sig, M = _gamma_matrix(rec, gamma)
     u_n = rec.logs.u_n
     if rec.dm is not None:
         u_gamma = u_gamma[:u_n.size]
     v = None  # frozen sigma has sbar' = 0
-    if rate is not None:
-        v = u_gamma * _sigma_bar_prime(rec, gamma, sbar, rate, M_sig) / sbar
+    if rec.scheme.sigma_mode != SIGMA_FROZEN:
+        v = u_gamma * _sigma_bar_prime(rec, gamma, sbar, M_sig) / sbar
     du = _tangent(M, u_gamma, u_n, gamma, v)
     if rec.dm is None:
         return du
@@ -486,9 +479,9 @@ def gamma_update_derivative(rec: StepRecord, gamma: float, mode: str,
 
 
 class MpStepper:
-    """Binds a PDRS (with or without an explicit block), a scheme and a
-    sigma mode into the stepper protocol consumed by the relaxation and
-    step-control layers.
+    """Binds a PDRS (with or without an explicit block) and a scheme,
+    whose sigma mode sets the curve u^{n+gamma}, into the stepper
+    protocol consumed by the relaxation and step-control layers.
 
     A stepper provides ``step``, ``gamma_state``, ``gamma_state_derivative``,
     ``entropy_quadrature``, ``error_estimate`` and ``linear_invariants``.
@@ -497,12 +490,9 @@ class MpStepper:
     asking for the state at gamma = 1.
     """
 
-    def __init__(self, sys: PdrsSystem, scheme: MpScheme,
-                 sigma_mode: Optional[str] = None):
+    def __init__(self, sys: PdrsSystem, scheme: MpScheme):
         self.sys = sys
         self.scheme = scheme
-        self.sigma_mode = check_sigma_mode(
-            scheme.kind, sigma_mode or SIGMA_MODES[scheme.kind][0])
 
     @property
     def linear_invariants(self):
@@ -512,11 +502,11 @@ class MpStepper:
         return step(self.sys, self.scheme, t, u, dt)
 
     def gamma_state(self, record: StepRecord, gamma: float) -> np.ndarray:
-        return gamma_update(record, gamma, self.sigma_mode)
+        return gamma_update(record, gamma)
 
     def gamma_state_derivative(self, record: StepRecord, gamma: float,
                                u_gamma: np.ndarray) -> np.ndarray:
-        return gamma_update_derivative(record, gamma, self.sigma_mode, u_gamma)
+        return gamma_update_derivative(record, gamma, u_gamma)
 
     def entropy_quadrature(self, eta, record: StepRecord) -> float:
         """dt * sum_j b_j eta'(u^(j)) . f(u^(j)) over the stages."""

@@ -110,7 +110,7 @@ def counted(fn, counts, key=0):
     return wrapper
 
 
-def gamma_one_matches_assembly(monkeypatch, rec, mode):
+def gamma_one_matches_assembly(monkeypatch, rec):
     """Check that the gamma = 1 derivative and sbar of a record from
     ``step`` reuse its kept matrices: no Patankar assembly, no planned
     elimination or band sweep, and the bits of a copy of the record
@@ -124,8 +124,8 @@ def gamma_one_matches_assembly(monkeypatch, rec, mode):
                                                  key))
 
     def at_one(r):
-        du = schemes.gamma_update_derivative(r, 1.0, mode, r.u_next)
-        return (du, *schemes.sigma_bar(r, 1.0, mode))
+        du = schemes.gamma_update_derivative(r, 1.0, r.u_next)
+        return (du, *schemes.sigma_bar(r, 1.0))
 
     kept = at_one(rec)
     assert calls == {"assemblies": 0, "factors": 0}
@@ -135,7 +135,7 @@ def gamma_one_matches_assembly(monkeypatch, rec, mode):
             system.P, system.loss, denom, rec.dt))
 
     # MPRK43I's sigma system has the denominators tau
-    tau = rec.sig and rec.logs.geo_mean(1.0 / rec.scheme.alpha)
+    tau = rec.sig and rec.logs.geo_mean(rec.scheme.sigma_exp)
     bare = replace(rec, upd=assembled(rec.upd, rec.sigma),
                    sig=rec.sig and assembled(rec.sig, tau))
     for new, old in zip(kept, at_one(bare)):

@@ -193,7 +193,7 @@ def test_criterion_03_entropy_conservation(capsys):
     # the predator-prey root at dt = 1 sits far from 1 on some steps, so
     # that run uses a bracketing solver with the gamma-accurate sigma map
     p = lotka_volterra()
-    st = MpStepper(p.sys, build_scheme("mprk22", 1.0), sigma_mode="dense")
+    st = MpStepper(p.sys, build_scheme("mprk22", 1.0, sigma_mode="dense"))
     cases.append(("lv", st, p.eta,
                   RelaxConfig(mode="implicit", solver="regula_falsi"),
                   0.0, p.u0, 200.0, 1.0, "fixed"))
@@ -288,8 +288,9 @@ def convergence_data():
     for name, scheme in SCHEMES:
         # the frozen sigma map is only first-order in gamma, which stalls
         # the relaxation root away from 1; use the gamma-accurate map
-        mode = "dense" if scheme.kind == "mprk22" else None
-        st = MpStepper(p.sys, scheme, sigma_mode=mode)
+        if scheme.kind == "mprk22":
+            scheme = build_scheme("mprk22", scheme.alpha, sigma_mode="dense")
+        st = MpStepper(p.sys, scheme)
         for relaxed in (False, True):
             cfg = RelaxConfig(mode="implicit") if relaxed else None
             errs, gdevs = [], []
@@ -350,7 +351,7 @@ def test_criterion_07_error_growth(capsys):
                                   u[0] * u[1] - u[1]],
                     (0.0, t_end), p.u0, method="LSODA",
                     rtol=1e-11, atol=1e-11, dense_output=True)
-    st = MpStepper(p.sys, build_scheme("mprk22", 1.0), sigma_mode="dense")
+    st = MpStepper(p.sys, build_scheme("mprk22", 1.0, sigma_mode="dense"))
 
     slopes, drifts, bounds = {}, {}, {}
     for label, cfg in (("off", None),
@@ -423,18 +424,21 @@ def test_criterion_09_gamma_derivative(capsys):
     worst = 0.0
     rng = np.random.default_rng(42)
     for name, scheme in SCHEMES:
+        beta = None if scheme.kind == "mprk22" else scheme.beta
         for mode in modes[scheme.kind]:
+            sch = build_scheme(scheme.kind, scheme.alpha, beta,
+                               sigma_mode=mode)
             for _ in range(100):
                 sys = random_conservative_system(rng, 4)
                 u0 = rng.uniform(0.2, 2.0, size=4)
                 dt = rng.uniform(0.01, 0.3)
-                rec = step(sys, scheme, 0.0, u0, dt)
+                rec = step(sys, sch, 0.0, u0, dt)
                 gamma = rng.uniform(0.3, 1.5)
-                u_g = gamma_update(rec, gamma, mode)
-                d = gamma_update_derivative(rec, gamma, mode, u_g)
+                u_g = gamma_update(rec, gamma)
+                d = gamma_update_derivative(rec, gamma, u_g)
                 h = 1e-6
-                fd = (gamma_update(rec, gamma + h, mode)
-                      - gamma_update(rec, gamma - h, mode)) / (2.0 * h)
+                fd = (gamma_update(rec, gamma + h)
+                      - gamma_update(rec, gamma - h)) / (2.0 * h)
                 rel = float(np.max(np.abs(d - fd))
                             / max(1.0, np.max(np.abs(d))))
                 worst = max(worst, rel)
@@ -452,7 +456,7 @@ def test_criterion_10_positivity_vs_affine(capsys):
     rec = step(sys, build_scheme("mprk22", 1.0), 0.0,
                np.array([1.0, 1.0]), 1.0)
     affine = rec.u_n + 2.0 * (rec.u_next - rec.u_n)
-    patankar = gamma_update(rec, 2.0, "frozen")
+    patankar = gamma_update(rec, 2.0)
     ok = (affine[0] < 0.0
           and np.allclose(affine, [-0.2, 2.2], atol=1e-14)
           and np.allclose(patankar, [0.25, 1.75], atol=1e-13)

@@ -57,7 +57,11 @@ def test_every_problem_has_what_the_benchmark_reads(name):
     problem = make_problem(name)
     # workloads.build and checks.oracle_state read both
     assert hasattr(problem, "sys") and hasattr(problem, "stepper_factory")
-    stepper = problem.stepper(build_scheme("mprk22", 1.0))
+    # the calls workloads.build makes: the factory with the scheme as its
+    # one argument, or MpStepper on the problem's system
+    scheme = build_scheme("mprk22", 1.0)
+    stepper = (problem.stepper_factory(scheme) if problem.stepper_factory
+               else relax_mprk.MpStepper(problem.sys, scheme))
     methods = _stepper_clock_methods()
     assert methods
     for method in methods:

@@ -136,6 +136,14 @@ def test_bad_problem_kwargs_exit_2(tmp_path, capsys):
             ("cyclic3 --method mprk22:abc", "'abc'"),
             ("cyclic3 --t-end 0", "t_end must exceed"),
             ("cyclic3 --t-end -1", "t_end must exceed"),
+            # what integrate would refuse, not a traceback or an empty run
+            ("cyclic3 --t-end inf", "must be finite"),
+            ("cyclic3 --t-end nan", "must be finite"),
+            ("cyclic3 --dt0 nan", "dt0 must be positive"),
+            ("cyclic3 --relax geometric", "non-decreasing in each argument"),
+            ("advection:N=8 --relax geometric", "non-decreasing"),
+            ("euler:N=8 --relax geometric", "non-decreasing"),
+            ("lotka_volterra --relax geometric", "non-decreasing"),
             ("cyclic3 --rtol -1 --adapt pid", "must be non-negative"),
             ("cyclic3 --rtol 0 --atol 0", "not both zero")]:
         out = tmp_path / "r.csv"

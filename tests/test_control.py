@@ -117,6 +117,26 @@ def test_integrate_validates_arguments():
                   0.0, [1.0, 1.0], 1.0, 0.1)
 
 
+@pytest.mark.parametrize("t0, t_end", [(0.0, np.inf), (0.0, np.nan),
+                                        (-np.inf, 1.0), (np.nan, 1.0)])
+def test_integrate_rejects_non_finite_time_span(t0, t_end):
+    # t < t_end - 1e-12 * span is False for a NaN span: without the
+    # check the run would end at once with no steps
+    stepper = MpStepper(_zero_system(), build_scheme("mprk22", 1.0))
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate(stepper, None, None, t0, [1.0, 1.0], t_end, 0.1)
+
+
+@pytest.mark.parametrize("dt0", [0.0, -0.1, np.nan])
+def test_integrate_rejects_non_positive_dt0(dt0):
+    stepper = MpStepper(_zero_system(), build_scheme("mprk22", 1.0))
+    calls = [0]
+    stepper.step = counted(stepper.step, calls)
+    with pytest.raises(ValueError, match="dt0 must be positive"):
+        integrate(stepper, None, None, 0.0, [1.0, 1.0], 1.0, dt0)
+    assert calls == [0]
+
+
 def test_mode_none_returns_base_step():
     # mode none keeps the base step as it is, like no relaxation at all
     problem = cyclic3()

@@ -7,7 +7,7 @@ import pytest
 from relax_mprk.euler import EulerStepper, _interface_fluxes
 from relax_mprk.pdrs import NonFiniteStateError, PositivityError
 from relax_mprk.problems import isothermal_euler_fv
-from relax_mprk.schemes import SIGMA_MODES, UnsupportedSchemeError, build_scheme
+from relax_mprk.schemes import SIGMA_MODES, build_scheme
 
 from helpers import fd_gradient, gamma_one_matches_assembly
 
@@ -17,7 +17,8 @@ SCHEMES = [("mprk22", 1.0, None), ("mprk43i", 0.5, 0.75),
 
 
 def _stepper(N=16, c=1.0, alpha=1.0, sigma_mode="frozen"):
-    return EulerStepper(N, c, build_scheme("mprk22", alpha), sigma_mode)
+    return EulerStepper(N, c, build_scheme("mprk22", alpha,
+                                           sigma_mode=sigma_mode))
 
 
 def _state(rho, m):
@@ -146,7 +147,7 @@ def test_gamma_one_reuses_the_density_matrix(monkeypatch, sigma_mode):
     problem = isothermal_euler_fv(N=100)
     st = _stepper(N=100, sigma_mode=sigma_mode)
     rec = st.step(0.0, problem.u0, problem.mesh["dx"])
-    gamma_one_matches_assembly(monkeypatch, rec, sigma_mode)
+    gamma_one_matches_assembly(monkeypatch, rec)
 
 
 def test_gamma_state_derivative_matches_finite_differences():
@@ -213,7 +214,7 @@ def test_every_scheme_steps_euler(kind, alpha, beta):
     assert np.sum(z[:40]) == pytest.approx(np.sum(p.u0[:40]), rel=1e-13)
     assert np.sum(z[40:]) == pytest.approx(np.sum(p.u0[40:]), rel=1e-13)
     for mode in SIGMA_MODES[kind]:
-        st = p.stepper(scheme, mode)
+        st = p.stepper(build_scheme(kind, alpha, beta, sigma_mode=mode))
         rec = st.step(t, z, p.mesh["dx"])
         assert st.gamma_state(rec, 1.0).tobytes() == rec.u_next.tobytes()
 
@@ -223,12 +224,6 @@ def test_every_scheme_steps_euler(kind, alpha, beta):
     z20, z40, z80 = (_run(st, z0, 0.1, n) for n in (20, 40, 80))
     order = math.log2(np.max(np.abs(z20 - z40)) / np.max(np.abs(z40 - z80)))
     assert order == pytest.approx(scheme.order, abs=0.05)
-
-    # the scheme's own sigma modes only: MPRK22 rejects bootstrap
-    for mode in sorted({"frozen", "dense", "bootstrap", "bogus"}
-                       - set(SIGMA_MODES[kind])):
-        with pytest.raises(UnsupportedSchemeError, match="sigma mode"):
-            EulerStepper(8, 1.0, scheme, mode)
 
 
 def test_descriptor_validation():

@@ -338,8 +338,8 @@ def test_newton_relaxed_step_factors_each_matrix_once(monkeypatch):
             ("stratospheric", ("mprk22", 1.0), "dense", 1.0),
             ("stratospheric", ("mprk43i", 0.5, 0.75), "bootstrap", 1.0)):
         problem = make_problem(name)
-        stepper = schemes.MpStepper(problem.sys, schemes.build_scheme(*method),
-                                    mode)
+        stepper = schemes.MpStepper(
+            problem.sys, schemes.build_scheme(*method, sigma_mode=mode))
         counts.update(assemblies=0, factors=0, solves=0, derivatives=0)
         rec = stepper.step(problem.tspan[0], problem.u0, dt)
         out = relax_step(problem.eta, stepper, rec,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from relax_mprk import relaxation
+from relax_mprk.control import integrate
 from relax_mprk.pdrs import NonFiniteStateError
 from relax_mprk.problems import cyclic3, lotka_volterra, porous_medium
 from relax_mprk.relaxation import (EntropyFunctional, RelaxConfig,
@@ -33,16 +34,16 @@ def _fake_step(u_old, u_new, quadrature, t_n=0.0, dt=1.0):
     return record, stepper
 
 
-def _curve(eta, mode, u_old, u_new):
+def _curve(mode, u_old, u_new):
     record, _ = _fake_step(u_old, u_new, quadrature=0.0)
-    return relaxation._curve(eta, None, record, mode)
+    return relaxation._curve(None, record, mode)
 
 
 # ---------------------------------------------------------------------------
 # Residuals: r(gamma) = eta(u(gamma)) - (eta_old + gamma e) on every curve
 
 def test_residual_classical_values():
-    curve = _curve(L2, "clamped_dissipative", [1.0, 0.0], [0.0, 1.0])
+    curve = _curve("clamped_dissipative", [1.0, 0.0], [0.0, 1.0])
     assert residual_implicit_value(L2, curve, 0.5, 0.0, 0.0) == 0.0
     assert residual_implicit_value(L2, curve, 0.5, 0.0, 1.0) == pytest.approx(0.0)
     # point (-1, 2): eta = 5/2, target 1/2
@@ -69,7 +70,7 @@ def test_residual_classical_domain_error_marks_bracket():
     # an affine point outside the log domain is an excluded probe
     eta = EntropyFunctional(eval=lambda u: float(np.sum(np.log(u))),
                             grad=lambda u: 1.0 / u, regime="conservative")
-    curve = _curve(eta, "clamped_dissipative", [1.0, 1.0], [0.5, 1.5])
+    curve = _curve("clamped_dissipative", [1.0, 1.0], [0.5, 1.5])
     with np.errstate(invalid="raise", divide="raise", over="raise"):
         # gamma = 3 puts the first component at -0.5
         assert relaxation._probe(
@@ -83,7 +84,7 @@ def test_residual_geometric_values():
     assert np.allclose(geometric_state(u_old, u_new, 0.5), [2.0, 2.0])
     eta = EntropyFunctional(eval=L2.eval, grad=L2.grad, regime="conservative",
                             monotone_nondecreasing=True)
-    curve = _curve(eta, "geometric", u_old, u_new)
+    curve = _curve("geometric", u_old, u_new)
     eta_old = L2.eval(u_old)
     assert residual_implicit_value(eta, curve, eta_old, 0.0, 0.0) == pytest.approx(0.0)
     r1 = residual_implicit_value(eta, curve, eta_old, 0.0, 1.0)
@@ -101,7 +102,7 @@ def test_residual_derivative_matches_difference_quotient(mode):
     eta = EntropyFunctional(eval=problem.eta.eval, grad=problem.eta.grad,
                             regime="conservative",
                             monotone_nondecreasing=True)
-    curve = relaxation._curve(eta, stepper, rec, mode)
+    curve = relaxation._curve(stepper, rec, mode)
     eta_old, rate, h = eta.eval(rec.u_n), -0.01, 1e-6
     for g in (0.5, 0.9, 1.3):
         fd = (residual_implicit_value(eta, curve, eta_old, rate, g + h)
@@ -118,9 +119,9 @@ def test_geometric_state_positive_for_any_gamma():
 
 def test_residual_implicit_hand_values():
     sys = linear_exchange()
-    stepper = MpStepper(sys, build_scheme("mprk22", 1.0), "frozen")
+    stepper = MpStepper(sys, build_scheme("mprk22", 1.0))
     rec = stepper.step(0.0, np.array([1.0, 1.0]), 1.0)
-    curve = relaxation._curve(L2, stepper, rec, "implicit")
+    curve = relaxation._curve(stepper, rec, "implicit")
     # u^{n+2} = (0.25, 1.75): eta = 0.03125 + 1.53125, target 1
     r = residual_implicit_value(L2, curve, 1.0, 0.0, 2.0)
     assert r == pytest.approx(0.5625, rel=1e-13)
@@ -382,12 +383,16 @@ def test_clamped_state_is_convex_combination():
 # relax_step: geometric and implicit modes on real steps
 
 def test_geometric_mode_requires_monotone_entropy():
+    # integrate checks the entropy once per run, before the first step
     problem = cyclic3()
     stepper = MpStepper(problem.sys, build_scheme("mprk22", 1.0))
-    rec = stepper.step(0.0, problem.u0, 0.1)
+    calls = [0]
+    stepper.step = counted(stepper.step, calls)
     with pytest.raises(ValueError, match="non-decreasing"):
-        relax_step(problem.eta, stepper, rec, _cfg(mode="geometric",
-                                                   solver="newton"))
+        integrate(stepper, problem.eta, _cfg(mode="geometric",
+                                             solver="newton"),
+                  0.0, problem.u0, 1.0, 0.1)
+    assert calls == [0]
 
 
 def test_geometric_mode_with_override_finds_root():
@@ -586,7 +591,7 @@ def test_relaxed_step_solve_count(monkeypatch, kind, params, solver, base_solves
         assert derivatives[0] == 0
         assert solves[0] == base_solves + 2 * (values[0] - 1)
         assert assemblies[0] == base_solves + 2 * (values[0] - 1)
-    u_check = schemes.gamma_update(rec, out.gamma, stepper.sigma_mode)
+    u_check = schemes.gamma_update(rec, out.gamma)
     assert out.u_relaxed.tobytes() == u_check.tobytes()
 
 
@@ -631,7 +636,7 @@ def test_regula_falsi_finds_the_pme_first_step_root(m, expected):
     assert out.gamma == pytest.approx(expected, abs=1e-5)
     eta_old = problem.eta.eval(rec.u_n)
     rate = _entropy_rate(problem.eta, stepper, rec)
-    curve = relaxation._curve(problem.eta, stepper, rec, "implicit")
+    curve = relaxation._curve(stepper, rec, "implicit")
     slope = (residual_implicit(problem.eta, curve, rate, newton.gamma)
              / max(1.0, abs(eta_old)))
     assert abs(out.gamma - newton.gamma) <= 2.0 * cfg.gamma_tol / abs(slope)

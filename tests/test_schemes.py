@@ -45,7 +45,7 @@ def test_build_mpssprk2():
     sch = build_scheme("mpssprk2", 0.5, 1.0)
     # beta20 = 1 - 1/(2 beta) - alpha beta = 0, beta21 = 0.5
     assert np.allclose(sch.update_w, [0.0, 0.5])
-    assert sch.s_exp == pytest.approx(2.0)
+    assert sch.sigma_exp == pytest.approx(2.0)
     assert sch.order == 2
 
 
@@ -60,6 +60,10 @@ def test_build_scheme_parameter_validation():
         build_scheme("mprk43i", 0.5, None)
     with pytest.raises(SchemeParameterError, match="unknown"):
         build_scheme("rk4", 1.0)
+    # MPRK22 has no beta to drop, nor a positional sigma mode
+    for beta in (0.3, "dense"):
+        with pytest.raises(SchemeParameterError, match="no beta"):
+            build_scheme("mprk22", 1.0, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +139,9 @@ def test_mpssprk2_rejects_rest_terms_of_a_conservative_system(t_on, n_calls):
     ("mprk22", 1.0, None, "bootstrap"), ("mprk22", 1.0, None, "bogus"),
     ("mprk43i", 0.5, 0.75, "dense"), ("mpssprk2", 0.5, 1.0, "bootstrap")])
 def test_stepper_rejects_invalid_sigma_mode(kind, alpha, beta, mode):
+    # the scheme carries the mode, so no stepper is built in an invalid one
     with pytest.raises(UnsupportedSchemeError, match="sigma mode"):
-        MpStepper(linear_exchange(), build_scheme(kind, alpha, beta), mode)
+        build_scheme(kind, alpha, beta, sigma_mode=mode)
 
 
 def test_step_rejects_nonpositive_dt():
@@ -149,49 +154,49 @@ def test_step_rejects_nonpositive_dt():
 # ---------------------------------------------------------------------------
 # Gamma-parameterized denominators and update
 
-def _exchange_record():
+def _exchange_record(sigma_mode=None):
     sys = linear_exchange()
-    sch = build_scheme("mprk22", 1.0)
+    sch = build_scheme("mprk22", 1.0, sigma_mode=sigma_mode)
     return sys, sch, step(sys, sch, 0.0, np.array([1.0, 1.0]), 1.0)
+
+
+def _records(kind, alpha, beta, sys, u0, dt):
+    """One record of the step from u0 per sigma mode of ``kind``."""
+    return [step(sys, build_scheme(kind, alpha, beta, sigma_mode=mode), 0.0,
+                 u0, dt) for mode in SIGMA_MODES[kind]]
 
 
 def test_sigma_bar_frozen():
     _, sch, rec = _exchange_record()
-    sbar, sprime = sigma_bar(rec, 2.0, "frozen")
+    sbar, sprime = sigma_bar(rec, 2.0)
     assert np.array_equal(sbar, rec.sigma)
     assert np.array_equal(sprime, np.zeros(2))
 
 
 def test_sigma_bar_dense_hand_values():
-    _, sch, rec = _exchange_record()
-    sbar, sprime = sigma_bar(rec, 2.0, "dense")
+    _, sch, rec = _exchange_record("dense")
+    sbar, sprime = sigma_bar(rec, 2.0)
     assert np.allclose(sbar, [0.25, 2.25], rtol=1e-14)
     expected = [0.25 * np.log(0.5), 2.25 * np.log(1.5)]
     assert np.allclose(sprime, expected, rtol=1e-13)
 
 
 def test_sigma_bar_dense_at_gamma_alpha_is_stage():
-    _, sch, rec = _exchange_record()
-    sbar, _ = sigma_bar(rec, sch.alpha, "dense")
+    _, sch, rec = _exchange_record("dense")
+    sbar, _ = sigma_bar(rec, sch.alpha)
     assert np.allclose(sbar, rec.stages[1], rtol=1e-14)
 
 
 def test_sigma_bar_invalid_arguments():
-    _, sch, rec = _exchange_record()
-    with pytest.raises(ValueError):
-        sigma_bar(rec, -1.0, "frozen")
-    with pytest.raises(ValueError, match="bootstrap"):
-        sigma_bar(rec, 1.0, "bootstrap")  # not an mprk43i record
-    sch3 = build_scheme("mprk43i", 0.5, 0.75)
-    sys = linear_exchange()
-    rec3 = step(sys, sch3, 0.0, np.array([1.0, 1.0]), 0.5)
-    with pytest.raises(ValueError, match="dense"):
-        sigma_bar(rec3, 1.0, "dense")
+    for mode in SIGMA_MODES["mprk22"]:
+        _, sch, rec = _exchange_record(mode)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            sigma_bar(rec, -1.0)
 
 
 def test_gamma_update_frozen_hand_values():
     _, _, rec = _exchange_record()
-    u2g = gamma_update(rec, 2.0, "frozen")
+    u2g = gamma_update(rec, 2.0)
     assert np.allclose(u2g, [0.25, 1.75], rtol=1e-14)
     # sum-conserving even though the affine extrapolation (-0.2, 2.2) is not
     assert u2g.sum() == pytest.approx(2.0, rel=1e-14)
@@ -202,10 +207,9 @@ def test_gamma_update_frozen_hand_values():
 def test_gamma_update_reproduces_step_at_gamma_one(kind, alpha, beta):
     rng = np.random.default_rng(17)
     sys = random_conservative_system(rng, 4)
-    sch = build_scheme(kind, alpha, beta)
-    rec = step(sys, sch, 0.0, rng.uniform(0.2, 2.0, size=4), 0.3)
-    for mode in SIGMA_MODES[kind]:
-        u1 = gamma_update(rec, 1.0, mode)
+    u0 = rng.uniform(0.2, 2.0, size=4)
+    for rec in _records(kind, alpha, beta, sys, u0, 0.3):
+        u1 = gamma_update(rec, 1.0)
         assert np.allclose(u1, rec.u_next, rtol=1e-13)
 
 
@@ -215,7 +219,8 @@ def test_gamma_state_at_one_is_step_bitwise(name):
     # solving for it, which relies on this contract of every stepper
     problem = make_problem(name)
     t0, dt = problem.tspan[0], problem.defaults["dt0"]
-    steppers = [problem.stepper(build_scheme(kind, alpha, beta), mode)
+    steppers = [problem.stepper(build_scheme(kind, alpha, beta,
+                                             sigma_mode=mode))
                 for kind, alpha, beta in ALL_SCHEMES
                 for mode in SIGMA_MODES[kind]]
     for stepper in steppers:
@@ -227,29 +232,25 @@ def test_gamma_state_at_one_is_step_bitwise(name):
         rec = stepper.step(t0, problem.u0, dt)
         u1 = stepper.gamma_state(rec, 1.0)
         assert u1.tobytes() == rec.u_next.tobytes(), \
-            (stepper.scheme.kind, stepper.sigma_mode)
+            (stepper.scheme.kind, stepper.scheme.sigma_mode)
 
 
 @pytest.mark.parametrize("kind,alpha,beta", ALL_SCHEMES)
 def test_gamma_matrix_memo_is_never_stale(kind, alpha, beta):
     # gamma_update keeps M_gamma on the record for the derivative at the
-    # same (gamma, mode); at any other gamma or mode, or on a fresh
-    # StepRecord, the derivative must come out the same bit for bit
+    # same gamma; at any other gamma, or on a fresh StepRecord, the
+    # derivative must come out the same bit for bit, in every sigma mode
     rng = np.random.default_rng(41)
     sys = random_conservative_system(rng, 4)
-    sch = build_scheme(kind, alpha, beta)
-    rec = step(sys, sch, 0.0, rng.uniform(0.2, 2.0, size=4), 0.3)
-    modes = SIGMA_MODES[kind]
-    for g1, m1, g2, m2 in [(0.8, modes[0], 1.3, modes[0]),
-                           (0.8, modes[1], 1.3, modes[1]),
-                           (0.8, modes[0], 0.8, modes[1]),
-                           (0.8, modes[1], 0.8, modes[0])] + [
-                           (1.3, m, 1.3, m) for m in modes]:
-        gamma_update(rec, g1, m1)
-        u_g = gamma_update(replace(rec), g2, m2)
-        du = gamma_update_derivative(rec, g2, m2, u_g)
-        fresh = gamma_update_derivative(replace(rec), g2, m2, u_g)
-        assert du.tobytes() == fresh.tobytes(), (g1, m1, g2, m2)
+    u0 = rng.uniform(0.2, 2.0, size=4)
+    for rec in _records(kind, alpha, beta, sys, u0, 0.3):
+        for g1, g2 in [(0.8, 1.3), (1.3, 1.3)]:
+            gamma_update(rec, g1)
+            u_g = gamma_update(replace(rec), g2)
+            du = gamma_update_derivative(rec, g2, u_g)
+            fresh = gamma_update_derivative(replace(rec), g2, u_g)
+            assert du.tobytes() == fresh.tobytes(), (g1, g2,
+                                                     rec.scheme.sigma_mode)
 
 
 @pytest.mark.parametrize("kind,alpha,beta,mode", [
@@ -261,9 +262,9 @@ def test_gamma_one_reuses_the_step_matrices(monkeypatch, kind, alpha, beta,
     # derivative there substitutes with the step's own factored matrices
     rng = np.random.default_rng(43)
     sys = random_conservative_system(rng, 4)
-    rec = step(sys, build_scheme(kind, alpha, beta), 0.0,
+    rec = step(sys, build_scheme(kind, alpha, beta, sigma_mode=mode), 0.0,
                rng.uniform(0.2, 2.0, size=4), 0.3)
-    gamma_one_matches_assembly(monkeypatch, rec, mode)
+    gamma_one_matches_assembly(monkeypatch, rec)
 
 
 def test_dense_sigma_derivatives_take_the_stage_logs_once(monkeypatch):
@@ -275,7 +276,8 @@ def test_dense_sigma_derivatives_take_the_stage_logs_once(monkeypatch):
 
     problem = make_problem("lotka_volterra")
     # alpha = 0.75 makes the gamma-rate 1/alpha of sbar' a factor other than 1
-    stepper = MpStepper(problem.sys, build_scheme("mprk22", 0.75), "dense")
+    stepper = MpStepper(problem.sys,
+                        build_scheme("mprk22", 0.75, sigma_mode="dense"))
     rec = stepper.step(0.0, problem.u0, 0.2)
     counts = {"logs": 0, "derivatives": 0}
     inside = [False]
@@ -301,7 +303,7 @@ def test_dense_sigma_derivatives_take_the_stage_logs_once(monkeypatch):
                      RelaxConfig(mode="implicit", solver="newton"))
     assert out.status == "converged" and counts["derivatives"] >= 3
     assert counts["logs"] == 2
-    sbar, dsbar = sigma_bar(rec, out.gamma, "dense")
+    sbar, dsbar = sigma_bar(rec, out.gamma)
     fresh = sbar * (1.0 / 0.75) * (log(rec.stages[1]) - log(rec.u_n))
     assert dsbar.tobytes() == fresh.tobytes()
     # the ratio is of the unfloored states, apart from the floored logs
@@ -314,8 +316,8 @@ def test_dense_sigma_derivatives_take_the_stage_logs_once(monkeypatch):
 
 def test_gamma_update_derivative_frozen_hand_values():
     _, _, rec = _exchange_record()
-    u2g = gamma_update(rec, 2.0, "frozen")
-    du = gamma_update_derivative(rec, 2.0, "frozen", u2g)
+    u2g = gamma_update(rec, 2.0)
+    du = gamma_update_derivative(rec, 2.0, u2g)
     assert np.allclose(du, [-0.09375, 0.09375], rtol=1e-13)
     # closed form: d/dgamma 1/(1 + 1.5 gamma) at gamma = 2 is -1.5/16
     assert du[0] == pytest.approx(-1.5 / 16.0, rel=1e-13)
@@ -325,17 +327,17 @@ def test_gamma_update_derivative_frozen_hand_values():
 def test_gamma_update_derivative_matches_finite_differences(kind, alpha, beta):
     rng = np.random.default_rng(23)
     sys = random_conservative_system(rng, 4)
-    sch = build_scheme(kind, alpha, beta)
     h = 1e-6
     for mode in SIGMA_MODES[kind]:
+        sch = build_scheme(kind, alpha, beta, sigma_mode=mode)
         for _ in range(10):
             u0 = rng.uniform(0.2, 2.0, size=4)
             rec = step(sys, sch, 0.0, u0, rng.uniform(0.05, 0.5))
             gamma = rng.uniform(0.5, 2.0)
-            u_g = gamma_update(rec, gamma, mode)
-            du = gamma_update_derivative(rec, gamma, mode, u_g)
-            fd = (gamma_update(rec, gamma + h, mode)
-                  - gamma_update(rec, gamma - h, mode)) / (2.0 * h)
+            u_g = gamma_update(rec, gamma)
+            du = gamma_update_derivative(rec, gamma, u_g)
+            fd = (gamma_update(rec, gamma + h)
+                  - gamma_update(rec, gamma - h)) / (2.0 * h)
             scale = max(np.abs(fd).max(), 1e-12)
             assert np.abs(du - fd).max() / scale <= 1e-6
 
@@ -347,8 +349,7 @@ def test_gamma_update_derivative_zero_rates_is_zero():
     sys = dense_system(matrix_rates, np.zeros((2, 2)))
     sch = build_scheme("mprk22", 1.0)
     rec = step(sys, sch, 0.0, np.array([1.0, 2.0]), 1.0)
-    du = gamma_update_derivative(rec, 1.3, "frozen",
-                                 gamma_update(rec, 1.3, "frozen"))
+    du = gamma_update_derivative(rec, 1.3, gamma_update(rec, 1.3))
     assert np.allclose(du, 0.0, atol=1e-14)
 
 
@@ -358,13 +359,13 @@ def test_gamma_update_derivative_zero_rates_is_zero():
 @pytest.mark.parametrize("kind,alpha,beta", ALL_SCHEMES)
 def test_unconditional_positivity_and_conservation(kind, alpha, beta):
     rng = np.random.default_rng(31)
-    sch = build_scheme(kind, alpha, beta)
     for _ in range(25):
         dim = int(rng.integers(2, 7))
         sys = random_conservative_system(rng, dim)
         u0 = rng.uniform(0.05, 5.0, size=dim)
         for dt in (1e-3, 1.0):
-            rec = step(sys, sch, 0.0, u0, dt)
+            recs = _records(kind, alpha, beta, sys, u0, dt)
+            rec = recs[0]
             for st in rec.stages:
                 assert np.all(st > 0.0)
             assert np.all(rec.sigma > 0.0)
@@ -376,8 +377,8 @@ def test_unconditional_positivity_and_conservation(kind, alpha, beta):
             gammas = ((0.1, 1.0, 2.0) if kind == "mpssprk2"
                       else (0.1, 1.0, 2.0, 10.0))
             for gamma in gammas:
-                for mode in SIGMA_MODES[kind]:
-                    ug = gamma_update(rec, gamma, mode)
+                for r in recs:
+                    ug = gamma_update(r, gamma)
                     assert np.all(ug > 0.0)
                     assert ug.sum() == pytest.approx(u0.sum(), rel=1e-12)
 
@@ -390,21 +391,21 @@ def test_extreme_step_sizes_positive_or_guarded(kind, alpha, beta):
     # rather than return a negative state; conservation degrades with the
     # conditioning but stays far below the per-step drift seen in practice.
     rng = np.random.default_rng(47)
-    sch = build_scheme(kind, alpha, beta)
     for _ in range(15):
         dim = int(rng.integers(2, 7))
         sys = random_conservative_system(rng, dim)
         u0 = rng.uniform(0.05, 5.0, size=dim)
-        rec = step(sys, sch, 0.0, u0, 1e3)
+        recs = _records(kind, alpha, beta, sys, u0, 1e3)
+        rec = recs[0]
         for st in rec.stages:
             assert np.all(st > 0.0)
         assert np.all(rec.u_next > 0.0)
         gammas = ((0.1, 1.0, 2.0) if kind == "mpssprk2"
                   else (0.1, 1.0, 2.0, 10.0))
         for gamma in gammas:
-            for mode in SIGMA_MODES[kind]:
+            for r in recs:
                 try:
-                    ug = gamma_update(rec, gamma, mode)
+                    ug = gamma_update(r, gamma)
                 except (PositivityError, SingularMatrixError):
                     continue
                 assert np.all(ug > 0.0)
@@ -414,9 +415,11 @@ def test_extreme_step_sizes_positive_or_guarded(kind, alpha, beta):
 def test_stepper_default_sigma_modes():
     rng = np.random.default_rng(1)
     sys = random_conservative_system(rng, 3)
-    assert MpStepper(sys, build_scheme("mprk22", 1.0)).sigma_mode == "frozen"
-    assert MpStepper(sys, build_scheme("mpssprk2", 0.5, 1.0)).sigma_mode == "dense"
-    assert MpStepper(sys, build_scheme("mprk43i", 0.5, 0.75)).sigma_mode == "bootstrap"
+    for args, mode in [(("mprk22", 1.0), "frozen"),
+                       (("mpssprk2", 0.5, 1.0), "dense"),
+                       (("mprk43i", 0.5, 0.75), "bootstrap")]:
+        stepper = MpStepper(sys, build_scheme(*args))
+        assert stepper.scheme.sigma_mode == mode
 
 
 # ---------------------------------------------------------------------------
