@@ -158,13 +158,10 @@ def _resolve(args):
     t_end = args.t_end if args.t_end is not None else t_end_default
     dt0 = args.dt0 if args.dt0 is not None else problem.defaults["dt0"]
     try:
-        check_run(problem.eta, relax_cfg, t0, t_end, dt0)
+        check_run(problem.eta, relax_cfg, t0, t_end, dt0, args.rtol,
+                  args.atol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not (args.rtol >= 0.0 and args.atol >= 0.0
-            and args.rtol + args.atol > 0.0):
-        raise ConfigError(f"rtol and atol must be non-negative and not both "
-                          f"zero, got {args.rtol} and {args.atol}")
     return problem, scheme, stepper, relax_cfg, t0, t_end, dt0
 
 

@@ -99,24 +99,29 @@ class Trajectory:
 
 
 def check_run(eta, relax_cfg: Optional[RelaxConfig], t0: float,
-              t_end: float, dt0: float) -> bool:
+              t_end: float, dt0: float, rtol: float, atol: float) -> bool:
     """Whether a run relaxes; ValueError for a run ``integrate`` cannot
     make: t0 or t_end not finite, t_end <= t0, dt0 not > 0, relaxation
-    without eta, or geometric relaxation on a non-monotone eta."""
+    without eta, geometric relaxation on a non-monotone eta, or error
+    tolerances that are negative, NaN or both zero."""
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise ValueError(f"t0 and t_end must be finite, got {t0} and {t_end}")
     if not t_end > t0:
         raise ValueError(f"t_end must exceed t0 = {t0}, got {t_end}")
     if not dt0 > 0.0:
         raise ValueError(f"dt0 must be positive, got {dt0}")
-    if relax_cfg is None or relax_cfg.mode == MODE_NONE:
-        return False
-    if eta is None:
+    relaxing = relax_cfg is not None and relax_cfg.mode != MODE_NONE
+    if relaxing and eta is None:
         raise ValueError("relaxation requires an entropy functional")
-    if relax_cfg.mode == MODE_GEOMETRIC and not eta.monotone_nondecreasing:
+    if (relaxing and relax_cfg.mode == MODE_GEOMETRIC
+            and not eta.monotone_nondecreasing):
         raise ValueError("geometric relaxation requires an entropy that "
                          "is non-decreasing in each argument")
-    return True
+    # the error estimate divides by atol + rtol |u|
+    if not (rtol >= 0.0 and atol >= 0.0 and rtol + atol > 0.0):
+        raise ValueError(f"rtol and atol must be non-negative and not both "
+                         f"zero, got {rtol} and {atol}")
+    return relaxing
 
 
 def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
@@ -136,7 +141,7 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
     """
     if adaptivity not in ADAPT_MODES:
         raise ValueError(f"unknown adaptivity mode {adaptivity!r}")
-    relaxing = check_run(eta, relax_cfg, t0, t_end, dt0)
+    relaxing = check_run(eta, relax_cfg, t0, t_end, dt0, rtol, atol)
     span = t_end - t0
     use_pid = adaptivity in (ADAPT_PID, ADAPT_PID_RELAX)
     use_relax_adapt = adaptivity in (ADAPT_RELAX, ADAPT_PID_RELAX)

@@ -38,7 +38,13 @@ solves those two formats and nothing else:
   Carmichael, Comput. Chem. Eng. 2002): the assembly, the elimination
   and both substitutions as straight-line Python on one local variable
   per slot, with the interpreted loops' operations, pivot checks and
-  messages in their order, so the switch moves no bit.  The interpreted
+  messages in their order, so the switch moves no bit.  As KPP
+  generates the whole kinetic step, a compiled plan also generates,
+  once per number of rate sets, the step kernel that takes a step's
+  rate sets from ``matrix_rates``'s output to the system it solves:
+  the loss sums, the weighted sums, g, the right-hand side and the
+  slots in one call (``_system_source``).  So a step of a small system
+  stays on lists of Python floats up to its solution.  The interpreted
   loops stay as the cold path and as the tests' reference;
 * a ``CyclicTridiagonal`` (the Patankar matrices of advection, the porous
   medium equation and the Euler density) is solved in O(N) by a bordered
@@ -66,57 +72,65 @@ when every entry of the pattern lies on the cyclic sub- or
 super-diagonal (``plan_band``, which the pattern calls once, on first
 use); the planned format otherwise.  No path scans a d x d array.
 
-Per Patankar matrix, in microseconds on a 2-core x86-64 VM (Python 3.11,
-numpy 2.4, BLAS on one thread; the fastest of three runs, each the
-fastest of 15 repetitions): the assembly and first solve, and a second
-solve with the kept factor, on the interpreted loops, on the compiled
-kernels and, for the cyclic patterns, on the band sweep
-(``BAND_MIN_DIM`` lowered for the measurement).  ``ops`` counts the
-multipliers, updates, substitution terms and divisions of one
-factorization and solve; the last column is one compile:
+Per Patankar system, in microseconds on a 2-core x86-64 VM (Python 3.11,
+numpy 2.4, BLAS on one thread; per cell the fastest of six processes,
+each the fastest of five runs of 15 repetitions, since the host's speed
+varies by about 20 % between processes): a step's system from one rate
+set and its first solve (``patankar_matrix``'s step form and
+``lu_solve``), and a second solve with the kept factor, on the
+interpreted loops, on the compiled kernels and, for the cyclic
+patterns, on the band format (``BAND_MIN_DIM`` lowered for the
+measurement).  ``ops`` counts the multipliers, updates, substitution
+terms and divisions of one factorization and solve; the last column is
+one compile of the LU kernels and the one-set step kernel:
 
                                  first solve       second solve      compile
     pattern                 ops interp  comp  band interp  comp  band     ms
-    stratospheric, d = 6     61   11.8   5.4     -    2.7   1.7     -   0.76
-    cyclic tridiagonal, 6    50   10.9   5.2  15.2    2.6   1.7   4.9   0.65
-                       17   171   26.0  12.4  19.9    5.8   3.5   7.1   1.72
-                       32   336   49.1  24.1  27.4   11.2   6.5  10.4   3.55
-                       63   677   99.9  46.9  39.5   21.9  12.8  16.3   7.28
-    cyclic bidiagonal, 17    81   17.9   8.7  17.4    5.1   2.9   6.1   1.26
-                       32   156   29.2  15.1  22.5    8.9   5.1   8.5   2.24
-                       63   311   59.1  30.1  31.0   16.9   9.5  12.9   4.75
-    full, d = 6             106   15.8   7.3     -    3.0   2.0     -   0.95
-    full, d = 17           1921  156.1  71.9     -   14.8   8.8     -   10.9
-    full, d = 40          22920 1410.6 733.1     -   62.8  60.7     -    153
+    stratospheric, d = 6     61   20.8   8.4     -    3.1   2.0     -   1.73
+    cyclic tridiagonal, 6    50   18.5   8.0  25.6    3.0   2.0   5.7   1.61
+                       17   171   40.4  17.7  30.6    6.9   3.8   7.9   4.19
+                       32   336   68.9  31.8  37.0   11.7   6.4  10.7   7.28
+                       40   424   84.9  40.8  40.1   14.8   8.3  12.1   9.25
+                       48   512   95.7  47.6  43.5   17.7   9.8  13.6   10.6
+                       63   677  128.0  62.4  51.5   22.2  13.0  16.6   15.2
+                      100  1084  201.2  98.7  68.1   35.1  21.0  24.1   22.7
+    cyclic bidiagonal, 17    81   28.8  13.3  28.1    5.7   3.1   6.9   2.84
+                       32   156   46.2  23.6  32.3    9.6   5.1   9.1   4.98
+                       63   311   82.7  41.7  42.6   17.4   9.2  13.9   11.1
+                      100   496  129.2  67.9  53.6   27.0  15.9  20.0   16.0
+    full, d = 6             106   26.0  11.3     -    3.5   2.2     -   2.03
+    full, d = 17           1921  197.4  89.6     -   16.0   9.3     -   16.9
+    full, d = 40          22920 1626.4 821.3     -   69.3  61.7     -    187
 
-The kernels take about half the interpreted time of an assembly and
-first solve at every size, and 0.55-0.7 of a second solve (on the full
-d = 40 pattern, whose kernels run to 23,000 lines, a second solve gains
-little).  Compiling costs 6-16 us per operation, and about 0.2 ms at
-least (Lotka-Volterra's 4 operations), so it pays for itself after
-compile / (interpreted - compiled) factorizations: 111 to 226 on the
-patterns above, 118 on the stratospheric one.  ``COMPILE_AFTER`` = 200
-sits near the top of that range.  Compiling at the break-even count is
-the ski-rental rule: a pattern factored fewer times never compiles and
-pays nothing extra (the tests' one-use random patterns, up to full
-d = 40 and 63, would spend about 0.2-0.7 s each), and one factored more
-pays at most about twice the cost of the better choice made in
-hindsight.  The stratospheric pattern compiles within the first 2 % of
-a noon-to-midnight run (296 factorizations).
+The kernels take 0.4-0.55 of the interpreted time of a system and
+first solve, and 0.55-0.9 of a second solve.  A step kernel for two
+rate sets compiles in 1.1-1.6 times the one-set kernel's time.  The
+compile pays for itself after compile / (interpreted - compiled)
+systems: 138 to 271 on the patterns above, 140 on the stratospheric
+one.  ``COMPILE_AFTER`` = 200 sits in that range.  Compiling at the
+break-even count is the ski-rental rule: a pattern factored fewer times
+never compiles and pays nothing extra (the tests' one-use random
+patterns, up to full d = 40 and 63, would spend about 0.2-0.7 s each),
+and one factored more pays at most about twice the cost of the better
+choice made in hindsight.  The stratospheric pattern compiles within
+the first 3 % of a noon-to-midnight run (8,324 factorizations).
 
-Against the band sweep, the compiled kernels take less for an assembly
-and first solve up to about d = 40 on a cyclic tridiagonal pattern
-(29.2 against 29.9 us there, 35.4 against 33.7 at d = 48) and up to
-d = 63 on a cyclic bidiagonal one (46.3 against 40.3 at d = 100), and
-less for a second solve up to d = 100 on both.  ``BAND_MIN_DIM`` = 64
-was set where the band sweep and a dense LAPACK solve tie on those
-patterns (at 100 the sweep takes 0.55-0.8 of the dense time, at 1,000
-about 0.05); moving it to the compiled crossover would put the Euler
-density, PME and advection at test sizes on the band format, whose
-sweep differs from the natural-order elimination by roundoff.  No
-registered problem has a pattern off the cyclic band at d >=
-``BAND_MIN_DIM``; on one, the planned format's cost is its operation
-count, O(d) for a band plus a few entries and O(d^3) for a full pattern.
+Against the band format, the compiled kernels take less for a system
+and first solve up to about d = 40 on a cyclic tridiagonal pattern,
+where the two tie (40.8 against 40.1 us; 47.6 against 43.5 at d = 48),
+and up to d = 63 on a cyclic bidiagonal one (41.7 against 42.6; 67.9
+against 53.6 at d = 100), and less for a second solve up to d = 100 on
+both.
+``BAND_MIN_DIM`` = 64 stays: moving it to the first-solve crossover
+would gain at most a sixth of a tridiagonal first solve between d = 40
+and 63 (62.4 against 51.5 us at 63), lose on every second solve there,
+and put the Euler density and PME at test sizes (N = 40 to 63) on the
+band format, whose sweep differs from the natural-order elimination by
+roundoff.  At 100 the sweep takes 0.55-0.8 of a dense LAPACK solve's
+time, at 1,000 about 0.05.  No registered problem has a pattern off the
+cyclic band at d >= ``BAND_MIN_DIM``; on one, the planned format's cost
+is its operation count, O(d) for a band plus a few entries and O(d^3)
+for a full pattern.
 """
 
 from __future__ import annotations
@@ -124,7 +138,7 @@ from __future__ import annotations
 import linecache
 import weakref
 from math import isfinite
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -137,6 +151,7 @@ COMPILE_AFTER = 200
 _TERMS_PER_LINE = 16
 
 _INV_EPS = 1.0 / np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -148,11 +163,14 @@ class PositivityError(ValueError):
 
 
 class _Kernels(NamedTuple):
-    """A plan's compiled straight-line kernels; see ``LuPlan.compile``."""
+    """A plan's compiled straight-line kernels; see ``LuPlan.compile``.
+    ``systems`` maps a number of rate sets to its step kernel, generated
+    on first use (``LuPlan.system_kernel``)."""
 
     assemble: Callable
     factor: Callable
     substitute: Callable
+    systems: dict
 
 
 class LuPlan:
@@ -178,8 +196,8 @@ class LuPlan:
     ``factored`` counts the factorizations the interpreted loops ran on
     the plan; at the ``COMPILE_AFTER``-th, ``_planned_lu`` calls
     ``compile``, and from then on ``kernels`` holds the plan's assembly,
-    factorization and substitutions as straight-line functions and
-    ``source`` their Python source.
+    factorization and substitutions as straight-line functions, and its
+    step kernels, and ``source`` the source of the first three.
     """
 
     __slots__ = ("dim", "cols", "n_fill", "flat", "elim", "lower", "upper",
@@ -191,26 +209,40 @@ class LuPlan:
         self.factored = 0
         self.kernels = self.source = None
 
-    def compile(self) -> _Kernels:
-        """Generate, compile and keep the plan's kernels, once.
+    def _exec(self, source: str, what: str) -> dict:
+        """Compile ``source`` and return the names it defines.  The source
+        is registered with ``linecache`` under a file name of its own, so
+        a traceback out of a kernel shows the failing line and ``pdb`` can
+        step through it; the entry goes with the plan."""
+        name = (f"<lu-plan d={self.dim} nnz={len(self.cols)} "
+                f"fill={self.n_fill} at {id(self):#x}{what}>")
+        linecache.cache[name] = (len(source), None, source.splitlines(True),
+                                 name)
+        weakref.finalize(self, linecache.cache.pop, name, None)
+        scope = {"_singular": _singular, "_bad_denominator": _bad_denominator}
+        exec(compile(source, name, "exec"), scope)
+        return scope
 
-        The source is registered with ``linecache`` under a file name of
-        its own, so a traceback out of a kernel shows the failing line
-        and ``pdb`` can step through it; the entry goes with the plan.
-        """
+    def compile(self) -> _Kernels:
+        """Generate, compile and keep the plan's kernels, once."""
         if self.kernels is None:
             source = _kernel_source(self)
-            name = (f"<lu-plan d={self.dim} nnz={len(self.cols)} "
-                    f"fill={self.n_fill} at {id(self):#x}>")
-            linecache.cache[name] = (len(source), None,
-                                     source.splitlines(True), name)
-            weakref.finalize(self, linecache.cache.pop, name, None)
-            scope = {"_singular": _singular}
-            exec(compile(source, name, "exec"), scope)
+            scope = self._exec(source, "")
             self.source = source
             self.kernels = _Kernels(scope["assemble"], scope["factor"],
-                                    scope["substitute"])
+                                    scope["substitute"], {})
         return self.kernels
+
+    def system_kernel(self, n_sets: int) -> Callable:
+        """The compiled ``_interpreted_system`` for ``n_sets`` rate sets,
+        generated on first use; the plan must be compiled."""
+        systems = self.kernels.systems
+        kernel = systems.get(n_sets)
+        if kernel is None:
+            kernel = systems[n_sets] = self._exec(
+                _system_source(self, n_sets),
+                f": {n_sets} rate sets")["system"]
+        return kernel
 
 
 def plan_lu(rows: list, cols: list, dim: int) -> LuPlan:
@@ -330,6 +362,14 @@ class CyclicTridiagonal:
         return A
 
 
+def all_finite(xs: list) -> bool:
+    """Whether every float of the list ``xs`` is finite."""
+    # an inf or a NaN makes the sum inf or NaN, and a sum of finite
+    # floats is finite unless it overflows: one pass in C decides all
+    # but that case
+    return isfinite(sum(xs)) or all(map(isfinite, xs))
+
+
 def _singular(diag, row: int, what: str) -> SingularMatrixError:
     # the diagonal of a Patankar matrix is 1 + fac*loss/denom; near 1/eps
     # the unit part is lost, which is how a step far past the CFL limit
@@ -350,7 +390,7 @@ def _planned_lu(vals: list, plan: LuPlan) -> list:
     and L's multipliers in the slots of the matrix entries they replace.
     The plan's compiled kernel factors from its ``COMPILE_AFTER``-th
     factorization on, the interpreted loops before that."""
-    if not all(map(isfinite, vals)):
+    if not all_finite(vals):
         raise ValueError("matrix has non-finite entries")
     kernels = plan.kernels
     if kernels is None:
@@ -391,12 +431,79 @@ def _interpreted_substitute(lu: list, plan: LuPlan, x: list) -> list:
     return x
 
 
-def _bad_denominator(denom: np.ndarray) -> PositivityError:
-    return PositivityError(f"non-positive denominator component "
-                           f"[{np.flatnonzero(denom <= 0.0)[0]}]")
+def _floats(x) -> list:
+    """``x`` as a list of Python floats; a list is taken as it is."""
+    return x if type(x) is list else x.tolist()
 
 
-def patankar_matrix(P_w, loss_w: np.ndarray, denom, fac: float):
+def _bad_denominator(denom) -> PositivityError:
+    bad = next(j for j, dj in enumerate(denom) if dj <= 0.0)
+    return PositivityError(f"non-positive denominator component [{bad}]")
+
+
+def _weighted(rates, weights):
+    """The weighted sums of the rate sets' exchange values, losses and
+    production rest terms, on numpy arrays."""
+    # start from 0: 0 + (-0.0) is +0.0, so no sum holds a negative zero
+    vals = loss = rP = 0
+    for w, r in zip(weights, rates):
+        vals = vals + w * r.P.vals
+        loss = loss + w * r.loss
+        rP = rP + w * r.rest_prod
+    return vals, loss, rP
+
+
+def _rate_lists(r, n: int) -> tuple:
+    """A rate set's exchange values, rP and rD as lists of n floats; a
+    scalar rest term (a system without rest terms) is repeated."""
+    rp, rd = r.rest_prod, r.rest_dest
+    return (r.P.vals.tolist(),
+            rp.tolist() if type(rp) is np.ndarray else [float(rp)] * n,
+            rd.tolist() if type(rd) is np.ndarray else [float(rd)] * n)
+
+
+def _interpreted_assembly(plan: LuPlan, loss: list, denom: list,
+                          vals: list, fac: float) -> list:
+    """The slots of a Patankar matrix on ``plan`` from the lists of its
+    losses, denominators and pattern values; a denominator that is not
+    positive raises ``PositivityError``."""
+    for dj in denom:
+        if dj <= 0.0:
+            raise _bad_denominator(denom)
+    nfac = -fac
+    slots = [1.0 + fac * lj / dj for lj, dj in zip(loss, denom)]
+    slots += [p * nfac / denom[j] for p, j in zip(vals, plan.cols)]
+    slots += [0.0 * nfac] * plan.n_fill
+    return slots
+
+
+def _interpreted_system(plan: LuPlan, weights: list, sets: list,
+                        denom: list, fac: float, u: list) -> tuple:
+    """A step's Patankar system on ``plan``, on lists of Python floats:
+    ``(slots, P, loss, g, rhs)``, the matrix of the weighted sums P, loss
+    and rP of the rate sets, g = fac * rP and rhs = u + g.
+
+    ``sets`` holds each rate set's ``(values, rP, rD)`` lists.  Each
+    loss is rD plus the column sums of the values, taken in pattern order
+    from 0.0, as ``RateSet.loss``'s ``bincount`` takes them, and each
+    weighted sum starts from 0.0, as ``_weighted`` does, so no sum holds
+    a negative zero.
+    """
+    n, cols = plan.dim, plan.cols
+    P, loss, rP = [0.0] * len(cols), [0.0] * n, [0.0] * n
+    for w, (vals, rp, rd) in zip(weights, sets):
+        col = [0.0] * n
+        for v, j in zip(vals, cols):
+            col[j] += v
+        P = [a + w * v for a, v in zip(P, vals)]
+        loss = [a + w * (e + c) for a, e, c in zip(loss, rd, col)]
+        rP = [a + w * v for a, v in zip(rP, rp)]
+    g = [fac * v for v in rP]
+    return (_interpreted_assembly(plan, loss, denom, P, fac), P, loss, g,
+            [a + b for a, b in zip(u, g)])
+
+
+def patankar_matrix(P_w, loss_w, denom, fac: float, u_n=None):
     """I + fac*diag(loss/denom) - fac*P/denom (column-scaled); a
     denominator that is not positive raises ``PositivityError`` naming
     the first such component.
@@ -410,32 +517,47 @@ def patankar_matrix(P_w, loss_w: np.ndarray, denom, fac: float):
     denom_j on the diagonal and, elsewhere, (0.0 * -fac) / denom_j,
     which both write as 0.0 * -fac (the same bits for a positive
     denom_j); a plan's compiled ``assemble`` does the loop's operations.
+    The planned format takes its inputs as arrays or as lists of floats.
+
+    Given the state ``u_n``, the call is a step's: ``P_w`` is a sequence
+    of rate sets on one pattern and ``loss_w`` their weights, and the
+    result is ``(M, P, loss, g, u, rhs)``, the matrix of the weighted
+    sums P, loss and rP, those P and loss, g = fac * rP, u_n and the
+    right-hand side u_n + g at gamma = 1.  The band format sums on numpy
+    arrays; the planned one returns lists of Python floats, computed by
+    ``_interpreted_system`` or, on a compiled plan, by the plan's kernel
+    for that many rate sets in one call, to the same bits.
     """
-    denom = np.asarray(denom, float)
-    n = len(denom)
-    pat = P_w.pattern
+    step = u_n is not None
+    pat = P_w[0].P.pattern if step else P_w.pattern
+    n = pat.dim
     slots = pat.band_slots if n >= BAND_MIN_DIM else None
     if slots is None:
         plan = pat.lu_plan
-        dl = denom.tolist()
-        # (denom <= 0.0).any() on Python floats, at a fraction of the cost
-        for dj in dl:
-            if dj <= 0.0:
-                raise _bad_denominator(denom)
+        dl = _floats(denom)
         fac = float(fac)
         kernels = plan.kernels
-        if kernels is not None:
-            return PlannedPatankar(kernels.assemble(
-                loss_w.tolist(), dl, P_w.vals.tolist(), fac), plan)
-        nfac = -fac
-        vals = [1.0 + fac * lj / dj for lj, dj in zip(loss_w.tolist(), dl)]
-        vals += [p * nfac / dl[j] for p, j in zip(P_w.vals.tolist(),
-                                                    plan.cols)]
-        vals += [0.0 * nfac] * plan.n_fill
-        return PlannedPatankar(vals, plan)
+        if step:
+            u = dl if u_n is denom else _floats(u_n)
+            sets = [_rate_lists(r, n) for r in P_w]
+            args = (_floats(loss_w), sets, dl, fac, u)
+            vals, P, loss, g, rhs = (
+                _interpreted_system(plan, *args) if kernels is None
+                else plan.system_kernel(len(sets))(*args))
+            return PlannedPatankar(vals, plan), P, loss, g, u, rhs
+        args = (_floats(loss_w), dl, _floats(P_w.vals), fac)
+        return PlannedPatankar(_interpreted_assembly(plan, *args)
+                               if kernels is None
+                               else kernels.assemble(*args), plan)
+    denom = np.asarray(denom, float)
     if (denom <= 0.0).any():
         raise _bad_denominator(denom)
-    off = P_w.vals * -fac
+    if step:
+        P, loss_w, rP = _weighted(P_w, loss_w)
+        g = fac * rP
+    else:
+        P = P_w.vals
+    off = P * -fac
     off /= denom.take(pat.cols)
     bands = np.empty(3 * n)
     bands.fill(0.0 * -fac)
@@ -445,16 +567,39 @@ def patankar_matrix(P_w, loss_w: np.ndarray, denom, fac: float):
     np.multiply(fac, loss_w, out=diag)
     diag /= denom
     diag += 1.0
-    return CyclicTridiagonal(bands)
+    M = CyclicTridiagonal(bands)
+    return (M, P, loss_w, g, u_n, u_n + g) if step else M
+
+
+def _unpack(names: list, seq: str) -> list:
+    """The statement unpacking the sequence ``seq`` into locals ``names``."""
+    return [f"    {', '.join(names)}, = {seq}"] if names else []
+
+
+def _assembly(plan: LuPlan) -> list:
+    """Statements building ``slots``, a Patankar matrix's slots, from the
+    locals l<k> (losses), d<k> (denominators) and p<e> (pattern values)
+    and ``fac``, as ``_interpreted_assembly`` does."""
+    n, cols, n_fill = plan.dim, plan.cols, plan.n_fill
+    lines = [f"    if {' or '.join(f'd{k} <= 0.0' for k in range(n))}: "
+             f"raise _bad_denominator(d)"]
+    if cols or n_fill:
+        lines.append("    nfac = -fac")
+    if n_fill:
+        lines.append("    z = 0.0 * nfac")
+    lines.append("    slots = [")
+    lines += [f"        1.0 + fac * l{i} / d{i}," for i in range(n)]
+    lines += [f"        p{e} * nfac / d{j}," for e, j in enumerate(cols)]
+    lines += ["        z,"] * n_fill
+    lines.append("    ]")
+    return lines
 
 
 def _kernel_source(plan: LuPlan) -> str:
     """Python source of a plan's kernels, straight-line code on one local
     per slot (a<s>) and per unknown (x<i>):
 
-    * ``assemble(l, d, p, fac)``, the slots of a Patankar matrix from the
-      lists of losses, denominators and pattern values, as
-      ``patankar_matrix`` builds them on the interpreted path;
+    * ``assemble(l, d, p, fac)``, ``_interpreted_assembly``;
     * ``factor(vals)``, ``_interpreted_lu`` with every pivot check;
     * ``substitute(lu, x)``, ``_interpreted_substitute`` returning a new
       list.
@@ -469,24 +614,13 @@ def _kernel_source(plan: LuPlan) -> str:
     slots = [f"a{s}" for s in range(n + len(cols) + n_fill)]
     xs = [f"x{i}" for i in range(n)]
 
-    def unpack(names, seq):
-        return [f"    {', '.join(names)}, = {seq}"] if names else []
-
     lines = ["def assemble(l, d, p, fac):",
-             *unpack([f"l{i}" for i in range(n)], "l"),
-             *unpack([f"d{i}" for i in range(n)], "d"),
-             *unpack([f"p{e}" for e in range(len(cols))], "p")]
-    if cols or n_fill:
-        lines.append("    nfac = -fac")
-    if n_fill:
-        lines.append("    z = 0.0 * nfac")
-    lines.append("    return [")
-    lines += [f"        1.0 + fac * l{i} / d{i}," for i in range(n)]
-    lines += [f"        p{e} * nfac / d{j}," for e, j in enumerate(cols)]
-    lines += ["        z,"] * n_fill
-    lines.append("    ]")
+             *_unpack([f"l{i}" for i in range(n)], "l"),
+             *_unpack([f"d{i}" for i in range(n)], "d"),
+             *_unpack([f"p{e}" for e in range(len(cols))], "p"),
+             *_assembly(plan), "    return slots"]
 
-    lines += ["", "", "def factor(vals):", *unpack(slots, "vals")]
+    lines += ["", "", "def factor(vals):", *_unpack(slots, "vals")]
     for k, (sources, steps) in enumerate(plan.elim):
         lines.append(f"    if not a{k} > 0.0: raise _singular("
                      f"vals, {k}, f\"pivot {{a{k}:.3e}}\")")
@@ -496,8 +630,8 @@ def _kernel_source(plan: LuPlan) -> str:
                       for t, s in zip(targets, sources)]
     lines.append(f"    return [{', '.join(slots)}]")
 
-    lines += ["", "", "def substitute(lu, x):", *unpack(slots, "lu"),
-              *unpack(xs, "x")]
+    lines += ["", "", "def substitute(lu, x):", *_unpack(slots, "lu"),
+              *_unpack(xs, "x")]
     rows = [(i, terms, False) for i, terms in plan.lower]
     rows += [(i, terms, True) for i, terms in plan.upper]
     for i, terms, divide in rows:
@@ -508,6 +642,52 @@ def _kernel_source(plan: LuPlan) -> str:
             exprs.append(f"({exprs.pop() if exprs else f'x{i}'}) / a{i}")
         lines += [f"    x{i} = {e}" for e in exprs]
     lines.append(f"    return [{', '.join(xs)}]")
+    return "\n".join(lines) + "\n"
+
+
+def _system_source(plan: LuPlan, n_sets: int) -> str:
+    """Python source of ``system(w, sets, d, fac, u)``, the straight-line
+    ``_interpreted_system`` for ``n_sets`` rate sets, on one local per
+    value: rate set s's exchange values v<s>_<e>, rest terms r<s>_<k>
+    (rP) and e<s>_<k> (rD) and column sums c<s>_<k>, the weighted sums
+    p<e> and l<k>, g<k>, and the denominators d<k> and states u<k>.
+
+    It does the interpreted loops' floating-point operations in their
+    order, so every result keeps its bits; a column sum is split, as a
+    substitution row is, into statements of at most ``_TERMS_PER_LINE``
+    terms.
+    """
+    n, cols = plan.dim, plan.cols
+    sets = range(n_sets)
+    lines = ["def system(w, sets, d, fac, u):",
+             *_unpack([f"w{s}" for s in sets], "w"),
+             f"    {''.join(f'(v{s}, r{s}, e{s}), ' for s in sets)}= sets",
+             *_unpack([f"d{k}" for k in range(n)], "d"),
+             *_unpack([f"u{k}" for k in range(n)], "u")]
+    by_col = [[] for _ in range(n)]
+    for e, j in enumerate(cols):
+        by_col[j].append(e)
+    for s in sets:
+        lines += [*_unpack([f"v{s}_{e}" for e in range(len(cols))], f"v{s}"),
+                  *_unpack([f"r{s}_{k}" for k in range(n)], f"r{s}"),
+                  *_unpack([f"e{s}_{k}" for k in range(n)], f"e{s}")]
+        for k, entries in enumerate(by_col):
+            lines.append(f"    c{s}_{k} = 0.0")
+            for c in range(0, len(entries), _TERMS_PER_LINE):
+                lines.append(f"    c{s}_{k} = c{s}_{k}" + "".join(
+                    f" + v{s}_{e}" for e in entries[c:c + _TERMS_PER_LINE]))
+    lines += [f"    p{e} = 0.0" + "".join(f" + w{s} * v{s}_{e}" for s in sets)
+              for e in range(len(cols))]
+    lines += [f"    l{k} = 0.0" + "".join(f" + w{s} * (e{s}_{k} + c{s}_{k})"
+                                          for s in sets) for k in range(n)]
+    lines += [f"    g{k} = fac * (0.0" + "".join(f" + w{s} * r{s}_{k}"
+                                               for s in sets) + ")"
+              for k in range(n)]
+    lines += [*_assembly(plan), "    return (slots, "
+              f"[{', '.join(f'p{e}' for e in range(len(cols)))}], "
+              f"[{', '.join(f'l{k}' for k in range(n))}], "
+              f"[{', '.join(f'g{k}' for k in range(n))}], "
+              f"[{', '.join(f'u{k} + g{k}' for k in range(n))}])"]
     return "\n".join(lines) + "\n"
 
 
@@ -612,40 +792,71 @@ def _band_substitute(lu, b: list) -> np.ndarray:
     return x
 
 
-def lu_solve(A, b: np.ndarray) -> np.ndarray:
+def _rhs(b, n: int) -> list:
+    """The right-hand side as a list of floats, checked to length n."""
+    if type(b) is list:
+        if len(b) != n:
+            raise ValueError("right-hand side length mismatch")
+        return b
+    b = np.asarray(b, dtype=float)
+    if b.shape != (n,):
+        raise ValueError("right-hand side length mismatch")
+    return b.tolist()
+
+
+def _floored(x: list, what: str) -> list:
+    """``x`` with its components in [0, tiny) raised to tiny; a negative
+    component raises ``PositivityError``."""
+    # components whose true value lies below the representable range
+    # underflow to zero or denormals; floor them at the smallest normal
+    # number so later divisions by them stay finite
+    for i, v in enumerate(x):
+        if v < 0.0:
+            raise PositivityError(f"{what} lost positivity at component {i}")
+    return [_TINY if v < _TINY else v for v in x]
+
+
+def lu_solve(A, b, positive: Optional[str] = None) -> np.ndarray:
     """Solve A x = b for a ``PlannedPatankar`` or a ``CyclicTridiagonal``
-    by the no-pivot factor A computes on its first solve and keeps.
+    by the no-pivot factor A computes on its first solve and keeps; ``b``
+    is an array or a list of floats.
 
     Raises TypeError for any other matrix, ValueError for a right-hand
     side of the wrong length or non-finite matrix entries, and
     SingularMatrixError when the elimination meets a non-positive pivot
     or the solution overflows to non-finite values; the message names a
-    row and its fac*loss/denom.
+    row and its fac*loss/denom.  Given ``positive``, the solution's name,
+    a negative component then raises ``PositivityError`` ("<positive>
+    lost positivity at component k") and components below the smallest
+    normal number are floored to it.
     """
-    b = np.asarray(b, dtype=float)
     if isinstance(A, PlannedPatankar):
-        n = A.plan.dim
-        if b.shape != (n,):
-            raise ValueError("right-hand side length mismatch")
+        plan = A.plan
+        n = plan.dim
+        b = _rhs(b, n)
         if A.lu is None:
-            A.lu = _planned_lu(A.vals, A.plan)
-        kernels = A.plan.kernels
+            A.lu = _planned_lu(A.vals, plan)
+        kernels = plan.kernels
         if kernels is None:
-            x = _interpreted_substitute(A.lu, A.plan, b.tolist())
+            # the loops solve in place, and b may be the caller's list
+            x = _interpreted_substitute(A.lu, plan, b.copy())
         else:
-            x = kernels.substitute(A.lu, b.tolist())
-        if not all(map(isfinite, x)):
+            x = kernels.substitute(A.lu, b)
+        if not all_finite(x):
             raise _at_largest_diagonal(A.vals[:n], "non-finite solution")
+        if positive is not None and min(x) < _TINY:
+            x = _floored(x, positive)
         return np.array(x)
     if isinstance(A, CyclicTridiagonal):
-        if b.shape != (A.bands.shape[1],):
-            raise ValueError("right-hand side length mismatch")
+        b = _rhs(b, A.bands.shape[1])
         if A.lu is None:
-            x, A.lu = _sweep(A.bands, b.tolist())
+            x, A.lu = _sweep(A.bands, b)
         else:
-            x = _band_substitute(A.lu, b.tolist())
+            x = _band_substitute(A.lu, b)
         if not np.isfinite(x).all():
             raise _at_largest_diagonal(A.bands[1], "non-finite solution")
+        if positive is not None and x.min() < _TINY:
+            x = np.array(_floored(x.tolist(), positive))
         return x
     raise TypeError(f"lu_solve takes a PlannedPatankar or a "
                     f"CyclicTridiagonal, not {type(A).__name__}")

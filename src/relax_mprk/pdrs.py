@@ -23,7 +23,7 @@ O(N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -31,7 +31,7 @@ import numpy as np
 
 # PositivityError lives in linalg, whose assembly raises it on a
 # non-positive denominator; the state checks here raise it too
-from .linalg import LuPlan, PositivityError, plan_band, plan_lu
+from .linalg import LuPlan, PositivityError, all_finite, plan_band, plan_lu
 
 
 class NonFiniteStateError(ValueError):
@@ -131,25 +131,34 @@ class RateSet:
 
     ``P`` is the ``Exchange`` of the p_{k,nu}; rest_prod/rest_dest are the
     rest terms (or a scalar 0.0 where there are none); ``explicit`` is the
-    right-hand side g of a system's explicit block (None without one);
-    ``loss``, built at construction, is the total destruction
-    rD_k + sum_nu p_{nu,k}.  A value vector whose length is not the
-    pattern's raises ValueError.
+    right-hand side g of a system's explicit block (None without one).
+    A value vector whose length is not the pattern's raises ValueError.
+    ``loss``, the total destruction rD_k + sum_nu p_{nu,k}, is built on
+    first use.
     """
 
     P: Exchange
     rest_prod: np.ndarray
     rest_dest: np.ndarray
     explicit: Optional[np.ndarray] = None
-    loss: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals, pat = self.P.vals, self.P.pattern
         if vals.shape != pat.rows.shape:
             raise ValueError(f"exchange values have shape {vals.shape}, "
                              f"expected ({pat.rows.size},)")
-        object.__setattr__(self, "loss", self.rest_dest
-                           + np.bincount(pat.cols, vals, pat.dim))
+
+    @property
+    def loss(self) -> np.ndarray:
+        # kept in the instance dict on first read: functools.cached_property
+        # takes a lock on each first read (Python < 3.12), which costs a
+        # band-format step more than the bincount
+        loss = self.__dict__.get("_loss")
+        if loss is None:
+            pat = self.P.pattern
+            loss = self.__dict__["_loss"] = (
+                self.rest_dest + np.bincount(pat.cols, self.P.vals, pat.dim))
+        return loss
 
     @property
     def rhs(self) -> np.ndarray:
@@ -189,12 +198,13 @@ class PdrsSystem:
         if u.shape != (d + self.explicit_dim,):
             raise ValueError(f"state has shape {u.shape}, "
                              f"expected ({d + self.explicit_dim},)")
-        # one mask on the hot path; it is False for u <= 0, NaN and +-inf.
-        # The explicit block may take any sign.
+        # the explicit block may take any sign.  On Python floats: at the
+        # sizes of a chemistry system a fraction of a numpy mask's cost
         v = u[:d] if self.explicit_dim else u
-        ok = (0.0 < v) & (v < np.inf)
-        if not ok.all():
-            _raise_bad_entry(v, ok, "state component u[{}]")
+        vl = v.tolist()
+        if not (all_finite(vl) and min(vl, default=1.0) > 0.0):
+            _raise_bad_entry(v, (0.0 < v) & (v < np.inf),
+                             "state component u[{}]")
         return u
 
     def rates(self, t: float, u: np.ndarray) -> RateSet:

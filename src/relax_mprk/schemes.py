@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import PositivityError, lu_solve, patankar_matrix
+from .linalg import _TINY, lu_solve, patankar_matrix
 from .pdrs import Exchange, PdrsSystem, RateSet
 
 MPRK22 = "mprk22"
@@ -152,9 +152,6 @@ def build_scheme(kind: str, alpha: float, beta: float = None, *,
                     sigma_mode=mode, sigma_exp=sigma_exp)
 
 
-_TINY = np.finfo(float).tiny
-
-
 def _floored_log(u) -> np.ndarray:
     """log(max(u, tiny)), finite for every non-negative finite u."""
     return np.log(np.maximum(np.asarray(u, float), _TINY))
@@ -195,21 +192,37 @@ class _System(NamedTuple):
     """A Patankar system M_gamma x = u_n + gamma g of a step, with
     M_gamma = I + gamma dt (diag(loss/d) - P/d) on positive denominators
     d: the weighted exchange ``P`` and ``loss``, the gamma-linear part
-    ``g`` of the right-hand side and ``M``, the matrix at gamma = 1 with
-    the factor its solve left on it."""
+    ``g`` of the right-hand side, ``u`` = u_n and ``M``, the matrix at
+    gamma = 1 with the factor its solve left on it.  The values are
+    lists of Python floats on the planned matrix format and numpy arrays
+    on the band format (see ``linalg.patankar_matrix``)."""
 
     P: Exchange
-    loss: np.ndarray
-    g: np.ndarray
+    loss: object
+    g: object
+    u: object
     M: object
 
 
-def _solve(M, u_n: np.ndarray, gamma: float, g, what: str) -> np.ndarray:
+def _system(rates, weights, denom, dt: float, u_n: np.ndarray):
+    """The step's system of the rate sets weighted by ``weights``, on the
+    denominators ``denom``, and its right-hand side u_n + g at gamma = 1,
+    with g = dt * (the weighted rP)."""
+    M, P, loss, g, u, rhs = patankar_matrix(rates, weights, denom, dt, u_n)
+    return _System(Exchange(rates[0].P.pattern, P), loss, g, u, M), rhs
+
+
+def _solve(M, system: _System, gamma: float, what: str) -> np.ndarray:
     """The solution of M x = u_n + gamma g, checked positive; ``M`` is
     the system's M_gamma."""
+    u, g = system.u, system.g
     # 1.0 * g is g bit for bit, so gamma = 1 skips the multiply
-    rhs = u_n + g if gamma == 1.0 else u_n + gamma * g
-    return _check_positive(lu_solve(M, rhs), what)
+    if type(g) is list:
+        rhs = ([a + b for a, b in zip(u, g)] if gamma == 1.0
+               else [a + gamma * b for a, b in zip(u, g)])
+    else:
+        rhs = u + g if gamma == 1.0 else u + gamma * g
+    return lu_solve(M, rhs, what)
 
 
 def _tangent(M, x: np.ndarray, u_n: np.ndarray, gamma: float, v):
@@ -223,7 +236,7 @@ def _tangent(M, x: np.ndarray, u_n: np.ndarray, gamma: float, v):
     return v + lu_solve(M, rhs - v)
 
 
-@dataclass(frozen=True)
+@dataclass
 class StepRecord:
     """One MPRK step and everything needed to evaluate u^{n+gamma} and its
     gamma-derivative from it.
@@ -246,6 +259,10 @@ class StepRecord:
     At gamma = 1 every factor gamma multiplies is 1.0, so sbar(1) is
     ``sigma`` and these are the matrices a probe there would assemble,
     bit for bit.
+
+    Only ``step`` writes the fields (a frozen dataclass would spend more
+    on its construction than a small system's Patankar solve); the
+    gamma-search's one cache is ``_last``.
     """
 
     scheme: MpScheme
@@ -269,31 +286,6 @@ class StepRecord:
     @property
     def stage_rhs(self) -> tuple:
         return tuple(r.rhs for r in self.rate_sets)
-
-
-def _check_positive(u: np.ndarray, what: str) -> np.ndarray:
-    # components whose true value lies below the representable range
-    # underflow to zero or denormals; floor them at the smallest normal
-    # number so later divisions by sigma stay finite
-    small = u < _TINY
-    if small.any():
-        if (u < 0.0).any():
-            bad = np.flatnonzero(u < 0.0)
-            raise PositivityError(f"{what} lost positivity at component {bad[0]}")
-        u = np.where(small, _TINY, u)
-    return u
-
-
-def _weighted(rate_sets, weights):
-    """The weighted sums of the rate sets' exchanges (on their common
-    pattern), losses and production rest terms."""
-    # start from 0: 0 + (-0.0) is +0.0, so no sum holds a negative zero
-    vals = loss = rP = 0
-    for w, r in zip(weights, rate_sets):
-        vals = vals + w * r.P.vals
-        loss = loss + w * r.loss
-        rP = rP + w * r.rest_prod
-    return Exchange(rate_sets[0].P.pattern, vals), loss, rP
 
 
 def _full_state(u, m_n, rate_sets, weights, dt):
@@ -341,42 +333,38 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, z_n: np.ndarray,
     sig = None
 
     if scheme.kind in (MPRK22, MPRK43I):
-        P, loss, rP = _weighted(rates, [scheme.a[1, 0]])
-        u2 = _solve(patankar_matrix(P, loss, u_n, dt), u_n, 1.0, dt * rP,
-                    "stage")
+        M, *_, rhs = patankar_matrix(rates, scheme.a[1, :1], u_n, dt, u_n)
+        u2 = lu_solve(M, rhs, "stage")
         stages.append(_full_state(u2, m_n, rates, scheme.a[1], dt))
         rates.append(sys.rates(t_n + scheme.c[1] * dt, stages[1]))
         logs = _StageLogs(u_n, u2)
         if scheme.kind == MPRK43I:
             pi3 = logs.geo_mean(1.0 / scheme.p_exp)
-            P, loss, rP = _weighted(rates, scheme.a[2, :2])
-            u3 = _solve(patankar_matrix(P, loss, pi3, dt), u_n, 1.0, dt * rP,
-                        "stage")
+            M, *_, rhs = patankar_matrix(rates, scheme.a[2, :2], pi3, dt, u_n)
+            u3 = lu_solve(M, rhs, "stage")
             stages.append(_full_state(u3, m_n, rates, scheme.a[2], dt))
             rates.append(sys.rates(t_n + scheme.c[2] * dt, stages[2]))
             tau = logs.geo_mean(scheme.sigma_exp)
-            P, loss, rP = _weighted(rates[:2], scheme.sigma_w)
-            sig = _System(P, loss, dt * rP, patankar_matrix(P, loss, tau, dt))
-            sigma = _solve(sig.M, u_n, 1.0, sig.g, "sigma")
+            sig, rhs = _system(rates[:2], scheme.sigma_w, tau, dt, u_n)
+            sigma = lu_solve(sig.M, rhs, "sigma")
         else:
             sigma = logs.geo_mean(scheme.sigma_exp)
-        P, loss, rP = _weighted(rates, scheme.b)
-        g = dt * rP
+        upd, rhs = _system(rates, scheme.b, sigma, dt, u_n)
+        u_next = lu_solve(upd.M, rhs, "update")
     else:  # MPSSPRK2
         _check_no_rest(rates[0])
         r = rates[0]
-        u2 = _solve(patankar_matrix(r.P, r.loss, u_n, scheme.beta * dt), u_n,
-                    1.0, 0.0, "stage")
+        # the stage's right-hand side is u_n, whose g is 0
+        u2 = lu_solve(patankar_matrix(r.P, r.loss, u_n, scheme.beta * dt),
+                      u_n, "stage")
         stages.append(_full_state(u2, m_n, rates, scheme.a[1], dt))
         rates.append(sys.rates(t_n + scheme.c[1] * dt, stages[1]))
         _check_no_rest(rates[1])
         logs = _StageLogs(u_n, u2)
         sigma = logs.geo_mean(scheme.sigma_exp)
-        P, loss, _ = _weighted(rates, scheme.update_w)
-        g = scheme.alpha * (u2 - u_n)
-
-    upd = _System(P, loss, g, patankar_matrix(P, loss, sigma, dt))
-    u_next = _solve(upd.M, u_n, 1.0, g, "update")
+        upd, _ = _system(rates, scheme.update_w, sigma, dt, u_n)
+        upd = upd._replace(g=scheme.alpha * (u2 - u_n))
+        u_next = _solve(upd.M, upd, 1.0, "update")
     dm = None
     if m_n is not None:
         dm = dt * _explicit_sum(rates, scheme.b)
@@ -404,7 +392,7 @@ def _sigma_bar_value(rec: StepRecord, gamma: float):
     if sig is None:  # dense, MPRK22 or MPSSPRK2
         return mean, None
     M = patankar_matrix(sig.P, sig.loss, mean, gamma * rec.dt)
-    return _solve(M, rec.logs.u_n, gamma, sig.g, "sigma_bar"), M
+    return _solve(M, sig, gamma, "sigma_bar"), M
 
 
 def _sigma_bar_prime(rec: StepRecord, gamma: float, sbar, M):
@@ -442,7 +430,7 @@ def _gamma_matrix(rec: StepRecord, gamma: float):
     else:
         M = patankar_matrix(upd.P, upd.loss, sbar, gamma * rec.dt)
     parts = (sbar, M_sig, M)
-    object.__setattr__(rec, "_last", (gamma, parts))
+    rec._last = gamma, parts
     return parts
 
 
@@ -455,11 +443,10 @@ def gamma_update(rec: StepRecord, gamma: float) -> np.ndarray:
     Patankar part positive for every gamma > 0.
     """
     M = _gamma_matrix(rec, gamma)[2]
-    u_n = rec.logs.u_n
-    u = _solve(M, u_n, gamma, rec.upd.g, "gamma update")
+    u = _solve(M, rec.upd, gamma, "gamma update")
     if rec.dm is None:
         return u
-    return np.concatenate([u, rec.u_n[u_n.size:] + gamma * rec.dm])
+    return np.concatenate([u, rec.u_n[u.size:] + gamma * rec.dm])
 
 
 def gamma_update_derivative(rec: StepRecord, gamma: float,

@@ -1,9 +1,10 @@
 """Shared fixtures-in-code for the test suite: small hand-checkable
 systems, a random conservative PDS generator, the wrapping of dense
 test arrays into the package's sparse exchange contract and planned
-Patankar format, a call counter, and the check that a step's kept
-matrices serve gamma = 1."""
+Patankar format, a call counter, the check that a step's kept
+matrices serve gamma = 1, and a digest of a whole trajectory."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -140,3 +141,16 @@ def gamma_one_matches_assembly(monkeypatch, rec):
                    sig=rec.sig and assembled(rec.sig, tau))
     for new, old in zip(kept, at_one(bare)):
         assert new.tobytes() == old.tobytes()
+
+
+def trajectory_digest(traj) -> str:
+    """The first 16 hex digits of the sha256 of a trajectory's bytes:
+    times, dts, gammas, etas and states, then its statuses joined by
+    ``|`` and its reject count.  Equal digests mean equal bits."""
+    h = hashlib.sha256()
+    for values in (traj.times, traj.dts, traj.gammas, traj.etas,
+                   traj.states):
+        h.update(np.array(values).tobytes())
+    h.update("|".join(traj.statuses).encode())
+    h.update(str(traj.n_rejected).encode())
+    return h.hexdigest()[:16]

@@ -137,6 +137,22 @@ def test_integrate_rejects_non_positive_dt0(dt0):
     assert calls == [0]
 
 
+@pytest.mark.parametrize("rtol, atol", [(0.0, 0.0), (-1e-6, 1e-6),
+                                        (1e-6, -1e-6), (np.nan, 1e-6)])
+def test_integrate_rejects_bad_tolerances_before_stepping(rtol, atol):
+    # a zero weight atol + rtol |u| would divide by zero in the error
+    # estimate, deep inside the first step
+    problem = cyclic3()
+    stepper = problem.stepper(build_scheme("mprk22", 1.0))
+    calls = [0]
+    stepper.step = counted(stepper.step, calls)
+    with pytest.raises(ValueError, match="rtol and atol must be "
+                                         "non-negative and not both zero"):
+        integrate(stepper, problem.eta, None, 0.0, problem.u0, 1.0, 0.1,
+                  adaptivity="pid", rtol=rtol, atol=atol)
+    assert calls == [0]
+
+
 def test_mode_none_returns_base_step():
     # mode none keeps the base step as it is, like no relaxation at all
     problem = cyclic3()

@@ -16,22 +16,26 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from relax_mprk import linalg
 from relax_mprk.control import integrate
 from relax_mprk.euler import (_density_pattern, _density_production,
                               _interface_fluxes)
-from relax_mprk.linalg import (PlannedPatankar, SingularMatrixError,
+from relax_mprk.linalg import (BAND_MIN_DIM, PlannedPatankar,
+                               PositivityError, SingularMatrixError,
                                _at_largest_diagonal, _band_substitute,
-                               _singular, _sweep, lu_solve)
+                               _interpreted_system, _rate_lists, _singular,
+                               _sweep, lu_solve)
 from relax_mprk.means import mean_geo, mean_harm, mean_log
 from relax_mprk.pdrs import Exchange, ExchangePattern, PdrsSystem, RateSet
 from relax_mprk.problems import (_STRAT_M, _daylight, isothermal_euler_fv,
                                  make_problem)
 from relax_mprk.relaxation import (MODE_CLAMPED, RelaxConfig, _entropy_rate,
                                    relax_step)
-from relax_mprk.schemes import (MpStepper, _StageLogs, build_scheme,
-                                patankar_matrix)
+from relax_mprk.schemes import (SCHEME_KINDS, SIGMA_MODES, MpStepper,
+                                UnsupportedSchemeError, _StageLogs,
+                                build_scheme, patankar_matrix)
 
-from helpers import counted, exchange, planned
+from helpers import counted, exchange, planned, trajectory_digest
 
 # the largest, smallest normal and subnormal magnitudes a state may reach
 EXTREMES = (1e300, 1e-300, np.finfo(float).tiny / 4.0, 5e-324)
@@ -60,6 +64,19 @@ def old_patankar_matrix(P_w, loss_w, denom, fac):
     M = -(fac * P_w) / denom
     M.flat[::len(denom) + 1] = 1.0 + fac * loss_w / denom
     return M
+
+
+def old_weighted(rate_sets, weights):
+    # schemes._weighted and RateSet.loss before the planned format moved
+    # to lists: the weighted exchange values, losses and rP
+    vals = loss = rP = 0
+    for w, r in zip(weights, rate_sets):
+        pat = r.P.pattern
+        vals = vals + w * r.P.vals
+        loss = loss + w * (r.rest_dest + np.bincount(pat.cols, r.P.vals,
+                                                     pat.dim))
+        rP = rP + w * r.rest_prod
+    return vals, loss, rP
 
 
 def old_ppow(base, expo):
@@ -722,6 +739,217 @@ def test_planned_stratospheric_solve_matches_gesv(hour):
             M = patankar_matrix(r.P, r.loss, u, dt)
             assert isinstance(M, PlannedPatankar) and M.plan.n_fill == 4
             _agrees_with_gesv(M, rng)
+
+
+# ---------------------------------------------------------------------------
+# A step's systems on the planned format: one fused kernel per plan and
+# number of rate sets, its interpreted twin, and the numpy arithmetic
+# both replaced
+
+def _signed(rng, shape):
+    """``_states`` with about a fifth of the entries +0.0 or -0.0."""
+    x = _states(rng, shape)
+    pick = rng.random(shape) < 0.2
+    x[pick] = rng.choice([0.0, -0.0], size=int(pick.sum()))
+    return x
+
+
+def _rate_set(rng, pattern, scalar_rest):
+    d = pattern.dim
+    rest = ((0.0, 0.0) if scalar_rest
+            else (_signed(rng, d), _signed(rng, d)))
+    return RateSet(Exchange(pattern, _signed(rng, pattern.rows.size)),
+                   *rest)
+
+
+def _same_floats(new, old):
+    """``_same`` for lists or arrays that may hold NaN."""
+    new, old = np.asarray(new, float), np.asarray(old, float)
+    return (new.shape == old.shape and np.array_equal(new, old, equal_nan=True)
+            and np.array_equal(np.signbit(new), np.signbit(old)))
+
+
+@pytest.mark.parametrize("d, zero_share", [(1, 0.0), (2, 0.0), (6, 0.3),
+                                           (17, 0.6), (40, 0.8)])
+def test_fused_system_kernel_matches_its_twin_and_numpy(d, zero_share):
+    # the compiled kernel and _interpreted_system, slot by slot, on the
+    # same lists, and both against the numpy weighted sums and the
+    # assembly from them: every slot, weighted list, g and right-hand
+    # side bit-equal, the sign of zero included.  Rest terms of both
+    # signs of zero, and the scalar rest terms of a system without them
+    rows, cols, _ = _random_pattern(d, zero_share)
+    pattern = ExchangePattern(rows, cols, d)
+    plan = pattern.lu_plan
+    plan.compile()
+    rng = np.random.default_rng(d + 100)
+    with np.errstate(all="ignore"):
+        for n_sets in (1, 2, 3):
+            kernel = plan.system_kernel(n_sets)
+            for fac in (1e-3, 0.7, 21.0, 1e5):
+                for _ in range(6):
+                    rates = [_rate_set(rng, pattern, rng.random() < 0.3)
+                             for _ in range(n_sets)]
+                    weights = rng.uniform(0.0, 2.0, n_sets)
+                    weights[rng.random(n_sets) < 0.2] = 0.0
+                    denom, u = _states(rng, d), _states(rng, d)
+                    args = (weights.tolist(),
+                            [_rate_lists(r, d) for r in rates],
+                            denom.tolist(), fac, u.tolist())
+                    new = kernel(*args)
+                    twin = _interpreted_system(plan, *args)
+                    for a, b in zip(new, twin):
+                        assert type(a) is type(b) is list
+                        assert _same_floats(a, b)
+                    vals, loss, rP = old_weighted(rates, weights)
+                    g = fac * rP
+                    M = patankar_matrix(Exchange(pattern, vals), loss, denom,
+                                        fac)
+                    for a, b in zip(new, (M.vals, vals, loss, g, u + g)):
+                        assert _same_floats(a, np.broadcast_to(b, np.shape(a)))
+                    # the step form returns the kernel's lists
+                    out = patankar_matrix(rates, weights, denom, fac, u)
+                    assert _same_floats(out[0].vals, new[0])
+                    for a, b in zip(out[1:], (*new[1:4], u, new[4])):
+                        assert _same_floats(a, b)
+
+
+def _planned_runs():
+    """(id, problem, kwargs, t_end, dt0) of short runs of every
+    registered problem on the planned format, the mesh problems below
+    BAND_MIN_DIM."""
+    return [("lotka_volterra", "lotka_volterra", {}, 2.0, 0.2),
+            ("cyclic3", "cyclic3", {}, 1.0, 0.1),
+            ("stratospheric", "stratospheric", {}, 12.25 * 3600.0, 90.0),
+            ("advection-16", "advection", dict(N=16, entropy_kind="sqrt"),
+             0.25, 0.125),
+            ("pme-20", "pme", dict(N=20, m=3.0), 1.1, 0.6),
+            ("euler-16", "euler", dict(N=16), 0.25, 1.0 / 32.0)]
+
+
+def _scheme_cases():
+    params = {"mprk22": (1.0,), "mprk43i": (0.5, 0.75),
+              "mpssprk2": (0.5, 1.0)}
+    return [pytest.param(kind, params[kind], mode, id=f"{kind}-{mode}")
+            for kind in SCHEME_KINDS for mode in SIGMA_MODES[kind]]
+
+
+def _planned_run(name, kwargs, t_end, dt0, scheme, compiled):
+    """The outcome of one relaxed run: its digest, or the error's type
+    and message; and the plan of its pattern."""
+    problem = make_problem(name, **kwargs)
+    stepper = problem.stepper(scheme)
+    plan = stepper.sys.pattern.lu_plan
+    assert stepper.sys.pattern.dim < BAND_MIN_DIM
+    if compiled:
+        plan.compile()
+    cfg = RelaxConfig(mode=problem.defaults["relax"],
+                      solver=problem.defaults["solver"],
+                      **problem.defaults.get("relax_opts", {}))
+    try:
+        traj = integrate(stepper, problem.eta, cfg, problem.tspan[0],
+                         problem.u0, t_end, dt0)
+    except (ValueError, ArithmeticError) as exc:
+        return (type(exc), str(exc)), plan
+    return trajectory_digest(traj), plan
+
+
+@pytest.mark.parametrize("kind, params, mode", _scheme_cases())
+@pytest.mark.parametrize("run", _planned_runs(), ids=lambda r: r[0])
+def test_whole_run_is_bit_equal_interpreted_and_compiled(monkeypatch, run,
+                                                         kind, params, mode):
+    # a run on plans that never compile (COMPILE_AFTER past any count a
+    # short run reaches) and on plans compiled before the first step
+    # gives one digest: every probe, stage, update and PID reject of the
+    # run took the same bits through the fused kernels as through their
+    # interpreted twins
+    _, name, kwargs, t_end, dt0 = run
+    scheme = build_scheme(kind, *params, sigma_mode=mode)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "COMPILE_AFTER", 10**9)
+        interpreted, plan = _planned_run(name, kwargs, t_end, dt0, scheme,
+                                         False)
+    assert plan.kernels is None
+    compiled, plan = _planned_run(name, kwargs, t_end, dt0, scheme, True)
+    assert compiled == interpreted
+    # only Lotka-Volterra has rest terms, which MPSSPRK2 refuses
+    ran = kind != "mpssprk2" or name != "lotka_volterra"
+    assert isinstance(compiled, str) == ran
+    assert plan.factored == 0 and bool(plan.kernels.systems) == ran
+
+
+def _error_system(pattern, vals, rest_prod=0.0):
+    """A system on ``pattern`` whose rates are ``vals`` and ``rest_prod``
+    wherever it is evaluated."""
+    def matrix_rates(t, u):
+        return (Exchange(pattern, np.array(vals, dtype=float)),
+                np.full(pattern.dim, rest_prod), np.zeros(pattern.dim))
+    return PdrsSystem(pattern, matrix_rates)
+
+
+def _step_outcome(sys, kind, u0, dt, compiled):
+    """``_outcome`` of a step from u0: the second stage and u^{n+1}, or
+    the error."""
+    if compiled:
+        sys.pattern.lu_plan.compile()
+    params = {"mprk22": (1.0,), "mpssprk2": (0.5, 1.0)}[kind]
+    stepper = MpStepper(sys, build_scheme(kind, *params))
+
+    def run():
+        rec = stepper.step(0.0, np.array(u0, dtype=float), dt)
+        return np.concatenate([rec.stages[1], rec.u_next])
+
+    return _outcome(run)
+
+
+def _cyclic3_pattern():
+    return ExchangePattern([1, 2, 0], [0, 1, 2], 3)
+
+
+@pytest.mark.parametrize("compiled", [False, True],
+                         ids=["interpreted", "compiled"])
+def test_float_path_errors_keep_type_and_message(compiled):
+    # each failure of a step on the planned format, the same error with
+    # the same message whether the plan's kernels are compiled or not
+    ones = np.ones(3)
+    # a non-positive denominator, in the step form and the plain one
+    rates = [RateSet(Exchange(_cyclic3_pattern(), np.full(3, 0.5)), 0.0,
+                     0.0)]
+    pattern = rates[0].P.pattern
+    if compiled:
+        pattern.lu_plan.compile()
+    for bad in (0.0, -1.0):
+        denom = np.array([1.0, bad, 1.0])
+        for args in ((rates, [1.0], denom, 0.5, ones),
+                     (rates[0].P, rates[0].loss, denom, 0.5)):
+            assert _outcome(patankar_matrix, *args) == (
+                PositivityError, "non-positive denominator component [1]")
+    # a NaN rate
+    assert _step_outcome(_error_system(_cyclic3_pattern(), [0.5, np.nan, 0.5]),
+                         "mprk22", ones, 0.1, compiled) == (
+        ValueError, "matrix has non-finite entries")
+    # a pivot lost past 1/eps, named with its row and fac*loss/denom
+    err, message = _step_outcome(
+        _error_system(_cyclic3_pattern(), [1e20] * 3), "mprk22", ones, 1.0,
+        compiled)
+    assert err is SingularMatrixError
+    assert message == ("singular matrix: pivot 0.000e+00 in row 2, where "
+                       "fac*loss/denom = 1.000e+20 (1/eps = 4.504e+15)")
+    # a negative rP makes the stage's right-hand side, and so its
+    # solution, negative
+    assert _step_outcome(_error_system(_cyclic3_pattern(), [0.5] * 3, -50.0),
+                         "mprk22", ones, 0.1, compiled) == (
+        PositivityError, "stage lost positivity at component 0")
+    # without rates every solution is u_n; its subnormal component is
+    # floored to the smallest normal number
+    tiny = np.finfo(float).tiny
+    assert _step_outcome(_error_system(_cyclic3_pattern(), [0.0] * 3),
+                         "mprk22", [1.0, 5e-324, 1.0], 0.1, compiled) == (
+        _outcome(lambda: np.array([1.0, tiny, 1.0] * 2)))
+    # MPSSPRK2 has no place for rest terms
+    assert _step_outcome(_error_system(_cyclic3_pattern(), [0.5] * 3, 0.1),
+                         "mpssprk2", ones, 0.1, compiled) == (
+        UnsupportedSchemeError,
+        "MPSSPRK2 supports conservative PDS only (no rest terms)")
 
 
 # ---------------------------------------------------------------------------
