@@ -31,21 +31,21 @@ solves those two formats and nothing else:
   slot gets the operations, in the order, of a dense no-pivot
   elimination in the same k, i, j order, which adds nothing but zeros
   elsewhere; so up to d = 4, where that dense elimination ran on full
-  rows before, the solutions keep their bits.  At its
-  ``COMPILE_AFTER``-th factorization a plan compiles its own kernels
-  (``LuPlan.compile``), as chemistry codes generate the sparse LU of a
-  fixed kinetics pattern (KPP; Damian, Sandu, Damian, Potra &
-  Carmichael, Comput. Chem. Eng. 2002): the assembly, the elimination
-  and both substitutions as straight-line Python on one local variable
-  per slot, with the interpreted loops' operations, pivot checks and
-  messages in their order, so the switch moves no bit.  As KPP
-  generates the whole kinetic step, a compiled plan also generates,
-  once per number of rate sets, the step kernel that takes a step's
-  rate sets from ``matrix_rates``'s output to the system it solves:
-  the loss sums, the weighted sums, g, the right-hand side and the
-  slots in one call (``_system_source``).  So a step of a small system
-  stays on lists of Python floats up to its solution.  The interpreted
-  loops stay as the cold path and as the tests' reference;
+  rows before, the solutions keep their bits.  The plan's methods
+  assemble, factor and substitute, and build a step's system, in loops
+  over its index tuples.  At its ``COMPILE_AFTER``-th factorization a
+  plan compiles (``LuPlan.compile``), as chemistry codes generate the
+  sparse LU of a fixed kinetics pattern (KPP; Damian, Sandu, Damian,
+  Potra & Carmichael, Comput. Chem. Eng. 2002), and binds those four
+  names on itself to straight-line Python on one local variable per
+  slot, with the loops' operations, pivot checks and messages in their
+  order, so the switch moves no bit.  As KPP generates the whole
+  kinetic step, the compiled ``system`` generates, once per number of
+  rate sets, a kernel that takes a step's rate sets from
+  ``matrix_rates``'s output to the system it solves: the loss sums, the
+  weighted sums, g, the right-hand side and the slots in one call.  So
+  a step of a small system stays on lists of Python floats up to its
+  solution, and a ``PatankarSystem`` keeps them for the gamma-probes;
 * a ``CyclicTridiagonal`` (the Patankar matrices of advection, the porous
   medium equation and the Euler density) is solved in O(N) by a bordered
   Thomas sweep without pivoting, whose every step adds non-negative
@@ -138,7 +138,7 @@ from __future__ import annotations
 import linecache
 import weakref
 from math import isfinite
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -162,17 +162,6 @@ class PositivityError(ValueError):
     """A state vector left the positive orthant."""
 
 
-class _Kernels(NamedTuple):
-    """A plan's compiled straight-line kernels; see ``LuPlan.compile``.
-    ``systems`` maps a number of rate sets to its step kernel, generated
-    on first use (``LuPlan.system_kernel``)."""
-
-    assemble: Callable
-    factor: Callable
-    substitute: Callable
-    systems: dict
-
-
 class LuPlan:
     """Symbolic no-pivot LU factorization, in natural order, of the d x d
     matrices whose nonzeros lie on the diagonal and at the entries
@@ -193,21 +182,21 @@ class LuPlan:
     every row, from the last one up, with its entries of U right of the
     diagonal.
 
-    ``factored`` counts the factorizations the interpreted loops ran on
-    the plan; at the ``COMPILE_AFTER``-th, ``_planned_lu`` calls
-    ``compile``, and from then on ``kernels`` holds the plan's assembly,
-    factorization and substitutions as straight-line functions, and its
-    step kernels, and ``source`` the source of the first three.
+    The methods ``assemble``, ``factor``, ``substitute`` and ``system``
+    run interpreted loops over those tuples.  ``factored`` counts the
+    factorizations they ran; the ``COMPILE_AFTER``-th calls ``compile``,
+    which binds the four names on the instance to generated straight-line
+    kernels and keeps the source of the first three in ``source``; the
+    class attributes stay the cold path and the reference.  ``systems``
+    maps a number of rate sets to its compiled step kernel.
     """
-
-    __slots__ = ("dim", "cols", "n_fill", "flat", "elim", "lower", "upper",
-                 "factored", "kernels", "source", "__weakref__")
 
     def __init__(self, dim, cols, n_fill, flat, elim, lower, upper):
         self.dim, self.cols, self.n_fill, self.flat = dim, cols, n_fill, flat
         self.elim, self.lower, self.upper = elim, lower, upper
         self.factored = 0
-        self.kernels = self.source = None
+        self.source = None
+        self.systems = {}
 
     def _exec(self, source: str, what: str) -> dict:
         """Compile ``source`` and return the names it defines.  The source
@@ -223,32 +212,103 @@ class LuPlan:
         exec(compile(source, name, "exec"), scope)
         return scope
 
-    def compile(self) -> _Kernels:
-        """Generate, compile and keep the plan's kernels, once."""
-        if self.kernels is None:
-            source = _kernel_source(self)
-            scope = self._exec(source, "")
-            self.source = source
-            self.kernels = _Kernels(scope["assemble"], scope["factor"],
-                                    scope["substitute"], {})
-        return self.kernels
+    def compile(self) -> None:
+        """Generate, compile and bind the plan's kernels, once; a step
+        kernel is generated on first use per number of rate sets."""
+        if self.source is not None:
+            return
+        self.source = _kernel_source(self)
+        scope = self._exec(self.source, "")
+        self.assemble, self.factor, self.substitute = (
+            scope["assemble"], scope["factor"], scope["substitute"])
+        systems = self.systems
 
-    def system_kernel(self, n_sets: int) -> Callable:
-        """The compiled ``_interpreted_system`` for ``n_sets`` rate sets,
-        generated on first use; the plan must be compiled."""
-        systems = self.kernels.systems
-        kernel = systems.get(n_sets)
-        if kernel is None:
-            kernel = systems[n_sets] = self._exec(
-                _system_source(self, n_sets),
-                f": {n_sets} rate sets")["system"]
-        return kernel
+        def system(w, sets, d, fac, u):
+            kernel = systems.get(len(sets))
+            if kernel is None:
+                kernel = systems[len(sets)] = self._exec(
+                    _system_source(self, len(sets)),
+                    f": {len(sets)} rate sets")["system"]
+            return kernel(w, sets, d, fac, u)
+
+        self.system = system
+
+    def assemble(self, loss: list, denom: list, vals: list,
+                 fac: float) -> list:
+        """The slots of a Patankar matrix from the lists of its losses,
+        denominators and pattern values; a denominator that is not
+        positive raises ``PositivityError``."""
+        for dj in denom:
+            if dj <= 0.0:
+                raise _bad_denominator(denom)
+        nfac = -fac
+        slots = [1.0 + fac * lj / dj for lj, dj in zip(loss, denom)]
+        slots += [p * nfac / denom[j] for p, j in zip(vals, self.cols)]
+        slots += [0.0 * nfac] * self.n_fill
+        return slots
+
+    def factor(self, vals: list) -> list:
+        """The no-pivot LU factor of a matrix's slots: U's entries and L's
+        multipliers in the slots of the matrix entries they replace."""
+        self.factored += 1
+        if self.factored >= COMPILE_AFTER:
+            self.compile()
+        lu = vals.copy()
+        for k, (sources, steps) in enumerate(self.elim):
+            p = lu[k]
+            if not p > 0.0:
+                raise _singular(vals, k, f"pivot {p:.3e}")
+            for m, targets in steps:
+                f = lu[m] = lu[m] / p
+                for t, s in zip(targets, sources):
+                    lu[t] -= f * lu[s]
+        return lu
+
+    def substitute(self, lu: list, b: list) -> list:
+        """The solution of L U x = b, ``lu`` the factor of ``factor``."""
+        x = b.copy()
+        for i, terms in self.lower:
+            s = x[i]
+            for k, j in terms:
+                s -= lu[k] * x[j]
+            x[i] = s
+        for i, terms in self.upper:
+            s = x[i]
+            for k, j in terms:
+                s -= lu[k] * x[j]
+            x[i] = s / lu[i]
+        return x
+
+    def system(self, weights: list, sets: list, denom: list, fac: float,
+               u: list) -> tuple:
+        """A step's Patankar system on lists of Python floats: ``(slots,
+        P, loss, g, rhs)``, the matrix of the weighted sums P, loss and rP
+        of the rate sets, g = fac * rP and rhs = u + g.
+
+        ``sets`` holds each rate set's ``(values, rP, rD)`` lists.  Each
+        loss is rD plus the column sums of the values, taken in pattern
+        order from 0.0, as ``RateSet.loss``'s ``bincount`` takes them, and
+        each weighted sum starts from 0.0, as ``_weighted`` does, so no
+        sum holds a negative zero.
+        """
+        n, cols = self.dim, self.cols
+        P, loss, rP = [0.0] * len(cols), [0.0] * n, [0.0] * n
+        for w, (vals, rp, rd) in zip(weights, sets):
+            col = [0.0] * n
+            for v, j in zip(vals, cols):
+                col[j] += v
+            P = [a + w * v for a, v in zip(P, vals)]
+            loss = [a + w * (e + c) for a, e, c in zip(loss, rd, col)]
+            rP = [a + w * v for a, v in zip(rP, rp)]
+        g = [fac * v for v in rP]
+        return (LuPlan.assemble(self, loss, denom, P, fac), P, loss, g,
+                [a + b for a, b in zip(u, g)])
 
 
 def plan_lu(rows: list, cols: list, dim: int) -> LuPlan:
     """The ``LuPlan`` of the pattern with entries (rows[e], cols[e]).
 
-    The elimination follows ``_planned_lu``'s k, i, j order and skips
+    The elimination follows ``LuPlan.factor``'s k, i, j order and skips
     only the pairs where a_ik or a_kj is a structural zero, so the slots
     it updates receive the same operations, in the same order, as in a
     dense no-pivot elimination; its cost is one multiply-add per update
@@ -362,6 +422,34 @@ class CyclicTridiagonal:
         return A
 
 
+class PatankarSystem(NamedTuple):
+    """A step's Patankar system M_gamma x = u_n + gamma g, with M_gamma =
+    I + gamma dt (diag(loss/d) - P/d) on positive denominators d: the
+    exchange ``pattern`` and the weighted exchange values ``vals``, so a
+    system is an exchange ``patankar_matrix`` reassembles from, ``loss``,
+    the gamma-linear part ``g`` of the right-hand side, ``u`` = u_n and
+    ``M``, the matrix at gamma = 1 with the factor its solve left on it.
+    The values are lists of Python floats on the planned format and
+    numpy arrays on the band format; MPSSPRK2 puts an array g on either.
+    """
+
+    pattern: object
+    vals: object
+    loss: object
+    g: object
+    u: object
+    M: object
+
+    def rhs(self, gamma: float):
+        """u_n + gamma g, in the format of g."""
+        u, g = self.u, self.g
+        # 1.0 * g is g bit for bit, so gamma = 1 skips the multiply
+        if type(g) is list:
+            return ([a + b for a, b in zip(u, g)] if gamma == 1.0
+                    else [a + gamma * b for a, b in zip(u, g)])
+        return u + g if gamma == 1.0 else u + gamma * g
+
+
 def all_finite(xs: list) -> bool:
     """Whether every float of the list ``xs`` is finite."""
     # an inf or a NaN makes the sum inf or NaN, and a sum of finite
@@ -383,52 +471,6 @@ def _at_largest_diagonal(diag, what: str) -> SingularMatrixError:
     # a failure with no pivot to blame names the row most likely at fault
     row = max(range(len(diag)), key=diag.__getitem__)
     return _singular(diag, row, f"{what}; largest diagonal")
-
-
-def _planned_lu(vals: list, plan: LuPlan) -> list:
-    """No-pivot LU factor of a ``PlannedPatankar``'s slots: U's entries
-    and L's multipliers in the slots of the matrix entries they replace.
-    The plan's compiled kernel factors from its ``COMPILE_AFTER``-th
-    factorization on, the interpreted loops before that."""
-    if not all_finite(vals):
-        raise ValueError("matrix has non-finite entries")
-    kernels = plan.kernels
-    if kernels is None:
-        plan.factored += 1
-        if plan.factored < COMPILE_AFTER:
-            return _interpreted_lu(vals, plan)
-        kernels = plan.compile()
-    return kernels.factor(vals)
-
-
-def _interpreted_lu(vals: list, plan: LuPlan) -> list:
-    """``_planned_lu``'s elimination, read from the plan's index tuples."""
-    lu = vals.copy()
-    for k, (sources, steps) in enumerate(plan.elim):
-        p = lu[k]
-        if not p > 0.0:
-            raise _singular(vals, k, f"pivot {p:.3e}")
-        for m, targets in steps:
-            f = lu[m] = lu[m] / p
-            for t, s in zip(targets, sources):
-                lu[t] -= f * lu[s]
-    return lu
-
-
-def _interpreted_substitute(lu: list, plan: LuPlan, x: list) -> list:
-    """Solve L U x = b in place on the list ``x`` = b, with the factor
-    of ``_planned_lu``, reading the plan's index tuples."""
-    for i, terms in plan.lower:
-        s = x[i]
-        for k, j in terms:
-            s -= lu[k] * x[j]
-        x[i] = s
-    for i, terms in plan.upper:
-        s = x[i]
-        for k, j in terms:
-            s -= lu[k] * x[j]
-        x[i] = s / lu[i]
-    return x
 
 
 def _floats(x) -> list:
@@ -462,71 +504,29 @@ def _rate_lists(r, n: int) -> tuple:
             rd.tolist() if type(rd) is np.ndarray else [float(rd)] * n)
 
 
-def _interpreted_assembly(plan: LuPlan, loss: list, denom: list,
-                          vals: list, fac: float) -> list:
-    """The slots of a Patankar matrix on ``plan`` from the lists of its
-    losses, denominators and pattern values; a denominator that is not
-    positive raises ``PositivityError``."""
-    for dj in denom:
-        if dj <= 0.0:
-            raise _bad_denominator(denom)
-    nfac = -fac
-    slots = [1.0 + fac * lj / dj for lj, dj in zip(loss, denom)]
-    slots += [p * nfac / denom[j] for p, j in zip(vals, plan.cols)]
-    slots += [0.0 * nfac] * plan.n_fill
-    return slots
-
-
-def _interpreted_system(plan: LuPlan, weights: list, sets: list,
-                        denom: list, fac: float, u: list) -> tuple:
-    """A step's Patankar system on ``plan``, on lists of Python floats:
-    ``(slots, P, loss, g, rhs)``, the matrix of the weighted sums P, loss
-    and rP of the rate sets, g = fac * rP and rhs = u + g.
-
-    ``sets`` holds each rate set's ``(values, rP, rD)`` lists.  Each
-    loss is rD plus the column sums of the values, taken in pattern order
-    from 0.0, as ``RateSet.loss``'s ``bincount`` takes them, and each
-    weighted sum starts from 0.0, as ``_weighted`` does, so no sum holds
-    a negative zero.
-    """
-    n, cols = plan.dim, plan.cols
-    P, loss, rP = [0.0] * len(cols), [0.0] * n, [0.0] * n
-    for w, (vals, rp, rd) in zip(weights, sets):
-        col = [0.0] * n
-        for v, j in zip(vals, cols):
-            col[j] += v
-        P = [a + w * v for a, v in zip(P, vals)]
-        loss = [a + w * (e + c) for a, e, c in zip(loss, rd, col)]
-        rP = [a + w * v for a, v in zip(rP, rp)]
-    g = [fac * v for v in rP]
-    return (_interpreted_assembly(plan, loss, denom, P, fac), P, loss, g,
-            [a + b for a, b in zip(u, g)])
-
-
 def patankar_matrix(P_w, loss_w, denom, fac: float, u_n=None):
     """I + fac*diag(loss/denom) - fac*P/denom (column-scaled); a
     denominator that is not positive raises ``PositivityError`` naming
     the first such component.
 
-    ``P_w`` is an exchange (a pattern and its values) and ``loss_w`` the
-    loss, both already weight-summed; ``fac`` carries the dt (and gamma)
+    ``P_w`` is an exchange, a pattern and its ``vals`` (a
+    ``pdrs.Exchange`` or a ``PatankarSystem``), and ``loss_w`` the loss,
+    both already weight-summed; ``fac`` carries the dt (and gamma)
     factor.  The format follows the dimension and the pattern (see the
     module docstring), never the values.  Both formats hold the entries
     of the dense assembly of the scattered exchange matrix, bit for bit:
     (p * -fac) / denom_j at the pattern's entries, 1 + fac * loss_j /
     denom_j on the diagonal and, elsewhere, (0.0 * -fac) / denom_j,
     which both write as 0.0 * -fac (the same bits for a positive
-    denom_j); a plan's compiled ``assemble`` does the loop's operations.
-    The planned format takes its inputs as arrays or as lists of floats.
+    denom_j).  The planned format takes its inputs as arrays or as lists
+    of floats.
 
     Given the state ``u_n``, the call is a step's: ``P_w`` is a sequence
     of rate sets on one pattern and ``loss_w`` their weights, and the
-    result is ``(M, P, loss, g, u, rhs)``, the matrix of the weighted
-    sums P, loss and rP, those P and loss, g = fac * rP, u_n and the
-    right-hand side u_n + g at gamma = 1.  The band format sums on numpy
-    arrays; the planned one returns lists of Python floats, computed by
-    ``_interpreted_system`` or, on a compiled plan, by the plan's kernel
-    for that many rate sets in one call, to the same bits.
+    result is ``(system, rhs)``, the ``PatankarSystem`` of the weighted
+    sums P, loss and rP with g = fac * rP, and its right-hand side at
+    gamma = 1.  The band format sums on numpy arrays; the planned one on
+    lists of Python floats, in ``LuPlan.system``.
     """
     step = u_n is not None
     pat = P_w[0].P.pattern if step else P_w.pattern
@@ -536,19 +536,15 @@ def patankar_matrix(P_w, loss_w, denom, fac: float, u_n=None):
         plan = pat.lu_plan
         dl = _floats(denom)
         fac = float(fac)
-        kernels = plan.kernels
         if step:
             u = dl if u_n is denom else _floats(u_n)
-            sets = [_rate_lists(r, n) for r in P_w]
-            args = (_floats(loss_w), sets, dl, fac, u)
-            vals, P, loss, g, rhs = (
-                _interpreted_system(plan, *args) if kernels is None
-                else plan.system_kernel(len(sets))(*args))
-            return PlannedPatankar(vals, plan), P, loss, g, u, rhs
-        args = (_floats(loss_w), dl, _floats(P_w.vals), fac)
-        return PlannedPatankar(_interpreted_assembly(plan, *args)
-                               if kernels is None
-                               else kernels.assemble(*args), plan)
+            vals, P, loss, g, rhs = plan.system(
+                _floats(loss_w), [_rate_lists(r, n) for r in P_w], dl, fac,
+                u)
+            return PatankarSystem(pat, P, loss, g, u,
+                                  PlannedPatankar(vals, plan)), rhs
+        return PlannedPatankar(plan.assemble(_floats(loss_w), dl,
+                                             _floats(P_w.vals), fac), plan)
     denom = np.asarray(denom, float)
     if (denom <= 0.0).any():
         raise _bad_denominator(denom)
@@ -568,7 +564,7 @@ def patankar_matrix(P_w, loss_w, denom, fac: float, u_n=None):
     diag /= denom
     diag += 1.0
     M = CyclicTridiagonal(bands)
-    return (M, P, loss_w, g, u_n, u_n + g) if step else M
+    return (PatankarSystem(pat, P, loss_w, g, u_n, M), u_n + g) if step else M
 
 
 def _unpack(names: list, seq: str) -> list:
@@ -579,7 +575,7 @@ def _unpack(names: list, seq: str) -> list:
 def _assembly(plan: LuPlan) -> list:
     """Statements building ``slots``, a Patankar matrix's slots, from the
     locals l<k> (losses), d<k> (denominators) and p<e> (pattern values)
-    and ``fac``, as ``_interpreted_assembly`` does."""
+    and ``fac``, as ``LuPlan.assemble`` does."""
     n, cols, n_fill = plan.dim, plan.cols, plan.n_fill
     lines = [f"    if {' or '.join(f'd{k} <= 0.0' for k in range(n))}: "
              f"raise _bad_denominator(d)"]
@@ -596,16 +592,10 @@ def _assembly(plan: LuPlan) -> list:
 
 
 def _kernel_source(plan: LuPlan) -> str:
-    """Python source of a plan's kernels, straight-line code on one local
-    per slot (a<s>) and per unknown (x<i>):
-
-    * ``assemble(l, d, p, fac)``, ``_interpreted_assembly``;
-    * ``factor(vals)``, ``_interpreted_lu`` with every pivot check;
-    * ``substitute(lu, x)``, ``_interpreted_substitute`` returning a new
-      list.
-
-    Each does the interpreted path's floating-point operations in its
-    order (x - a - b is (x - a) - b, as the loops subtract), so every
+    """Python source of a plan's ``assemble(l, d, p, fac)``, ``factor(vals)``
+    and ``substitute(lu, x)``, the ``LuPlan`` methods as straight-line
+    code on one local per slot (a<s>) and per unknown (x<i>).  Each does
+    the loops' floating-point operations in their order (x - a - b is (x - a) - b, as the loops subtract), so every
     result keeps its bits.  A substitution row is split into statements
     of at most ``_TERMS_PER_LINE`` terms, which bounds the expression
     depth the compiler meets on a dense row.
@@ -647,7 +637,7 @@ def _kernel_source(plan: LuPlan) -> str:
 
 def _system_source(plan: LuPlan, n_sets: int) -> str:
     """Python source of ``system(w, sets, d, fac, u)``, the straight-line
-    ``_interpreted_system`` for ``n_sets`` rate sets, on one local per
+    ``LuPlan.system`` for ``n_sets`` rate sets, on one local per
     value: rate set s's exchange values v<s>_<e>, rest terms r<s>_<k>
     (rP) and e<s>_<k> (rD) and column sums c<s>_<k>, the weighted sums
     p<e> and l<k>, g<k>, and the denominators d<k> and states u<k>.
@@ -835,13 +825,10 @@ def lu_solve(A, b, positive: Optional[str] = None) -> np.ndarray:
         n = plan.dim
         b = _rhs(b, n)
         if A.lu is None:
-            A.lu = _planned_lu(A.vals, plan)
-        kernels = plan.kernels
-        if kernels is None:
-            # the loops solve in place, and b may be the caller's list
-            x = _interpreted_substitute(A.lu, plan, b.copy())
-        else:
-            x = kernels.substitute(A.lu, b)
+            if not all_finite(A.vals):
+                raise ValueError("matrix has non-finite entries")
+            A.lu = plan.factor(A.vals)
+        x = plan.substitute(A.lu, b)
         if not all_finite(x):
             raise _at_largest_diagonal(A.vals[:n], "non-finite solution")
         if positive is not None and min(x) < _TINY:

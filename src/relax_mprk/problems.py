@@ -220,8 +220,8 @@ def isothermal_euler_fv(N: int = 100, c: float = 1.0):
     """Riemann problem descriptor on the periodic unit interval."""
     if N < 3:
         raise ValueError("Euler mesh needs at least 3 cells")
-    if c <= 0.0:
-        raise ValueError("sound speed must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValueError("sound speed must be positive and finite")
     dx = 1.0 / N
     x = (np.arange(N) + 0.5) * dx
     rho0 = np.where(x < 0.5, 0.8, 1.0)
@@ -270,8 +270,8 @@ def barenblatt(t: float, x: np.ndarray, m: float) -> np.ndarray:
 def porous_medium(N: int = 160, m: float = 3.0) -> ProblemDescriptor:
     """u_t = (u^m)_xx with zero boundary data, started from the exact
     self-similar profile at t = 1; eta = (dx^2/2) sum u_i^2 dissipates."""
-    if m <= 1.0:
-        raise ValueError("porous medium exponent must satisfy m > 1")
+    if not 1.0 < m < math.inf:
+        raise ValueError("porous medium exponent must be finite, m > 1")
     if N < 3:
         raise ValueError("porous medium mesh needs at least 3 cells")
     dx = 12.0 / N

@@ -85,10 +85,12 @@ class RelaxConfig:
         if not (0.0 < self.gamma_min < 1.0 < self.gamma_max < math.inf):
             raise ValueError("gamma bounds must satisfy "
                              "0 < gamma_min < 1 < gamma_max < inf")
-        if self.gamma_tol <= 0.0:
-            raise ValueError("gamma_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        # negated comparisons, so that NaN fails them
+        if not 0.0 < self.gamma_tol < math.inf:
+            raise ValueError("gamma_tol must be positive and finite")
+        if not (isinstance(self.max_iters, (int, np.integer))
+                and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer of at least 1")
 
 
 @dataclass(frozen=True)

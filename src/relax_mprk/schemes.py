@@ -18,12 +18,12 @@ sides stay strictly positive for every step size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .linalg import _TINY, lu_solve, patankar_matrix
-from .pdrs import Exchange, PdrsSystem, RateSet
+from .linalg import _TINY, PatankarSystem, lu_solve, patankar_matrix
+from .pdrs import PdrsSystem, RateSet
 
 MPRK22 = "mprk22"
 MPRK43I = "mprk43i"
@@ -101,7 +101,8 @@ def build_scheme(kind: str, alpha: float, beta: float = None, *,
             f"valid: {', '.join(SIGMA_MODES[kind])}")
     if kind == MPRK22:
         _require(beta is None, f"MPRK22 takes no beta, got beta = {beta!r}")
-        _require(alpha >= 0.5, f"MPRK22 requires alpha >= 1/2, got alpha = {alpha}")
+        _require(0.5 <= alpha < np.inf,
+                 f"MPRK22 requires finite alpha >= 1/2, got alpha = {alpha}")
         b2 = 1.0 / (2.0 * alpha)
         a = np.array([[0.0, 0.0], [alpha, 0.0]])
         b = np.array([1.0 - b2, b2])
@@ -111,8 +112,8 @@ def build_scheme(kind: str, alpha: float, beta: float = None, *,
 
     if kind == MPRK43I:
         _require(beta is not None, "MPRK43I needs two parameters (alpha, beta)")
-        _require(alpha > 0.0, f"MPRK43I requires alpha > 0, got {alpha}")
-        _require(beta > 0.0, f"MPRK43I requires beta > 0, got {beta}")
+        _require(0.0 < alpha < np.inf and 0.0 < beta < np.inf,
+                 f"MPRK43I requires finite alpha, beta > 0, got {alpha}, {beta}")
         _require(abs(2.0 - 3.0 * alpha) > 1e-14, "MPRK43I requires alpha != 2/3")
         _require(abs(beta - alpha) > 1e-14, "MPRK43I requires beta != alpha")
         a21 = alpha
@@ -188,43 +189,6 @@ class _StageLogs:
         return out * np.exp((1.0 - e) * self.log_n)
 
 
-class _System(NamedTuple):
-    """A Patankar system M_gamma x = u_n + gamma g of a step, with
-    M_gamma = I + gamma dt (diag(loss/d) - P/d) on positive denominators
-    d: the weighted exchange ``P`` and ``loss``, the gamma-linear part
-    ``g`` of the right-hand side, ``u`` = u_n and ``M``, the matrix at
-    gamma = 1 with the factor its solve left on it.  The values are
-    lists of Python floats on the planned matrix format and numpy arrays
-    on the band format (see ``linalg.patankar_matrix``)."""
-
-    P: Exchange
-    loss: object
-    g: object
-    u: object
-    M: object
-
-
-def _system(rates, weights, denom, dt: float, u_n: np.ndarray):
-    """The step's system of the rate sets weighted by ``weights``, on the
-    denominators ``denom``, and its right-hand side u_n + g at gamma = 1,
-    with g = dt * (the weighted rP)."""
-    M, P, loss, g, u, rhs = patankar_matrix(rates, weights, denom, dt, u_n)
-    return _System(Exchange(rates[0].P.pattern, P), loss, g, u, M), rhs
-
-
-def _solve(M, system: _System, gamma: float, what: str) -> np.ndarray:
-    """The solution of M x = u_n + gamma g, checked positive; ``M`` is
-    the system's M_gamma."""
-    u, g = system.u, system.g
-    # 1.0 * g is g bit for bit, so gamma = 1 skips the multiply
-    if type(g) is list:
-        rhs = ([a + b for a, b in zip(u, g)] if gamma == 1.0
-               else [a + gamma * b for a, b in zip(u, g)])
-    else:
-        rhs = u + g if gamma == 1.0 else u + gamma * g
-    return lu_solve(M, rhs, what)
-
-
 def _tangent(M, x: np.ndarray, u_n: np.ndarray, gamma: float, v):
     """dx/dgamma of the solution x of M x = u_n + gamma g, M = M_gamma:
     M x' = (x - u_n)/gamma + (M - I) v with v = x d'/d, d the
@@ -272,8 +236,8 @@ class StepRecord:
     rate_sets: tuple
     u_next: np.ndarray
     sigma: np.ndarray
-    upd: _System
-    sig: Optional[_System] = None
+    upd: PatankarSystem
+    sig: Optional[PatankarSystem] = None
     logs: Optional[_StageLogs] = None
     dm: Optional[np.ndarray] = None
     # (gamma, (sbar, sigma matrix, M_gamma)) of the last gamma
@@ -333,23 +297,23 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, z_n: np.ndarray,
     sig = None
 
     if scheme.kind in (MPRK22, MPRK43I):
-        M, *_, rhs = patankar_matrix(rates, scheme.a[1, :1], u_n, dt, u_n)
-        u2 = lu_solve(M, rhs, "stage")
+        stage, rhs = patankar_matrix(rates, scheme.a[1, :1], u_n, dt, u_n)
+        u2 = lu_solve(stage.M, rhs, "stage")
         stages.append(_full_state(u2, m_n, rates, scheme.a[1], dt))
         rates.append(sys.rates(t_n + scheme.c[1] * dt, stages[1]))
         logs = _StageLogs(u_n, u2)
         if scheme.kind == MPRK43I:
             pi3 = logs.geo_mean(1.0 / scheme.p_exp)
-            M, *_, rhs = patankar_matrix(rates, scheme.a[2, :2], pi3, dt, u_n)
-            u3 = lu_solve(M, rhs, "stage")
+            stage, rhs = patankar_matrix(rates, scheme.a[2, :2], pi3, dt, u_n)
+            u3 = lu_solve(stage.M, rhs, "stage")
             stages.append(_full_state(u3, m_n, rates, scheme.a[2], dt))
             rates.append(sys.rates(t_n + scheme.c[2] * dt, stages[2]))
             tau = logs.geo_mean(scheme.sigma_exp)
-            sig, rhs = _system(rates[:2], scheme.sigma_w, tau, dt, u_n)
+            sig, rhs = patankar_matrix(rates[:2], scheme.sigma_w, tau, dt, u_n)
             sigma = lu_solve(sig.M, rhs, "sigma")
         else:
             sigma = logs.geo_mean(scheme.sigma_exp)
-        upd, rhs = _system(rates, scheme.b, sigma, dt, u_n)
+        upd, rhs = patankar_matrix(rates, scheme.b, sigma, dt, u_n)
         u_next = lu_solve(upd.M, rhs, "update")
     else:  # MPSSPRK2
         _check_no_rest(rates[0])
@@ -362,9 +326,9 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, z_n: np.ndarray,
         _check_no_rest(rates[1])
         logs = _StageLogs(u_n, u2)
         sigma = logs.geo_mean(scheme.sigma_exp)
-        upd, _ = _system(rates, scheme.update_w, sigma, dt, u_n)
+        upd, _ = patankar_matrix(rates, scheme.update_w, sigma, dt, u_n)
         upd = upd._replace(g=scheme.alpha * (u2 - u_n))
-        u_next = _solve(upd.M, upd, 1.0, "update")
+        u_next = lu_solve(upd.M, upd.rhs(1.0), "update")
     dm = None
     if m_n is not None:
         dm = dt * _explicit_sum(rates, scheme.b)
@@ -391,8 +355,8 @@ def _sigma_bar_value(rec: StepRecord, gamma: float):
     mean = rec.logs.geo_mean(gamma * rec.scheme.sigma_exp)
     if sig is None:  # dense, MPRK22 or MPSSPRK2
         return mean, None
-    M = patankar_matrix(sig.P, sig.loss, mean, gamma * rec.dt)
-    return _solve(M, sig, gamma, "sigma_bar"), M
+    M = patankar_matrix(sig, sig.loss, mean, gamma * rec.dt)
+    return lu_solve(M, sig.rhs(gamma), "sigma_bar"), M
 
 
 def _sigma_bar_prime(rec: StepRecord, gamma: float, sbar, M):
@@ -428,7 +392,7 @@ def _gamma_matrix(rec: StepRecord, gamma: float):
     if gamma == 1.0:
         M = upd.M
     else:
-        M = patankar_matrix(upd.P, upd.loss, sbar, gamma * rec.dt)
+        M = patankar_matrix(upd, upd.loss, sbar, gamma * rec.dt)
     parts = (sbar, M_sig, M)
     rec._last = gamma, parts
     return parts
@@ -443,7 +407,7 @@ def gamma_update(rec: StepRecord, gamma: float) -> np.ndarray:
     Patankar part positive for every gamma > 0.
     """
     M = _gamma_matrix(rec, gamma)[2]
-    u = _solve(M, rec.upd, gamma, "gamma update")
+    u = lu_solve(M, rec.upd.rhs(gamma), "gamma update")
     if rec.dm is None:
         return u
     return np.concatenate([u, rec.u_n[u.size:] + gamma * rec.dm])

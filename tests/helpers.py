@@ -1,8 +1,9 @@
 """Shared fixtures-in-code for the test suite: small hand-checkable
 systems, a random conservative PDS generator, the wrapping of dense
 test arrays into the package's sparse exchange contract and planned
-Patankar format, a call counter, the check that a step's kept
-matrices serve gamma = 1, and a digest of a whole trajectory."""
+Patankar format, call and factorization counters, the check that a
+step's kept matrices serve gamma = 1, and a digest of a whole
+trajectory."""
 
 import hashlib
 from dataclasses import replace
@@ -111,6 +112,24 @@ def counted(fn, counts, key=0):
     return wrapper
 
 
+def count_factorizations(monkeypatch, counts, key="factors"):
+    """Add 1 to ``counts[key]`` on every factorization of a Patankar
+    matrix: a plan's interpreted ``LuPlan.factor``, the kernel of a plan
+    compiled while patched (not of one compiled before), and the band
+    sweep."""
+    compile_plan = linalg.LuPlan.compile
+
+    def compile_counted(plan):
+        if plan.source is None:
+            compile_plan(plan)
+            plan.factor = counted(plan.factor, counts, key)
+
+    monkeypatch.setattr(linalg.LuPlan, "factor",
+                        counted(linalg.LuPlan.factor, counts, key))
+    monkeypatch.setattr(linalg.LuPlan, "compile", compile_counted)
+    monkeypatch.setattr(linalg, "_sweep", counted(linalg._sweep, counts, key))
+
+
 def gamma_one_matches_assembly(monkeypatch, rec):
     """Check that the gamma = 1 derivative and sbar of a record from
     ``step`` reuse its kept matrices: no Patankar assembly, no planned
@@ -118,11 +137,9 @@ def gamma_one_matches_assembly(monkeypatch, rec):
     whose matrices are assembled again, unfactored, as ``step``
     assembles them."""
     calls = {"assemblies": 0, "factors": 0}
-    for owner, name, key in [(schemes, "patankar_matrix", "assemblies"),
-                             (linalg, "_planned_lu", "factors"),
-                             (linalg, "_sweep", "factors")]:
-        monkeypatch.setattr(owner, name, counted(getattr(owner, name), calls,
-                                                 key))
+    monkeypatch.setattr(schemes, "patankar_matrix",
+                        counted(schemes.patankar_matrix, calls, "assemblies"))
+    count_factorizations(monkeypatch, calls)
 
     def at_one(r):
         du = schemes.gamma_update_derivative(r, 1.0, r.u_next)
@@ -133,7 +150,7 @@ def gamma_one_matches_assembly(monkeypatch, rec):
 
     def assembled(system, denom):
         return system._replace(M=schemes.patankar_matrix(
-            system.P, system.loss, denom, rec.dt))
+            system, system.loss, denom, rec.dt))
 
     # MPRK43I's sigma system has the denominators tau
     tau = rec.sig and rec.logs.geo_mean(rec.scheme.sigma_exp)

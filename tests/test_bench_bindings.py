@@ -79,3 +79,37 @@ def test_every_package_name_the_benchmark_loads_is_exported():
     assert {name for _, name in loaded} >= {"RateSet", "integrate"}
     missing = {(f, n) for f, n in loaded if n not in relax_mprk.__all__}
     assert not missing, f"bench/ loads unexported names: {sorted(missing)}"
+
+
+# layers a traced run does not reach, each with the reason
+UNCALLED_LAYERS = {
+    # the package calls the private _sigma_bar_value and _sigma_bar_prime;
+    # sigma_bar is public API only, so schemes.sigma_bar_calls reads 0
+    "schemes.sigma_bar",
+}
+
+
+def test_every_traced_layer_is_called_on_a_short_euler_run():
+    # a span that stays at 0 calls while its layer runs measures nothing:
+    # a Patankar assembly moved out of schemes.patankar_matrix's sight
+    # would leave schemes.assemblies short without failing anything else.
+    # Euler N = 16 with PID control, Newton relaxation and rejects (the
+    # euler_pid workload, smaller) reaches every layer
+    tracing = _tracing()
+    problem = make_problem("euler", N=16)
+    stepper = problem.stepper(build_scheme("mprk22", 1.0))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traj = relax_mprk.integrate(
+            stepper, problem.eta,
+            relax_mprk.RelaxConfig(mode="implicit", solver="newton"),
+            problem.tspan[0], problem.u0, 0.125, problem.mesh["dx"],
+            adaptivity="pid_and_relax", rtol=1e-3, atol=1e-3)
+    finally:
+        tracer.restore()
+    assert not tracing.leftover_wrappers()
+    assert traj.n_rejected > 0
+    calls = {name: n for name, (n, _, _) in tracer.per_name().items()}
+    assert set(calls) == set(tracing.LAYER_FUNCTIONS)
+    assert {name for name, n in calls.items() if n == 0} == UNCALLED_LAYERS

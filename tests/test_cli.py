@@ -145,7 +145,12 @@ def test_bad_problem_kwargs_exit_2(tmp_path, capsys):
             ("euler:N=8 --relax geometric", "non-decreasing"),
             ("lotka_volterra --relax geometric", "non-decreasing"),
             ("cyclic3 --rtol -1 --adapt pid", "must be non-negative"),
-            ("cyclic3 --rtol 0 --atol 0", "not both zero")]:
+            ("cyclic3 --rtol 0 --atol 0", "not both zero"),
+            # non-finite parameters, which would reach a solve as a
+            # non-finite matrix
+            ("euler:c=nan", "sound speed"), ("euler:c=inf", "sound speed"),
+            ("pme:m=nan", "m > 1"), ("pme:m=inf", "m > 1"),
+            ("cyclic3 --method mprk22:inf", "finite alpha >= 1/2")]:
         out = tmp_path / "r.csv"
         assert main(["run", "--out", str(out), "--problem",
                      *argv.split()]) == 2, argv

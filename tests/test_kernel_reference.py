@@ -20,11 +20,10 @@ from relax_mprk import linalg
 from relax_mprk.control import integrate
 from relax_mprk.euler import (_density_pattern, _density_production,
                               _interface_fluxes)
-from relax_mprk.linalg import (BAND_MIN_DIM, PlannedPatankar,
+from relax_mprk.linalg import (BAND_MIN_DIM, LuPlan, PlannedPatankar,
                                PositivityError, SingularMatrixError,
                                _at_largest_diagonal, _band_substitute,
-                               _interpreted_system, _rate_lists, _singular,
-                               _sweep, lu_solve)
+                               _rate_lists, _singular, _sweep, lu_solve)
 from relax_mprk.means import mean_geo, mean_harm, mean_log
 from relax_mprk.pdrs import Exchange, ExchangePattern, PdrsSystem, RateSet
 from relax_mprk.problems import (_STRAT_M, _daylight, isothermal_euler_fv,
@@ -342,7 +341,7 @@ def test_patankar_matrix_matches_reference(d, compiled):
                 assert _same(M.toarray(), old)
                 # a pattern used once, as each random one here, compiles
                 # nothing
-                assert (M.plan.kernels is not None) == compiled
+                assert ("assemble" in vars(M.plan)) == compiled
 
 
 def test_geo_denominator_at_unit_exponent_matches_reference():
@@ -677,7 +676,7 @@ def test_compiled_kernels_match_the_interpreted_loops(pattern):
         assert out == _outcome(lu_solve, PlannedPatankar(broken, ref.lu_plan),
                                np.ones(d))
         assert out[0] in (ValueError, SingularMatrixError)
-    assert ref.lu_plan.kernels is None
+    assert "factor" not in vars(ref.lu_plan)
 
 
 def _agrees_with_gesv(M, rng):
@@ -703,7 +702,8 @@ def test_planned_solve_matches_gesv(d):
             M = patankar_matrix(exchange(P), P.sum(axis=0), denom,
                                 10.0 ** rng.uniform(-1.0, 1.0))
             # each random pattern is used once and compiles nothing
-            assert isinstance(M, PlannedPatankar) and M.plan.kernels is None
+            assert isinstance(M, PlannedPatankar)
+            assert "factor" not in vars(M.plan)
             _agrees_with_gesv(M, rng)
 
 
@@ -772,9 +772,9 @@ def _same_floats(new, old):
 @pytest.mark.parametrize("d, zero_share", [(1, 0.0), (2, 0.0), (6, 0.3),
                                            (17, 0.6), (40, 0.8)])
 def test_fused_system_kernel_matches_its_twin_and_numpy(d, zero_share):
-    # the compiled kernel and _interpreted_system, slot by slot, on the
-    # same lists, and both against the numpy weighted sums and the
-    # assembly from them: every slot, weighted list, g and right-hand
+    # the compiled kernel and the interpreted LuPlan.system, slot by
+    # slot, on the same lists, and both against the numpy weighted sums
+    # and the assembly from them: every slot, weighted list, g and right-hand
     # side bit-equal, the sign of zero included.  Rest terms of both
     # signs of zero, and the scalar rest terms of a system without them
     rows, cols, _ = _random_pattern(d, zero_share)
@@ -784,7 +784,6 @@ def test_fused_system_kernel_matches_its_twin_and_numpy(d, zero_share):
     rng = np.random.default_rng(d + 100)
     with np.errstate(all="ignore"):
         for n_sets in (1, 2, 3):
-            kernel = plan.system_kernel(n_sets)
             for fac in (1e-3, 0.7, 21.0, 1e5):
                 for _ in range(6):
                     rates = [_rate_set(rng, pattern, rng.random() < 0.3)
@@ -795,8 +794,8 @@ def test_fused_system_kernel_matches_its_twin_and_numpy(d, zero_share):
                     args = (weights.tolist(),
                             [_rate_lists(r, d) for r in rates],
                             denom.tolist(), fac, u.tolist())
-                    new = kernel(*args)
-                    twin = _interpreted_system(plan, *args)
+                    new = plan.system(*args)
+                    twin = LuPlan.system(plan, *args)
                     for a, b in zip(new, twin):
                         assert type(a) is type(b) is list
                         assert _same_floats(a, b)
@@ -807,10 +806,15 @@ def test_fused_system_kernel_matches_its_twin_and_numpy(d, zero_share):
                     for a, b in zip(new, (M.vals, vals, loss, g, u + g)):
                         assert _same_floats(a, np.broadcast_to(b, np.shape(a)))
                     # the step form returns the kernel's lists
-                    out = patankar_matrix(rates, weights, denom, fac, u)
-                    assert _same_floats(out[0].vals, new[0])
-                    for a, b in zip(out[1:], (*new[1:4], u, new[4])):
+                    system, rhs = patankar_matrix(rates, weights, denom, fac,
+                                                  u)
+                    assert _same_floats(system.M.vals, new[0])
+                    for a, b in zip((*system[1:5], rhs),
+                                    (*new[1:4], u, new[4])):
                         assert _same_floats(a, b)
+            # one step kernel per number of rate sets, generated on first
+            # use
+            assert sorted(plan.systems) == list(range(1, n_sets + 1))
 
 
 def _planned_runs():
@@ -868,13 +872,13 @@ def test_whole_run_is_bit_equal_interpreted_and_compiled(monkeypatch, run,
         patch.setattr(linalg, "COMPILE_AFTER", 10**9)
         interpreted, plan = _planned_run(name, kwargs, t_end, dt0, scheme,
                                          False)
-    assert plan.kernels is None
+    assert "system" not in vars(plan)
     compiled, plan = _planned_run(name, kwargs, t_end, dt0, scheme, True)
     assert compiled == interpreted
     # only Lotka-Volterra has rest terms, which MPSSPRK2 refuses
     ran = kind != "mpssprk2" or name != "lotka_volterra"
     assert isinstance(compiled, str) == ran
-    assert plan.factored == 0 and bool(plan.kernels.systems) == ran
+    assert plan.factored == 0 and bool(plan.systems) == ran
 
 
 def _error_system(pattern, vals, rest_prod=0.0):

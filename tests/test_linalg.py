@@ -13,7 +13,8 @@ from relax_mprk.linalg import (BAND_MIN_DIM, COMPILE_AFTER, CyclicTridiagonal,
                                PlannedPatankar, PositivityError,
                                SingularMatrixError, lu_solve, patankar_matrix)
 
-from helpers import counted, exchange, planned
+from helpers import (count_factorizations, counted, exchange, planned,
+                     random_conservative_system)
 
 EPS = np.finfo(float).eps
 BANDED = ("cyclic_bidiagonal", "cyclic_tridiagonal", "tridiagonal")
@@ -150,6 +151,42 @@ def test_small_format_holds_the_dense_entries(n):
                 assert np.array_equal(np.signbit(A), np.signbit(B))
 
 
+@pytest.mark.parametrize("n, compiled", [(3, False), (3, True),
+                                         (BAND_MIN_DIM, False)],
+                         ids=["planned", "compiled", "band"])
+def test_system_rhs_is_u_plus_gamma_g_bit_for_bit(n, compiled):
+    # a step's PatankarSystem.rhs(gamma), on the planned format (lists,
+    # before and after its plan compiles) and the band format (arrays),
+    # at gamma = 1, where it skips the multiply, and elsewhere: u_n +
+    # gamma g on numpy arrays, in g's type.  With an array g on the
+    # planned format's list u_n too, as MPSSPRK2's update puts it
+    from relax_mprk.pdrs import Exchange, ExchangePattern, RateSet
+    from relax_mprk.schemes import build_scheme, step
+
+    rng = np.random.default_rng(n)
+    i = np.arange(n)
+    pattern = ExchangePattern((i + 1) % n, i, n)
+    if compiled:
+        pattern.lu_plan.compile()
+    rates = [RateSet(Exchange(pattern, rng.uniform(0.1, 1.0, n)),
+                     rng.uniform(0.0, 1.0, n), 0.0) for _ in range(2)]
+    u = rng.uniform(0.5, 2.0, n)
+    system, rhs = patankar_matrix(rates, [0.25, 0.75], u, 0.3, u)
+    assert (type(system.g) is list) == (n < BAND_MIN_DIM)
+    assert np.array(system.rhs(1.0)).tobytes() == np.array(rhs).tobytes()
+    mpssprk2 = step(random_conservative_system(rng, 4),
+                    build_scheme("mpssprk2", 0.5, 1.0), 0.0,
+                    rng.uniform(0.5, 2.0, 4), 0.1).upd
+    assert type(mpssprk2.u) is list and type(mpssprk2.g) is np.ndarray
+    for s in (system, system._replace(g=rng.uniform(-1.0, 1.0, n)),
+              mpssprk2):
+        u_n, g = np.array(s.u, dtype=float), np.array(s.g, dtype=float)
+        for gamma in (1.0, 0.7, 1.3, 1e-6):
+            x = s.rhs(gamma)
+            assert type(x) is type(s.g)
+            assert np.array(x).tobytes() == (u_n + gamma * g).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 5, BAND_MIN_DIM - 1, BAND_MIN_DIM])
 def test_patankar_matrix_format_follows_the_dimension(n):
     i = np.arange(n)
@@ -180,11 +217,8 @@ def test_patankar_matrix_format_follows_the_dimension(n):
 
 def test_small_solve_matches_lapack_and_reuses_its_factor(monkeypatch):
     # every solve after the first only substitutes, with the kept factor
-    from relax_mprk import linalg
-
     factors = [0]
-    monkeypatch.setattr(linalg, "_planned_lu",
-                        counted(linalg._planned_lu, factors))
+    count_factorizations(monkeypatch, factors, 0)
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 4, 5, 6, 17):
         P = 10.0 ** rng.uniform(-1.0, 1.0, size=(n, n))
@@ -208,6 +242,7 @@ def test_plan_compiles_once_at_its_kth_factorization(monkeypatch):
     from relax_mprk import linalg
 
     compiles, factors = [], [0]
+    count_factorizations(monkeypatch, factors, 0)
     compile_kernels = linalg.LuPlan.compile
 
     def counting_compile(plan):
@@ -215,8 +250,6 @@ def test_plan_compiles_once_at_its_kth_factorization(monkeypatch):
         return compile_kernels(plan)
 
     monkeypatch.setattr(linalg.LuPlan, "compile", counting_compile)
-    monkeypatch.setattr(linalg, "_planned_lu",
-                        counted(linalg._planned_lu, factors))
     n = 3
     i = np.arange(n)
     P = np.zeros((n, n))
@@ -228,7 +261,7 @@ def test_plan_compiles_once_at_its_kth_factorization(monkeypatch):
         M = patankar_matrix(ex, P.sum(axis=0), np.ones(n), 0.5)
         x = lu_solve(M, b)
         assert lu_solve(M, b).tobytes() == x.tobytes()
-        assert (plan.kernels is None) == (plan.source is None) == (
+        assert ("factor" not in vars(plan)) == (plan.source is None) == (
             k < COMPILE_AFTER)
     assert compiles == [plan]
     assert factors[0] == plan.factored + 2 == COMPILE_AFTER + 2
@@ -321,7 +354,7 @@ def test_newton_relaxed_step_factors_each_matrix_once(monkeypatch):
     # factored exactly once however often it is solved: Lotka-Volterra
     # (d = 2) and the stratospheric system (d = 6, dense and bootstrap
     # sigma)
-    from relax_mprk import linalg, schemes
+    from relax_mprk import schemes
     from relax_mprk.problems import make_problem
     from relax_mprk.relaxation import RelaxConfig, relax_step
 
@@ -329,10 +362,10 @@ def test_newton_relaxed_step_factors_each_matrix_once(monkeypatch):
     for owner, name, key in [
             (schemes, "patankar_matrix", "assemblies"),
             (schemes, "lu_solve", "solves"),
-            (schemes, "gamma_update_derivative", "derivatives"),
-            (linalg, "_planned_lu", "factors"), (linalg, "_sweep", "factors")]:
+            (schemes, "gamma_update_derivative", "derivatives")]:
         monkeypatch.setattr(owner, name, counted(getattr(owner, name), counts,
                                                  key))
+    count_factorizations(monkeypatch, counts)
     for name, method, mode, dt in (
             ("lotka_volterra", ("mprk22", 1.0), "frozen", 0.2),
             ("stratospheric", ("mprk22", 1.0), "dense", 1.0),

@@ -96,7 +96,8 @@ def test_strat_problems_hold_their_own_plans():
              for _ in range(2)]
     assert len({id(plan) for plan in [used_plan] + fresh}) == 3
     for plan in fresh:
-        assert plan.factored == 0 and plan.kernels is None
+        assert plan.factored == 0 and plan.source is None
+        assert "factor" not in vars(plan)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,15 @@ def test_config_validation():
         RelaxConfig(gamma_max=math.inf)
     with pytest.raises(ValueError):
         RelaxConfig(gamma_tol=0.0)
+    # NaN fails every comparison, so it must not pass as a bound; an
+    # infinite tolerance would accept gamma = 1 on every step as converged
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma_tol must be positive"):
+            RelaxConfig(gamma_tol=bad)
+    for bad in (0, math.nan, 2.5, 3.0, "10"):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            RelaxConfig(max_iters=bad)
+    assert RelaxConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,12 @@ def test_build_mpssprk2():
 def test_build_scheme_parameter_validation():
     with pytest.raises(SchemeParameterError, match="alpha >= 1/2"):
         build_scheme("mprk22", 0.4)
+    # non-finite parameters, which would give a non-finite tableau
+    for args in (("mprk22", np.inf), ("mprk22", np.nan),
+                 ("mprk43i", np.inf, 0.75), ("mprk43i", 0.5, np.inf),
+                 ("mprk43i", 0.5, np.nan), ("mpssprk2", 0.5, np.inf)):
+        with pytest.raises(SchemeParameterError):
+            build_scheme(*args)
     with pytest.raises(SchemeParameterError):
         build_scheme("mpssprk2", 1.0, 1.0)  # alpha*beta + 1/(2 beta) = 1.5
     with pytest.raises(SchemeParameterError, match="alpha != 2/3"):
@@ -75,7 +81,7 @@ def _update_matrix(dt):
     gd = step(linear_exchange(), build_scheme("mprk22", 1.0), 0.0,
               np.array([1.0, 1.0]), 1.0)
     assert np.allclose(gd.sigma, [0.5, 1.5], rtol=1e-14)
-    return patankar_matrix(gd.upd.P, gd.upd.loss, gd.sigma, dt).toarray()
+    return patankar_matrix(gd.upd, gd.upd.loss, gd.sigma, dt).toarray()
 
 
 def test_update_matrix_hand_values():
