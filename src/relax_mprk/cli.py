@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run``          integrate one problem and write a per-step CSV;
-* ``convergence``  error/order table over a halving step-size ladder;
+* ``convergence``  error/order table over a halving fixed-step ladder;
 * ``list``         registered problems, methods, relax modes and solvers.
 
 Exit codes: 0 success, 1 integration failure, 2 configuration error.
@@ -125,7 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args):
     """Resolve problem, stepper, relax config and time grid from flags;
-    a flag or problem parameter out of range raises ConfigError."""
+    a flag or problem parameter out of range, or an ``--out`` in a
+    directory that does not exist, raises ConfigError."""
+    out_dir = os.path.dirname(args.out or "") or "."
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"--out directory {out_dir!r} does not exist")
     name, kwargs = parse_problem_spec(args.problem)
     try:
         problem = make_problem(name, **kwargs)
@@ -239,7 +243,9 @@ _CACHE_DIR = ".relax_mprk_cache"
 
 
 def _oracle_reference(problem, t0, t_end, dt_fine):
-    """Fine-step third-order trajectory, cached on disk by configuration."""
+    """The last two rows of a fine-step third-order trajectory, cached
+    on disk by configuration: every level ends past the oracle's
+    second-to-last time, so ``interp_state`` reads no other row."""
     key = hashlib.sha256(
         f"{problem.name}|{problem.mesh}|{len(problem.u0)}|{t0}|{t_end}|"
         f"{dt_fine}".encode()).hexdigest()[:24]
@@ -249,13 +255,18 @@ def _oracle_reference(problem, t0, t_end, dt_fine):
         return data["ts"], data["us"]
     oracle = problem.stepper(build_scheme("mprk43i", 0.5, 0.75))
     traj = integrate(oracle, None, None, t0, problem.u0, t_end, dt_fine)
-    ts, us = np.array(traj.times), np.array(traj.states)
+    ts, us = np.array(traj.times[-2:]), np.array(traj.states[-2:])
     os.makedirs(_CACHE_DIR, exist_ok=True)
     np.savez_compressed(path, ts=ts, us=us)
     return ts, us
 
 
 def cmd_convergence(args) -> int:
+    # under step control dt0 would only set the first step of each level
+    if args.adapt not in (None, ADAPT_FIXED):
+        raise ConfigError(f"convergence halves a fixed step; --adapt "
+                          f"{args.adapt} is not {ADAPT_FIXED}")
+    args.adapt = ADAPT_FIXED
     problem, scheme, stepper, relax_cfg, t0, t_end, dt0 = _resolve(args)
     if args.levels < 1:
         raise ConfigError("--levels must be at least 1")

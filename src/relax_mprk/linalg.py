@@ -443,11 +443,9 @@ class PatankarSystem(NamedTuple):
     def rhs(self, gamma: float):
         """u_n + gamma g, in the format of g."""
         u, g = self.u, self.g
-        # 1.0 * g is g bit for bit, so gamma = 1 skips the multiply
         if type(g) is list:
-            return ([a + b for a, b in zip(u, g)] if gamma == 1.0
-                    else [a + gamma * b for a, b in zip(u, g)])
-        return u + g if gamma == 1.0 else u + gamma * g
+            return [a + gamma * b for a, b in zip(u, g)]
+        return u + gamma * g
 
 
 def all_finite(xs: list) -> bool:

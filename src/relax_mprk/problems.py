@@ -157,6 +157,13 @@ def stratospheric() -> ProblemDescriptor:
                       relax_opts=dict(gamma_min=0.1)))
 
 
+def _check_cells(N, mesh: str) -> None:
+    # a bool is an int to Python, but no cell count
+    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 3:
+        raise ValueError(f"{mesh} mesh needs at least 3 cells, given as an "
+                         f"integer N; got N = {N!r}")
+
+
 # ---------------------------------------------------------------------------
 # Entropy-conservative finite-volume advection on a periodic mesh
 
@@ -180,8 +187,7 @@ def advection_fv(N: int = 100, entropy_kind: str = "log") -> ProblemDescriptor:
     entropy-conservative two-point flux matching the chosen entropy."""
     if entropy_kind not in _ADV_MEANS:
         raise ValueError(f"entropy_kind must be one of {tuple(_ADV_MEANS)}")
-    if N < 3:
-        raise ValueError("advection mesh needs at least 3 cells")
+    _check_cells(N, "advection")
     dx = 2.0 / N
     mean = _ADV_MEANS[entropy_kind]
     U, dU = _ADV_ENTROPY[entropy_kind]
@@ -218,8 +224,7 @@ def advection_fv(N: int = 100, entropy_kind: str = "log") -> ProblemDescriptor:
 
 def isothermal_euler_fv(N: int = 100, c: float = 1.0):
     """Riemann problem descriptor on the periodic unit interval."""
-    if N < 3:
-        raise ValueError("Euler mesh needs at least 3 cells")
+    _check_cells(N, "Euler")
     if not 0.0 < c < math.inf:
         raise ValueError("sound speed must be positive and finite")
     dx = 1.0 / N
@@ -272,8 +277,7 @@ def porous_medium(N: int = 160, m: float = 3.0) -> ProblemDescriptor:
     self-similar profile at t = 1; eta = (dx^2/2) sum u_i^2 dissipates."""
     if not 1.0 < m < math.inf:
         raise ValueError("porous medium exponent must be finite, m > 1")
-    if N < 3:
-        raise ValueError("porous medium mesh needs at least 3 cells")
+    _check_cells(N, "porous medium")
     dx = 12.0 / N
     x = -6.0 + (np.arange(N) + 0.5) * dx
     c2 = 1.0 / (2.0 * dx**2)

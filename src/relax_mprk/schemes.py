@@ -1,13 +1,13 @@
 """Modified Patankar Runge-Kutta one-step maps.
 
 Implements the one-step maps of MPRK22(alpha), MPRK43I(alpha, beta) and
-MPSSPRK2(alpha, beta) for production-destruction-rest systems, together
-with the gamma-parameterized update machinery used by the relaxation
-solver: the denominator vectors sigma_bar(gamma), the matrix M_gamma, the
-state u^{n+gamma} and its derivative with respect to gamma.  The explicit
-block of a partitioned system (see ``pdrs``) takes the scheme's own
-Butcher tableau, m^(i) = m_n + dt sum_j a_ij g_j, and moves affinely in
-gamma: m^{n+gamma} = m_n + gamma * dm.
+MPSSPRK2(alpha, beta) for production-destruction-rest systems, each
+stage, sigma and update in the step form of ``patankar_matrix``, and the
+curve u^{n+gamma} the relaxation solver searches: one probe per gamma
+gives sigma_bar(gamma) and M_gamma, and u^{n+gamma}, its derivative and
+sigma_bar' come from it.  The explicit block of a partitioned system
+(see ``pdrs``) takes the scheme's Butcher tableau, m^(i) = m_n + dt
+sum_j a_ij g_j, and moves affinely in gamma: m^{n+gamma} = m_n + gamma dm.
 
 The key structural fact used throughout: every stage and update is a
 linear system whose matrix has unit-plus-nonnegative diagonal and
@@ -282,7 +282,7 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, z_n: np.ndarray,
     Patankar part u by the MP scheme, an explicit block m by the
     scheme's Butcher tableau.  Every stage, MPRK43I's sigma and the
     update solve a Patankar system at gamma = 1 (MPSSPRK2's stage the
-    one with g = 0 and factor beta dt)."""
+    unweighted one at factor beta dt)."""
     z_n = sys.check_state(z_n)
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
@@ -317,10 +317,9 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, z_n: np.ndarray,
         u_next = lu_solve(upd.M, rhs, "update")
     else:  # MPSSPRK2
         _check_no_rest(rates[0])
-        r = rates[0]
-        # the stage's right-hand side is u_n, whose g is 0
-        u2 = lu_solve(patankar_matrix(r.P, r.loss, u_n, scheme.beta * dt),
-                      u_n, "stage")
+        stage, rhs = patankar_matrix(rates, [1.0], u_n, scheme.beta * dt,
+                                     u_n)
+        u2 = lu_solve(stage.M, rhs, "stage")
         stages.append(_full_state(u2, m_n, rates, scheme.a[1], dt))
         rates.append(sys.rates(t_n + scheme.c[1] * dt, stages[1]))
         _check_no_rest(rates[1])
@@ -337,58 +336,32 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, z_n: np.ndarray,
                       sigma, upd, sig, logs, dm)
 
 
-def _sigma_bar_value(rec: StepRecord, gamma: float):
-    """sbar(gamma) in the scheme's sigma mode, without its derivative.
-
-    Returns ``(sbar, M)``: ``M`` is the bootstrap sigma matrix at gamma
-    (None otherwise), which ``_sigma_bar_prime`` reuses.
-    """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    mode = rec.scheme.sigma_mode
-    # bootstrap (MPRK43I) solves the sigma system at gamma for sbar
-    sig = rec.sig if mode == SIGMA_BOOTSTRAP else None
-    # frozen, and any mode at gamma = 1, is the step's sigma (see StepRecord)
-    if mode == SIGMA_FROZEN or gamma == 1.0:
-        return rec.sigma, sig and sig.M
-    # else sbar rests on the geometric mean of exponent gamma * sigma_exp
-    mean = rec.logs.geo_mean(gamma * rec.scheme.sigma_exp)
-    if sig is None:  # dense, MPRK22 or MPSSPRK2
-        return mean, None
-    M = patankar_matrix(sig, sig.loss, mean, gamma * rec.dt)
-    return lu_solve(M, sig.rhs(gamma), "sigma_bar"), M
-
-
-def _sigma_bar_prime(rec: StepRecord, gamma: float, sbar, M):
-    """d sbar / d gamma from the pieces ``_sigma_bar_value`` returns."""
-    if rec.scheme.sigma_mode == SIGMA_FROZEN:
-        return np.zeros_like(sbar)
-    v = sbar * rec.scheme.sigma_exp * rec.logs.log_ratio()
-    if M is None:
-        return v
-    return _tangent(M, sbar, rec.logs.u_n, gamma, v)
-
-
-def sigma_bar(rec: StepRecord, gamma: float):
-    """Gamma-dependent denominator vector and its gamma-derivative, in
-    the scheme's sigma mode; returns ``(sbar, sbar_prime)``."""
-    sbar, M = _sigma_bar_value(rec, gamma)
-    return sbar, _sigma_bar_prime(rec, gamma, sbar, M)
-
-
 def _gamma_matrix(rec: StepRecord, gamma: float):
-    """``(sbar, sigma matrix, M_gamma)`` at gamma.
+    """The probe of the curve u^{n+gamma} at gamma: ``(sbar, sigma
+    matrix, M_gamma)``, the sigma matrix the bootstrap one (else None).
 
-    The relaxation solvers call ``gamma_update`` and then
-    ``gamma_update_derivative`` at the same gamma, so the last result is
-    kept on ``rec`` and the derivative does not assemble M_gamma again.
-    At gamma = 1 the matrices are the step's own (see StepRecord).
+    sbar is the step's sigma when frozen and at gamma = 1, the geometric
+    mean of exponent gamma * sigma_exp when dense, and the sigma
+    system's solution on that mean when bootstrapping (MPRK43I).  A
+    search asks for u^{n+gamma}, its derivative and sbar' at one gamma in
+    turn, so the last probe is kept on ``rec``; at gamma = 1 the
+    matrices are the step's own (see StepRecord).
     """
     last = rec._last
     if last is not None and last[0] == gamma:
         return last[1]
-    sbar, M_sig = _sigma_bar_value(rec, gamma)
+    if gamma <= 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    mode = rec.scheme.sigma_mode
+    sig = rec.sig if mode == SIGMA_BOOTSTRAP else None
     upd = rec.upd
+    if mode == SIGMA_FROZEN or gamma == 1.0:
+        sbar, M_sig = rec.sigma, sig and sig.M
+    else:
+        sbar, M_sig = rec.logs.geo_mean(gamma * rec.scheme.sigma_exp), None
+        if sig is not None:
+            M_sig = patankar_matrix(sig, sig.loss, sbar, gamma * rec.dt)
+            sbar = lu_solve(M_sig, sig.rhs(gamma), "sigma_bar")
     if gamma == 1.0:
         M = upd.M
     else:
@@ -396,6 +369,19 @@ def _gamma_matrix(rec: StepRecord, gamma: float):
     parts = (sbar, M_sig, M)
     rec._last = gamma, parts
     return parts
+
+
+def sigma_bar(rec: StepRecord, gamma: float):
+    """Gamma-dependent denominator vector and its gamma-derivative, in
+    the scheme's sigma mode, from the probe at gamma; returns ``(sbar,
+    sbar_prime)``."""
+    sbar, M_sig, _ = _gamma_matrix(rec, gamma)
+    if rec.scheme.sigma_mode == SIGMA_FROZEN:
+        return sbar, np.zeros_like(sbar)
+    v = sbar * rec.scheme.sigma_exp * rec.logs.log_ratio()
+    if M_sig is None:
+        return sbar, v
+    return sbar, _tangent(M_sig, sbar, rec.logs.u_n, gamma, v)
 
 
 def gamma_update(rec: StepRecord, gamma: float) -> np.ndarray:
@@ -416,13 +402,14 @@ def gamma_update(rec: StepRecord, gamma: float) -> np.ndarray:
 def gamma_update_derivative(rec: StepRecord, gamma: float,
                             u_gamma: np.ndarray) -> np.ndarray:
     """d u^{n+gamma} / d gamma, consistent with ``gamma_update``."""
-    sbar, M_sig, M = _gamma_matrix(rec, gamma)
+    M = _gamma_matrix(rec, gamma)[2]
     u_n = rec.logs.u_n
     if rec.dm is not None:
         u_gamma = u_gamma[:u_n.size]
     v = None  # frozen sigma has sbar' = 0
     if rec.scheme.sigma_mode != SIGMA_FROZEN:
-        v = u_gamma * _sigma_bar_prime(rec, gamma, sbar, M_sig) / sbar
+        sbar, dsbar = sigma_bar(rec, gamma)
+        v = u_gamma * dsbar / sbar
     du = _tangent(M, u_gamma, u_n, gamma, v)
     if rec.dm is None:
         return du

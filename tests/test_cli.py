@@ -4,7 +4,7 @@ import pytest
 from relax_mprk import cli
 from relax_mprk.cli import (CSV_HEADER, ConfigError, main, parse_method_spec,
                             parse_problem_spec)
-from relax_mprk.control import integrate
+from relax_mprk.control import integrate, interp_state
 from relax_mprk.problems import barenblatt, make_problem
 from relax_mprk.schemes import SIGMA_MODES, MpStepper, build_scheme
 
@@ -150,13 +150,35 @@ def test_bad_problem_kwargs_exit_2(tmp_path, capsys):
             # non-finite matrix
             ("euler:c=nan", "sound speed"), ("euler:c=inf", "sound speed"),
             ("pme:m=nan", "m > 1"), ("pme:m=inf", "m > 1"),
-            ("cyclic3 --method mprk22:inf", "finite alpha >= 1/2")]:
+            ("cyclic3 --method mprk22:inf", "finite alpha >= 1/2"),
+            # a mesh size that is not an integer, which failed as a
+            # TypeError traceback (Euler) or a misleading message
+            ("euler:N=10.5", "at least 3 cells, given as an integer N; "
+                             "got N = 10.5"),
+            ("advection:N=10.5", "got N = 10.5"),
+            ("pme:N=20.5", "got N = 20.5"),
+            ("advection:N=1e2", "got N = 100.0")]:
         out = tmp_path / "r.csv"
         assert main(["run", "--out", str(out), "--problem",
                      *argv.split()]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and reason in err, argv
         assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("command", ["run", "convergence"])
+def test_out_in_a_missing_directory_exits_2_before_integrating(
+        tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    runs = [0]
+    monkeypatch.setattr(cli, "integrate", counted(cli.integrate, runs))
+    # the run used to integrate in full and then fail to open the file
+    out = tmp_path / "missing" / "x.csv"
+    assert main([command, "--problem", "cyclic3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "missing" in err
+    assert runs[0] == 0
+    assert not (tmp_path / "missing").exists()
 
 
 def test_convergence_single_level(tmp_path, capsys, monkeypatch):
@@ -201,6 +223,20 @@ def test_convergence_cyclic3_dense_sigma_orders_near_two(tmp_path, capsys,
     assert len(orders) == 2 and all(1.7 < o < 2.3 for o in orders)
 
 
+def test_convergence_halves_a_fixed_step(tmp_path, capsys, monkeypatch):
+    # Euler's problem default is pid_and_relax, under which dt0 only set
+    # the first step and the orders read about 0; the ladder steps fixed
+    monkeypatch.chdir(tmp_path)
+    argv = ["convergence", "--problem", "euler:N=16", "--t-end", "0.25",
+            "--levels", "2"]
+    assert main(argv) == 0
+    order = float(capsys.readouterr().out.splitlines()[-1].split()[2])
+    assert 1.7 < order < 2.3
+    assert main([*argv, "--adapt", "pid"]) == 2
+    err = capsys.readouterr().err
+    assert "convergence halves a fixed step" in err and "pid" in err
+
+
 def test_convergence_rejects_bad_levels(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["convergence", "--problem", "cyclic3", "--levels", "0"]) == 2
@@ -234,6 +270,46 @@ def test_convergence_reads_the_cached_oracle(tmp_path, capsys, monkeypatch):
     assert main(argv) == 0
     assert capsys.readouterr().out == first
     assert runs[0] == 3
+
+
+def test_oracle_cache_keeps_the_last_two_rows(tmp_path, capsys,
+                                              monkeypatch):
+    # every level ends past the oracle's second-to-last time, so the
+    # cache keeps the two rows interp_state reads, and the levels' errors
+    # are those against the full fine trajectory
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "conv.csv"
+    argv = ["convergence", "--problem", "cyclic3", "--levels", "2",
+            "--relax", "none", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    first = out.read_text()
+    [path] = (tmp_path / ".relax_mprk_cache").glob("ref_*.npz")
+    with np.load(path) as cached:
+        cached_ts, cached_us = cached["ts"], cached["us"]
+    assert cached_ts.shape == (2,) and cached_us.shape == (2, 3)
+
+    problem = make_problem("cyclic3")
+    t0, t_end = problem.tspan
+    oracle = problem.stepper(build_scheme("mprk43i", 0.5, 0.75))
+    full = integrate(oracle, None, None, t0, problem.u0, t_end, 0.05 / 100.0)
+    ts, us = np.array(full.times), np.array(full.states)
+    assert ts[-2:].tobytes() == cached_ts.tobytes()
+    assert us[-2:].tobytes() == cached_us.tobytes()
+    stepper = problem.stepper(build_scheme("mprk22", 1.0))
+    rows = [r.split(",") for r in first.strip().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [0.1, 0.05]
+    for dt_s, err_s, _, _ in rows:
+        traj = integrate(stepper, None, None, t0, problem.u0, t_end,
+                         float(dt_s))
+        ref = interp_state(ts, us, traj.times[-1])
+        assert float(err_s) == np.max(np.abs(traj.states[-1] - ref))
+
+    # a full trajectory cached earlier still loads, with the same table
+    np.savez_compressed(path, ts=ts, us=us)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.read_text() == first
 
 
 def _pme_reference(m, N=160):

@@ -5,8 +5,8 @@ import pytest
 
 from relax_mprk.means import mean_log
 from relax_mprk.problems import (PROBLEM_FACTORIES, advection_fv, barenblatt,
-                                 cyclic3, lotka_volterra, make_problem,
-                                 porous_medium, stratospheric,
+                                 cyclic3, isothermal_euler_fv, lotka_volterra,
+                                 make_problem, porous_medium, stratospheric,
                                  _daylight)
 from relax_mprk.schemes import build_scheme
 
@@ -182,6 +182,17 @@ def test_pme_validation():
         porous_medium(N=40, m=1.0)
     with pytest.raises(ValueError, match="at least 3"):
         porous_medium(N=2)
+
+
+@pytest.mark.parametrize("factory", [advection_fv, isothermal_euler_fv,
+                                     porous_medium])
+def test_mesh_size_must_be_an_integer(factory):
+    # a float N failed late, as a TypeError in np.ones or as an exchange
+    # entry outside the mesh; a bool is an int to Python, but no count
+    for N in (10.5, 100.0, True, "10"):
+        with pytest.raises(ValueError, match=f"at least 3 cells.*{N!r}"):
+            factory(N=N)
+    assert factory(N=np.int64(10)).mesh["N"] == 10
 
 
 # ---------------------------------------------------------------------------

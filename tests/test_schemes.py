@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relax_mprk.linalg import SingularMatrixError
+from relax_mprk import schemes
+from relax_mprk.linalg import CyclicTridiagonal, SingularMatrixError, lu_solve
 from relax_mprk.pdrs import PositivityError
 from relax_mprk.problems import PROBLEM_FACTORIES, make_problem
 from relax_mprk.schemes import (SIGMA_MODES, MpStepper, SchemeParameterError,
@@ -13,7 +14,8 @@ from relax_mprk.schemes import (SIGMA_MODES, MpStepper, SchemeParameterError,
                                 gamma_update_derivative, patankar_matrix,
                                 sigma_bar, step)
 
-from helpers import (dense_system, gamma_one_matches_assembly, linear_exchange,
+from helpers import (count_factorizations, counted, dense_system,
+                     gamma_one_matches_assembly, linear_exchange,
                      random_conservative_system)
 
 ALL_SCHEMES = [("mprk22", 1.0, None), ("mprk43i", 0.5, 0.75),
@@ -271,6 +273,60 @@ def test_gamma_one_reuses_the_step_matrices(monkeypatch, kind, alpha, beta,
     rec = step(sys, build_scheme(kind, alpha, beta, sigma_mode=mode), 0.0,
                rng.uniform(0.2, 2.0, size=4), 0.3)
     gamma_one_matches_assembly(monkeypatch, rec)
+
+
+@pytest.mark.parametrize("spec, kind, params, mode", [
+    # bootstrap: the planned format (d = 3) and the band format (N = 100)
+    (("cyclic3", {}), "mprk43i", (0.5, 0.75), "bootstrap"),
+    (("advection", {"N": 100, "entropy_kind": "sqrt"}), "mprk43i",
+     (0.5, 0.75), "bootstrap"),
+    (("cyclic3", {}), "mprk22", (1.0,), "dense")])
+def test_sigma_bar_reads_the_probe_of_gamma_update(monkeypatch, spec, kind,
+                                                    params, mode):
+    # sbar(gamma), the bootstrap sigma matrix and M_gamma are one probe:
+    # sigma_bar after gamma_update at the same gamma assembles and
+    # factors nothing, and gives the bits of a cold call
+    name, kwargs = spec
+    problem = make_problem(name, **kwargs)
+    stepper = problem.stepper(build_scheme(kind, *params, sigma_mode=mode))
+    rec = stepper.step(problem.tspan[0], problem.u0, problem.defaults["dt0"])
+    gamma_update(rec, 1.1)
+    calls = {"assemblies": 0, "factors": 0}
+    monkeypatch.setattr(schemes, "patankar_matrix",
+                        counted(schemes.patankar_matrix, calls, "assemblies"))
+    count_factorizations(monkeypatch, calls)
+    kept = sigma_bar(rec, 1.1)
+    assert calls == {"assemblies": 0, "factors": 0}
+    cold = sigma_bar(replace(rec), 1.1)
+    # the cold call's probe assembles M_gamma, and for bootstrap the
+    # sigma system, which it factors to solve for sbar
+    bootstrap = mode == "bootstrap"
+    assert calls == {"assemblies": 1 + bootstrap, "factors": int(bootstrap)}
+    for new, old in zip(kept, cold):
+        assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("spec, compiled", [
+    (("cyclic3", {}), False), (("cyclic3", {}), True),
+    (("advection", {"N": 100, "entropy_kind": "log"}), False)])
+def test_mpssprk2_stage_is_the_plain_unweighted_solve(spec, compiled):
+    # the stage comes from the step form with weight 1.0 and g = 0; it
+    # keeps the bits of the plain assembly of the first rate set's
+    # exchange at factor beta * dt, solved against u_n
+    name, kwargs = spec
+    problem = make_problem(name, **kwargs)
+    if compiled:
+        plan = problem.sys.pattern.lu_plan
+        plan.compile()
+        assert plan.source is not None
+    scheme = build_scheme("mpssprk2", 0.3, 1.2)
+    dt = problem.defaults["dt0"]
+    rec = step(problem.sys, scheme, problem.tspan[0], problem.u0, dt)
+    r = rec.rate_sets[0]
+    M = patankar_matrix(r.P, r.loss, rec.u_n, scheme.beta * dt)
+    assert isinstance(M, CyclicTridiagonal) == (name == "advection")
+    u2 = lu_solve(M, rec.u_n)
+    assert rec.stages[1].tobytes() == u2.tobytes()
 
 
 def test_dense_sigma_derivatives_take_the_stage_logs_once(monkeypatch):
