@@ -150,9 +150,10 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
     t = float(t0)
     u = np.array(u0, dtype=float)
     traj = Trajectory()
-    eta0 = (entropy_value(eta, u, "the initial state") if eta is not None
-            else np.nan)
-    traj.append(t, u, 0.0, 1.0, "initial", eta0)
+    # eta(u) of the current state, which relax_step takes as eta(u^n)
+    eta_n = (entropy_value(eta, u, "the initial state") if eta is not None
+             else np.nan)
+    traj.append(t, u, 0.0, 1.0, "initial", eta_n)
 
     n_attempts = 0
     while t < t_end - 1e-12 * span:
@@ -174,7 +175,7 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
                 continue
 
         if relaxing:
-            out = relax_step(eta, stepper, record, relax_cfg)
+            out = relax_step(eta, stepper, record, relax_cfg, eta_n)
             if out.status == STATUS_FAILED and use_relax_adapt:
                 # no pid_update here: a gamma-search failure must shrink
                 # dt monotonically or retries would race the controller
@@ -188,8 +189,8 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
                 pid_update(ctrl, err, stepper.scheme.order)
             if use_relax_adapt:
                 relax_adapt(ctrl, True)
-            t, u = out.t_relaxed, out.u_relaxed
-            traj.append(t, u, dt, out.gamma, out.status, out.eta_after)
+            t, u, eta_n = out.t_relaxed, out.u_relaxed, out.eta_after
+            traj.append(t, u, dt, out.gamma, out.status, eta_n)
         else:
             if use_pid:
                 pid_update(ctrl, err, stepper.scheme.order)

@@ -12,7 +12,12 @@ solution in floating point as well (Higham, Accuracy and Stability of
 Numerical Algorithms, ch. 9), as long as the unit part of the diagonal
 survives rounding, i.e. fac*loss/denom stays well below 1/eps.  Beyond
 that the matrix is singular to working precision and no elimination
-order keeps positivity.
+order keeps positivity.  A positive solution component can still
+underflow to a subnormal or to zero; a solve checked for positivity
+floors such components to the smallest normal number, tiny, so that
+later divisions by them stay finite.  So each floored solve adds at most
+d * tiny of mass (about 2.2e-308 per component, as O(1D) and O show on
+the stratospheric night).
 
 ``patankar_matrix`` assembles a matrix in one of two formats, raising
 ``PositivityError`` on a non-positive denominator, and ``lu_solve``
@@ -32,20 +37,26 @@ solves those two formats and nothing else:
   elimination in the same k, i, j order, which adds nothing but zeros
   elsewhere; so up to d = 4, where that dense elimination ran on full
   rows before, the solutions keep their bits.  The plan's methods
-  assemble, factor and substitute, and build a step's system, in loops
-  over its index tuples.  At its ``COMPILE_AFTER``-th factorization a
-  plan compiles (``LuPlan.compile``), as chemistry codes generate the
-  sparse LU of a fixed kinetics pattern (KPP; Damian, Sandu, Damian,
-  Potra & Carmichael, Comput. Chem. Eng. 2002), and binds those four
-  names on itself to straight-line Python on one local variable per
-  slot, with the loops' operations, pivot checks and messages in their
-  order, so the switch moves no bit.  As KPP generates the whole
+  assemble, factor and substitute, build a step's system, and probe a
+  system at gamma and take the probe's tangent, in loops over its index
+  tuples.  At its ``COMPILE_AFTER``-th factorization a plan compiles
+  (``LuPlan.compile``), as chemistry codes generate the sparse LU of a
+  fixed kinetics pattern (KPP; Damian, Sandu, Damian, Potra &
+  Carmichael, Comput. Chem. Eng. 2002), and binds those six names on
+  itself to straight-line Python on one local variable per slot, with
+  the loops' operations, checks and messages in their order, so the
+  switch moves no bit.  As KPP generates the whole
   kinetic step, the compiled ``system`` generates, once per number of
   rate sets, a kernel that takes a step's rate sets from
   ``matrix_rates``'s output to the system it solves: the loss sums, the
   weighted sums, g, the right-hand side and the slots in one call.  So
   a step of a small system stays on lists of Python floats up to its
-  solution, and a ``PatankarSystem`` keeps them for the gamma-probes;
+  solution, and a ``PatankarSystem`` keeps them for the gamma-probes:
+  ``LuPlan.probe`` takes a probe from gamma to its checked solution and
+  factor in one call (assembly at gamma dt, the slots checked finite,
+  the factorization, u_n + gamma g substituted, the solution checked
+  finite and positive), and ``LuPlan.tangent`` the probe's tangent in
+  one substitution on that factor;
 * a ``CyclicTridiagonal`` (the Patankar matrices of advection, the porous
   medium equation and the Euler density) is solved in O(N) by a bordered
   Thomas sweep without pivoting, whose every step adds non-negative
@@ -63,7 +74,7 @@ band format recomputes its pivots from the kept bands and c_i, to the
 same bits): the Newton derivative solve with the M_gamma of the value
 solve, the bootstrap sigma-bar derivative with the sigma matrix, and the
 Newton derivative at gamma = 1 with the step's own update matrix, which
-the step record keeps (``schemes.StepRecord``).
+the step record keeps with every probe's (``schemes.StepRecord``).
 
 ``patankar_matrix`` chooses the format from the number of unknowns d
 and the exchange pattern the system declares (``pdrs.ExchangePattern``),
@@ -182,13 +193,14 @@ class LuPlan:
     every row, from the last one up, with its entries of U right of the
     diagonal.
 
-    The methods ``assemble``, ``factor``, ``substitute`` and ``system``
-    run interpreted loops over those tuples.  ``factored`` counts the
-    factorizations they ran; the ``COMPILE_AFTER``-th calls ``compile``,
-    which binds the four names on the instance to generated straight-line
-    kernels and keeps the source of the first three in ``source``; the
-    class attributes stay the cold path and the reference.  ``systems``
-    maps a number of rate sets to its compiled step kernel.
+    The methods ``assemble``, ``factor``, ``substitute``, ``probe``,
+    ``tangent`` and ``system`` run interpreted loops over those tuples.
+    ``factored`` counts the factorizations they ran; the
+    ``COMPILE_AFTER``-th calls ``compile``, which binds the six names on
+    the instance to generated straight-line kernels and keeps the source
+    of the first five in ``source``; the class attributes stay the cold
+    path and the reference.  ``systems`` maps a number of rate sets to
+    its compiled step kernel.
     """
 
     def __init__(self, dim, cols, n_fill, flat, elim, lower, upper):
@@ -208,7 +220,9 @@ class LuPlan:
         linecache.cache[name] = (len(source), None, source.splitlines(True),
                                  name)
         weakref.finalize(self, linecache.cache.pop, name, None)
-        scope = {"_singular": _singular, "_bad_denominator": _bad_denominator}
+        scope = {"_singular": _singular, "_bad_denominator": _bad_denominator,
+                 "_at_largest_diagonal": _at_largest_diagonal,
+                 "_floored": _floored, "_TINY": _TINY, "isfinite": isfinite}
         exec(compile(source, name, "exec"), scope)
         return scope
 
@@ -219,8 +233,10 @@ class LuPlan:
             return
         self.source = _kernel_source(self)
         scope = self._exec(self.source, "")
-        self.assemble, self.factor, self.substitute = (
-            scope["assemble"], scope["factor"], scope["substitute"])
+        (self.assemble, self.factor, self.substitute, self.probe,
+         self.tangent) = (scope["assemble"], scope["factor"],
+                          scope["substitute"], scope["probe"],
+                          scope["tangent"])
         systems = self.systems
 
         def system(w, sets, d, fac, u):
@@ -278,6 +294,30 @@ class LuPlan:
                 s -= lu[k] * x[j]
             x[i] = s / lu[i]
         return x
+
+    def probe(self, loss: list, denom: list, vals: list, fac: float,
+              u: list, g, gamma: float, positive: str) -> tuple:
+        """A system's gamma-probe in one call: ``(slots, lu, x)``, the
+        slots of ``assemble``, their factor and the solution x of the
+        matrix at u + gamma g, each checked as ``lu_solve`` checks a
+        first solve, with ``positive`` the solution's name."""
+        A = PlannedPatankar(self.assemble(loss, denom, vals, fac), self)
+        x = _planned_solve(A, [a + gamma * b for a, b in zip(u, g)],
+                           positive)
+        return A.vals, A.lu, x
+
+    def tangent(self, vals: list, lu: list, x: list, u: list, gamma: float,
+                v: Optional[list]) -> list:
+        """The tangent of a probe in one call: v + (L U)^-1 ((x - u)/gamma
+        - v) on the factor ``lu`` of the slots ``vals``, with no v when
+        it is None, the solve checked finite as ``lu_solve`` checks it."""
+        rhs = [(a - b) / gamma for a, b in zip(x, u)]
+        if v is not None:
+            rhs = [r - w for r, w in zip(rhs, v)]
+        dx = self.substitute(lu, rhs)
+        if not all_finite(dx):
+            raise _at_largest_diagonal(vals[:self.dim], "non-finite solution")
+        return dx if v is None else [a + b for a, b in zip(v, dx)]
 
     def system(self, weights: list, sets: list, denom: list, fac: float,
                u: list) -> tuple:
@@ -379,10 +419,10 @@ class PlannedPatankar:
 
     __slots__ = ("vals", "plan", "lu")
 
-    def __init__(self, vals: list, plan: LuPlan):
+    def __init__(self, vals: list, plan: LuPlan, lu: Optional[list] = None):
         self.vals = vals
         self.plan = plan
-        self.lu = None
+        self.lu = lu
 
     def toarray(self) -> np.ndarray:
         plan = self.plan
@@ -431,6 +471,14 @@ class PatankarSystem(NamedTuple):
     ``M``, the matrix at gamma = 1 with the factor its solve left on it.
     The values are lists of Python floats on the planned format and
     numpy arrays on the band format; MPSSPRK2 puts an array g on either.
+
+    ``solve_at`` and ``tangent`` are the system at another gamma: its
+    solution and the solution's gamma-derivative, each checked as
+    ``lu_solve`` checks a solution.  On the planned format a probe is
+    one pass on the plan's kernels and a tangent one substitution on the
+    probe's factor, on lists of floats; the band format assembles with
+    ``patankar_matrix`` and solves with ``lu_solve``.  Both give the bits
+    of those two calls on either format.
     """
 
     pattern: object
@@ -446,6 +494,42 @@ class PatankarSystem(NamedTuple):
         if type(g) is list:
             return [a + gamma * b for a, b in zip(u, g)]
         return u + gamma * g
+
+    def solve_at(self, gamma: float, denom, fac: float, positive: str):
+        """``(M, x)``: the matrix at ``fac`` on the denominators
+        ``denom``, with its factor, and the solution x of M x = u_n +
+        gamma g as an array, checked positive under the name
+        ``positive``.  On the planned format the slots are assembled,
+        checked finite and factored, and the right-hand side substituted
+        in one ``LuPlan.probe``, with no ``patankar_matrix`` or
+        ``lu_solve`` on the way."""
+        M = self.M
+        if type(M) is PlannedPatankar:
+            plan = M.plan
+            if type(denom) is not list:
+                denom = denom.tolist()
+            slots, lu, x = plan.probe(self.loss, denom, self.vals, fac,
+                                      self.u, self.g, gamma, positive)
+            return PlannedPatankar(slots, plan, lu), np.array(x)
+        M = patankar_matrix(self, self.loss, denom, fac)
+        return M, lu_solve(M, self.rhs(gamma), positive)
+
+    def tangent(self, M, x: np.ndarray, gamma: float, v=None) -> np.ndarray:
+        """dx/dgamma of the solution x of M x = u_n + gamma g, M = M_gamma
+        from ``solve_at`` (or ``self.M`` at gamma = 1): M x' = (x -
+        u_n)/gamma + (M - I) v with v = x d'/d, d the denominators,
+        solved as x' = v + M^-1 ((x - u_n)/gamma - v), one solve on M's
+        factor and no product M v; ``v`` (an array) is None for a frozen
+        d.  On the planned format that is one ``LuPlan.tangent``."""
+        if type(M) is PlannedPatankar:
+            lu = M.lu if M.lu is not None else _factored(M)
+            return np.array(M.plan.tangent(
+                M.vals, lu, x.tolist(), self.u, gamma,
+                None if v is None else v.tolist()))
+        rhs = (x - self.u) / gamma
+        if v is None:
+            return lu_solve(M, rhs)
+        return v + lu_solve(M, rhs - v)
 
 
 def all_finite(xs: list) -> bool:
@@ -478,6 +562,11 @@ def _floats(x) -> list:
 
 def _bad_denominator(denom) -> PositivityError:
     bad = next(j for j, dj in enumerate(denom) if dj <= 0.0)
+    if denom[bad] == 0.0:
+        # the denominators are positive states or geometric means of
+        # them, so a zero is a mean below the smallest subnormal
+        return PositivityError(
+            f"denominator component [{bad}] underflowed to zero")
     return PositivityError(f"non-positive denominator component [{bad}]")
 
 
@@ -589,26 +678,16 @@ def _assembly(plan: LuPlan) -> list:
     return lines
 
 
-def _kernel_source(plan: LuPlan) -> str:
-    """Python source of a plan's ``assemble(l, d, p, fac)``, ``factor(vals)``
-    and ``substitute(lu, x)``, the ``LuPlan`` methods as straight-line
-    code on one local per slot (a<s>) and per unknown (x<i>).  Each does
-    the loops' floating-point operations in their order (x - a - b is (x - a) - b, as the loops subtract), so every
-    result keeps its bits.  A substitution row is split into statements
-    of at most ``_TERMS_PER_LINE`` terms, which bounds the expression
-    depth the compiler meets on a dense row.
-    """
-    n, cols, n_fill = plan.dim, plan.cols, plan.n_fill
-    slots = [f"a{s}" for s in range(n + len(cols) + n_fill)]
-    xs = [f"x{i}" for i in range(n)]
+def _finite(xs: str) -> str:
+    """``all_finite(xs)`` as an expression, without the call."""
+    return f"(isfinite(sum({xs})) or all(map(isfinite, {xs})))"
 
-    lines = ["def assemble(l, d, p, fac):",
-             *_unpack([f"l{i}" for i in range(n)], "l"),
-             *_unpack([f"d{i}" for i in range(n)], "d"),
-             *_unpack([f"p{e}" for e in range(len(cols))], "p"),
-             *_assembly(plan), "    return slots"]
 
-    lines += ["", "", "def factor(vals):", *_unpack(slots, "vals")]
+def _factor_lines(plan: LuPlan) -> list:
+    """Statements eliminating the locals a<s> in place, as
+    ``LuPlan.factor`` does, with its pivot checks and messages on the
+    list ``vals``."""
+    lines = []
     for k, (sources, steps) in enumerate(plan.elim):
         lines.append(f"    if not a{k} > 0.0: raise _singular("
                      f"vals, {k}, f\"pivot {{a{k}:.3e}}\")")
@@ -616,10 +695,15 @@ def _kernel_source(plan: LuPlan) -> str:
             lines.append(f"    a{m} /= a{k}")
             lines += [f"    a{t} -= a{m} * a{s}"
                       for t, s in zip(targets, sources)]
-    lines.append(f"    return [{', '.join(slots)}]")
+    return lines
 
-    lines += ["", "", "def substitute(lu, x):", *_unpack(slots, "lu"),
-              *_unpack(xs, "x")]
+
+def _substitution_lines(plan: LuPlan) -> list:
+    """Statements taking the locals x<i> from b to the solution of
+    L U x = b on the factor's locals a<s>, as ``LuPlan.substitute``
+    does; a row is split into statements of at most ``_TERMS_PER_LINE``
+    terms."""
+    lines = []
     rows = [(i, terms, False) for i, terms in plan.lower]
     rows += [(i, terms, True) for i, terms in plan.upper]
     for i, terms, divide in rows:
@@ -629,7 +713,64 @@ def _kernel_source(plan: LuPlan) -> str:
         if divide:
             exprs.append(f"({exprs.pop() if exprs else f'x{i}'}) / a{i}")
         lines += [f"    x{i} = {e}" for e in exprs]
-    lines.append(f"    return [{', '.join(xs)}]")
+    return lines
+
+
+def _kernel_source(plan: LuPlan) -> str:
+    """Python source of a plan's ``assemble(l, d, p, fac)``,
+    ``factor(vals)``, ``substitute(lu, x)``, ``probe(l, d, p, fac, u, g,
+    gamma, positive)`` and ``tangent(vals, lu, x, u, gamma, v)``, the
+    ``LuPlan`` methods as straight-line code on one local per slot (a<s>)
+    and per unknown (x<i>).  Each does the loops'
+    floating-point operations in their order (x - a - b is (x - a) - b,
+    as the loops subtract), and their checks with their messages, so
+    every result keeps its bits.  A substitution row is split into
+    statements of at most ``_TERMS_PER_LINE`` terms, which bounds the
+    expression depth the compiler meets on a dense row.
+    """
+    n, cols, n_fill = plan.dim, plan.cols, plan.n_fill
+    slots = [f"a{s}" for s in range(n + len(cols) + n_fill)]
+    xs = [f"x{i}" for i in range(n)]
+    inputs = [*_unpack([f"l{i}" for i in range(n)], "l"),
+              *_unpack([f"d{i}" for i in range(n)], "d"),
+              *_unpack([f"p{e}" for e in range(len(cols))], "p")]
+
+    lines = ["def assemble(l, d, p, fac):", *inputs, *_assembly(plan),
+             "    return slots"]
+
+    lines += ["", "", "def factor(vals):", *_unpack(slots, "vals"),
+              *_factor_lines(plan), f"    return [{', '.join(slots)}]"]
+
+    lines += ["", "", "def substitute(lu, x):", *_unpack(slots, "lu"),
+              *_unpack(xs, "x"), *_substitution_lines(plan),
+              f"    return [{', '.join(xs)}]"]
+
+    lines += ["", "", "def probe(l, d, p, fac, u, g, gamma, positive):",
+              *inputs, *_assembly(plan),
+              f"    if not {_finite('slots')}: "
+              "raise ValueError(\"matrix has non-finite entries\")",
+              "    vals = slots", *_unpack(slots, "slots"),
+              *_factor_lines(plan), *_unpack([f"u{i}" for i in range(n)], "u"),
+              *_unpack([f"g{i}" for i in range(n)], "g"),
+              *(f"    x{i} = u{i} + gamma * g{i}" for i in range(n)),
+              *_substitution_lines(plan), f"    x = [{', '.join(xs)}]",
+              f"    if not {_finite('x')}: raise _at_largest_diagonal("
+              f"slots[:{n}], \"non-finite solution\")",
+              "    if min(x) < _TINY: x = _floored(x, positive)",
+              f"    return slots, [{', '.join(slots)}], x"]
+
+    vs = [f"v{i}" for i in range(n)]
+    lines += ["", "", "def tangent(vals, lu, x, u, gamma, v):",
+              *_unpack(slots, "lu"), *_unpack(xs, "x"),
+              *_unpack([f"u{i}" for i in range(n)], "u"),
+              *(f"    x{i} = (x{i} - u{i}) / gamma" for i in range(n)),
+              "    if v is not None:", "    " + _unpack(vs, "v")[0],
+              *(f"        x{i} = x{i} - v{i}" for i in range(n)),
+              *_substitution_lines(plan), f"    x = [{', '.join(xs)}]",
+              f"    if not {_finite('x')}: raise _at_largest_diagonal("
+              f"vals[:{n}], \"non-finite solution\")",
+              "    if v is None: return x",
+              f"    return [{', '.join(f'v{i} + x{i}' for i in range(n))}]"]
     return "\n".join(lines) + "\n"
 
 
@@ -804,6 +945,27 @@ def _floored(x: list, what: str) -> list:
     return [_TINY if v < _TINY else v for v in x]
 
 
+def _factored(A: PlannedPatankar) -> list:
+    """A's factor, computed on first use from its slots, checked finite."""
+    if A.lu is None:
+        if not all_finite(A.vals):
+            raise ValueError("matrix has non-finite entries")
+        A.lu = A.plan.factor(A.vals)
+    return A.lu
+
+
+def _planned_solve(A: PlannedPatankar, b: list, positive) -> list:
+    """``lu_solve`` on the planned format, from the list ``b`` to the
+    list of the solution."""
+    plan = A.plan
+    x = plan.substitute(_factored(A), b)
+    if not all_finite(x):
+        raise _at_largest_diagonal(A.vals[:plan.dim], "non-finite solution")
+    if positive is not None and min(x) < _TINY:
+        x = _floored(x, positive)
+    return x
+
+
 def lu_solve(A, b, positive: Optional[str] = None) -> np.ndarray:
     """Solve A x = b for a ``PlannedPatankar`` or a ``CyclicTridiagonal``
     by the no-pivot factor A computes on its first solve and keeps; ``b``
@@ -819,19 +981,7 @@ def lu_solve(A, b, positive: Optional[str] = None) -> np.ndarray:
     normal number are floored to it.
     """
     if isinstance(A, PlannedPatankar):
-        plan = A.plan
-        n = plan.dim
-        b = _rhs(b, n)
-        if A.lu is None:
-            if not all_finite(A.vals):
-                raise ValueError("matrix has non-finite entries")
-            A.lu = plan.factor(A.vals)
-        x = plan.substitute(A.lu, b)
-        if not all_finite(x):
-            raise _at_largest_diagonal(A.vals[:n], "non-finite solution")
-        if positive is not None and min(x) < _TINY:
-            x = _floored(x, positive)
-        return np.array(x)
+        return np.array(_planned_solve(A, _rhs(b, A.plan.dim), positive))
     if isinstance(A, CyclicTridiagonal):
         b = _rhs(b, A.bands.shape[1])
         if A.lu is None:

@@ -9,7 +9,13 @@ through u(0) = u^n and u(1) = u^{n+1}:
 * geometric: componentwise (u^{n+1})^gamma (u^n)^{1-gamma}, positive for
   any gamma, valid when eta is non-decreasing in each argument;
 * implicit: the stepper's gamma-parameterized Patankar update u^{n+gamma},
-  positive and linear-invariant-preserving for every gamma > 0.
+  positive and linear-invariant-preserving for every gamma > 0.  A step
+  record that carries its own ``curve`` (``schemes.StepRecord``) is
+  searched along it: one object per step that keeps, per gamma, the
+  state, the solution and its factor, so a probe is one pass on the
+  linear-algebra kernels and a tangent one substitution.  A stepper
+  whose records have no curve is searched through its ``gamma_state``
+  and ``gamma_state_derivative``.
 
 On every curve gamma is a root near 1 of one residual,
 
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -122,7 +128,9 @@ class _Curve:
     ``state(gamma)`` builds u(gamma); ``tangent(gamma, u)`` is u'(gamma) at
     u = u(gamma).  The memo starts from u^{n+1} at gamma = 1, which every
     curve passes through (for the implicit curve the stepper protocol makes
-    ``gamma_state(record, 1.0)`` bitwise u^{n+1}).
+    ``gamma_state(record, 1.0)`` bitwise u^{n+1}).  A record's own
+    ``curve`` (``schemes.GammaCurve``) has the same ``at`` and
+    ``tangent``.
     """
 
     def __init__(self, u_next, state, tangent):
@@ -155,6 +163,12 @@ def _curve(stepper, record, mode) -> _Curve:
         log_dq = np.log(u_new) - np.log(u_old)
         return _Curve(u_new, partial(geometric_state, u_old, u_new),
                       lambda g, u: u * log_dq)
+    # the implicit curve is the record's own where it has one, which keeps
+    # each probe's solution and factor on the record; else the stepper's
+    # gamma_state
+    curve = getattr(record, "curve", None)
+    if curve is not None:
+        return curve
     return _Curve(u_new, partial(stepper.gamma_state, record),
                   partial(stepper.gamma_state_derivative, record))
 
@@ -313,22 +327,27 @@ def entropy_value(eta: EntropyFunctional, u: np.ndarray,
 
 
 def relax_step(eta: EntropyFunctional, stepper, record,
-               cfg: RelaxConfig) -> RelaxOutcome:
+               cfg: RelaxConfig, eta_old: Optional[float] = None
+               ) -> RelaxOutcome:
     """Compute gamma and the relaxed state for one accepted base step.
 
     Residuals are normalized by max(1, |eta(u^n)|) so the tolerance acts
-    relatively for large-magnitude entropies.  A failed search keeps the
-    base step: gamma = 1 and u^{n+1}.  Every entropy value is taken with
-    floating-point errors raised; one that overflows or is NaN raises
-    ``NonFiniteStateError``.  Mode ``none`` has no curve to relax along:
-    ``integrate`` keeps such a step itself, and here it raises
-    ``ValueError``.
+    relatively for large-magnitude entropies.  ``eta_old`` is eta(u^n)
+    when the caller holds it (``integrate`` does: eta of the initial
+    state or the last ``eta_after``); None takes it here.  A failed
+    search keeps the base step: gamma = 1 and u^{n+1}.  Every entropy
+    value is taken with floating-point errors raised; one that overflows
+    or is NaN raises ``NonFiniteStateError``.  Mode ``none`` has no curve
+    to relax along: ``integrate`` keeps such a step itself, and here it
+    raises ``ValueError``.
     """
     if cfg.mode == MODE_NONE:
         raise ValueError("relaxation mode 'none' does not relax a step")
     with np.errstate(invalid="raise", divide="raise", over="raise"):
         curve = _curve(stepper, record, cfg.mode)
-        eta_old = _finite_eta(lambda: eta.eval(record.u_n), "the step's start")
+        if eta_old is None:
+            eta_old = _finite_eta(lambda: eta.eval(record.u_n),
+                                  "the step's start")
         rate = _finite_eta(lambda: _entropy_rate(eta, stepper, record),
                            "the step's estimate")
         scale = max(1.0, abs(eta_old))
@@ -358,7 +377,7 @@ def relax_step(eta: EntropyFunctional, stepper, record,
                 gamma, status = 1.0, STATUS_CLAMPED
         if status == STATUS_FAILED:
             gamma = 1.0
-        u_rel = curve.states[gamma]
+        u_rel = curve.at(gamma)
         eta_after = _finite_eta(lambda: eta.eval(u_rel), "the relaxed state")
     return RelaxOutcome(gamma, u_rel, record.t_n + gamma * record.dt,
                         eta_after, iters, status)

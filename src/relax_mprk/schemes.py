@@ -3,11 +3,13 @@
 Implements the one-step maps of MPRK22(alpha), MPRK43I(alpha, beta) and
 MPSSPRK2(alpha, beta) for production-destruction-rest systems, each
 stage, sigma and update in the step form of ``patankar_matrix``, and the
-curve u^{n+gamma} the relaxation solver searches: one probe per gamma
-gives sigma_bar(gamma) and M_gamma, and u^{n+gamma}, its derivative and
-sigma_bar' come from it.  The explicit block of a partitioned system
-(see ``pdrs``) takes the scheme's Butcher tableau, m^(i) = m_n + dt
-sum_j a_ij g_j, and moves affinely in gamma: m^{n+gamma} = m_n + gamma dm.
+curve u^{n+gamma} the relaxation solver searches (``GammaCurve``): one
+probe per gamma solves for sigma_bar(gamma) and u^{n+gamma} with the
+step's kept systems and keeps, on the step's record, the solution and
+the factors, from which u'(gamma) and sigma_bar' are one substitution
+each.  The explicit block of a partitioned system (see ``pdrs``) takes
+the scheme's Butcher tableau, m^(i) = m_n + dt sum_j a_ij g_j, and moves
+affinely in gamma: m^{n+gamma} = m_n + gamma dm.
 
 The key structural fact used throughout: every stage and update is a
 linear system whose matrix has unit-plus-nonnegative diagonal and
@@ -178,26 +180,41 @@ class _StageLogs:
 
     def geo_mean(self, e) -> np.ndarray:
         """Patankar denominator u2**e * u_n**(1 - e), a geometric mean,
-        as exp(e log u2) * exp((1 - e) log u_n) on the kept logarithms."""
+        as one exponential exp(e log u2 + (1 - e) log u_n) on the kept
+        logarithms: it underflows only where the mean itself does, as a
+        product of two powers does where one power alone leaves the
+        range (u2**2 for u2 < 1e-162 at e = 2)."""
         if self.log_2 is None:
             self.log_2 = _floored_log(self.u2)
-        out = np.exp(e * self.log_2)
         if e == 1.0:  # u_n**0 is exactly 1.0 for every positive finite u_n
-            return out
+            return np.exp(e * self.log_2)
         if self.log_n is None:
             self.log_n = _floored_log(self.u_n)
-        return out * np.exp((1.0 - e) * self.log_n)
+        return np.exp(e * self.log_2 + (1.0 - e) * self.log_n)
 
 
-def _tangent(M, x: np.ndarray, u_n: np.ndarray, gamma: float, v):
-    """dx/dgamma of the solution x of M x = u_n + gamma g, M = M_gamma:
-    M x' = (x - u_n)/gamma + (M - I) v with v = x d'/d, d the
-    denominators, solved as x' = v + M^-1 ((x - u_n)/gamma - v), one
-    solve with no product M v; ``v`` is None for a frozen d."""
-    rhs = (x - u_n) / gamma
-    if v is None:
-        return lu_solve(M, rhs)
-    return v + lu_solve(M, rhs - v)
+class GammaCurve:
+    """The curve u^{n+gamma} of one step, as ``relaxation.relax_step``
+    searches it: ``at(gamma)`` is u^{n+gamma} and ``tangent(gamma, u)``
+    its gamma-derivative.  ``probes`` is the record's (see
+    ``StepRecord``), which keeps each gamma's solution and factors, so a
+    gamma is solved once however often it is read; a gamma not in it
+    goes to ``gamma_update``, and every tangent to
+    ``gamma_update_derivative``.
+    """
+
+    __slots__ = ("rec", "probes")
+
+    def __init__(self, rec: "StepRecord"):
+        self.rec = rec
+        self.probes = rec.probes
+
+    def at(self, gamma: float) -> np.ndarray:
+        probe = self.probes.get(gamma)
+        return gamma_update(self.rec, gamma) if probe is None else probe[0]
+
+    def tangent(self, gamma: float, u: np.ndarray) -> np.ndarray:
+        return gamma_update_derivative(self.rec, gamma, u)
 
 
 @dataclass
@@ -225,8 +242,14 @@ class StepRecord:
     bit for bit.
 
     Only ``step`` writes the fields (a frozen dataclass would spend more
-    on its construction than a small system's Patankar solve); the
-    gamma-search's one cache is ``_last``.
+    on its construction than a small system's Patankar solve).  The
+    gamma-search's probes are kept in ``probes``, made on first use (so a
+    ``dataclasses.replace`` copy starts cold): by gamma, ``(u, sbar,
+    sigma matrix, M_gamma)``, u^{n+gamma}, sbar(gamma), the bootstrap
+    sigma matrix (else None) and M_gamma, each matrix with the factor its
+    solve left on it, which is what a tangent at gamma reads.  It starts
+    at gamma = 1 with u^{n+1}, sigma and the step's own matrices.
+    ``curve`` is a ``GammaCurve`` on them.
     """
 
     scheme: MpScheme
@@ -240,12 +263,23 @@ class StepRecord:
     sig: Optional[PatankarSystem] = None
     logs: Optional[_StageLogs] = None
     dm: Optional[np.ndarray] = None
-    # (gamma, (sbar, sigma matrix, M_gamma)) of the last gamma
-    # assembled; see _gamma_matrix
-    _last: Optional[tuple] = field(default=None, init=False, repr=False,
-                                   compare=False)
+    _probes: Optional[dict] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     u_n = property(lambda self: self.stages[0])
+
+    @property
+    def probes(self) -> dict:
+        if self._probes is None:
+            bootstrap = self.scheme.sigma_mode == SIGMA_BOOTSTRAP
+            M_sig = self.sig.M if bootstrap else None
+            self._probes = {1.0: (self.u_next, self.sigma, M_sig,
+                                  self.upd.M)}
+        return self._probes
+
+    @property
+    def curve(self) -> GammaCurve:
+        return GammaCurve(self)
 
     @property
     def stage_rhs(self) -> tuple:
@@ -336,52 +370,20 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, z_n: np.ndarray,
                       sigma, upd, sig, logs, dm)
 
 
-def _gamma_matrix(rec: StepRecord, gamma: float):
-    """The probe of the curve u^{n+gamma} at gamma: ``(sbar, sigma
-    matrix, M_gamma)``, the sigma matrix the bootstrap one (else None).
-
-    sbar is the step's sigma when frozen and at gamma = 1, the geometric
-    mean of exponent gamma * sigma_exp when dense, and the sigma
-    system's solution on that mean when bootstrapping (MPRK43I).  A
-    search asks for u^{n+gamma}, its derivative and sbar' at one gamma in
-    turn, so the last probe is kept on ``rec``; at gamma = 1 the
-    matrices are the step's own (see StepRecord).
-    """
-    last = rec._last
-    if last is not None and last[0] == gamma:
-        return last[1]
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    mode = rec.scheme.sigma_mode
-    sig = rec.sig if mode == SIGMA_BOOTSTRAP else None
-    upd = rec.upd
-    if mode == SIGMA_FROZEN or gamma == 1.0:
-        sbar, M_sig = rec.sigma, sig and sig.M
-    else:
-        sbar, M_sig = rec.logs.geo_mean(gamma * rec.scheme.sigma_exp), None
-        if sig is not None:
-            M_sig = patankar_matrix(sig, sig.loss, sbar, gamma * rec.dt)
-            sbar = lu_solve(M_sig, sig.rhs(gamma), "sigma_bar")
-    if gamma == 1.0:
-        M = upd.M
-    else:
-        M = patankar_matrix(upd, upd.loss, sbar, gamma * rec.dt)
-    parts = (sbar, M_sig, M)
-    rec._last = gamma, parts
-    return parts
-
-
 def sigma_bar(rec: StepRecord, gamma: float):
     """Gamma-dependent denominator vector and its gamma-derivative, in
     the scheme's sigma mode, from the probe at gamma; returns ``(sbar,
     sbar_prime)``."""
-    sbar, M_sig, _ = _gamma_matrix(rec, gamma)
+    probes = rec.probes
+    if gamma not in probes:
+        gamma_update(rec, gamma)
+    _, sbar, M_sig, _ = probes[gamma]
     if rec.scheme.sigma_mode == SIGMA_FROZEN:
         return sbar, np.zeros_like(sbar)
     v = sbar * rec.scheme.sigma_exp * rec.logs.log_ratio()
     if M_sig is None:
         return sbar, v
-    return sbar, _tangent(M_sig, sbar, rec.logs.u_n, gamma, v)
+    return sbar, rec.sig.tangent(M_sig, sbar, gamma, v)
 
 
 def gamma_update(rec: StepRecord, gamma: float) -> np.ndarray:
@@ -391,26 +393,50 @@ def gamma_update(rec: StepRecord, gamma: float) -> np.ndarray:
     explicit block; reproduces u^{n+1} bit for bit at gamma = 1 in every
     sigma mode (every factor gamma multiplies is then 1.0) and keeps the
     Patankar part positive for every gamma > 0.
+
+    sbar(gamma) is the step's sigma when frozen, the geometric mean of
+    exponent gamma * sigma_exp when dense, and the sigma system's
+    solution on that mean when bootstrapping (MPRK43I).  The probe is
+    kept in ``rec.probes``, so each gamma is solved once.
     """
-    M = _gamma_matrix(rec, gamma)[2]
-    u = lu_solve(M, rec.upd.rhs(gamma), "gamma update")
-    if rec.dm is None:
-        return u
-    return np.concatenate([u, rec.u_n[u.size:] + gamma * rec.dm])
+    probes = rec.probes
+    if gamma in probes:
+        return probes[gamma][0]
+    if gamma <= 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    scheme = rec.scheme
+    mode = scheme.sigma_mode
+    fac = gamma * rec.dt
+    M_sig = None
+    if mode == SIGMA_FROZEN:
+        sbar = rec.sigma
+    else:
+        sbar = rec.logs.geo_mean(gamma * scheme.sigma_exp)
+        if mode == SIGMA_BOOTSTRAP:
+            M_sig, sbar = rec.sig.solve_at(gamma, sbar, fac, "sigma_bar")
+    M, u = rec.upd.solve_at(gamma, sbar, fac, "gamma update")
+    if rec.dm is not None:
+        u = np.concatenate([u, rec.u_n[u.size:] + gamma * rec.dm])
+    probes[gamma] = u, sbar, M_sig, M
+    return u
 
 
 def gamma_update_derivative(rec: StepRecord, gamma: float,
                             u_gamma: np.ndarray) -> np.ndarray:
-    """d u^{n+gamma} / d gamma, consistent with ``gamma_update``."""
-    M = _gamma_matrix(rec, gamma)[2]
-    u_n = rec.logs.u_n
+    """d u^{n+gamma} / d gamma, consistent with ``gamma_update``: one
+    substitution on the factor of the probe's M_gamma (two for a
+    bootstrap sbar')."""
+    probes = rec.probes
+    if gamma not in probes:
+        gamma_update(rec, gamma)
+    M = probes[gamma][3]
     if rec.dm is not None:
-        u_gamma = u_gamma[:u_n.size]
+        u_gamma = u_gamma[:rec.logs.u_n.size]
     v = None  # frozen sigma has sbar' = 0
     if rec.scheme.sigma_mode != SIGMA_FROZEN:
         sbar, dsbar = sigma_bar(rec, gamma)
         v = u_gamma * dsbar / sbar
-    du = _tangent(M, u_gamma, u_n, gamma, v)
+    du = rec.upd.tangent(M, u_gamma, gamma, v)
     if rec.dm is None:
         return du
     return np.concatenate([du, rec.dm])

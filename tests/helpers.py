@@ -1,7 +1,7 @@
 """Shared fixtures-in-code for the test suite: small hand-checkable
 systems, a random conservative PDS generator, the wrapping of dense
 test arrays into the package's sparse exchange contract and planned
-Patankar format, call and factorization counters, the check that a
+Patankar format, call, solve and factorization counters, the check that a
 step's kept matrices serve gamma = 1, and a digest of a whole
 trajectory."""
 
@@ -114,20 +114,45 @@ def counted(fn, counts, key=0):
 
 def count_factorizations(monkeypatch, counts, key="factors"):
     """Add 1 to ``counts[key]`` on every factorization of a Patankar
-    matrix: a plan's interpreted ``LuPlan.factor``, the kernel of a plan
-    compiled while patched (not of one compiled before), and the band
-    sweep."""
+    matrix: a plan's interpreted ``LuPlan.factor`` (which its interpreted
+    probe calls), the factor and probe kernels of a plan compiled while
+    patched (not of one compiled before; a probe factors once), and the
+    band sweep."""
     compile_plan = linalg.LuPlan.compile
 
     def compile_counted(plan):
         if plan.source is None:
             compile_plan(plan)
             plan.factor = counted(plan.factor, counts, key)
+            plan.probe = counted(plan.probe, counts, key)
 
     monkeypatch.setattr(linalg.LuPlan, "factor",
                         counted(linalg.LuPlan.factor, counts, key))
     monkeypatch.setattr(linalg.LuPlan, "compile", compile_counted)
     monkeypatch.setattr(linalg, "_sweep", counted(linalg._sweep, counts, key))
+
+
+def count_system_solves(monkeypatch, counts):
+    """Add 1 to ``counts["assemblies"]`` on every Patankar matrix a step
+    or a gamma-probe assembles, and to ``counts["solves"]`` on every
+    solve with one: the step's ``patankar_matrix`` and ``lu_solve``
+    calls, a probe's ``PatankarSystem.solve_at`` (one assembly and one
+    solve per system) and a tangent's ``PatankarSystem.tangent`` (one
+    solve on a kept factor), on either format."""
+    system = linalg.PatankarSystem
+    for owner, name, key in [(schemes, "patankar_matrix", "assemblies"),
+                             (schemes, "lu_solve", "solves"),
+                             (system, "tangent", "solves")]:
+        monkeypatch.setattr(owner, name,
+                            counted(getattr(owner, name), counts, key))
+    solve_at = system.solve_at
+
+    def solve_at_counted(*args):
+        counts["assemblies"] += 1
+        counts["solves"] += 1
+        return solve_at(*args)
+
+    monkeypatch.setattr(system, "solve_at", solve_at_counted)
 
 
 def gamma_one_matches_assembly(monkeypatch, rec):

@@ -87,6 +87,50 @@ def old_geo_denominator(u_n, u2, e):
     return old_ppow(u2, e) * old_ppow(u_n, 1.0 - e)
 
 
+def one_exp_geo_denominator(u_n, u2, e):
+    # the mean as one exponential of the floored logarithms
+    tiny = np.finfo(float).tiny
+    return np.exp(e * np.log(np.maximum(u2, tiny))
+                  + (1.0 - e) * np.log(np.maximum(u_n, tiny)))
+
+
+def old_tangent(M, x, u_n, gamma, v):
+    # schemes._tangent before the tangent moved onto PatankarSystem
+    rhs = (x - u_n) / gamma
+    if v is None:
+        return lu_solve(M, rhs)
+    return v + lu_solve(M, rhs - v)
+
+
+def old_gamma_probe(rec, gamma):
+    """u(gamma) and u'(gamma) as the probe before the record kept its
+    probes gave them: sbar(gamma), M_gamma reassembled by
+    ``patankar_matrix`` and solved by ``lu_solve``, and the tangents by
+    ``old_tangent``; at gamma = 1 sbar is the step's sigma."""
+    scheme, upd, sig, logs = rec.scheme, rec.upd, rec.sig, rec.logs
+    mode, fac = scheme.sigma_mode, gamma * rec.dt
+    M_sig = None
+    if mode == "frozen" or gamma == 1.0:
+        sbar = rec.sigma
+        if mode == "bootstrap":
+            M_sig = patankar_matrix(sig, sig.loss,
+                                    logs.geo_mean(scheme.sigma_exp), fac)
+    else:
+        sbar = logs.geo_mean(gamma * scheme.sigma_exp)
+        if mode == "bootstrap":
+            M_sig = patankar_matrix(sig, sig.loss, sbar, fac)
+            sbar = lu_solve(M_sig, sig.rhs(gamma), "sigma_bar")
+    M = patankar_matrix(upd, upd.loss, sbar, fac)
+    u = lu_solve(M, upd.rhs(gamma), "gamma update")
+    v = None
+    if mode != "frozen":
+        dsbar = sbar * scheme.sigma_exp * logs.log_ratio()
+        if M_sig is not None:
+            dsbar = old_tangent(M_sig, sbar, logs.u_n, gamma, dsbar)
+        v = u * dsbar / sbar
+    return u, old_tangent(M, u, logs.u_n, gamma, v)
+
+
 def old_error_estimate(u_n, u_next, u_stage2, atol, rtol):
     w = atol + rtol * np.abs(u_n)
     diff = (u_next - u_stage2) / w
@@ -345,14 +389,48 @@ def test_patankar_matrix_matches_reference(d, compiled):
 
 
 def test_geo_denominator_at_unit_exponent_matches_reference():
+    # at e = 1 the mean keeps the bits of the two-factor product it
+    # replaced (u_n**0 is 1.0); at any other e it is one exponential
     rng = np.random.default_rng(7)
     with np.errstate(over="ignore"):
         for d in (1, 6, 100):
             for _ in range(20):
                 u_n, u2 = _states(rng, d), _states(rng, d)
-                for e in (1.0, np.float64(1.0), 0.5, 2.0):
+                for e in (1.0, np.float64(1.0)):
                     assert _same(_StageLogs(u_n, u2).geo_mean(e),
                                  old_geo_denominator(u_n, u2, e))
+                for e in (0.5, 2.0):
+                    assert _same(_StageLogs(u_n, u2).geo_mean(e),
+                                 one_exp_geo_denominator(u_n, u2, e))
+
+
+def test_geo_denominator_is_normal_wherever_the_mean_is():
+    # u2 down to the smallest subnormal and u_n up to 1e300: wherever the
+    # exact mean of the floored states is a normal float, the one
+    # exponential is too, to the rounding of its exponent.  The
+    # two-factor product underflowed to zero at e = 2 once u2 < 1.6e-162,
+    # although u2**2 / u_n was normal
+    tiny = np.finfo(float).tiny
+    grid = np.array([5e-324, 1e-310, tiny, 1e-300, 1e-200, 1e-162, 1e-100,
+                     1.0, 1e100, 1e200, 1e300])
+    u2, u_n = (a.ravel() for a in np.meshgrid(grid, grid))
+    floored = [np.log10(np.maximum(a, tiny)) for a in (u2, u_n)]
+    for e in (0.25, 0.5, 0.75, 4.0 / 3.0, 2.0, 3.0):
+        with np.errstate(over="ignore"):
+            mean = _StageLogs(u_n, u2).geo_mean(e)
+        exact = e * floored[0] + (1.0 - e) * floored[1]
+        normal = (exact > np.log10(tiny) + 1.0) & (exact < 307.0)
+        assert normal.sum() >= 25, e
+        assert np.all(np.isfinite(mean[normal]) & (mean[normal] > 0.0)), e
+        np.testing.assert_allclose(np.log10(mean[normal]), exact[normal],
+                                   rtol=0.0, atol=1e-11)
+    u_n, u2 = np.array([1e-100, 1e300]), np.array([1e-200, 5e-324])
+    assert np.all(old_geo_denominator(u_n, u2, 2.0) == 0.0)
+    assert _StageLogs(u_n, u2).geo_mean(2.0)[0] == pytest.approx(1e-300,
+                                                                  rel=1e-12)
+    # at e = 0.5, sqrt(tiny * 1e300)
+    assert _StageLogs(u_n, u2).geo_mean(0.5)[1] == pytest.approx(
+        math.sqrt(tiny * 1e300), rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2, 6, 9, 100, 1000])
@@ -881,6 +959,41 @@ def test_whole_run_is_bit_equal_interpreted_and_compiled(monkeypatch, run,
     assert plan.factored == 0 and bool(plan.systems) == ran
 
 
+@pytest.mark.parametrize("kind, params, mode", _scheme_cases())
+@pytest.mark.parametrize("compiled", [False, True],
+                         ids=["interpreted", "compiled"])
+@pytest.mark.parametrize("name, dt", [("lotka_volterra", 0.2),
+                                      ("cyclic3", 0.1),
+                                      ("stratospheric", 90.0)])
+def test_curve_probe_keeps_the_bits_of_the_assembled_solve(name, dt,
+                                                           compiled, kind,
+                                                           params, mode):
+    # the record's curve, one LuPlan.probe per gamma and one
+    # LuPlan.tangent per derivative, gives u(gamma) and u'(gamma) bit for
+    # bit as the reassembly by patankar_matrix and the solves by
+    # lu_solve did, on the interpreted loops and the compiled kernels,
+    # and u^{n+1} itself at gamma = 1
+    problem = make_problem(name)
+    plan = problem.sys.pattern.lu_plan
+    if compiled:
+        plan.compile()
+    stepper = problem.stepper(build_scheme(kind, *params, sigma_mode=mode))
+    if kind == "mpssprk2" and name == "lotka_volterra":
+        # Lotka-Volterra has rest terms, which MPSSPRK2 refuses
+        with pytest.raises(UnsupportedSchemeError):
+            stepper.step(problem.tspan[0], problem.u0, dt)
+        return
+    rec = stepper.step(problem.tspan[0], problem.u0, dt)
+    curve = rec.curve
+    for gamma in (0.3, 0.9, 1.0, 1.7):
+        u = curve.at(gamma)
+        du = curve.tangent(gamma, u)
+        ref_u, ref_du = old_gamma_probe(replace(rec), gamma)
+        assert _same(u, ref_u) and _same(du, ref_du), gamma
+    assert curve.at(1.0) is rec.u_next
+    assert (plan.source is not None) == compiled
+
+
 def _error_system(pattern, vals, rest_prod=0.0):
     """A system on ``pattern`` whose rates are ``vals`` and ``rest_prod``
     wherever it is evaluated."""
@@ -921,12 +1034,14 @@ def test_float_path_errors_keep_type_and_message(compiled):
     pattern = rates[0].P.pattern
     if compiled:
         pattern.lu_plan.compile()
-    for bad in (0.0, -1.0):
+    for bad, message in (
+            (0.0, "denominator component [1] underflowed to zero"),
+            (-1.0, "non-positive denominator component [1]")):
         denom = np.array([1.0, bad, 1.0])
         for args in ((rates, [1.0], denom, 0.5, ones),
                      (rates[0].P, rates[0].loss, denom, 0.5)):
-            assert _outcome(patankar_matrix, *args) == (
-                PositivityError, "non-positive denominator component [1]")
+            assert _outcome(patankar_matrix, *args) == (PositivityError,
+                                                        message)
     # a NaN rate
     assert _step_outcome(_error_system(_cyclic3_pattern(), [0.5, np.nan, 0.5]),
                          "mprk22", ones, 0.1, compiled) == (

@@ -13,8 +13,8 @@ from relax_mprk.linalg import (BAND_MIN_DIM, COMPILE_AFTER, CyclicTridiagonal,
                                PlannedPatankar, PositivityError,
                                SingularMatrixError, lu_solve, patankar_matrix)
 
-from helpers import (count_factorizations, counted, exchange, planned,
-                     random_conservative_system)
+from helpers import (count_factorizations, count_system_solves, counted,
+                     exchange, planned, random_conservative_system)
 
 EPS = np.finfo(float).eps
 BANDED = ("cyclic_bidiagonal", "cyclic_tridiagonal", "tridiagonal")
@@ -200,8 +200,8 @@ def test_patankar_matrix_format_follows_the_dimension(n):
     else:
         assert isinstance(M, CyclicTridiagonal)
     # the assembly refuses a denominator that is not positive, naming the
-    # first one, on the band path and on the planned path before and
-    # after its plan compiles
+    # first one, and a zero as one that underflowed, on the band path and
+    # on the planned path before and after its plan compiles
     for compiled in (False, True) if n < BAND_MIN_DIM else (False,):
         if compiled:
             ex.pattern.lu_plan.compile()
@@ -210,8 +210,10 @@ def test_patankar_matrix_format_follows_the_dimension(n):
                 denom = np.ones(n)
                 denom[k:] = -1.0
                 denom[k] = bad
-                with pytest.raises(PositivityError, match=rf"^non-positive "
-                                   rf"denominator component \[{k}\]$"):
+                what = (rf"^denominator component \[{k}\] underflowed to "
+                        rf"zero$" if bad == 0.0 else
+                        rf"^non-positive denominator component \[{k}\]$")
+                with pytest.raises(PositivityError, match=what):
                     patankar_matrix(ex, P.sum(axis=0), denom, 0.5)
 
 
@@ -359,12 +361,12 @@ def test_newton_relaxed_step_factors_each_matrix_once(monkeypatch):
     from relax_mprk.relaxation import RelaxConfig, relax_step
 
     counts = {}
-    for owner, name, key in [
-            (schemes, "patankar_matrix", "assemblies"),
-            (schemes, "lu_solve", "solves"),
-            (schemes, "gamma_update_derivative", "derivatives")]:
-        monkeypatch.setattr(owner, name, counted(getattr(owner, name), counts,
-                                                 key))
+    # the step's assemblies and solves, and each probe's
+    # (PatankarSystem.solve_at) and tangent's (PatankarSystem.tangent)
+    count_system_solves(monkeypatch, counts)
+    monkeypatch.setattr(schemes, "gamma_update_derivative",
+                        counted(schemes.gamma_update_derivative, counts,
+                                "derivatives"))
     count_factorizations(monkeypatch, counts)
     for name, method, mode, dt in (
             ("lotka_volterra", ("mprk22", 1.0), "frozen", 0.2),

@@ -15,7 +15,8 @@ from relax_mprk.relaxation import (EntropyFunctional, RelaxConfig,
                                    solve_scalar)
 from relax_mprk.schemes import MpStepper, build_scheme
 
-from helpers import counted, linear_exchange
+from helpers import (count_factorizations, count_system_solves, counted,
+                     linear_exchange)
 
 L2 = EntropyFunctional(eval=lambda u: 0.5 * float(u @ u),
                        grad=lambda u: np.asarray(u, float),
@@ -575,15 +576,19 @@ def test_relax_step_evaluates_eta_once_at_the_start():
     ("mprk22", (1.0,), "newton", 2),
 ])
 def test_relaxed_step_solve_count(monkeypatch, kind, params, solver, base_solves):
+    # assemblies and solves of the step's systems and of each probe's
+    # (PatankarSystem.solve_at) and tangent's (PatankarSystem.tangent),
+    # and every assembled matrix factored once
     from relax_mprk import relaxation, schemes
 
-    solves, assemblies, values, derivatives = [0], [0], [0], [0]
-    for owner, name, calls in [
-            (schemes, "lu_solve", solves),
-            (schemes, "patankar_matrix", assemblies),
-            (relaxation, "residual_implicit", derivatives),
-            (relaxation, "residual_implicit_value", values)]:
-        monkeypatch.setattr(owner, name, counted(getattr(owner, name), calls))
+    counts = {"solves": 0, "assemblies": 0, "factors": 0}
+    count_system_solves(monkeypatch, counts)
+    count_factorizations(monkeypatch, counts)
+    values, derivatives = [0], [0]
+    for name, calls in [("residual_implicit", derivatives),
+                        ("residual_implicit_value", values)]:
+        monkeypatch.setattr(relaxation, name,
+                            counted(getattr(relaxation, name), calls))
     problem = lotka_volterra() if kind == "mprk22" else cyclic3()
     stepper = MpStepper(problem.sys, build_scheme(kind, *params))
     rec = stepper.step(0.0, problem.u0, 0.2)
@@ -591,15 +596,17 @@ def test_relaxed_step_solve_count(monkeypatch, kind, params, solver, base_solves
                                                      solver=solver))
     assert out.status == "converged"
     assert values[0] >= 2
+    assert counts["factors"] == counts["assemblies"]
+    solves, assemblies = counts["solves"], counts["assemblies"]
     if solver == "newton":
         assert values[0] == out.iterations
         assert derivatives[0] == out.iterations - 1
-        assert solves[0] == base_solves + 2 * (out.iterations - 1)
-        assert assemblies[0] == base_solves + out.iterations - 1
+        assert solves == base_solves + 2 * (out.iterations - 1)
+        assert assemblies == base_solves + out.iterations - 1
     else:
         assert derivatives[0] == 0
-        assert solves[0] == base_solves + 2 * (values[0] - 1)
-        assert assemblies[0] == base_solves + 2 * (values[0] - 1)
+        assert solves == base_solves + 2 * (values[0] - 1)
+        assert assemblies == base_solves + 2 * (values[0] - 1)
     u_check = schemes.gamma_update(rec, out.gamma)
     assert out.u_relaxed.tobytes() == u_check.tobytes()
 

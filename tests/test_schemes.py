@@ -14,9 +14,9 @@ from relax_mprk.schemes import (SIGMA_MODES, MpStepper, SchemeParameterError,
                                 gamma_update_derivative, patankar_matrix,
                                 sigma_bar, step)
 
-from helpers import (count_factorizations, counted, dense_system,
-                     gamma_one_matches_assembly, linear_exchange,
-                     random_conservative_system)
+from helpers import (count_factorizations, count_system_solves, counted,
+                     dense_system, gamma_one_matches_assembly,
+                     linear_exchange, random_conservative_system)
 
 ALL_SCHEMES = [("mprk22", 1.0, None), ("mprk43i", 0.5, 0.75),
                ("mpssprk2", 0.5, 1.0)]
@@ -291,17 +291,18 @@ def test_sigma_bar_reads_the_probe_of_gamma_update(monkeypatch, spec, kind,
     stepper = problem.stepper(build_scheme(kind, *params, sigma_mode=mode))
     rec = stepper.step(problem.tspan[0], problem.u0, problem.defaults["dt0"])
     gamma_update(rec, 1.1)
-    calls = {"assemblies": 0, "factors": 0}
-    monkeypatch.setattr(schemes, "patankar_matrix",
-                        counted(schemes.patankar_matrix, calls, "assemblies"))
+    calls = {"assemblies": 0, "solves": 0, "factors": 0}
+    count_system_solves(monkeypatch, calls)
     count_factorizations(monkeypatch, calls)
     kept = sigma_bar(rec, 1.1)
-    assert calls == {"assemblies": 0, "factors": 0}
-    cold = sigma_bar(replace(rec), 1.1)
-    # the cold call's probe assembles M_gamma, and for bootstrap the
-    # sigma system, which it factors to solve for sbar
+    # sbar' of a bootstrap sigma is one solve on the kept sigma factor
     bootstrap = mode == "bootstrap"
-    assert calls == {"assemblies": 1 + bootstrap, "factors": int(bootstrap)}
+    assert calls == {"assemblies": 0, "solves": int(bootstrap), "factors": 0}
+    cold = sigma_bar(replace(rec), 1.1)
+    # the cold call makes the whole probe: it assembles, factors and
+    # solves M_gamma, and for bootstrap first the sigma system for sbar
+    assert calls == {"assemblies": 1 + bootstrap,
+                     "solves": 1 + 3 * bootstrap, "factors": 1 + bootstrap}
     for new, old in zip(kept, cold):
         assert new.tobytes() == old.tobytes()
 
@@ -349,7 +350,7 @@ def test_dense_sigma_derivatives_take_the_stage_logs_once(monkeypatch):
         counts["logs"] += inside[0]
         return log(*args, **kwargs)
 
-    derivative = stepper.gamma_state_derivative
+    derivative = schemes.gamma_update_derivative
 
     def counted_derivative(*args):
         counts["derivatives"] += 1
@@ -360,7 +361,10 @@ def test_dense_sigma_derivatives_take_the_stage_logs_once(monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(np, "log", counted_log)
-    monkeypatch.setattr(stepper, "gamma_state_derivative", counted_derivative)
+    # the search takes each derivative from the record's curve, which
+    # calls gamma_update_derivative
+    monkeypatch.setattr(schemes, "gamma_update_derivative",
+                        counted_derivative)
     out = relax_step(problem.eta, stepper, rec,
                      RelaxConfig(mode="implicit", solver="newton"))
     assert out.status == "converged" and counts["derivatives"] >= 3
@@ -521,3 +525,28 @@ def test_large_euler_step_stays_linear_in_memory():
         assert np.all(rec.u_next[:LARGE_N] > 0.0)
 
     assert _peak_bytes(one_step) < PEAK_BYTES
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("mprk22", (0.5,)), ("mprk22", (0.75,)), ("mpssprk2", (0.5, 1.0)),
+    ("mpssprk2", (1.0 / 3.0, 1.0)), ("mprk43i", (0.5, 0.75))])
+def test_non_unit_sigma_exponent_crosses_the_stratospheric_nights(kind,
+                                                                   params):
+    # each scheme whose sigma exponent is not 1 (MPRK43I's tau and pi3
+    # too) through [12 h, 84 h] at a fixed 600 s: at night O(1D) and O
+    # sit near the floor tiny, where the geometric-mean denominators
+    # u2**e u_n**(1 - e) with e > 1 underflowed as a product of two
+    # powers and raised PositivityError in the first night
+    from relax_mprk.control import integrate
+
+    problem = make_problem("stratospheric")
+    scheme = build_scheme(kind, *params)
+    assert scheme.sigma_exp != 1.0
+    t0, t_end = problem.tspan
+    traj = integrate(problem.stepper(scheme), None, None, t0, problem.u0,
+                     t_end, 600.0)
+    assert traj.times[-1] == pytest.approx(t_end)
+    states = np.array(traj.states)
+    assert np.all(states > 0.0)
+    mass = states.sum(axis=1)
+    assert np.all(np.abs(mass - mass[0]) <= 1e-13 * mass[0])
