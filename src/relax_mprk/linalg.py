@@ -222,7 +222,8 @@ class LuPlan:
         weakref.finalize(self, linecache.cache.pop, name, None)
         scope = {"_singular": _singular, "_bad_denominator": _bad_denominator,
                  "_at_largest_diagonal": _at_largest_diagonal,
-                 "_floored": _floored, "_TINY": _TINY, "isfinite": isfinite}
+                 "_floored": _floored, "_TINY": _TINY,
+                 "all_finite": all_finite}
         exec(compile(source, name, "exec"), scope)
         return scope
 
@@ -506,10 +507,8 @@ class PatankarSystem(NamedTuple):
         M = self.M
         if type(M) is PlannedPatankar:
             plan = M.plan
-            if type(denom) is not list:
-                denom = denom.tolist()
-            slots, lu, x = plan.probe(self.loss, denom, self.vals, fac,
-                                      self.u, self.g, gamma, positive)
+            slots, lu, x = plan.probe(self.loss, _floats(denom), self.vals,
+                                      fac, self.u, self.g, gamma, positive)
             return PlannedPatankar(slots, plan, lu), np.array(x)
         M = patankar_matrix(self, self.loss, denom, fac)
         return M, lu_solve(M, self.rhs(gamma), positive)
@@ -522,9 +521,8 @@ class PatankarSystem(NamedTuple):
         factor and no product M v; ``v`` (an array) is None for a frozen
         d.  On the planned format that is one ``LuPlan.tangent``."""
         if type(M) is PlannedPatankar:
-            lu = M.lu if M.lu is not None else _factored(M)
             return np.array(M.plan.tangent(
-                M.vals, lu, x.tolist(), self.u, gamma,
+                M.vals, _factored(M), x.tolist(), self.u, gamma,
                 None if v is None else v.tolist()))
         rhs = (x - self.u) / gamma
         if v is None:
@@ -678,11 +676,6 @@ def _assembly(plan: LuPlan) -> list:
     return lines
 
 
-def _finite(xs: str) -> str:
-    """``all_finite(xs)`` as an expression, without the call."""
-    return f"(isfinite(sum({xs})) or all(map(isfinite, {xs})))"
-
-
 def _factor_lines(plan: LuPlan) -> list:
     """Statements eliminating the locals a<s> in place, as
     ``LuPlan.factor`` does, with its pivot checks and messages on the
@@ -747,14 +740,14 @@ def _kernel_source(plan: LuPlan) -> str:
 
     lines += ["", "", "def probe(l, d, p, fac, u, g, gamma, positive):",
               *inputs, *_assembly(plan),
-              f"    if not {_finite('slots')}: "
+              "    if not all_finite(slots): "
               "raise ValueError(\"matrix has non-finite entries\")",
               "    vals = slots", *_unpack(slots, "slots"),
               *_factor_lines(plan), *_unpack([f"u{i}" for i in range(n)], "u"),
               *_unpack([f"g{i}" for i in range(n)], "g"),
               *(f"    x{i} = u{i} + gamma * g{i}" for i in range(n)),
               *_substitution_lines(plan), f"    x = [{', '.join(xs)}]",
-              f"    if not {_finite('x')}: raise _at_largest_diagonal("
+              "    if not all_finite(x): raise _at_largest_diagonal("
               f"slots[:{n}], \"non-finite solution\")",
               "    if min(x) < _TINY: x = _floored(x, positive)",
               f"    return slots, [{', '.join(slots)}], x"]
@@ -767,7 +760,7 @@ def _kernel_source(plan: LuPlan) -> str:
               "    if v is not None:", "    " + _unpack(vs, "v")[0],
               *(f"        x{i} = x{i} - v{i}" for i in range(n)),
               *_substitution_lines(plan), f"    x = [{', '.join(xs)}]",
-              f"    if not {_finite('x')}: raise _at_largest_diagonal("
+              "    if not all_finite(x): raise _at_largest_diagonal("
               f"vals[:{n}], \"non-finite solution\")",
               "    if v is None: return x",
               f"    return [{', '.join(f'v{i} + x{i}' for i in range(n))}]"]

@@ -11,11 +11,11 @@ through u(0) = u^n and u(1) = u^{n+1}:
 * implicit: the stepper's gamma-parameterized Patankar update u^{n+gamma},
   positive and linear-invariant-preserving for every gamma > 0.  A step
   record that carries its own ``curve`` (``schemes.StepRecord``) is
-  searched along it: one object per step that keeps, per gamma, the
-  state, the solution and its factor, so a probe is one pass on the
-  linear-algebra kernels and a tangent one substitution.  A stepper
-  whose records have no curve is searched through its ``gamma_state``
-  and ``gamma_state_derivative``.
+  searched along it: the record keeps, per gamma, the state, the
+  solution and its factor, so a probe is one pass on the linear-algebra
+  kernels and a tangent one substitution.  A stepper whose records have
+  no curve is searched through its ``gamma_state`` and
+  ``gamma_state_derivative``.
 
 On every curve gamma is a root near 1 of one residual,
 
