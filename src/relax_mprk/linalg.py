@@ -198,7 +198,7 @@ class LuPlan:
     ``factored`` counts the factorizations they ran; the
     ``COMPILE_AFTER``-th calls ``compile``, which binds the six names on
     the instance to generated straight-line kernels and keeps the source
-    of the first five in ``source``; the class attributes stay the cold
+    of the first three in ``source``; the class attributes stay the cold
     path and the reference.  ``systems`` maps a number of rate sets to
     its compiled step kernel.
     """
@@ -228,16 +228,26 @@ class LuPlan:
         return scope
 
     def compile(self) -> None:
-        """Generate, compile and bind the plan's kernels, once; a step
-        kernel is generated on first use per number of rate sets."""
+        """Generate, compile and bind the plan's kernels, once; the probe
+        and tangent kernels are generated together on the first call of
+        either (a plan that never relaxes never builds them), a step
+        kernel on first use per number of rate sets."""
         if self.source is not None:
             return
         self.source = _kernel_source(self)
         scope = self._exec(self.source, "")
-        (self.assemble, self.factor, self.substitute, self.probe,
-         self.tangent) = (scope["assemble"], scope["factor"],
-                          scope["substitute"], scope["probe"],
-                          scope["tangent"])
+        self.assemble, self.factor, self.substitute = (
+            scope["assemble"], scope["factor"], scope["substitute"])
+
+        def on_first_call(name):
+            def generate(*args):
+                scope = self._exec(_curve_source(self), ": probe")
+                self.probe, self.tangent = scope["probe"], scope["tangent"]
+                return scope[name](*args)
+            return generate
+
+        self.probe, self.tangent = on_first_call("probe"), on_first_call(
+            "tangent")
         systems = self.systems
 
         def system(w, sets, d, fac, u):
@@ -676,6 +686,15 @@ def _assembly(plan: LuPlan) -> list:
     return lines
 
 
+def _inputs(plan: LuPlan) -> list:
+    """Statements unpacking the lists l, d and p of an assembly's losses,
+    denominators and pattern values into the locals of ``_assembly``."""
+    n = plan.dim
+    return [*_unpack([f"l{i}" for i in range(n)], "l"),
+            *_unpack([f"d{i}" for i in range(n)], "d"),
+            *_unpack([f"p{e}" for e in range(len(plan.cols))], "p")]
+
+
 def _factor_lines(plan: LuPlan) -> list:
     """Statements eliminating the locals a<s> in place, as
     ``LuPlan.factor`` does, with its pivot checks and messages on the
@@ -710,52 +729,54 @@ def _substitution_lines(plan: LuPlan) -> list:
 
 
 def _kernel_source(plan: LuPlan) -> str:
-    """Python source of a plan's ``assemble(l, d, p, fac)``,
-    ``factor(vals)``, ``substitute(lu, x)``, ``probe(l, d, p, fac, u, g,
-    gamma, positive)`` and ``tangent(vals, lu, x, u, gamma, v)``, the
-    ``LuPlan`` methods as straight-line code on one local per slot (a<s>)
-    and per unknown (x<i>).  Each does the loops'
-    floating-point operations in their order (x - a - b is (x - a) - b,
-    as the loops subtract), and their checks with their messages, so
-    every result keeps its bits.  A substitution row is split into
-    statements of at most ``_TERMS_PER_LINE`` terms, which bounds the
-    expression depth the compiler meets on a dense row.
+    """Python source of a plan's ``assemble(l, d, p, fac)``, ``factor(vals)``
+    and ``substitute(lu, x)``, the ``LuPlan`` methods as straight-line
+    code on one local per slot (a<s>) and per unknown (x<i>).  Each does
+    the loops' floating-point operations in their order (x - a - b is
+    (x - a) - b, as the loops subtract), so every result keeps its bits.
+    A substitution row is split into statements of at most
+    ``_TERMS_PER_LINE`` terms, which bounds the expression depth the
+    compiler meets on a dense row.
     """
     n, cols, n_fill = plan.dim, plan.cols, plan.n_fill
     slots = [f"a{s}" for s in range(n + len(cols) + n_fill)]
     xs = [f"x{i}" for i in range(n)]
-    inputs = [*_unpack([f"l{i}" for i in range(n)], "l"),
-              *_unpack([f"d{i}" for i in range(n)], "d"),
-              *_unpack([f"p{e}" for e in range(len(cols))], "p")]
-
-    lines = ["def assemble(l, d, p, fac):", *inputs, *_assembly(plan),
+    lines = ["def assemble(l, d, p, fac):", *_inputs(plan), *_assembly(plan),
              "    return slots"]
-
     lines += ["", "", "def factor(vals):", *_unpack(slots, "vals"),
               *_factor_lines(plan), f"    return [{', '.join(slots)}]"]
-
     lines += ["", "", "def substitute(lu, x):", *_unpack(slots, "lu"),
               *_unpack(xs, "x"), *_substitution_lines(plan),
               f"    return [{', '.join(xs)}]"]
+    return "\n".join(lines) + "\n"
 
-    lines += ["", "", "def probe(l, d, p, fac, u, g, gamma, positive):",
-              *inputs, *_assembly(plan),
-              "    if not all_finite(slots): "
-              "raise ValueError(\"matrix has non-finite entries\")",
-              "    vals = slots", *_unpack(slots, "slots"),
-              *_factor_lines(plan), *_unpack([f"u{i}" for i in range(n)], "u"),
-              *_unpack([f"g{i}" for i in range(n)], "g"),
-              *(f"    x{i} = u{i} + gamma * g{i}" for i in range(n)),
-              *_substitution_lines(plan), f"    x = [{', '.join(xs)}]",
-              "    if not all_finite(x): raise _at_largest_diagonal("
-              f"slots[:{n}], \"non-finite solution\")",
-              "    if min(x) < _TINY: x = _floored(x, positive)",
-              f"    return slots, [{', '.join(slots)}], x"]
 
+def _curve_source(plan: LuPlan) -> str:
+    """Python source of a plan's ``probe(l, d, p, fac, u, g, gamma,
+    positive)`` and ``tangent(vals, lu, x, u, gamma, v)``, the ``LuPlan``
+    methods as straight-line code on the locals of ``_kernel_source``,
+    with their checks and messages in their order, so every result and
+    every error keeps its bits."""
+    n, cols, n_fill = plan.dim, plan.cols, plan.n_fill
+    slots = [f"a{s}" for s in range(n + len(cols) + n_fill)]
+    xs = [f"x{i}" for i in range(n)]
+    us = _unpack([f"u{i}" for i in range(n)], "u")
+    lines = ["def probe(l, d, p, fac, u, g, gamma, positive):",
+             *_inputs(plan), *_assembly(plan),
+             "    if not all_finite(slots): "
+             "raise ValueError(\"matrix has non-finite entries\")",
+             "    vals = slots", *_unpack(slots, "slots"),
+             *_factor_lines(plan), *us,
+             *_unpack([f"g{i}" for i in range(n)], "g"),
+             *(f"    x{i} = u{i} + gamma * g{i}" for i in range(n)),
+             *_substitution_lines(plan), f"    x = [{', '.join(xs)}]",
+             "    if not all_finite(x): raise _at_largest_diagonal("
+             f"slots[:{n}], \"non-finite solution\")",
+             "    if min(x) < _TINY: x = _floored(x, positive)",
+             f"    return slots, [{', '.join(slots)}], x"]
     vs = [f"v{i}" for i in range(n)]
     lines += ["", "", "def tangent(vals, lu, x, u, gamma, v):",
-              *_unpack(slots, "lu"), *_unpack(xs, "x"),
-              *_unpack([f"u{i}" for i in range(n)], "u"),
+              *_unpack(slots, "lu"), *_unpack(xs, "x"), *us,
               *(f"    x{i} = (x{i} - u{i}) / gamma" for i in range(n)),
               "    if v is not None:", "    " + _unpack(vs, "v")[0],
               *(f"        x{i} = x{i} - v{i}" for i in range(n)),

@@ -115,20 +115,21 @@ def counted(fn, counts, key=0):
 def count_factorizations(monkeypatch, counts, key="factors"):
     """Add 1 to ``counts[key]`` on every factorization of a Patankar
     matrix: a plan's interpreted ``LuPlan.factor`` (which its interpreted
-    probe calls), the factor and probe kernels of a plan compiled while
-    patched (not of one compiled before; a probe factors once), and the
-    band sweep."""
-    compile_plan = linalg.LuPlan.compile
+    probe calls), the factor and probe kernels generated while patched
+    (not those generated before; a probe factors once), and the band
+    sweep."""
+    exec_source = linalg.LuPlan._exec
 
-    def compile_counted(plan):
-        if plan.source is None:
-            compile_plan(plan)
-            plan.factor = counted(plan.factor, counts, key)
-            plan.probe = counted(plan.probe, counts, key)
+    def exec_counted(plan, source, what):
+        scope = exec_source(plan, source, what)
+        for name in ("factor", "probe"):
+            if name in scope:
+                scope[name] = counted(scope[name], counts, key)
+        return scope
 
     monkeypatch.setattr(linalg.LuPlan, "factor",
                         counted(linalg.LuPlan.factor, counts, key))
-    monkeypatch.setattr(linalg.LuPlan, "compile", compile_counted)
+    monkeypatch.setattr(linalg.LuPlan, "_exec", exec_counted)
     monkeypatch.setattr(linalg, "_sweep", counted(linalg._sweep, counts, key))
 
 

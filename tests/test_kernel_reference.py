@@ -707,13 +707,26 @@ KERNEL_PATTERNS = {
 }
 
 
+def _lists_outcome(fn, *args):
+    """What ``fn(*args)`` gives as lists of floats: each list's bytes and
+    signs, or the error's type and message."""
+    try:
+        out = fn(*args)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    lists = out if isinstance(out, tuple) else (out,)
+    return tuple((np.array(x).tobytes(), np.signbit(x).tobytes())
+                 for x in lists)
+
+
 @pytest.mark.parametrize("pattern", KERNEL_PATTERNS)
 def test_compiled_kernels_match_the_interpreted_loops(pattern):
     # two plans of one pattern: the reference runs the interpreted loops
     # throughout (it is factored fewer than COMPILE_AFTER times), the
     # other is compiled before its first assembly.  Slots (the -0.0 fill
-    # included), factors, solutions and substitutions are bit-equal, and
-    # a failure is the same error with the same message
+    # included), factors, solutions, substitutions, gamma-probes and
+    # their tangents are bit-equal, and a failure is the same error with
+    # the same message
     rows, cols, d = KERNEL_PATTERNS[pattern]()
     ref, new = (ExchangePattern(rows, cols, d) for _ in range(2))
     new.lu_plan.compile()
@@ -730,6 +743,20 @@ def test_compiled_kernels_match_the_interpreted_loops(pattern):
                 M_ref, M = (patankar_matrix(Exchange(p, vals), loss, denom,
                                             fac) for p in (ref, new))
             assert _same(M.vals, M_ref.vals)
+            # a probe of u + gamma g, its solution floored, negative or
+            # overflowing as it comes, and its tangent with and without v
+            u, g = _states(rng, d), rng.standard_normal(d) * _states(rng, d)
+            args = (loss.tolist(), denom.tolist(), vals.tolist(), fac,
+                    u.tolist(), g.tolist(), 0.7, "probe")
+            out = _lists_outcome(new.lu_plan.probe, *args)
+            assert out == _lists_outcome(ref.lu_plan.probe, *args)
+            if len(out) == 3:
+                slots, lu, x = new.lu_plan.probe(*args)
+                for v in (None, (rng.standard_normal(d)
+                                 * _states(rng, d)).tolist()):
+                    targs = (slots, lu, x, u.tolist(), 0.7, v)
+                    assert (_lists_outcome(new.lu_plan.tangent, *targs)
+                            == _lists_outcome(ref.lu_plan.tangent, *targs))
             b1 = 10.0 ** rng.uniform(-6.0, 6.0, d)
             out = _outcome(lu_solve, M, b1)
             assert out == _outcome(lu_solve, M_ref, b1)
