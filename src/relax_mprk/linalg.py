@@ -20,7 +20,8 @@ d * tiny of mass (about 2.2e-308 per component, as O(1D) and O show on
 the stratospheric night).
 
 ``patankar_matrix`` assembles a matrix in one of two formats, raising
-``PositivityError`` on a non-positive denominator, and ``lu_solve``
+``PositivityError`` on a denominator that is not positive and finite (an
+infinite one would drop its component's loss term), and ``lu_solve``
 solves those two formats and nothing else:
 
 * a ``PlannedPatankar`` (Lotka-Volterra, cyclic3, the stratospheric
@@ -37,26 +38,33 @@ solves those two formats and nothing else:
   elimination in the same k, i, j order, which adds nothing but zeros
   elsewhere; so up to d = 4, where that dense elimination ran on full
   rows before, the solutions keep their bits.  The plan's methods
-  assemble, factor and substitute, build a step's system, and probe a
-  system at gamma and take the probe's tangent, in loops over its index
-  tuples.  At its ``COMPILE_AFTER``-th factorization a plan compiles
-  (``LuPlan.compile``), as chemistry codes generate the sparse LU of a
-  fixed kinetics pattern (KPP; Damian, Sandu, Damian, Potra &
-  Carmichael, Comput. Chem. Eng. 2002), and binds those six names on
-  itself to straight-line Python on one local variable per slot, with
-  the loops' operations, checks and messages in their order, so the
-  switch moves no bit.  As KPP generates the whole
-  kinetic step, the compiled ``system`` generates, once per number of
-  rate sets, a kernel that takes a step's rate sets from
-  ``matrix_rates``'s output to the system it solves: the loss sums, the
-  weighted sums, g, the right-hand side and the slots in one call.  So
-  a step of a small system stays on lists of Python floats up to its
-  solution, and a ``PatankarSystem`` keeps them for the gamma-probes:
-  ``LuPlan.probe`` takes a probe from gamma to its checked solution and
-  factor in one call (assembly at gamma dt, the slots checked finite,
-  the factorization, u_n + gamma g substituted, the solution checked
-  finite and positive), and ``LuPlan.tangent`` the probe's tangent in
-  one substitution on that factor;
+  assemble, factor and substitute, solve a matrix (the slots checked
+  finite, the factorization, the substitution, the solution checked
+  finite and, given a name, positive), build a step's system, and probe
+  a system at gamma and take the probe's tangent, in loops over its
+  index tuples.  At its ``COMPILE_AFTER``-th factorization a plan
+  compiles (``LuPlan.compile``), as chemistry codes generate the sparse
+  LU of a fixed kinetics pattern (KPP; Damian, Sandu, Damian, Potra &
+  Carmichael, Comput. Chem. Eng. 2002), and binds ``assemble``,
+  ``solve``, ``probe``, ``tangent`` and ``system`` on itself to
+  straight-line Python on one local variable per slot, with the loops'
+  operations, checks and messages in their order, so the switch moves
+  no bit.  A kernel tests its slots and its solution finite inline, by
+  one sum of them (a sum of finite floats is finite unless it
+  overflows, and only then are the entries tested one by one), and
+  ``solve`` is ``lu_solve``'s first solve in one call.  As KPP
+  generates the whole kinetic step, the compiled ``system`` generates,
+  once per number of rate sets, a kernel that takes a step's rate sets
+  from ``matrix_rates``'s output (each set's lists,
+  ``pdrs.RateSet.lists``) to the system it solves: the loss sums, the
+  weighted sums, g, the right-hand side and the slots in one call.  So a step of a small
+  system stays on lists of Python floats up to its solution, and its
+  ``PlannedSystem`` keeps them, with its denominators, for the
+  gamma-probes: ``LuPlan.probe`` takes a probe from gamma to its checked
+  solution and factor in one call (assembly at gamma dt, the slots
+  checked finite, the factorization, u_n + gamma g substituted, the
+  solution checked finite and positive), and ``LuPlan.tangent`` the
+  probe's tangent in one substitution on that factor;
 * a ``CyclicTridiagonal`` (the Patankar matrices of advection, the porous
   medium equation and the Euler density) is solved in O(N) by a bordered
   Thomas sweep without pivoting, whose every step adds non-negative
@@ -74,7 +82,7 @@ band format recomputes its pivots from the kept bands and c_i, to the
 same bits): the Newton derivative solve with the M_gamma of the value
 solve, the bootstrap sigma-bar derivative with the sigma matrix, and the
 Newton derivative at gamma = 1 with the step's own update matrix, which
-the step record keeps with every probe's (``schemes.StepRecord``).
+the step record keeps beside the latest probe's (``schemes.Probes``).
 
 ``patankar_matrix`` chooses the format from the number of unknowns d
 and the exchange pattern the system declares (``pdrs.ExchangePattern``),
@@ -113,8 +121,14 @@ one compile of the LU kernels and the one-set step kernel:
     full, d = 17           1921  197.4  89.6     -   16.0   9.3     -   16.9
     full, d = 40          22920 1626.4 821.3     -   69.3  61.7     -    187
 
-The kernels take 0.4-0.55 of the interpreted time of a system and
-first solve, and 0.55-0.9 of a second solve.  A step kernel for two
+The table was measured with compiled ``factor`` and ``substitute``
+kernels, which a plan no longer builds: its first solve is now the
+fused ``solve`` kernel (stratospheric, a system and first solve from one
+rate set: 10.2 us against 12.1 with the two kernels, in the same
+process), and a second solve, which no step makes on the planned format,
+runs the interpreted substitution (3.1 us against 2.0).  The kernels
+take 0.4-0.55 of the interpreted time of a system and first solve, and
+0.55-0.9 of a second solve.  A step kernel for two
 rate sets compiles in 1.1-1.6 times the one-set kernel's time.  The
 compile pays for itself after compile / (interpreted - compiled)
 systems: 138 to 271 on the patterns above, 140 on the stratospheric
@@ -163,6 +177,7 @@ _TERMS_PER_LINE = 16
 
 _INV_EPS = 1.0 / np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+_INF = float("inf")
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -193,14 +208,17 @@ class LuPlan:
     every row, from the last one up, with its entries of U right of the
     diagonal.
 
-    The methods ``assemble``, ``factor``, ``substitute``, ``probe``,
-    ``tangent`` and ``system`` run interpreted loops over those tuples.
-    ``factored`` counts the factorizations they ran; the
-    ``COMPILE_AFTER``-th calls ``compile``, which binds the six names on
-    the instance to generated straight-line kernels and keeps the source
-    of the first three in ``source``; the class attributes stay the cold
-    path and the reference.  ``systems`` maps a number of rate sets to
-    its compiled step kernel.
+    The methods ``assemble``, ``factor``, ``substitute``, ``solve``,
+    ``probe``, ``tangent`` and ``system`` run interpreted loops over those
+    tuples.  ``factored`` counts the factorizations they ran; the
+    ``COMPILE_AFTER``-th calls ``compile``, which binds ``assemble``,
+    ``solve``, ``probe``, ``tangent`` and ``system`` on the instance to
+    generated straight-line kernels and keeps the source of the first two
+    in ``source``; the class attributes stay the cold path and the
+    reference.  ``factor`` and ``substitute`` stay interpreted: ``solve``
+    and ``probe`` factor and substitute in their own kernels, and no step
+    solves a planned matrix a second time.  ``systems`` maps a number of
+    rate sets to its compiled step kernel.
     """
 
     def __init__(self, dim, cols, n_fill, flat, elim, lower, upper):
@@ -222,8 +240,8 @@ class LuPlan:
         weakref.finalize(self, linecache.cache.pop, name, None)
         scope = {"_singular": _singular, "_bad_denominator": _bad_denominator,
                  "_at_largest_diagonal": _at_largest_diagonal,
-                 "_floored": _floored, "_TINY": _TINY,
-                 "all_finite": all_finite}
+                 "_floored": _floored, "_TINY": _TINY, "_INF": _INF,
+                 "isfinite": isfinite}
         exec(compile(source, name, "exec"), scope)
         return scope
 
@@ -236,8 +254,7 @@ class LuPlan:
             return
         self.source = _kernel_source(self)
         scope = self._exec(self.source, "")
-        self.assemble, self.factor, self.substitute = (
-            scope["assemble"], scope["factor"], scope["substitute"])
+        self.assemble, self.solve = scope["assemble"], scope["solve"]
 
         def on_first_call(name):
             def generate(*args):
@@ -264,9 +281,9 @@ class LuPlan:
                  fac: float) -> list:
         """The slots of a Patankar matrix from the lists of its losses,
         denominators and pattern values; a denominator that is not
-        positive raises ``PositivityError``."""
+        positive and finite raises ``PositivityError``."""
         for dj in denom:
-            if dj <= 0.0:
+            if not 0.0 < dj < _INF:
                 raise _bad_denominator(denom)
         nfac = -fac
         slots = [1.0 + fac * lj / dj for lj, dj in zip(loss, denom)]
@@ -306,16 +323,25 @@ class LuPlan:
             x[i] = s / lu[i]
         return x
 
+    def solve(self, vals: list, b: list, positive: Optional[str]) -> tuple:
+        """A matrix's first solve in one call: ``(lu, x)``, the factor of
+        the slots ``vals`` and the solution x at b, checked as
+        ``lu_solve`` checks a first solve: the slots finite, the pivots
+        positive, x finite and, given its name ``positive``, positive and
+        floored to tiny."""
+        if not all_finite(vals):
+            raise ValueError("matrix has non-finite entries")
+        lu = self.factor(vals)
+        return lu, _checked(self.substitute(lu, b), vals, self.dim, positive)
+
     def probe(self, loss: list, denom: list, vals: list, fac: float,
               u: list, g, gamma: float, positive: str) -> tuple:
         """A system's gamma-probe in one call: ``(slots, lu, x)``, the
         slots of ``assemble``, their factor and the solution x of the
-        matrix at u + gamma g, each checked as ``lu_solve`` checks a
-        first solve, with ``positive`` the solution's name."""
-        A = PlannedPatankar(self.assemble(loss, denom, vals, fac), self)
-        x = _planned_solve(A, [a + gamma * b for a, b in zip(u, g)],
-                           positive)
-        return A.vals, A.lu, x
+        matrix at u + gamma g, as ``solve`` gives them."""
+        slots = self.assemble(loss, denom, vals, fac)
+        b = [a + gamma * c for a, c in zip(u, g)]
+        return (slots, *self.solve(slots, b, positive))
 
     def tangent(self, vals: list, lu: list, x: list, u: list, gamma: float,
                 v: Optional[list]) -> list:
@@ -325,9 +351,7 @@ class LuPlan:
         rhs = [(a - b) / gamma for a, b in zip(x, u)]
         if v is not None:
             rhs = [r - w for r, w in zip(rhs, v)]
-        dx = self.substitute(lu, rhs)
-        if not all_finite(dx):
-            raise _at_largest_diagonal(vals[:self.dim], "non-finite solution")
+        dx = _checked(self.substitute(lu, rhs), vals, self.dim, None)
         return dx if v is None else [a + b for a, b in zip(v, dx)]
 
     def system(self, weights: list, sets: list, denom: list, fac: float,
@@ -478,18 +502,25 @@ class PatankarSystem(NamedTuple):
     I + gamma dt (diag(loss/d) - P/d) on positive denominators d: the
     exchange ``pattern`` and the weighted exchange values ``vals``, so a
     system is an exchange ``patankar_matrix`` reassembles from, ``loss``,
-    the gamma-linear part ``g`` of the right-hand side, ``u`` = u_n and
-    ``M``, the matrix at gamma = 1 with the factor its solve left on it.
-    The values are lists of Python floats on the planned format and
-    numpy arrays on the band format; MPSSPRK2 puts an array g on either.
+    the gamma-linear part ``g`` of the right-hand side, ``u`` = u_n,
+    ``M``, the matrix at gamma = 1 with the factor its solve left on it,
+    and ``d``, the denominators it was assembled on.  The values are
+    lists of Python floats on the planned format and numpy arrays on the
+    band format; MPSSPRK2 puts an array g on either.
 
-    ``solve_at`` and ``tangent`` are the system at another gamma: its
-    solution and the solution's gamma-derivative, each checked as
-    ``lu_solve`` checks a solution.  On the planned format a probe is
-    one pass on the plan's kernels and a tangent one substitution on the
-    probe's factor, on lists of floats; the band format assembles with
-    ``patankar_matrix`` and solves with ``lu_solve``.  Both give the bits
-    of those two calls on either format.
+    The step form of ``patankar_matrix`` returns a ``PlannedSystem`` or a
+    ``BandSystem``, whose methods are the system at any gamma:
+    ``solve_at(gamma, dt, positive, denom)`` is ``(kept, x, state)``, the
+    matrix at gamma dt on the denominators ``denom`` (the system's own
+    when None) with its factor, and the solution x of M x = u_n + gamma
+    g in the system's format and as an array, checked positive under
+    the name ``positive``; ``tangent(kept, x, gamma, v)`` is dx/dgamma
+    there: M x' = (x - u_n)/gamma + (M - I) v with v = x d'/d, solved as
+    x' = v + M^-1 ((x - u_n)/gamma - v), one solve on the kept factor and
+    no product M v, ``v`` (an array) None for a frozen d; and ``one(x)``
+    is ``(kept, x)`` of the step's own solve, x the solution at gamma =
+    1.  Each format's methods give the bits of ``patankar_matrix`` and
+    ``lu_solve``.
     """
 
     pattern: object
@@ -498,6 +529,7 @@ class PatankarSystem(NamedTuple):
     g: object
     u: object
     M: object
+    d: object
 
     def rhs(self, gamma: float):
         """u_n + gamma g, in the format of g."""
@@ -506,38 +538,59 @@ class PatankarSystem(NamedTuple):
             return [a + gamma * b for a, b in zip(u, g)]
         return u + gamma * g
 
-    def solve_at(self, gamma: float, denom, fac: float, positive: str):
-        """``(M, x)``: the matrix at ``fac`` on the denominators
-        ``denom``, with its factor, and the solution x of M x = u_n +
-        gamma g as an array, checked positive under the name
-        ``positive``.  On the planned format the slots are assembled,
-        checked finite and factored, and the right-hand side substituted
-        in one ``LuPlan.probe``, with no ``patankar_matrix`` or
-        ``lu_solve`` on the way."""
-        M = self.M
-        if type(M) is PlannedPatankar:
-            plan = M.plan
-            slots, lu, x = plan.probe(self.loss, _floats(denom), self.vals,
-                                      fac, self.u, self.g, gamma, positive)
-            return PlannedPatankar(slots, plan, lu), np.array(x)
-        M = patankar_matrix(self, self.loss, denom, fac)
-        return M, lu_solve(M, self.rhs(gamma), positive)
 
-    def tangent(self, M, x: np.ndarray, gamma: float, v=None) -> np.ndarray:
-        """dx/dgamma of the solution x of M x = u_n + gamma g, M = M_gamma
-        from ``solve_at`` (or ``self.M`` at gamma = 1): M x' = (x -
-        u_n)/gamma + (M - I) v with v = x d'/d, d the denominators,
-        solved as x' = v + M^-1 ((x - u_n)/gamma - v), one solve on M's
-        factor and no product M v; ``v`` (an array) is None for a frozen
-        d.  On the planned format that is one ``LuPlan.tangent``."""
-        if type(M) is PlannedPatankar:
-            return np.array(M.plan.tangent(
-                M.vals, _factored(M), x.tolist(), self.u, gamma,
-                None if v is None else v.tolist()))
+class PlannedSystem(PatankarSystem):
+    """A ``PatankarSystem`` on the planned format: a probe is one
+    ``LuPlan.probe`` (the slots assembled, checked finite and factored,
+    the right-hand side substituted, the solution checked finite and
+    positive) and a tangent one ``LuPlan.tangent`` on the kept slot lists
+    ``kept``, on the system's lists."""
+
+    __slots__ = ()
+
+    def solve_at(self, gamma: float, dt: float, positive: str,
+                 denom=None) -> tuple:
+        # the plan's probe is read on each call: it may compile during
+        # the step
+        slots, lu, x = self.M.plan.probe(
+            self.loss, self.d if denom is None else _floats(denom),
+            self.vals, gamma * dt, self.u, self.g, gamma, positive)
+        return (slots, lu), x, np.array(x)
+
+    def tangent(self, kept: tuple, x: list, gamma: float,
+                v: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.array(self.M.plan.tangent(
+            kept[0], kept[1], x, self.u, gamma,
+            None if v is None else v.tolist()))
+
+    def one(self, x: np.ndarray) -> tuple:
+        M = self.M
+        return (M.vals, _factored(M)), x.tolist()
+
+
+class BandSystem(PatankarSystem):
+    """A ``PatankarSystem`` on the band format: a probe assembles with
+    ``patankar_matrix`` and solves with ``lu_solve``, a tangent solves
+    with ``lu_solve`` on the kept matrix ``kept``."""
+
+    __slots__ = ()
+
+    def solve_at(self, gamma: float, dt: float, positive: str,
+                 denom=None) -> tuple:
+        M = patankar_matrix(self, self.loss, self.d if denom is None
+                            else denom, gamma * dt)
+        x = lu_solve(M, self.rhs(gamma), positive)
+        return M, x, x
+
+    def tangent(self, M: CyclicTridiagonal, x: np.ndarray, gamma: float,
+                v: Optional[np.ndarray] = None) -> np.ndarray:
         rhs = (x - self.u) / gamma
         if v is None:
             return lu_solve(M, rhs)
         return v + lu_solve(M, rhs - v)
+
+    def one(self, x: np.ndarray) -> tuple:
+        return self.M, x
 
 
 def all_finite(xs: list) -> bool:
@@ -569,12 +622,20 @@ def _floats(x) -> list:
 
 
 def _bad_denominator(denom) -> PositivityError:
-    bad = next(j for j, dj in enumerate(denom) if dj <= 0.0)
-    if denom[bad] == 0.0:
+    bad = next(j for j, dj in enumerate(denom) if not 0.0 < dj < _INF)
+    dj = denom[bad]
+    if dj == 0.0:
         # the denominators are positive states or geometric means of
         # them, so a zero is a mean below the smallest subnormal
         return PositivityError(
             f"denominator component [{bad}] underflowed to zero")
+    if dj == _INF:
+        # and an infinity a mean above the largest float, whose loss
+        # term fac * loss / inf would vanish without a word
+        return PositivityError(
+            f"denominator component [{bad}] overflowed to infinity")
+    if dj != dj:
+        return PositivityError(f"denominator component [{bad}] is NaN")
     return PositivityError(f"non-positive denominator component [{bad}]")
 
 
@@ -590,19 +651,11 @@ def _weighted(rates, weights):
     return vals, loss, rP
 
 
-def _rate_lists(r, n: int) -> tuple:
-    """A rate set's exchange values, rP and rD as lists of n floats; a
-    scalar rest term (a system without rest terms) is repeated."""
-    rp, rd = r.rest_prod, r.rest_dest
-    return (r.P.vals.tolist(),
-            rp.tolist() if type(rp) is np.ndarray else [float(rp)] * n,
-            rd.tolist() if type(rd) is np.ndarray else [float(rd)] * n)
-
-
 def patankar_matrix(P_w, loss_w, denom, fac: float, u_n=None):
     """I + fac*diag(loss/denom) - fac*P/denom (column-scaled); a
-    denominator that is not positive raises ``PositivityError`` naming
-    the first such component.
+    denominator that is not positive and finite raises
+    ``PositivityError`` naming the first such component, so that an
+    infinite one cannot drop its loss term.
 
     ``P_w`` is an exchange, a pattern and its ``vals`` (a
     ``pdrs.Exchange`` or a ``PatankarSystem``), and ``loss_w`` the loss,
@@ -621,7 +674,8 @@ def patankar_matrix(P_w, loss_w, denom, fac: float, u_n=None):
     result is ``(system, rhs)``, the ``PatankarSystem`` of the weighted
     sums P, loss and rP with g = fac * rP, and its right-hand side at
     gamma = 1.  The band format sums on numpy arrays; the planned one on
-    lists of Python floats, in ``LuPlan.system``.
+    lists of Python floats, in ``LuPlan.system``, from each rate set's
+    ``lists``.
     """
     step = u_n is not None
     pat = P_w[0].P.pattern if step else P_w.pattern
@@ -634,14 +688,15 @@ def patankar_matrix(P_w, loss_w, denom, fac: float, u_n=None):
         if step:
             u = dl if u_n is denom else _floats(u_n)
             vals, P, loss, g, rhs = plan.system(
-                _floats(loss_w), [_rate_lists(r, n) for r in P_w], dl, fac,
-                u)
-            return PatankarSystem(pat, P, loss, g, u,
-                                  PlannedPatankar(vals, plan)), rhs
+                _floats(loss_w), [r.lists for r in P_w], dl, fac, u)
+            return PlannedSystem(pat, P, loss, g, u,
+                                 PlannedPatankar(vals, plan), dl), rhs
         return PlannedPatankar(plan.assemble(_floats(loss_w), dl,
                                              _floats(P_w.vals), fac), plan)
     denom = np.asarray(denom, float)
-    if (denom <= 0.0).any():
+    # NaN fails both comparisons
+    if not (0.0 < np.minimum.reduce(denom)
+            and np.maximum.reduce(denom) < _INF):
         raise _bad_denominator(denom)
     if step:
         P, loss_w, rP = _weighted(P_w, loss_w)
@@ -659,7 +714,9 @@ def patankar_matrix(P_w, loss_w, denom, fac: float, u_n=None):
     diag /= denom
     diag += 1.0
     M = CyclicTridiagonal(bands)
-    return (PatankarSystem(pat, P, loss_w, g, u_n, M), u_n + g) if step else M
+    if step:
+        return BandSystem(pat, P, loss_w, g, u_n, M, denom), u_n + g
+    return M
 
 
 def _unpack(names: list, seq: str) -> list:
@@ -667,23 +724,35 @@ def _unpack(names: list, seq: str) -> list:
     return [f"    {', '.join(names)}, = {seq}"] if names else []
 
 
+def _slot_names(plan: LuPlan) -> list:
+    """The locals a<s> of a plan's slots."""
+    return [f"a{s}" for s in range(plan.dim + len(plan.cols) + plan.n_fill)]
+
+
 def _assembly(plan: LuPlan) -> list:
-    """Statements building ``slots``, a Patankar matrix's slots, from the
-    locals l<k> (losses), d<k> (denominators) and p<e> (pattern values)
-    and ``fac``, as ``LuPlan.assemble`` does."""
+    """Statements assigning a Patankar matrix's slots to the locals a<s>,
+    from the locals l<k> (losses), d<k> (denominators) and p<e> (pattern
+    values) and ``fac``, as ``LuPlan.assemble`` does."""
     n, cols, n_fill = plan.dim, plan.cols, plan.n_fill
-    lines = [f"    if {' or '.join(f'd{k} <= 0.0' for k in range(n))}: "
-             f"raise _bad_denominator(d)"]
+    checks = " and ".join(f"0.0 < d{k} < _INF" for k in range(n))
+    lines = [f"    if not ({checks}): raise _bad_denominator(d)"]
     if cols or n_fill:
         lines.append("    nfac = -fac")
+    lines += [f"    a{i} = 1.0 + fac * l{i} / d{i}" for i in range(n)]
+    lines += [f"    a{n + e} = p{e} * nfac / d{j}" for e, j in enumerate(cols)]
     if n_fill:
-        lines.append("    z = 0.0 * nfac")
-    lines.append("    slots = [")
-    lines += [f"        1.0 + fac * l{i} / d{i}," for i in range(n)]
-    lines += [f"        p{e} * nfac / d{j}," for e, j in enumerate(cols)]
-    lines += ["        z,"] * n_fill
-    lines.append("    ]")
+        lines.append(f"    {' = '.join(_slot_names(plan)[n + len(cols):])} "
+                     f"= 0.0 * nfac")
     return lines
+
+
+def _finite_test(names: list, seq: str) -> str:
+    """An expression true when an entry of the list ``seq``, whose
+    locals are ``names``, is not finite, as ``all_finite`` decides it: a
+    short list is summed inline, a long one by ``sum``."""
+    total = (" + ".join(names) if len(names) <= _TERMS_PER_LINE
+             else f"sum({seq})")
+    return f"not isfinite({total}) and not all(map(isfinite, {seq}))"
 
 
 def _inputs(plan: LuPlan) -> list:
@@ -728,26 +797,41 @@ def _substitution_lines(plan: LuPlan) -> list:
     return lines
 
 
+def _solution_lines(plan: LuPlan) -> list:
+    """Statements from the slot locals a<s>, the list ``vals`` of their
+    values, and the right-hand side's locals x<i> to the factor's locals
+    and the checked solution ``x``, as ``LuPlan.solve`` does, with its
+    checks and messages in their order."""
+    n = plan.dim
+    xs = [f"x{i}" for i in range(n)]
+    return [f"    if {_finite_test(_slot_names(plan), 'vals')}: "
+            f"raise ValueError(\"matrix has non-finite entries\")",
+            *_factor_lines(plan), *_substitution_lines(plan),
+            f"    x = [{', '.join(xs)}]",
+            f"    if {_finite_test(xs, 'x')}: raise _at_largest_diagonal("
+            f"vals[:{n}], \"non-finite solution\")",
+            "    if positive is not None and min(x) < _TINY: "
+            "x = _floored(x, positive)"]
+
+
 def _kernel_source(plan: LuPlan) -> str:
-    """Python source of a plan's ``assemble(l, d, p, fac)``, ``factor(vals)``
-    and ``substitute(lu, x)``, the ``LuPlan`` methods as straight-line
+    """Python source of a plan's ``assemble(l, d, p, fac)`` and
+    ``solve(vals, x, positive)``, the ``LuPlan`` methods as straight-line
     code on one local per slot (a<s>) and per unknown (x<i>).  Each does
     the loops' floating-point operations in their order (x - a - b is
-    (x - a) - b, as the loops subtract), so every result keeps its bits.
-    A substitution row is split into statements of at most
+    (x - a) - b, as the loops subtract), with their checks and messages
+    in their order, so every result and every error keeps its bits.  A
+    substitution row is split into statements of at most
     ``_TERMS_PER_LINE`` terms, which bounds the expression depth the
     compiler meets on a dense row.
     """
-    n, cols, n_fill = plan.dim, plan.cols, plan.n_fill
-    slots = [f"a{s}" for s in range(n + len(cols) + n_fill)]
-    xs = [f"x{i}" for i in range(n)]
+    slots = ", ".join(_slot_names(plan))
     lines = ["def assemble(l, d, p, fac):", *_inputs(plan), *_assembly(plan),
-             "    return slots"]
-    lines += ["", "", "def factor(vals):", *_unpack(slots, "vals"),
-              *_factor_lines(plan), f"    return [{', '.join(slots)}]"]
-    lines += ["", "", "def substitute(lu, x):", *_unpack(slots, "lu"),
-              *_unpack(xs, "x"), *_substitution_lines(plan),
-              f"    return [{', '.join(xs)}]"]
+             f"    return [{slots}]"]
+    lines += ["", "", "def solve(vals, x, positive):",
+              *_unpack(_slot_names(plan), "vals"),
+              *_unpack([f"x{i}" for i in range(plan.dim)], "x"),
+              *_solution_lines(plan), f"    return [{slots}], x"]
     return "\n".join(lines) + "\n"
 
 
@@ -757,31 +841,23 @@ def _curve_source(plan: LuPlan) -> str:
     methods as straight-line code on the locals of ``_kernel_source``,
     with their checks and messages in their order, so every result and
     every error keeps its bits."""
-    n, cols, n_fill = plan.dim, plan.cols, plan.n_fill
-    slots = [f"a{s}" for s in range(n + len(cols) + n_fill)]
+    n = plan.dim
+    slots = ", ".join(_slot_names(plan))
     xs = [f"x{i}" for i in range(n)]
     us = _unpack([f"u{i}" for i in range(n)], "u")
     lines = ["def probe(l, d, p, fac, u, g, gamma, positive):",
-             *_inputs(plan), *_assembly(plan),
-             "    if not all_finite(slots): "
-             "raise ValueError(\"matrix has non-finite entries\")",
-             "    vals = slots", *_unpack(slots, "slots"),
-             *_factor_lines(plan), *us,
+             *_inputs(plan), *_assembly(plan), f"    vals = [{slots}]", *us,
              *_unpack([f"g{i}" for i in range(n)], "g"),
              *(f"    x{i} = u{i} + gamma * g{i}" for i in range(n)),
-             *_substitution_lines(plan), f"    x = [{', '.join(xs)}]",
-             "    if not all_finite(x): raise _at_largest_diagonal("
-             f"slots[:{n}], \"non-finite solution\")",
-             "    if min(x) < _TINY: x = _floored(x, positive)",
-             f"    return slots, [{', '.join(slots)}], x"]
+             *_solution_lines(plan), f"    return vals, [{slots}], x"]
     vs = [f"v{i}" for i in range(n)]
     lines += ["", "", "def tangent(vals, lu, x, u, gamma, v):",
-              *_unpack(slots, "lu"), *_unpack(xs, "x"), *us,
+              *_unpack(_slot_names(plan), "lu"), *_unpack(xs, "x"), *us,
               *(f"    x{i} = (x{i} - u{i}) / gamma" for i in range(n)),
               "    if v is not None:", "    " + _unpack(vs, "v")[0],
               *(f"        x{i} = x{i} - v{i}" for i in range(n)),
               *_substitution_lines(plan), f"    x = [{', '.join(xs)}]",
-              "    if not all_finite(x): raise _at_largest_diagonal("
+              f"    if {_finite_test(xs, 'x')}: raise _at_largest_diagonal("
               f"vals[:{n}], \"non-finite solution\")",
               "    if v is None: return x",
               f"    return [{', '.join(f'v{i} + x{i}' for i in range(n))}]"]
@@ -826,7 +902,8 @@ def _system_source(plan: LuPlan, n_sets: int) -> str:
     lines += [f"    g{k} = fac * (0.0" + "".join(f" + w{s} * r{s}_{k}"
                                                for s in sets) + ")"
               for k in range(n)]
-    lines += [*_assembly(plan), "    return (slots, "
+    lines += [*_assembly(plan), "    return (["
+              f"{', '.join(_slot_names(plan))}], "
               f"[{', '.join(f'p{e}' for e in range(len(cols)))}], "
               f"[{', '.join(f'l{k}' for k in range(n))}], "
               f"[{', '.join(f'g{k}' for k in range(n))}], "
@@ -968,13 +1045,12 @@ def _factored(A: PlannedPatankar) -> list:
     return A.lu
 
 
-def _planned_solve(A: PlannedPatankar, b: list, positive) -> list:
-    """``lu_solve`` on the planned format, from the list ``b`` to the
-    list of the solution."""
-    plan = A.plan
-    x = plan.substitute(_factored(A), b)
+def _checked(x: list, vals: list, dim: int, positive) -> list:
+    """The solution ``x`` of the matrix with slots ``vals``, checked as
+    ``lu_solve`` checks it: finite, and given its name ``positive``,
+    positive and floored to tiny."""
     if not all_finite(x):
-        raise _at_largest_diagonal(A.vals[:plan.dim], "non-finite solution")
+        raise _at_largest_diagonal(vals[:dim], "non-finite solution")
     if positive is not None and min(x) < _TINY:
         x = _floored(x, positive)
     return x
@@ -994,8 +1070,15 @@ def lu_solve(A, b, positive: Optional[str] = None) -> np.ndarray:
     lost positivity at component k") and components below the smallest
     normal number are floored to it.
     """
-    if isinstance(A, PlannedPatankar):
-        return np.array(_planned_solve(A, _rhs(b, A.plan.dim), positive))
+    if type(A) is PlannedPatankar:
+        plan = A.plan
+        if type(b) is not list or len(b) != plan.dim:
+            b = _rhs(b, plan.dim)
+        if A.lu is None:
+            A.lu, x = plan.solve(A.vals, b, positive)
+        else:
+            x = _checked(plan.substitute(A.lu, b), A.vals, plan.dim, positive)
+        return np.array(x)
     if isinstance(A, CyclicTridiagonal):
         b = _rhs(b, A.bands.shape[1])
         if A.lu is None:

@@ -125,6 +125,24 @@ class Exchange:
         return P.reshape(n, n)
 
 
+class _kept:
+    """A method's value, computed on the first read of its name and kept
+    in the instance dict, where later reads find it before the class;
+    ``functools.cached_property`` does the same but takes a lock on each
+    first read (Python < 3.12), which costs a step more than a loss sum or
+    a small system's lists."""
+
+    def __init__(self, method):
+        self.method, self.name = method, method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class RateSet:
     """All rates of a PDRS evaluated at one (t, u) point.
@@ -133,8 +151,9 @@ class RateSet:
     rest terms (or a scalar 0.0 where there are none); ``explicit`` is the
     right-hand side g of a system's explicit block (None without one).
     A value vector whose length is not the pattern's raises ValueError.
-    ``loss``, the total destruction rD_k + sum_nu p_{nu,k}, is built on
-    first use.
+    ``loss``, the total destruction rD_k + sum_nu p_{nu,k}, and
+    ``lists``, which the planned format's step reads, are built on first
+    use.
     """
 
     P: Exchange
@@ -148,17 +167,21 @@ class RateSet:
             raise ValueError(f"exchange values have shape {vals.shape}, "
                              f"expected ({pat.rows.size},)")
 
-    @property
+    @_kept
     def loss(self) -> np.ndarray:
-        # kept in the instance dict on first read: functools.cached_property
-        # takes a lock on each first read (Python < 3.12), which costs a
-        # band-format step more than the bincount
-        loss = self.__dict__.get("_loss")
-        if loss is None:
-            pat = self.P.pattern
-            loss = self.__dict__["_loss"] = (
-                self.rest_dest + np.bincount(pat.cols, self.P.vals, pat.dim))
-        return loss
+        pat = self.P.pattern
+        return self.rest_dest + np.bincount(pat.cols, self.P.vals, pat.dim)
+
+    @_kept
+    def lists(self) -> tuple:
+        """The exchange values, rP and rD as lists of Python floats, a
+        scalar rest term (a system without rest terms) repeated d times,
+        so a step lists each rate set once."""
+        d = self.P.pattern.dim
+        rp, rd = self.rest_prod, self.rest_dest
+        return (self.P.vals.tolist(),
+                rp.tolist() if type(rp) is np.ndarray else [float(rp)] * d,
+                rd.tolist() if type(rd) is np.ndarray else [float(rd)] * d)
 
     @property
     def rhs(self) -> np.ndarray:
@@ -194,7 +217,7 @@ class PdrsSystem:
 
     def check_state(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        d = self.dim
+        d = self.pattern.dim
         if u.shape != (d + self.explicit_dim,):
             raise ValueError(f"state has shape {u.shape}, "
                              f"expected ({d + self.explicit_dim},)")

@@ -60,16 +60,30 @@ def lotka_volterra() -> ProblemDescriptor:
 
     pattern = ExchangePattern([1], [0], 2)  # p_21 = u1 u2
 
+    # each function reads the state's two floats once, as Python floats:
+    # the same IEEE operations as on numpy scalars, without their
+    # dispatch.  eta takes both logarithms in one np.log call, whose
+    # loop is the one a scalar goes through (math.log differs in the
+    # last bit on a few arguments)
     def matrix_rates(t, u):
-        return (Exchange(pattern, np.array([u[0] * u[1]])),
-                np.array([2.0 * u[0], 0.0]), np.array([0.0, u[1]]))
+        u1, u2 = u.tolist()
+        return (Exchange(pattern, np.array([u1 * u2])),
+                np.array([2.0 * u1, 0.0]), np.array([0.0, u2]))
 
     sys = PdrsSystem(pattern, matrix_rates)
 
-    eta = EntropyFunctional(
-        eval=lambda u: float(np.log(u[0]) - u[0] + 2.0 * np.log(u[1]) - u[1]),
-        grad=lambda u: np.array([1.0 / u[0] - 1.0, 2.0 / u[1] - 1.0]),
-        regime=REGIME_CONSERVATIVE, monotone_nondecreasing=False)
+    def eta_eval(u):
+        u1, u2 = u.tolist()
+        log1, log2 = np.log(u).tolist()
+        return log1 - u1 + 2.0 * log2 - u2
+
+    def eta_grad(u):
+        u1, u2 = u.tolist()
+        return np.array([1.0 / u1 - 1.0, 2.0 / u2 - 1.0])
+
+    eta = EntropyFunctional(eval=eta_eval, grad=eta_grad,
+                            regime=REGIME_CONSERVATIVE,
+                            monotone_nondecreasing=False)
 
     return ProblemDescriptor(
         name="lotka_volterra", sys=sys, eta=eta,

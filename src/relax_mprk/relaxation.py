@@ -11,11 +11,11 @@ through u(0) = u^n and u(1) = u^{n+1}:
 * implicit: the stepper's gamma-parameterized Patankar update u^{n+gamma},
   positive and linear-invariant-preserving for every gamma > 0.  A step
   record that carries its own ``curve`` (``schemes.StepRecord``) is
-  searched along it: the record keeps, per gamma, the state, the
-  solution and its factor, so a probe is one pass on the linear-algebra
-  kernels and a tangent one substitution.  A stepper whose records have
-  no curve is searched through its ``gamma_state`` and
-  ``gamma_state_derivative``.
+  searched along it: the record keeps, per gamma, the state, and the
+  latest probe's solution and factor, so a probe is one pass on the
+  linear-algebra kernels and a tangent one substitution.  A stepper
+  whose records have no curve is searched through its ``gamma_state``
+  and ``gamma_state_derivative``.
 
 On every curve gamma is a root near 1 of one residual,
 
@@ -29,15 +29,16 @@ dissipation target scales with the time actually advanced.
 
 Two solvers find the root: Newton from gamma = 1, or Illinois regula
 falsi on the nearest sign-change bracket, found by a walk outward from
-gamma = 1 in log gamma.
+gamma = 1 in log gamma.  The entropy value at the root the search found
+is the one it took there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from functools import cache, partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -99,8 +100,10 @@ class RelaxConfig:
             raise ValueError("max_iters must be an integer of at least 1")
 
 
-@dataclass(frozen=True)
-class RelaxOutcome:
+class RelaxOutcome(NamedTuple):
+    """What ``relax_step`` returns: gamma, the relaxed state and time,
+    eta of that state, the search's iterations and its status."""
+
     gamma: float
     u_relaxed: np.ndarray
     t_relaxed: float
@@ -128,13 +131,15 @@ class _Curve:
     ``state(gamma)`` builds u(gamma); ``tangent(gamma, u)`` is u'(gamma) at
     u = u(gamma).  The memo starts from u^{n+1} at gamma = 1, which every
     curve passes through (for the implicit curve the stepper protocol makes
-    ``gamma_state(record, 1.0)`` bitwise u^{n+1}).  A record's own
-    ``curve`` (``schemes.GammaCurve``) has the same ``at`` and
-    ``tangent``.
+    ``gamma_state(record, 1.0)`` bitwise u^{n+1}).  ``etas`` keeps the
+    entropy values ``residual_implicit_value`` took, by gamma.  A record's
+    own ``curve`` (``schemes.GammaCurve``) has the same ``at``,
+    ``tangent`` and ``etas``.
     """
 
     def __init__(self, u_next, state, tangent):
         self.states = {1.0: u_next}
+        self.etas = {}
         self._state = state
         self.tangent = tangent
 
@@ -151,6 +156,14 @@ def geometric_state(u_old, u_new, gamma):
 
 
 def _curve(stepper, record, mode) -> _Curve:
+    if mode == MODE_IMPLICIT:
+        # the record's own curve where it has one, which keeps each probe
+        # on the record; else the stepper's gamma_state
+        curve = getattr(record, "curve", None)
+        if curve is not None:
+            return curve
+        return _Curve(record.u_next, partial(stepper.gamma_state, record),
+                      partial(stepper.gamma_state_derivative, record))
     u_old, u_new = record.u_n, record.u_next
     if mode == MODE_CLAMPED:
         step = u_new - u_old
@@ -159,18 +172,9 @@ def _curve(stepper, record, mode) -> _Curve:
         # of magnitude
         return _Curve(u_new, lambda g: g * u_new + (1.0 - g) * u_old,
                       lambda g, u: step)
-    if mode == MODE_GEOMETRIC:
-        log_dq = np.log(u_new) - np.log(u_old)
-        return _Curve(u_new, partial(geometric_state, u_old, u_new),
-                      lambda g, u: u * log_dq)
-    # the implicit curve is the record's own where it has one, which keeps
-    # each probe's solution and factor on the record; else the stepper's
-    # gamma_state
-    curve = getattr(record, "curve", None)
-    if curve is not None:
-        return curve
-    return _Curve(u_new, partial(stepper.gamma_state, record),
-                  partial(stepper.gamma_state_derivative, record))
+    log_dq = np.log(u_new) - np.log(u_old)
+    return _Curve(u_new, partial(geometric_state, u_old, u_new),
+                  lambda g, u: u * log_dq)
 
 
 # The residual and its derivative serve every mode but are named for the
@@ -178,8 +182,10 @@ def _curve(stepper, record, mode) -> _Curve:
 # search's probes.
 
 def residual_implicit_value(eta, curve, eta_old, rate, gamma):
-    """r(gamma) = eta(u(gamma)) - (eta(u^n) + gamma e), e = ``rate``."""
-    return float(eta.eval(curve.at(gamma))) - (eta_old + gamma * rate)
+    """r(gamma) = eta(u(gamma)) - (eta(u^n) + gamma e), e = ``rate``;
+    eta(u(gamma)) is kept in ``curve.etas``."""
+    value = curve.etas[gamma] = float(eta.eval(curve.at(gamma)))
+    return value - (eta_old + gamma * rate)
 
 
 def residual_implicit(eta, curve, rate, gamma):
@@ -188,12 +194,18 @@ def residual_implicit(eta, curve, rate, gamma):
     return float(eta.grad(u) @ curve.tangent(gamma, u)) - rate
 
 
+# the errors that exclude a probe: relax_step runs the search with
+# floating-point errors raised, so an undefined entropy or an overflowing
+# state raises one of them
+_PROBE_ERRORS = (FloatingPointError, ValueError, np.linalg.LinAlgError)
+
+
 def _probe(fun, gamma):
-    # relax_step runs the search with floating-point errors raised, so an
-    # undefined entropy or an overflowing state excludes the probe
+    """fun(gamma), or None where it raises one of ``_PROBE_ERRORS`` or is
+    not finite."""
     try:
         val = fun(gamma)
-    except (FloatingPointError, ValueError, np.linalg.LinAlgError):
+    except _PROBE_ERRORS:
         return None
     return val if math.isfinite(val) else None
 
@@ -230,31 +242,43 @@ def _find_bracket(fun, cfg, r1):
 
 
 def _newton(fun, deriv, cfg):
+    # each residual and derivative is filtered as _probe filters it, in
+    # the loop: an excluded value fails the search
     gamma = 1.0
+    tol, lo, hi = cfg.gamma_tol, cfg.gamma_min, cfg.gamma_max
+    isfinite = math.isfinite
     for it in range(1, cfg.max_iters + 1):
-        r = _probe(fun, gamma)
-        if r is None:
+        try:
+            r = fun(gamma)
+            if not isfinite(r):
+                return gamma, it, STATUS_FAILED
+            if abs(r) <= tol:
+                return gamma, it, STATUS_CONVERGED
+            dr = deriv(gamma)
+        except _PROBE_ERRORS:
             return gamma, it, STATUS_FAILED
-        if abs(r) <= cfg.gamma_tol:
-            return gamma, it, STATUS_CONVERGED
-        dr = _probe(deriv, gamma)
-        if dr is None or dr == 0.0:
+        if not isfinite(dr) or dr == 0.0:
             return gamma, it, STATUS_FAILED
         gamma = gamma - r / dr
-        if not (cfg.gamma_min < gamma <= cfg.gamma_max):
+        if not (lo < gamma <= hi):
             return gamma, it, STATUS_FAILED
     return gamma, cfg.max_iters, STATUS_FAILED
 
 
 def _regula_falsi(fun, a, fa, b, fb, cfg):
-    # Illinois weighting avoids the classic one-sided stagnation.
+    # Illinois weighting avoids the classic one-sided stagnation; each
+    # residual is filtered as _probe filters it, in the loop
     side = 0
+    tol = cfg.gamma_tol
     for it in range(1, cfg.max_iters + 1):
         x = (a * fb - b * fa) / (fb - fa)
-        fx = _probe(fun, x)
-        if fx is None:
+        try:
+            fx = fun(x)
+        except _PROBE_ERRORS:
             return x, it, STATUS_FAILED
-        if abs(fx) <= cfg.gamma_tol:
+        if not math.isfinite(fx):
+            return x, it, STATUS_FAILED
+        if abs(fx) <= tol:
             return x, it, STATUS_CONVERGED
         if fa * fx < 0.0:
             b, fb = x, fx
@@ -306,11 +330,12 @@ def solve_scalar(fun, cfg: RelaxConfig, derivative=None):
 
 
 def _finite_eta(value: Callable[[], float], what: str) -> float:
-    """``value()`` as a float; under relax_step's errstate an overflow
-    raises, and it or a non-finite value raises NonFiniteStateError."""
+    """``value()`` as a float; an overflow that numpy raises (under
+    relax_step's errstate, or as a RuntimeWarning under an error filter)
+    or a non-finite value raises NonFiniteStateError."""
     try:
         out = float(value())
-    except FloatingPointError:
+    except (FloatingPointError, RuntimeWarning):
         out = math.nan
     if not math.isfinite(out):
         raise NonFiniteStateError(f"entropy eta of {what} is not finite")
@@ -319,13 +344,17 @@ def _finite_eta(value: Callable[[], float], what: str) -> float:
 
 def entropy_value(eta: EntropyFunctional, u: np.ndarray,
                   what: str = "the step") -> float:
-    """eta(u) outside a relaxation search, taken as relax_step takes every
-    entropy value: an overflow or a non-finite value raises
-    NonFiniteStateError naming ``what``."""
-    with np.errstate(invalid="raise", divide="raise", over="raise"):
-        return _finite_eta(lambda: eta.eval(u), what)
+    """eta(u) outside a relaxation search: a value that overflows or is
+    NaN raises NonFiniteStateError naming ``what``, as in relax_step.  It
+    enters no ``np.errstate``, which would cost an unrelaxed step more
+    than its entropy; so an overflow numpy only warns about is seen in
+    the value it leaves, inf or NaN."""
+    return _finite_eta(lambda: eta.eval(u), what)
 
 
+# the errstate as a decorator: it sets the error state without making and
+# entering an errstate object on each step
+@np.errstate(invalid="raise", divide="raise", over="raise")
 def relax_step(eta: EntropyFunctional, stepper, record,
                cfg: RelaxConfig, eta_old: Optional[float] = None
                ) -> RelaxOutcome:
@@ -343,41 +372,45 @@ def relax_step(eta: EntropyFunctional, stepper, record,
     """
     if cfg.mode == MODE_NONE:
         raise ValueError("relaxation mode 'none' does not relax a step")
-    with np.errstate(invalid="raise", divide="raise", over="raise"):
-        curve = _curve(stepper, record, cfg.mode)
-        if eta_old is None:
-            eta_old = _finite_eta(lambda: eta.eval(record.u_n),
-                                  "the step's start")
+    curve = _curve(stepper, record, cfg.mode)
+    if eta_old is None:
+        eta_old = _finite_eta(lambda: eta.eval(record.u_n),
+                              "the step's start")
+    rate = 0.0
+    if eta.regime != REGIME_CONSERVATIVE:
         rate = _finite_eta(lambda: _entropy_rate(eta, stepper, record),
                            "the step's estimate")
-        scale = max(1.0, abs(eta_old))
+    scale = max(1.0, abs(eta_old))
 
+    def fun(g):
+        return residual_implicit_value(eta, curve, eta_old, rate, g) / scale
+
+    if cfg.mode == MODE_CLAMPED:
         # residuals kept by gamma, as the curve keeps its states: a
         # clamped search probes r(1) here and again in solve_scalar
-        values = {}
+        fun = cache(fun)
 
-        def fun(g):
-            if g not in values:
-                values[g] = residual_implicit_value(
-                    eta, curve, eta_old, rate, g) / scale
-            return values[g]
+    def deriv(g):
+        return residual_implicit(eta, curve, rate, g) / scale
 
-        def deriv(g):
-            return residual_implicit(eta, curve, rate, g) / scale
-
-        r1 = _probe(fun, 1.0) if cfg.mode == MODE_CLAMPED else None
-        if r1 is not None and r1 <= cfg.gamma_tol:
-            # At gamma = 1 the step already meets (or exceeds) the
-            # estimated dissipation; the clamp keeps the full step.
-            gamma, iters = 1.0, 1
-            status = STATUS_CONVERGED if abs(r1) <= cfg.gamma_tol else STATUS_CLAMPED
-        else:
-            gamma, iters, status = solve_scalar(fun, cfg, deriv)
-            if cfg.mode == MODE_CLAMPED and status != STATUS_FAILED and gamma > 1.0:
-                gamma, status = 1.0, STATUS_CLAMPED
-        if status == STATUS_FAILED:
-            gamma = 1.0
-        u_rel = curve.at(gamma)
-        eta_after = _finite_eta(lambda: eta.eval(u_rel), "the relaxed state")
+    r1 = _probe(fun, 1.0) if cfg.mode == MODE_CLAMPED else None
+    if r1 is not None and r1 <= cfg.gamma_tol:
+        # At gamma = 1 the step already meets (or exceeds) the
+        # estimated dissipation; the clamp keeps the full step.
+        gamma, iters = 1.0, 1
+        status = STATUS_CONVERGED if abs(r1) <= cfg.gamma_tol else STATUS_CLAMPED
+    else:
+        gamma, iters, status = solve_scalar(fun, cfg, deriv)
+        if cfg.mode == MODE_CLAMPED and status != STATUS_FAILED and gamma > 1.0:
+            gamma, status = 1.0, STATUS_CLAMPED
+    if status == STATUS_FAILED:
+        gamma = 1.0
+    u_rel = curve.at(gamma)
+    # the search's value at gamma where it took one: the same call on
+    # the same state, so the same bits (the curve is this search's own)
+    eta_after = curve.etas.get(gamma)
+    if eta_after is None or not math.isfinite(eta_after):
+        eta_after = _finite_eta(lambda: eta.eval(u_rel),
+                                "the relaxed state")
     return RelaxOutcome(gamma, u_rel, record.t_n + gamma * record.dt,
                         eta_after, iters, status)

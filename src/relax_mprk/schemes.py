@@ -5,11 +5,12 @@ MPSSPRK2(alpha, beta) for production-destruction-rest systems, each
 stage, sigma and update in the step form of ``patankar_matrix``, and the
 curve u^{n+gamma} the relaxation solver searches (``GammaCurve``): one
 probe per gamma solves for sigma_bar(gamma) and u^{n+gamma} with the
-step's kept systems and keeps, on the step's record, the solution and
-the factors, from which u'(gamma) and sigma_bar' are one substitution
-each.  The explicit block of a partitioned system (see ``pdrs``) takes
-the scheme's Butcher tableau, m^(i) = m_n + dt sum_j a_ij g_j, and moves
-affinely in gamma: m^{n+gamma} = m_n + gamma dm.
+step's kept systems and keeps, on the step's record (``Probes``), both
+states and the latest probe's solutions and factors, from which
+u'(gamma) and sigma_bar' are one substitution each.  The explicit block
+of a partitioned system (see ``pdrs``) takes the scheme's Butcher
+tableau, m^(i) = m_n + dt sum_j a_ij g_j, and moves affinely in gamma:
+m^{n+gamma} = m_n + gamma dm.
 
 The key structural fact used throughout: every stage and update is a
 linear system whose matrix has unit-plus-nonnegative diagonal and
@@ -19,13 +20,13 @@ sides stay strictly positive for every step size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .linalg import _TINY, PatankarSystem, lu_solve, patankar_matrix
-from .pdrs import PdrsSystem, RateSet
+from .pdrs import PdrsSystem, RateSet, _kept
 
 MPRK22 = "mprk22"
 MPRK43I = "mprk43i"
@@ -155,9 +156,9 @@ def build_scheme(kind: str, alpha: float, beta: float = None, *,
                     sigma_mode=mode, sigma_exp=sigma_exp)
 
 
-def _floored_log(u) -> np.ndarray:
+def _floored_log(u: np.ndarray) -> np.ndarray:
     """log(max(u, tiny)), finite for every non-negative finite u."""
-    return np.log(np.maximum(np.asarray(u, float), _TINY))
+    return np.log(np.maximum(u, _TINY))
 
 
 class _StageLogs:
@@ -187,27 +188,130 @@ class _StageLogs:
         if self.log_2 is None:
             self.log_2 = _floored_log(self.u2)
         if e == 1.0:  # u_n**0 is exactly 1.0 for every positive finite u_n
-            return np.exp(e * self.log_2)
+            return np.exp(self.log_2)  # and 1.0 * x is x
         if self.log_n is None:
             self.log_n = _floored_log(self.u_n)
         return np.exp(e * self.log_2 + (1.0 - e) * self.log_n)
 
 
+class Probes:
+    """A step's gamma-probes: what a probe reads, bound once per step,
+    and what the probes leave.
+
+    ``by_gamma`` maps each probed gamma to (u^{n+gamma}, sbar(gamma)),
+    starting from u^{n+1} and sigma at gamma = 1.  ``upd`` is the update
+    system, and ``sig`` the sigma system when bootstrapping, each a
+    ``linalg.PlannedSystem`` or ``BandSystem`` whose methods probe it in
+    its format.  The matrices, with their factors, and the solutions a
+    tangent reads are kept for the latest probe only (``last``), beside
+    the step's own at gamma = 1, so a regula falsi search holds two
+    matrix sets however many gammas it probes; a tangent at an older
+    gamma probes it again, to the same bits.
+
+    ``solve(gamma)`` probes and ``tangent(rec, gamma, u)`` takes the
+    derivative there; ``FrozenProbes`` and ``MovingProbes`` implement
+    them for a frozen and a moving sbar, so no probe dispatches on the
+    sigma mode or the format.  Nothing here refers back to the record,
+    so a step's record is freed as soon as it is dropped.
+    """
+
+    __slots__ = ("by_gamma", "upd", "sig", "dt", "last", "u_next", "sigma",
+                 "dm", "m_n")
+
+    def __init__(self, rec: "StepRecord"):
+        self.by_gamma = {1.0: (rec.u_next, rec.sigma)}
+        self.upd, self.sig, self.dt = rec.upd, None, rec.dt
+        # (gamma, sigma matrix, sbar solution, M_gamma, u solution)
+        self.last = None
+        self.u_next, self.sigma, self.dm = rec.u_next, rec.sigma, rec.dm
+        self.m_n = None if rec.dm is None else rec.u_n[rec.sigma.size:]
+
+    def kept(self, gamma: float) -> tuple:
+        """``(gamma, sigma matrix, sbar, M_gamma, u)`` at gamma, the
+        matrices with their factors and the solutions in the systems'
+        format: the latest probe's, the step's own at gamma = 1, or else
+        those of gamma probed again."""
+        last = self.last
+        if last is not None and last[0] == gamma:
+            return last
+        if gamma == 1.0:
+            u = self.u_next
+            M, x = self.upd.one(u if self.dm is None else u[:self.sigma.size])
+            if self.sig is None:
+                return 1.0, None, None, M, x
+            return (1.0, *self.sig.one(self.sigma), M, x)
+        self.solve(gamma)
+        return self.last
+
+
+class FrozenProbes(Probes):
+    """``Probes`` with sbar the step's sigma: M_gamma is assembled on the
+    update system's own denominators."""
+
+    __slots__ = ()
+
+    def solve(self, gamma: float) -> np.ndarray:
+        M, x, u = self.upd.solve_at(gamma, self.dt, "gamma update")
+        if self.dm is not None:
+            u = np.concatenate([u, self.m_n + gamma * self.dm])
+        self.by_gamma[gamma] = u, self.sigma
+        self.last = gamma, None, None, M, x
+        return u
+
+    def tangent(self, rec: "StepRecord", gamma: float,
+                u: np.ndarray) -> np.ndarray:
+        _, _, _, M, x = self.kept(gamma)
+        du = self.upd.tangent(M, x, gamma)
+        return du if self.dm is None else np.concatenate([du, self.dm])
+
+
+class MovingProbes(Probes):
+    """``Probes`` with sbar(gamma) the geometric mean of exponent gamma e
+    (dense), or the sigma system's solution on it (bootstrap)."""
+
+    __slots__ = ("logs", "e")
+
+    def __init__(self, rec: "StepRecord"):
+        super().__init__(rec)
+        if rec.scheme.sigma_mode == SIGMA_BOOTSTRAP:
+            self.sig = rec.sig
+        self.logs, self.e = rec.logs, rec.scheme.sigma_exp
+
+    def solve(self, gamma: float) -> np.ndarray:
+        sbar = d = self.logs.geo_mean(gamma * self.e)
+        M_sig = None
+        if self.sig is not None:
+            M_sig, d, sbar = self.sig.solve_at(gamma, self.dt, "sigma_bar",
+                                               sbar)
+        M, x, u = self.upd.solve_at(gamma, self.dt, "gamma update", d)
+        if self.dm is not None:
+            u = np.concatenate([u, self.m_n + gamma * self.dm])
+        self.by_gamma[gamma] = u, sbar
+        self.last = gamma, M_sig, d, M, x
+        return u
+
+    def tangent(self, rec: "StepRecord", gamma: float,
+                u: np.ndarray) -> np.ndarray:
+        _, _, _, M, x = self.kept(gamma)
+        sbar, dsbar = sigma_bar(rec, gamma)
+        v = u[:sbar.size] * dsbar / sbar
+        du = self.upd.tangent(M, x, gamma, v)
+        return du if self.dm is None else np.concatenate([du, self.dm])
+
+
 class GammaCurve:
     """The curve u^{n+gamma} of one step, as ``relaxation.relax_step``
     searches it: ``at(gamma)`` is u^{n+gamma} and ``tangent(gamma, u)``
-    its gamma-derivative.  ``probes`` is the record's (see
-    ``StepRecord``), which keeps each gamma's solution and factors, so a
-    gamma is solved once however often it is read; a gamma not in it
-    goes to ``gamma_update``, and every tangent to
-    ``gamma_update_derivative``.
-    """
+    its gamma-derivative, through ``gamma_update`` and
+    ``gamma_update_derivative`` on the record's ``probes``; ``etas``
+    keeps the entropy values the search took, by gamma."""
 
-    __slots__ = ("rec", "probes")
+    __slots__ = ("rec", "probes", "etas")
 
     def __init__(self, rec: "StepRecord"):
         self.rec = rec
-        self.probes = rec.probes
+        self.probes = rec.probes.by_gamma
+        self.etas = {}
 
     def at(self, gamma: float) -> np.ndarray:
         probe = self.probes.get(gamma)
@@ -243,13 +347,9 @@ class StepRecord:
 
     Only ``step`` writes the fields (a frozen dataclass would spend more
     on its construction than a small system's Patankar solve).  The
-    gamma-search's probes are kept in ``probes``, made on first use (so a
-    ``dataclasses.replace`` copy starts cold): by gamma, ``(u, sbar,
-    sigma matrix, M_gamma)``, u^{n+gamma}, sbar(gamma), the bootstrap
-    sigma matrix (else None) and M_gamma, each matrix with the factor its
-    solve left on it, which is what a tangent at gamma reads.  It starts
-    at gamma = 1 with u^{n+1}, sigma and the step's own matrices.
-    ``curve`` is a ``GammaCurve`` on them.
+    gamma-search's ``probes`` (see ``Probes``) are made on first use and
+    kept, so a ``dataclasses.replace`` copy starts cold; ``curve`` is a
+    ``GammaCurve`` on them.
     """
 
     scheme: MpScheme
@@ -263,19 +363,14 @@ class StepRecord:
     sig: Optional[PatankarSystem] = None
     logs: Optional[_StageLogs] = None
     dm: Optional[np.ndarray] = None
-    _probes: Optional[dict] = field(default=None, init=False, repr=False,
-                                    compare=False)
 
     u_n = property(lambda self: self.stages[0])
 
-    @property
-    def probes(self) -> dict:
-        if self._probes is None:
-            bootstrap = self.scheme.sigma_mode == SIGMA_BOOTSTRAP
-            M_sig = self.sig.M if bootstrap else None
-            self._probes = {1.0: (self.u_next, self.sigma, M_sig,
-                                  self.upd.M)}
-        return self._probes
+    @_kept
+    def probes(self) -> Probes:
+        if self.scheme.sigma_mode == SIGMA_FROZEN:
+            return FrozenProbes(self)
+        return MovingProbes(self)
 
     @property
     def curve(self) -> GammaCurve:
@@ -375,15 +470,16 @@ def sigma_bar(rec: StepRecord, gamma: float):
     the scheme's sigma mode, from the probe at gamma; returns ``(sbar,
     sbar_prime)``."""
     probes = rec.probes
-    if gamma not in probes:
+    if gamma not in probes.by_gamma:
         gamma_update(rec, gamma)
-    _, sbar, M_sig, _ = probes[gamma]
+    sbar = probes.by_gamma[gamma][1]
     if rec.scheme.sigma_mode == SIGMA_FROZEN:
         return sbar, np.zeros_like(sbar)
     v = sbar * rec.scheme.sigma_exp * rec.logs.log_ratio()
-    if M_sig is None:
+    if probes.sig is None:
         return sbar, v
-    return sbar, rec.sig.tangent(M_sig, sbar, gamma, v)
+    _, M_sig, x_sig, _, _ = probes.kept(gamma)
+    return sbar, probes.sig.tangent(M_sig, x_sig, gamma, v)
 
 
 def gamma_update(rec: StepRecord, gamma: float) -> np.ndarray:
@@ -400,46 +496,23 @@ def gamma_update(rec: StepRecord, gamma: float) -> np.ndarray:
     kept in ``rec.probes``, so each gamma is solved once.
     """
     probes = rec.probes
-    if gamma in probes:
-        return probes[gamma][0]
+    probe = probes.by_gamma.get(gamma)
+    if probe is not None:
+        return probe[0]
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    scheme = rec.scheme
-    mode = scheme.sigma_mode
-    fac = gamma * rec.dt
-    M_sig = None
-    if mode == SIGMA_FROZEN:
-        sbar = rec.sigma
-    else:
-        sbar = rec.logs.geo_mean(gamma * scheme.sigma_exp)
-        if mode == SIGMA_BOOTSTRAP:
-            M_sig, sbar = rec.sig.solve_at(gamma, sbar, fac, "sigma_bar")
-    M, u = rec.upd.solve_at(gamma, sbar, fac, "gamma update")
-    if rec.dm is not None:
-        u = np.concatenate([u, rec.u_n[u.size:] + gamma * rec.dm])
-    probes[gamma] = u, sbar, M_sig, M
-    return u
+    return probes.solve(gamma)
 
 
 def gamma_update_derivative(rec: StepRecord, gamma: float,
                             u_gamma: np.ndarray) -> np.ndarray:
-    """d u^{n+gamma} / d gamma, consistent with ``gamma_update``: one
-    substitution on the factor of the probe's M_gamma (two for a
-    bootstrap sbar')."""
+    """d u^{n+gamma} / d gamma at u_gamma = u^{n+gamma}, consistent with
+    ``gamma_update``: one substitution on the factor of the probe's
+    M_gamma (two for a bootstrap sbar')."""
     probes = rec.probes
-    if gamma not in probes:
+    if gamma not in probes.by_gamma:
         gamma_update(rec, gamma)
-    M = probes[gamma][3]
-    if rec.dm is not None:
-        u_gamma = u_gamma[:rec.logs.u_n.size]
-    v = None  # frozen sigma has sbar' = 0
-    if rec.scheme.sigma_mode != SIGMA_FROZEN:
-        sbar, dsbar = sigma_bar(rec, gamma)
-        v = u_gamma * dsbar / sbar
-    du = rec.upd.tangent(M, u_gamma, gamma, v)
-    if rec.dm is None:
-        return du
-    return np.concatenate([du, rec.dm])
+    return probes.tangent(rec, gamma, u_gamma)
 
 
 class MpStepper:

@@ -115,14 +115,14 @@ def counted(fn, counts, key=0):
 def count_factorizations(monkeypatch, counts, key="factors"):
     """Add 1 to ``counts[key]`` on every factorization of a Patankar
     matrix: a plan's interpreted ``LuPlan.factor`` (which its interpreted
-    probe calls), the factor and probe kernels generated while patched
-    (not those generated before; a probe factors once), and the band
-    sweep."""
+    solve and probe call), the solve and probe kernels generated while
+    patched (not those generated before; each factors once), and the
+    band sweep."""
     exec_source = linalg.LuPlan._exec
 
     def exec_counted(plan, source, what):
         scope = exec_source(plan, source, what)
-        for name in ("factor", "probe"):
+        for name in ("solve", "probe"):
             if name in scope:
                 scope[name] = counted(scope[name], counts, key)
         return scope
@@ -137,23 +137,24 @@ def count_system_solves(monkeypatch, counts):
     """Add 1 to ``counts["assemblies"]`` on every Patankar matrix a step
     or a gamma-probe assembles, and to ``counts["solves"]`` on every
     solve with one: the step's ``patankar_matrix`` and ``lu_solve``
-    calls, a probe's ``PatankarSystem.solve_at`` (one assembly and one
-    solve per system) and a tangent's ``PatankarSystem.tangent`` (one
-    solve on a kept factor), on either format."""
-    system = linalg.PatankarSystem
-    for owner, name, key in [(schemes, "patankar_matrix", "assemblies"),
-                             (schemes, "lu_solve", "solves"),
-                             (system, "tangent", "solves")]:
-        monkeypatch.setattr(owner, name,
-                            counted(getattr(owner, name), counts, key))
-    solve_at = system.solve_at
+    calls, a probe's ``solve_at`` (one assembly and one solve per
+    system) and a tangent's ``tangent`` (one solve on a kept factor), on
+    either format's systems (``linalg.PlannedSystem`` and
+    ``linalg.BandSystem``)."""
+    patches = [(schemes, "patankar_matrix", ("assemblies",)),
+               (schemes, "lu_solve", ("solves",))]
+    for system in (linalg.PlannedSystem, linalg.BandSystem):
+        patches += [(system, "solve_at", ("assemblies", "solves")),
+                    (system, "tangent", ("solves",))]
+    for owner, name, keys in patches:
+        fn = getattr(owner, name)
 
-    def solve_at_counted(*args):
-        counts["assemblies"] += 1
-        counts["solves"] += 1
-        return solve_at(*args)
+        def counted_call(*args, fn=fn, keys=keys, **kwargs):
+            for key in keys:
+                counts[key] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(system, "solve_at", solve_at_counted)
+        monkeypatch.setattr(owner, name, counted_call)
 
 
 def gamma_one_matches_assembly(monkeypatch, rec):

@@ -23,7 +23,7 @@ from relax_mprk.euler import (_density_pattern, _density_production,
 from relax_mprk.linalg import (BAND_MIN_DIM, LuPlan, PlannedPatankar,
                                PositivityError, SingularMatrixError,
                                _at_largest_diagonal, _band_substitute,
-                               _rate_lists, _singular, _sweep, lu_solve)
+                               _singular, _sweep, lu_solve)
 from relax_mprk.means import mean_geo, mean_harm, mean_log
 from relax_mprk.pdrs import Exchange, ExchangePattern, PdrsSystem, RateSet
 from relax_mprk.problems import (_STRAT_M, _daylight, isothermal_euler_fv,
@@ -781,7 +781,98 @@ def test_compiled_kernels_match_the_interpreted_loops(pattern):
         assert out == _outcome(lu_solve, PlannedPatankar(broken, ref.lu_plan),
                                np.ones(d))
         assert out[0] in (ValueError, SingularMatrixError)
-    assert "factor" not in vars(ref.lu_plan)
+    assert "solve" not in vars(ref.lu_plan)
+
+
+@pytest.mark.parametrize("pattern", KERNEL_PATTERNS)
+def test_fused_solve_kernel_matches_the_interpreted_solve(pattern):
+    # the compiled solve (and probe) against the interpreted LuPlan.solve
+    # (and probe), which are lu_solve's first solve and a gamma-probe:
+    # factors and solutions bit-equal, the sign of zero and the floor to
+    # tiny included, on right-hand sides of both signs with and without a
+    # positivity name; slots whose sum overflows are finite, as the inline
+    # check must see; and each failure the same error with the same
+    # message
+    rows, cols, d = KERNEL_PATTERNS[pattern]()
+    ref, new = (ExchangePattern(rows, cols, d).lu_plan for _ in range(2))
+    new.compile()
+    n = len(rows)
+    rng = np.random.default_rng(d + 110)
+    tiny = np.finfo(float).tiny
+
+    def both(name, *args):
+        out = _lists_outcome(getattr(new, name), *args)
+        assert out == _lists_outcome(getattr(LuPlan, name), ref, *args)
+        return out
+
+    for fac in (1e-3, 0.7, 21.0, 1e5):
+        for _ in range(8):
+            vals = 10.0 ** rng.uniform(-6.0, 6.0, n)
+            vals[rng.random(n) < 0.2] = 0.0
+            loss = (np.bincount(np.asarray(cols, dtype=np.intp), vals, d)
+                    + 10.0 ** rng.uniform(-6.0, 6.0, d))
+            denom = 10.0 ** rng.uniform(-6.0, 6.0, d)
+            slots = ref.assemble(loss.tolist(), denom.tolist(),
+                                 vals.tolist(), fac)
+            for b, positive in ((_states(rng, d), "x"),
+                                (_signed(rng, d), None),
+                                (_signed(rng, d), "x")):
+                both("solve", slots, b.tolist(), positive)
+            u, g = _states(rng, d), rng.standard_normal(d) * _states(rng, d)
+            both("probe", loss.tolist(), denom.tolist(), vals.tolist(), fac,
+                 u.tolist(), g.tolist(), 0.7, "x")
+    # an M-matrix: each loss is its column's exchange sum and 0.5 more
+    loss = (0.5 + 0.1 * np.bincount(np.asarray(cols, dtype=np.intp),
+                                    minlength=d)).tolist()
+    base = ref.assemble(loss, [1.0] * d, [0.1] * n, 0.7)
+    ones = [1.0] * d
+
+    def with_slot(slot, value):
+        broken = base.copy()
+        broken[slot] = value
+        return broken
+
+    # diagonals near the largest float: finite slots whose sum overflows
+    # solve without an error
+    assert len(both("solve", [1e308] * d + base[d:], ones, "x")) == 2
+    # a subnormal solution, floored to tiny
+    both("solve", base, [5e-324] * d, "x")
+    assert new.solve(base, [5e-324] * d, "x")[1] == [tiny] * d
+    failures = [
+        ((with_slot(len(base) - 1, np.nan), ones, "x"), ValueError,
+         "matrix has non-finite entries"),
+        ((with_slot(0, np.inf), ones, "x"), ValueError,
+         "matrix has non-finite entries"),
+        ((with_slot(0, 0.0), ones, "x"), SingularMatrixError,
+         "singular matrix: pivot 0.000e+00 in row 0"),
+        ((with_slot(d - 1, -1.0), ones, "x"), SingularMatrixError,
+         "singular matrix: pivot -"),
+        ((base, [np.inf] * d, None), SingularMatrixError,
+         "singular matrix: non-finite solution; largest diagonal in row"),
+        ((base, ones[:-1] + [-1.0], "x"), PositivityError,
+         f"x lost positivity at component {d - 1}"),
+    ]
+    for args, error, message in failures:
+        out = both("solve", *args)
+        assert out[0] is error and out[1].startswith(message), out
+    # the probe's own checks: a denominator, a non-finite slot, a pivot,
+    # a non-finite and a negative solution
+    probes = [
+        ((loss, [1.0] * (d - 1) + [np.inf], [0.1] * n, 0.7, ones, ones,
+          0.7, "x"), PositivityError,
+         f"denominator component [{d - 1}] overflowed to infinity"),
+        (([np.inf] * d, ones, [0.1] * n, 0.7, ones, ones, 0.7, "x"),
+         ValueError, "matrix has non-finite entries"),
+        (([-2.0] * d, ones, [0.0] * n, 1.0, ones, ones, 0.7, "x"),
+         SingularMatrixError, "singular matrix: pivot -1.000e+00 in row 0"),
+        ((loss, ones, [0.1] * n, 0.7, [1e308] * d, [1e308] * d, 1.0, "x"),
+         SingularMatrixError, "singular matrix: non-finite solution"),
+        ((loss, ones, [0.1] * n, 0.7, ones, [-10.0] * d, 0.7, "x"),
+         PositivityError, "x lost positivity at component"),
+    ]
+    for args, error, message in probes:
+        out = both("probe", *args)
+        assert out[0] is error and out[1].startswith(message), out
 
 
 def _agrees_with_gesv(M, rng):
@@ -808,7 +899,7 @@ def test_planned_solve_matches_gesv(d):
                                 10.0 ** rng.uniform(-1.0, 1.0))
             # each random pattern is used once and compiles nothing
             assert isinstance(M, PlannedPatankar)
-            assert "factor" not in vars(M.plan)
+            assert "solve" not in vars(M.plan)
             _agrees_with_gesv(M, rng)
 
 
@@ -897,7 +988,7 @@ def test_fused_system_kernel_matches_its_twin_and_numpy(d, zero_share):
                     weights[rng.random(n_sets) < 0.2] = 0.0
                     denom, u = _states(rng, d), _states(rng, d)
                     args = (weights.tolist(),
-                            [_rate_lists(r, d) for r in rates],
+                            [r.lists for r in rates],
                             denom.tolist(), fac, u.tolist())
                     new = plan.system(*args)
                     twin = LuPlan.system(plan, *args)

@@ -12,6 +12,7 @@ import pytest
 from relax_mprk.linalg import (BAND_MIN_DIM, COMPILE_AFTER, CyclicTridiagonal,
                                PlannedPatankar, PositivityError,
                                SingularMatrixError, lu_solve, patankar_matrix)
+from relax_mprk.pdrs import RateSet
 
 from helpers import (count_factorizations, count_system_solves, counted,
                      exchange, planned, random_conservative_system)
@@ -217,6 +218,40 @@ def test_patankar_matrix_format_follows_the_dimension(n):
                     patankar_matrix(ex, P.sum(axis=0), denom, 0.5)
 
 
+@pytest.mark.parametrize("n, compiled", [(2, False), (2, True), (5, False),
+                                         (5, True), (BAND_MIN_DIM, False)],
+                         ids=["planned-2", "compiled-2", "planned-5",
+                              "compiled-5", "band"])
+def test_infinite_denominator_is_refused_by_name(n, compiled):
+    # an overflowed geometric mean would drop its component's loss term
+    # (fac * loss / inf = 0) and a NaN would reach the solve: both
+    # formats refuse either in the assembly, the plain form and a step's,
+    # naming the first bad component, as they refuse a non-positive one
+    i = np.arange(n)
+    P = np.zeros((n, n))
+    P[(i + 1) % n, i] = 0.3
+    ex = exchange(P)
+    if compiled:
+        ex.pattern.lu_plan.compile()
+    rates = [RateSet(ex, 0.0, 0.0)]
+    for k in sorted({0, n - 1}):
+        for bad, what in ((np.inf, "overflowed to infinity"),
+                          (np.nan, "is NaN")):
+            denom = np.ones(n)
+            denom[k] = bad
+            message = rf"^denominator component \[{k}\] {what}$"
+            with pytest.raises(PositivityError, match=message):
+                patankar_matrix(ex, P.sum(axis=0), denom, 0.5)
+            with pytest.raises(PositivityError, match=message):
+                patankar_matrix(rates, [1.0], denom, 0.5, np.ones(n))
+    # the first bad component is named, whatever its kind
+    denom = np.ones(n)
+    denom[n - 1], denom[0] = -1.0, np.inf
+    with pytest.raises(PositivityError, match=r"^denominator component \[0\] "
+                                              r"overflowed to infinity$"):
+        patankar_matrix(ex, P.sum(axis=0), denom, 0.5)
+
+
 def test_small_solve_matches_lapack_and_reuses_its_factor(monkeypatch):
     # every solve after the first only substitutes, with the kept factor
     factors = [0]
@@ -263,7 +298,7 @@ def test_plan_compiles_once_at_its_kth_factorization(monkeypatch):
         M = patankar_matrix(ex, P.sum(axis=0), np.ones(n), 0.5)
         x = lu_solve(M, b)
         assert lu_solve(M, b).tobytes() == x.tobytes()
-        assert ("factor" not in vars(plan)) == (plan.source is None) == (
+        assert ("solve" not in vars(plan)) == (plan.source is None) == (
             k < COMPILE_AFTER)
     assert compiles == [plan]
     assert factors[0] == plan.factored + 2 == COMPILE_AFTER + 2
@@ -298,7 +333,8 @@ def test_compiled_kernel_traceback_shows_the_pivot_check():
         patankar_matrix(interpreted, f, np.ones(n), 1.0), np.ones(n))[0]
     kernel = frames[-1]
     assert kernel.filename.startswith("<lu-plan d=5 nnz=5 fill=3 at 0x")
-    assert kernel.name == "factor"
+    # a first solve factors in the fused solve kernel
+    assert kernel.name == "solve"
     assert kernel.line == (f"if not a{n - 1} > 0.0: raise _singular(vals, "
                            f"{n - 1}, f\"pivot {{a{n - 1}:.3e}}\")")
     assert plan.source.splitlines()[kernel.lineno - 1].strip() == kernel.line

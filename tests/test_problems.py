@@ -97,7 +97,7 @@ def test_strat_problems_hold_their_own_plans():
     assert len({id(plan) for plan in [used_plan] + fresh}) == 3
     for plan in fresh:
         assert plan.factored == 0 and plan.source is None
-        assert "factor" not in vars(plan)
+        assert "solve" not in vars(plan)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from relax_mprk import relaxation
 from relax_mprk.control import integrate
 from relax_mprk.pdrs import NonFiniteStateError
-from relax_mprk.problems import cyclic3, lotka_volterra, porous_medium
+from relax_mprk.problems import (cyclic3, lotka_volterra, make_problem,
+                                 porous_medium)
 from relax_mprk.relaxation import (EntropyFunctional, RelaxConfig,
                                    _entropy_rate, entropy_value,
                                    geometric_state, relax_step,
@@ -545,6 +546,30 @@ def test_overflowing_entropy_raises_typed_error(mode, u_old, u_new,
                        _cfg(mode=mode, solver="newton"))
 
 
+def test_entropy_value_raises_typed_errors_without_an_errstate():
+    # under the suite's error::RuntimeWarning filter, with no errstate of
+    # its own: a finite eta keeps the bits of the plain call, one that
+    # overflows or is NaN ends in NonFiniteStateError
+    problem = make_problem("stratospheric")
+    u = problem.u0 * np.exp(np.linspace(-1.0, 1.0, 6))
+    assert (np.float64(entropy_value(problem.eta, u)).tobytes()
+            == np.float64(float(problem.eta.eval(u))).tobytes())
+    overflowing = EntropyFunctional(
+        eval=lambda u: float(np.sum(np.exp(450.0 * u))),
+        grad=lambda u: 450.0 * np.exp(450.0 * u), regime="conservative")
+    undefined = EntropyFunctional(eval=lambda u: float(np.sum(np.log(-u))),
+                                  grad=lambda u: 1.0 / u,
+                                  regime="conservative")
+    nan = EntropyFunctional(eval=lambda u: math.nan, grad=lambda u: u,
+                            regime="conservative")
+    for eta, what in ((overflowing, "the step"), (undefined, "the start"),
+                      (nan, "the end")):
+        with pytest.raises(NonFiniteStateError,
+                           match=f"^entropy eta of {what} is not finite$"):
+            entropy_value(eta, np.array([1.6, 0.4]), what)
+    assert np.geterr()["over"] == "warn"
+
+
 def test_relax_step_evaluates_eta_once_at_the_start():
     # eta(u^n) serves both the target and the residual scale
     problem = lotka_volterra()
@@ -661,7 +686,8 @@ def test_regula_falsi_finds_the_pme_first_step_root(m, expected):
 @pytest.mark.parametrize("solver", ["newton", "regula_falsi"])
 def test_clamped_search_probes_gamma_one_once(monkeypatch, solver):
     # relax_step probes r(1) to see whether the clamp applies; the search
-    # reads that value again instead of taking eta(u^{n+1}) twice
+    # reads that value again instead of taking eta(u^{n+1}) twice, and
+    # eta of the relaxed state is the value of the probe that converged
     problem = porous_medium(N=160, m=3.0)
     stepper = MpStepper(problem.sys, build_scheme(*problem.defaults["method"]))
     rec = stepper.step(1.0, problem.u0, problem.mesh["dx"])
@@ -683,5 +709,5 @@ def test_clamped_search_probes_gamma_one_once(monkeypatch, solver):
                                              solver=solver))
     assert out.status == "converged" and out.gamma < 1.0
     assert probes[0] == 1.0 and len(set(probes)) == len(probes)
-    # eta(u^n), one per probe and eta of the relaxed state
-    assert evals[0] == len(probes) + 2
+    # eta(u^n) and one per probe
+    assert evals[0] == len(probes) + 1

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from dataclasses import replace
 
@@ -514,6 +515,45 @@ def test_large_advection_step_and_probe_stay_linear_in_memory():
         assert np.all(stepper.gamma_state(rec, 0.9) > 0.0)
 
     assert _peak_bytes(step_and_probe) < PEAK_BYTES
+
+
+def _matrices_held(rec) -> int:
+    """The Patankar matrices reachable from a record: its own and those
+    its probes keep (the band format's ``CyclicTridiagonal``s)."""
+    seen, todo, held = set(), [rec], 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, np.ndarray)):
+            continue
+        seen.add(id(obj))
+        held += isinstance(obj, CyclicTridiagonal)
+        todo += gc.get_referents(obj)
+    return held
+
+
+def test_regula_falsi_search_holds_two_matrix_sets():
+    # every probed gamma keeps u(gamma) and sbar(gamma), but only the
+    # latest probe keeps its matrices, beside the step's own at gamma =
+    # 1: two sets of an update and a bootstrap sigma matrix, however many
+    # gammas the bracket walk and regula falsi probe (the adv_sqrt
+    # workload's search, on one step)
+    from relax_mprk.relaxation import RelaxConfig, relax_step
+
+    problem = make_problem("advection", N=100, entropy_kind="sqrt")
+    stepper = MpStepper(problem.sys, build_scheme("mprk43i", 0.5, 0.75))
+    rec = stepper.step(0.0, problem.u0, 8.0 * problem.mesh["dx"])
+    assert _matrices_held(rec) == 2
+    out = relax_step(problem.eta, stepper, rec,
+                     RelaxConfig(mode="implicit", solver="regula_falsi"))
+    assert out.status == "converged" and len(rec.probes.by_gamma) > 4
+    assert _matrices_held(rec) == 4
+    # a tangent at an older gamma probes it again, to the same bits
+    old = min(g for g in rec.probes.by_gamma if g != out.gamma)
+    du = gamma_update_derivative(rec, old, gamma_update(rec, old))
+    fresh = replace(rec)
+    assert du.tobytes() == gamma_update_derivative(
+        fresh, old, gamma_update(fresh, old)).tobytes()
+    assert _matrices_held(rec) == 4
 
 
 def test_large_euler_step_stays_linear_in_memory():
