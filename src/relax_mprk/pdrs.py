@@ -143,7 +143,7 @@ class _kept:
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RateSet:
     """All rates of a PDRS evaluated at one (t, u) point.
 
@@ -161,8 +161,15 @@ class RateSet:
     rest_dest: np.ndarray
     explicit: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        vals, pat = self.P.vals, self.P.pattern
+    def __init__(self, P: Exchange, rest_prod, rest_dest,
+                 explicit: Optional[np.ndarray] = None):
+        # the fields go into the instance dict directly: the generated
+        # frozen __init__ sets each with object.__setattr__, which costs a
+        # small system's step twice as much
+        fields = self.__dict__
+        fields["P"], fields["rest_prod"] = P, rest_prod
+        fields["rest_dest"], fields["explicit"] = rest_dest, explicit
+        vals, pat = P.vals, P.pattern
         if vals.shape != pat.rows.shape:
             raise ValueError(f"exchange values have shape {vals.shape}, "
                              f"expected ({pat.rows.size},)")
