@@ -45,11 +45,12 @@ solves those two formats and nothing else:
   index tuples.  At its ``COMPILE_AFTER``-th factorization a plan
   compiles (``LuPlan.compile``), as chemistry codes generate the sparse
   LU of a fixed kinetics pattern (KPP; Damian, Sandu, Damian, Potra &
-  Carmichael, Comput. Chem. Eng. 2002), and binds ``assemble``,
-  ``solve``, ``probe``, ``tangent`` and ``system`` on itself to
-  straight-line Python on one local variable per slot, with the loops'
-  operations, checks and messages in their order, so the switch moves
-  no bit.  A kernel tests its slots and its solution finite inline, by
+  Carmichael, Comput. Chem. Eng. 2002), and binds ``solve``,
+  ``probe``, ``tangent`` and ``system`` on itself to straight-line
+  Python on one local variable per slot, with the loops' operations,
+  checks and messages in their order, so the switch moves no bit.  (The
+  assembly stays interpreted: the compiled ``system`` and ``probe``
+  assemble inline.)  A kernel tests its slots and its solution finite inline, by
   one sum of them (a sum of finite floats is finite unless it
   overflows, and only then are the entries tested one by one), and
   ``solve`` is ``lu_solve``'s first solve in one call.  As KPP
@@ -82,7 +83,7 @@ band format recomputes its pivots from the kept bands and c_i, to the
 same bits): the Newton derivative solve with the M_gamma of the value
 solve, the bootstrap sigma-bar derivative with the sigma matrix, and the
 Newton derivative at gamma = 1 with the step's own update matrix, which
-the step record keeps beside the latest probe's (``schemes.Probes``).
+the step record keeps beside the latest probe's (``schemes.StepRecord``).
 
 ``patankar_matrix`` chooses the format from the number of unknowns d
 and the exchange pattern the system declares (``pdrs.ExchangePattern``),
@@ -94,68 +95,65 @@ use); the planned format otherwise.  No path scans a d x d array.
 Per Patankar system, in microseconds on a 2-core x86-64 VM (Python 3.11,
 numpy 2.4, BLAS on one thread; per cell the fastest of six processes,
 each the fastest of five runs of 15 repetitions, since the host's speed
-varies by about 20 % between processes): a step's system from one rate
-set and its first solve (``patankar_matrix``'s step form and
-``lu_solve``), and a second solve with the kept factor, on the
-interpreted loops, on the compiled kernels and, for the cyclic
-patterns, on the band format (``BAND_MIN_DIM`` lowered for the
-measurement).  ``ops`` counts the multipliers, updates, substitution
-terms and divisions of one factorization and solve; the last column is
-one compile of the LU kernels and the one-set step kernel:
+varies by about 20 % between processes): a step's system from one fresh
+rate set and its first solve (``patankar_matrix``'s step form, the rate
+set's ``lists`` included, and ``lu_solve``), and a second solve with the
+kept factor, on the interpreted loops, on the compiled kernels (the
+step kernel and the fused ``solve``) and, for the cyclic patterns, on
+the band format (``BAND_MIN_DIM`` moved for the measurement).  A
+compiled plan's second solve runs the interpreted substitution, so that
+column has no compiled entry.  ``ops`` counts the multipliers, updates,
+substitution terms and divisions of one factorization and solve; the
+last column is one compile of the ``solve`` kernel and the one-set step
+kernel:
 
-                                 first solve       second solve      compile
-    pattern                 ops interp  comp  band interp  comp  band     ms
-    stratospheric, d = 6     61   20.8   8.4     -    3.1   2.0     -   1.73
-    cyclic tridiagonal, 6    50   18.5   8.0  25.6    3.0   2.0   5.7   1.61
-                       17   171   40.4  17.7  30.6    6.9   3.8   7.9   4.19
-                       32   336   68.9  31.8  37.0   11.7   6.4  10.7   7.28
-                       40   424   84.9  40.8  40.1   14.8   8.3  12.1   9.25
-                       48   512   95.7  47.6  43.5   17.7   9.8  13.6   10.6
-                       63   677  128.0  62.4  51.5   22.2  13.0  16.6   15.2
-                      100  1084  201.2  98.7  68.1   35.1  21.0  24.1   22.7
-    cyclic bidiagonal, 17    81   28.8  13.3  28.1    5.7   3.1   6.9   2.84
-                       32   156   46.2  23.6  32.3    9.6   5.1   9.1   4.98
-                       63   311   82.7  41.7  42.6   17.4   9.2  13.9   11.1
-                      100   496  129.2  67.9  53.6   27.0  15.9  20.0   16.0
-    full, d = 6             106   26.0  11.3     -    3.5   2.2     -   2.03
-    full, d = 17           1921  197.4  89.6     -   16.0   9.3     -   16.9
-    full, d = 40          22920 1626.4 821.3     -   69.3  61.7     -    187
+                                 first solve       second solve  compile
+    pattern                 ops interp  comp  band  interp  band      ms
+    stratospheric, d = 6     61   20.1   8.1     -     2.4     -    1.60
+    cyclic tridiagonal, 6    50   19.4   8.2  27.6     2.6   5.5    1.53
+                       17   171   36.6  16.6  28.3     5.5   6.8    3.29
+                       32   336   62.3  29.4  35.0     9.7   9.3    6.85
+                       40   424   82.2  38.8  40.1    12.3  11.2    8.14
+                       48   512   97.1  45.5  42.7    15.2  12.8    9.65
+                       63   677  119.0  57.4  47.0    18.4  14.8    12.1
+                      100  1084  185.1  96.6  67.2    30.1  22.9    21.0
+    cyclic bidiagonal, 17    81   27.1  13.2  25.8     4.6   5.9    2.62
+                       32   156   43.0  21.8  30.6     8.0   8.2    4.50
+                       63   311   78.3  42.4  42.0    14.9  13.0    8.86
+                      100   496  117.6  63.0  49.4    21.9  17.7    14.4
+    full, d = 6             106   27.0  11.3     -     3.0     -    1.98
+    full, d = 17           1921  187.9  85.0     -    14.4     -    17.5
+    full, d = 40          22920 1502.2 717.6     -    60.5     -     178
 
-The table was measured with compiled ``factor`` and ``substitute``
-kernels, which a plan no longer builds: its first solve is now the
-fused ``solve`` kernel (stratospheric, a system and first solve from one
-rate set: 10.2 us against 12.1 with the two kernels, in the same
-process), and a second solve, which no step makes on the planned format,
-runs the interpreted substitution (3.1 us against 2.0).  The kernels
-take 0.4-0.55 of the interpreted time of a system and first solve, and
-0.55-0.9 of a second solve.  A step kernel for two
-rate sets compiles in 1.1-1.6 times the one-set kernel's time.  The
-compile pays for itself after compile / (interpreted - compiled)
-systems: 138 to 271 on the patterns above, 140 on the stratospheric
-one.  ``COMPILE_AFTER`` = 200 sits in that range.  Compiling at the
-break-even count is the ski-rental rule: a pattern factored fewer times
-never compiles and pays nothing extra (the tests' one-use random
-patterns, up to full d = 40 and 63, would spend about 0.2-0.7 s each),
-and one factored more pays at most about twice the cost of the better
-choice made in hindsight.  The stratospheric pattern compiles within
-the first 3 % of a noon-to-midnight run (8,324 factorizations).
+The kernels take 0.40-0.54 of the interpreted time of a system and
+first solve.  A step kernel for two rate sets compiles in 0.95-2.2
+times the one-set kernel's time (one process, the fastest of three
+compiles per pattern).  The compile pays for itself after compile /
+(interpreted - compiled) systems: 126 to 264 on the patterns above, 133
+on the stratospheric one.  ``COMPILE_AFTER`` = 200 sits in that range.
+Compiling at the break-even count is the ski-rental rule: a pattern
+factored fewer times never compiles and pays nothing extra (the tests'
+one-use random patterns, up to full d = 40 and 63, would spend about
+0.2-0.65 s each), and one factored more pays at most about twice the
+cost of the better choice made in hindsight.  The stratospheric pattern
+compiles within the first 3 % of a noon-to-midnight run (8,324
+factorizations).
 
 Against the band format, the compiled kernels take less for a system
-and first solve up to about d = 40 on a cyclic tridiagonal pattern,
-where the two tie (40.8 against 40.1 us; 47.6 against 43.5 at d = 48),
-and up to d = 63 on a cyclic bidiagonal one (41.7 against 42.6; 67.9
-against 53.6 at d = 100), and less for a second solve up to d = 100 on
-both.
-``BAND_MIN_DIM`` = 64 stays: moving it to the first-solve crossover
-would gain at most a sixth of a tridiagonal first solve between d = 40
-and 63 (62.4 against 51.5 us at 63), lose on every second solve there,
-and put the Euler density and PME at test sizes (N = 40 to 63) on the
-band format, whose sweep differs from the natural-order elimination by
-roundoff.  At 100 the sweep takes 0.55-0.8 of a dense LAPACK solve's
-time, at 1,000 about 0.05.  No registered problem has a pattern off the
-cyclic band at d >= ``BAND_MIN_DIM``; on one, the planned format's cost
-is its operation count, O(d) for a band plus a few entries and O(d^3)
-for a full pattern.
+and first solve up to about d = 40 on a cyclic tridiagonal pattern
+(38.8 against 40.1 us; 45.5 against 42.7 at d = 48), and as much at d =
+63 on a cyclic bidiagonal one (42.4 against 42.0; 63.0 against 49.4 at
+d = 100).  A second solve takes less on the band format from about d =
+32 on both.  ``BAND_MIN_DIM`` = 64 stays: moving it to the first-solve
+crossover would gain at most a fifth of a tridiagonal first solve
+between d = 40 and 63 (57.4 against 47.0 us at 63), and put the Euler
+density and PME at test sizes (N = 40 to 63) on the band format, whose
+sweep differs from the natural-order elimination by roundoff.  At 100
+the sweep takes 0.55-0.8 of a dense LAPACK solve's time, at 1,000 about
+0.05.  No registered problem has a pattern off the cyclic band at d >=
+``BAND_MIN_DIM``; on one, the planned format's cost is its operation
+count, O(d) for a band plus a few entries and O(d^3) for a full
+pattern.
 """
 
 from __future__ import annotations
@@ -211,12 +209,13 @@ class LuPlan:
     The methods ``assemble``, ``factor``, ``substitute``, ``solve``,
     ``probe``, ``tangent`` and ``system`` run interpreted loops over those
     tuples.  ``factored`` counts the factorizations they ran; the
-    ``COMPILE_AFTER``-th calls ``compile``, which binds ``assemble``,
-    ``solve``, ``probe``, ``tangent`` and ``system`` on the instance to
-    generated straight-line kernels and keeps the source of the first two
-    in ``source``; the class attributes stay the cold path and the
-    reference.  ``factor`` and ``substitute`` stay interpreted: ``solve``
-    and ``probe`` factor and substitute in their own kernels, and no step
+    ``COMPILE_AFTER``-th calls ``compile``, which binds ``solve``,
+    ``probe``, ``tangent`` and ``system`` on the instance to generated
+    straight-line kernels and keeps the source of ``solve`` in
+    ``source``; the class attributes stay the cold path and the
+    reference.  ``assemble``, ``factor`` and ``substitute`` stay
+    interpreted: ``system`` and ``probe`` assemble, and ``solve`` and
+    ``probe`` factor and substitute, in their own kernels, and no step
     solves a planned matrix a second time.  ``systems`` maps a number of
     rate sets to its compiled step kernel.
     """
@@ -253,8 +252,7 @@ class LuPlan:
         if self.source is not None:
             return
         self.source = _kernel_source(self)
-        scope = self._exec(self.source, "")
-        self.assemble, self.solve = scope["assemble"], scope["solve"]
+        self.solve = self._exec(self.source, "")["solve"]
 
         def on_first_call(name):
             def generate(*args):
@@ -376,7 +374,7 @@ class LuPlan:
             loss = [a + w * (e + c) for a, e, c in zip(loss, rd, col)]
             rP = [a + w * v for a, v in zip(rP, rp)]
         g = [fac * v for v in rP]
-        return (LuPlan.assemble(self, loss, denom, P, fac), P, loss, g,
+        return (self.assemble(loss, denom, P, fac), P, loss, g,
                 [a + b for a, b in zip(u, g)])
 
 
@@ -815,23 +813,20 @@ def _solution_lines(plan: LuPlan) -> list:
 
 
 def _kernel_source(plan: LuPlan) -> str:
-    """Python source of a plan's ``assemble(l, d, p, fac)`` and
-    ``solve(vals, x, positive)``, the ``LuPlan`` methods as straight-line
-    code on one local per slot (a<s>) and per unknown (x<i>).  Each does
-    the loops' floating-point operations in their order (x - a - b is
-    (x - a) - b, as the loops subtract), with their checks and messages
-    in their order, so every result and every error keeps its bits.  A
-    substitution row is split into statements of at most
-    ``_TERMS_PER_LINE`` terms, which bounds the expression depth the
-    compiler meets on a dense row.
+    """Python source of a plan's ``solve(vals, x, positive)``, the
+    ``LuPlan`` method as straight-line code on one local per slot (a<s>)
+    and per unknown (x<i>).  It does the loops' floating-point
+    operations in their order (x - a - b is (x - a) - b, as the loops
+    subtract), with their checks and messages in their order, so every
+    result and every error keeps its bits.  A substitution row is split
+    into statements of at most ``_TERMS_PER_LINE`` terms, which bounds
+    the expression depth the compiler meets on a dense row.
     """
     slots = ", ".join(_slot_names(plan))
-    lines = ["def assemble(l, d, p, fac):", *_inputs(plan), *_assembly(plan),
-             f"    return [{slots}]"]
-    lines += ["", "", "def solve(vals, x, positive):",
-              *_unpack(_slot_names(plan), "vals"),
-              *_unpack([f"x{i}" for i in range(plan.dim)], "x"),
-              *_solution_lines(plan), f"    return [{slots}], x"]
+    lines = ["def solve(vals, x, positive):",
+             *_unpack(_slot_names(plan), "vals"),
+             *_unpack([f"x{i}" for i in range(plan.dim)], "x"),
+             *_solution_lines(plan), f"    return [{slots}], x"]
     return "\n".join(lines) + "\n"
 
 

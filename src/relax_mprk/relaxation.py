@@ -8,14 +8,12 @@ through u(0) = u^n and u(1) = u^{n+1}:
   combination and only extra dissipation can be introduced;
 * geometric: componentwise (u^{n+1})^gamma (u^n)^{1-gamma}, positive for
   any gamma, valid when eta is non-decreasing in each argument;
-* implicit: the stepper's gamma-parameterized Patankar update u^{n+gamma},
-  positive and linear-invariant-preserving for every gamma > 0.  A step
-  record that carries its own ``curve`` (``schemes.StepRecord``) is
-  searched along it: the record keeps, per gamma, the state, and the
-  latest probe's solution and factor, so a probe is one pass on the
-  linear-algebra kernels and a tangent one substitution.  A stepper
-  whose records have no curve is searched through its ``gamma_state``
-  and ``gamma_state_derivative``.
+* implicit: the gamma-parameterized Patankar update u^{n+gamma},
+  positive and linear-invariant-preserving for every gamma > 0, searched
+  through the step record's own ``at`` and ``tangent``
+  (``schemes.StepRecord``).  The record keeps, per gamma, the state, and
+  the latest probe's solution and factor, so a probe is one pass on the
+  linear-algebra kernels and a tangent one substitution.
 
 On every curve gamma is a root near 1 of one residual,
 
@@ -130,11 +128,11 @@ class _Curve:
 
     ``state(gamma)`` builds u(gamma); ``tangent(gamma, u)`` is u'(gamma) at
     u = u(gamma).  The memo starts from u^{n+1} at gamma = 1, which every
-    curve passes through (for the implicit curve the stepper protocol makes
-    ``gamma_state(record, 1.0)`` bitwise u^{n+1}).  ``etas`` keeps the
-    entropy values ``residual_implicit_value`` took, by gamma.  A record's
-    own ``curve`` (``schemes.GammaCurve``) has the same ``at``,
-    ``tangent`` and ``etas``.
+    curve passes through (for the implicit curve ``record.at(1.0)`` is
+    bitwise u^{n+1}).  ``etas`` keeps the entropy values
+    ``residual_implicit_value`` took, by gamma: a curve is one search's,
+    so a second search on the record, with another eta, reads none of
+    them.
     """
 
     def __init__(self, u_next, state, tangent):
@@ -155,15 +153,10 @@ def geometric_state(u_old, u_new, gamma):
     return np.exp(gamma * np.log(u_new) + (1.0 - gamma) * np.log(u_old))
 
 
-def _curve(stepper, record, mode) -> _Curve:
+def _curve(record, mode) -> _Curve:
     if mode == MODE_IMPLICIT:
-        # the record's own curve where it has one, which keeps each probe
-        # on the record; else the stepper's gamma_state
-        curve = getattr(record, "curve", None)
-        if curve is not None:
-            return curve
-        return _Curve(record.u_next, partial(stepper.gamma_state, record),
-                      partial(stepper.gamma_state_derivative, record))
+        # the record keeps each probe itself, for every search on it
+        return _Curve(record.u_next, record.at, record.tangent)
     u_old, u_new = record.u_n, record.u_next
     if mode == MODE_CLAMPED:
         step = u_new - u_old
@@ -372,7 +365,7 @@ def relax_step(eta: EntropyFunctional, stepper, record,
     """
     if cfg.mode == MODE_NONE:
         raise ValueError("relaxation mode 'none' does not relax a step")
-    curve = _curve(stepper, record, cfg.mode)
+    curve = _curve(record, cfg.mode)
     if eta_old is None:
         eta_old = _finite_eta(lambda: eta.eval(record.u_n),
                               "the step's start")

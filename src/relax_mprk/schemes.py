@@ -3,14 +3,14 @@
 Implements the one-step maps of MPRK22(alpha), MPRK43I(alpha, beta) and
 MPSSPRK2(alpha, beta) for production-destruction-rest systems, each
 stage, sigma and update in the step form of ``patankar_matrix``, and the
-curve u^{n+gamma} the relaxation solver searches (``GammaCurve``): one
-probe per gamma solves for sigma_bar(gamma) and u^{n+gamma} with the
-step's kept systems and keeps, on the step's record (``Probes``), both
-states and the latest probe's solutions and factors, from which
-u'(gamma) and sigma_bar' are one substitution each.  The explicit block
-of a partitioned system (see ``pdrs``) takes the scheme's Butcher
-tableau, m^(i) = m_n + dt sum_j a_ij g_j, and moves affinely in gamma:
-m^{n+gamma} = m_n + gamma dm.
+curve u^{n+gamma} the relaxation solver searches, which is the step's
+record itself (``StepRecord.at`` and ``tangent``): one probe per gamma
+solves for sigma_bar(gamma) and u^{n+gamma} with the step's kept systems
+and keeps, on the record, both states and the latest probe's solutions
+and factors, from which u'(gamma) and sigma_bar' are one substitution
+each.  The explicit block of a partitioned system (see ``pdrs``) takes
+the scheme's Butcher tableau, m^(i) = m_n + dt sum_j a_ij g_j, and moves
+affinely in gamma: m^{n+gamma} = m_n + gamma dm.
 
 The key structural fact used throughout: every stage and update is a
 linear system whose matrix has unit-plus-nonnegative diagonal and
@@ -194,137 +194,12 @@ class _StageLogs:
         return np.exp(e * self.log_2 + (1.0 - e) * self.log_n)
 
 
-class Probes:
-    """A step's gamma-probes: what a probe reads, bound once per step,
-    and what the probes leave.
-
-    ``by_gamma`` maps each probed gamma to (u^{n+gamma}, sbar(gamma)),
-    starting from u^{n+1} and sigma at gamma = 1.  ``upd`` is the update
-    system, and ``sig`` the sigma system when bootstrapping, each a
-    ``linalg.PlannedSystem`` or ``BandSystem`` whose methods probe it in
-    its format.  The matrices, with their factors, and the solutions a
-    tangent reads are kept for the latest probe only (``last``), beside
-    the step's own at gamma = 1, so a regula falsi search holds two
-    matrix sets however many gammas it probes; a tangent at an older
-    gamma probes it again, to the same bits.
-
-    ``solve(gamma)`` probes and ``tangent(rec, gamma, u)`` takes the
-    derivative there; ``FrozenProbes`` and ``MovingProbes`` implement
-    them for a frozen and a moving sbar, so no probe dispatches on the
-    sigma mode or the format.  Nothing here refers back to the record,
-    so a step's record is freed as soon as it is dropped.
-    """
-
-    __slots__ = ("by_gamma", "upd", "sig", "dt", "last", "u_next", "sigma",
-                 "dm", "m_n")
-
-    def __init__(self, rec: "StepRecord"):
-        self.by_gamma = {1.0: (rec.u_next, rec.sigma)}
-        self.upd, self.sig, self.dt = rec.upd, None, rec.dt
-        # (gamma, sigma matrix, sbar solution, M_gamma, u solution)
-        self.last = None
-        self.u_next, self.sigma, self.dm = rec.u_next, rec.sigma, rec.dm
-        self.m_n = None if rec.dm is None else rec.u_n[rec.sigma.size:]
-
-    def kept(self, gamma: float) -> tuple:
-        """``(gamma, sigma matrix, sbar, M_gamma, u)`` at gamma, the
-        matrices with their factors and the solutions in the systems'
-        format: the latest probe's, the step's own at gamma = 1, or else
-        those of gamma probed again."""
-        last = self.last
-        if last is not None and last[0] == gamma:
-            return last
-        if gamma == 1.0:
-            u = self.u_next
-            M, x = self.upd.one(u if self.dm is None else u[:self.sigma.size])
-            if self.sig is None:
-                return 1.0, None, None, M, x
-            return (1.0, *self.sig.one(self.sigma), M, x)
-        self.solve(gamma)
-        return self.last
-
-
-class FrozenProbes(Probes):
-    """``Probes`` with sbar the step's sigma: M_gamma is assembled on the
-    update system's own denominators."""
-
-    __slots__ = ()
-
-    def solve(self, gamma: float) -> np.ndarray:
-        M, x, u = self.upd.solve_at(gamma, self.dt, "gamma update")
-        if self.dm is not None:
-            u = np.concatenate([u, self.m_n + gamma * self.dm])
-        self.by_gamma[gamma] = u, self.sigma
-        self.last = gamma, None, None, M, x
-        return u
-
-    def tangent(self, rec: "StepRecord", gamma: float,
-                u: np.ndarray) -> np.ndarray:
-        _, _, _, M, x = self.kept(gamma)
-        du = self.upd.tangent(M, x, gamma)
-        return du if self.dm is None else np.concatenate([du, self.dm])
-
-
-class MovingProbes(Probes):
-    """``Probes`` with sbar(gamma) the geometric mean of exponent gamma e
-    (dense), or the sigma system's solution on it (bootstrap)."""
-
-    __slots__ = ("logs", "e")
-
-    def __init__(self, rec: "StepRecord"):
-        super().__init__(rec)
-        if rec.scheme.sigma_mode == SIGMA_BOOTSTRAP:
-            self.sig = rec.sig
-        self.logs, self.e = rec.logs, rec.scheme.sigma_exp
-
-    def solve(self, gamma: float) -> np.ndarray:
-        sbar = d = self.logs.geo_mean(gamma * self.e)
-        M_sig = None
-        if self.sig is not None:
-            M_sig, d, sbar = self.sig.solve_at(gamma, self.dt, "sigma_bar",
-                                               sbar)
-        M, x, u = self.upd.solve_at(gamma, self.dt, "gamma update", d)
-        if self.dm is not None:
-            u = np.concatenate([u, self.m_n + gamma * self.dm])
-        self.by_gamma[gamma] = u, sbar
-        self.last = gamma, M_sig, d, M, x
-        return u
-
-    def tangent(self, rec: "StepRecord", gamma: float,
-                u: np.ndarray) -> np.ndarray:
-        _, _, _, M, x = self.kept(gamma)
-        sbar, dsbar = sigma_bar(rec, gamma)
-        v = u[:sbar.size] * dsbar / sbar
-        du = self.upd.tangent(M, x, gamma, v)
-        return du if self.dm is None else np.concatenate([du, self.dm])
-
-
-class GammaCurve:
-    """The curve u^{n+gamma} of one step, as ``relaxation.relax_step``
-    searches it: ``at(gamma)`` is u^{n+gamma} and ``tangent(gamma, u)``
-    its gamma-derivative, through ``gamma_update`` and
-    ``gamma_update_derivative`` on the record's ``probes``; ``etas``
-    keeps the entropy values the search took, by gamma."""
-
-    __slots__ = ("rec", "probes", "etas")
-
-    def __init__(self, rec: "StepRecord"):
-        self.rec = rec
-        self.probes = rec.probes.by_gamma
-        self.etas = {}
-
-    def at(self, gamma: float) -> np.ndarray:
-        probe = self.probes.get(gamma)
-        return gamma_update(self.rec, gamma) if probe is None else probe[0]
-
-    def tangent(self, gamma: float, u: np.ndarray) -> np.ndarray:
-        return gamma_update_derivative(self.rec, gamma, u)
-
-
 @dataclass
 class StepRecord:
-    """One MPRK step and everything needed to evaluate u^{n+gamma} and its
-    gamma-derivative from it.
+    """One MPRK step, and the curve u^{n+gamma} the relaxation searches
+    along it: ``at(gamma)`` is u^{n+gamma} (``gamma_update``) and
+    ``tangent(gamma, u)`` its gamma-derivative at u = u^{n+gamma}
+    (``gamma_update_derivative``).
 
     ``stages`` are the full stage states, u_n first, ``rate_sets`` their
     rates and ``u_next`` the full new state; the stage right-hand sides
@@ -346,10 +221,18 @@ class StepRecord:
     bit for bit.
 
     Only ``step`` writes the fields (a frozen dataclass would spend more
-    on its construction than a small system's Patankar solve).  The
-    gamma-search's ``probes`` (see ``Probes``) are made on first use and
-    kept, so a ``dataclasses.replace`` copy starts cold; ``curve`` is a
-    ``GammaCurve`` on them.
+    on its construction than a small system's Patankar solve), and it
+    returns a ``FrozenRecord`` or a ``MovingRecord``, by sigma mode, whose
+    ``solve(gamma)`` probes the curve and ``derivative(gamma, u)`` takes
+    its tangent, so no probe dispatches on the sigma mode or the format.
+    The probes stay on the record: ``by_gamma`` maps each probed gamma to
+    (u^{n+gamma}, sbar(gamma)), starting from u^{n+1} and sigma at gamma
+    = 1, made on first use and kept, so an unrelaxed step builds none
+    and a ``dataclasses.replace`` copy starts cold.  The matrices, with
+    their factors, and the solutions a tangent reads are kept for the
+    latest probe only (``last``), beside the step's own at gamma = 1, so
+    a regula falsi search holds two matrix sets however many gammas it
+    probes; a tangent at an older gamma probes it again, to the same bits.
     """
 
     scheme: MpScheme
@@ -365,20 +248,89 @@ class StepRecord:
     dm: Optional[np.ndarray] = None
 
     u_n = property(lambda self: self.stages[0])
+    # (gamma, sigma matrix, sbar solution, M_gamma, u solution) of the
+    # latest probe
+    last = None
 
     @_kept
-    def probes(self) -> Probes:
-        if self.scheme.sigma_mode == SIGMA_FROZEN:
-            return FrozenProbes(self)
-        return MovingProbes(self)
-
-    @property
-    def curve(self) -> GammaCurve:
-        return GammaCurve(self)
+    def by_gamma(self) -> dict:
+        return {1.0: (self.u_next, self.sigma)}
 
     @property
     def stage_rhs(self) -> tuple:
         return tuple(r.rhs for r in self.rate_sets)
+
+    def at(self, gamma: float) -> np.ndarray:
+        return gamma_update(self, gamma)
+
+    def tangent(self, gamma: float, u: np.ndarray) -> np.ndarray:
+        return gamma_update_derivative(self, gamma, u)
+
+    def kept(self, gamma: float) -> tuple:
+        """``(gamma, sigma matrix, sbar, M_gamma, u)`` at gamma, the
+        matrices with their factors and the solutions in the systems'
+        format: the latest probe's, the step's own at gamma = 1, or else
+        those of gamma probed again."""
+        last = self.last
+        if last is not None and last[0] == gamma:
+            return last
+        if gamma == 1.0:
+            u = self.u_next
+            M, x = self.upd.one(u if self.dm is None else u[:self.sigma.size])
+            if self.scheme.sigma_mode != SIGMA_BOOTSTRAP:
+                return 1.0, None, None, M, x
+            return (1.0, *self.sig.one(self.sigma), M, x)
+        self.solve(gamma)
+        return self.last
+
+    def _joined(self, u: np.ndarray, gamma: float) -> np.ndarray:
+        """The Patankar part ``u`` of u^{n+gamma} with the explicit
+        block's m_n + gamma dm appended; ``u`` itself without a block."""
+        if self.dm is None:
+            return u
+        return np.concatenate([u, self.u_n[u.size:] + gamma * self.dm])
+
+
+class FrozenRecord(StepRecord):
+    """A ``StepRecord`` whose sbar is the step's sigma: M_gamma is
+    assembled on the update system's own denominators."""
+
+    def solve(self, gamma: float) -> np.ndarray:
+        M, x, u = self.upd.solve_at(gamma, self.dt, "gamma update")
+        u = self._joined(u, gamma)
+        self.by_gamma[gamma] = u, self.sigma
+        self.last = gamma, None, None, M, x
+        return u
+
+    def derivative(self, gamma: float, u: np.ndarray) -> np.ndarray:
+        _, _, _, M, x = self.kept(gamma)
+        du = self.upd.tangent(M, x, gamma)
+        return du if self.dm is None else np.concatenate([du, self.dm])
+
+
+class MovingRecord(StepRecord):
+    """A ``StepRecord`` whose sbar(gamma) is the geometric mean of
+    exponent gamma e (dense), or the sigma system's solution on it
+    (bootstrap, the one mode with a ``sig``)."""
+
+    def solve(self, gamma: float) -> np.ndarray:
+        sbar = d = self.logs.geo_mean(gamma * self.scheme.sigma_exp)
+        M_sig = None
+        if self.sig is not None:
+            M_sig, d, sbar = self.sig.solve_at(gamma, self.dt, "sigma_bar",
+                                               sbar)
+        M, x, u = self.upd.solve_at(gamma, self.dt, "gamma update", d)
+        u = self._joined(u, gamma)
+        self.by_gamma[gamma] = u, sbar
+        self.last = gamma, M_sig, d, M, x
+        return u
+
+    def derivative(self, gamma: float, u: np.ndarray) -> np.ndarray:
+        _, _, _, M, x = self.kept(gamma)
+        sbar, dsbar = sigma_bar(self, gamma)
+        v = u[:sbar.size] * dsbar / sbar
+        du = self.upd.tangent(M, x, gamma, v)
+        return du if self.dm is None else np.concatenate([du, self.dm])
 
 
 def _full_state(u, m_n, rate_sets, weights, dt):
@@ -461,25 +413,25 @@ def step(sys: PdrsSystem, scheme: MpScheme, t_n: float, z_n: np.ndarray,
     if m_n is not None:
         dm = dt * _explicit_sum(rates, scheme.b)
         u_next = np.concatenate([u_next, m_n + dm])
-    return StepRecord(scheme, t_n, dt, tuple(stages), tuple(rates), u_next,
-                      sigma, upd, sig, logs, dm)
+    record = FrozenRecord if scheme.sigma_mode == SIGMA_FROZEN else MovingRecord
+    return record(scheme, t_n, dt, tuple(stages), tuple(rates), u_next, sigma,
+                  upd, sig, logs, dm)
 
 
 def sigma_bar(rec: StepRecord, gamma: float):
     """Gamma-dependent denominator vector and its gamma-derivative, in
     the scheme's sigma mode, from the probe at gamma; returns ``(sbar,
     sbar_prime)``."""
-    probes = rec.probes
-    if gamma not in probes.by_gamma:
+    if gamma not in rec.by_gamma:
         gamma_update(rec, gamma)
-    sbar = probes.by_gamma[gamma][1]
+    sbar = rec.by_gamma[gamma][1]
     if rec.scheme.sigma_mode == SIGMA_FROZEN:
         return sbar, np.zeros_like(sbar)
     v = sbar * rec.scheme.sigma_exp * rec.logs.log_ratio()
-    if probes.sig is None:
+    if rec.sig is None:
         return sbar, v
-    _, M_sig, x_sig, _, _ = probes.kept(gamma)
-    return sbar, probes.sig.tangent(M_sig, x_sig, gamma, v)
+    _, M_sig, x_sig, _, _ = rec.kept(gamma)
+    return sbar, rec.sig.tangent(M_sig, x_sig, gamma, v)
 
 
 def gamma_update(rec: StepRecord, gamma: float) -> np.ndarray:
@@ -493,15 +445,14 @@ def gamma_update(rec: StepRecord, gamma: float) -> np.ndarray:
     sbar(gamma) is the step's sigma when frozen, the geometric mean of
     exponent gamma * sigma_exp when dense, and the sigma system's
     solution on that mean when bootstrapping (MPRK43I).  The probe is
-    kept in ``rec.probes``, so each gamma is solved once.
+    kept in ``rec.by_gamma``, so each gamma is solved once.
     """
-    probes = rec.probes
-    probe = probes.by_gamma.get(gamma)
+    probe = rec.by_gamma.get(gamma)
     if probe is not None:
         return probe[0]
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return probes.solve(gamma)
+    return rec.solve(gamma)
 
 
 def gamma_update_derivative(rec: StepRecord, gamma: float,
@@ -509,10 +460,9 @@ def gamma_update_derivative(rec: StepRecord, gamma: float,
     """d u^{n+gamma} / d gamma at u_gamma = u^{n+gamma}, consistent with
     ``gamma_update``: one substitution on the factor of the probe's
     M_gamma (two for a bootstrap sbar')."""
-    probes = rec.probes
-    if gamma not in probes.by_gamma:
+    if gamma not in rec.by_gamma:
         gamma_update(rec, gamma)
-    return probes.tangent(rec, gamma, u_gamma)
+    return rec.derivative(gamma, u_gamma)
 
 
 class MpStepper:
@@ -520,11 +470,14 @@ class MpStepper:
     whose sigma mode sets the curve u^{n+gamma}, into the stepper
     protocol consumed by the relaxation and step-control layers.
 
-    A stepper provides ``step``, ``gamma_state``, ``gamma_state_derivative``,
-    ``entropy_quadrature``, ``error_estimate`` and ``linear_invariants``.
-    Contract: ``gamma_state(record, 1.0)`` is ``record.u_next`` bit for
-    bit, so the relaxation takes u^{n+1} from the record instead of
-    asking for the state at gamma = 1.
+    ``integrate`` calls ``step`` and ``error_estimate``; relaxation calls
+    ``entropy_quadrature`` and searches the record's own curve, its
+    ``at`` and ``tangent``.  ``gamma_state`` and ``gamma_state_derivative``
+    are that curve's ``gamma_update`` and its derivative, for callers
+    that hold the stepper, and ``linear_invariants`` are the system's.
+    Contract: ``record.at(1.0)`` is ``record.u_next`` bit for bit, so the
+    relaxation takes u^{n+1} from the record instead of asking for the
+    state at gamma = 1.
     """
 
     def __init__(self, sys: PdrsSystem, scheme: MpScheme):

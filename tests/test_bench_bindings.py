@@ -107,3 +107,12 @@ def test_every_traced_layer_is_called_on_a_short_euler_run():
     calls = {name: n for name, (n, _, _) in tracer.per_name().items()}
     assert set(calls) == set(tracing.LAYER_FUNCTIONS)
     assert not {name for name, n in calls.items() if n == 0}
+    # each search takes r(1) from u^{n+1} and every other residual from
+    # one gamma_update, and each residual derivative from one
+    # gamma_update_derivative: a probe routed through gamma_update twice
+    # would double schemes.gamma_updates without failing anything else
+    assert (calls["schemes.gamma_update"]
+            == calls["relaxation.residual_implicit_value"]
+            - calls["relaxation.relax_step"])
+    assert (calls["schemes.gamma_update_derivative"]
+            == calls["relaxation.residual_implicit"])

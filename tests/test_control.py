@@ -205,13 +205,10 @@ class _DriftStepper:
     def step(self, t, u, dt):
         from types import SimpleNamespace
         u = np.asarray(u, float)
-        return SimpleNamespace(t_n=t, dt=dt, u_n=u, u_next=u + 1.0)
-
-    def gamma_state(self, record, gamma):
-        return record.u_n + gamma
-
-    def gamma_state_derivative(self, record, gamma, u_gamma):
-        return np.ones_like(u_gamma)
+        return SimpleNamespace(t_n=t, dt=dt, u_n=u, u_next=u + 1.0,
+                               at=lambda gamma: u + gamma,
+                               tangent=lambda gamma, u_gamma:
+                               np.ones_like(u_gamma))
 
     def error_estimate(self, record, atol, rtol):
         return 1e-8

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,7 +39,7 @@ def _fake_step(u_old, u_new, quadrature, t_n=0.0, dt=1.0):
 
 def _curve(mode, u_old, u_new):
     record, _ = _fake_step(u_old, u_new, quadrature=0.0)
-    return relaxation._curve(None, record, mode)
+    return relaxation._curve(record, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +105,7 @@ def test_residual_derivative_matches_difference_quotient(mode):
     eta = EntropyFunctional(eval=problem.eta.eval, grad=problem.eta.grad,
                             regime="conservative",
                             monotone_nondecreasing=True)
-    curve = relaxation._curve(stepper, rec, mode)
+    curve = relaxation._curve(rec, mode)
     eta_old, rate, h = eta.eval(rec.u_n), -0.01, 1e-6
     for g in (0.5, 0.9, 1.3):
         fd = (residual_implicit_value(eta, curve, eta_old, rate, g + h)
@@ -123,7 +124,7 @@ def test_residual_implicit_hand_values():
     sys = linear_exchange()
     stepper = MpStepper(sys, build_scheme("mprk22", 1.0))
     rec = stepper.step(0.0, np.array([1.0, 1.0]), 1.0)
-    curve = relaxation._curve(stepper, rec, "implicit")
+    curve = relaxation._curve(rec, "implicit")
     # u^{n+2} = (0.25, 1.75): eta = 0.03125 + 1.53125, target 1
     r = residual_implicit_value(L2, curve, 1.0, 0.0, 2.0)
     assert r == pytest.approx(0.5625, rel=1e-13)
@@ -481,6 +482,32 @@ def test_all_solvers_agree_on_implicit_gamma(solver):
     assert abs(out.eta_after - problem.eta.eval(problem.u0)) <= 1e-9
 
 
+@pytest.mark.parametrize("solver", ["newton", "regula_falsi"])
+def test_eta_values_belong_to_one_search(solver):
+    # the record keeps its probes for every search on it, but the entropy
+    # values stay with the search that took them: a second search with
+    # 2 eta returns its own eta_after and gamma, the bits of the same
+    # search on a fresh copy of the record
+    problem = lotka_volterra()
+    stepper = MpStepper(problem.sys, build_scheme("mprk22", 1.0))
+    rec = stepper.step(0.0, problem.u0, 0.1)
+    eta = problem.eta
+    twice = EntropyFunctional(eval=lambda u: 2.0 * eta.eval(u),
+                              grad=lambda u: 2.0 * eta.grad(u),
+                              regime=eta.regime)
+    cfg = _cfg(mode="implicit", solver=solver)
+    outs = []
+    for f in (eta, twice):
+        out, fresh = (relax_step(f, stepper, r, cfg) for r in (rec, replace(rec)))
+        assert out.status == fresh.status == "converged"
+        assert out.gamma.hex() == fresh.gamma.hex()
+        assert out.eta_after.hex() == fresh.eta_after.hex()
+        assert out.u_relaxed.tobytes() == fresh.u_relaxed.tobytes()
+        outs.append(out)
+    assert outs[1].eta_after == pytest.approx(2.0 * outs[0].eta_after,
+                                              rel=1e-9)
+
+
 def test_implicit_mode_preserves_linear_invariant():
     problem = cyclic3()
     stepper = MpStepper(problem.sys, build_scheme("mprk43i", 0.5, 0.75))
@@ -677,7 +704,7 @@ def test_regula_falsi_finds_the_pme_first_step_root(m, expected):
     assert out.gamma == pytest.approx(expected, abs=1e-5)
     eta_old = problem.eta.eval(rec.u_n)
     rate = _entropy_rate(problem.eta, stepper, rec)
-    curve = relaxation._curve(stepper, rec, "implicit")
+    curve = relaxation._curve(rec, "implicit")
     slope = (residual_implicit(problem.eta, curve, rate, newton.gamma)
              / max(1.0, abs(eta_old)))
     assert abs(out.gamma - newton.gamma) <= 2.0 * cfg.gamma_tol / abs(slope)

@@ -545,10 +545,10 @@ def test_regula_falsi_search_holds_two_matrix_sets():
     assert _matrices_held(rec) == 2
     out = relax_step(problem.eta, stepper, rec,
                      RelaxConfig(mode="implicit", solver="regula_falsi"))
-    assert out.status == "converged" and len(rec.probes.by_gamma) > 4
+    assert out.status == "converged" and len(rec.by_gamma) > 4
     assert _matrices_held(rec) == 4
     # a tangent at an older gamma probes it again, to the same bits
-    old = min(g for g in rec.probes.by_gamma if g != out.gamma)
+    old = min(g for g in rec.by_gamma if g != out.gamma)
     du = gamma_update_derivative(rec, old, gamma_update(rec, old))
     fresh = replace(rec)
     assert du.tobytes() == gamma_update_derivative(
