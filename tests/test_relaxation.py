@@ -498,7 +498,8 @@ def test_eta_values_belong_to_one_search(solver):
     cfg = _cfg(mode="implicit", solver=solver)
     outs = []
     for f in (eta, twice):
-        out, fresh = (relax_step(f, stepper, r, cfg) for r in (rec, replace(rec)))
+        out = relax_step(f, stepper, rec, cfg)
+        fresh = relax_step(f, stepper, replace(rec), cfg)
         assert out.status == fresh.status == "converged"
         assert out.gamma.hex() == fresh.gamma.hex()
         assert out.eta_after.hex() == fresh.eta_after.hex()
