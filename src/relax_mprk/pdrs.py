@@ -55,12 +55,13 @@ class ExchangePattern:
 
     A system declares its pattern once; each rate evaluation then gives
     only the value vector (see ``Exchange``).  The pattern is checked here,
-    so a system with a bad one fails when it is built: every row and
-    column must lie in [0, dim), no entry may sit on the diagonal and no
-    (row, column) may repeat, since a sum over entries would count a
-    repeated one twice where a dense matrix holds it once.  The index
-    arrays are read-only; ``flat`` is each entry's index in the flattened
-    (row-major) dim x dim matrix.
+    so a system with a bad one fails when it is built: ``dim`` and every
+    index must be integers (an intp array would truncate 1.5, True or
+    '1' without a word), every row and column must lie in [0, dim), no
+    entry may sit on the diagonal and no (row, column) may repeat, since
+    a sum over entries would count a repeated one twice where a dense
+    matrix holds it once.  The index arrays are read-only; ``flat`` is
+    each entry's index in the flattened (row-major) dim x dim matrix.
 
     Any entry order is valid.  A column sum adds the column's entries in
     pattern order, so listing each column's entries by increasing row
@@ -68,6 +69,14 @@ class ExchangePattern:
     """
 
     def __init__(self, rows, cols, dim: int):
+        # a bool is an int to Python, but no dimension
+        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool):
+            raise ValueError(f"pattern dimension must be an integer, got "
+                             f"dim = {dim!r}")
+        for a in map(np.asarray, (rows, cols)):
+            if a.size and a.dtype.kind not in "iu":
+                raise ValueError(f"pattern indices must be integers, got "
+                                 f"dtype {a.dtype}")
         rows = np.array(rows, dtype=np.intp)
         cols = np.array(cols, dtype=np.intp)
         if rows.ndim != 1 or rows.shape != cols.shape:
@@ -150,7 +159,8 @@ class RateSet:
     ``P`` is the ``Exchange`` of the p_{k,nu}; rest_prod/rest_dest are the
     rest terms (or a scalar 0.0 where there are none); ``explicit`` is the
     right-hand side g of a system's explicit block (None without one).
-    A value vector whose length is not the pattern's raises ValueError.
+    A value vector whose length is not the pattern's, or a rest array
+    whose shape is not (d,), raises ValueError.
     ``loss``, the total destruction rD_k + sum_nu p_{nu,k}, and
     ``lists``, which the planned format's step reads, are built on first
     use.
@@ -173,6 +183,11 @@ class RateSet:
         if vals.shape != pat.rows.shape:
             raise ValueError(f"exchange values have shape {vals.shape}, "
                              f"expected ({pat.rows.size},)")
+        d = (pat.dim,)
+        if ((type(rest_prod) is np.ndarray and rest_prod.shape != d)
+                or (type(rest_dest) is np.ndarray and rest_dest.shape != d)):
+            raise ValueError(f"rest terms have shapes {np.shape(rest_prod)}, "
+                             f"{np.shape(rest_dest)}; expected {d} or scalars")
 
     @_kept
     def loss(self) -> np.ndarray:

@@ -11,9 +11,8 @@ through u(0) = u^n and u(1) = u^{n+1}:
 * implicit: the gamma-parameterized Patankar update u^{n+gamma},
   positive and linear-invariant-preserving for every gamma > 0, searched
   through the step record's own ``at`` and ``tangent``
-  (``schemes.StepRecord``).  The record keeps, per gamma, the state, and
-  the latest probe's solution and factor, so a probe is one pass on the
-  linear-algebra kernels and a tangent one substitution.
+  (``schemes.StepRecord``), which keeps the latest probe's solution and
+  factor, so a tangent there is one substitution.
 
 On every curve gamma is a root near 1 of one residual,
 
@@ -71,6 +70,10 @@ class EntropyFunctional:
     grad: Callable[[np.ndarray], np.ndarray]
     regime: str
     monotone_nondecreasing: bool = False
+
+    def __post_init__(self):
+        if self.regime not in (REGIME_CONSERVATIVE, REGIME_DISSIPATIVE):
+            raise ValueError(f"unknown entropy regime {self.regime!r}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,6 @@ def geometric_state(u_old, u_new, gamma):
 
 def _curve(record, mode) -> _Curve:
     if mode == MODE_IMPLICIT:
-        # the record keeps each probe itself, for every search on it
         return _Curve(record.u_next, record.at, record.tangent)
     u_old, u_new = record.u_n, record.u_next
     if mode == MODE_CLAMPED:

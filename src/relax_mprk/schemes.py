@@ -5,12 +5,12 @@ MPSSPRK2(alpha, beta) for production-destruction-rest systems, each
 stage, sigma and update in the step form of ``patankar_matrix``, and the
 curve u^{n+gamma} the relaxation solver searches, which is the step's
 record itself (``StepRecord.at`` and ``tangent``): one probe per gamma
-solves for sigma_bar(gamma) and u^{n+gamma} with the step's kept systems
-and keeps, on the record, both states and the latest probe's solutions
-and factors, from which u'(gamma) and sigma_bar' are one substitution
-each.  The explicit block of a partitioned system (see ``pdrs``) takes
-the scheme's Butcher tableau, m^(i) = m_n + dt sum_j a_ij g_j, and moves
-affinely in gamma: m^{n+gamma} = m_n + gamma dm.
+solves for sigma_bar(gamma) and u^{n+gamma} with the step's kept systems,
+and the record keeps the latest probe, from whose solutions and factors
+u'(gamma) and sigma_bar' are one substitution each.  The explicit block
+of a partitioned system (see ``pdrs``) takes the scheme's Butcher
+tableau, m^(i) = m_n + dt sum_j a_ij g_j, and moves affinely in gamma:
+m^{n+gamma} = m_n + gamma dm.
 
 The key structural fact used throughout: every stage and update is a
 linear system whose matrix has unit-plus-nonnegative diagonal and
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import _TINY, PatankarSystem, lu_solve, patankar_matrix
-from .pdrs import PdrsSystem, RateSet, _kept
+from .pdrs import PdrsSystem, RateSet
 
 MPRK22 = "mprk22"
 MPRK43I = "mprk43i"
@@ -225,14 +225,12 @@ class StepRecord:
     returns a ``FrozenRecord`` or a ``MovingRecord``, by sigma mode, whose
     ``solve(gamma)`` probes the curve and ``derivative(gamma, u)`` takes
     its tangent, so no probe dispatches on the sigma mode or the format.
-    The probes stay on the record: ``by_gamma`` maps each probed gamma to
-    (u^{n+gamma}, sbar(gamma)), starting from u^{n+1} and sigma at gamma
-    = 1, made on first use and kept, so an unrelaxed step builds none
-    and a ``dataclasses.replace`` copy starts cold.  The matrices, with
-    their factors, and the solutions a tangent reads are kept for the
-    latest probe only (``last``), beside the step's own at gamma = 1, so
-    a regula falsi search holds two matrix sets however many gammas it
-    probes; a tangent at an older gamma probes it again, to the same bits.
+    ``kept(gamma)`` is the one way to a probe: the latest (``last``),
+    the step's own at gamma = 1, or else a new one.  So a
+    ``dataclasses.replace`` copy starts cold, a regula falsi search
+    holds two matrix sets however many gammas it probes (the search
+    keeps its own states), and an older gamma is probed again, to the
+    same bits.
     """
 
     scheme: MpScheme
@@ -248,13 +246,9 @@ class StepRecord:
     dm: Optional[np.ndarray] = None
 
     u_n = property(lambda self: self.stages[0])
-    # (gamma, sigma matrix, sbar solution, M_gamma, u solution) of the
-    # latest probe
+    # (gamma, sigma matrix, sbar solution, M_gamma, u solution, sbar(gamma),
+    # u^{n+gamma}) of the latest probe, the step's own at gamma = 1 too
     last = None
-
-    @_kept
-    def by_gamma(self) -> dict:
-        return {1.0: (self.u_next, self.sigma)}
 
     @property
     def stage_rhs(self) -> tuple:
@@ -267,20 +261,22 @@ class StepRecord:
         return gamma_update_derivative(self, gamma, u)
 
     def kept(self, gamma: float) -> tuple:
-        """``(gamma, sigma matrix, sbar, M_gamma, u)`` at gamma, the
-        matrices with their factors and the solutions in the systems'
-        format: the latest probe's, the step's own at gamma = 1, or else
-        those of gamma probed again."""
+        """``(gamma, sigma matrix, sbar, M_gamma, u, sbar(gamma),
+        u^{n+gamma})`` at gamma, matrices with factors and solutions in
+        the systems' format, kept as ``last``: the latest probe's, the
+        step's own at gamma = 1, or else those of gamma > 0 probed anew."""
         last = self.last
         if last is not None and last[0] == gamma:
             return last
         if gamma == 1.0:
-            u = self.u_next
-            M, x = self.upd.one(u if self.dm is None else u[:self.sigma.size])
-            if self.scheme.sigma_mode != SIGMA_BOOTSTRAP:
-                return 1.0, None, None, M, x
-            return (1.0, *self.sig.one(self.sigma), M, x)
-        self.solve(gamma)
+            u, sigma = self.u_next, self.sigma
+            M, x = self.upd.one(u if self.dm is None else u[:sigma.size])
+            s = (None, None) if self.sig is None else self.sig.one(sigma)
+            self.last = (1.0, *s, M, x, sigma, u)
+        elif gamma <= 0.0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
+        else:
+            self.solve(gamma)
         return self.last
 
     def _joined(self, u: np.ndarray, gamma: float) -> np.ndarray:
@@ -295,15 +291,13 @@ class FrozenRecord(StepRecord):
     """A ``StepRecord`` whose sbar is the step's sigma: M_gamma is
     assembled on the update system's own denominators."""
 
-    def solve(self, gamma: float) -> np.ndarray:
+    def solve(self, gamma: float) -> None:
         M, x, u = self.upd.solve_at(gamma, self.dt, "gamma update")
-        u = self._joined(u, gamma)
-        self.by_gamma[gamma] = u, self.sigma
-        self.last = gamma, None, None, M, x
-        return u
+        self.last = (gamma, None, None, M, x, self.sigma,
+                     self._joined(u, gamma))
 
     def derivative(self, gamma: float, u: np.ndarray) -> np.ndarray:
-        _, _, _, M, x = self.kept(gamma)
+        M, x = self.kept(gamma)[3:5]
         du = self.upd.tangent(M, x, gamma)
         return du if self.dm is None else np.concatenate([du, self.dm])
 
@@ -313,20 +307,17 @@ class MovingRecord(StepRecord):
     exponent gamma e (dense), or the sigma system's solution on it
     (bootstrap, the one mode with a ``sig``)."""
 
-    def solve(self, gamma: float) -> np.ndarray:
+    def solve(self, gamma: float) -> None:
         sbar = d = self.logs.geo_mean(gamma * self.scheme.sigma_exp)
         M_sig = None
         if self.sig is not None:
             M_sig, d, sbar = self.sig.solve_at(gamma, self.dt, "sigma_bar",
                                                sbar)
         M, x, u = self.upd.solve_at(gamma, self.dt, "gamma update", d)
-        u = self._joined(u, gamma)
-        self.by_gamma[gamma] = u, sbar
-        self.last = gamma, M_sig, d, M, x
-        return u
+        self.last = gamma, M_sig, d, M, x, sbar, self._joined(u, gamma)
 
     def derivative(self, gamma: float, u: np.ndarray) -> np.ndarray:
-        _, _, _, M, x = self.kept(gamma)
+        M, x = self.kept(gamma)[3:5]
         sbar, dsbar = sigma_bar(self, gamma)
         v = u[:sbar.size] * dsbar / sbar
         du = self.upd.tangent(M, x, gamma, v)
@@ -422,15 +413,12 @@ def sigma_bar(rec: StepRecord, gamma: float):
     """Gamma-dependent denominator vector and its gamma-derivative, in
     the scheme's sigma mode, from the probe at gamma; returns ``(sbar,
     sbar_prime)``."""
-    if gamma not in rec.by_gamma:
-        gamma_update(rec, gamma)
-    sbar = rec.by_gamma[gamma][1]
+    _, M_sig, x_sig, _, _, sbar, _ = rec.kept(gamma)
     if rec.scheme.sigma_mode == SIGMA_FROZEN:
         return sbar, np.zeros_like(sbar)
     v = sbar * rec.scheme.sigma_exp * rec.logs.log_ratio()
     if rec.sig is None:
         return sbar, v
-    _, M_sig, x_sig, _, _ = rec.kept(gamma)
     return sbar, rec.sig.tangent(M_sig, x_sig, gamma, v)
 
 
@@ -445,14 +433,10 @@ def gamma_update(rec: StepRecord, gamma: float) -> np.ndarray:
     sbar(gamma) is the step's sigma when frozen, the geometric mean of
     exponent gamma * sigma_exp when dense, and the sigma system's
     solution on that mean when bootstrapping (MPRK43I).  The probe is
-    kept in ``rec.by_gamma``, so each gamma is solved once.
+    the record's ``kept(gamma)``: a gamma the record probed last is not
+    solved again.
     """
-    probe = rec.by_gamma.get(gamma)
-    if probe is not None:
-        return probe[0]
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return rec.solve(gamma)
+    return rec.kept(gamma)[-1]
 
 
 def gamma_update_derivative(rec: StepRecord, gamma: float,
@@ -460,8 +444,6 @@ def gamma_update_derivative(rec: StepRecord, gamma: float,
     """d u^{n+gamma} / d gamma at u_gamma = u^{n+gamma}, consistent with
     ``gamma_update``: one substitution on the factor of the probe's
     M_gamma (two for a bootstrap sbar')."""
-    if gamma not in rec.by_gamma:
-        gamma_update(rec, gamma)
     return rec.derivative(gamma, u_gamma)
 
 

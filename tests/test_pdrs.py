@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,70 @@ def test_rate_set_rejects_values_of_the_wrong_length():
     for bad in (np.ones(3), np.ones(1), np.ones((2, 1))):
         with pytest.raises(ValueError, match=r"expected \(2,\)"):
             RateSet(Exchange(pattern, bad), zero, zero)
+
+
+@pytest.mark.parametrize("d, compiled", [
+    pytest.param(2, False, id="planned"),
+    pytest.param(2, True, id="planned-compiled"),
+    pytest.param(80, False, id="band"),
+])
+@pytest.mark.parametrize("longer", [pytest.param(False, id="one-entry"),
+                                    pytest.param(True, id="d+1-entries")])
+def test_step_rejects_rest_terms_of_the_wrong_length(d, compiled, longer):
+    # a rest vector of one entry, or of d + 1, was truncated, broadcast to
+    # every component or refused with an unrelated message, by format;
+    # every format now raises the RateSet's ValueError
+    idx = np.arange(d)
+    pattern = (ExchangePattern([1], [0], 2) if d == 2
+               else ExchangePattern((idx + 1) % d, idx, d))
+    if compiled:
+        pattern.lu_plan.compile()
+    n = d + 1 if longer else 1
+    rest = np.full(n, 0.5)
+
+    def matrix_rates(t, u):
+        return Exchange(pattern, u[pattern.cols]), rest, np.zeros(d)
+
+    sys = PdrsSystem(pattern, matrix_rates)
+    with pytest.raises(ValueError, match=re.escape(
+            f"rest terms have shapes ({n},), ({d},); expected ({d},) or "
+            f"scalars")):
+        step(sys, build_scheme("mprk22", 1.0), 0.0, np.ones(d), 0.1)
+
+
+def test_rate_set_takes_scalar_rest_terms():
+    pattern = ExchangePattern([1], [0], 2)
+    r = RateSet(Exchange(pattern, np.ones(1)), 0.0, np.float64(0.0))
+    assert np.array_equal(r.rhs, [-1.0, 1.0])
+    with pytest.raises(ValueError, match=re.escape("shapes (), ()")):
+        RateSet(Exchange(pattern, np.ones(1)), np.array(0.5),
+                np.array(0.0))
+
+
+@pytest.mark.parametrize("rows, cols, dim, what", [
+    ([1.5], [0], 2, "dtype float64"),
+    ([True], [0], 2, "dtype bool"),
+    (["1"], [0], 2, "dtype <U1"),
+    ([1], [0.0], 2, "dtype float64"),
+    ([1], [0], 2.7, "dim = 2.7"),
+    ([1], [0], 2.0, "dim = 2.0"),
+    ([1], [0], True, "dim = True"),
+    ([1], [0], "2", "dim = '2'"),
+])
+def test_pattern_rejects_indices_and_dimensions_that_are_not_integers(
+        rows, cols, dim, what):
+    # an intp array truncates 1.5, True and '1' to row 1, and int() 2.7
+    # to 2, without a word
+    with pytest.raises(ValueError, match=re.escape(what)):
+        ExchangePattern(rows, cols, dim)
+
+
+def test_empty_pattern_stays_valid():
+    # np.asarray([]) is float64, but holds no index to truncate
+    for dim in (1, np.int64(3)):
+        pattern = ExchangePattern([], [], dim)
+        assert pattern.rows.dtype == np.intp and pattern.rows.size == 0
+        assert pattern.dim == dim and type(pattern.dim) is int
 
 
 def test_explicit_block_is_appended_and_may_take_any_sign():

@@ -8,8 +8,8 @@ import pytest
 from relax_mprk import relaxation
 from relax_mprk.control import integrate
 from relax_mprk.pdrs import NonFiniteStateError
-from relax_mprk.problems import (cyclic3, lotka_volterra, make_problem,
-                                 porous_medium)
+from relax_mprk.problems import (PROBLEM_FACTORIES, cyclic3, lotka_volterra,
+                                 make_problem, porous_medium)
 from relax_mprk.relaxation import (EntropyFunctional, RelaxConfig,
                                    _entropy_rate, entropy_value,
                                    geometric_state, relax_step,
@@ -183,7 +183,7 @@ def test_bracketing_solvers_find_shifted_root(solver):
     assert abs(fun(gamma)) <= 1e-10
 
 
-def test_newton_tiny_root_rejected_by_gamma_bounds():
+def test_newton_tiny_root_rejected_by_the_gamma_bounds():
     # residual with its only root far below gamma_min: Newton jumps out of
     # the admissible window and must report failure, not a spurious gamma
     fun = lambda g: g - 1e-12
@@ -278,6 +278,17 @@ def test_config_validation():
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             RelaxConfig(max_iters=bad)
     assert RelaxConfig(max_iters=np.int64(3)).max_iters == 3
+
+
+def test_entropy_functional_rejects_an_unknown_regime():
+    # relax_step tests only != "conservative": "Conservative" would aim
+    # the search at the stage-quadrature estimate instead of at zero
+    for bad in ("Conservative", "dissipating", "", None):
+        with pytest.raises(ValueError, match="unknown entropy regime"):
+            EntropyFunctional(eval=L2.eval, grad=L2.grad, regime=bad)
+    for name in PROBLEM_FACTORIES:
+        assert make_problem(name).eta.regime in (
+            relaxation.REGIME_CONSERVATIVE, relaxation.REGIME_DISSIPATIVE)
 
 
 # ---------------------------------------------------------------------------

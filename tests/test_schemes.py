@@ -517,43 +517,88 @@ def test_large_advection_step_and_probe_stay_linear_in_memory():
     assert _peak_bytes(step_and_probe) < PEAK_BYTES
 
 
-def _matrices_held(rec) -> int:
-    """The Patankar matrices reachable from a record: its own and those
-    its probes keep (the band format's ``CyclicTridiagonal``s)."""
+def _held(rec, kind) -> int:
+    """The objects of type ``kind`` reachable from a record: its own and
+    those its probe keeps, walked down to (not into) numpy arrays."""
     seen, todo, held = set(), [rec], 0
     while todo:
         obj = todo.pop()
-        if id(obj) in seen or isinstance(obj, (type, np.ndarray)):
+        if id(obj) in seen or isinstance(obj, type):
             continue
         seen.add(id(obj))
-        held += isinstance(obj, CyclicTridiagonal)
-        todo += gc.get_referents(obj)
+        held += isinstance(obj, kind)
+        if not isinstance(obj, np.ndarray):
+            todo += gc.get_referents(obj)
     return held
 
 
-def test_regula_falsi_search_holds_two_matrix_sets():
-    # every probed gamma keeps u(gamma) and sbar(gamma), but only the
-    # latest probe keeps its matrices, beside the step's own at gamma =
-    # 1: two sets of an update and a bootstrap sigma matrix, however many
-    # gammas the bracket walk and regula falsi probe (the adv_sqrt
-    # workload's search, on one step)
-    from relax_mprk.relaxation import RelaxConfig, relax_step
+def _matrices_held(rec) -> int:
+    """The Patankar matrices reachable from a record (the band format's
+    ``CyclicTridiagonal``s)."""
+    return _held(rec, CyclicTridiagonal)
 
+
+def _adv_sqrt_step(dx_per_step):
+    """The adv_sqrt workload's problem and stepper, and a record of its
+    first step at dt = dx_per_step dx."""
     problem = make_problem("advection", N=100, entropy_kind="sqrt")
     stepper = MpStepper(problem.sys, build_scheme("mprk43i", 0.5, 0.75))
-    rec = stepper.step(0.0, problem.u0, 8.0 * problem.mesh["dx"])
+    return problem, stepper, stepper.step(0.0, problem.u0,
+                                          dx_per_step * problem.mesh["dx"])
+
+
+def _regula_falsi_search(monkeypatch, problem, stepper, rec):
+    """The outcome of a regula falsi search on ``rec`` and every gamma it
+    probed through ``gamma_update``, in order."""
+    from relax_mprk.relaxation import RelaxConfig, relax_step
+
+    probed = []
+    probe = schemes.gamma_update
+
+    def recorded(r, gamma):
+        probed.append(gamma)
+        return probe(r, gamma)
+
+    with monkeypatch.context() as m:
+        m.setattr(schemes, "gamma_update", recorded)
+        out = relax_step(problem.eta, stepper, rec,
+                         RelaxConfig(mode="implicit", solver="regula_falsi"))
+    return out, probed
+
+
+def test_regula_falsi_search_holds_two_matrix_sets(monkeypatch):
+    # only the latest probe keeps its matrices, beside the step's own at
+    # gamma = 1: two sets of an update and a bootstrap sigma matrix,
+    # however many gammas the bracket walk and regula falsi probe (the
+    # adv_sqrt workload's search, on one step)
+    problem, stepper, rec = _adv_sqrt_step(8.0)
     assert _matrices_held(rec) == 2
-    out = relax_step(problem.eta, stepper, rec,
-                     RelaxConfig(mode="implicit", solver="regula_falsi"))
-    assert out.status == "converged" and len(rec.by_gamma) > 4
+    out, probed = _regula_falsi_search(monkeypatch, problem, stepper, rec)
+    assert out.status == "converged" and len(probed) > 4
     assert _matrices_held(rec) == 4
     # a tangent at an older gamma probes it again, to the same bits
-    old = min(g for g in rec.by_gamma if g != out.gamma)
+    old = min(g for g in probed if g != out.gamma)
     du = gamma_update_derivative(rec, old, gamma_update(rec, old))
     fresh = replace(rec)
     assert du.tobytes() == gamma_update_derivative(
         fresh, old, gamma_update(fresh, old)).tobytes()
     assert _matrices_held(rec) == 4
+
+
+def test_search_adds_the_same_arrays_however_many_gammas_it_probes(
+        monkeypatch):
+    # the record keeps one probe, not one per gamma: a search of 6 probes
+    # and one of 7 leave it holding the same number of arrays more
+    grown = {}
+    for dx_per_step in (4.0, 8.0):
+        problem, stepper, rec = _adv_sqrt_step(dx_per_step)
+        before = _held(rec, np.ndarray)
+        out, probed = _regula_falsi_search(monkeypatch, problem, stepper,
+                                           rec)
+        assert out.status == "converged"
+        grown[len(probed)] = _held(rec, np.ndarray) - before
+    assert len(grown) == 2, f"both searches probed {list(grown)} gammas"
+    assert len(set(grown.values())) == 1, grown
 
 
 def test_large_euler_step_stays_linear_in_memory():
