@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -163,7 +164,7 @@ def _resolve(args):
     dt0 = args.dt0 if args.dt0 is not None else problem.defaults["dt0"]
     try:
         check_run(problem.eta, relax_cfg, t0, t_end, dt0, args.rtol,
-                  args.atol)
+                  args.atol, stepper.linear_invariants)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return problem, scheme, stepper, relax_cfg, t0, t_end, dt0
@@ -273,19 +274,15 @@ def cmd_convergence(args) -> int:
     dts = [dt0 / 2**k for k in range(args.levels)]
 
     if problem.reference is not None:
-        def ref_at(t):
-            return problem.reference(t)
+        ref_at = problem.reference
     else:
         ts, us = _oracle_reference(problem, t0, t_end, min(dts) / 100.0)
+        ref_at = partial(interp_state, ts, us)
 
-        def ref_at(t):
-            return interp_state(ts, us, t)
-
-    eta = problem.eta
     results = []
     for dt in dts:
-        traj = integrate(stepper, eta, relax_cfg, t0, problem.u0, t_end, dt,
-                         adaptivity=args.adapt, rtol=args.rtol,
+        traj = integrate(stepper, problem.eta, relax_cfg, t0, problem.u0,
+                         t_end, dt, adaptivity=args.adapt, rtol=args.rtol,
                          atol=args.atol)
         t_f, u_f = traj.times[-1], traj.states[-1]
         err = float(np.max(np.abs(u_f - ref_at(t_f))))

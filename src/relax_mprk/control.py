@@ -99,11 +99,13 @@ class Trajectory:
 
 
 def check_run(eta, relax_cfg: Optional[RelaxConfig], t0: float,
-              t_end: float, dt0: float, rtol: float, atol: float) -> bool:
+              t_end: float, dt0: float, rtol: float, atol: float,
+              invariants=()) -> bool:
     """Whether a run relaxes; ValueError for a run ``integrate`` cannot
     make: t0 or t_end not finite, t_end <= t0, dt0 not > 0, relaxation
-    without eta, geometric relaxation on a non-monotone eta, or error
-    tolerances that are negative, NaN or both zero."""
+    without eta, geometric relaxation on a system with a linear invariant
+    (``invariants``; the geometric mean does not hold n . u, the implicit
+    curve does), or error tolerances that are negative, NaN or both zero."""
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise ValueError(f"t0 and t_end must be finite, got {t0} and {t_end}")
     if not t_end > t0:
@@ -113,10 +115,10 @@ def check_run(eta, relax_cfg: Optional[RelaxConfig], t0: float,
     relaxing = relax_cfg is not None and relax_cfg.mode != MODE_NONE
     if relaxing and eta is None:
         raise ValueError("relaxation requires an entropy functional")
-    if (relaxing and relax_cfg.mode == MODE_GEOMETRIC
-            and not eta.monotone_nondecreasing):
-        raise ValueError("geometric relaxation requires an entropy that "
-                         "is non-decreasing in each argument")
+    if relaxing and relax_cfg.mode == MODE_GEOMETRIC and len(invariants):
+        raise ValueError(
+            f"geometric relaxation does not hold the linear invariant n . u, "
+            f"n = {np.array2string(np.asarray(invariants[0]), threshold=6)}")
     # the error estimate divides by atol + rtol |u|
     if not (rtol >= 0.0 and atol >= 0.0 and rtol + atol > 0.0):
         raise ValueError(f"rtol and atol must be non-negative and not both "
@@ -136,12 +138,18 @@ def integrate(stepper, eta, relax_cfg: Optional[RelaxConfig], t0: float,
     is kept and the failure is recorded.  The final step is truncated to
     land on t_end (up to the gamma time shift).  A run that has not
     reached t_end after ``max_steps`` attempted steps raises
-    ``IntegrationError``; arguments ``check_run`` rejects raise
-    ``ValueError``.
+    ``IntegrationError``.  Arguments ``check_run`` rejects (geometric
+    relaxation when the stepper has ``linear_invariants``, among them) and
+    a ``max_steps`` that is not an integer of at least 1 raise ValueError.
     """
     if adaptivity not in ADAPT_MODES:
         raise ValueError(f"unknown adaptivity mode {adaptivity!r}")
-    relaxing = check_run(eta, relax_cfg, t0, t_end, dt0, rtol, atol)
+    if not (isinstance(max_steps, (int, np.integer))
+            and not isinstance(max_steps, bool) and max_steps >= 1):
+        raise ValueError("max_steps must be an integer of at least 1")
+    geometric = relax_cfg is not None and relax_cfg.mode == MODE_GEOMETRIC
+    relaxing = check_run(eta, relax_cfg, t0, t_end, dt0, rtol, atol,
+                         stepper.linear_invariants if geometric else ())
     span = t_end - t0
     use_pid = adaptivity in (ADAPT_PID, ADAPT_PID_RELAX)
     use_relax_adapt = adaptivity in (ADAPT_RELAX, ADAPT_PID_RELAX)

@@ -82,8 +82,7 @@ def lotka_volterra() -> ProblemDescriptor:
         return np.array([1.0 / u1 - 1.0, 2.0 / u2 - 1.0])
 
     eta = EntropyFunctional(eval=eta_eval, grad=eta_grad,
-                            regime=REGIME_CONSERVATIVE,
-                            monotone_nondecreasing=False)
+                            regime=REGIME_CONSERVATIVE)
 
     return ProblemDescriptor(
         name="lotka_volterra", sys=sys, eta=eta,
@@ -156,7 +155,7 @@ def stratospheric() -> ProblemDescriptor:
 
     eta = EntropyFunctional(
         eval=lambda u: float(n2 @ u), grad=lambda u: n2.copy(),
-        regime=REGIME_CONSERVATIVE, monotone_nondecreasing=True)
+        regime=REGIME_CONSERVATIVE)
 
     u0 = np.array([9.906e1, 6.624e8, 1.5978e12, 3.394e16, 8.725e8, 4.480e8])
     return ProblemDescriptor(
@@ -221,7 +220,7 @@ def advection_fv(N: int = 100, entropy_kind: str = "log") -> ProblemDescriptor:
     eta = EntropyFunctional(
         eval=lambda u: float(dx * np.sum(U(u))),
         grad=lambda u: dx * dU(u),
-        regime=REGIME_CONSERVATIVE, monotone_nondecreasing=False)
+        regime=REGIME_CONSERVATIVE)
 
     x = (np.arange(N) + 0.5) * dx
     u0 = 1.9 * np.sin(np.pi * x) + 2.0
@@ -261,8 +260,7 @@ def isothermal_euler_fv(N: int = 100, c: float = 1.0):
         return dx * np.concatenate([g_rho, m / rho])
 
     eta = EntropyFunctional(eval=eta_eval, grad=eta_grad,
-                            regime=REGIME_CONSERVATIVE,
-                            monotone_nondecreasing=False)
+                            regime=REGIME_CONSERVATIVE)
 
     return ProblemDescriptor(
         name="euler", sys=None, eta=eta, u0=z0, tspan=(0.0, 1.0),
@@ -321,7 +319,7 @@ def porous_medium(N: int = 160, m: float = 3.0) -> ProblemDescriptor:
     eta = EntropyFunctional(
         eval=lambda u: float(0.5 * dx**2 * np.sum(u**2)),
         grad=lambda u: dx**2 * u,
-        regime=REGIME_DISSIPATIVE, monotone_nondecreasing=True)
+        regime=REGIME_DISSIPATIVE)
 
     u0 = np.maximum(barenblatt(1.0, x, m), _PME_FLOOR)
     if m == 3.0:
@@ -358,7 +356,7 @@ def cyclic3() -> ProblemDescriptor:
     eta = EntropyFunctional(
         eval=lambda u: float(-np.sum(np.log(u))),
         grad=lambda u: -1.0 / u,
-        regime=REGIME_CONSERVATIVE, monotone_nondecreasing=False)
+        regime=REGIME_CONSERVATIVE)
 
     return ProblemDescriptor(
         name="cyclic3", sys=sys, eta=eta,

@@ -6,8 +6,8 @@ through u(0) = u^n and u(1) = u^{n+1}:
 * clamped_dissipative: the affine point u^n + gamma (u^{n+1} - u^n), with
   the root clamped at min(gamma*, 1), so the state stays a convex
   combination and only extra dissipation can be introduced;
-* geometric: componentwise (u^{n+1})^gamma (u^n)^{1-gamma}, positive for
-  any gamma, valid when eta is non-decreasing in each argument;
+* geometric: componentwise (u^{n+1})^gamma (u^n)^{1-gamma}, for a system
+  whose only constraint is positivity: positive, but no linear invariant;
 * implicit: the gamma-parameterized Patankar update u^{n+gamma},
   positive and linear-invariant-preserving for every gamma > 0, searched
   through the step record's own ``at`` and ``tangent``
@@ -59,17 +59,13 @@ REGIME_DISSIPATIVE = "dissipative"
 
 @dataclass(frozen=True)
 class EntropyFunctional:
-    """Scalar functional eta with gradient and structural flags.
-
-    ``regime`` says whether the semidiscretization conserves eta exactly
-    or only dissipates it; ``monotone_nondecreasing`` certifies validity
-    of the geometric-mean relaxed state.
-    """
+    """Scalar functional eta with its gradient; ``regime`` says whether
+    the semidiscretization conserves eta exactly or only dissipates it.
+    The system, not eta, decides the curve (``control.check_run``)."""
 
     eval: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     regime: str
-    monotone_nondecreasing: bool = False
 
     def __post_init__(self):
         if self.regime not in (REGIME_CONSERVATIVE, REGIME_DISSIPATIVE):
@@ -97,6 +93,7 @@ class RelaxConfig:
         if not 0.0 < self.gamma_tol < math.inf:
             raise ValueError("gamma_tol must be positive and finite")
         if not (isinstance(self.max_iters, (int, np.integer))
+                and not isinstance(self.max_iters, bool)
                 and self.max_iters >= 1):
             raise ValueError("max_iters must be an integer of at least 1")
 

@@ -6,6 +6,7 @@ from relax_mprk.cli import (CSV_HEADER, ConfigError, main, parse_method_spec,
                             parse_problem_spec)
 from relax_mprk.control import integrate, interp_state
 from relax_mprk.problems import barenblatt, make_problem
+from relax_mprk.relaxation import RelaxConfig
 from relax_mprk.schemes import SIGMA_MODES, MpStepper, build_scheme
 
 from helpers import counted
@@ -140,10 +141,12 @@ def test_bad_problem_kwargs_exit_2(tmp_path, capsys):
             ("cyclic3 --t-end inf", "must be finite"),
             ("cyclic3 --t-end nan", "must be finite"),
             ("cyclic3 --dt0 nan", "dt0 must be positive"),
-            ("cyclic3 --relax geometric", "non-decreasing in each argument"),
-            ("advection:N=8 --relax geometric", "non-decreasing"),
-            ("euler:N=8 --relax geometric", "non-decreasing"),
-            ("lotka_volterra --relax geometric", "non-decreasing"),
+            # the geometric mean holds no linear invariant
+            ("pme:m=3,N=40 --relax geometric", "linear invariant n . u"),
+            ("stratospheric --relax geometric", "linear invariant n . u"),
+            ("cyclic3 --relax geometric", "linear invariant n . u"),
+            ("advection:N=8 --relax geometric", "linear invariant n . u"),
+            ("euler:N=8 --relax geometric", "linear invariant n . u"),
             ("cyclic3 --rtol -1 --adapt pid", "must be non-negative"),
             ("cyclic3 --rtol 0 --atol 0", "not both zero"),
             # non-finite parameters, which would reach a solve as a
@@ -164,6 +167,23 @@ def test_bad_problem_kwargs_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and reason in err, argv
         assert not out.exists(), argv
+
+
+def test_lotka_volterra_runs_geometric_relaxation(tmp_path, capsys):
+    # positivity is the one constraint of a system with no linear
+    # invariant, so the geometric curve serves it
+    out = tmp_path / "lv.csv"
+    assert main(["run", "--problem", "lotka_volterra", "--relax",
+                 "geometric", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            out.read_text().strip().splitlines()[1:]]
+    assert {row[4] for row in rows[1:]} == {"converged"}
+    # eta held to the search's tolerance per step
+    etas = [float(row[5]) for row in rows]
+    bound = (1.01 * (len(rows) - 1) * RelaxConfig().gamma_tol
+             * max(1.0, abs(etas[0])))
+    assert max(abs(e - etas[0]) for e in etas) <= bound
+    assert "wrote" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["run", "convergence"])

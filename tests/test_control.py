@@ -179,6 +179,19 @@ def test_step_budget_counts_attempts():
     assert steps == [7]
 
 
+@pytest.mark.parametrize("max_steps", [0, -3, True, 2.5])
+def test_step_budget_must_be_an_integer_of_at_least_one(max_steps):
+    # 0 and -3 raised "step budget exceeded at t = 0.0" and True took one
+    # attempt: a bool is an int to Python, but no step budget
+    stepper = MpStepper(_zero_system(), build_scheme("mprk22", 1.0))
+    steps = [0]
+    stepper.step = counted(stepper.step, steps)
+    with pytest.raises(ValueError, match="max_steps must be an integer"):
+        integrate(stepper, None, None, 0.0, [1.0, 1.0], 4.0, 1.0,
+                  max_steps=max_steps)
+    assert steps == [0]
+
+
 def test_integrate_relaxed_conserves_entropy():
     problem = lotka_volterra()
     stepper = MpStepper(problem.sys, build_scheme("mprk22", 1.0))

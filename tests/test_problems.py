@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from relax_mprk.control import check_run
 from relax_mprk.means import mean_log
 from relax_mprk.problems import (PROBLEM_FACTORIES, advection_fv, barenblatt,
                                  cyclic3, isothermal_euler_fv, lotka_volterra,
                                  make_problem, porous_medium, stratospheric,
                                  _daylight)
+from relax_mprk.relaxation import RelaxConfig
 from relax_mprk.schemes import build_scheme
 
 from helpers import fd_gradient
@@ -231,3 +233,16 @@ def test_registry():
     assert make_problem("advection", N=16).mesh["N"] == 16
     with pytest.raises(KeyError, match="unknown problem"):
         make_problem("heat")
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
+def test_default_relaxation_passes_the_run_check(name):
+    # no default may pick a curve the gate refuses for its own system,
+    # such as the geometric one on a system with a linear invariant
+    p = make_problem(name)
+    d = p.defaults
+    stepper = p.stepper(build_scheme(*d["method"]))
+    cfg = RelaxConfig(mode=d["relax"], solver=d["solver"],
+                      **d.get("relax_opts", {}))
+    assert check_run(p.eta, cfg, *p.tspan, d["dt0"], d.get("rtol", 1e-6),
+                     d.get("atol", 1e-6), stepper.linear_invariants)

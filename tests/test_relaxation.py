@@ -85,12 +85,10 @@ def test_residual_geometric_values():
     u_old = np.array([1.0, 4.0])
     u_new = np.array([4.0, 1.0])
     assert np.allclose(geometric_state(u_old, u_new, 0.5), [2.0, 2.0])
-    eta = EntropyFunctional(eval=L2.eval, grad=L2.grad, regime="conservative",
-                            monotone_nondecreasing=True)
     curve = _curve("geometric", u_old, u_new)
     eta_old = L2.eval(u_old)
-    assert residual_implicit_value(eta, curve, eta_old, 0.0, 0.0) == pytest.approx(0.0)
-    r1 = residual_implicit_value(eta, curve, eta_old, 0.0, 1.0)
+    assert residual_implicit_value(L2, curve, eta_old, 0.0, 0.0) == pytest.approx(0.0)
+    r1 = residual_implicit_value(L2, curve, eta_old, 0.0, 1.0)
     assert r1 == L2.eval(u_new) - eta_old
     assert curve.states[1.0] is curve.at(1.0)
 
@@ -102,9 +100,7 @@ def test_residual_derivative_matches_difference_quotient(mode):
     problem = lotka_volterra()
     stepper = MpStepper(problem.sys, build_scheme("mprk22", 1.0))
     rec = stepper.step(0.0, problem.u0, 0.5)
-    eta = EntropyFunctional(eval=problem.eta.eval, grad=problem.eta.grad,
-                            regime="conservative",
-                            monotone_nondecreasing=True)
+    eta = problem.eta
     curve = relaxation._curve(rec, mode)
     eta_old, rate, h = eta.eval(rec.u_n), -0.01, 1e-6
     for g in (0.5, 0.9, 1.3):
@@ -274,7 +270,8 @@ def test_config_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma_tol must be positive"):
             RelaxConfig(gamma_tol=bad)
-    for bad in (0, math.nan, 2.5, 3.0, "10"):
+    # a bool is an int to Python, but no iteration count
+    for bad in (0, math.nan, 2.5, 3.0, "10", True):
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             RelaxConfig(max_iters=bad)
     assert RelaxConfig(max_iters=np.int64(3)).max_iters == 3
@@ -405,29 +402,35 @@ def test_clamped_state_is_convex_combination():
 # ---------------------------------------------------------------------------
 # relax_step: geometric and implicit modes on real steps
 
-def test_geometric_mode_requires_monotone_entropy():
-    # integrate checks the entropy once per run, before the first step
+def test_geometric_mode_is_refused_on_a_system_with_a_linear_invariant():
+    # the geometric mean keeps positivity but not n . u: integrate refuses
+    # it once per run, before the first step, naming the invariant, for
+    # whatever entropy the run relaxes
     problem = cyclic3()
     stepper = MpStepper(problem.sys, build_scheme("mprk22", 1.0))
     calls = [0]
     stepper.step = counted(stepper.step, calls)
-    with pytest.raises(ValueError, match="non-decreasing"):
+    with pytest.raises(ValueError, match=r"linear invariant n \. u, "
+                                         r"n = \[1\. 1\. 1\.\]"):
         integrate(stepper, problem.eta, _cfg(mode="geometric",
                                              solver="newton"),
                   0.0, problem.u0, 1.0, 0.1)
     assert calls == [0]
+    # the system, not the entropy, is refused: the same rates with no
+    # invariant declared run
+    bare = MpStepper(replace(problem.sys, linear_invariants=()),
+                     build_scheme("mprk22", 1.0))
+    integrate(bare, problem.eta, _cfg(mode="geometric", solver="newton"),
+              0.0, problem.u0, 0.1, 0.1)
 
 
-def test_geometric_mode_with_override_finds_root():
-    # |u|^2/2 is non-decreasing in each argument on the positive orthant,
-    # where every geometric state lies; along the exchange step (1,1) ->
-    # (0.4,1.6) the geometric residual has a genuine root inside (0, 1)
-    eta = EntropyFunctional(eval=L2.eval, grad=L2.grad, regime="conservative",
-                            monotone_nondecreasing=True)
+def test_geometric_mode_finds_root():
+    # along the exchange step (1,1) -> (0.4,1.6) the geometric residual of
+    # |u|^2/2 has a genuine root inside (0, 1)
     sys = linear_exchange()
     stepper = MpStepper(sys, build_scheme("mprk22", 1.0))
     rec = stepper.step(0.0, np.array([1.0, 1.0]), 1.0)
-    out = relax_step(eta, stepper, rec, _cfg(mode="geometric", solver="newton"))
+    out = relax_step(L2, stepper, rec, _cfg(mode="geometric", solver="newton"))
     assert out.status == "converged"
     assert 0.0 < out.gamma < 1.0
     assert np.all(out.u_relaxed > 0.0)
@@ -441,8 +444,7 @@ def test_geometric_newton_leaving_window_fails_without_overflow():
     # 3e6, far above gamma_max, where (u_new)^gamma overflows
     eta = EntropyFunctional(eval=lambda u: float(u[0] + (4.0 - 1e-6) * u[1]),
                             grad=lambda u: np.array([1.0, 4.0 - 1e-6]),
-                            regime="conservative",
-                            monotone_nondecreasing=True)
+                            regime="conservative")
     record, stepper = _fake_step([1.0, 1.0], [2.0, 0.5], quadrature=0.0)
     out = relax_step(eta, stepper, record, _cfg(mode="geometric",
                                                 solver="newton"))
@@ -452,13 +454,12 @@ def test_geometric_newton_leaving_window_fails_without_overflow():
 
 
 def test_geometric_mode_cannot_move_log_entropies():
-    # for eta = sum(log u), non-decreasing in each argument, the geometric
+    # for eta = sum(log u), increasing in each argument, the geometric
     # state interpolates eta affinely, so the residual is linear in gamma
     # with its only root at 0: the solver must report failure rather than
     # a spurious tiny gamma
     eta = EntropyFunctional(eval=lambda u: float(np.sum(np.log(u))),
-                            grad=lambda u: 1.0 / u, regime="conservative",
-                            monotone_nondecreasing=True)
+                            grad=lambda u: 1.0 / u, regime="conservative")
     problem = cyclic3()
     stepper = MpStepper(problem.sys, build_scheme("mprk22", 1.0))
     rec = stepper.step(0.0, problem.u0, 0.1)
@@ -466,6 +467,36 @@ def test_geometric_mode_cannot_move_log_entropies():
     out = relax_step(eta, stepper, rec, _cfg(mode="geometric",
                                              solver="regula_falsi"))
     assert out.status == "failed"
+
+
+@pytest.mark.parametrize("kind, params, order", [
+    ("mprk22", (1.0,), 2), ("mprk43i", (0.5, 0.75), 3)])
+def test_geometric_relaxation_keeps_the_order_on_lotka_volterra(
+        kind, params, order):
+    # Lotka-Volterra holds no linear invariant, so positivity is its one
+    # constraint and the geometric curve may relax it; its eta is not
+    # monotone, yet every search converges and the base order holds
+    from scipy.integrate import solve_ivp
+    problem = lotka_volterra()
+    stepper = MpStepper(problem.sys, build_scheme(kind, *params))
+    cfg = _cfg(mode="geometric", solver="newton")
+    errs = []
+    for k in range(1, 6):
+        traj = integrate(stepper, problem.eta, cfg, 0.0, problem.u0, 5.0,
+                         0.1 / 2**k)
+        assert set(traj.statuses[1:]) == {"converged"}
+        eta0 = traj.etas[0]
+        drift = max(abs(e - eta0) for e in traj.etas)
+        assert drift <= (1.01 * traj.n_steps * cfg.gamma_tol
+                         * max(1.0, abs(eta0)))
+        t_f = traj.times[-1]
+        ref = solve_ivp(lambda t, u: [2.0 * u[0] - u[0] * u[1],
+                                      u[0] * u[1] - u[1]],
+                        (0.0, t_f), problem.u0, method="DOP853",
+                        rtol=1e-13, atol=1e-13).y[:, -1]
+        errs.append(float(np.max(np.abs(traj.states[-1] - ref))))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(np.abs(orders[-2:] - order) <= 0.1), orders
 
 
 def test_implicit_mode_conserves_entropy_lotka_volterra():
